@@ -9,7 +9,10 @@ Usage, from the repository root:
 The workload runs in its own worker process (bench/worker.py) so that its
 peak resident memory is its own.  With --trace 0 the set-up time is also
 measured, as the median of several fresh processes, started between passes,
-that only import shancode and load the sources.  Outputs are checked
+that only import shancode and load the sources.  End-to-end times are
+rescaled to the nominal speed of a host-speed probe (bench/hostspeed.py)
+timed beside each call and each set-up, because the host's core speed
+drifts between runs.  Outputs are checked
 against the references in bench/check.py.  The last stdout line is one
 JSON object:
 
@@ -31,6 +34,7 @@ import sys
 from pathlib import Path
 
 import check
+import hostspeed
 import workloads
 
 BENCH_DIR = Path(__file__).resolve().parent
@@ -117,10 +121,13 @@ def main(argv=None) -> int:
         values["src.lines"] = src_lines()
         wanted = spec["per_layer"]
     else:
+        # Times rescaled to the host-speed probe's nominal speed (see
+        # hostspeed.py); the first pass warms caches and is left out.
+        rescaled = result["rescaled_pass_s"]
         values = {
-            # The mean, not the median, pass time: see README on host noise.
-            "wall_s": statistics.mean(result["pass_s"]),
-            "setup_s": statistics.median(result["setup_probe_s"]),
+            "wall_s": statistics.median(rescaled[1:] or rescaled),
+            "setup_s": statistics.median(hostspeed.rescale(p["setup_s"], p["probe_s"])
+                                         for p in result["setup_probes"]),
             "peak_rss_mb": result["peak_rss_mb"],
         }
         wanted = spec["end_to_end"]

@@ -7,11 +7,13 @@ Usage (normally started by run.py):
 
 Prints one JSON object on its last stdout line.  --setup-only measures the
 time to import shancode and load and validate the plan's sources, and
-nothing else.  Otherwise the plan runs in passes until --seconds have
-elapsed (at least one pass), with a --setup-only probe in a fresh process
-after each of the first passes.  With --trace 1 the first half of the time runs
-untraced and the second half traced, so the per-layer figures and the
-tracing overhead come from the same process.
+nothing else, then runs the host-speed probe (hostspeed.py) once.
+Otherwise the plan runs in passes until --seconds have elapsed (at least
+one pass), with a --setup-only probe in a fresh process after each of the
+first passes; every call is timed between two host-speed probes.  With
+--trace 1 the first half of the time runs untraced and the second half
+traced, without probes, so the per-layer figures and the tracing overhead
+come from the same process.
 """
 
 from __future__ import annotations
@@ -62,9 +64,33 @@ def run_call(call, modules, sources):
     return cls, values
 
 
-def run_pass(plan, modules, sources):
-    """Run every call once; return {label: result}."""
-    return {call["label"]: run_call(call, modules, sources) for call in plan["calls"]}
+def run_pass(plan, modules, sources, rescale=False):
+    """Run every call once; return ({label: result}, seconds, rescaled seconds).
+
+    Without rescale the pass is timed as a whole and the rescaled time is
+    None.  With it, each call is timed between two runs of the host-speed
+    probe, which are not counted, and rescaled to the probe's nominal speed
+    by the mean of the two.
+    """
+    results = {}
+    if not rescale:
+        t0 = perf_counter()
+        for call in plan["calls"]:
+            results[call["label"]] = run_call(call, modules, sources)
+        return results, perf_counter() - t0, None
+    import hostspeed
+
+    seconds = rescaled = 0.0
+    before = hostspeed.probe()
+    for call in plan["calls"]:
+        t0 = perf_counter()
+        results[call["label"]] = run_call(call, modules, sources)
+        call_s = perf_counter() - t0
+        after = hostspeed.probe()
+        seconds += call_s
+        rescaled += hostspeed.rescale(call_s, (before + after) / 2)
+        before = after
+    return results, seconds, rescaled
 
 
 def save_outputs(plan, results) -> str:
@@ -87,31 +113,33 @@ def save_outputs(plan, results) -> str:
     return digest.hexdigest()
 
 
-def timed_passes(plan, modules, sources, seconds, wrap=None, between=None):
-    """Run passes until seconds have elapsed; return (pass times, output digests).
+def timed_passes(plan, modules, sources, seconds, wrap=None, between=None, rescale=False):
+    """Run passes until seconds have elapsed; return (pass times, output digests, rescaled pass times).
 
-    between() runs after each pass, outside the timed section.
+    between() runs after each pass, outside the timed section.  The
+    rescaled times are empty without rescale.
     """
-    times, digests = [], []
+    times, digests, rescaled = [], [], []
     start = perf_counter()
     while not times or perf_counter() - start < seconds:
-        t0 = perf_counter()
         if wrap is None:
-            results = run_pass(plan, modules, sources)
+            results, pass_s, pass_rescaled = run_pass(plan, modules, sources, rescale)
         else:
-            results = wrap(lambda: run_pass(plan, modules, sources))
-        times.append(perf_counter() - t0)
+            results, pass_s, pass_rescaled = wrap(lambda: run_pass(plan, modules, sources))
+        times.append(pass_s)
+        if pass_rescaled is not None:
+            rescaled.append(pass_rescaled)
         digests.append(save_outputs(plan, results))
         if between is not None:
             between()
-    return times, digests
+    return times, digests, rescaled
 
 
-def setup_probe(argv) -> float:
-    """Set-up time of a fresh process running this file with --setup-only."""
+def setup_probe(argv) -> dict:
+    """Set-up time and host-speed probe of a fresh process running this file with --setup-only."""
     cmd = [sys.executable, __file__, *argv, "--setup-only"]
     proc = subprocess.run(cmd, capture_output=True, text=True, timeout=PROBE_TIMEOUT_S, check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])["setup_s"]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def main(argv=None) -> int:
@@ -127,6 +155,9 @@ def main(argv=None) -> int:
     modules, sources, setup_s = setup(plan, args.src)
     out = {"setup_s": setup_s}
     if args.setup_only:
+        import hostspeed  # imports numpy itself, so only after the timed set-up
+
+        out["probe_s"] = hostspeed.probe()
         print(json.dumps(out))
         return 0
 
@@ -134,7 +165,7 @@ def main(argv=None) -> int:
         import tracing  # the benchmark's tracer, next to this file
 
         half = args.seconds / 2
-        out["pass_s"], out["digests"] = timed_passes(plan, modules, sources, half)
+        out["pass_s"], out["digests"], _ = timed_passes(plan, modules, sources, half)
         tracer = tracing.Tracer()
         tracer.install()
         roots = []
@@ -144,7 +175,7 @@ def main(argv=None) -> int:
             return tracer.span("bench.pass", fn)
 
         try:
-            out["traced_pass_s"], digests = timed_passes(plan, modules, sources, half, traced)
+            out["traced_pass_s"], digests, _ = timed_passes(plan, modules, sources, half, traced)
         finally:
             tracer.uninstall()
         out["digests"] += digests
@@ -154,16 +185,17 @@ def main(argv=None) -> int:
     else:
         # Set-up probes run between passes, so their median spans the same
         # stretch of machine load as the passes.
-        probes = out["setup_probe_s"] = []
+        probes = out["setup_probes"] = []
         probe_argv = ["--plan", args.plan, "--src", args.src]
 
-        def probe():
+        def probe_setup():
             if len(probes) < SETUP_PROBES:
                 probes.append(setup_probe(probe_argv))
 
-        out["pass_s"], out["digests"] = timed_passes(plan, modules, sources, args.seconds, between=probe)
+        out["pass_s"], out["digests"], out["rescaled_pass_s"] = timed_passes(
+            plan, modules, sources, args.seconds, between=probe_setup, rescale=True)
         while len(probes) < SETUP_PROBES:
-            probe()
+            probe_setup()
     # ru_maxrss is in KiB on Linux
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     print(json.dumps(out))
