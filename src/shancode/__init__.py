@@ -20,13 +20,12 @@ from .exact import ZERO, ExactProb, Log2Value, approximate_rational, parse_prob_
 from .oracle import (
     Limits,
     RedundancyValue,
-    TransitionCounts,
     exact_redundancy,
+    exact_redundancy_range,
     kraft_sum,
     monte_carlo_redundancy,
     neg_log_mu,
     shannon_lengths,
-    transition_count_classes,
 )
 from .sources import (
     ChainStructure,

@@ -167,15 +167,14 @@ def _cmd_predict(config: RunConfig):
 
 def _exact_rows(source, config: RunConfig):
     rows = []
-    for n in range(config.n_range[0], config.n_range[1] + 1):
-        rec = oracle.exact_redundancy(source, n, limits=config.limits)
+    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits):
         rows.append(
-            {"n": n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
+            {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
         )
         if config.samples > 0:
-            mc = oracle.monte_carlo_redundancy(source, n, config.samples, config.seed)
+            mc = oracle.monte_carlo_redundancy(source, rec.n, config.samples, config.seed)
             rows.append(
-                {"n": n, "method": mc.method, "value": mc.value, "stderr": mc.stderr, "flags": _flags_cell(mc.flags)}
+                {"n": rec.n, "method": mc.method, "value": mc.value, "stderr": mc.stderr, "flags": _flags_cell(mc.flags)}
             )
     return rows
 
@@ -189,8 +188,8 @@ def _cmd_exact(config: RunConfig):
 def _compare_rows(source, config: RunConfig):
     cls = _classification(source, config)
     rows = []
-    for n in range(config.n_range[0], config.n_range[1] + 1):
-        rec = oracle.exact_redundancy(source, n, limits=config.limits)
+    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits):
+        n = rec.n
         pred = asymptotics.predict(source, cls, n, xi=config.xi)
         rows.append(
             {
@@ -317,6 +316,10 @@ def main(argv=None) -> int:
         n_range = parse_n_range(args.n)
         if not (0.0 < args.xi < 0.5):
             raise ValidationFailure(f"xi must lie in (0, 1/2), got {args.xi}")
+        if args.m_max < 1:
+            raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
+        if args.samples < 0:
+            raise ValidationFailure(f"samples must be nonnegative, got {args.samples}")
     except (ValidationFailure, ValueError) as exc:
         _emit_error(exc)
         return 2

@@ -1,15 +1,16 @@
 """Ground-truth average redundancy of the Shannon code at finite block length.
 
-The average redundancy at block length n is
-
     R_n = E{ceil(-log2 mu(X^n)) + log2 mu(X^n)} = E{rho(-log2 mu(X^n))}
 
-with rho(u) = ceil(u) - u and mu the path probability.  Because -log2 mu
-depends on a path only through its first state and its transition counts,
-the expectation can be evaluated either by enumerating all paths or by a
-dynamic program over transition-count classes; both are implemented here,
-together with a seeded Monte Carlo estimator and Shannon code-length
-utilities.
+with rho(u) = ceil(u) - u and mu the path probability.  -log2 mu depends on
+a path only through a lattice point: for an exact source, its rational part
+times a common denominator plus the exponents of mu's odd mantissa over a
+pairwise coprime base; for a float source, how often each distinct
+transition value was used.  exact_redundancy_range runs one forward DP over
+(state, lattice point) keys carrying float probability mass and reads R_n
+out at every n of a range.  The classes are unions of Markov types (Jacquet
+& Szpankowski, IEEE T-IT 2004) with the same mu.  Also here: a seeded Monte
+Carlo estimator and Shannon code lengths by path enumeration.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -25,11 +28,14 @@ from .exact import ZERO, Log2Value
 from .sources import MarkovSource, log2_prob
 
 INTEGER_SNAP_TOL = 1e-9
+# table size for the float readout, which sums count * value over several counts per lookup
+_CHUNK_ENTRIES = 4096
 
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource guard for the exact strategies; thresholds live in config."""
+    """Exact requests are admitted up to n when n <= count_dp_max_n[r] or
+    r**n <= enumeration_max_paths (shannon_lengths needs the latter)."""
 
     enumeration_max_paths: int = 2**24
     count_dp_max_n: dict = field(default_factory=lambda: {2: 200, 3: 40})
@@ -47,16 +53,6 @@ class RedundancyValue:
     flags: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
-    """One equivalence class of paths sharing first/last state and edge counts."""
-
-    first_state: int
-    last_state: int
-    counts: tuple
-    multiplicity: int
-
-
 def ceil_defect_float(u: float, snap_tol: float | None = None) -> tuple[float, bool]:
     """rho(u) = ceil(u) - u, optionally snapping near-integer u to 0.
 
@@ -68,14 +64,6 @@ def ceil_defect_float(u: float, snap_tol: float | None = None) -> tuple[float, b
         if abs(u - nearest) <= snap_tol:
             return 0.0, abs(u - nearest) > 0.0
     return math.ceil(u) - u, False
-
-
-def _ceil_defect_exact(neg_log: Log2Value) -> tuple[float, bool]:
-    """rho of an exactly represented -log2 mu; exact zero at integers."""
-    if neg_log.is_rational:
-        q = neg_log.frac_exact()
-        return float((1 - q) % 1), False
-    return ceil_defect_float(neg_log.to_float(), None)
 
 
 def neg_log_mu(source: MarkovSource, x) -> float:
@@ -131,195 +119,205 @@ def _iter_support(source: MarkovSource, n: int):
             yield from extend([s0], start)
 
 
-def _redundancy_by_enumeration(source: MarkovSource, n: int, limits: Limits, snap_tol: float):
-    _check_enumeration(source, n, limits)
-    terms = []
-    snapped = False
-    for _, neg_log in _iter_support(source, n):
-        if source.exact:
-            rho, snap = _ceil_defect_exact(neg_log)
-            weight = 2.0 ** (-neg_log.to_float())
-        else:
-            rho, snap = ceil_defect_float(neg_log, snap_tol)
-            weight = 2.0**-neg_log
-        snapped |= snap
-        terms.append(weight * rho)
-    return math.fsum(terms), snapped
+# -- lattice dynamic program -------------------------------------------------
 
 
-# -- transition-count dynamic program -------------------------------------
+def _check_limits(source: MarkovSource, n: int, limits: Limits) -> None:
+    cap = limits.count_dp_max_n.get(source.r, 0)
+    if n > cap and source.r**n > limits.enumeration_max_paths:
+        raise ResourceLimit(f"no exact route within limits for r={source.r}, n={n}: n > {cap} "
+                            f"and {source.r}^{n} > {limits.enumeration_max_paths} paths")
 
 
-def _count_classes_packed(source: MarkovSource, n: int, first: int):
-    """DP over packed (current state, count matrix) keys for one first state.
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product.
 
-    Count matrices are encoded in base n as a single integer alongside the
-    current state, so each transition is one integer add; the packing is
-    exact because every count is at most n - 1.
+    Built by gcd refinement, not by factoring, which 80-bit mantissas rule
+    out.  Such a base is multiplicatively independent: a product of powers
+    of its elements is 1 only when every exponent is 0.
     """
-    r = source.r
-    adj = source.support()
-    base = max(n, 2)
-    powers = [base**i for i in range(r * r)]
-    # key = packed_counts * r + current; delta moves cur -> j and bumps the count
-    deltas = [[powers[k * r + j] * r + j - k for j in range(r)] for k in range(r)]
-    states = {first: 1}
-    for _ in range(n - 1):
-        nxt: dict[int, int] = {}
-        get = nxt.get
-        for key, mult in states.items():
-            cur = key % r
-            for j in adj[cur]:
-                nkey = key + deltas[cur][j]
-                nxt[nkey] = get(nkey, 0) + mult
-        states = nxt
-    for key, mult in states.items():
-        packed, last = divmod(key, r)
-        counts = []
-        for _ in range(r * r):
-            packed, digit = divmod(packed, base)
-            counts.append(digit)
-        yield last, tuple(counts), mult
+    base = {v for v in values if v > 1}
+    while pair := next(((a, b) for a, b in combinations(sorted(base), 2) if math.gcd(a, b) > 1), None):
+        g = math.gcd(*pair)
+        base = (base - set(pair)) | {v for v in (g, pair[0] // g, pair[1] // g) if v > 1}
+    return sorted(base)
 
 
-def transition_count_classes(source: MarkovSource, n: int) -> list[TransitionCounts]:
-    """Group the length-n positive-probability paths by (first, last, counts)."""
+def _exponents(value: int, base) -> list[int]:
     out = []
-    for first in range(source.r):
-        if source.initial[first] is ZERO:
-            continue
-        for last, counts, mult in _count_classes_packed(source, n, first):
-            out.append(TransitionCounts(first, last, counts, mult))
-    out.sort(key=lambda c: (c.first_state, c.last_state, c.counts))
+    for b in base:
+        e = 0
+        while value % b == 0:
+            value, e = value // b, e + 1
+        out.append(e)
     return out
 
 
-def _class_neg_log(source: MarkovSource, cls: TransitionCounts):
+def _forward(frontier, moves, lo: int, hi: int, readout) -> list:
+    """Run the DP to length hi and return readout(n, frontier) for n = lo..hi.
+
+    frontier[k] maps the packed lattice points of paths now in state k to
+    their probability mass; moves[k] lists (j, packed step, p(j|k)).
+    """
+    out = []
+    for n in range(1, hi + 1):
+        if n >= lo:
+            out.append(readout(n, frontier))
+        if n == hi:
+            break
+        nxt = [{} for _ in frontier]
+        for row, row_moves in zip(frontier, moves):
+            for j, delta, p in row_moves:
+                target = nxt[j]
+                get = target.get
+                for key, mass in row.items():
+                    key += delta
+                    target[key] = get(key, 0.0) + mass * p
+        frontier = nxt
+    return out
+
+
+def _merged(frontier) -> dict:
+    """Probability mass per lattice point, summed over the current state."""
+    merged: dict = {}
+    get = merged.get
+    for row in frontier:
+        for key, mass in row.items():
+            merged[key] = get(key, 0.0) + mass
+    return merged
+
+
+def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
+    """(R_n, snapped) for n = lo..hi on an exact source, in one pass.
+
+    A lattice point is (D times the rational part of -log2 mu, exponents of
+    mu's odd mantissa over a coprime base), one frontier for all first
+    states.  Where the exponents are all 0, -log2 mu is rational and rho is
+    exact integer arithmetic.
+    """
     r = source.r
-    if source.exact:
-        total = log2_prob(source, source.initial[cls.first_state])
-        for k in range(r):
-            for j in range(r):
-                c = cls.counts[k * r + j]
-                if c:
-                    total = total + log2_prob(source, source.transitions[k][j]).scaled(c)
-        return -total
-    total = math.log2(source.prob_float(source.initial[cls.first_state]))
-    for k in range(r):
-        for j in range(r):
-            c = cls.counts[k * r + j]
-            if c:
-                total += c * math.log2(source.prob_float(source.transitions[k][j]))
-    return -total
+    steps = {(k, j): p for k, row in enumerate(source.transitions) for j, p in enumerate(row) if p is not ZERO}
+    starts = {s: p for s, p in enumerate(source.initial) if p is not ZERO}
+    probs = [*steps.values(), *starts.values()]
+    denom = math.lcm(*(p.exp2.denominator for p in probs))
+    base = _coprime_base(v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator))
+    logs = [math.log2(b) for b in base]
+
+    def coords(p):
+        num, den = _exponents(p.mantissa.numerator, base), _exponents(p.mantissa.denominator, base)
+        return [int(-p.exp2 * denom)] + [a - b for a, b in zip(num, den)]
+
+    # paths of length <= hi keep every coordinate within half = hi * (largest step);
+    # adding offset turns the signed base-radix digits into plain ones
+    half, dims = hi * max(abs(c) for p in probs for c in coords(p)), 1 + len(base)
+    radix = 2 * half + 1
+    offset = half * sum(radix**i for i in range(dims))
+
+    def pack(p):
+        return sum(c * radix**i for i, c in enumerate(coords(p)))
+
+    frontier = [{pack(starts[s]): source.prob_float(starts[s])} if s in starts else {} for s in range(r)]
+    moves = [[(j, pack(p), source.prob_float(p)) for (i, j), p in steps.items() if i == k] for k in range(r)]
+
+    def readout(n, frontier):
+        terms = []
+        for key, mass in _merged(frontier).items():
+            scaled, *expo = [(key + offset) // radix**i % radix - half for i in range(dims)]
+            if any(expo):
+                rho, _ = ceil_defect_float(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
+            else:
+                rho = (-scaled % denom) / denom
+            terms.append(mass * rho)
+        return math.fsum(terms), False
+
+    return _forward(frontier, moves, lo, hi, readout)
 
 
-def _redundancy_by_count_dp(source: MarkovSource, n: int, snap_tol: float):
+def _float_sums(source: MarkovSource, lo: int, hi: int, snap_tol: float) -> list:
+    """(R_n, snapped) for n = lo..hi on a float source, one pass per first state.
+
+    A lattice point counts, in base hi, how often each distinct transition
+    value was used; the first state's value is no coordinate, so frontiers
+    of different first states would never merge.  The readout sums
+    count * value in integers over a power-of-two denominator, a few counts
+    per table lookup, so -log2 mu is correctly rounded whatever hi is.
+    """
     r = source.r
-    terms = []
-    snapped = False
-    if source.exact:
-        # per-edge exact log pieces: rational exponents on one common
-        # denominator (so the per-class sum is integer arithmetic) plus the
-        # odd mantissas, tracked only where they are nontrivial
-        logs = {}
-        for k in range(r):
-            for j in range(r):
-                v = source.transitions[k][j]
-                if v is not ZERO:
-                    logs[k * r + j] = v.log2()
-        for first in range(r):
-            if source.initial[first] is ZERO:
-                continue
-            init_log = log2_prob(source, source.initial[first])
-            denom = init_log.rational.denominator
-            for lv in logs.values():
-                denom = denom * lv.rational.denominator // math.gcd(denom, lv.rational.denominator)
-            init_scaled = init_log.rational.numerator * (denom // init_log.rational.denominator)
-            rat_scaled = {idx: lv.rational.numerator * (denom // lv.rational.denominator) for idx, lv in logs.items()}
-            mant = {idx: lv.mantissa for idx, lv in logs.items() if lv.mantissa != 1}
-            init_num = init_log.mantissa.numerator
-            init_den = init_log.mantissa.denominator
-            for _, counts, mult in _count_classes_packed(source, n, first):
-                scaled = init_scaled + sum(rat_scaled[idx] * c for idx, c in enumerate(counts) if c)
-                num, den = init_num, init_den
-                for idx, m in mant.items():
-                    c = counts[idx]
-                    if c:
-                        num *= m.numerator**c
-                        den *= m.denominator**c
-                if num == den:
-                    # purely rational -log2 mu = -scaled / denom; exact rho
-                    fr = (-scaled) % denom
-                    rho = 0.0 if fr == 0 else 1.0 - fr / denom
-                    neg_float = -scaled / denom
-                else:
-                    neg_float = -scaled / denom - (math.log2(num) - math.log2(den))
-                    rho, snap = ceil_defect_float(neg_float, None)
-                if rho:
-                    log_weight = math.log2(mult) - neg_float
-                    if log_weight > -1074:
-                        terms.append(2.0**log_weight * rho)
-    else:
-        table = [
-            -math.log2(source.prob_float(source.transitions[k][j])) if source.transitions[k][j] is not ZERO else 0.0
-            for k in range(r)
-            for j in range(r)
-        ]
-        for first in range(r):
-            if source.initial[first] is ZERO:
-                continue
-            init_neg = -math.log2(source.prob_float(source.initial[first]))
-            for _, counts, mult in _count_classes_packed(source, n, first):
-                neg_log = init_neg + math.fsum(c * table[idx] for idx, c in enumerate(counts) if c)
-                rho, snap = ceil_defect_float(neg_log, snap_tol)
-                snapped |= snap
-                if rho:
-                    log_weight = math.log2(mult) - neg_log
-                    if log_weight > -1074:
-                        terms.append(2.0**log_weight * rho)
-    return math.fsum(terms), snapped
+    table = source.neg_log2_table()
+    values = sorted({v for v in table.ravel().tolist() if math.isfinite(v)})
+    init_negs = {s: -math.log2(source.prob_float(p)) for s, p in enumerate(source.initial) if p is not ZERO}
+    scale = max(x.as_integer_ratio()[1] for x in [*values, *init_negs.values()])
+
+    def scaled(x: float) -> int:
+        num, den = x.as_integer_ratio()
+        return num * (scale // den)
+
+    radix = max(hi, 2)
+    moves = [[(j, radix ** values.index(table[k, j]), source.prob_float(source.transitions[k][j]))
+              for j in range(r) if math.isfinite(table[k, j])] for k in range(r)]
+    width = 1
+    while radix ** (width + 1) <= _CHUNK_ENTRIES:
+        width += 1
+    chunks = []
+    for i in range(0, len(values), width):
+        part = [0]
+        for step in map(scaled, reversed(values[i:i + width])):
+            part = [t + c * step for t in part for c in range(radix)]
+        chunks.append((len(part), part))
+
+    def readout(n, frontier, start):
+        terms, snapped = [], False
+        for key, mass in _merged(frontier).items():
+            total = start
+            for size, part in chunks:
+                key, digits = divmod(key, size)
+                total += part[digits]
+            rho, snap = ceil_defect_float(total / scale, snap_tol)
+            snapped |= snap
+            terms.append(mass * rho)
+        return math.fsum(terms), snapped
+
+    partials = [[] for _ in range(lo, hi + 1)]
+    for first, init_neg in init_negs.items():
+        frontier = [{0: source.prob_float(source.initial[first])} if s == first else {} for s in range(r)]
+        sums = _forward(frontier, moves, lo, hi, partial(readout, start=scaled(init_neg)))
+        for acc, part in zip(partials, sums):
+            acc.append(part)
+    return [(math.fsum(v for v, _ in acc), any(s for _, s in acc)) for acc in partials]
 
 
-def _pick_strategy(source: MarkovSource, n: int, strategy: str, limits: Limits) -> str:
-    if strategy in ("enumeration", "count_dp"):
-        if strategy == "count_dp" and n > limits.count_dp_max_n.get(source.r, 0):
-            raise ResourceLimit(f"count_dp capped at n={limits.count_dp_max_n.get(source.r, 0)} for r={source.r}")
-        if strategy == "enumeration":
-            _check_enumeration(source, n, limits)
-        return strategy
-    if strategy != "auto":
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if n <= limits.count_dp_max_n.get(source.r, 0):
-        return "count_dp"
-    if source.r**n <= limits.enumeration_max_paths:
-        return "enumeration"
-    raise ResourceLimit(f"no exact strategy within limits for r={source.r}, n={n}")
+def exact_redundancy_range(
+    source: MarkovSource,
+    lo: int,
+    hi: int,
+    limits: Limits = DEFAULT_LIMITS,
+    snap_tol: float = INTEGER_SNAP_TOL,
+) -> list[RedundancyValue]:
+    """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
+
+    The request is checked against the limits at hi before any work starts.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid block length range {lo}..{hi}")
+    _check_limits(source, hi, limits)
+    sums = _exact_sums(source, lo, hi) if source.exact else _float_sums(source, lo, hi, snap_tol)
+    rows = []
+    for n, (value, snapped) in zip(range(lo, hi + 1), sums):
+        if -1e-12 < value < 0.0:
+            value = 0.0
+        flags = frozenset({"snap"}) if snapped else frozenset()
+        rows.append(RedundancyValue(n=n, value=value, method="lattice_dp", stderr=None, flags=flags))
+    return rows
 
 
 def exact_redundancy(
     source: MarkovSource,
     n: int,
-    strategy: str = "auto",
     limits: Limits = DEFAULT_LIMITS,
     snap_tol: float = INTEGER_SNAP_TOL,
 ) -> RedundancyValue:
-    """Exact R_n = sum over positive-probability paths of mu * rho(-log2 mu).
-
-    The count_dp strategy sums over transition-count classes weighted by
-    their path multiplicities and must agree with plain enumeration to
-    1e-12 wherever both run.
-    """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    chosen = _pick_strategy(source, n, strategy, limits)
-    if chosen == "count_dp":
-        value, snapped = _redundancy_by_count_dp(source, n, snap_tol)
-    else:
-        value, snapped = _redundancy_by_enumeration(source, n, limits, snap_tol)
-    if -1e-12 < value < 0.0:
-        value = 0.0
-    flags = frozenset({"snap"}) if snapped else frozenset()
-    return RedundancyValue(n=n, value=value, method=chosen, stderr=None, flags=flags)
+    """Exact R_n = sum over positive-probability paths of mu * rho(-log2 mu)."""
+    return exact_redundancy_range(source, n, n, limits, snap_tol)[0]
 
 
 # -- Monte Carlo ----------------------------------------------------------

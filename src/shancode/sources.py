@@ -262,12 +262,6 @@ def validate(source: MarkovSource, float_tol: float = FLOAT_SUM_TOL) -> Validati
     )
 
 
-def require_valid(source: MarkovSource) -> None:
-    report = validate(source)
-    if not report.ok:
-        raise ValidationFailure("; ".join(report.messages))
-
-
 # -- structure ----------------------------------------------------------
 
 

@@ -186,6 +186,8 @@ def find_oscillation_order(
     [0, 1/d) for a chain of period d; the weights are the component arguments
     of the corresponding right eigenvector normalized to weight 0 at state 0.
     """
+    if m_max < 1:
+        raise ValueError(f"m_max must be at least 1, got {m_max}")
     structure = classify_structure(source)
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")

@@ -76,7 +76,7 @@ def test_acceptance_02(permutation_source, permutation_state0_start):
     for n in range(16, 21):
         diff = abs(exact_redundancy(permutation_source, n).value - ceil_defect(n * LOG3))
         assert diff <= 0.02, (n, diff)
-    rec30 = exact_redundancy(permutation_source, 30, strategy="count_dp")
+    rec30 = exact_redundancy(permutation_source, 30)
     diff30 = abs(rec30.value - ceil_defect(30 * LOG3))
     assert diff30 <= 0.002, diff30
     # deterministic start at state 0: the initial term drops out and the
@@ -85,7 +85,7 @@ def test_acceptance_02(permutation_source, permutation_state0_start):
         diff = abs(exact_redundancy(permutation_state0_start, n).value - ceil_defect((n - 1) * LOG3))
         assert diff <= 0.02, (n, diff)
     diff30b = abs(
-        exact_redundancy(permutation_state0_start, 30, strategy="count_dp").value
+        exact_redundancy(permutation_state0_start, 30).value
         - ceil_defect(29 * LOG3)
     )
     assert diff30b <= 0.002, diff30b

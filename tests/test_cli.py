@@ -128,7 +128,7 @@ def test_exact_with_monte_carlo_rows(permutation_path):
     )
     assert rc == 0
     rows = parse_csv(out)
-    assert [r["method"] for r in rows] == ["count_dp", "monte_carlo"] * 3
+    assert [r["method"] for r in rows] == ["lattice_dp", "monte_carlo"] * 3
     for row in rows:
         assert math.isfinite(float(row["value"]))
         if row["method"] == "monte_carlo":
@@ -189,6 +189,35 @@ def test_exit_code_resource_limit(permutation_path):
     rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "400")
     assert rc == 3 and not out
     assert json.loads(err)["error"] == "ResourceLimit"
+
+
+def test_resource_limit_refused_before_any_work(permutation_path, monkeypatch, capsys):
+    from shancode import oracle
+
+    def no_dp(*args):
+        raise AssertionError("the DP ran on a refused request")
+
+    monkeypatch.setattr(oracle, "_forward", no_dp)
+    rc = main(["--command", "exact", "--source", permutation_path, "--n", "198..201"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    assert json.loads(err)["error"] == "ResourceLimit"
+
+
+def test_single_n_and_range_print_the_same_row(permutation_path):
+    rc, single, _ = run_cli("--command", "compare", "--source", permutation_path, "--n", "60")
+    rc2, ranged, _ = run_cli("--command", "compare", "--source", permutation_path, "--n", "4..60")
+    assert rc == 0 and rc2 == 0
+    assert parse_csv(single)[0] == parse_csv(ranged)[-1]
+
+
+def test_bad_m_max_and_samples_rejected(float_path):
+    rc, out, err = run_cli("--command", "classify", "--source", float_path, "--m-max", "0")
+    assert rc == 2 and not out
+    assert json.loads(err)["error"] == "ValidationFailure"
+    rc, out, err = run_cli("--command", "exact", "--source", float_path, "--n", "3", "--samples", "-5")
+    assert rc == 2 and not out
+    assert json.loads(err)["error"] == "ValidationFailure"
 
 
 def test_exit_code_missing_source():

@@ -1,6 +1,7 @@
-"""Ground-truth redundancy: enumeration, count classes, Monte Carlo, lengths."""
+"""Ground-truth redundancy: lattice DP, Monte Carlo, Shannon code lengths."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,11 @@ from shancode import (
     Limits,
     MarkovSource,
     exact_redundancy,
+    exact_redundancy_range,
     kraft_sum,
     monte_carlo_redundancy,
     neg_log_mu,
     shannon_lengths,
-    transition_count_classes,
 )
 from shancode.asymptotics import ceil_defect
 from shancode.errors import ResourceLimit, ZeroPathProbability
@@ -73,19 +74,48 @@ def test_redundancy_in_unit_interval(oscillatory_exact_family, float_convergent_
             assert 0.0 <= v < 1.0
 
 
-def test_enumeration_matches_count_dp_exhaustively(
+def test_lattice_dp_matches_bruteforce_exhaustively(
     permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source
 ):
     sources = [permutation_source, m2_source, float_convergent_source, bipartite_periodic_source]
     for s in sources:
         for n in range(1, 11):
-            a = exact_redundancy(s, n, strategy="enumeration").value
-            b = exact_redundancy(s, n, strategy="count_dp").value
+            a = redundancy_bruteforce(s, n)
+            b = exact_redundancy(s, n).value
             assert abs(a - b) <= 1e-12
     for n in range(1, 9):
-        a = exact_redundancy(dyadic_r3, n, strategy="enumeration").value
-        b = exact_redundancy(dyadic_r3, n, strategy="count_dp").value
+        a = redundancy_bruteforce(dyadic_r3, n)
+        b = exact_redundancy(dyadic_r3, n).value
         assert abs(a - b) <= 1e-12
+
+
+def test_range_matches_single_calls_bitwise(
+    permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source
+):
+    # one pass to hi must read out exactly what a pass stopping at n reads out
+    for s in (permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source):
+        rows = exact_redundancy_range(s, 1, 12)
+        assert [rec.n for rec in rows] == list(range(1, 13))
+        for rec in rows:
+            assert rec.method == "lattice_dp"
+            assert rec == exact_redundancy(s, rec.n)
+    assert exact_redundancy_range(permutation_source, 4, 60)[-1] == exact_redundancy(permutation_source, 60)
+
+
+def test_permutation_chain_long_range_one_pass(permutation_source):
+    rows = exact_redundancy_range(permutation_source, 1, 200)
+    for rec in rows:
+        assert abs(rec.value - ceil_defect(rec.n * LOG3)) <= 1e-12, rec.n
+
+
+def test_large_mantissas_fast(m2_source):
+    # mantissas of 44 to 81 bits: the coprime base comes from gcds, not factoring
+    start = time.perf_counter()
+    rows = exact_redundancy_range(m2_source, 1, 10)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s"
+    for rec in rows:
+        assert abs(rec.value - redundancy_bruteforce(m2_source, rec.n)) <= 1e-12
 
 
 def test_matches_bruteforce_oracle(permutation_source, m2_source, float_convergent_source):
@@ -111,22 +141,6 @@ def test_redundancy_equals_mean_length_minus_entropy(permutation_source, m2_sour
             )
 
 
-def test_transition_count_classes_structure(permutation_state0_start):
-    s = permutation_state0_start
-    r = s.r
-    for n in (2, 5, 8):
-        classes = transition_count_classes(s, n)
-        total_paths = sum(c.multiplicity for c in classes)
-        assert total_paths == r ** (n - 1)  # started deterministically at state 0
-        for c in classes:
-            assert sum(c.counts) == n - 1
-            for v in range(r):
-                out_deg = sum(c.counts[v * r + j] for j in range(r))
-                in_deg = sum(c.counts[k * r + v] for k in range(r))
-                expect = (1 if v == c.first_state else 0) - (1 if v == c.last_state else 0)
-                assert out_deg - in_deg == expect
-
-
 def test_snap_flag_on_float_dyadic():
     s = MarkovSource.from_floats([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]])
     for n in (3, 10):
@@ -139,9 +153,11 @@ def test_resource_limits():
     with pytest.raises(ResourceLimit):
         exact_redundancy(s, 500)
     with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 10, strategy="enumeration", limits=Limits(enumeration_max_paths=100))
+        exact_redundancy(s, 10, limits=Limits(enumeration_max_paths=100, count_dp_max_n={}))
     with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 10, strategy="count_dp", limits=Limits(count_dp_max_n={2: 5}))
+        exact_redundancy(s, 10, limits=Limits(enumeration_max_paths=2**9, count_dp_max_n={2: 5}))
+    with pytest.raises(ResourceLimit):
+        exact_redundancy_range(s, 1, 500)
 
 
 # -- Monte Carlo --------------------------------------------------------------

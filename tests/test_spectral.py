@@ -162,6 +162,11 @@ def test_find_oscillation_order_float_infinite(float_convergent_source):
     assert len(res.rho_history) == 50
 
 
+def test_find_oscillation_order_needs_a_scan(float_convergent_source):
+    with pytest.raises(ValueError):
+        find_oscillation_order(float_convergent_source, m_max=0)
+
+
 def test_find_oscillation_order_requires_irreducible(absorbing_source):
     with pytest.raises(ReducibleChain):
         find_oscillation_order(absorbing_source)
