@@ -13,6 +13,7 @@ from .asymptotics import (
     memoryless_formula,
     oscillation_argument,
     predict,
+    predict_range,
     predicted_redundancy,
     predicted_redundancy_periodic,
 )

@@ -25,6 +25,14 @@ by the extracted phase s and weights w:
 
 For chains of period d the single oscillation splits into d terms with
 phase offsets t/d and eigenvector weights of the transition matrix.
+
+predict_range evaluates Omega_n for a whole n range in one pass: structure,
+pi and the unit-circle eigenpairs once per source, rho(zeta_jk(n)) as one
+(N, r, r) array.  On the anchor route zeta is reduced modulo 1 exactly and
+mantissa**k is never formed: rational parts in integers, and the remainder
+k log2(mantissa) in decimal arithmetic at 30 + digits(k) significant digits
+(k = (hi - 1) M at most), so rho is correct to about 1e-16 at any n, and
+exact when every log2(mantissa) term is 0 (dyadic sources predict exactly 0).
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .errors import (
     UndefinedAlpha,
     ZeroProbability,
 )
-from .exact import ZERO, ExactProb, Log2Value, approximate_rational, wrap_unit
+from .exact import ZERO, ExactProb, approximate_rational, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -90,10 +98,6 @@ class LogRatioMatrix:
 
     def defined(self, j: int, k: int) -> bool:
         return (j, k) in self.entries
-
-    def value_float(self, j: int, k: int) -> float:
-        v = self.entries[(j, k)]
-        return v.to_float() if self.exact else v
 
     def rational_value(self, j: int, k: int):
         """Fraction when the entry is (heuristically) rational, else None."""
@@ -168,13 +172,9 @@ def _anchor_phase_and_weights(source: MarkovSource, M: int, anchor: int):
     w_j = <M log2[p(j|a)/p(j|j)]>, gauge-fixed so the anchor weight is 0.
     """
     T = source.transitions
-    s_val = (-log2_prob(source, T[anchor][anchor])).scaled(M)
-    s = float(s_val.frac_exact()) if s_val.is_rational else wrap_unit(s_val.frac_float())
-    w = []
-    for j in range(source.r):
-        wv = (log2_prob(source, T[anchor][j]) - log2_prob(source, T[j][j])).scaled(M)
-        w.append(float(wv.frac_exact()) if wv.is_rational else wrap_unit(wv.frac_float()))
-    return s, tuple(w)
+    s = (-log2_prob(source, T[anchor][anchor])).frac_scaled([M])[0]
+    w = [(log2_prob(source, T[anchor][j]) - log2_prob(source, T[j][j])).frac_scaled([M])[0] for j in range(source.r)]
+    return wrap_unit(float(s)), tuple(wrap_unit(float(x)) for x in w)
 
 
 def classify_mode(
@@ -285,66 +285,46 @@ def _finish_prediction(n, omega, boundary, xi, flags) -> Prediction:
     )
 
 
-def predicted_redundancy(
-    source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI
-) -> Prediction:
-    """Omega_n with sandwich bounds, for an aperiodic oscillatory source.
-
-    boundary_terms is the p_j pi_k mass of the (j, k) pairs whose
-    rho(zeta_jk(n)) falls outside (xi, 1 - xi); within that margin of a
-    discontinuity the asymptotic sandwich does not pin R_n down.
-    """
-    if cls.mode != "oscillatory":
-        raise ValueError("predicted_redundancy needs an oscillatory classification")
-    structure = classify_structure(source)
-    if structure.period != 1:
-        raise PeriodicChain(f"chain has period {structure.period}; use the periodic prediction")
-    pi = stationary_distribution(source)
-    M = cls.M
-    osc = 0.0
-    boundary = 0.0
-    for j in range(source.r):
-        pj = source.prob_float(source.initial[j])
-        if pj == 0.0:
-            continue
-        for k in range(source.r):
-            rho = ceil_defect(oscillation_argument(source, cls, j, k, n))
-            osc += pj * pi[k] * rho
-            if not (xi < rho < 1.0 - xi):
-                boundary += pj * pi[k]
-    omega = 0.5 * (1.0 - 1.0 / M) + osc / M
-    return _finish_prediction(n, omega, boundary / M, xi, cls.flags)
-
-
-def _unit_circle_eigenvectors(source: MarkovSource, d: int, pi: np.ndarray):
-    """Right/left eigenvector pairs of P at the d-th roots of unity.
-
-    Bi-normalized so that l_t . r_t = 1, with the t = 0 pair fixed to the
-    all-ones vector and the stationary distribution.
-    """
-    P = source.transition_array().astype(complex)
-    rep = spectral.eigen(P)
-    pairs = []
-    for t in range(d):
-        if t == 0:
-            pairs.append((np.ones(source.r, dtype=complex), pi.astype(complex)))
-            continue
-        target = np.exp(2j * math.pi * t / d)
-        idx = int(np.argmin(np.abs(rep.eigenvalues - target)))
-        if abs(rep.eigenvalues[idx] - target) > 1e-6:
-            raise DefectiveMatrix(f"no eigenvalue near the root of unity t={t}/{d}")
-        pairs.append((rep.right[:, idx], rep.left[idx, :]))
-    return pairs
+def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
+    """rho(zeta_jk(n)) for n = lo..hi as an (N, r, r) array, 0 where p_j = 0."""
+    r, M = source.r, cls.M
+    live = [j for j in range(r) if source.initial[j] is not ZERO]
+    rho = np.zeros((hi - lo + 1, r, r))
+    if cls.provenance != "exact_rational":
+        nm1 = np.arange(lo - 1, hi, dtype=float)[:, None]
+        w = np.array(cls.w)
+        for j in live:
+            zeta = nm1 * cls.s + w[j] - w - M * log2_prob_float(source, source.initial[j])
+            rho[:, j, :] = ceil_defect(zeta)
+        return rho
+    # zeta = M [(n-1) c + b_jk] with c = -log2 p(a|a), b_jk = log2 p(j|a) - log2 p(k|a) - log2 p_j
+    a, T = cls.anchor, source.transitions
+    c = -log2_prob(source, T[a][a])
+    phase = c.frac_scaled((n - 1) * M for n in range(lo, hi + 1))
+    phase_f = np.array(phase, dtype=float)
+    for j in live:
+        for k in range(r):
+            b = log2_prob(source, T[a][j]) - log2_prob(source, T[a][k]) - log2_prob(source, source.initial[j])
+            beta = b.frac_scaled([M])[0]
+            if c.is_rational and b.is_rational:
+                rho[:, j, k] = [float(-(x + beta) % 1) for x in phase]
+                continue
+            # both terms are correctly rounded and lie in [0, 1): where their
+            # mantissas cancel and zeta is an integer, the float sum is 1.0 or
+            # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
+            rho[:, j, k] = ceil_defect(phase_f + float(beta))
+    return rho
 
 
-def predicted_redundancy_periodic(
+def predict_range(
     source: MarkovSource,
     cls: ModeClassification,
-    n: int,
+    lo: int,
+    hi: int,
     xi: float = DEFAULT_XI,
     imag_tol: float = 1e-8,
-) -> Prediction:
-    """Omega_n for an irreducible chain of any period d >= 1.
+) -> list[Prediction]:
+    """Omega_n with sandwich bounds for n = lo..hi, for a chain of any period d >= 1.
 
     The single oscillation term splits into d terms, one per unit-circle
     eigenvalue of P, with complex weights p_j r_{t,j} l_{t,k}:
@@ -355,46 +335,81 @@ def predicted_redundancy_periodic(
 
     The rotating factor multiplies the whole t-th term; it comes from the
     eigenvalue power lambda_t^(n-1) and is independent of the Fourier index,
-    so it cannot be absorbed into the argument of rho.  The total is real up
-    to numerical residue, which must stay below imag_tol, and for d = 1 the
-    expression reduces to the aperiodic prediction.
+    so it cannot be absorbed into the argument of rho.  At d = 1 only t = 0
+    is left, with (r_0, l_0) = (1, pi).  The total is real up to numerical
+    residue, which must stay below imag_tol at every n.  boundary_terms is
+    the |weight| mass of the (t, j, k) terms whose rho(zeta_jk(n)) falls
+    outside (xi, 1 - xi); within that margin of a discontinuity the
+    asymptotic sandwich does not pin R_n down.  Convergent sources predict
+    the constant 1/2.
     """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid block length range {lo}..{hi}")
+    ns = range(lo, hi + 1)
+    if cls.mode == "convergent":
+        flags = frozenset(set(cls.flags) | {"convergent"})
+        return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]
+    d = classify_structure(source).period
+    pairs = _unit_circle_eigenvectors(source, d, stationary_distribution(source))
+    weights = np.array([np.outer(source.initial_array() * rt, lt) for rt, lt in pairs])
+    rho = _zeta_defects(source, cls, lo, hi)
+    turns = np.array([[(n - 1) * t % d for t in range(d)] for n in ns])
+    osc = np.einsum("nt,tjk,njk->n", np.exp(2j * math.pi * turns / d), weights, rho)
+    boundary = np.einsum("tjk,njk->n", np.abs(weights), (rho <= xi) | (rho >= 1.0 - xi))
+    residue = float(np.abs(osc.imag).max())
+    if residue > imag_tol:
+        raise ComplexResidual(f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e}")
+    omega = 0.5 * (1.0 - 1.0 / cls.M) + osc.real / cls.M
+    return [_finish_prediction(n, float(o), float(b) / cls.M, xi, cls.flags) for n, o, b in zip(ns, omega, boundary)]
+
+
+def _unit_circle_eigenvectors(source: MarkovSource, d: int, pi: np.ndarray):
+    """Right/left eigenvector pairs of P at the d-th roots of unity.
+
+    Bi-normalized so that l_t . r_t = 1, with the t = 0 pair fixed to the
+    all-ones vector and the stationary distribution.
+    """
+    pairs = [(np.ones(source.r, dtype=complex), pi.astype(complex))]
+    if d == 1:
+        return pairs
+    rep = spectral.eigen(source.transition_array().astype(complex))
+    for t in range(1, d):
+        target = np.exp(2j * math.pi * t / d)
+        idx = int(np.argmin(np.abs(rep.eigenvalues - target)))
+        if abs(rep.eigenvalues[idx] - target) > 1e-6:
+            raise DefectiveMatrix(f"no eigenvalue near the root of unity t={t}/{d}")
+        pairs.append((rep.right[:, idx], rep.left[idx, :]))
+    return pairs
+
+
+def predicted_redundancy(
+    source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI
+) -> Prediction:
+    """Omega_n at one n for an aperiodic oscillatory source; see predict_range."""
+    if cls.mode != "oscillatory":
+        raise ValueError("predicted_redundancy needs an oscillatory classification")
+    period = classify_structure(source).period
+    if period != 1:
+        raise PeriodicChain(f"chain has period {period}; use the periodic prediction")
+    return predict_range(source, cls, n, n, xi)[0]
+
+
+def predicted_redundancy_periodic(
+    source: MarkovSource,
+    cls: ModeClassification,
+    n: int,
+    xi: float = DEFAULT_XI,
+    imag_tol: float = 1e-8,
+) -> Prediction:
+    """Omega_n at one n for an oscillatory chain of any period; see predict_range."""
     if cls.mode != "oscillatory":
         raise ValueError("predicted_redundancy_periodic needs an oscillatory classification")
-    structure = classify_structure(source)
-    d = structure.period
-    pi = stationary_distribution(source)
-    pairs = _unit_circle_eigenvectors(source, d, pi)
-    M = cls.M
-    osc = 0.0 + 0.0j
-    boundary = 0.0
-    for j in range(source.r):
-        pj = source.prob_float(source.initial[j])
-        if pj == 0.0:
-            continue
-        rhos = [ceil_defect(oscillation_argument(source, cls, j, k, n)) for k in range(source.r)]
-        for t, (rt, lt) in enumerate(pairs):
-            rotation = np.exp(2j * math.pi * (n - 1) * t / d)
-            for k in range(source.r):
-                weight = pj * rt[j] * lt[k]
-                osc += rotation * weight * rhos[k]
-                if not (xi < rhos[k] < 1.0 - xi):
-                    boundary += abs(weight)
-    if abs(osc.imag) > imag_tol:
-        raise ComplexResidual(f"imaginary residue {osc.imag:.3e} exceeds {imag_tol:.1e}")
-    omega = 0.5 * (1.0 - 1.0 / M) + osc.real / M
-    return _finish_prediction(n, omega, boundary / M, xi, cls.flags)
+    return predict_range(source, cls, n, n, xi, imag_tol)[0]
 
 
 def predict(source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI) -> Prediction:
-    """Dispatch on mode and period; convergent sources predict the constant 1/2."""
-    if cls.mode == "convergent":
-        return Prediction(n=n, omega=0.5, lower=0.5, upper=0.5, boundary_terms=0.0, xi=xi,
-                          flags=frozenset(set(cls.flags) | {"convergent"}))
-    structure = classify_structure(source)
-    if structure.period == 1:
-        return predicted_redundancy(source, cls, n, xi)
-    return predicted_redundancy_periodic(source, cls, n, xi)
+    """Omega_n at one n for any mode and period; see predict_range."""
+    return predict_range(source, cls, n, n, xi)[0]
 
 
 # -- closed forms ------------------------------------------------------------
@@ -439,14 +454,10 @@ def memoryless_formula(p, n: int) -> MemorylessPrediction:
             M = 1
             for a in alphas:
                 M = M * a.rational.denominator // math.gcd(M, a.rational.denominator)
-            t = (-logs[0]).scaled(M * n)
-            if t.is_rational:
-                fr = float(t.frac_exact())
-                if fr == 0.0:
-                    flags.add("boundary")
-            else:
-                fr = t.frac_float()
-            return MemorylessPrediction(n, 0.5 + (0.5 - fr) / M, M, "rational", frozenset(flags))
+            fr = (-logs[0]).frac_scaled([M * n])[0]
+            if fr == 0:
+                flags.add("boundary")
+            return MemorylessPrediction(n, 0.5 + (0.5 - float(fr)) / M, M, "rational", frozenset(flags))
         return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
 
     flags.add("heuristic")
@@ -492,21 +503,15 @@ def absorbing_pair_formula(alpha, truncation_eps: float = 1e-12) -> Example2Sum:
         if k_terms > 10**6:
             raise ValueError("truncation_eps too small for this alpha")
     # tail = (1-alpha)^k_terms < eps, so terms k = 0 .. k_terms - 1 are kept
-    terms = []
     if isinstance(a, Fraction):
-        la = ExactProb.make(a).log2()
-        lm = ExactProb.make(one_minus).log2()
-        for k in range(k_terms):
-            arg = -(la + lm.scaled(k))
-            if arg.is_rational:
-                rho = float((1 - arg.frac_exact()) % 1)
-            else:
-                rho = ceil_defect(arg.to_float())
-            terms.append(float(a * one_minus**k) * rho)
+        # rho(-(la + k lm)) = frac(la + k lm), which is rational only where
+        # la and k lm both are: the odd parts of alpha and 1 - alpha never cancel
+        base = ExactProb.make(a).log2().frac_scaled([1])[0]
+        steps = ExactProb.make(one_minus).log2().frac_scaled(range(k_terms))
+        rhos = [float((base + step) % 1) for step in steps]
     else:
         la = math.log2(a)
         lm = math.log2(one_minus)
-        for k in range(k_terms):
-            rho = ceil_defect(-(la + k * lm))
-            terms.append(a * one_minus**k * rho)
+        rhos = [ceil_defect(-(la + k * lm)) for k in range(k_terms)]
+    terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
     return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)

@@ -141,11 +141,10 @@ def _cmd_classify(config: RunConfig):
 
 def _predict_rows(source, cls, config: RunConfig):
     rows = []
-    for n in range(config.n_range[0], config.n_range[1] + 1):
-        pred = asymptotics.predict(source, cls, n, xi=config.xi)
+    for pred in asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi):
         rows.append(
             {
-                "n": n,
+                "n": pred.n,
                 "mode": cls.mode,
                 "M": cls.M,
                 "omega": pred.omega,
@@ -188,12 +187,11 @@ def _cmd_exact(config: RunConfig):
 def _compare_rows(source, config: RunConfig):
     cls = _classification(source, config)
     rows = []
-    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits):
-        n = rec.n
-        pred = asymptotics.predict(source, cls, n, xi=config.xi)
+    records = oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits)
+    for rec, pred in zip(records, asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi)):
         rows.append(
             {
-                "n": n,
+                "n": rec.n,
                 "mode": cls.mode,
                 "M": cls.M,
                 "exact_value": rec.value,

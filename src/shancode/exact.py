@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -91,10 +92,26 @@ class Log2Value:
     def to_float(self) -> float:
         return float(self.rational) + self.mantissa_log2()
 
-    def frac_float(self) -> float:
-        """Fractional part as a float, computed from reduced exact pieces."""
-        f = float(frac_part(self.rational)) + self.mantissa_log2()
-        return f % 1.0
+    def frac_scaled(self, ks) -> list:
+        """frac(k * value) for each integer k in ks, never forming mantissa**k.
+
+        k * rational is reduced modulo 1 in integers, so a rational value
+        gives exact Fractions.  Otherwise k * log2(mantissa) is reduced in
+        decimal arithmetic at 30 + digits(max |k|) significant digits, with
+        log2(mantissa) evaluated once for all ks, and each float lies within
+        about 1e-16 of the true fractional part at any k.
+        """
+        ks = list(ks)
+        num, den = self.rational.numerator, self.rational.denominator
+        if self.is_rational:
+            return [Fraction(k * num % den, den) for k in ks]
+        with localcontext() as ctx:
+            ctx.prec = 30 + len(str(max(map(abs, ks), default=0)))
+            m = self.mantissa
+            lm = (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
+            # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
+            fracs = ((Decimal(k * num % den) / den + k * lm) % 1 for k in ks)
+            return [float(y + 1 if y < 0 else y) % 1.0 for y in fracs]
 
     def frac_exact(self) -> Fraction:
         """Exact fractional part; only defined for rational values."""

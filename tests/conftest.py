@@ -8,12 +8,13 @@ library code paths they are used to check.
 from __future__ import annotations
 
 import math
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from shancode import ExactProb, MarkovSource
+from shancode import ZERO, ExactProb, MarkovSource
 
 
 # -- reference sources -------------------------------------------------------
@@ -233,3 +234,34 @@ def simpson(f, a: float, b: float, panels: int = 1 << 12) -> float:
     y = f(x)
     h = (b - a) / (2 * panels)
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
+
+
+def omega_decimal_reference(source: MarkovSource, M: int, n: int, digits: int = 60) -> float:
+    """Omega_n of a positive aperiodic exact source in `digits`-digit decimal arithmetic.
+
+    Evaluates (1/2)(1 - 1/M) + (1/M) sum_jk p_j pi_k rho(zeta_jk(n)) with
+    zeta_jk(n) = M [-(n-1) log2 p(0|0) + log2 p(j|0) - log2 p(k|0) - log2 p_j]
+    straight from the probabilities' decimal logs.
+    """
+    P = source.transition_array()
+    A = P.T - np.eye(source.r)
+    A[-1, :] = 1.0
+    pi = np.linalg.solve(A, np.eye(source.r)[-1])
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def log2(v):
+            m, e = v.mantissa, v.exp2
+            return Decimal(e.numerator) / e.denominator + (
+                Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
+
+        T = source.transitions
+        osc = 0.0
+        for j, pj in enumerate(source.initial):
+            if pj is ZERO:
+                continue
+            for k in range(source.r):
+                zeta = M * (-(n - 1) * log2(T[0][0]) + log2(T[0][j]) - log2(T[0][k]) - log2(pj))
+                rho = zeta.to_integral_value(rounding=ROUND_FLOOR) + 1 - zeta
+                osc += pj.to_float() * pi[k] * float(rho % 1)
+    return 0.5 * (1.0 - 1.0 / M) + osc / M

@@ -1,6 +1,7 @@
 """Mode classification, oscillation sums and the closed-form special cases."""
 
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -20,13 +21,14 @@ from shancode import (
     oscillation_argument,
     phase_matrix,
     predict,
+    predict_range,
     predicted_redundancy,
     predicted_redundancy_periodic,
 )
 from shancode.errors import PeriodicChain, ReducibleChain, UndefinedAlpha
-from shancode.exact import ZERO
-from shancode.sources import log2_prob
-from tests.conftest import iter_paths_bruteforce, memoryless
+from shancode.exact import ZERO, ExactProb
+from shancode.sources import log2_prob, stationary_distribution
+from tests.conftest import iter_paths_bruteforce, memoryless, omega_decimal_reference
 
 F = Fraction
 LOG3 = math.log2(3.0)
@@ -295,6 +297,60 @@ def test_periodic_branching_chain(bipartite_periodic_source):
         assert pred.omega == pytest.approx(exact, abs=1e-9)
 
 
+def test_predict_range_matches_single_n(
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, convergent_exact_source
+):
+    for s in [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, convergent_exact_source]:
+        cls = classify_mode(s)
+        ranged = predict_range(s, cls, 1, 40)
+        assert ranged == [predict(s, cls, n) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+def test_omega_matches_decimal_reference_at_large_n(oscillatory_exact_family, n):
+    # the permutation chain and the r=3 circulant 1/7, 2/7, 4/7
+    for s in (oscillatory_exact_family[0], oscillatory_exact_family[6]):
+        cls = classify_mode(s)
+        assert cls.provenance == "exact_rational"
+        assert abs(predict(s, cls, n).omega - omega_decimal_reference(s, cls.M, n)) <= 1e-13
+
+
+def loop_omega(s, cls, n, xi=0.05):
+    """(omega, boundary_terms) of an aperiodic source, one (j, k) term at a time."""
+    pi = stationary_distribution(s)
+    osc = boundary = 0.0
+    for j in range(s.r):
+        if s.initial[j] is ZERO:
+            continue
+        for k in range(s.r):
+            rho = ceil_defect(oscillation_argument(s, cls, j, k, n))
+            osc += s.prob_float(s.initial[j]) * pi[k] * rho
+            boundary += s.prob_float(s.initial[j]) * pi[k] * (not xi < rho < 1 - xi)
+    return 0.5 * (1 - 1 / cls.M) + osc / cls.M, boundary / cls.M
+
+
+def test_predict_range_matches_loop_reference(oscillatory_exact_family):
+    # p(0|0) = 1/3 and p_0 = 3/4: zeta_00(2) = log2 3 + 2 - log2 3 and
+    # zeta_01(2) = log2 3 + 1 - log2 3 are integers although both terms are
+    # irrational; rho must land on 0 there, not next to 1
+    cancelling = MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["1/3", "2/3"]])
+    # powers of two with rational exponents, stochastic to 2e-13: every zeta
+    # is rational (M = 1250226, zeta_jk(n) not an integer) and rho comes out of Fractions
+    letters = [ExactProb.make(1, F(-1, 2)), ExactProb.make(1, -F(1107421, 625113))]
+    start = [ExactProb.make(1, F(-6, 5)), ExactProb.make(1, -F(821739, 996796))]
+    pow2 = MarkovSource.from_exact(start, [letters, letters])
+    for s in [*oscillatory_exact_family, cancelling, pow2]:
+        anchor = classify_mode(s)
+        res = find_oscillation_order(s)
+        spectral = anchor.__class__(mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
+                                    provenance="spectral_search", anchor=0, flags=frozenset())
+        for cls in (anchor, spectral) if res.order else (anchor,):
+            for pred in predict_range(s, cls, 1, 30):
+                omega, boundary = loop_omega(s, cls, pred.n)
+                assert pred.omega == pytest.approx(omega, abs=1e-12)
+                assert pred.boundary_terms == pytest.approx(boundary, abs=1e-12)
+
+
 def test_convergent_prediction_constant_half(float_convergent_source):
     cls = classify_mode(float_convergent_source)
     pred = predict(float_convergent_source, cls, 9)
@@ -391,3 +447,10 @@ def test_absorbing_formula_matches_oracle(absorbing_source):
     out = absorbing_pair_formula(F(1, 3))
     exact = exact_redundancy(absorbing_source, 30).value
     assert abs(exact - out.value) <= 1e-3 + out.tail_bound
+
+
+def test_absorbing_formula_exact_small_alpha_is_fast():
+    t0 = time.perf_counter()
+    exact = absorbing_pair_formula(F(1, 1000))
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(exact.value - absorbing_pair_formula(1 / 1000).value) <= 1e-12

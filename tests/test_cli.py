@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -209,6 +210,21 @@ def test_single_n_and_range_print_the_same_row(permutation_path):
     rc2, ranged, _ = run_cli("--command", "compare", "--source", permutation_path, "--n", "4..60")
     assert rc == 0 and rc2 == 0
     assert parse_csv(single)[0] == parse_csv(ranged)[-1]
+
+
+def test_predict_single_n_and_range_print_the_same_row(permutation_path):
+    rc, single, _ = run_cli("--command", "predict", "--source", permutation_path, "--n", "60")
+    rc2, ranged, _ = run_cli("--command", "predict", "--source", permutation_path, "--n", "4..60")
+    assert rc == 0 and rc2 == 0
+    assert parse_csv(single)[0] == parse_csv(ranged)[-1]
+
+
+def test_predict_far_window_is_fast(permutation_path, capsys):
+    t0 = time.perf_counter()
+    rc = main(["--command", "predict", "--source", permutation_path, "--n", "1000000000..1000000001"])
+    elapsed = time.perf_counter() - t0
+    assert rc == 0 and len(parse_csv(capsys.readouterr().out)) == 2
+    assert elapsed < 0.1
 
 
 def test_bad_m_max_and_samples_rejected(float_path):
