@@ -2,12 +2,10 @@
 
 from .asymptotics import (
     Example2Sum,
-    LogRatioMatrix,
     MemorylessPrediction,
     ModeClassification,
     Prediction,
     absorbing_pair_formula,
-    anchor_log_ratios,
     ceil_defect,
     classify_mode,
     memoryless_formula,

@@ -1,38 +1,41 @@
 """Asymptotic redundancy predictions: mode classification and oscillation sums.
 
 For an irreducible source the redundancy R_n either converges to 1/2 or
-oscillates.  The dichotomy is governed by the log-ratios
+oscillates.  The dichotomy is decided by the phase-twisted matrices A_m of
+the spectral module: by Wielandt's theorem rho(A_m) = 1 exactly when
 
-    alpha[j, k] = log2[ p(j|a) p(j|j) / (p(k|a) p(j|k)) ]
+    -m log2 p(j|k) = s + w_k - w_j  (mod 1)  on every edge k -> j,
 
-around an anchor state a: if any defined entry is irrational the mode is
-convergent; if all are rational with least common denominator M, then for
-most large n
+and summed around a cycle C this asks m Lambda(C) = |C| s (mod 1), with
+Lambda(C) the cycle's -log2 weight.  For an exact source the congruence is
+decided in exact arithmetic on a BFS tree from state 0: state j gets its
+depth h_j and the potential phi_j, the -log2 weight of its tree path; each
+edge k -> j gets g = h_k + 1 - h_j and Delta = -log2 p(j|k) + phi_k - phi_j.
+With d = gcd(g) = sum a_e g_e (the period), Y = sum a_e Delta_e and
+Q_e = (g_e / d) Y - Delta_e, the mode is convergent, provably, iff some Q_e
+is irrational; otherwise M = lcm(den Q_e), s = frac(M Y) / d and
+w_j = h_j s - M phi_j (mod 1).  Float sources are classified by the
+spectral scan instead, heuristically.  In the oscillatory mode, for most
+large n
 
-    R_n ~ Omega_n = (1/2)(1 - 1/M) + (1/M) sum_jk p_j pi_k rho(zeta_jk(n))
+    R_n ~ Omega_n = (1/2)(1 - 1/M) + (1/M) sum_jk p_j pi_k rho(zeta_jk(n)),
+    zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j,
 
-where rho(u) = ceil(u) - u and zeta_jk(n) collects the phase contribution of
-paths that start at j and end at k.  Sandwich bounds around Omega_n carry an
+where rho(u) = ceil(u) - u.  Sandwich bounds around Omega_n carry an
 indicator mass for the n at which some rho(zeta_jk(n)) sits within a margin
 xi of a discontinuity; the margin is exposed to the caller because no
-constructive vanishing sequence is available.
-
-Sources with zero transitions or float entries are classified through the
-spectral scan instead of the symbolic route, and zeta is then parameterized
-by the extracted phase s and weights w:
-
-    zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j.
-
-For chains of period d the single oscillation splits into d terms with
-phase offsets t/d and eigenvector weights of the transition matrix.
+constructive vanishing sequence is available.  For chains of period d the
+single oscillation splits into d terms with phase offsets t/d and
+eigenvector weights of the transition matrix.
 
 predict_range evaluates Omega_n for a whole n range in one pass: structure,
 pi and the unit-circle eigenpairs once per source, rho(zeta_jk(n)) as one
-(N, r, r) array.  On the anchor route zeta is reduced modulo 1 exactly and
+(N, r, r) array.  For exact sources zeta is reduced modulo 1 exactly and
 mantissa**k is never formed: rational parts in integers, and the remainder
 k log2(mantissa) in decimal arithmetic at 30 + digits(k) significant digits
 (k = (hi - 1) M at most), so rho is correct to about 1e-16 at any n, and
 exact when every log2(mantissa) term is 0 (dyadic sources predict exactly 0).
+Float sources evaluate zeta from the float s and w.
 """
 
 from __future__ import annotations
@@ -48,10 +51,9 @@ from .errors import (
     DefectiveMatrix,
     PeriodicChain,
     ReducibleChain,
-    UndefinedAlpha,
     ZeroProbability,
 )
-from .exact import ZERO, ExactProb, approximate_rational, wrap_unit
+from .exact import ZERO, ExactProb, Log2Value, approximate_rational, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -80,180 +82,125 @@ def ceil_defect(u):
     return v if v < 1.0 else 0.0
 
 
-# -- anchor log-ratios ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LogRatioMatrix:
-    """The alpha parameters around an anchor row, with their defined mask.
-
-    Exact entries are Log2Value instances whose rationality is decidable;
-    float entries carry only a bounded-denominator heuristic test.
-    """
-
-    r: int
-    anchor: int
-    exact: bool
-    entries: dict
-
-    def defined(self, j: int, k: int) -> bool:
-        return (j, k) in self.entries
-
-    def rational_value(self, j: int, k: int):
-        """Fraction when the entry is (heuristically) rational, else None."""
-        v = self.entries[(j, k)]
-        if self.exact:
-            return v.rational if v.is_rational else None
-        return approximate_rational(v)
-
-    def all_rational(self) -> bool:
-        return all(self.rational_value(j, k) is not None for (j, k) in self.entries)
-
-    def common_denominator(self) -> int:
-        m = 1
-        for (j, k) in self.entries:
-            q = self.rational_value(j, k)
-            if q is None:
-                raise ValueError("some log-ratio entries are irrational")
-            m = m * q.denominator // math.gcd(m, q.denominator)
-        return m
-
-
-def anchor_log_ratios(source: MarkovSource, anchor: int = 0) -> LogRatioMatrix:
-    """alpha[j,k] = log2[p(j|a) p(j|j) / (p(k|a) p(j|k))] for anchor a.
-
-    The anchor row must be strictly positive; entries referencing a zero
-    p(j|k) or p(j|j) are left out of the defined mask.
-    """
-    r = source.r
-    T = source.transitions
-    zero_refs = [(j, anchor) for j in range(r) if T[anchor][j] is ZERO]
-    if zero_refs:
-        raise UndefinedAlpha(zero_refs, f"anchor row {anchor} has zero entries at columns {[j for j, _ in zero_refs]}")
-    entries = {}
-    for j in range(r):
-        if T[j][j] is ZERO:
-            continue
-        for k in range(r):
-            if T[k][j] is ZERO:
-                continue
-            if source.exact:
-                entries[(j, k)] = (
-                    log2_prob(source, T[anchor][j])
-                    + log2_prob(source, T[j][j])
-                    - log2_prob(source, T[anchor][k])
-                    - log2_prob(source, T[k][j])
-                )
-            else:
-                entries[(j, k)] = (
-                    math.log2(T[anchor][j]) + math.log2(T[j][j]) - math.log2(T[anchor][k]) - math.log2(T[k][j])
-                )
-    return LogRatioMatrix(r=r, anchor=anchor, exact=source.exact, entries=entries)
-
-
 # -- mode classification ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ModeClassification:
+    """Mode, order M, phase s in [0, 1/d) and weights w with w_0 = 0."""
+
     mode: str  # "convergent" | "oscillatory"
     M: int | None
     s: float | None
     w: tuple | None
     provenance: str  # "exact_rational" | "spectral_search" | "heuristic_float"
-    anchor: int
     flags: frozenset
 
 
-def _anchor_phase_and_weights(source: MarkovSource, M: int, anchor: int):
-    """The similarity solution s, w for an exact positive oscillatory source.
+def _bezout(a: int, b: int):
+    """(g, x, y) with g = gcd(a, b) = x a + y b and g >= 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
-    s is the common fractional part of -M log2 p(j|j) taken at the anchor and
-    w_j = <M log2[p(j|a)/p(j|j)]>, gauge-fixed so the anchor weight is 0.
+
+def _similarity(source: MarkovSource, structure, M: int | None = None):
+    """Exact solution of the similarity congruence of an irreducible exact source.
+
+    Works on the BFS tree of classify_structure as the module docstring
+    describes.  With M None the order is decided: None is returned when
+    some Q_e is irrational (the convergent mode), else M = lcm(den Q_e).
+    A given M (a multiple of the order) is used as is.  Returns
+    (M, unit, X) with Log2Values such that, modulo 1,
+
+        s = (M/d) unit,  w_j = (M/d) X_j,  zeta_jk(n) = (M/d) [(n-1) unit + X_j - X_k - d log2 p_j],
+
+    where unit is Y shifted by a rational multiple of 1/M so that s lies in
+    [0, 1/d), and w_0 = 0.
     """
-    T = source.transitions
-    s = (-log2_prob(source, T[anchor][anchor])).frac_scaled([M])[0]
-    w = [(log2_prob(source, T[anchor][j]) - log2_prob(source, T[j][j])).frac_scaled([M])[0] for j in range(source.r)]
-    return wrap_unit(float(s)), tuple(wrap_unit(float(x)) for x in w)
+    T, d, depth = source.transitions, structure.period, structure.depth
+    phi = [Log2Value.make()] * source.r
+    for j in sorted(range(1, source.r), key=depth.__getitem__):
+        k = structure.parent[j]
+        phi[j] = phi[k] - log2_prob(source, T[k][j])
+    edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
+
+    def delta(k, j):
+        return phi[k] - phi[j] - log2_prob(source, T[k][j])
+
+    g, Y = 0, Log2Value.make()
+    for k, j, ge in edges:
+        if ge and (g == 0 or ge % g):
+            g, x, y = _bezout(g, ge)
+            Y = Y.scaled(x) + delta(k, j).scaled(y)
+    if M is None:
+        Q = [Y.scaled(ge // d) - delta(k, j) for k, j, ge in edges]
+        if not all(q.is_rational for q in Q):
+            return None
+        M = math.lcm(*(q.rational.denominator for q in Q))
+    unit = Y
+    if d > 1:
+        # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d
+        i = math.floor(d * Y.frac_scaled([M], d)[0])
+        unit = Y - Log2Value.make(Fraction(i, M))
+    X = [unit.scaled(depth[j]) - phi[j].scaled(d) for j in range(source.r)]
+    return M, unit, X
 
 
-def classify_mode(
-    source: MarkovSource,
-    m_max: int = DEFAULT_M_MAX,
-    tol: float | None = None,
-    anchor: int = 0,
-) -> ModeClassification:
+def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX, tol: float | None = None) -> ModeClassification:
     """Convergent vs. oscillatory, with M, phase and weights when oscillatory.
 
-    Exact positive sources are decided symbolically (M as the least common
-    denominator of the rational log-ratios, irrationality proven otherwise).
-    Sources with zero transitions or float entries delegate to the spectral
-    scan; when the scan finds nothing up to m_max the result only means "no
-    oscillation detected" and is flagged heuristic.
+    Exact sources are decided in exact arithmetic by the cycle congruence of
+    the module docstring: M is proven minimal, and the convergent mode is
+    proven where some cycle ratio is irrational.  Float sources delegate to
+    the spectral scan up to m_max; when it finds nothing the result only
+    means "no oscillation detected" and is flagged heuristic.
     """
     structure = classify_structure(source)
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
-    flags = set()
-    if is_dyadic(source):
-        flags.add("degenerate")
+    flags = frozenset({"degenerate"} if is_dyadic(source) else ())
 
-    if source.exact and structure.positive:
-        ratios = anchor_log_ratios(source, anchor)
-        if ratios.all_rational():
-            M = ratios.common_denominator()
-            s, w = _anchor_phase_and_weights(source, M, anchor)
-            return ModeClassification("oscillatory", M, s, w, "exact_rational", anchor, frozenset(flags))
-        return ModeClassification("convergent", None, None, None, "exact_rational", anchor, frozenset(flags))
+    if source.exact:
+        solution = _similarity(source, structure)
+        if solution is None:
+            return ModeClassification("convergent", None, None, None, "exact_rational", flags)
+        M, unit, X = solution
+        d = structure.period
+        s = wrap_unit(float(unit.frac_scaled([M], d)[0]))
+        w = tuple(wrap_unit(float(x.frac_scaled([M], d)[0])) for x in X)
+        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags)
 
     search = spectral.find_oscillation_order(source, m_max=m_max, tol=tol)
     if search.is_infinite:
-        flags.add("heuristic")
-        return ModeClassification("convergent", None, None, None, "heuristic_float", anchor, frozenset(flags))
-    return ModeClassification(
-        "oscillatory", search.order, search.phase, search.weights, "spectral_search", anchor, frozenset(flags)
-    )
+        return ModeClassification("convergent", None, None, None, "heuristic_float", flags | {"heuristic"})
+    return ModeClassification("oscillatory", search.order, search.phase, search.weights, "spectral_search", flags)
 
 
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def oscillation_argument(
-    source: MarkovSource,
-    cls: ModeClassification,
-    j: int,
-    k: int,
-    n: int,
-    route: str = "auto",
-) -> float:
-    """zeta_jk(n), the phase argument shared by all paths from j to k.
+def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
+    """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j, the phase shared by all paths from j to k.
 
-    The anchor route evaluates
-        M [-(n-1) log2 p(a|a) + log2 p(j|a) - log2 p(k|a) - log2 p_j]
-    from exact logs (positive exact sources); the spectral route evaluates
-        (n-1) s + w_j - w_k - M log2 p_j
-    from the extracted phase and weights.  The two agree modulo 1 on
-    positive sources.
+    For an exact classification s and w come from the exact similarity
+    solution, combined through Log2Value.scaled products; otherwise from the
+    float phase and weights of the spectral scan.
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    if route == "auto":
-        route = "anchor" if cls.provenance == "exact_rational" else "spectral"
-    if route == "anchor":
-        a = cls.anchor
-        T = source.transitions
-        combo = (
-            log2_prob(source, T[a][j])
-            - log2_prob(source, T[a][k])
-            - log2_prob(source, source.initial[j])
-            - log2_prob(source, T[a][a]).scaled(n - 1)
-        )
-        return combo.scaled(cls.M).to_float()
-    if route == "spectral":
+    if cls.provenance != "exact_rational":
         return (n - 1) * cls.s + cls.w[j] - cls.w[k] - cls.M * log2_prob_float(source, source.initial[j])
-    raise ValueError(f"unknown route {route!r}")
+    structure = classify_structure(source)
+    d = structure.period
+    _, unit, X = _similarity(source, structure, cls.M)
+    combo = unit.scaled(n - 1) + X[j] - X[k] - log2_prob(source, source.initial[j]).scaled(d)
+    return combo.scaled(cls.M).to_float() / d
 
 
 # -- predictions -------------------------------------------------------------
@@ -285,7 +232,7 @@ def _finish_prediction(n, omega, boundary, xi, flags) -> Prediction:
     )
 
 
-def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
+def _zeta_defects(source: MarkovSource, cls: ModeClassification, structure, lo: int, hi: int) -> np.ndarray:
     """rho(zeta_jk(n)) for n = lo..hi as an (N, r, r) array, 0 where p_j = 0."""
     r, M = source.r, cls.M
     live = [j for j in range(r) if source.initial[j] is not ZERO]
@@ -297,16 +244,17 @@ def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: in
             zeta = nm1 * cls.s + w[j] - w - M * log2_prob_float(source, source.initial[j])
             rho[:, j, :] = ceil_defect(zeta)
         return rho
-    # zeta = M [(n-1) c + b_jk] with c = -log2 p(a|a), b_jk = log2 p(j|a) - log2 p(k|a) - log2 p_j
-    a, T = cls.anchor, source.transitions
-    c = -log2_prob(source, T[a][a])
-    phase = c.frac_scaled((n - 1) * M for n in range(lo, hi + 1))
+    # zeta = (M/d) [(n-1) unit + b_jk] with b_jk = X_j - X_k - d log2 p_j
+    d = structure.period
+    _, unit, X = _similarity(source, structure, M)
+    phase = unit.frac_scaled(((n - 1) * M for n in range(lo, hi + 1)), d)
     phase_f = np.array(phase, dtype=float)
     for j in live:
+        log_pj = log2_prob(source, source.initial[j]).scaled(d)
         for k in range(r):
-            b = log2_prob(source, T[a][j]) - log2_prob(source, T[a][k]) - log2_prob(source, source.initial[j])
-            beta = b.frac_scaled([M])[0]
-            if c.is_rational and b.is_rational:
+            b = X[j] - X[k] - log_pj
+            beta = b.frac_scaled([M], d)[0]
+            if unit.is_rational and b.is_rational:
                 rho[:, j, k] = [float(-(x + beta) % 1) for x in phase]
                 continue
             # both terms are correctly rounded and lie in [0, 1): where their
@@ -349,10 +297,11 @@ def predict_range(
     if cls.mode == "convergent":
         flags = frozenset(set(cls.flags) | {"convergent"})
         return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]
-    d = classify_structure(source).period
+    structure = classify_structure(source)
+    d = structure.period
     pairs = _unit_circle_eigenvectors(source, d, stationary_distribution(source))
     weights = np.array([np.outer(source.initial_array() * rt, lt) for rt, lt in pairs])
-    rho = _zeta_defects(source, cls, lo, hi)
+    rho = _zeta_defects(source, cls, structure, lo, hi)
     turns = np.array([[(n - 1) * t % d for t in range(d)] for n in ns])
     osc = np.einsum("nt,tjk,njk->n", np.exp(2j * math.pi * turns / d), weights, rho)
     boundary = np.einsum("tjk,njk->n", np.abs(weights), (rho <= xi) | (rho >= 1.0 - xi))

@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--source", help="source description JSON (sweep: grid config JSON)")
     parser.add_argument("--n", default="8", help='block length or inclusive range "LO..HI" (fejer-demo: truncation order)')
     parser.add_argument("--xi", type=float, default=0.05, help="boundary margin in (0, 1/2) (fejer-demo: knot theta)")
-    parser.add_argument("--m-max", type=int, default=64, help="scan budget for the oscillation search")
+    parser.add_argument("--m-max", type=int, default=64, help="scan budget for the oscillation search of float sources")
     parser.add_argument("--samples", type=int, default=0, help="Monte Carlo samples to append to exact rows")
     parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     parser.add_argument("--out", help="output file (default: stdout)")

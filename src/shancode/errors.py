@@ -37,14 +37,6 @@ class DefectiveMatrix(ShancodeError):
     """Eigen-decomposition could not be bi-orthogonally normalized."""
 
 
-class UndefinedAlpha(ShancodeError):
-    """Log-ratio parameters are undefined because of zero probabilities."""
-
-    def __init__(self, entries, message=None):
-        self.entries = tuple(entries)
-        super().__init__(message or f"undefined log-ratio entries: {self.entries}")
-
-
 class ComplexResidual(ShancodeError):
     """A nominally real quantity retained a non-negligible imaginary part."""
 

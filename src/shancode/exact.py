@@ -92,25 +92,26 @@ class Log2Value:
     def to_float(self) -> float:
         return float(self.rational) + self.mantissa_log2()
 
-    def frac_scaled(self, ks) -> list:
-        """frac(k * value) for each integer k in ks, never forming mantissa**k.
+    def frac_scaled(self, ks, den: int = 1) -> list:
+        """frac((k / den) * value) for each integer k in ks, never forming mantissa**k.
 
-        k * rational is reduced modulo 1 in integers, so a rational value
-        gives exact Fractions.  Otherwise k * log2(mantissa) is reduced in
-        decimal arithmetic at 30 + digits(max |k|) significant digits, with
-        log2(mantissa) evaluated once for all ks, and each float lies within
-        about 1e-16 of the true fractional part at any k.
+        The rational multipliers k / den share one positive denominator.
+        k * rational / den is reduced modulo 1 in integers, so a rational
+        value gives exact Fractions.  Otherwise k * log2(mantissa) / den is
+        reduced in decimal arithmetic at 30 + digits(max |k|) significant
+        digits, with log2(mantissa) evaluated once for all ks, and each float
+        lies within about 1e-16 of the true fractional part at any k.
         """
         ks = list(ks)
-        num, den = self.rational.numerator, self.rational.denominator
+        num, kden = self.rational.numerator, self.rational.denominator * den
         if self.is_rational:
-            return [Fraction(k * num % den, den) for k in ks]
+            return [Fraction(k * num % kden, kden) for k in ks]
         with localcontext() as ctx:
             ctx.prec = 30 + len(str(max(map(abs, ks), default=0)))
             m = self.mantissa
-            lm = (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
+            lm = (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln() / den
             # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
-            fracs = ((Decimal(k * num % den) / den + k * lm) % 1 for k in ks)
+            fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
             return [float(y + 1 if y < 0 else y) % 1.0 for y in fracs]
 
     def frac_exact(self) -> Fraction:

@@ -267,10 +267,18 @@ def validate(source: MarkovSource, float_tol: float = FLOAT_SUM_TOL) -> Validati
 
 @dataclass(frozen=True)
 class ChainStructure:
+    """Irreducibility, period and positivity of the support digraph.
+
+    For an irreducible chain depth[j] and parent[j] describe the BFS tree
+    from state 0 (parent[0] is None) on which the period was measured.
+    """
+
     irreducible: bool
     period: int | None
     positive: bool
     reducible_note: str | None = None
+    depth: tuple = ()
+    parent: tuple = ()
 
 
 def _reachable(adj, start) -> set:
@@ -300,18 +308,22 @@ def classify_structure(source: MarkovSource) -> ChainStructure:
         return ChainStructure(False, None, positive, note)
 
     level = {0: 0}
+    parent = {0: None}
     queue = deque([0])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
             if v not in level:
                 level[v] = level[u] + 1
+                parent[v] = u
                 queue.append(v)
     g = 0
     for u in range(r):
         for v in adj[u]:
             g = math.gcd(g, level[u] + 1 - level[v])
-    return ChainStructure(True, g or 1, positive, None)
+    return ChainStructure(
+        True, g or 1, positive, None, tuple(level[j] for j in range(r)), tuple(parent[j] for j in range(r))
+    )
 
 
 def stationary_distribution(source: MarkovSource) -> np.ndarray:

@@ -14,7 +14,9 @@ Because the entries of the stochastic matrix P are the moduli of the entries
 of A_m, the spectral radius rho(A_m) never exceeds 1, and it equals 1 exactly
 when A_m is similar to exp(2 pi i s) P under a diagonal phase matrix
 diag(exp(2 pi i w_j)).  Scanning m for rho(A_m) = 1 separates the oscillatory
-redundancy mode from the convergent one and yields the phase s and weights w.
+redundancy mode from the convergent one and yields the phase s and weights w;
+classify_mode runs the scan for float sources and solves the same congruence
+in exact arithmetic for exact ones.
 """
 
 from __future__ import annotations
@@ -146,10 +148,7 @@ def char_fn(source: MarkovSource, m: int, n: int, mode: str = "direct") -> compl
             v = v @ A
         return complex(v.sum())
     if mode == "spectral":
-        rep = eigen(A)
-        d = np.ones(source.r, dtype=complex)
-        coeffs = rep.eigenvalues ** (n - 1) * (rep.left @ d) * (c @ rep.right)
-        return complex(coeffs.sum())
+        return complex(c @ eigen(A).apply_power(n - 1, np.ones(source.r, dtype=complex)))
     raise ValueError(f"unknown mode {mode!r}")
 
 

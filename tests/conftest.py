@@ -89,7 +89,7 @@ def half_exponent_source(e11, e12, e21, e22, precision=10**13) -> MarkovSource:
     """Positive exact source with half-integer power-of-two exponents.
 
     Entries have the ratio structure p(j|k) = mu0 (w_j / w_k) 2**e_kj, so all
-    anchor log-ratios are exactly rational (multiples of 1/2) regardless of
+    cycle log-ratios are exactly rational (multiples of 1/2) regardless of
     the rational factors mu0, w.  Exact stochasticity is impossible with
     non-integer exponents, so mu0 and w are rational approximations of the
     real solution and the rows sum to 1 only within ~1/precision; validation

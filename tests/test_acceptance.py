@@ -14,7 +14,6 @@ import pytest
 
 from shancode import (
     absorbing_pair_formula,
-    anchor_log_ratios,
     ceil_defect,
     char_fn,
     classify_mode,
@@ -164,9 +163,9 @@ def test_acceptance_06(oscillatory_exact_family):
     assert len(oscillatory_exact_family) >= 10
     orders = []
     for source in oscillatory_exact_family:
-        ratios = anchor_log_ratios(source)
-        assert ratios.all_rational()
-        lcm_order = ratios.common_denominator()
+        cls = classify_mode(source)
+        assert cls.mode == "oscillatory"
+        lcm_order = cls.M
         search = find_oscillation_order(source)
         assert search.order == lcm_order, (lcm_order, search.order)
         ok, residual = verify_similarity(source, search.order, search.phase, search.weights)

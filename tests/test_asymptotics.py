@@ -2,6 +2,7 @@
 
 import math
 import time
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,11 @@ from hypothesis import given, strategies as st
 from shancode import (
     MarkovSource,
     absorbing_pair_formula,
-    anchor_log_ratios,
     ceil_defect,
     classify_mode,
     eigen,
     exact_redundancy,
+    exact_redundancy_range,
     find_oscillation_order,
     memoryless_formula,
     oscillation_argument,
@@ -24,8 +25,10 @@ from shancode import (
     predict_range,
     predicted_redundancy,
     predicted_redundancy_periodic,
+    validate,
+    verify_similarity,
 )
-from shancode.errors import PeriodicChain, ReducibleChain, UndefinedAlpha
+from shancode.errors import PeriodicChain, ReducibleChain
 from shancode.exact import ZERO, ExactProb
 from shancode.sources import log2_prob, stationary_distribution
 from tests.conftest import iter_paths_bruteforce, memoryless, omega_decimal_reference
@@ -44,50 +47,10 @@ def test_ceil_defect_examples():
 def test_ceil_defect_range_and_period(u):
     v = ceil_defect(u)
     assert 0.0 <= v < 1.0
-    assert ceil_defect(u + 1.0) == pytest.approx(v, abs=1e-9)
-
-
-# -- anchor log-ratios ---------------------------------------------------------
-
-
-def test_alpha_matrix_permutation_chain(permutation_source):
-    ratios = anchor_log_ratios(permutation_source)
-    values = {(j, k): ratios.rational_value(j, k) for (j, k) in ratios.entries}
-    assert values == {(0, 0): F(0), (0, 1): F(-2), (1, 0): F(0), (1, 1): F(0)}
-    assert ratios.all_rational() and ratios.common_denominator() == 1
-
-
-def test_alpha_matrix_dyadic_integer(dyadic_r3):
-    ratios = anchor_log_ratios(dyadic_r3)
-    assert ratios.all_rational()
-    assert all(ratios.rational_value(j, k).denominator == 1 for (j, k) in ratios.entries)
-
-
-def test_alpha_matrix_half_denominator(m2_source):
-    ratios = anchor_log_ratios(m2_source)
-    assert ratios.all_rational() and ratios.common_denominator() == 2
-    assert ratios.rational_value(1, 0) == F(1, 2)
-    assert ratios.rational_value(0, 1) == F(3, 2)
-    assert ratios.rational_value(0, 0) == 0 and ratios.rational_value(1, 1) == 0
-
-
-def test_alpha_matrix_diagonal_zero(oscillatory_exact_family):
-    for s in oscillatory_exact_family:
-        ratios = anchor_log_ratios(s)
-        for j in range(s.r):
-            assert ratios.rational_value(j, j) == 0
-
-
-def test_alpha_matrix_undefined_anchor(absorbing_source):
-    with pytest.raises(UndefinedAlpha) as exc:
-        anchor_log_ratios(absorbing_source, anchor=1)
-    assert (0, 1) in exc.value.entries
-
-
-def test_alpha_matrix_anchor_override(permutation_source):
-    for anchor in (0, 1):
-        ratios = anchor_log_ratios(permutation_source, anchor=anchor)
-        assert ratios.all_rational() and ratios.common_denominator() == 1
+    # u + 1.0 rounds away low bits of a tiny u (9.76e-17 + 1.0 == 1.0), and
+    # then the two sides evaluate rho at different points
+    if (u + 1.0) - 1.0 == u:
+        assert ceil_defect(u + 1.0) == pytest.approx(v, abs=1e-9)
 
 
 # -- classification --------------------------------------------------------------
@@ -129,7 +92,31 @@ def test_classify_float_heuristic(float_convergent_source):
 def test_classify_delegates_on_zero_entries(cycle_source):
     cls = classify_mode(cycle_source)
     assert cls.mode == "oscillatory" and cls.M == 1
-    assert cls.provenance == "spectral_search"
+    assert cls.provenance == "exact_rational"
+
+
+def test_classify_exact_order_beyond_scan():
+    # period-2 chain whose two return cycles differ by 1/67 in -log2 weight:
+    # M = 67 lies beyond the spectral scan's default m_max = 64
+    mu = Fraction(1 / (2**-1 + 2 ** (-66 / 67))).limit_denominator(10**13)
+    row = [ZERO, ExactProb.make(mu, -1), ExactProb.make(mu, F(-66, 67))]
+    s = MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
+    assert "row_sums_inexact" in validate(s).flags
+    cls = classify_mode(s)
+    assert cls.mode == "oscillatory" and cls.M == 67
+    assert cls.provenance == "exact_rational" and "heuristic" not in cls.flags
+    ok, residual = verify_similarity(s, cls.M, cls.s, cls.w)
+    assert ok and residual <= 1e-9, residual
+
+
+def test_classify_exact_convergent_with_zero_transition():
+    # cycles 0 -> 0 and 0 -> 1 -> 0 weigh log2 3 and log2 3 - 1, and
+    # 2 log2 3 - (log2 3 - 1) = log2 3 + 1 is irrational, so no M exists
+    s = MarkovSource.from_exact(["1/2", "1/2"], [["1/3", "2/3"], [1, 0]])
+    cls = classify_mode(s)
+    assert cls.mode == "convergent"
+    assert cls.provenance == "exact_rational"
+    assert "heuristic" not in cls.flags
 
 
 def test_classify_reducible_raises(absorbing_source):
@@ -144,6 +131,19 @@ def test_order_consistency_lcm_vs_spectral(oscillatory_exact_family):
         assert cls.M == res.order
         assert cls.s == pytest.approx(res.phase, abs=1e-9)
         assert np.allclose(cls.w, res.weights, atol=1e-9)
+
+
+def test_exact_zero_transition_sources_match_scan(cycle_source, bipartite_periodic_source, dyadic_markov_pair):
+    # the exact solver and the spectral scan find the same M, s and w; in
+    # the last source the first return edge to state 0 closes a 2-cycle
+    # while the period is 1, so the gcd must be refined by later edges
+    refined = MarkovSource.from_exact(["1/2", "1/4", "1/4"], [[0, "1/9", "8/9"], [1, 0, 0], ["1/2", "1/6", "1/3"]])
+    for s in (cycle_source, bipartite_periodic_source, *dyadic_markov_pair, refined):
+        cls = classify_mode(s)
+        res = find_oscillation_order(s)
+        assert cls.provenance == "exact_rational" and cls.M == res.order
+        assert cls.s == pytest.approx(res.phase, abs=1e-12)
+        assert np.allclose(cls.w, res.weights, atol=1e-12)
 
 
 # -- zeta ------------------------------------------------------------------------
@@ -177,7 +177,7 @@ def test_zeta_n1_diagonal(permutation_source):
 
 
 def test_zeta_routes_agree_mod_one(oscillatory_exact_family):
-    # the anchor parameterization and the spectral one coincide modulo 1
+    # the exact parameterization and the spectral one coincide modulo 1
     for s in oscillatory_exact_family:
         st_ = classify_mode(s)
         if st_.provenance != "exact_rational":
@@ -185,15 +185,15 @@ def test_zeta_routes_agree_mod_one(oscillatory_exact_family):
         res = find_oscillation_order(s)
         spectral_cls = classify_mode(s).__class__(
             mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
-            provenance="spectral_search", anchor=0, flags=frozenset(),
+            provenance="spectral_search", flags=frozenset(),
         )
         for n in range(1, 101, 9):
             for j in range(s.r):
                 if s.initial[j] is ZERO:
                     continue
                 for k in range(s.r):
-                    a = oscillation_argument(s, st_, j, k, n, route="anchor")
-                    b = oscillation_argument(s, spectral_cls, j, k, n, route="spectral")
+                    a = oscillation_argument(s, st_, j, k, n)
+                    b = oscillation_argument(s, spectral_cls, j, k, n)
                     diff = (a - b) % 1.0
                     assert min(diff, 1.0 - diff) <= 1e-9
 
@@ -245,7 +245,7 @@ def test_omega_large_m_tends_to_half(permutation_source):
     # the oscillatory band collapses onto 1/2 as the order grows
     cls = classify_mode(permutation_source)
     synthetic = cls.__class__(mode="oscillatory", M=10**6, s=cls.s, w=cls.w,
-                              provenance=cls.provenance, anchor=0, flags=cls.flags)
+                              provenance=cls.provenance, flags=cls.flags)
     pred = predicted_redundancy(permutation_source, synthetic, 7)
     assert abs(pred.omega - 0.5) < 1e-5
 
@@ -315,6 +315,29 @@ def test_omega_matches_decimal_reference_at_large_n(oscillatory_exact_family, n)
         assert abs(predict(s, cls, n).omega - omega_decimal_reference(s, cls.M, n)) <= 1e-13
 
 
+def bipartite_reference(n: int, digits: int = 60) -> float:
+    """rho(floor(n/2) log2 3) in decimal arithmetic.
+
+    Every path of the bipartite chain has -log2 mu = floor(n/2) log2 3 minus
+    an integer, so this is its exact R_n.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        u = (n // 2) * Decimal(3).ln() / Decimal(2).ln()
+        return float(u.to_integral_value(rounding=ROUND_CEILING) - u)
+
+
+def test_bipartite_reference_is_exact(bipartite_periodic_source):
+    for rec in exact_redundancy_range(bipartite_periodic_source, 1, 30):
+        assert rec.value == pytest.approx(bipartite_reference(rec.n), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+def test_bipartite_omega_matches_decimal_reference_at_large_n(bipartite_periodic_source, n):
+    cls = classify_mode(bipartite_periodic_source)
+    assert abs(predict(bipartite_periodic_source, cls, n).omega - bipartite_reference(n)) <= 1e-13
+
+
 def loop_omega(s, cls, n, xi=0.05):
     """(omega, boundary_terms) of an aperiodic source, one (j, k) term at a time."""
     pi = stationary_distribution(s)
@@ -340,11 +363,11 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
     start = [ExactProb.make(1, F(-6, 5)), ExactProb.make(1, -F(821739, 996796))]
     pow2 = MarkovSource.from_exact(start, [letters, letters])
     for s in [*oscillatory_exact_family, cancelling, pow2]:
-        anchor = classify_mode(s)
+        exact = classify_mode(s)
         res = find_oscillation_order(s)
-        spectral = anchor.__class__(mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
-                                    provenance="spectral_search", anchor=0, flags=frozenset())
-        for cls in (anchor, spectral) if res.order else (anchor,):
+        spectral = exact.__class__(mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
+                                    provenance="spectral_search", flags=frozenset())
+        for cls in (exact, spectral) if res.order else (exact,):
             for pred in predict_range(s, cls, 1, 30):
                 omega, boundary = loop_omega(s, cls, pred.n)
                 assert pred.omega == pytest.approx(omega, abs=1e-12)
