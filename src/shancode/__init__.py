@@ -12,8 +12,6 @@ from .asymptotics import (
     oscillation_argument,
     predict,
     predict_range,
-    predicted_redundancy,
-    predicted_redundancy_periodic,
 )
 from .exact import ZERO, ExactProb, Log2Value, approximate_rational, parse_prob_spec
 from .oracle import (

@@ -28,6 +28,10 @@ constructive vanishing sequence is available.  For chains of period d the
 single oscillation splits into d terms with phase offsets t/d and
 eigenvector weights of the transition matrix.
 
+An exact oscillatory classification carries this solution as (d, unit, X),
+Log2Values with s = (M/d) unit and w_j = (M/d) X_j modulo 1, and every zeta
+is evaluated from it; nothing solves the congruence again.
+
 predict_range evaluates Omega_n for a whole n range in one pass: structure,
 pi and the unit-circle eigenpairs once per source, rho(zeta_jk(n)) as one
 (N, r, r) array.  For exact sources zeta is reduced modulo 1 exactly and
@@ -46,14 +50,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ComplexResidual,
-    DefectiveMatrix,
-    PeriodicChain,
-    ReducibleChain,
-    ZeroProbability,
-)
-from .exact import ZERO, ExactProb, Log2Value, approximate_rational, wrap_unit
+from .errors import ComplexResidual, DefectiveMatrix, ReducibleChain, ZeroProbability
+from .exact import ZERO, ExactProb, Log2Value, approximate_rational, ceil_defect, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -68,26 +66,17 @@ DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
 
 
-def ceil_defect(u):
-    """rho(u) = ceil(u) - u, in [0, 1), periodic with period 1.
-
-    For u within one float rounding step below an integer the subtraction
-    rounds to 1.0; those points sit on the discontinuity and are mapped to 0,
-    keeping the range half-open.
-    """
-    if isinstance(u, np.ndarray):
-        v = np.ceil(u) - u
-        return np.where(v >= 1.0, 0.0, v)
-    v = math.ceil(u) - u
-    return v if v < 1.0 else 0.0
-
-
 # -- mode classification ----------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ModeClassification:
-    """Mode, order M, phase s in [0, 1/d) and weights w with w_0 = 0."""
+    """Mode, order M, phase s in [0, 1/d) and weights w with w_0 = 0.
+
+    solution is the exact similarity solution (d, unit, X) of an oscillatory
+    exact source (see _similarity), from which zeta is evaluated; it is None
+    for spectral-scan classifications, whose zeta uses the float s and w.
+    """
 
     mode: str  # "convergent" | "oscillatory"
     M: int | None
@@ -95,6 +84,7 @@ class ModeClassification:
     w: tuple | None
     provenance: str  # "exact_rational" | "spectral_search" | "heuristic_float"
     flags: frozenset
+    solution: tuple | None = None
 
 
 def _bezout(a: int, b: int):
@@ -107,14 +97,13 @@ def _bezout(a: int, b: int):
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _similarity(source: MarkovSource, structure, M: int | None = None):
+def _similarity(source: MarkovSource, structure):
     """Exact solution of the similarity congruence of an irreducible exact source.
 
     Works on the BFS tree of classify_structure as the module docstring
-    describes.  With M None the order is decided: None is returned when
-    some Q_e is irrational (the convergent mode), else M = lcm(den Q_e).
-    A given M (a multiple of the order) is used as is.  Returns
-    (M, unit, X) with Log2Values such that, modulo 1,
+    describes.  Returns None when some Q_e is irrational (the convergent
+    mode), else (M, unit, X) with M = lcm(den Q_e) and Log2Values such
+    that, modulo 1,
 
         s = (M/d) unit,  w_j = (M/d) X_j,  zeta_jk(n) = (M/d) [(n-1) unit + X_j - X_k - d log2 p_j],
 
@@ -136,11 +125,10 @@ def _similarity(source: MarkovSource, structure, M: int | None = None):
         if ge and (g == 0 or ge % g):
             g, x, y = _bezout(g, ge)
             Y = Y.scaled(x) + delta(k, j).scaled(y)
-    if M is None:
-        Q = [Y.scaled(ge // d) - delta(k, j) for k, j, ge in edges]
-        if not all(q.is_rational for q in Q):
-            return None
-        M = math.lcm(*(q.rational.denominator for q in Q))
+    Q = [Y.scaled(ge // d) - delta(k, j) for k, j, ge in edges]
+    if not all(q.is_rational for q in Q):
+        return None
+    M = math.lcm(*(q.rational.denominator for q in Q))
     unit = Y
     if d > 1:
         # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d
@@ -172,7 +160,7 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX, tol: float |
         d = structure.period
         s = wrap_unit(float(unit.frac_scaled([M], d)[0]))
         w = tuple(wrap_unit(float(x.frac_scaled([M], d)[0])) for x in X)
-        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags)
+        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags, (d, unit, X))
 
     search = spectral.find_oscillation_order(source, m_max=m_max, tol=tol)
     if search.is_infinite:
@@ -186,7 +174,7 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX, tol: float |
 def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
     """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j, the phase shared by all paths from j to k.
 
-    For an exact classification s and w come from the exact similarity
+    For an exact classification s and w come from its stored similarity
     solution, combined through Log2Value.scaled products; otherwise from the
     float phase and weights of the spectral scan.
     """
@@ -194,11 +182,9 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    if cls.provenance != "exact_rational":
+    if cls.solution is None:
         return (n - 1) * cls.s + cls.w[j] - cls.w[k] - cls.M * log2_prob_float(source, source.initial[j])
-    structure = classify_structure(source)
-    d = structure.period
-    _, unit, X = _similarity(source, structure, cls.M)
+    d, unit, X = cls.solution
     combo = unit.scaled(n - 1) + X[j] - X[k] - log2_prob(source, source.initial[j]).scaled(d)
     return combo.scaled(cls.M).to_float() / d
 
@@ -232,12 +218,12 @@ def _finish_prediction(n, omega, boundary, xi, flags) -> Prediction:
     )
 
 
-def _zeta_defects(source: MarkovSource, cls: ModeClassification, structure, lo: int, hi: int) -> np.ndarray:
+def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
     """rho(zeta_jk(n)) for n = lo..hi as an (N, r, r) array, 0 where p_j = 0."""
     r, M = source.r, cls.M
     live = [j for j in range(r) if source.initial[j] is not ZERO]
     rho = np.zeros((hi - lo + 1, r, r))
-    if cls.provenance != "exact_rational":
+    if cls.solution is None:
         nm1 = np.arange(lo - 1, hi, dtype=float)[:, None]
         w = np.array(cls.w)
         for j in live:
@@ -245,8 +231,7 @@ def _zeta_defects(source: MarkovSource, cls: ModeClassification, structure, lo: 
             rho[:, j, :] = ceil_defect(zeta)
         return rho
     # zeta = (M/d) [(n-1) unit + b_jk] with b_jk = X_j - X_k - d log2 p_j
-    d = structure.period
-    _, unit, X = _similarity(source, structure, M)
+    d, unit, X = cls.solution
     phase = unit.frac_scaled(((n - 1) * M for n in range(lo, hi + 1)), d)
     phase_f = np.array(phase, dtype=float)
     for j in live:
@@ -297,11 +282,10 @@ def predict_range(
     if cls.mode == "convergent":
         flags = frozenset(set(cls.flags) | {"convergent"})
         return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]
-    structure = classify_structure(source)
-    d = structure.period
+    d = classify_structure(source).period
     pairs = _unit_circle_eigenvectors(source, d, stationary_distribution(source))
     weights = np.array([np.outer(source.initial_array() * rt, lt) for rt, lt in pairs])
-    rho = _zeta_defects(source, cls, structure, lo, hi)
+    rho = _zeta_defects(source, cls, lo, hi)
     turns = np.array([[(n - 1) * t % d for t in range(d)] for n in ns])
     osc = np.einsum("nt,tjk,njk->n", np.exp(2j * math.pi * turns / d), weights, rho)
     boundary = np.einsum("tjk,njk->n", np.abs(weights), (rho <= xi) | (rho >= 1.0 - xi))
@@ -329,31 +313,6 @@ def _unit_circle_eigenvectors(source: MarkovSource, d: int, pi: np.ndarray):
             raise DefectiveMatrix(f"no eigenvalue near the root of unity t={t}/{d}")
         pairs.append((rep.right[:, idx], rep.left[idx, :]))
     return pairs
-
-
-def predicted_redundancy(
-    source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI
-) -> Prediction:
-    """Omega_n at one n for an aperiodic oscillatory source; see predict_range."""
-    if cls.mode != "oscillatory":
-        raise ValueError("predicted_redundancy needs an oscillatory classification")
-    period = classify_structure(source).period
-    if period != 1:
-        raise PeriodicChain(f"chain has period {period}; use the periodic prediction")
-    return predict_range(source, cls, n, n, xi)[0]
-
-
-def predicted_redundancy_periodic(
-    source: MarkovSource,
-    cls: ModeClassification,
-    n: int,
-    xi: float = DEFAULT_XI,
-    imag_tol: float = 1e-8,
-) -> Prediction:
-    """Omega_n at one n for an oscillatory chain of any period; see predict_range."""
-    if cls.mode != "oscillatory":
-        raise ValueError("predicted_redundancy_periodic needs an oscillatory classification")
-    return predict_range(source, cls, n, n, xi, imag_tol)[0]
 
 
 def predict(source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI) -> Prediction:

@@ -59,6 +59,12 @@ def parse_n_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _check_xi(xi: float) -> float:
+    if not 0.0 < xi < 0.5:
+        raise ValidationFailure(f"xi must lie in (0, 1/2), got {xi}")
+    return xi
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="shancode", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -227,7 +233,7 @@ def _cmd_sweep(config: RunConfig):
     if "n" in grid:
         config.n_range = parse_n_range(str(grid["n"]))
     if "xi" in grid:
-        config.xi = float(grid["xi"])
+        config.xi = _check_xi(float(grid["xi"]))
     rows = []
     for entry in grid.get("sources", []):
         label = str(entry.get("label", "?"))
@@ -312,8 +318,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         n_range = parse_n_range(args.n)
-        if not (0.0 < args.xi < 0.5):
-            raise ValidationFailure(f"xi must lie in (0, 1/2), got {args.xi}")
+        _check_xi(args.xi)
         if args.m_max < 1:
             raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
         if args.samples < 0:

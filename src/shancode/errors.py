@@ -25,10 +25,6 @@ class ReducibleChain(ShancodeError):
     """Operation requires an irreducible transition structure."""
 
 
-class PeriodicChain(ShancodeError):
-    """Operation requires an aperiodic chain."""
-
-
 class ResourceLimit(ShancodeError):
     """Requested computation exceeds the configured resource bounds."""
 

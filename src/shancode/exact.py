@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
+import numpy as np
+
 
 def split_pow2(q: Fraction) -> tuple[Fraction, int]:
     """Split a positive rational into (odd part, exponent): q == odd * 2**e."""
@@ -37,6 +39,20 @@ def split_pow2(q: Fraction) -> tuple[Fraction, int]:
 def frac_part(q: Fraction) -> Fraction:
     """Fractional part of a rational, in [0, 1)."""
     return q - (q.numerator // q.denominator)
+
+
+def ceil_defect(u):
+    """rho(u) = ceil(u) - u, in [0, 1), periodic with period 1.
+
+    For u within one float rounding step above an integer the subtraction
+    rounds to 1.0; those points sit on the discontinuity and are mapped to 0,
+    keeping the range half-open.
+    """
+    if isinstance(u, np.ndarray):
+        v = np.ceil(u) - u
+        return np.where(v >= 1.0, 0.0, v)
+    v = math.ceil(u) - u
+    return v if v < 1.0 else 0.0
 
 
 def wrap_unit(x: float, tol: float = 1e-12) -> float:

@@ -24,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ResourceLimit, ZeroPathProbability
-from .exact import ZERO, Log2Value
+from .exact import ZERO, Log2Value, ceil_defect
 from .sources import MarkovSource, log2_prob
 
 INTEGER_SNAP_TOL = 1e-9
@@ -34,8 +34,14 @@ _CHUNK_ENTRIES = 4096
 
 @dataclass(frozen=True)
 class Limits:
-    """Exact requests are admitted up to n when n <= count_dp_max_n[r] or
-    r**n <= enumeration_max_paths (shannon_lengths needs the latter)."""
+    """Caps on exact work, checked before any work starts.
+
+    The lattice DP of exact_redundancy_range is admitted up to n when
+    n <= count_dp_max_n[r] or r**n <= enumeration_max_paths; path
+    enumeration (shannon_lengths) only under the latter.  A one-state chain
+    counts as r = 2: its work grows linearly in n, but 1**n never exceeds
+    the path cap.
+    """
 
     enumeration_max_paths: int = 2**24
     count_dp_max_n: dict = field(default_factory=lambda: {2: 200, 3: 40})
@@ -53,17 +59,14 @@ class RedundancyValue:
     flags: frozenset = frozenset()
 
 
-def ceil_defect_float(u: float, snap_tol: float | None = None) -> tuple[float, bool]:
-    """rho(u) = ceil(u) - u, optionally snapping near-integer u to 0.
+def _snap(u, tol: float):
+    """u with every value within tol of an integer moved onto that integer.
 
     Float noise must not flip the ceiling at a value that is an integer in
-    exact arithmetic, so float pipelines snap within snap_tol and report it.
+    exact arithmetic; callers flag the values that moved.
     """
-    if snap_tol is not None:
-        nearest = round(u)
-        if abs(u - nearest) <= snap_tol:
-            return 0.0, abs(u - nearest) > 0.0
-    return math.ceil(u) - u, False
+    nearest = np.round(u)
+    return np.where(np.abs(u - nearest) <= tol, nearest, u)
 
 
 def neg_log_mu(source: MarkovSource, x) -> float:
@@ -86,9 +89,10 @@ def neg_log_mu(source: MarkovSource, x) -> float:
 
 
 def _check_enumeration(source: MarkovSource, n: int, limits: Limits) -> None:
-    if source.r**n > limits.enumeration_max_paths:
+    r = max(source.r, 2)  # a one-state chain counts as r = 2, see Limits
+    if r**n > limits.enumeration_max_paths:
         raise ResourceLimit(
-            f"enumeration needs {source.r}^{n} paths, cap is {limits.enumeration_max_paths}"
+            f"enumeration of length {n} counts as {r}^{n} paths, cap is {limits.enumeration_max_paths}"
         )
 
 
@@ -123,10 +127,11 @@ def _iter_support(source: MarkovSource, n: int):
 
 
 def _check_limits(source: MarkovSource, n: int, limits: Limits) -> None:
-    cap = limits.count_dp_max_n.get(source.r, 0)
-    if n > cap and source.r**n > limits.enumeration_max_paths:
+    r = max(source.r, 2)  # a one-state chain counts as r = 2, see Limits
+    cap = limits.count_dp_max_n.get(r, 0)
+    if n > cap and r**n > limits.enumeration_max_paths:
         raise ResourceLimit(f"no exact route within limits for r={source.r}, n={n}: n > {cap} "
-                            f"and {source.r}^{n} > {limits.enumeration_max_paths} paths")
+                            f"and {r}^{n} > {limits.enumeration_max_paths} paths")
 
 
 def _coprime_base(values) -> list[int]:
@@ -224,7 +229,7 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
         for key, mass in _merged(frontier).items():
             scaled, *expo = [(key + offset) // radix**i % radix - half for i in range(dims)]
             if any(expo):
-                rho, _ = ceil_defect_float(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
+                rho = ceil_defect(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
             else:
                 rho = (-scaled % denom) / denom
             terms.append(mass * rho)
@@ -266,16 +271,17 @@ def _float_sums(source: MarkovSource, lo: int, hi: int, snap_tol: float) -> list
         chunks.append((len(part), part))
 
     def readout(n, frontier, start):
-        terms, snapped = [], False
-        for key, mass in _merged(frontier).items():
+        merged = _merged(frontier)
+        neg_logs = np.empty(len(merged))
+        for i, key in enumerate(merged):
             total = start
             for size, part in chunks:
                 key, digits = divmod(key, size)
                 total += part[digits]
-            rho, snap = ceil_defect_float(total / scale, snap_tol)
-            snapped |= snap
-            terms.append(mass * rho)
-        return math.fsum(terms), snapped
+            neg_logs[i] = total / scale
+        snapped = _snap(neg_logs, snap_tol)
+        masses = np.fromiter(merged.values(), float, len(merged))
+        return math.fsum(masses * ceil_defect(snapped)), bool(np.any(snapped != neg_logs))
 
     partials = [[] for _ in range(lo, hi + 1)]
     for first, init_neg in init_negs.items():
@@ -370,14 +376,11 @@ def monte_carlo_redundancy(
         neg_log += step_table[state, nxt]
         state = nxt
 
-    values = np.ceil(neg_log) - neg_log
-    near = np.abs(neg_log - np.round(neg_log)) <= snap_tol
-    snapped = bool(np.any(near & (values != 0.0)))
-    values[near] = 0.0
-
+    snapped = _snap(neg_log, snap_tol)
+    values = ceil_defect(snapped)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    flags = frozenset({"snap"}) if snapped else frozenset()
+    flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
     return RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags)
 
 
@@ -398,8 +401,7 @@ def shannon_lengths(source: MarkovSource, n: int, limits: Limits = DEFAULT_LIMIT
             length = -(-q.numerator // q.denominator)  # exact ceiling
         else:
             v = neg_log.to_float() if source.exact else neg_log
-            nearest = round(v)
-            length = nearest if abs(v - nearest) <= INTEGER_SNAP_TOL else math.ceil(v)
+            length = math.ceil(_snap(v, INTEGER_SNAP_TOL))
         out.append((path, int(length)))
     return out
 

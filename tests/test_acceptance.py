@@ -22,8 +22,6 @@ from shancode import (
     memoryless_formula,
     oscillation_argument,
     predict,
-    predicted_redundancy,
-    predicted_redundancy_periodic,
     verify_similarity,
 )
 from shancode.errors import DefectiveMatrix
@@ -181,7 +179,7 @@ def test_acceptance_07(cycle_source):
     target = ceil_defect(LOG3)
     for n in range(1, 13):
         exact = exact_redundancy(cycle_source, n).value
-        pred = predicted_redundancy_periodic(cycle_source, cls, n)
+        pred = predict(cycle_source, cls, n)
         assert abs(exact - target) <= 1e-9, (n, exact)
         assert abs(pred.omega - target) <= 1e-9, (n, pred.omega)
     return f"n=1..12 all equal {target:.11f}"
@@ -247,7 +245,7 @@ def test_acceptance_10(oscillatory_exact_family):
         cls = classify_mode(source)
         base = sandwich_decay_base(source)
         for n in range(2, 9):
-            pred = predicted_redundancy(source, cls, n, xi=0.05)
+            pred = predict(source, cls, n, xi=0.05)
             if pred.boundary_terms > 0:
                 continue
             tol = 10.0 * base ** (n - 1) + 1e-6

@@ -1,5 +1,6 @@
 """Mode classification, oscillation sums and the closed-form special cases."""
 
+import dataclasses
 import math
 import time
 from decimal import ROUND_CEILING, Decimal, localcontext
@@ -23,12 +24,10 @@ from shancode import (
     phase_matrix,
     predict,
     predict_range,
-    predicted_redundancy,
-    predicted_redundancy_periodic,
     validate,
     verify_similarity,
 )
-from shancode.errors import PeriodicChain, ReducibleChain
+from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
 from shancode.sources import log2_prob, stationary_distribution
 from tests.conftest import iter_paths_bruteforce, memoryless, omega_decimal_reference
@@ -221,7 +220,7 @@ def test_telescoping_identity(oscillatory_exact_family):
 def test_omega_matches_oracle_permutation(permutation_source):
     cls = classify_mode(permutation_source)
     for n in range(2, 13):
-        pred = predicted_redundancy(permutation_source, cls, n)
+        pred = predict(permutation_source, cls, n)
         assert pred.lower <= pred.omega <= pred.upper
         assert pred.upper - pred.lower == pytest.approx(2 * pred.boundary_terms, abs=1e-15)
         exact = exact_redundancy(permutation_source, n).value
@@ -236,7 +235,7 @@ def test_omega_band_invariant(oscillatory_exact_family):
             continue
         cls = classify_mode(s)
         for n in (1, 4, 9, 16):
-            pred = predicted_redundancy(s, cls, n)
+            pred = predict(s, cls, n)
             lo = 0.5 * (1 - 1 / cls.M)
             assert lo - 1e-12 <= pred.omega < lo + 1 / cls.M + 1e-12
 
@@ -244,9 +243,8 @@ def test_omega_band_invariant(oscillatory_exact_family):
 def test_omega_large_m_tends_to_half(permutation_source):
     # the oscillatory band collapses onto 1/2 as the order grows
     cls = classify_mode(permutation_source)
-    synthetic = cls.__class__(mode="oscillatory", M=10**6, s=cls.s, w=cls.w,
-                              provenance=cls.provenance, flags=cls.flags)
-    pred = predicted_redundancy(permutation_source, synthetic, 7)
+    synthetic = dataclasses.replace(cls, M=10**6)
+    pred = predict(permutation_source, synthetic, 7)
     assert abs(pred.omega - 0.5) < 1e-5
 
 
@@ -258,26 +256,11 @@ def test_omega_dyadic_degenerate(dyadic_memoryless):
     assert exact_redundancy(dyadic_memoryless, 6).value == 0.0
 
 
-def test_omega_requires_aperiodic(cycle_source):
-    cls = classify_mode(cycle_source)
-    with pytest.raises(PeriodicChain):
-        predicted_redundancy(cycle_source, cls, 4)
-
-
-def test_periodic_reduces_to_aperiodic(permutation_source):
-    cls = classify_mode(permutation_source)
-    for n in (2, 6, 11):
-        a = predicted_redundancy(permutation_source, cls, n)
-        b = predicted_redundancy_periodic(permutation_source, cls, n)
-        assert a.omega == pytest.approx(b.omega, abs=1e-12)
-        assert a.boundary_terms == pytest.approx(b.boundary_terms, abs=1e-12)
-
-
 def test_periodic_cycle_constant(cycle_source):
     cls = classify_mode(cycle_source)
     target = ceil_defect(LOG3)
     for n in range(1, 13):
-        pred = predicted_redundancy_periodic(cycle_source, cls, n)
+        pred = predict(cycle_source, cls, n)
         assert pred.omega == pytest.approx(target, abs=1e-9)
         assert pred.omega == pytest.approx(exact_redundancy(cycle_source, n).value, abs=1e-9)
 
@@ -286,7 +269,7 @@ def test_periodic_cycle_dyadic_initial():
     s = MarkovSource.from_exact(["1/2", "1/2"], [[0, 1], [1, 0]])
     cls = classify_mode(s)
     for n in (1, 4, 7):
-        assert predicted_redundancy_periodic(s, cls, n).omega == pytest.approx(0.0, abs=1e-12)
+        assert predict(s, cls, n).omega == pytest.approx(0.0, abs=1e-12)
 
 
 def test_periodic_branching_chain(bipartite_periodic_source):
@@ -374,6 +357,31 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
                 assert pred.boundary_terms == pytest.approx(boundary, abs=1e-12)
 
 
+def test_zeta_reads_the_stored_solution(
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, monkeypatch
+):
+    # classify_mode keeps its exact similarity solution, so neither the range
+    # prediction nor oscillation_argument solves the congruence again
+    from shancode import asymptotics
+
+    def zetas(s, cls):
+        return [oscillation_argument(s, cls, j, k, n) for n in (1, 7, 40)
+                for j in range(s.r) if s.initial[j] is not ZERO for k in range(s.r)]
+
+    sources = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source]
+    classes = [classify_mode(s) for s in sources]
+    want = [(predict_range(s, cls, 1, 30), zetas(s, cls)) for s, cls in zip(sources, classes)]
+
+    def solve_again(*args, **kwargs):
+        raise AssertionError("the similarity congruence was solved again")
+
+    monkeypatch.setattr(asymptotics, "_similarity", solve_again)
+    for s, cls, (preds, zs) in zip(sources, classes, want):
+        assert cls.mode == "oscillatory" and cls.solution is not None
+        assert predict_range(s, cls, 1, 30) == preds
+        assert zetas(s, cls) == zs
+
+
 def test_convergent_prediction_constant_half(float_convergent_source):
     cls = classify_mode(float_convergent_source)
     pred = predict(float_convergent_source, cls, 9)
@@ -407,7 +415,7 @@ def test_oscillatory_sandwich_with_decay(m2_source, permutation_source):
         base = sandwich_decay_base(s)
         assert base < 1.0 - 1e-6
         for n in range(2, 21):
-            pred = predicted_redundancy(s, cls, n, xi=0.05)
+            pred = predict(s, cls, n, xi=0.05)
             if pred.boundary_terms > 0:
                 continue
             tol = 10.0 * base ** (n - 1) + 1e-6

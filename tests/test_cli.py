@@ -247,6 +247,25 @@ def test_bad_xi_rejected(permutation_path):
     assert rc == 2
 
 
+def test_sweep_grid_xi_validated(tmp_path):
+    source = {"r": 2, "initial": ["1/3", "2/3"], "transitions": [["1/3", "2/3"], ["2/3", "1/3"]]}
+    for xi in (0.9, -1):
+        grid = {"n": "3..4", "xi": xi, "sources": [{"label": "ex1", "source": source}]}
+        path = write_source(tmp_path, "grid.json", grid)
+        rc, out, err = run_cli("--command", "sweep", "--source", path)
+        assert rc == 2 and not out
+        assert json.loads(err)["error"] == "ValidationFailure"
+
+
+def test_one_state_chain_limits(tmp_path):
+    path = write_source(tmp_path, "one.json", {"r": 1, "initial": [1], "transitions": [[1]]})
+    rc, out, err = run_cli("--command", "exact", "--source", path, "--n", "201")
+    assert rc == 3 and not out
+    assert json.loads(err)["error"] == "ResourceLimit"
+    rc, out, _ = run_cli("--command", "exact", "--source", path, "--n", "200")
+    assert rc == 0 and float(parse_csv(out)[0]["value"]) == 0.0
+
+
 def test_fejer_demo_csv():
     rc, out, _ = run_cli("--command", "fejer-demo", "--n", "32", "--xi", "0.1")
     assert rc == 0

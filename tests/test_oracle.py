@@ -148,6 +148,18 @@ def test_snap_flag_on_float_dyadic():
         assert rec.value == 0.0
 
 
+def test_float_source_snaps_onto_exact_values():
+    # some paths have an integer -log2 mu that the float sum misses by an
+    # ulp or two; snapping keeps the float oracle on the exact source's values
+    fs = MarkovSource.from_floats([0.5, 0.5], [[1 / 3, 2 / 3], [3 / 4, 1 / 4]])
+    es = MarkovSource.from_exact(["1/2", "1/2"], [["1/3", "2/3"], ["3/4", "1/4"]])
+    floats = exact_redundancy_range(fs, 1, 14)
+    for a, b in zip(floats, exact_redundancy_range(es, 1, 14)):
+        assert a.value == pytest.approx(b.value, abs=1e-12), a.n
+    assert any("snap" in rec.flags for rec in floats)
+    assert "snap" in monte_carlo_redundancy(fs, 16, 4000, seed=1).flags
+
+
 def test_resource_limits():
     s = memoryless([F(1, 3), F(2, 3)])
     with pytest.raises(ResourceLimit):
@@ -158,6 +170,17 @@ def test_resource_limits():
         exact_redundancy(s, 10, limits=Limits(enumeration_max_paths=2**9, count_dp_max_n={2: 5}))
     with pytest.raises(ResourceLimit):
         exact_redundancy_range(s, 1, 500)
+
+
+def test_one_state_chain_counts_as_two_states():
+    # 1**n never exceeds the path cap, but the work still grows with n
+    s = MarkovSource.from_exact([1], [[1]])
+    assert exact_redundancy(s, 200).value == 0.0
+    with pytest.raises(ResourceLimit):
+        exact_redundancy(s, 201)
+    assert shannon_lengths(s, 24) == [((0,) * 24, 0)]
+    with pytest.raises(ResourceLimit):
+        shannon_lengths(s, 25)
 
 
 # -- Monte Carlo --------------------------------------------------------------
