@@ -38,10 +38,12 @@ from .spectral import (
     OscillationSearch,
     SpectralReport,
     char_fn,
+    char_fn_stack,
     eigen,
     find_oscillation_order,
     initial_phase_vector,
     phase_matrix,
+    phase_stack,
     spectral_radius,
     verify_similarity,
 )

@@ -25,7 +25,14 @@ import math
 
 import numpy as np
 
-from .errors import ZeroIndex
+from .errors import ResourceLimit, ZeroIndex
+
+# terms len(u) * width per frequency block of fejer_sum: memory stays flat for
+# any N and any number of points, and fejer-demo's 512 points take blocks of
+# 256 frequencies, so its default order-256 sum is one block
+FEJER_BLOCK_TERMS = 2**17
+# largest number of terms len(u) * N that fejer_sum admits
+FEJER_WORK_CAP = 2**25
 
 
 def frac(u):
@@ -99,17 +106,29 @@ def fejer_sum(f_id: str, u, theta: float, N: int):
 
     The negative-frequency coefficients are the conjugates of the positive
     ones, so the sum is assembled as a real cosine series and the imaginary
-    residue vanishes identically.
+    residue vanishes identically.  Frequencies are summed in blocks of
+    FEJER_BLOCK_TERMS // len(u) (at least one), so memory stays at about
+    FEJER_BLOCK_TERMS complex values whatever N is, and more than
+    FEJER_WORK_CAP terms len(u) * N raise ResourceLimit before any work.
     """
     _check_theta(theta)
     if N < 1:
         raise ValueError("truncation order N must be >= 1")
-    ms = np.arange(1, N + 1)
-    window = 1.0 - ms / (N + 1.0)
-    coeffs = _coefficients(f_id, ms, theta) * window
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    phases = np.exp(2j * math.pi * np.outer(u_arr, ms))
-    values = _DC[f_id](theta) + 2.0 * (phases @ coeffs).real
+    work = u_arr.size * N
+    if work > FEJER_WORK_CAP:
+        raise ResourceLimit(
+            f"Fejer sum of order N={N} on {u_arr.size} points is estimated at {work} > {FEJER_WORK_CAP} terms"
+        )
+    width = max(1, FEJER_BLOCK_TERMS // u_arr.size)
+    total = np.zeros(u_arr.size)
+    for lo in range(1, N + 1, width):
+        ms = np.arange(lo, min(lo + width, N + 1))
+        window = 1.0 - ms / (N + 1.0)
+        coeffs = _coefficients(f_id, ms, theta) * window
+        phases = np.exp(2j * math.pi * np.outer(u_arr, ms))
+        total += (phases @ coeffs).real
+    values = _DC[f_id](theta) + 2.0 * total
     return values if np.ndim(u) else float(values[0])
 
 

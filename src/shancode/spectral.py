@@ -17,6 +17,19 @@ diag(exp(2 pi i w_j)).  Scanning m for rho(A_m) = 1 separates the oscillatory
 redundancy mode from the convergent one and yields the phase s and weights w;
 classify_mode runs the scan for float sources and solves the same congruence
 in exact arithmetic for exact ones.
+
+Everything is built on one stacked constructor: phase_stack(source, ms) returns
+the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1 formed
+as one numpy expression for float sources and entry by entry from exact
+rational pieces for exact ones; phase_matrix and initial_phase_vector are
+one-row views of it.  char_fn_stack raises the whole stack to n - 1 by
+binary powering, O(log n) matrix products, and char_fn(mode="direct") is its
+one-row wrapper.  find_oscillation_order scans m in blocks of SCAN_BLOCK
+frequencies with one batched eigvals call per block.  Two work caps guard
+against requests that would run for hours or exhaust memory: the scan
+refuses m_max * r**3 above SCAN_WORK_CAP before it starts, and
+fejer.fejer_sum refuses more than FEJER_WORK_CAP terms; both raise
+ResourceLimit.
 """
 
 from __future__ import annotations
@@ -28,13 +41,18 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DefectiveMatrix, ReducibleChain
+from .errors import DefectiveMatrix, ReducibleChain, ResourceLimit
 from .exact import ZERO, ExactProb, frac_part, wrap_unit
 from .sources import MarkovSource, classify_structure
 
 MAX_EIGEN_DIM = 16
 UNIT_RADIUS_TOL_EXACT = 1e-9
 UNIT_RADIUS_TOL_FLOAT = 1e-6
+# frequencies per batched eigvals call of the scan; a fixed small block keeps
+# memory flat where one m_max-deep stack would grow with m_max
+SCAN_BLOCK = 64
+# largest m_max * r**3 the scan admits: 16 times the 2**19 of m_max = 1024 at r = 8
+SCAN_WORK_CAP = 2**23
 
 
 def _phase_mod1(v, m: int) -> float:
@@ -46,32 +64,39 @@ def _phase_mod1(v, m: int) -> float:
     return (-m * math.log2(v)) % 1.0
 
 
+def _phase_rows(source: MarkovSource, rows, ms) -> np.ndarray:
+    """p * exp(2 pi i ((-m log2 p) mod 1)) over a table of probabilities, zero where p = 0.
+
+    Returns shape (len(ms), len(rows), r).  Float phases take math.log2 per
+    entry once and reduce all m in one numpy expression, which rounds exactly
+    like the scalar _phase_mod1; exact phases come from _phase_mod1 itself.
+    """
+    ms = np.asarray(ms, dtype=np.int64).reshape(-1)
+    p = np.array([[source.prob_float(v) for v in row] for row in rows])
+    if source.exact:
+        phase = np.array(
+            [[[0.0 if v is ZERO else _phase_mod1(v, int(m)) for v in row] for row in rows] for m in ms]
+        ).reshape(len(ms), *p.shape)
+    else:
+        lg = np.array([[0.0 if v is ZERO else math.log2(v) for v in row] for row in rows])
+        phase = (-ms[:, None, None] * lg) % 1.0
+    # zero entries carry phase 0, so p * exp(0) keeps them exactly zero
+    return p * np.exp(2j * math.pi * phase)
+
+
+def phase_stack(source: MarkovSource, ms) -> np.ndarray:
+    """The (len(ms), r, r) stack of A_m; A_0 is the plain transition matrix."""
+    return _phase_rows(source, source.transitions, ms)
+
+
 def phase_matrix(source: MarkovSource, m: int) -> np.ndarray:
     """A_m; reduces to the plain transition matrix at m = 0."""
-    r = source.r
-    out = np.zeros((r, r), dtype=complex)
-    for k in range(r):
-        for j in range(r):
-            v = source.transitions[k][j]
-            if v is ZERO:
-                continue
-            p = source.prob_float(v)
-            if m == 0:
-                out[k, j] = p
-            else:
-                out[k, j] = p * cmath.exp(2j * math.pi * _phase_mod1(v, m))
-    return out
+    return phase_stack(source, [m])[0]
 
 
 def initial_phase_vector(source: MarkovSource, m: int) -> np.ndarray:
     """c_m built from the initial state probabilities."""
-    out = np.zeros(source.r, dtype=complex)
-    for k, v in enumerate(source.initial):
-        if v is ZERO:
-            continue
-        p = source.prob_float(v)
-        out[k] = p if m == 0 else p * cmath.exp(2j * math.pi * _phase_mod1(v, m))
-    return out
+    return _phase_rows(source, [source.initial], [m])[0, 0]
 
 
 @dataclass(frozen=True)
@@ -136,18 +161,36 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
+def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:
+    """c_m^T A_m^(n-1) d for every m in ms, one complex value per m.
+
+    The whole stack is raised to n - 1 by binary powering: the row vectors
+    pick up A_m^(2^i) for each set bit of n - 1 while A_m is squared, so a
+    call costs about 2 log2(n) batched matrix products.
+    """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    A = phase_stack(source, ms)
+    v = _phase_rows(source, [source.initial], ms)
+    e = n - 1
+    while e:
+        if e & 1:
+            v = v @ A
+        e >>= 1
+        if e:
+            A = A @ A
+    return v.sum(axis=(1, 2))
+
+
 def char_fn(source: MarkovSource, m: int, n: int, mode: str = "direct") -> complex:
     """E{exp(-2 pi i m log2 mu(X^n))} via matrix powers or the eigenbasis."""
     if n < 1:
         raise ValueError("block length must be >= 1")
-    A = phase_matrix(source, m)
-    c = initial_phase_vector(source, m)
     if mode == "direct":
-        v = c.copy()
-        for _ in range(n - 1):
-            v = v @ A
-        return complex(v.sum())
+        return complex(char_fn_stack(source, [m], n)[0])
     if mode == "spectral":
+        A = phase_matrix(source, m)
+        c = initial_phase_vector(source, m)
         return complex(c @ eigen(A).apply_power(n - 1, np.ones(source.r, dtype=complex)))
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -184,9 +227,18 @@ def find_oscillation_order(
     The phase is arg of the dominant eigenvalue over 2 pi, relabeled into
     [0, 1/d) for a chain of period d; the weights are the component arguments
     of the corresponding right eigenvector normalized to weight 0 at state 0.
+    m is scanned in blocks of SCAN_BLOCK with one batched eigvals call each,
+    and an m_max with m_max * r**3 above SCAN_WORK_CAP raises ResourceLimit
+    before any work.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be at least 1, got {m_max}")
+    work = m_max * source.r**3
+    if work > SCAN_WORK_CAP:
+        raise ResourceLimit(
+            f"oscillation scan up to m_max={m_max} at r={source.r} is estimated at "
+            f"m_max * r**3 = {work} > {SCAN_WORK_CAP}"
+        )
     structure = classify_structure(source)
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
@@ -195,12 +247,17 @@ def find_oscillation_order(
         tol = default_unit_radius_tol(source)
 
     history = []
-    for m in range(1, m_max + 1):
-        A = phase_matrix(source, m)
-        rho = spectral_radius(A)
-        history.append(rho)
-        if abs(rho - 1.0) > tol:
+    for lo in range(1, m_max + 1, SCAN_BLOCK):
+        ms = np.arange(lo, min(lo + SCAN_BLOCK, m_max + 1))
+        stack = phase_stack(source, ms)
+        rhos = np.abs(np.linalg.eigvals(stack)).max(axis=1)
+        hits = np.flatnonzero(np.abs(rhos - 1.0) <= tol)
+        if not len(hits):
+            history.extend(map(float, rhos))
             continue
+        i = int(hits[0])
+        history.extend(map(float, rhos[: i + 1]))
+        m, A = int(ms[i]), stack[i]
         rep = eigen(A)
         unit = [j for j, lam in enumerate(rep.eigenvalues) if abs(lam) >= 1.0 - tol]
         # all unit-circle phases agree modulo 1/d; relabel into [0, 1/d)

@@ -7,6 +7,7 @@ library code paths they are used to check.
 
 from __future__ import annotations
 
+import cmath
 import math
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -139,6 +140,18 @@ def oscillatory_exact_family(permutation_source, permutation_state0_start, m2_so
 
 
 @pytest.fixture(scope="session")
+def order67_source():
+    """Period-2 chain whose two return cycles differ by 1/67 in -log2 weight, so M = 67.
+
+    The row out of state 0 sums to 1 only up to the limit_denominator rounding
+    of its mantissa (validation flags it row_sums_inexact).
+    """
+    mu = Fraction(1 / (2**-1 + 2 ** (-66 / 67))).limit_denominator(10**13)
+    row = [ZERO, ExactProb.make(mu, -1), ExactProb.make(mu, Fraction(-66, 67))]
+    return MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
+
+
+@pytest.fixture(scope="session")
 def convergent_exact_source():
     """Positive exact source with a provably irrational log-ratio."""
     return MarkovSource.from_exact(["1/2", "1/2"], [["3/8", "5/8"], ["5/8", "3/8"]])
@@ -220,6 +233,42 @@ def path_arrays(source: MarkovSource, n: int):
         probs = np.concatenate(new_probs)
         negs = np.concatenate(new_negs)
     return probs, negs
+
+
+def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
+    """p * exp(2 pi i ((-m log2 p) mod 1)) entry by entry over rows of probabilities.
+
+    rows is source.transitions (giving A_m) or [source.initial] (giving c_m
+    as a one-row table).  An exact p = mantissa * 2**exp2 has its phase
+    reduced modulo 1 from the rational part -m exp2 and the float part
+    -m log2(mantissa).
+    """
+    out = np.zeros((len(rows), source.r), dtype=complex)
+    for k, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if v is ZERO:
+                continue
+            p = source.prob_float(v)
+            if m == 0:
+                out[k, j] = p
+                continue
+            if isinstance(v, ExactProb):
+                rat = (Fraction(-m) * v.exp2) % 1
+                irr = -m * (math.log2(v.mantissa.numerator) - math.log2(v.mantissa.denominator))
+                phase = (float(rat) + irr) % 1.0
+            else:
+                phase = (-m * math.log2(v)) % 1.0
+            out[k, j] = p * cmath.exp(2j * math.pi * phase)
+    return out
+
+
+def char_fn_loop(source: MarkovSource, m: int, n: int) -> complex:
+    """c_m^T A_m^(n-1) d by n - 1 vector-matrix steps over phase_entries_loop."""
+    A = phase_entries_loop(source, source.transitions, m)
+    v = phase_entries_loop(source, [source.initial], m)[0]
+    for _ in range(n - 1):
+        v = v @ A
+    return complex(v.sum())
 
 
 def char_fn_bruteforce(source: MarkovSource, m: int, n: int) -> complex:

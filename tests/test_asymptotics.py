@@ -94,12 +94,9 @@ def test_classify_delegates_on_zero_entries(cycle_source):
     assert cls.provenance == "exact_rational"
 
 
-def test_classify_exact_order_beyond_scan():
-    # period-2 chain whose two return cycles differ by 1/67 in -log2 weight:
+def test_classify_exact_order_beyond_scan(order67_source):
     # M = 67 lies beyond the spectral scan's default m_max = 64
-    mu = Fraction(1 / (2**-1 + 2 ** (-66 / 67))).limit_denominator(10**13)
-    row = [ZERO, ExactProb.make(mu, -1), ExactProb.make(mu, F(-66, 67))]
-    s = MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
+    s = order67_source
     assert "row_sums_inexact" in validate(s).flags
     cls = classify_mode(s)
     assert cls.mode == "oscillatory" and cls.M == 67

@@ -236,6 +236,24 @@ def test_bad_m_max_and_samples_rejected(float_path):
     assert json.loads(err)["error"] == "ValidationFailure"
 
 
+def test_m_max_over_scan_budget_refused_quickly(float_path, capsys):
+    t0 = time.perf_counter()
+    rc = main(["--command", "classify", "--source", float_path, "--m-max", "1000000000"])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and str(10**9 * 2**3) in payload["message"]
+    assert elapsed < 1.0
+
+
+def test_fejer_demo_over_work_cap_refused(capsys):
+    rc = main(["--command", "fejer-demo", "--n", "1000000"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    assert json.loads(err)["error"] == "ResourceLimit"
+
+
 def test_exit_code_missing_source():
     rc, _, err = run_cli("--command", "classify", "--source", "/nonexistent/source.json")
     assert rc == 2

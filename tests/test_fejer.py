@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from shancode import ceil_defect
 from shancode import fejer
-from shancode.errors import ZeroIndex
+from shancode.errors import ResourceLimit, ZeroIndex
 from tests.conftest import simpson
 
 THETAS = (0.3, 0.1, 0.01)
@@ -185,3 +186,27 @@ def test_n0_properties():
             if n > 1:
                 assert fejer.error_bound(n - 1, theta) > eps
     assert fejer.n0(0.5, 0.1) >= fejer.n0(0.9, 0.1)
+
+
+def test_fejer_sum_large_order_in_bounded_memory():
+    theta, N = 0.1, 200_000
+    u = np.linspace(0.0, 1.0, 64, endpoint=False) + 0.003
+    ms = np.arange(1, N + 1)
+    a = (1.0 - np.exp(-2j * math.pi * ms * theta)) / ((2j * math.pi * ms) ** 2 * theta)
+    b = (1.0 - np.cos(2 * math.pi * ms * theta)) / (2 * theta * math.pi**2 * ms**2)
+    coeffs = (a + b) * (1.0 - ms / (N + 1.0))
+    want = np.array([(1.0 + theta) / 2.0 + 2.0 * (np.exp(2j * math.pi * x * ms) @ coeffs).real for x in u])
+    tracemalloc.start()
+    try:
+        got = fejer.fejer_sum("rho_plus", u, theta, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(np.abs(got - want)) <= 1e-12
+    assert peak < 32 * 2**20
+
+
+def test_fejer_sum_refuses_over_work_cap():
+    u = np.zeros(2)
+    with pytest.raises(ResourceLimit):
+        fejer.fejer_sum("delta", u, 0.1, fejer.FEJER_WORK_CAP // 2 + 1)

@@ -8,15 +8,24 @@ import pytest
 from shancode import (
     MarkovSource,
     char_fn,
+    char_fn_stack,
     eigen,
     find_oscillation_order,
     initial_phase_vector,
     phase_matrix,
+    phase_stack,
     spectral_radius,
     verify_similarity,
 )
-from shancode.errors import DefectiveMatrix, ReducibleChain
-from tests.conftest import char_fn_bruteforce, memoryless, random_float_source
+from shancode.errors import DefectiveMatrix, ReducibleChain, ResourceLimit
+from shancode.spectral import SCAN_WORK_CAP
+from tests.conftest import (
+    char_fn_bruteforce,
+    char_fn_loop,
+    memoryless,
+    phase_entries_loop,
+    random_float_source,
+)
 
 from fractions import Fraction
 
@@ -121,11 +130,54 @@ def test_char_fn_modulus_bounded(m2_source, float_convergent_source):
             assert abs(char_fn(s, m, 5, "direct")) <= 1.0 + 1e-12
 
 
-def test_char_fn_against_enumeration_example():
-    s = MarkovSource.from_exact([1, 0], [["1/2", "1/2"], ["1/4", "3/4"]])
-    got = char_fn(s, 1, 3, "direct")
-    want = char_fn_bruteforce(s, 1, 3)
-    assert abs(got - want) < 1e-10
+def test_phase_stack_matches_entry_loop(
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, dyadic_r3, convergent_exact_source, order67_source
+):
+    rng = np.random.default_rng(23)
+    sources = [random_float_source(rng, r, with_zeros=z) for r in range(2, 9) for z in (False, True)]
+    sources += [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, dyadic_r3]
+    sources += [convergent_exact_source, order67_source]
+    ms = range(71)
+    for s in sources:
+        stack = phase_stack(s, ms)
+        assert stack.shape == (len(ms), s.r, s.r)
+        for m in ms:
+            assert np.array_equal(stack[m], phase_entries_loop(s, s.transitions, m)), (s, m)
+            assert np.array_equal(phase_matrix(s, m), stack[m])
+            assert np.array_equal(initial_phase_vector(s, m), phase_entries_loop(s, [s.initial], m)[0]), (s, m)
+
+
+def test_char_fn_against_enumeration_example(m2_source, bipartite_periodic_source):
+    rng = np.random.default_rng(13)
+    example = MarkovSource.from_exact([1, 0], [["1/2", "1/2"], ["1/4", "3/4"]])
+    for s in (example, m2_source, bipartite_periodic_source, random_float_source(rng, 3)):
+        for n in range(1, 8):
+            for m in (1, 2, 5):
+                got = char_fn(s, m, n, "direct")
+                want = char_fn_bruteforce(s, m, n)
+                assert abs(got - want) < 1e-10, (s, m, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 9, 1000])
+def test_char_fn_squaring_matches_step_loop(n, m2_source, permutation_source, bipartite_periodic_source):
+    rng = np.random.default_rng(7)
+    sources = [m2_source, permutation_source, bipartite_periodic_source]
+    sources += [random_float_source(rng, 3), random_float_source(rng, 5, with_zeros=True)]
+    for s in sources:
+        for m in (-2, 1, 3, 7):
+            assert abs(char_fn(s, m, n) - char_fn_loop(s, m, n)) <= 1e-13, (s, m)
+
+
+def test_char_fn_stack_rows_equal_char_fn(m2_source):
+    rng = np.random.default_rng(29)
+    ms = list(range(-3, 40))
+    for s in (m2_source, random_float_source(rng, 4), random_float_source(rng, 6, with_zeros=True)):
+        for n in (1, 2, 17, 1000):
+            stack = char_fn_stack(s, ms, n)
+            assert stack.shape == (len(ms),)
+            assert all(stack[i] == char_fn(s, m, n) for i, m in enumerate(ms))
+    with pytest.raises(ValueError):
+        char_fn_stack(m2_source, ms, 0)
 
 
 def test_char_fn_spectral_matches_direct(permutation_source, m2_source, float_convergent_source):
@@ -160,6 +212,23 @@ def test_find_oscillation_order_float_infinite(float_convergent_source):
     assert res.is_infinite and res.heuristic
     assert all(rho < 1.0 - 1e-6 for rho in res.rho_history)
     assert len(res.rho_history) == 50
+
+
+def test_scan_history_across_block_boundaries(order67_source, float_convergent_source):
+    # float copy of the M = 67 chain: the hit sits in the second block of 64
+    s = MarkovSource.from_floats(order67_source.initial_array(), order67_source.transition_array())
+    res = find_oscillation_order(s, m_max=128)
+    assert res.order == 67 and len(res.rho_history) == 67
+    assert res.rho_history == tuple(spectral_radius(phase_matrix(s, m)) for m in range(1, 68))
+    res = find_oscillation_order(float_convergent_source, m_max=130)
+    assert res.is_infinite and len(res.rho_history) == 130
+    assert res.rho_history == tuple(spectral_radius(phase_matrix(float_convergent_source, m)) for m in range(1, 131))
+
+
+def test_find_oscillation_order_refuses_over_budget(float_convergent_source):
+    m_max = SCAN_WORK_CAP // float_convergent_source.r**3 + 1
+    with pytest.raises(ResourceLimit, match=str(m_max * 8)):
+        find_oscillation_order(float_convergent_source, m_max=m_max)
 
 
 def test_find_oscillation_order_needs_a_scan(float_convergent_source):
