@@ -25,20 +25,21 @@ where rho(u) = ceil(u) - u.  Sandwich bounds around Omega_n carry an
 indicator mass for the n at which some rho(zeta_jk(n)) sits within a margin
 xi of a discontinuity; the margin is exposed to the caller because no
 constructive vanishing sequence is available.  For chains of period d the
-single oscillation splits into d terms with phase offsets t/d and
-eigenvector weights of the transition matrix.
+unit-circle eigenvectors of P are fixed by the cyclic classes
+c_j = h_j mod d, so the sum keeps the pairs with c_k = c_j + n - 1 (mod d)
+and weighs each by d p_j pi_k; at d = 1 that is every pair.
 
 An exact oscillatory classification carries this solution as (d, unit, X),
 Log2Values with s = (M/d) unit and w_j = (M/d) X_j modulo 1, and every zeta
 is evaluated from it; nothing solves the congruence again.
 
-predict_range evaluates Omega_n for a whole n range in one pass: structure,
-pi and the unit-circle eigenpairs once per source, rho(zeta_jk(n)) as one
-(N, r, r) array.  For exact sources zeta is reduced modulo 1 exactly and
-mantissa**k is never formed: rational parts in integers, and the remainder
-k log2(mantissa) in decimal arithmetic at 30 + digits(k) significant digits
-(k = (hi - 1) M at most), so rho is correct to about 1e-16 at any n, and
-exact when every log2(mantissa) term is 0 (dyadic sources predict exactly 0).
+predict_range evaluates Omega_n for a whole n range in one pass: structure
+and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  For exact
+sources zeta is reduced modulo 1 exactly and mantissa**k is never formed:
+rational parts in integers, and the remainder k log2(mantissa) in decimal
+arithmetic at 30 + digits(k) significant digits (k = (hi - 1) M at most),
+so rho is correct to about 1e-16 at any n, and exact when every
+log2(mantissa) term is 0 (dyadic sources predict exactly 0).
 Float sources evaluate zeta from the float s and w.
 """
 
@@ -50,7 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ComplexResidual, DefectiveMatrix, ReducibleChain, ZeroProbability
+from .errors import ReducibleChain, ZeroProbability
 from .exact import ZERO, ExactProb, Log2Value, approximate_rational, ceil_defect, wrap_unit
 from .sources import (
     MarkovSource,
@@ -255,26 +256,22 @@ def predict_range(
     lo: int,
     hi: int,
     xi: float = DEFAULT_XI,
-    imag_tol: float = 1e-8,
 ) -> list[Prediction]:
     """Omega_n with sandwich bounds for n = lo..hi, for a chain of any period d >= 1.
 
-    The single oscillation term splits into d terms, one per unit-circle
-    eigenvalue of P, with complex weights p_j r_{t,j} l_{t,k}:
+    With c_j = depth_j mod d the cyclic class of state j, the eigenpairs of
+    P at the d-th roots of unity w^t are r_t(j) = w^(t c_j) and
+    l_t(k) = pi_k w^(-t c_k), and sum_t w^(t (n-1)) r_t(j) l_t(k) is d pi_k
+    where k lies in class c_j + n - 1 and 0 elsewhere:
 
         Omega_n = (1/2)(1 - 1/M)
-                  + (1/M) sum_t exp(2 pi i (n-1) t / d)
-                              sum_jk p_j r_{t,j} l_{t,k} rho(zeta_jk(n)).
+                  + (1/M) sum_jk d p_j pi_k [c_k = c_j + n - 1 (mod d)] rho(zeta_jk(n)).
 
-    The rotating factor multiplies the whole t-th term; it comes from the
-    eigenvalue power lambda_t^(n-1) and is independent of the Fourier index,
-    so it cannot be absorbed into the argument of rho.  At d = 1 only t = 0
-    is left, with (r_0, l_0) = (1, pi).  The total is real up to numerical
-    residue, which must stay below imag_tol at every n.  boundary_terms is
-    the |weight| mass of the (t, j, k) terms whose rho(zeta_jk(n)) falls
-    outside (xi, 1 - xi); within that margin of a discontinuity the
-    asymptotic sandwich does not pin R_n down.  Convergent sources predict
-    the constant 1/2.
+    At d = 1 every pair is live and the weights are p_j pi_k.
+    boundary_terms is the weight mass d p_j pi_k, over every (j, k) pair,
+    whose rho(zeta_jk(n)) falls outside (xi, 1 - xi); within that margin of
+    a discontinuity the asymptotic sandwich does not pin R_n down.
+    Convergent sources predict the constant 1/2.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
@@ -282,37 +279,21 @@ def predict_range(
     if cls.mode == "convergent":
         flags = frozenset(set(cls.flags) | {"convergent"})
         return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]
-    d = classify_structure(source).period
-    pairs = _unit_circle_eigenvectors(source, d, stationary_distribution(source))
-    weights = np.array([np.outer(source.initial_array() * rt, lt) for rt, lt in pairs])
+    structure = classify_structure(source)
+    d = structure.period
+    c = np.array(structure.depth) % d
+    nm1 = np.arange(lo - 1, hi)
+    weights = d * np.outer(source.initial_array(), stationary_distribution(source))
     rho = _zeta_defects(source, cls, lo, hi)
-    turns = np.array([[(n - 1) * t % d for t in range(d)] for n in ns])
-    osc = np.einsum("nt,tjk,njk->n", np.exp(2j * math.pi * turns / d), weights, rho)
-    boundary = np.einsum("tjk,njk->n", np.abs(weights), (rho <= xi) | (rho >= 1.0 - xi))
-    residue = float(np.abs(osc.imag).max())
-    if residue > imag_tol:
-        raise ComplexResidual(f"imaginary residue {residue:.3e} exceeds {imag_tol:.1e}")
-    omega = 0.5 * (1.0 - 1.0 / cls.M) + osc.real / cls.M
+    # summed pair by pair in (j, k) order: np.einsum's summation order moves
+    # omega by an ulp on about a third of the rows, which shows in print
+    osc = np.zeros(len(nm1))
+    for j in range(source.r):
+        for k in range(source.r):
+            osc = osc + weights[j, k] * rho[:, j, k] * ((c[k] - c[j] - nm1) % d == 0)
+    boundary = np.einsum("jk,njk->n", weights, (rho <= xi) | (rho >= 1.0 - xi))
+    omega = 0.5 * (1.0 - 1.0 / cls.M) + osc / cls.M
     return [_finish_prediction(n, float(o), float(b) / cls.M, xi, cls.flags) for n, o, b in zip(ns, omega, boundary)]
-
-
-def _unit_circle_eigenvectors(source: MarkovSource, d: int, pi: np.ndarray):
-    """Right/left eigenvector pairs of P at the d-th roots of unity.
-
-    Bi-normalized so that l_t . r_t = 1, with the t = 0 pair fixed to the
-    all-ones vector and the stationary distribution.
-    """
-    pairs = [(np.ones(source.r, dtype=complex), pi.astype(complex))]
-    if d == 1:
-        return pairs
-    rep = spectral.eigen(source.transition_array().astype(complex))
-    for t in range(1, d):
-        target = np.exp(2j * math.pi * t / d)
-        idx = int(np.argmin(np.abs(rep.eigenvalues - target)))
-        if abs(rep.eigenvalues[idx] - target) > 1e-6:
-            raise DefectiveMatrix(f"no eigenvalue near the root of unity t={t}/{d}")
-        pairs.append((rep.right[:, idx], rep.left[idx, :]))
-    return pairs
 
 
 def predict(source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI) -> Prediction:

@@ -251,7 +251,9 @@ def _cmd_sweep(config: RunConfig):
 
 def _cmd_fejer_demo(config: RunConfig):
     theta = config.xi
-    N = config.n_range[0]
+    N, hi = config.n_range
+    if hi != N:
+        raise ValidationFailure(f"fejer-demo takes one truncation order, got the range {N}..{hi}")
     bound = fejer.error_bound(N, theta)
     grid = np.arange(0.0, 1.0, 1.0 / 512.0)
     rows = []
@@ -296,17 +298,17 @@ def run(config: RunConfig) -> int:
     try:
         columns, rows = _COMMANDS[config.command](config)
         text = render(columns, rows, config.format)
+        if config.output_path:
+            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except ResourceLimit as exc:
         _emit_error(exc)
         return 3
     except (ShancodeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         _emit_error(exc)
         return 2
-    if config.output_path:
-        with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

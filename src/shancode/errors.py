@@ -33,9 +33,5 @@ class DefectiveMatrix(ShancodeError):
     """Eigen-decomposition could not be bi-orthogonally normalized."""
 
 
-class ComplexResidual(ShancodeError):
-    """A nominally real quantity retained a non-negligible imaginary part."""
-
-
 class ZeroIndex(ShancodeError):
     """Fourier coefficient requested at index 0; DC terms are handled separately."""

@@ -133,7 +133,7 @@ def eigen(matrix: np.ndarray, cond_limit: float = 1e10) -> SpectralReport:
     """Full eigen-decomposition with left vectors from the inverse basis.
 
     Raises DefectiveMatrix when the eigenvector basis is too ill-conditioned
-    to bi-orthogonalize; callers then fall back to direct matrix powers.
+    to bi-orthogonalize.
     """
     matrix = np.asarray(matrix, dtype=complex)
     r = matrix.shape[0]

@@ -76,6 +76,43 @@ def bipartite_periodic_source():
 
 
 @pytest.fixture(scope="session")
+def p2b_source():
+    """Period-2 chain, r = 5: classes {0, 1, 2} and {3, 4}, two equal rows each side.
+
+    The repeated rows make the zero eigenvalue of P defective, so its
+    eigenvector basis is singular.
+    """
+    third, two = "1/3", "2/3"
+    return MarkovSource.from_exact(
+        [third, third, third, 0, 0],
+        [
+            [0, 0, 0, third, two],
+            [0, 0, 0, two, third],
+            [0, 0, 0, third, two],
+            [third, third, third, 0, 0],
+            [third, third, third, 0, 0],
+        ],
+    )
+
+
+@pytest.fixture(scope="session")
+def p3_source():
+    """Period-3 chain, r = 6, classes {0, 1} -> {2, 3} -> {4, 5} -> {0, 1}; rows 2 and 3 are equal."""
+    third, two, half = "1/3", "2/3", "1/2"
+    return MarkovSource.from_exact(
+        [third, two, 0, 0, 0, 0],
+        [
+            [0, 0, third, two, 0, 0],
+            [0, 0, two, third, 0, 0],
+            [0, 0, 0, 0, half, half],
+            [0, 0, 0, 0, half, half],
+            [third, two, 0, 0, 0, 0],
+            [two, third, 0, 0, 0, 0],
+        ],
+    )
+
+
+@pytest.fixture(scope="session")
 def absorbing_source():
     """Reducible two-state chain leaking into an absorbing state, alpha = 1/3."""
     return MarkovSource.from_exact([1, 0], [["2/3", "1/3"], [0, 1]])

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shancode import (
+    Limits,
     MarkovSource,
     absorbing_pair_formula,
     ceil_defect,
@@ -278,9 +279,11 @@ def test_periodic_branching_chain(bipartite_periodic_source):
 
 
 def test_predict_range_matches_single_n(
-    oscillatory_exact_family, cycle_source, bipartite_periodic_source, convergent_exact_source
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
+    convergent_exact_source,
 ):
-    for s in [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, convergent_exact_source]:
+    for s in [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
+              convergent_exact_source]:
         cls = classify_mode(s)
         ranged = predict_range(s, cls, 1, 40)
         assert ranged == [predict(s, cls, n) for n in range(1, 41)]
@@ -355,7 +358,7 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
 
 
 def test_zeta_reads_the_stored_solution(
-    oscillatory_exact_family, cycle_source, bipartite_periodic_source, monkeypatch
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source, monkeypatch
 ):
     # classify_mode keeps its exact similarity solution, so neither the range
     # prediction nor oscillation_argument solves the congruence again
@@ -365,7 +368,7 @@ def test_zeta_reads_the_stored_solution(
         return [oscillation_argument(s, cls, j, k, n) for n in (1, 7, 40)
                 for j in range(s.r) if s.initial[j] is not ZERO for k in range(s.r)]
 
-    sources = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source]
+    sources = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source]
     classes = [classify_mode(s) for s in sources]
     want = [(predict_range(s, cls, 1, 30), zetas(s, cls)) for s, cls in zip(sources, classes)]
 
@@ -377,6 +380,37 @@ def test_zeta_reads_the_stored_solution(
         assert cls.mode == "oscillatory" and cls.solution is not None
         assert predict_range(s, cls, 1, 30) == preds
         assert zetas(s, cls) == zs
+
+
+@pytest.mark.parametrize("name", ["p2b_source", "p3_source"])
+def test_periodic_omega_matches_dp(name, request):
+    # periods 2 and 3 with repeated rows; DP past the default Limits cap for r = 5, 6
+    s = request.getfixturevalue(name)
+    cls = classify_mode(s)
+    assert cls.mode == "oscillatory" and cls.M == 1
+    preds = predict_range(s, cls, 10, 40)
+    recs = exact_redundancy_range(s, 10, 40, limits=Limits(count_dp_max_n={s.r: 40}))
+    for pred, rec in zip(preds, recs):
+        if "boundary" not in pred.flags:
+            assert abs(pred.omega - rec.value) <= 1e-12
+        # lower = upper = omega where no term is near a discontinuity, so the
+        # sandwich is checked up to the DP's float error
+        assert pred.lower - 1e-12 <= rec.value <= pred.upper + 1e-12
+    assert sum("boundary" not in pred.flags for pred in preds) >= 20
+
+
+def test_periodic_prediction_needs_no_eigen(
+    cycle_source, bipartite_periodic_source, p2b_source, p3_source, monkeypatch
+):
+    from shancode import spectral
+
+    def no_eigen(*args, **kwargs):
+        raise AssertionError("spectral.eigen was called")
+
+    monkeypatch.setattr(spectral, "eigen", no_eigen)
+    for s in (cycle_source, bipartite_periodic_source, p2b_source, p3_source):
+        preds = predict_range(s, classify_mode(s), 1, 60)
+        assert all(0.0 <= pred.omega <= 1.0 for pred in preds)
 
 
 def test_convergent_prediction_constant_half(float_convergent_source):

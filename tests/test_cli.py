@@ -254,6 +254,21 @@ def test_fejer_demo_over_work_cap_refused(capsys):
     assert json.loads(err)["error"] == "ResourceLimit"
 
 
+def test_fejer_demo_rejects_range(capsys):
+    rc = main(["--command", "fejer-demo", "--n", "4..8"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out
+    assert json.loads(err)["error"] == "ValidationFailure"
+
+
+def test_unwritable_out_exits_2(permutation_path, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    rc, out, err = run_cli("--command", "predict", "--source", permutation_path, "--out", str(target))
+    assert rc == 2 and not out
+    assert json.loads(err)["error"] == "FileNotFoundError"
+    assert not target.exists()
+
+
 def test_exit_code_missing_source():
     rc, _, err = run_cli("--command", "classify", "--source", "/nonexistent/source.json")
     assert rc == 2
