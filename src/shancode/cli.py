@@ -171,6 +171,9 @@ def _cmd_predict(config: RunConfig):
 
 
 def _exact_rows(source, config: RunConfig):
+    if config.samples > 0:
+        lo, hi = config.n_range
+        oracle.check_monte_carlo(config.samples, (lo + hi) * (hi - lo + 1) // 2)
     rows = []
     for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits):
         rows.append(
@@ -325,6 +328,8 @@ def main(argv=None) -> int:
             raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
         if args.samples < 0:
             raise ValidationFailure(f"samples must be nonnegative, got {args.samples}")
+        if not 0 <= args.seed < 2**128:
+            raise ValidationFailure(f"--seed must satisfy 0 <= seed < 2**128, got {args.seed}")
     except (ValidationFailure, ValueError) as exc:
         _emit_error(exc)
         return 2

@@ -30,6 +30,10 @@ from .sources import MarkovSource, log2_prob
 INTEGER_SNAP_TOL = 1e-9
 # table size for the float readout, which sums count * value over several counts per lookup
 _CHUNK_ENTRIES = 4096
+# Monte Carlo: rows of uniforms drawn at a time, and the caps check_monte_carlo enforces
+_MC_CHUNK_ROWS = 4096
+MC_DRAW_CAP = 2**30
+MC_SAMPLE_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -329,6 +333,37 @@ def exact_redundancy(
 # -- Monte Carlo ----------------------------------------------------------
 
 
+def _next_state(u, thresholds, state):
+    """searchsorted(row_cum[state[i]], u[i], side="right") for every i, by counting.
+
+    thresholds[c, k] = row_cum[k, c] for c < r - 1.  A row's cumulative
+    sums never decrease and its last one, 1.0, exceeds every uniform, so
+    the count of thresholds at or below u is exactly the sorted search.
+    """
+    out = np.zeros_like(state)
+    for column in thresholds:
+        out += u >= column[state]
+    return out
+
+
+def check_monte_carlo(samples: int, total_n: int) -> None:
+    """Refuse Monte Carlo work over the caps before any of it starts.
+
+    total_n is the sum of the block lengths to be sampled, so samples *
+    total_n uniforms are drawn; over MC_DRAW_CAP of them, or over
+    MC_SAMPLE_CAP samples (the per-sample array is 8 * samples bytes),
+    raises ResourceLimit.
+    """
+    if samples > MC_SAMPLE_CAP:
+        raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
+    draws = samples * total_n
+    if draws > MC_DRAW_CAP:
+        raise ResourceLimit(
+            f"Monte Carlo with {samples} samples over block lengths summing to {total_n} "
+            f"draws {draws} > {MC_DRAW_CAP} uniforms"
+        )
+
+
 def monte_carlo_redundancy(
     source: MarkovSource,
     n: int,
@@ -338,43 +373,50 @@ def monte_carlo_redundancy(
 ) -> RedundancyValue:
     """Sample mean of rho(-log2 mu) over independently sampled paths.
 
-    Uses a counter-based Philox stream keyed by the seed; sample i consumes
-    the i-th row of the uniform draw matrix, so results are bit-for-bit
-    reproducible and independent of any internal partitioning.
+    Uniforms come from one counter-based Philox stream keyed by the seed,
+    drawn _MC_CHUNK_ROWS rows of n at a time.  The stream is sequential, so
+    chunked draws equal one samples x n draw and sample i still consumes
+    row i: results are bit-for-bit reproducible and independent of the
+    chunk size.  The next state is the number of cumulative row thresholds
+    at or below the uniform, which is exactly what a sorted search returns.
+    Only the per-sample -log2 mu is kept, so memory is O(samples) rather
+    than O(samples * n), and the mean and stderr come from one reduction
+    over it.  Requests over MC_SAMPLE_CAP samples or MC_DRAW_CAP uniforms
+    raise ResourceLimit before any work (see check_monte_carlo).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n < 1:
         raise ValueError("block length must be >= 1")
+    check_monte_carlo(samples, n)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((samples, n))
 
+    r = source.r
     init = source.initial_array()
     trans = source.transition_array()
     neg_log_init = np.array(
         [-math.inf if p == 0 else 0.0 for p in init]
     )
-    for s0 in range(source.r):
+    for s0 in range(r):
         if init[s0] > 0:
             neg_log_init[s0] = -(log2_prob(source, source.initial[s0]).to_float()
                                  if source.exact else math.log2(init[s0]))
-    step_table = source.neg_log2_table()
+    step_flat = source.neg_log2_table().ravel()
 
     init_cum = np.cumsum(init)
     init_cum[-1] = 1.0
-    row_cum = np.cumsum(trans, axis=1)
-    row_cum[:, -1] = 1.0
+    thresholds = np.cumsum(trans, axis=1)[:, :-1].T.copy()
 
-    state = np.searchsorted(init_cum, u[:, 0], side="right")
-    neg_log = neg_log_init[state].copy()
-    for t in range(1, n):
-        nxt = np.empty_like(state)
-        for k in range(source.r):
-            mask = state == k
-            if mask.any():
-                nxt[mask] = np.searchsorted(row_cum[k], u[mask, t], side="right")
-        neg_log += step_table[state, nxt]
-        state = nxt
+    neg_log = np.empty(samples)
+    for lo in range(0, samples, _MC_CHUNK_ROWS):
+        u = rng.random((min(_MC_CHUNK_ROWS, samples - lo), n))
+        state = np.searchsorted(init_cum, u[:, 0], side="right")
+        acc = neg_log_init[state]
+        for t in range(1, n):
+            nxt = _next_state(u[:, t], thresholds, state)
+            acc += step_flat[state * r + nxt]
+            state = nxt
+        neg_log[lo:lo + len(u)] = acc
 
     snapped = _snap(neg_log, snap_tol)
     values = ceil_defect(snapped)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shancode import ZERO, ExactProb, MarkovSource
+from shancode import ZERO, ExactProb, MarkovSource, RedundancyValue, ceil_defect, log2_prob
 
 
 # -- reference sources -------------------------------------------------------
@@ -306,6 +306,53 @@ def char_fn_loop(source: MarkovSource, m: int, n: int) -> complex:
     for _ in range(n - 1):
         v = v @ A
     return complex(v.sum())
+
+
+def monte_carlo_reference(source: MarkovSource, n: int, samples: int, seed: int,
+                          snap_tol: float = 1e-9) -> RedundancyValue:
+    """Monte Carlo over the full samples x n Philox draw matrix at once.
+
+    Sample i consumes row i; the next state of the samples in state k comes
+    from a sorted search of row k's cumulative probabilities.  Values are
+    snapped onto integers within snap_tol before rho, as the library does.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    u = rng.random((samples, n))
+
+    init = source.initial_array()
+    trans = source.transition_array()
+    neg_log_init = np.array(
+        [-math.inf if p == 0 else 0.0 for p in init]
+    )
+    for s0 in range(source.r):
+        if init[s0] > 0:
+            neg_log_init[s0] = -(log2_prob(source, source.initial[s0]).to_float()
+                                 if source.exact else math.log2(init[s0]))
+    step_table = source.neg_log2_table()
+
+    init_cum = np.cumsum(init)
+    init_cum[-1] = 1.0
+    row_cum = np.cumsum(trans, axis=1)
+    row_cum[:, -1] = 1.0
+
+    state = np.searchsorted(init_cum, u[:, 0], side="right")
+    neg_log = neg_log_init[state].copy()
+    for t in range(1, n):
+        nxt = np.empty_like(state)
+        for k in range(source.r):
+            mask = state == k
+            if mask.any():
+                nxt[mask] = np.searchsorted(row_cum[k], u[mask, t], side="right")
+        neg_log += step_table[state, nxt]
+        state = nxt
+
+    nearest = np.round(neg_log)
+    snapped = np.where(np.abs(neg_log - nearest) <= snap_tol, nearest, neg_log)
+    values = ceil_defect(snapped)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
+    return RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags)
 
 
 def char_fn_bruteforce(source: MarkovSource, m: int, n: int) -> complex:

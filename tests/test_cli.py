@@ -192,17 +192,52 @@ def test_exit_code_resource_limit(permutation_path):
     assert json.loads(err)["error"] == "ResourceLimit"
 
 
+def no_dp(*args):
+    raise AssertionError("the DP ran on a refused request")
+
+
 def test_resource_limit_refused_before_any_work(permutation_path, monkeypatch, capsys):
     from shancode import oracle
-
-    def no_dp(*args):
-        raise AssertionError("the DP ran on a refused request")
 
     monkeypatch.setattr(oracle, "_forward", no_dp)
     rc = main(["--command", "exact", "--source", permutation_path, "--n", "198..201"])
     out, err = capsys.readouterr()
     assert rc == 3 and not out
     assert json.loads(err)["error"] == "ResourceLimit"
+
+
+def test_monte_carlo_over_budget_refused_before_any_work(permutation_path, monkeypatch, capsys):
+    from shancode import oracle
+
+    monkeypatch.setattr(oracle, "_forward", no_dp)
+    # 2^20 samples over n = 1..64 draw 2^20 * 2080 uniforms, over the 2^30 cap
+    rc = main(["--command", "exact", "--source", permutation_path, "--n", "1..64", "--samples", str(2**20)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and str(2**20 * 2080) in payload["message"]
+    rc = main(["--command", "exact", "--source", permutation_path, "--n", "1", "--samples", str(2**24 + 1)])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    assert json.loads(err)["error"] == "ResourceLimit"
+
+
+def test_seed_validated_before_any_work(permutation_path, monkeypatch, capsys):
+    from shancode import oracle
+
+    monkeypatch.setattr(oracle, "_forward", no_dp)
+    for seed in (-1, 2**128):
+        rc = main(["--command", "exact", "--source", permutation_path, "--n", "3", "--samples", "10",
+                   "--seed", str(seed)])
+        out, err = capsys.readouterr()
+        assert rc == 2 and not out
+        payload = json.loads(err)
+        assert payload["error"] == "ValidationFailure" and "--seed" in payload["message"]
+    monkeypatch.undo()
+    rc = main(["--command", "exact", "--source", permutation_path, "--n", "3", "--samples", "10",
+               "--seed", str(2**128 - 1)])
+    out, _ = capsys.readouterr()
+    assert rc == 0 and [row["method"] for row in parse_csv(out)] == ["lattice_dp", "monte_carlo"]
 
 
 def test_single_n_and_range_print_the_same_row(permutation_path):

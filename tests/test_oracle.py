@@ -4,6 +4,7 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shancode import (
@@ -16,9 +17,16 @@ from shancode import (
     neg_log_mu,
     shannon_lengths,
 )
+from shancode import oracle
 from shancode.asymptotics import ceil_defect
 from shancode.errors import ResourceLimit, ZeroPathProbability
-from tests.conftest import iter_paths_bruteforce, memoryless, redundancy_bruteforce
+from tests.conftest import (
+    iter_paths_bruteforce,
+    memoryless,
+    monte_carlo_reference,
+    random_float_source,
+    redundancy_bruteforce,
+)
 
 F = Fraction
 LOG3 = math.log2(3.0)
@@ -215,6 +223,69 @@ def test_monte_carlo_within_four_stderr(float_convergent_source):
         if abs(mc.value - exact) > 4 * mc.stderr:
             bad += 1
     assert bad <= 1  # >= 99% of seeds inside the four-sigma band
+
+
+MC_ROWS = oracle._MC_CHUNK_ROWS
+
+
+def assert_same_monte_carlo(source, n, samples, seed):
+    got = monte_carlo_redundancy(source, n, samples, seed)
+    ref = monte_carlo_reference(source, n, samples, seed)
+    assert got == ref  # every field: value, stderr and flags
+    return got
+
+
+@pytest.mark.parametrize("samples", [1, MC_ROWS - 1, MC_ROWS, 2 * MC_ROWS + 17])
+def test_monte_carlo_matches_reference_across_chunk_edges(samples):
+    source = random_float_source(np.random.default_rng(3), 3)
+    assert_same_monte_carlo(source, 9, samples, seed=7)
+
+
+def test_monte_carlo_matches_reference_on_structured_sources(bipartite_periodic_source):
+    one_state = MarkovSource.from_exact([1], [[1]])
+    assert assert_same_monte_carlo(one_state, 20, 300, seed=1).value == 0.0
+    # zero transitions and a zero initial mass, which the sampler never picks
+    assert_same_monte_carlo(bipartite_periodic_source, 11, MC_ROWS + 5, seed=2)
+    # exact source whose integer -log2 mu the float sum misses by an ulp
+    snapping = MarkovSource.from_exact(["1/2", "1/2"], [["3/4", "1/4"], ["1/3", "2/3"]])
+    assert "snap" in assert_same_monte_carlo(snapping, 20, 1000, seed=1).flags
+    wide = random_float_source(np.random.default_rng(11), 6, with_zeros=True)
+    assert (wide.transition_array() == 0).any()
+    assert_same_monte_carlo(wide, 12, MC_ROWS + 100, seed=4)
+
+
+def test_next_state_is_the_sorted_search_at_ties():
+    # rows with zero entries repeat a cumulative value; uniforms sit exactly on thresholds
+    trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    row_cum = np.cumsum(trans, axis=1)
+    row_cum[:, -1] = 1.0
+    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+    state = np.repeat(np.arange(4), len(u))
+    u = np.tile(u, 4)
+    expected = [np.searchsorted(row_cum[k], x, side="right") for k, x in zip(state, u)]
+    thresholds = row_cum[:, :-1].T.copy()
+    assert oracle._next_state(u, thresholds, state).tolist() == expected
+
+
+def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypatch):
+    before = monte_carlo_redundancy(float_convergent_source, 10, 1000, seed=3)
+    for rows in (1, 7, 999, 1000, 5000):
+        monkeypatch.setattr(oracle, "_MC_CHUNK_ROWS", rows)
+        assert monte_carlo_redundancy(float_convergent_source, 10, 1000, seed=3) == before
+
+
+def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeypatch):
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a refused request drew uniforms")
+
+    monkeypatch.setattr(oracle.np.random, "Philox", no_stream)
+    with pytest.raises(ResourceLimit):
+        monte_carlo_redundancy(float_convergent_source, 1, oracle.MC_SAMPLE_CAP + 1, seed=0)
+    with pytest.raises(ResourceLimit):
+        monte_carlo_redundancy(float_convergent_source, oracle.MC_DRAW_CAP // 1000 + 1, 1000, seed=0)
+    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, oracle.MC_DRAW_CAP // oracle.MC_SAMPLE_CAP)
+    # ten times the benchmark's largest request, 10^5 samples over n = 99..100, is admitted
+    oracle.check_monte_carlo(10**5, 10 * (99 + 100))
 
 
 # -- Shannon code lengths ------------------------------------------------------
