@@ -7,16 +7,17 @@ the spectral module: by Wielandt's theorem rho(A_m) = 1 exactly when
     -m log2 p(j|k) = s + w_k - w_j  (mod 1)  on every edge k -> j,
 
 and summed around a cycle C this asks m Lambda(C) = |C| s (mod 1), with
-Lambda(C) the cycle's -log2 weight.  For an exact source the congruence is
-decided in exact arithmetic on a BFS tree from state 0: state j gets its
-depth h_j and the potential phi_j, the -log2 weight of its tree path; each
-edge k -> j gets g = h_k + 1 - h_j and Delta = -log2 p(j|k) + phi_k - phi_j.
-With d = gcd(g) = sum a_e g_e (the period), Y = sum a_e Delta_e and
-Q_e = (g_e / d) Y - Delta_e, the mode is convergent, provably, iff some Q_e
-is irrational; otherwise M = lcm(den Q_e), s = frac(M Y) / d and
-w_j = h_j s - M phi_j (mod 1).  Float sources are classified by the
-spectral scan instead, heuristically.  In the oscillatory mode, for most
-large n
+Lambda(C) the cycle's -log2 weight.  The congruence is solved on a BFS
+tree from state 0: state j gets its depth h_j and the potential phi_j, the
+-log2 weight of its tree path; each edge k -> j gets g = h_k + 1 - h_j and
+Delta = -log2 p(j|k) + phi_k - phi_j.  With d = gcd(g) = sum a_e g_e (the
+period), Y = sum a_e Delta_e and Q_e = (g_e / d) Y - Delta_e, the mode is
+convergent iff some Q_e is irrational; otherwise M = lcm(den Q_e),
+s = frac(M Y) / d and w_j = h_j s - M phi_j (mod 1).  One algorithm serves
+both kinds of source: an exact source's logs are Log2Values and
+rationality is decided, so both modes are proven; a float source's logs are
+floats and rationality is only tested (exact.approximate_rational), so its
+classification stays heuristic.  In the oscillatory mode, for most large n
 
     R_n ~ Omega_n = (1/2)(1 - 1/M) + (1/M) sum_jk p_j pi_k rho(zeta_jk(n)),
     zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j,
@@ -52,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ZeroProbability
-from .exact import ZERO, ExactProb, Log2Value, approximate_rational, ceil_defect, wrap_unit
+from .exact import ZERO, ExactProb, Log2Value, ceil_defect, common_denominator, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -61,7 +62,6 @@ from .sources import (
     log2_prob_float,
     stationary_distribution,
 )
-from . import spectral
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
@@ -74,9 +74,11 @@ DEFAULT_M_MAX = 64
 class ModeClassification:
     """Mode, order M, phase s in [0, 1/d) and weights w with w_0 = 0.
 
+    provenance is "exact_rational" for an exact source; a float source is
+    "spectral_search" when oscillatory and "heuristic_float" when convergent.
     solution is the exact similarity solution (d, unit, X) of an oscillatory
     exact source (see _similarity), from which zeta is evaluated; it is None
-    for spectral-scan classifications, whose zeta uses the float s and w.
+    for float sources, whose zeta uses the float s and w.
     """
 
     mode: str  # "convergent" | "oscillatory"
@@ -98,12 +100,21 @@ def _bezout(a: int, b: int):
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
+def _frac(x, M: int, d: int):
+    """frac((M/d) x) of a log: exact for a Log2Value (see frac_scaled), in floats for a float."""
+    if isinstance(x, Log2Value):
+        return x.frac_scaled([M], d)[0]
+    return (M * x / d) % 1.0
+
+
 def _similarity(source: MarkovSource, structure):
-    """Exact solution of the similarity congruence of an irreducible exact source.
+    """Solution of the similarity congruence of an irreducible source.
 
     Works on the BFS tree of classify_structure as the module docstring
-    describes.  Returns None when some Q_e is irrational (the convergent
-    mode), else (M, unit, X) with M = lcm(den Q_e) and Log2Values such
+    describes, on the logs log2_prob returns: Log2Values for an exact source,
+    decided exactly, and floats for a float source, decided by
+    approximate_rational.  Returns None when some Q_e is irrational (the
+    convergent mode), else (M, unit, X) with M = lcm(den Q_e) and logs such
     that, modulo 1,
 
         s = (M/d) unit,  w_j = (M/d) X_j,  zeta_jk(n) = (M/d) [(n-1) unit + X_j - X_k - d log2 p_j],
@@ -112,61 +123,63 @@ def _similarity(source: MarkovSource, structure):
     [0, 1/d), and w_0 = 0.
     """
     T, d, depth = source.transitions, structure.period, structure.depth
-    phi = [Log2Value.make()] * source.r
+    edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
+    logs = {(k, j): log2_prob(source, T[k][j]) for k, j, _ in edges}
+    zero = logs[edges[0][:2]] * 0  # 0 in the type of the logs
+    phi = [zero] * source.r
     for j in sorted(range(1, source.r), key=depth.__getitem__):
         k = structure.parent[j]
-        phi[j] = phi[k] - log2_prob(source, T[k][j])
-    edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
+        phi[j] = phi[k] - logs[k, j]
 
     def delta(k, j):
-        return phi[k] - phi[j] - log2_prob(source, T[k][j])
+        return phi[k] - phi[j] - logs[k, j]
 
-    g, Y = 0, Log2Value.make()
+    g, Y = 0, zero
     for k, j, ge in edges:
         if ge and (g == 0 or ge % g):
             g, x, y = _bezout(g, ge)
-            Y = Y.scaled(x) + delta(k, j).scaled(y)
-    Q = [Y.scaled(ge // d) - delta(k, j) for k, j, ge in edges]
-    if not all(q.is_rational for q in Q):
+            Y = Y * x + delta(k, j) * y
+    M = common_denominator([Y * (ge // d) - delta(k, j) for k, j, ge in edges])
+    if M is None:
         return None
-    M = math.lcm(*(q.rational.denominator for q in Q))
     unit = Y
     if d > 1:
-        # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d
-        i = math.floor(d * Y.frac_scaled([M], d)[0])
-        unit = Y - Log2Value.make(Fraction(i, M))
-    X = [unit.scaled(depth[j]) - phi[j].scaled(d) for j in range(source.r)]
+        # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
+        # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
+        # value wrap_unit gives it, not as s next to 1/d
+        i = math.floor(d * _frac(Y, M, d) + (0 if isinstance(Y, Log2Value) else 1e-12))
+        unit = Y - Fraction(i, M)
+    X = [unit * depth[j] - phi[j] * d for j in range(source.r)]
     return M, unit, X
 
 
-def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX, tol: float | None = None) -> ModeClassification:
+def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClassification:
     """Convergent vs. oscillatory, with M, phase and weights when oscillatory.
 
-    Exact sources are decided in exact arithmetic by the cycle congruence of
-    the module docstring: M is proven minimal, and the convergent mode is
-    proven where some cycle ratio is irrational.  Float sources delegate to
-    the spectral scan up to m_max; when it finds nothing the result only
-    means "no oscillation detected" and is flagged heuristic.
+    Both kinds of source are decided by the cycle congruence of the module
+    docstring.  For an exact source it is decided in exact arithmetic: M is
+    proven minimal, with no bound, and the convergent mode is proven where
+    some cycle ratio is irrational.  For a float source rationality is only
+    a heuristic, and an order M above m_max is reported as convergent; a
+    convergent float result therefore means "no oscillation detected up to
+    m_max" and is flagged heuristic.
     """
     structure = classify_structure(source)
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
     flags = frozenset({"degenerate"} if is_dyadic(source) else ())
-
-    if source.exact:
-        solution = _similarity(source, structure)
-        if solution is None:
-            return ModeClassification("convergent", None, None, None, "exact_rational", flags)
-        M, unit, X = solution
-        d = structure.period
-        s = wrap_unit(float(unit.frac_scaled([M], d)[0]))
-        w = tuple(wrap_unit(float(x.frac_scaled([M], d)[0])) for x in X)
-        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags, (d, unit, X))
-
-    search = spectral.find_oscillation_order(source, m_max=m_max, tol=tol)
-    if search.is_infinite:
+    solution = _similarity(source, structure)
+    if source.exact and solution is None:
+        return ModeClassification("convergent", None, None, None, "exact_rational", flags)
+    if solution is None or (not source.exact and solution[0] > m_max):
         return ModeClassification("convergent", None, None, None, "heuristic_float", flags | {"heuristic"})
-    return ModeClassification("oscillatory", search.order, search.phase, search.weights, "spectral_search", flags)
+    M, unit, X = solution
+    d = structure.period
+    s = wrap_unit(float(_frac(unit, M, d)))
+    w = tuple(wrap_unit(float(_frac(x, M, d))) for x in X)
+    if source.exact:
+        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags, (d, unit, X))
+    return ModeClassification("oscillatory", M, s, w, "spectral_search", flags)
 
 
 # -- the oscillation argument zeta ------------------------------------------
@@ -176,8 +189,8 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
     """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j, the phase shared by all paths from j to k.
 
     For an exact classification s and w come from its stored similarity
-    solution, combined through Log2Value.scaled products; otherwise from the
-    float phase and weights of the spectral scan.
+    solution, combined through Log2Value.scaled products; for a float source
+    from the float phase and weights.
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
@@ -335,33 +348,21 @@ def memoryless_formula(p, n: int) -> MemorylessPrediction:
             if float(v) == 0.0:
                 raise ZeroProbability("memoryless formula needs all p_k > 0")
             values.append(float(v))
-    flags = set()
-    if exact:
-        logs = [v.log2() for v in values]
-        alphas = [logs[j] - logs[0] for j in range(1, len(values))]
-        if all(a.is_rational for a in alphas):
-            M = 1
-            for a in alphas:
-                M = M * a.rational.denominator // math.gcd(M, a.rational.denominator)
-            fr = (-logs[0]).frac_scaled([M * n])[0]
-            if fr == 0:
-                flags.add("boundary")
-            return MemorylessPrediction(n, 0.5 + (0.5 - float(fr)) / M, M, "rational", frozenset(flags))
+    flags = set() if exact else {"heuristic"}
+    logs = [v.log2() for v in values] if exact else [math.log2(v) for v in values]
+    M = common_denominator([lg - logs[0] for lg in logs[1:]])
+    if M is None:
         return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
-
-    flags.add("heuristic")
-    logs = [math.log2(v) for v in values]
-    rationals = [approximate_rational(lg - logs[0]) for lg in logs[1:]]
-    if all(q is not None for q in rationals):
-        M = 1
-        for q in rationals:
-            M = M * q.denominator // math.gcd(M, q.denominator)
+    if exact:
+        fr = (-logs[0]).frac_scaled([M * n])[0]
+        if fr == 0:
+            flags.add("boundary")
+    else:
         fr = (-logs[0] * M * n) % 1.0
         if min(fr, 1.0 - fr) <= 1e-12:
             fr = 0.0
             flags.add("boundary")
-        return MemorylessPrediction(n, 0.5 + (0.5 - fr) / M, M, "rational", frozenset(flags))
-    return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
+    return MemorylessPrediction(n, 0.5 + (0.5 - float(fr)) / M, M, "rational", frozenset(flags))
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,13 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, fejer, oracle
+from .asymptotics import DEFAULT_M_MAX, DEFAULT_XI
 from .errors import ResourceLimit, ShancodeError, ValidationFailure
 from .sources import MarkovSource, classify_structure, validate
 
@@ -38,13 +39,12 @@ class RunConfig:
     command: str
     source_path: str | None = None
     n_range: tuple = (1, 1)
-    xi: float = 0.05
-    m_max: int = 64
+    xi: float = DEFAULT_XI
+    m_max: int = DEFAULT_M_MAX
     samples: int = 0
     seed: int = 0
     output_path: str | None = None
     format: str = "csv"
-    limits: oracle.Limits = field(default_factory=oracle.Limits)
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
@@ -74,8 +74,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--source", help="source description JSON (sweep: grid config JSON)")
     parser.add_argument("--n", default="8", help='block length or inclusive range "LO..HI" (fejer-demo: truncation order)')
-    parser.add_argument("--xi", type=float, default=0.05, help="boundary margin in (0, 1/2) (fejer-demo: knot theta)")
-    parser.add_argument("--m-max", type=int, default=64, help="scan budget for the oscillation search of float sources")
+    parser.add_argument("--xi", type=float, default=DEFAULT_XI, help="boundary margin in (0, 1/2) (fejer-demo: knot theta)")
+    parser.add_argument(
+        "--m-max", type=int, default=DEFAULT_M_MAX, help="largest oscillation order M reported for a float source"
+    )
     parser.add_argument("--samples", type=int, default=0, help="Monte Carlo samples to append to exact rows")
     parser.add_argument("--seed", type=int, default=0, help="Monte Carlo seed")
     parser.add_argument("--out", help="output file (default: stdout)")
@@ -175,7 +177,7 @@ def _exact_rows(source, config: RunConfig):
         lo, hi = config.n_range
         oracle.check_monte_carlo(config.samples, (lo + hi) * (hi - lo + 1) // 2)
     rows = []
-    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits):
+    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=oracle.DEFAULT_LIMITS):
         rows.append(
             {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
         )
@@ -196,7 +198,7 @@ def _cmd_exact(config: RunConfig):
 def _compare_rows(source, config: RunConfig):
     cls = _classification(source, config)
     rows = []
-    records = oracle.exact_redundancy_range(source, *config.n_range, limits=config.limits)
+    records = oracle.exact_redundancy_range(source, *config.n_range, limits=oracle.DEFAULT_LIMITS)
     for rec, pred in zip(records, asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi)):
         rows.append(
             {

@@ -90,7 +90,10 @@ class Log2Value:
     def __add__(self, other: "Log2Value") -> "Log2Value":
         return Log2Value(self.rational + other.rational, self.mantissa * other.mantissa)
 
-    def __sub__(self, other: "Log2Value") -> "Log2Value":
+    def __sub__(self, other) -> "Log2Value":
+        """self - other; a rational other counts as the log2 of a power of two."""
+        if not isinstance(other, Log2Value):
+            return Log2Value(self.rational - other, self.mantissa)
         return Log2Value(self.rational - other.rational, self.mantissa / other.mantissa)
 
     def __neg__(self) -> "Log2Value":
@@ -101,6 +104,9 @@ class Log2Value:
         if k >= 0:
             return Log2Value(self.rational * k, self.mantissa**k)
         return Log2Value(self.rational * k, (1 / self.mantissa) ** (-k))
+
+    def __mul__(self, k: int) -> "Log2Value":
+        return self.scaled(k)
 
     def mantissa_log2(self) -> float:
         return math.log2(self.mantissa.numerator) - math.log2(self.mantissa.denominator)
@@ -164,14 +170,6 @@ class ExactProb:
     def __mul__(self, other: "ExactProb") -> "ExactProb":
         return ExactProb(self.mantissa * other.mantissa, self.exp2 + other.exp2)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactProb):
-            return NotImplemented
-        return self.mantissa == other.mantissa and self.exp2 == other.exp2
-
-    def __hash__(self):
-        return hash((self.mantissa, self.exp2))
-
 
 class _ZeroProb:
     """Singleton tag for structurally zero probabilities."""
@@ -183,8 +181,6 @@ class _ZeroProb:
 
 
 ZERO = _ZeroProb()
-
-ONE = ExactProb.make(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
 _POW2_RE = re.compile(r"^2\^\(?([+-]?\d+(?:\s*/\s*\d+)?)\)?$")
@@ -255,3 +251,13 @@ def approximate_rational(x: float, max_den: int = 10**6, tol: float = 1e-9):
     if err <= tol and err * q.denominator**2 <= 1e-3:
         return q
     return None
+
+
+def common_denominator(logs) -> int | None:
+    """lcm of the denominators of logs when every one is rational, else None.
+
+    A Log2Value is decided exactly (is_rational), a float log heuristically (approximate_rational).
+    """
+    qs = [(x.rational if x.is_rational else None) if isinstance(x, Log2Value) else approximate_rational(x)
+          for x in logs]
+    return None if None in qs else math.lcm(*(q.denominator for q in qs))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ResourceLimit, ZeroPathProbability
 from .exact import ZERO, Log2Value, ceil_defect
-from .sources import MarkovSource, log2_prob
+from .sources import MarkovSource, log2_prob, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
 # table size for the float readout, which sums count * value over several counts per lookup
@@ -394,13 +394,7 @@ def monte_carlo_redundancy(
     r = source.r
     init = source.initial_array()
     trans = source.transition_array()
-    neg_log_init = np.array(
-        [-math.inf if p == 0 else 0.0 for p in init]
-    )
-    for s0 in range(r):
-        if init[s0] > 0:
-            neg_log_init[s0] = -(log2_prob(source, source.initial[s0]).to_float()
-                                 if source.exact else math.log2(init[s0]))
+    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(source, v) for v in source.initial])
     step_flat = source.neg_log2_table().ravel()
 
     init_cum = np.cumsum(init)

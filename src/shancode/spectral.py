@@ -14,9 +14,10 @@ Because the entries of the stochastic matrix P are the moduli of the entries
 of A_m, the spectral radius rho(A_m) never exceeds 1, and it equals 1 exactly
 when A_m is similar to exp(2 pi i s) P under a diagonal phase matrix
 diag(exp(2 pi i w_j)).  Scanning m for rho(A_m) = 1 separates the oscillatory
-redundancy mode from the convergent one and yields the phase s and weights w;
-classify_mode runs the scan for float sources and solves the same congruence
-in exact arithmetic for exact ones.
+redundancy mode from the convergent one and yields the phase s and weights w.
+asymptotics.classify_mode decides the same question for every source from
+the cycle congruence on the logs, without eigenvalues; the scan
+find_oscillation_order is kept as an independent cross-check of it.
 
 Everything is built on one stacked constructor: phase_stack(source, ms) returns
 the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1 formed
@@ -113,20 +114,10 @@ class SpectralReport:
     right: np.ndarray
     left: np.ndarray
 
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues[0]))
-
     def apply_power(self, n_minus_1: int, d: np.ndarray) -> np.ndarray:
         """A^(n-1) d through the spectral representation."""
         coeffs = self.eigenvalues**n_minus_1 * (self.left @ d)
         return self.right @ coeffs
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": [[z.real, z.imag] for z in self.eigenvalues],
-            "right": [[[z.real, z.imag] for z in col] for col in self.right.T],
-            "left": [[[z.real, z.imag] for z in row] for row in self.left],
-        }
 
 
 def eigen(matrix: np.ndarray, cond_limit: float = 1e10) -> SpectralReport:

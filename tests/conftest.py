@@ -211,6 +211,11 @@ def random_float_source(rng, r: int, with_zeros: bool = False) -> MarkovSource:
     return MarkovSource.from_floats(p0, P)
 
 
+def float_copy(source: MarkovSource) -> MarkovSource:
+    """The same chain with every probability rounded to a float."""
+    return MarkovSource.from_floats(source.initial_array(), source.transition_array())
+
+
 # -- independent oracles ------------------------------------------------------
 
 

@@ -30,8 +30,14 @@ from shancode import (
 )
 from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
-from shancode.sources import log2_prob, stationary_distribution
-from tests.conftest import iter_paths_bruteforce, memoryless, omega_decimal_reference
+from shancode.sources import classify_structure, log2_prob, stationary_distribution
+from tests.conftest import (
+    float_copy,
+    iter_paths_bruteforce,
+    memoryless,
+    omega_decimal_reference,
+    random_float_source,
+)
 
 F = Fraction
 LOG3 = math.log2(3.0)
@@ -141,6 +147,108 @@ def test_exact_zero_transition_sources_match_scan(cycle_source, bipartite_period
         assert cls.provenance == "exact_rational" and cls.M == res.order
         assert cls.s == pytest.approx(res.phase, abs=1e-12)
         assert np.allclose(cls.w, res.weights, atol=1e-12)
+
+
+def circular(a: float, b: float) -> float:
+    d = (a - b) % 1.0
+    return min(d, 1.0 - d)
+
+
+def assert_same_as_scan(cls, res):
+    """Float classification against find_oscillation_order at the same m_max."""
+    assert (cls.mode, cls.M) == ("convergent" if res.order is None else "oscillatory", res.order)
+    if res.order is None:
+        assert cls.provenance == "heuristic_float" and "heuristic" in cls.flags
+        return
+    assert cls.provenance == "spectral_search" and cls.solution is None
+    assert circular(cls.s, res.phase) <= 1e-12
+    assert max(circular(a, b) for a, b in zip(cls.w, res.weights)) <= 1e-12
+
+
+SCANNED_FIXTURES = [
+    "dyadic_memoryless", "dyadic_r3", "permutation_source", "permutation_state0_start", "cycle_source",
+    "bipartite_periodic_source", "float_convergent_source", "m2_source", "convergent_exact_source",
+]
+
+
+def test_float_classification_matches_scan_on_fixtures(request, oscillatory_exact_family, dyadic_markov_pair):
+    cancelling = MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["1/3", "2/3"]])
+    sources = [request.getfixturevalue(name) for name in SCANNED_FIXTURES]
+    for s in [*sources, *oscillatory_exact_family, *dyadic_markov_pair, cancelling]:
+        f = float_copy(s)
+        assert_same_as_scan(classify_mode(f, m_max=128), find_oscillation_order(f, m_max=128))
+
+
+def random_oscillatory_float_source(rng, r: int, q: int) -> MarkovSource:
+    """Rows permute one distribution c 2^(-e_i) with e_i in (1/q) Z, so every M divides q."""
+    p = 2.0 ** -(rng.integers(0, 3 * q, size=r) / q)
+    P = np.array([rng.permutation(p / p.sum()) for _ in range(r)])
+    p0 = rng.random(r) + 0.05
+    return MarkovSource.from_floats(p0 / p0.sum(), P)
+
+
+def test_float_classification_matches_scan_on_random_sources():
+    rng = np.random.default_rng(20240601)
+    sources = [random_float_source(rng, r, with_zeros=z) for _ in range(16) for r in (2, 3, 4, 6) for z in (0, 1)]
+    sources = [s for s in sources if classify_structure(s).irreducible]
+    assert len(sources) >= 100
+    near_misses = 0
+    for s in sources:
+        cls, res = classify_mode(s, m_max=128), find_oscillation_order(s, m_max=128)
+        if cls.M != res.order:
+            # the scan accepts |rho(A_m) - 1| <= 1e-6; a near miss there is
+            # no similarity at all, and the congruence rejects it
+            assert cls.mode == "convergent" and not verify_similarity(s, res.order, res.phase, res.weights, 1e-6)[0]
+            near_misses += 1
+            continue
+        assert_same_as_scan(cls, res)
+    assert near_misses <= 2
+    for q in (1, 2, 3, 5):
+        for r in (2, 3, 4, 6):
+            s = random_oscillatory_float_source(rng, r, q)
+            cls = classify_mode(s, m_max=128)
+            assert cls.mode == "oscillatory" and q % cls.M == 0
+            assert verify_similarity(s, cls.M, cls.s, cls.w, 1e-12)[0]
+            assert_same_as_scan(cls, find_oscillation_order(s, m_max=128))
+
+
+def test_float_order_bounded_by_m_max_like_the_scan(order67_source):
+    f = float_copy(order67_source)
+    cls = classify_mode(f)
+    assert cls.mode == "convergent" and cls.provenance == "heuristic_float" and "heuristic" in cls.flags
+    assert_same_as_scan(cls, find_oscillation_order(f))
+    cls = classify_mode(f, m_max=128)
+    assert cls.mode == "oscillatory" and cls.M == 67
+    assert_same_as_scan(cls, find_oscillation_order(f, m_max=128))
+
+
+@pytest.mark.parametrize("name", ["p2b_source", "p3_source"])
+def test_float_periodic_copies_classify_and_predict(name, request):
+    # the scan's eigenvector basis is singular on these repeated rows; the
+    # congruence needs no eigenvectors
+    s = request.getfixturevalue(name)
+    f = float_copy(s)
+    cls, exact_cls = classify_mode(f), classify_mode(s)
+    assert cls.mode == "oscillatory" and cls.M == 1 and cls.provenance == "spectral_search"
+    assert circular(cls.s, exact_cls.s) <= 1e-12
+    assert max(circular(a, b) for a, b in zip(cls.w, exact_cls.w)) <= 1e-12
+    rows = 0
+    for pf, pe in zip(predict_range(f, cls, 1, 2000), predict_range(s, exact_cls, 1, 2000)):
+        if "boundary" not in pf.flags | pe.flags:
+            assert abs(pf.omega - pe.omega) <= 1e-10
+            rows += 1
+    assert rows >= 1000
+
+
+def test_float_periodic_phase_zero_is_not_one_over_d():
+    # every cycle has an integer -log2 weight, so s = 0 at period 2; in
+    # floats frac((M/d) Y) lands an ulp below 1/2 and must still read as 0
+    rows = [[0, 0, "1/3", "2/3"], [0, 0, "1/2", "1/2"], ["3/4", "1/4", 0, 0], ["3/4", "1/4", 0, 0]]
+    relabel = [2, 3, 0, 1]
+    s = MarkovSource.from_exact(["1/4"] * 4, [[rows[a][b] for b in relabel] for a in relabel])
+    exact_cls, cls = classify_mode(s), classify_mode(float_copy(s))
+    assert exact_cls.s == 0.0 and cls.s == 0.0
+    assert max(circular(a, b) for a, b in zip(cls.w, exact_cls.w)) <= 1e-12
 
 
 # -- zeta ------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import time
 
 import pytest
 
-from shancode import ceil_defect
+from shancode import MarkovSource, ceil_defect, classify_mode
 from shancode.cli import REPORT_FLAGS, main, parse_n_range
+from tests.conftest import float_copy
 
 LOG3 = math.log2(3.0)
 
@@ -271,15 +272,36 @@ def test_bad_m_max_and_samples_rejected(float_path):
     assert json.loads(err)["error"] == "ValidationFailure"
 
 
-def test_m_max_over_scan_budget_refused_quickly(float_path, capsys):
+def test_huge_m_max_classifies_quickly(float_path, capsys):
+    # no command runs the spectral scan, so --m-max bounds no work
     t0 = time.perf_counter()
     rc = main(["--command", "classify", "--source", float_path, "--m-max", "1000000000"])
     elapsed = time.perf_counter() - t0
     out, err = capsys.readouterr()
-    assert rc == 3 and not out
-    payload = json.loads(err)
-    assert payload["error"] == "ResourceLimit" and str(10**9 * 2**3) in payload["message"]
+    assert rc == 0 and not err
+    assert parse_csv(out)[0]["mode"] == "convergent"
     assert elapsed < 1.0
+
+
+def test_float_sources_need_no_scan(float_path, tmp_path, p2b_source, p3_source, permutation_source, monkeypatch, capsys):
+    # the float copies of the periodic p2b and p3 once failed in the scan's
+    # eigenvector basis; classification needs neither the scan nor eigen
+    from shancode import spectral
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the spectral scan ran")
+
+    monkeypatch.setattr(spectral, "find_oscillation_order", refuse)
+    monkeypatch.setattr(spectral, "eigen", refuse)
+    copies = (p2b_source, p3_source, permutation_source)
+    paths = [float_path] + [write_source(tmp_path, f"{i}.json", float_copy(s).to_dict()) for i, s in enumerate(copies)]
+    for path, M in zip(paths, ("", "1", "1", "1")):
+        mode = "oscillatory" if M else "convergent"
+        assert classify_mode(MarkovSource.load(path)).mode == mode
+        for command in ("classify", "predict", "compare"):
+            assert main(["--command", command, "--source", path, "--n", "3..5"]) == 0
+            out, err = capsys.readouterr()
+            assert not err and all((row["mode"], row["M"]) == (mode, M) for row in parse_csv(out))
 
 
 def test_fejer_demo_over_work_cap_refused(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shancode import ExactProb, Log2Value, ZERO, approximate_rational, parse_prob_spec
-from shancode.exact import format_prob_spec, split_pow2
+from shancode.exact import common_denominator, format_prob_spec, split_pow2
 
 F = Fraction
 
@@ -58,6 +58,9 @@ def test_log2_value_arithmetic():
     assert total.is_rational and total.rational == F(-2)
     assert (a - a).rational == 0 and (a - a).mantissa == 1
     assert a.scaled(3).mantissa == F(27)
+    assert a * 3 == a.scaled(3) and b * -2 == b.scaled(-2) and a * 0 == Log2Value.make()
+    # a rational counts as the log2 of a power of two
+    assert a - F(1, 3) == a - Log2Value.make(F(1, 3))
     assert (-b).mantissa == F(3)
     # float of 0.75 matches a bit-counting oracle: log2 x = k + log2(x / 2**k)
     assert a.to_float() == pytest.approx(-0.4150374992788438, abs=1e-15)
@@ -107,3 +110,19 @@ def test_approximate_rational_heuristic():
     assert approximate_rational(1 / 3) == F(1, 3)
     assert approximate_rational(math.log2(3)) is None
     assert approximate_rational(math.sqrt(2)) is None
+
+
+def test_common_denominator_one_decision_for_both_kinds():
+    third = ExactProb.make(F(1, 3)).log2()
+    assert common_denominator([Log2Value.make(F(1, 6)), Log2Value.make(F(-3, 4))]) == 12
+    assert common_denominator([Log2Value.make(F(1, 6)), third]) is None
+    assert common_denominator([third - third]) == 1
+    assert common_denominator([1 / 6, -0.75]) == 12
+    assert common_denominator([1 / 6, math.log2(3)]) is None
+    assert common_denominator([]) == 1
+
+
+def test_exact_prob_equality_and_hash_by_value():
+    a, b = ExactProb.make(F(3, 4)), ExactProb.make(F(3), -2)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ExactProb.make(F(3, 8)) and a != 0.75

@@ -103,16 +103,6 @@ def test_eigen_dimension_cap():
         eigen(np.eye(17, dtype=complex))
 
 
-def test_spectral_report_json_serializable(permutation_source):
-    import json
-
-    rep = eigen(phase_matrix(permutation_source, 1))
-    doc = json.loads(json.dumps(rep.to_json_dict()))
-    assert len(doc["eigenvalues"]) == 2
-    top = complex(*doc["eigenvalues"][0])
-    assert abs(top) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_spectral_radius_bound_over_scan(m2_source, float_convergent_source, permutation_source):
     for s in (m2_source, float_convergent_source, permutation_source):
         for m in range(1, 12):
