@@ -30,18 +30,21 @@ unit-circle eigenvectors of P are fixed by the cyclic classes
 c_j = h_j mod d, so the sum keeps the pairs with c_k = c_j + n - 1 (mod d)
 and weighs each by d p_j pi_k; at d = 1 that is every pair.
 
-An exact oscillatory classification carries this solution as (d, unit, X),
-Log2Values with s = (M/d) unit and w_j = (M/d) X_j modulo 1, and every zeta
-is evaluated from it; nothing solves the congruence again.
+Every oscillatory classification carries this solution as (d, unit, X),
+logs with s = (M/d) unit and w_j = (M/d) X_j modulo 1, and every zeta is
+evaluated from it as frac((M/d)(n-1) unit) + frac((M/d) b_jk) with
+b_jk = X_j - X_k - d log2 p_j; nothing solves the congruence again, and
+s and w are only reported.
 
 predict_range evaluates Omega_n for a whole n range in one pass: structure
-and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  For exact
-sources zeta is reduced modulo 1 exactly and mantissa**k is never formed:
-rational parts in integers, and the remainder k log2(mantissa) in decimal
-arithmetic at 30 + digits(k) significant digits (k = (hi - 1) M at most),
-so rho is correct to about 1e-16 at any n, and exact when every
-log2(mantissa) term is 0 (dyadic sources predict exactly 0).
-Float sources evaluate zeta from the float s and w.
+and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  _frac is
+the one place where a log is reduced modulo 1.  For exact sources it is
+exact and mantissa**k is never formed: rational parts in integers, and the
+remainder k log2(mantissa) in decimal arithmetic at 30 + digits(k)
+significant digits (k = (hi - 1) M at most), so rho is correct to about
+1e-16 at any n, and exact when every log2(mantissa) term is 0 (dyadic
+sources predict exactly 0).  For float sources it is a float product, so
+zeta carries an error of order n M 2^-52 (|unit| + max |X_j|).
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from .sources import (
     classify_structure,
     is_dyadic,
     log2_prob,
-    log2_prob_float,
     stationary_distribution,
 )
 
@@ -76,9 +78,10 @@ class ModeClassification:
 
     provenance is "exact_rational" for an exact source; a float source is
     "spectral_search" when oscillatory and "heuristic_float" when convergent.
-    solution is the exact similarity solution (d, unit, X) of an oscillatory
-    exact source (see _similarity), from which zeta is evaluated; it is None
-    for float sources, whose zeta uses the float s and w.
+    solution is the similarity solution (d, unit, X) of every oscillatory
+    classification (see _similarity), Log2Values for an exact source and
+    floats for a float one, from which zeta is evaluated; it is None only in
+    the convergent mode.
     """
 
     mode: str  # "convergent" | "oscillatory"
@@ -100,11 +103,15 @@ def _bezout(a: int, b: int):
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _frac(x, M: int, d: int):
-    """frac((M/d) x) of a log: exact for a Log2Value (see frac_scaled), in floats for a float."""
+def _frac(x, ks, d: int = 1):
+    """frac((k/d) x) of a log for each integer k in ks.
+
+    Exact for a Log2Value (see frac_scaled: Fractions where x is rational),
+    one numpy float expression for a float log.
+    """
     if isinstance(x, Log2Value):
-        return x.frac_scaled([M], d)[0]
-    return (M * x / d) % 1.0
+        return x.frac_scaled(ks, d)
+    return np.array(ks, dtype=float) * x / d % 1.0
 
 
 def _similarity(source: MarkovSource, structure):
@@ -147,9 +154,9 @@ def _similarity(source: MarkovSource, structure):
         # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
         # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
         # value wrap_unit gives it, not as s next to 1/d
-        i = math.floor(d * _frac(Y, M, d) + (0 if isinstance(Y, Log2Value) else 1e-12))
+        i = math.floor(d * _frac(Y, [M], d)[0] + (0 if isinstance(Y, Log2Value) else 1e-12))
         unit = Y - Fraction(i, M)
-    X = [unit * depth[j] - phi[j] * d for j in range(source.r)]
+    X = tuple(unit * depth[j] - phi[j] * d for j in range(source.r))
     return M, unit, X
 
 
@@ -169,38 +176,46 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
     flags = frozenset({"degenerate"} if is_dyadic(source) else ())
     solution = _similarity(source, structure)
-    if source.exact and solution is None:
-        return ModeClassification("convergent", None, None, None, "exact_rational", flags)
-    if solution is None or (not source.exact and solution[0] > m_max):
-        return ModeClassification("convergent", None, None, None, "heuristic_float", flags | {"heuristic"})
-    M, unit, X = solution
-    d = structure.period
-    s = wrap_unit(float(_frac(unit, M, d)))
-    w = tuple(wrap_unit(float(_frac(x, M, d))) for x in X)
+    if solution and (source.exact or solution[0] <= m_max):
+        M, unit, X = solution
+        d = structure.period
+        s = wrap_unit(float(_frac(unit, [M], d)[0]))
+        w = tuple(wrap_unit(float(_frac(x, [M], d)[0])) for x in X)
+        provenance = "exact_rational" if source.exact else "spectral_search"
+        return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X))
     if source.exact:
-        return ModeClassification("oscillatory", M, s, w, "exact_rational", flags, (d, unit, X))
-    return ModeClassification("oscillatory", M, s, w, "spectral_search", flags)
+        return ModeClassification("convergent", None, None, None, "exact_rational", flags)
+    return ModeClassification("convergent", None, None, None, "heuristic_float", flags | {"heuristic"})
 
 
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
-    """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j, the phase shared by all paths from j to k.
+def _zeta_terms(source: MarkovSource, cls: ModeClassification, ns, pairs):
+    """The two terms of zeta_jk(n) = (M/d) [(n-1) unit + b_jk] modulo 1, b_jk = X_j - X_k - d log2 p_j.
 
-    For an exact classification s and w come from its stored similarity
-    solution, combined through Log2Value.scaled products; for a float source
-    from the float phase and weights.
+    Returns frac((M/d)(n-1) unit) for each n in ns and frac((M/d) b_jk) for
+    each pair (j, k) in pairs, both from the stored similarity solution
+    through _frac; zeta_jk(n) is their sum modulo 1.
+    """
+    d, unit, X = cls.solution
+    phase = _frac(unit, [(n - 1) * cls.M for n in ns], d)
+    betas = [_frac(X[j] - X[k] - log2_prob(source, source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
+    return phase, betas
+
+
+def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
+    """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j modulo 1, in [0, 1).
+
+    This is the phase shared by all paths from j to k, read from the stored
+    similarity solution as _zeta_terms describes.
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    if cls.solution is None:
-        return (n - 1) * cls.s + cls.w[j] - cls.w[k] - cls.M * log2_prob_float(source, source.initial[j])
-    d, unit, X = cls.solution
-    combo = unit.scaled(n - 1) + X[j] - X[k] - log2_prob(source, source.initial[j]).scaled(d)
-    return combo.scaled(cls.M).to_float() / d
+    phase, (beta,) = _zeta_terms(source, cls, [n], [(j, k)])
+    return float(phase[0] + beta) % 1.0
 
 
 # -- predictions -------------------------------------------------------------
@@ -234,32 +249,19 @@ def _finish_prediction(n, omega, boundary, xi, flags) -> Prediction:
 
 def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
     """rho(zeta_jk(n)) for n = lo..hi as an (N, r, r) array, 0 where p_j = 0."""
-    r, M = source.r, cls.M
-    live = [j for j in range(r) if source.initial[j] is not ZERO]
+    r = source.r
+    pairs = [(j, k) for j in range(r) if source.initial[j] is not ZERO for k in range(r)]
     rho = np.zeros((hi - lo + 1, r, r))
-    if cls.solution is None:
-        nm1 = np.arange(lo - 1, hi, dtype=float)[:, None]
-        w = np.array(cls.w)
-        for j in live:
-            zeta = nm1 * cls.s + w[j] - w - M * log2_prob_float(source, source.initial[j])
-            rho[:, j, :] = ceil_defect(zeta)
-        return rho
-    # zeta = (M/d) [(n-1) unit + b_jk] with b_jk = X_j - X_k - d log2 p_j
-    d, unit, X = cls.solution
-    phase = unit.frac_scaled(((n - 1) * M for n in range(lo, hi + 1)), d)
+    phase, betas = _zeta_terms(source, cls, range(lo, hi + 1), pairs)
     phase_f = np.array(phase, dtype=float)
-    for j in live:
-        log_pj = log2_prob(source, source.initial[j]).scaled(d)
-        for k in range(r):
-            b = X[j] - X[k] - log_pj
-            beta = b.frac_scaled([M], d)[0]
-            if unit.is_rational and b.is_rational:
-                rho[:, j, k] = [float(-(x + beta) % 1) for x in phase]
-                continue
-            # both terms are correctly rounded and lie in [0, 1): where their
-            # mantissas cancel and zeta is an integer, the float sum is 1.0 or
-            # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
-            rho[:, j, k] = ceil_defect(phase_f + float(beta))
+    for (j, k), beta in zip(pairs, betas):
+        if isinstance(phase[0], Fraction) and isinstance(beta, Fraction):
+            rho[:, j, k] = [float(-(x + beta) % 1) for x in phase]
+            continue
+        # both terms are correctly rounded and lie in [0, 1): where their
+        # mantissas cancel and zeta is an integer, the float sum is 1.0 or
+        # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
+        rho[:, j, k] = ceil_defect(phase_f + float(beta))
     return rho
 
 
@@ -336,32 +338,20 @@ def memoryless_formula(p, n: int) -> MemorylessPrediction:
     result carries a boundary flag instead of an authoritative value.
     """
     exact = not any(isinstance(v, float) for v in p)
-    values = []
-    for v in p:
-        if isinstance(v, ExactProb):
-            values.append(v)
-        elif exact:
-            if v == 0:
-                raise ZeroProbability("memoryless formula needs all p_k > 0")
-            values.append(ExactProb.make(Fraction(v)))
-        else:
-            if float(v) == 0.0:
-                raise ZeroProbability("memoryless formula needs all p_k > 0")
-            values.append(float(v))
+    if any(not isinstance(v, ExactProb) and v == 0 for v in p):
+        raise ZeroProbability("memoryless formula needs all p_k > 0")
     flags = set() if exact else {"heuristic"}
-    logs = [v.log2() for v in values] if exact else [math.log2(v) for v in values]
+    logs = [(v if isinstance(v, ExactProb) else ExactProb.make(Fraction(v))).log2() if exact else math.log2(v)
+            for v in p]
     M = common_denominator([lg - logs[0] for lg in logs[1:]])
     if M is None:
         return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
-    if exact:
-        fr = (-logs[0]).frac_scaled([M * n])[0]
-        if fr == 0:
-            flags.add("boundary")
-    else:
-        fr = (-logs[0] * M * n) % 1.0
-        if min(fr, 1.0 - fr) <= 1e-12:
-            fr = 0.0
-            flags.add("boundary")
+    # an exact fractional part is decided; a float one within 1e-12 of an
+    # integer is taken to sit on the discontinuity
+    fr = _frac(-logs[0], [M * n])[0]
+    if min(fr, 1 - fr) <= (0 if exact else 1e-12):
+        fr = 0
+        flags.add("boundary")
     return MemorylessPrediction(n, 0.5 + (0.5 - float(fr)) / M, M, "rational", frozenset(flags))
 
 
@@ -393,15 +383,10 @@ def absorbing_pair_formula(alpha, truncation_eps: float = 1e-12) -> Example2Sum:
         if k_terms > 10**6:
             raise ValueError("truncation_eps too small for this alpha")
     # tail = (1-alpha)^k_terms < eps, so terms k = 0 .. k_terms - 1 are kept
-    if isinstance(a, Fraction):
-        # rho(-(la + k lm)) = frac(la + k lm), which is rational only where
-        # la and k lm both are: the odd parts of alpha and 1 - alpha never cancel
-        base = ExactProb.make(a).log2().frac_scaled([1])[0]
-        steps = ExactProb.make(one_minus).log2().frac_scaled(range(k_terms))
-        rhos = [float((base + step) % 1) for step in steps]
-    else:
-        la = math.log2(a)
-        lm = math.log2(one_minus)
-        rhos = [ceil_defect(-(la + k * lm)) for k in range(k_terms)]
+    # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
+    # k lm both are: the odd parts of alpha and 1 - alpha never cancel
+    log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2
+    base = _frac(log2(a), [1])[0]
+    rhos = [float((base + step) % 1) for step in _frac(log2(one_minus), range(k_terms))]
     terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
     return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,6 +64,14 @@ def wrap_unit(x: float, tol: float = 1e-12) -> float:
     """
     y = x % 1.0
     return 0.0 if y > 1.0 - tol else y
+
+
+@lru_cache(maxsize=1024)
+def _decimal_log2(m: Fraction, prec: int) -> Decimal:
+    """log2(m) to prec digits; cached, as one-at-a-time zeta evaluation asks for the same mantissas again."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        return (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
 
 
 @dataclass(frozen=True)
@@ -130,8 +139,7 @@ class Log2Value:
             return [Fraction(k * num % kden, kden) for k in ks]
         with localcontext() as ctx:
             ctx.prec = 30 + len(str(max(map(abs, ks), default=0)))
-            m = self.mantissa
-            lm = (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln() / den
+            lm = _decimal_log2(self.mantissa, ctx.prec) / den
             # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
             fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
             return [float(y + 1 if y < 0 else y) % 1.0 for y in fracs]

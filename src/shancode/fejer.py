@@ -69,7 +69,7 @@ def fourier_a(m: int, theta: float) -> complex:
     _check_theta(theta)
     if m == 0:
         raise ZeroIndex("the DC term of rho_minus is 1/2")
-    return (1.0 - np.exp(-2j * math.pi * m * theta)) / ((2j * math.pi * m) ** 2 * theta)
+    return complex(_coefficients("rho_minus", np.array([m], dtype=float), theta)[0])
 
 
 def fourier_b(m: int, theta: float) -> float:
@@ -77,7 +77,7 @@ def fourier_b(m: int, theta: float) -> float:
     _check_theta(theta)
     if m == 0:
         raise ZeroIndex("the DC term of delta is theta")
-    return (1.0 - math.cos(2 * math.pi * m * theta)) / (2 * theta * math.pi**2 * m**2)
+    return float(_coefficients("delta", np.array([m], dtype=float), theta)[0].real)
 
 
 # mean values over one period: integrating the minorant gives (1 - theta)/2
@@ -90,6 +90,7 @@ _DC = {
 
 
 def _coefficients(f_id: str, ms: np.ndarray, theta: float) -> np.ndarray:
+    """Fourier coefficients of rho_minus, delta or rho_plus at the nonzero frequencies ms."""
     a = (1.0 - np.exp(-2j * math.pi * ms * theta)) / ((2j * math.pi * ms) ** 2 * theta)
     b = (1.0 - np.cos(2 * math.pi * ms * theta)) / (2 * theta * math.pi**2 * ms**2)
     if f_id == "rho_minus":

@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import time
-from decimal import ROUND_CEILING, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -160,7 +160,7 @@ def assert_same_as_scan(cls, res):
     if res.order is None:
         assert cls.provenance == "heuristic_float" and "heuristic" in cls.flags
         return
-    assert cls.provenance == "spectral_search" and cls.solution is None
+    assert cls.provenance == "spectral_search" and cls.solution is not None
     assert circular(cls.s, res.phase) <= 1e-12
     assert max(circular(a, b) for a, b in zip(cls.w, res.weights)) <= 1e-12
 
@@ -222,22 +222,28 @@ def test_float_order_bounded_by_m_max_like_the_scan(order67_source):
     assert_same_as_scan(cls, find_oscillation_order(f, m_max=128))
 
 
-@pytest.mark.parametrize("name", ["p2b_source", "p3_source"])
+@pytest.mark.parametrize("name", [
+    "p2b_source", "p3_source", "oscillatory_exact_family", "cycle_source", "bipartite_periodic_source",
+    "order67_source",
+])
 def test_float_periodic_copies_classify_and_predict(name, request):
-    # the scan's eigenvector basis is singular on these repeated rows; the
-    # congruence needs no eigenvectors
-    s = request.getfixturevalue(name)
-    f = float_copy(s)
-    cls, exact_cls = classify_mode(f), classify_mode(s)
-    assert cls.mode == "oscillatory" and cls.M == 1 and cls.provenance == "spectral_search"
-    assert circular(cls.s, exact_cls.s) <= 1e-12
-    assert max(circular(a, b) for a, b in zip(cls.w, exact_cls.w)) <= 1e-12
-    rows = 0
-    for pf, pe in zip(predict_range(f, cls, 1, 2000), predict_range(s, exact_cls, 1, 2000)):
-        if "boundary" not in pf.flags | pe.flags:
-            assert abs(pf.omega - pe.omega) <= 1e-10
-            rows += 1
-    assert rows >= 1000
+    # float copies keep their similarity solution and predict from it; the
+    # scan's eigenvector basis is singular on p2b's and p3's repeated rows,
+    # and the congruence needs no eigenvectors
+    fixture = request.getfixturevalue(name)
+    for s in fixture if isinstance(fixture, list) else [fixture]:
+        f = float_copy(s)
+        cls, exact_cls = classify_mode(f, m_max=128), classify_mode(s)
+        assert cls.mode == "oscillatory" and cls.M == exact_cls.M and cls.provenance == "spectral_search"
+        assert cls.solution is not None
+        assert circular(cls.s, exact_cls.s) <= 1e-12
+        assert max(circular(a, b) for a, b in zip(cls.w, exact_cls.w)) <= 1e-12
+        rows = 0
+        for pf, pe in zip(predict_range(f, cls, 1, 2000), predict_range(s, exact_cls, 1, 2000)):
+            if "boundary" not in pf.flags | pe.flags:
+                assert abs(pf.omega - pe.omega) <= 1e-10
+                rows += 1
+        assert rows >= 1000
 
 
 def test_float_periodic_phase_zero_is_not_one_over_d():
@@ -278,29 +284,43 @@ def test_zeta_n1_diagonal(permutation_source):
     for j in range(2):
         z = oscillation_argument(permutation_source, cls, j, j, 1)
         want = -cls.M * log2_prob(permutation_source, permutation_source.initial[j]).to_float()
-        assert z == pytest.approx(want, abs=1e-12)
+        assert 0.0 <= z < 1.0 and circular(z, want) <= 1e-12
 
 
 def test_zeta_routes_agree_mod_one(oscillatory_exact_family):
-    # the exact parameterization and the spectral one coincide modulo 1
+    # the stored exact solution and the spectral scan's (M, s, w) give the same zeta modulo 1
     for s in oscillatory_exact_family:
-        st_ = classify_mode(s)
-        if st_.provenance != "exact_rational":
-            continue
+        cls = classify_mode(s)
+        assert cls.provenance == "exact_rational"
         res = find_oscillation_order(s)
-        spectral_cls = classify_mode(s).__class__(
-            mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
-            provenance="spectral_search", flags=frozenset(),
-        )
         for n in range(1, 101, 9):
             for j in range(s.r):
                 if s.initial[j] is ZERO:
                     continue
                 for k in range(s.r):
-                    a = oscillation_argument(s, st_, j, k, n)
-                    b = oscillation_argument(s, spectral_cls, j, k, n)
-                    diff = (a - b) % 1.0
-                    assert min(diff, 1.0 - diff) <= 1e-9
+                    a = oscillation_argument(s, cls, j, k, n)
+                    b = ((n - 1) * res.phase + res.weights[j] - res.weights[k]
+                         - res.order * log2_prob(s, s.initial[j]).to_float())
+                    assert circular(a, b) <= 1e-9
+
+
+def frac_n_log2_3(n: int, digits: int = 60) -> float:
+    """frac(n log2 3) in decimal arithmetic, as omega_decimal_reference evaluates logs."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        u = n * Decimal(3).ln() / Decimal(2).ln()
+        return float(u - u.to_integral_value(rounding=ROUND_FLOOR))
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7])
+def test_zeta_at_large_n_is_reduced_exactly(permutation_source, n):
+    # zeta_01(n) = n log2 3 - 1 on the permutation chain; the phase is reduced
+    # modulo 1 from the stored solution, with no mantissa**(n-1)
+    cls = classify_mode(permutation_source)
+    t0 = time.perf_counter()
+    z = oscillation_argument(permutation_source, cls, 0, 1, n)
+    assert time.perf_counter() - t0 < 0.1
+    assert 0.0 <= z < 1.0 and circular(z, frac_n_log2_3(n)) <= 1e-15
 
 
 def test_telescoping_identity(oscillatory_exact_family):
@@ -454,29 +474,26 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
     start = [ExactProb.make(1, F(-6, 5)), ExactProb.make(1, -F(821739, 996796))]
     pow2 = MarkovSource.from_exact(start, [letters, letters])
     for s in [*oscillatory_exact_family, cancelling, pow2]:
-        exact = classify_mode(s)
-        res = find_oscillation_order(s)
-        spectral = exact.__class__(mode="oscillatory", M=res.order, s=res.phase, w=res.weights,
-                                    provenance="spectral_search", flags=frozenset())
-        for cls in (exact, spectral) if res.order else (exact,):
-            for pred in predict_range(s, cls, 1, 30):
-                omega, boundary = loop_omega(s, cls, pred.n)
-                assert pred.omega == pytest.approx(omega, abs=1e-12)
-                assert pred.boundary_terms == pytest.approx(boundary, abs=1e-12)
+        cls = classify_mode(s)
+        for pred in predict_range(s, cls, 1, 30):
+            omega, boundary = loop_omega(s, cls, pred.n)
+            assert pred.omega == pytest.approx(omega, abs=1e-12)
+            assert pred.boundary_terms == pytest.approx(boundary, abs=1e-12)
 
 
 def test_zeta_reads_the_stored_solution(
     oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source, monkeypatch
 ):
-    # classify_mode keeps its exact similarity solution, so neither the range
-    # prediction nor oscillation_argument solves the congruence again
+    # classify_mode keeps its similarity solution, exact or float, so neither
+    # the range prediction nor oscillation_argument solves the congruence again
     from shancode import asymptotics
 
     def zetas(s, cls):
         return [oscillation_argument(s, cls, j, k, n) for n in (1, 7, 40)
                 for j in range(s.r) if s.initial[j] is not ZERO for k in range(s.r)]
 
-    sources = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source]
+    exact = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source]
+    sources = [*exact, *map(float_copy, exact)]
     classes = [classify_mode(s) for s in sources]
     want = [(predict_range(s, cls, 1, 30), zetas(s, cls)) for s, cls in zip(sources, classes)]
 

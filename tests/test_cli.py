@@ -4,12 +4,15 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import shancode
 from shancode import MarkovSource, ceil_defect, classify_mode
 from shancode.cli import REPORT_FLAGS, main, parse_n_range
 from tests.conftest import float_copy
@@ -17,9 +20,14 @@ from tests.conftest import float_copy
 LOG3 = math.log2(3.0)
 
 
+# the directory holding the imported shancode package, so the subprocess runs the same code
+PACKAGE_ROOT = str(Path(shancode.__file__).resolve().parent.parent)
+
+
 def run_cli(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
-        [sys.executable, "-m", "shancode.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "shancode.cli", *args], capture_output=True, text=True, env=env
     )
     return proc.returncode, proc.stdout, proc.stderr
 
