@@ -5,12 +5,13 @@
 with rho(u) = ceil(u) - u and mu the path probability.  -log2 mu depends on
 a path only through a lattice point: for an exact source, its rational part
 times a common denominator plus the exponents of mu's odd mantissa over a
-pairwise coprime base; for a float source, how often each distinct
-transition value was used.  exact_redundancy_range runs one forward DP over
-(state, lattice point) keys carrying float probability mass and reads R_n
-out at every n of a range.  The classes are unions of Markov types (Jacquet
-& Szpankowski, IEEE T-IT 2004) with the same mu.  Also here: a seeded Monte
-Carlo estimator and Shannon code lengths by path enumeration.
+pairwise coprime base; for a float source, the exact sum of its float
+steps, an integer over a common power-of-two denominator.
+exact_redundancy_range runs one forward DP over (state, lattice point) keys
+carrying float probability mass and reads R_n out at every n of a range.
+The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
+2004) with the same mu.  Also here: a seeded Monte Carlo estimator and
+Shannon code lengths by path enumeration.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -28,8 +28,6 @@ from .exact import ZERO, Log2Value, ceil_defect
 from .sources import MarkovSource, log2_prob, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
-# table size for the float readout, which sums count * value over several counts per lookup
-_CHUNK_ENTRIES = 4096
 # Monte Carlo: rows of uniforms drawn at a time, and the caps check_monte_carlo enforces
 _MC_CHUNK_ROWS = 4096
 MC_DRAW_CAP = 2**30
@@ -165,8 +163,9 @@ def _exponents(value: int, base) -> list[int]:
 def _forward(frontier, moves, lo: int, hi: int, readout) -> list:
     """Run the DP to length hi and return readout(n, frontier) for n = lo..hi.
 
-    frontier[k] maps the packed lattice points of paths now in state k to
-    their probability mass; moves[k] lists (j, packed step, p(j|k)).
+    frontier[k] maps the lattice points of paths now in state k, each one
+    int, to their probability mass; moves[k] lists (j, step, p(j|k)), and a
+    move adds its int step to the key.
     """
     out = []
     for n in range(1, hi + 1):
@@ -218,12 +217,13 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
 
     # paths of length <= hi keep every coordinate within half = hi * (largest step);
     # adding offset turns the signed base-radix digits into plain ones
-    half, dims = hi * max(abs(c) for p in probs for c in coords(p)), 1 + len(base)
+    half = hi * max(abs(c) for p in probs for c in coords(p))
     radix = 2 * half + 1
-    offset = half * sum(radix**i for i in range(dims))
+    powers = [radix**i for i in range(1 + len(base))]
+    offset = half * sum(powers)
 
     def pack(p):
-        return sum(c * radix**i for i, c in enumerate(coords(p)))
+        return sum(c * w for c, w in zip(coords(p), powers))
 
     frontier = [{pack(starts[s]): source.prob_float(starts[s])} if s in starts else {} for s in range(r)]
     moves = [[(j, pack(p), source.prob_float(p)) for (i, j), p in steps.items() if i == k] for k in range(r)]
@@ -231,7 +231,7 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
     def readout(n, frontier):
         terms = []
         for key, mass in _merged(frontier).items():
-            scaled, *expo = [(key + offset) // radix**i % radix - half for i in range(dims)]
+            scaled, *expo = [(key + offset) // w % radix - half for w in powers]
             if any(expo):
                 rho = ceil_defect(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
             else:
@@ -245,53 +245,39 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
 def _float_sums(source: MarkovSource, lo: int, hi: int, snap_tol: float) -> list:
     """(R_n, snapped) for n = lo..hi on a float source, one pass per first state.
 
-    A lattice point counts, in base hi, how often each distinct transition
-    value was used; the first state's value is no coordinate, so frontiers
-    of different first states would never merge.  The readout sums
-    count * value in integers over a power-of-two denominator, a few counts
-    per table lookup, so -log2 mu is correctly rounded whatever hi is.
+    A lattice point is the integer scale * (-log2 mu), where scale is the
+    largest power-of-two denominator of the finite step and initial values,
+    so every move adds an exact integer.  Paths merge exactly when they end
+    in the same state with the same sum of float values, and key / scale is
+    that sum correctly rounded whatever hi is.  Keys are unbounded ints: a
+    step probability of 1 - 2^-45 alone needs a 97-bit scale.  Running the
+    first states one at a time keeps only one of their frontiers alive.
     """
     r = source.r
     table = source.neg_log2_table()
-    values = sorted({v for v in table.ravel().tolist() if math.isfinite(v)})
     init_negs = {s: -math.log2(source.prob_float(p)) for s, p in enumerate(source.initial) if p is not ZERO}
-    scale = max(x.as_integer_ratio()[1] for x in [*values, *init_negs.values()])
+    finite = [v for v in table.ravel().tolist() if math.isfinite(v)]
+    scale = max(x.as_integer_ratio()[1] for x in [*finite, *init_negs.values()])
 
     def scaled(x: float) -> int:
         num, den = x.as_integer_ratio()
         return num * (scale // den)
 
-    radix = max(hi, 2)
-    moves = [[(j, radix ** values.index(table[k, j]), source.prob_float(source.transitions[k][j]))
+    moves = [[(j, scaled(table[k, j]), source.prob_float(source.transitions[k][j]))
               for j in range(r) if math.isfinite(table[k, j])] for k in range(r)]
-    width = 1
-    while radix ** (width + 1) <= _CHUNK_ENTRIES:
-        width += 1
-    chunks = []
-    for i in range(0, len(values), width):
-        part = [0]
-        for step in map(scaled, reversed(values[i:i + width])):
-            part = [t + c * step for t in part for c in range(radix)]
-        chunks.append((len(part), part))
 
-    def readout(n, frontier, start):
+    def readout(n, frontier):
         merged = _merged(frontier)
-        neg_logs = np.empty(len(merged))
-        for i, key in enumerate(merged):
-            total = start
-            for size, part in chunks:
-                key, digits = divmod(key, size)
-                total += part[digits]
-            neg_logs[i] = total / scale
+        neg_logs = np.fromiter((key / scale for key in merged), float, len(merged))
         snapped = _snap(neg_logs, snap_tol)
         masses = np.fromiter(merged.values(), float, len(merged))
         return math.fsum(masses * ceil_defect(snapped)), bool(np.any(snapped != neg_logs))
 
     partials = [[] for _ in range(lo, hi + 1)]
     for first, init_neg in init_negs.items():
-        frontier = [{0: source.prob_float(source.initial[first])} if s == first else {} for s in range(r)]
-        sums = _forward(frontier, moves, lo, hi, partial(readout, start=scaled(init_neg)))
-        for acc, part in zip(partials, sums):
+        start = {scaled(init_neg): source.prob_float(source.initial[first])}
+        frontier = [start if s == first else {} for s in range(r)]
+        for acc, part in zip(partials, _forward(frontier, moves, lo, hi, readout)):
             acc.append(part)
     return [(math.fsum(v for v, _ in acc), any(s for _, s in acc)) for acc in partials]
 
@@ -374,7 +360,8 @@ def monte_carlo_redundancy(
     """Sample mean of rho(-log2 mu) over independently sampled paths.
 
     Uniforms come from one counter-based Philox stream keyed by the seed,
-    drawn _MC_CHUNK_ROWS rows of n at a time.  The stream is sequential, so
+    drawn _MC_CHUNK_ROWS rows of n at a time into one reused buffer, so no
+    two chunks are ever alive together.  The stream is sequential, so
     chunked draws equal one samples x n draw and sample i still consumes
     row i: results are bit-for-bit reproducible and independent of the
     chunk size.  The next state is the number of cumulative row thresholds
@@ -402,8 +389,9 @@ def monte_carlo_redundancy(
     thresholds = np.cumsum(trans, axis=1)[:, :-1].T.copy()
 
     neg_log = np.empty(samples)
+    buf = np.empty((min(_MC_CHUNK_ROWS, samples), n))
     for lo in range(0, samples, _MC_CHUNK_ROWS):
-        u = rng.random((min(_MC_CHUNK_ROWS, samples - lo), n))
+        u = rng.random(out=buf[:samples - lo])
         state = np.searchsorted(init_cum, u[:, 0], side="right")
         acc = neg_log_init[state]
         for t in range(1, n):

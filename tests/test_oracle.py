@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from shancode import oracle
 from shancode.asymptotics import ceil_defect
 from shancode.errors import ResourceLimit, ZeroPathProbability
 from tests.conftest import (
+    float_copy,
     iter_paths_bruteforce,
     memoryless,
     monte_carlo_reference,
@@ -168,6 +170,41 @@ def test_float_source_snaps_onto_exact_values():
     assert "snap" in monte_carlo_redundancy(fs, 16, 4000, seed=1).flags
 
 
+def test_float_lattice_keys_far_beyond_int64():
+    # -log2(1 - 2^-45) has a 2^96 denominator, so every lattice key is a
+    # ~100-bit int; keys squeezed into int64 or floats would not survive this
+    s = MarkovSource.from_floats([0.4, 0.6], [[1 - 2**-45, 2**-45], [0.3, 0.7]])
+    finite = [v for v in s.neg_log2_table().ravel().tolist() if math.isfinite(v)]
+    assert max(v.as_integer_ratio()[1] for v in finite).bit_length() == 97
+    for n in range(1, 13):
+        assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
+
+
+def test_float_lattice_points_merge_by_value(monkeypatch):
+    # -log2 of the steps is 1, 2, 0 or log2(3), so a path from a fixed first
+    # state has -log2 mu = const + I + c log2(3) with c <= n - 1 thirds and
+    # I <= 2 (n - 1 - c): at most n^2 values per first state, and float paths
+    # with equal -log2 mu share one lattice point
+    es = MarkovSource.from_exact(["1/4", "1/4", "1/2"], [["1/2", "1/4", "1/4"], [0, 0, 1], ["1/3", "1/3", "1/3"]])
+    fs = float_copy(es)
+    real_merged, sizes = oracle._merged, []
+
+    def counting_merged(frontier):
+        merged = real_merged(frontier)
+        sizes.append(len(merged))
+        return merged
+
+    monkeypatch.setattr(oracle, "_merged", counting_merged)
+    rows = exact_redundancy_range(fs, 1, 40)
+    assert len(sizes) == 3 * 40
+    assert all(size <= (i % 40 + 1) ** 2 for i, size in enumerate(sizes))
+    monkeypatch.undo()
+    for a, b in zip(rows, exact_redundancy_range(es, 1, 40)):
+        assert abs(a.value - b.value) <= 1e-12, a.n
+    for rec in rows:
+        assert rec == exact_redundancy(fs, rec.n)
+
+
 def test_resource_limits():
     s = memoryless([F(1, 3), F(2, 3)])
     with pytest.raises(ResourceLimit):
@@ -272,6 +309,20 @@ def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypa
     for rows in (1, 7, 999, 1000, 5000):
         monkeypatch.setattr(oracle, "_MC_CHUNK_ROWS", rows)
         assert monte_carlo_redundancy(float_convergent_source, 10, 1000, seed=3) == before
+
+
+def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
+    # numpy reports its buffers to tracemalloc; drawing each chunk into a
+    # fresh array would briefly hold two chunks of 8 * rows * n bytes
+    n, samples = 64, 3 * oracle._MC_CHUNK_ROWS
+    monte_carlo_redundancy(float_convergent_source, n, samples, seed=3)
+    tracemalloc.start()
+    try:
+        monte_carlo_redundancy(float_convergent_source, n, samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * oracle._MC_CHUNK_ROWS * n
 
 
 def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeypatch):
