@@ -15,7 +15,6 @@ from .asymptotics import (
 )
 from .exact import ZERO, ExactProb, Log2Value, approximate_rational, parse_prob_spec
 from .oracle import (
-    Limits,
     RedundancyValue,
     exact_redundancy,
     exact_redundancy_range,

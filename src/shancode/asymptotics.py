@@ -37,8 +37,8 @@ b_jk = X_j - X_k - d log2 p_j; nothing solves the congruence again, and
 s and w are only reported.
 
 predict_range evaluates Omega_n for a whole n range in one pass: structure
-and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  _frac is
-the one place where a log is reduced modulo 1.  For exact sources it is
+and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  Every log
+is reduced modulo 1 by exact.frac_log.  For exact sources it is
 exact and mantissa**k is never formed: rational parts in integers, and the
 remainder k log2(mantissa) in decimal arithmetic at 30 + digits(k)
 significant digits (k = (hi - 1) M at most), so rho is correct to about
@@ -56,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ZeroProbability
-from .exact import ZERO, ExactProb, Log2Value, ceil_defect, common_denominator, wrap_unit
+from .exact import ZERO, ExactProb, Log2Value, ceil_defect, common_denominator, frac_log, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -103,17 +103,6 @@ def _bezout(a: int, b: int):
     return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
 
-def _frac(x, ks, d: int = 1):
-    """frac((k/d) x) of a log for each integer k in ks.
-
-    Exact for a Log2Value (see frac_scaled: Fractions where x is rational),
-    one numpy float expression for a float log.
-    """
-    if isinstance(x, Log2Value):
-        return x.frac_scaled(ks, d)
-    return np.array(ks, dtype=float) * x / d % 1.0
-
-
 def _similarity(source: MarkovSource, structure):
     """Solution of the similarity congruence of an irreducible source.
 
@@ -154,7 +143,7 @@ def _similarity(source: MarkovSource, structure):
         # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
         # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
         # value wrap_unit gives it, not as s next to 1/d
-        i = math.floor(d * _frac(Y, [M], d)[0] + (0 if isinstance(Y, Log2Value) else 1e-12))
+        i = math.floor(d * frac_log(Y, [M], d)[0] + (0 if isinstance(Y, Log2Value) else 1e-12))
         unit = Y - Fraction(i, M)
     X = tuple(unit * depth[j] - phi[j] * d for j in range(source.r))
     return M, unit, X
@@ -179,8 +168,8 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
     if solution and (source.exact or solution[0] <= m_max):
         M, unit, X = solution
         d = structure.period
-        s = wrap_unit(float(_frac(unit, [M], d)[0]))
-        w = tuple(wrap_unit(float(_frac(x, [M], d)[0])) for x in X)
+        s = wrap_unit(float(frac_log(unit, [M], d)[0]))
+        w = tuple(wrap_unit(float(frac_log(x, [M], d)[0])) for x in X)
         provenance = "exact_rational" if source.exact else "spectral_search"
         return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X))
     if source.exact:
@@ -196,11 +185,11 @@ def _zeta_terms(source: MarkovSource, cls: ModeClassification, ns, pairs):
 
     Returns frac((M/d)(n-1) unit) for each n in ns and frac((M/d) b_jk) for
     each pair (j, k) in pairs, both from the stored similarity solution
-    through _frac; zeta_jk(n) is their sum modulo 1.
+    through frac_log; zeta_jk(n) is their sum modulo 1.
     """
     d, unit, X = cls.solution
-    phase = _frac(unit, [(n - 1) * cls.M for n in ns], d)
-    betas = [_frac(X[j] - X[k] - log2_prob(source, source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
+    phase = frac_log(unit, [(n - 1) * cls.M for n in ns], d)
+    betas = [frac_log(X[j] - X[k] - log2_prob(source, source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
     return phase, betas
 
 
@@ -256,7 +245,7 @@ def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: in
     phase_f = np.array(phase, dtype=float)
     for (j, k), beta in zip(pairs, betas):
         if isinstance(phase[0], Fraction) and isinstance(beta, Fraction):
-            rho[:, j, k] = [float(-(x + beta) % 1) for x in phase]
+            rho[:, j, k] = [float(ceil_defect(x + beta)) for x in phase]
             continue
         # both terms are correctly rounded and lie in [0, 1): where their
         # mantissas cancel and zeta is an integer, the float sum is 1.0 or
@@ -348,7 +337,7 @@ def memoryless_formula(p, n: int) -> MemorylessPrediction:
         return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
     # an exact fractional part is decided; a float one within 1e-12 of an
     # integer is taken to sit on the discontinuity
-    fr = _frac(-logs[0], [M * n])[0]
+    fr = frac_log(-logs[0], [M * n])[0]
     if min(fr, 1 - fr) <= (0 if exact else 1e-12):
         fr = 0
         flags.add("boundary")
@@ -386,7 +375,7 @@ def absorbing_pair_formula(alpha, truncation_eps: float = 1e-12) -> Example2Sum:
     # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
     # k lm both are: the odd parts of alpha and 1 - alpha never cancel
     log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2
-    base = _frac(log2(a), [1])[0]
-    rhos = [float((base + step) % 1) for step in _frac(log2(one_minus), range(k_terms))]
+    base = frac_log(log2(a), [1])[0]
+    rhos = [float((base + step) % 1) for step in frac_log(log2(one_minus), range(k_terms))]
     terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
     return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)

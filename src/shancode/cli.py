@@ -177,7 +177,7 @@ def _exact_rows(source, config: RunConfig):
         lo, hi = config.n_range
         oracle.check_monte_carlo(config.samples, (lo + hi) * (hi - lo + 1) // 2)
     rows = []
-    for rec in oracle.exact_redundancy_range(source, *config.n_range, limits=oracle.DEFAULT_LIMITS):
+    for rec in oracle.exact_redundancy_range(source, *config.n_range):
         rows.append(
             {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
         )
@@ -198,7 +198,7 @@ def _cmd_exact(config: RunConfig):
 def _compare_rows(source, config: RunConfig):
     cls = _classification(source, config)
     rows = []
-    records = oracle.exact_redundancy_range(source, *config.n_range, limits=oracle.DEFAULT_LIMITS)
+    records = oracle.exact_redundancy_range(source, *config.n_range)
     for rec, pred in zip(records, asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi)):
         rows.append(
             {

@@ -151,6 +151,17 @@ class Log2Value:
         return frac_part(self.rational)
 
 
+def frac_log(x, ks, d: int = 1):
+    """frac((k/d) x) of a log for each integer k in ks; the one reduction of a log modulo 1.
+
+    Exact for a Log2Value (see frac_scaled: Fractions where x is rational),
+    one numpy float expression for a float log.
+    """
+    if isinstance(x, Log2Value):
+        return x.frac_scaled(ks, d)
+    return np.array(ks, dtype=float) * x / d % 1.0
+
+
 @dataclass(frozen=True)
 class ExactProb:
     """A probability in canonical form mantissa * 2**exp2, value in (0, 1]."""

@@ -10,14 +10,17 @@ steps, an integer over a common power-of-two denominator.
 exact_redundancy_range runs one forward DP over (state, lattice point) keys
 carrying float probability mass and reads R_n out at every n of a range.
 The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
-2004) with the same mu.  Also here: a seeded Monte Carlo estimator and
-Shannon code lengths by path enumeration.
+2004) with the same mu.  The DP is admitted by the work it does, not by an
+estimate: it counts its key moves and stops with ResourceLimit at the step
+that would pass DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator,
+refused over its caps before any draw, and Shannon code lengths by path
+enumeration, refused over ENUMERATION_MAX_PATHS paths.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,28 +31,15 @@ from .exact import ZERO, Log2Value, ceil_defect
 from .sources import MarkovSource, log2_prob, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
+# work in key moves (see _forward) that one exact_redundancy_range request may do over all
+# its passes: a few seconds, and no step makes a frontier much above 400 MB
+DP_MOVE_BUDGET = 2**22
+# paths that shannon_lengths may enumerate; a one-state chain counts as r = 2
+ENUMERATION_MAX_PATHS = 2**24
 # Monte Carlo: rows of uniforms drawn at a time, and the caps check_monte_carlo enforces
 _MC_CHUNK_ROWS = 4096
 MC_DRAW_CAP = 2**30
 MC_SAMPLE_CAP = 2**24
-
-
-@dataclass(frozen=True)
-class Limits:
-    """Caps on exact work, checked before any work starts.
-
-    The lattice DP of exact_redundancy_range is admitted up to n when
-    n <= count_dp_max_n[r] or r**n <= enumeration_max_paths; path
-    enumeration (shannon_lengths) only under the latter.  A one-state chain
-    counts as r = 2: its work grows linearly in n, but 1**n never exceeds
-    the path cap.
-    """
-
-    enumeration_max_paths: int = 2**24
-    count_dp_max_n: dict = field(default_factory=lambda: {2: 200, 3: 40})
-
-
-DEFAULT_LIMITS = Limits()
 
 
 @dataclass(frozen=True)
@@ -90,12 +80,10 @@ def neg_log_mu(source: MarkovSource, x) -> float:
 # -- path enumeration ----------------------------------------------------
 
 
-def _check_enumeration(source: MarkovSource, n: int, limits: Limits) -> None:
-    r = max(source.r, 2)  # a one-state chain counts as r = 2, see Limits
-    if r**n > limits.enumeration_max_paths:
-        raise ResourceLimit(
-            f"enumeration of length {n} counts as {r}^{n} paths, cap is {limits.enumeration_max_paths}"
-        )
+def _check_enumeration(source: MarkovSource, n: int) -> None:
+    r = max(source.r, 2)  # a one-state chain's work still grows with n
+    if r**n > ENUMERATION_MAX_PATHS:
+        raise ResourceLimit(f"enumeration of length {n} counts as {r}^{n} paths, cap is {ENUMERATION_MAX_PATHS}")
 
 
 def _iter_support(source: MarkovSource, n: int):
@@ -128,14 +116,6 @@ def _iter_support(source: MarkovSource, n: int):
 # -- lattice dynamic program -------------------------------------------------
 
 
-def _check_limits(source: MarkovSource, n: int, limits: Limits) -> None:
-    r = max(source.r, 2)  # a one-state chain counts as r = 2, see Limits
-    cap = limits.count_dp_max_n.get(r, 0)
-    if n > cap and r**n > limits.enumeration_max_paths:
-        raise ResourceLimit(f"no exact route within limits for r={source.r}, n={n}: n > {cap} "
-                            f"and {r}^{n} > {limits.enumeration_max_paths} paths")
-
-
 def _coprime_base(values) -> list[int]:
     """Pairwise coprime integers > 1 of which every value is a product.
 
@@ -160,17 +140,27 @@ def _exponents(value: int, base) -> list[int]:
     return out
 
 
-def _forward(frontier, moves, lo: int, hi: int, readout) -> list:
-    """Run the DP to length hi and return readout(n, frontier) for n = lo..hi.
+def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
+    """Run the DP to length hi; return ([readout(merged frontier) for n = lo..hi], spent).
 
     frontier[k] maps the lattice points of paths now in state k, each one
     int, to their probability mass; moves[k] lists (j, step, p(j|k)), and a
-    move adds its int step to the key.
+    move adds its int step to the key.  spent counts work in key moves: each
+    key a step moves, plus 8 per state a step visits and 8 per key a readout
+    reads, which is what those cost next to one move.  Work at n that would
+    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
     """
     out = []
     for n in range(1, hi + 1):
+        if n < hi:
+            spent += 8 * len(frontier) + sum(len(row) * len(row_moves) for row, row_moves in zip(frontier, moves))
         if n >= lo:
-            out.append(readout(n, frontier))
+            spent += 8 * sum(map(len, frontier))
+        if spent > DP_MOVE_BUDGET:
+            raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next work would bring it to "
+                                f"{spent} key moves > {DP_MOVE_BUDGET}")
+        if n >= lo:
+            out.append(readout(_merged(frontier)))
         if n == hi:
             break
         nxt = [{} for _ in frontier]
@@ -182,7 +172,7 @@ def _forward(frontier, moves, lo: int, hi: int, readout) -> list:
                     key += delta
                     target[key] = get(key, 0.0) + mass * p
         frontier = nxt
-    return out
+    return out, spent
 
 
 def _merged(frontier) -> dict:
@@ -195,18 +185,19 @@ def _merged(frontier) -> dict:
     return merged
 
 
-def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
-    """(R_n, snapped) for n = lo..hi on an exact source, in one pass.
+def _nonzero_probs(source: MarkovSource) -> list:
+    return [p for p in (*source.initial, *(p for row in source.transitions for p in row)) if p is not ZERO]
+
+
+def _exact_lattice(source: MarkovSource, hi: int):
+    """(key of a probability, readout, passes) of an exact source's lattice up to length hi.
 
     A lattice point is (D times the rational part of -log2 mu, exponents of
-    mu's odd mantissa over a coprime base), one frontier for all first
-    states.  Where the exponents are all 0, -log2 mu is rational and rho is
-    exact integer arithmetic.
+    mu's odd mantissa over a coprime base), packed into one int; one pass
+    runs all first states together.  Where the exponents are all 0,
+    -log2 mu is rational and rho is exact integer arithmetic.
     """
-    r = source.r
-    steps = {(k, j): p for k, row in enumerate(source.transitions) for j, p in enumerate(row) if p is not ZERO}
-    starts = {s: p for s, p in enumerate(source.initial) if p is not ZERO}
-    probs = [*steps.values(), *starts.values()]
+    probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
     base = _coprime_base(v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator))
     logs = [math.log2(b) for b in base]
@@ -222,16 +213,13 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
     powers = [radix**i for i in range(1 + len(base))]
     offset = half * sum(powers)
 
-    def pack(p):
+    def key(p):
         return sum(c * w for c, w in zip(coords(p), powers))
 
-    frontier = [{pack(starts[s]): source.prob_float(starts[s])} if s in starts else {} for s in range(r)]
-    moves = [[(j, pack(p), source.prob_float(p)) for (i, j), p in steps.items() if i == k] for k in range(r)]
-
-    def readout(n, frontier):
+    def readout(merged):
         terms = []
-        for key, mass in _merged(frontier).items():
-            scaled, *expo = [(key + offset) // w % radix - half for w in powers]
+        for point, mass in merged.items():
+            scaled, *expo = [(point + offset) // w % radix - half for w in powers]
             if any(expo):
                 rho = ceil_defect(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
             else:
@@ -239,81 +227,78 @@ def _exact_sums(source: MarkovSource, lo: int, hi: int) -> list:
             terms.append(mass * rho)
         return math.fsum(terms), False
 
-    return _forward(frontier, moves, lo, hi, readout)
+    return key, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
 
 
-def _float_sums(source: MarkovSource, lo: int, hi: int, snap_tol: float) -> list:
-    """(R_n, snapped) for n = lo..hi on a float source, one pass per first state.
+def _float_lattice(source: MarkovSource, snap_tol: float):
+    """(key of a probability, readout, passes) of a float source's lattice.
 
     A lattice point is the integer scale * (-log2 mu), where scale is the
-    largest power-of-two denominator of the finite step and initial values,
-    so every move adds an exact integer.  Paths merge exactly when they end
-    in the same state with the same sum of float values, and key / scale is
-    that sum correctly rounded whatever hi is.  Keys are unbounded ints: a
-    step probability of 1 - 2^-45 alone needs a 97-bit scale.  Running the
-    first states one at a time keeps only one of their frontiers alive.
+    largest power-of-two denominator of the -log2 of the nonzero step and
+    initial probabilities, so every move adds an exact integer.  Paths
+    merge exactly when they end in the same state with the same sum of
+    float values, and key / scale is that sum correctly rounded whatever
+    the length.  Keys are unbounded ints: a step probability of 1 - 2^-45
+    alone needs a 97-bit scale.  Paths from different first states all but
+    never merge, so each first state is a pass of its own and only one of
+    their frontiers is alive at a time.
     """
-    r = source.r
-    table = source.neg_log2_table()
-    init_negs = {s: -math.log2(source.prob_float(p)) for s, p in enumerate(source.initial) if p is not ZERO}
-    finite = [v for v in table.ravel().tolist() if math.isfinite(v)]
-    scale = max(x.as_integer_ratio()[1] for x in [*finite, *init_negs.values()])
+    negs = {p: -math.log2(p) for p in _nonzero_probs(source)}
+    scale = max(x.as_integer_ratio()[1] for x in negs.values())
 
-    def scaled(x: float) -> int:
-        num, den = x.as_integer_ratio()
+    def key(p):
+        num, den = negs[p].as_integer_ratio()
         return num * (scale // den)
 
-    moves = [[(j, scaled(table[k, j]), source.prob_float(source.transitions[k][j]))
-              for j in range(r) if math.isfinite(table[k, j])] for k in range(r)]
-
-    def readout(n, frontier):
-        merged = _merged(frontier)
-        neg_logs = np.fromiter((key / scale for key in merged), float, len(merged))
+    def readout(merged):
+        neg_logs = np.fromiter((point / scale for point in merged), float, len(merged))
         snapped = _snap(neg_logs, snap_tol)
         masses = np.fromiter(merged.values(), float, len(merged))
         return math.fsum(masses * ceil_defect(snapped)), bool(np.any(snapped != neg_logs))
 
-    partials = [[] for _ in range(lo, hi + 1)]
-    for first, init_neg in init_negs.items():
-        start = {scaled(init_neg): source.prob_float(source.initial[first])}
-        frontier = [start if s == first else {} for s in range(r)]
-        for acc, part in zip(partials, _forward(frontier, moves, lo, hi, readout)):
-            acc.append(part)
-    return [(math.fsum(v for v, _ in acc), any(s for _, s in acc)) for acc in partials]
+    return key, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
 def exact_redundancy_range(
     source: MarkovSource,
     lo: int,
     hi: int,
-    limits: Limits = DEFAULT_LIMITS,
     snap_tol: float = INTEGER_SNAP_TOL,
 ) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
-    The request is checked against the limits at hi before any work starts.
+    The lattice of the source's kind (_exact_lattice, _float_lattice) gives
+    the key of each probability, the readout of (R_n part, snapped) from a
+    merged frontier, and the passes: groups of first states whose paths run
+    together.  Every pass starts from its first states' keys and moves by
+    the transitions' keys, and R_n sums the passes' readouts.  Nothing
+    estimates the work beforehand, as no cheap estimate is close: the DP
+    counts its work in key moves over all passes (see _forward) and raises
+    ResourceLimit before the work that would pass DP_MOVE_BUDGET.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    _check_limits(source, hi, limits)
-    sums = _exact_sums(source, lo, hi) if source.exact else _float_sums(source, lo, hi, snap_tol)
+    key, readout, passes = _exact_lattice(source, hi) if source.exact else _float_lattice(source, snap_tol)
+    prob = source.prob_float
+    moves = [[(j, key(p), prob(p)) for j, p in enumerate(row) if p is not ZERO] for row in source.transitions]
+    outs, spent = [], 0
+    for firsts in passes:
+        frontier = [{key(p): prob(p)} if s in firsts else {} for s, p in enumerate(source.initial)]
+        out, spent = _forward(frontier, moves, lo, hi, readout, spent)
+        outs.append(out)
     rows = []
-    for n, (value, snapped) in zip(range(lo, hi + 1), sums):
+    for n, parts in zip(range(lo, hi + 1), zip(*outs)):
+        value = math.fsum(v for v, _ in parts)
         if -1e-12 < value < 0.0:
             value = 0.0
-        flags = frozenset({"snap"}) if snapped else frozenset()
+        flags = frozenset({"snap"}) if any(s for _, s in parts) else frozenset()
         rows.append(RedundancyValue(n=n, value=value, method="lattice_dp", stderr=None, flags=flags))
     return rows
 
 
-def exact_redundancy(
-    source: MarkovSource,
-    n: int,
-    limits: Limits = DEFAULT_LIMITS,
-    snap_tol: float = INTEGER_SNAP_TOL,
-) -> RedundancyValue:
+def exact_redundancy(source: MarkovSource, n: int, snap_tol: float = INTEGER_SNAP_TOL) -> RedundancyValue:
     """Exact R_n = sum over positive-probability paths of mu * rho(-log2 mu)."""
-    return exact_redundancy_range(source, n, n, limits, snap_tol)[0]
+    return exact_redundancy_range(source, n, n, snap_tol)[0]
 
 
 # -- Monte Carlo ----------------------------------------------------------
@@ -411,18 +396,17 @@ def monte_carlo_redundancy(
 # -- Shannon code lengths --------------------------------------------------
 
 
-def shannon_lengths(source: MarkovSource, n: int, limits: Limits = DEFAULT_LIMITS):
+def shannon_lengths(source: MarkovSource, n: int):
     """Code lengths ceil(-log2 mu(x)) over the positive-probability support.
 
     Returns a list of (path, length); the Kraft sum over these lengths never
     exceeds 1.
     """
-    _check_enumeration(source, n, limits)
+    _check_enumeration(source, n)
     out = []
     for path, neg_log in _iter_support(source, n):
         if source.exact and neg_log.is_rational:
-            q = neg_log.rational
-            length = -(-q.numerator // q.denominator)  # exact ceiling
+            length = math.ceil(neg_log.rational)
         else:
             v = neg_log.to_float() if source.exact else neg_log
             length = math.ceil(_snap(v, INTEGER_SNAP_TOL))

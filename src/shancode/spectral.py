@@ -21,8 +21,8 @@ find_oscillation_order is kept as an independent cross-check of it.
 
 Everything is built on one stacked constructor: phase_stack(source, ms) returns
 the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1 formed
-as one numpy expression for float sources and entry by entry from exact
-rational pieces for exact ones; phase_matrix and initial_phase_vector are
+as one numpy expression for float sources and by exact.frac_log, once per
+distinct entry over all m, for exact ones; phase_matrix and initial_phase_vector are
 one-row views of it.  char_fn_stack raises the whole stack to n - 1 by
 binary powering, O(log n) matrix products, and char_fn(mode="direct") is its
 one-row wrapper.  find_oscillation_order scans m in blocks of SCAN_BLOCK
@@ -38,13 +38,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import DefectiveMatrix, ReducibleChain, ResourceLimit
-from .exact import ZERO, ExactProb, frac_part, wrap_unit
-from .sources import MarkovSource, classify_structure
+from .exact import ZERO, frac_log, wrap_unit
+from .sources import MarkovSource, classify_structure, log2_prob
 
 MAX_EIGEN_DIM = 16
 UNIT_RADIUS_TOL_EXACT = 1e-9
@@ -56,28 +55,21 @@ SCAN_BLOCK = 64
 SCAN_WORK_CAP = 2**23
 
 
-def _phase_mod1(v, m: int) -> float:
-    """Fractional part of -m * log2(p) computed from exact pieces if possible."""
-    if isinstance(v, ExactProb):
-        rat = frac_part(Fraction(-m) * v.exp2)
-        irr = -m * (math.log2(v.mantissa.numerator) - math.log2(v.mantissa.denominator))
-        return (float(rat) + irr) % 1.0
-    return (-m * math.log2(v)) % 1.0
-
-
 def _phase_rows(source: MarkovSource, rows, ms) -> np.ndarray:
     """p * exp(2 pi i ((-m log2 p) mod 1)) over a table of probabilities, zero where p = 0.
 
     Returns shape (len(ms), len(rows), r).  Float phases take math.log2 per
-    entry once and reduce all m in one numpy expression, which rounds exactly
-    like the scalar _phase_mod1; exact phases come from _phase_mod1 itself.
+    entry once and reduce all m in one numpy expression; exact phases reduce
+    each distinct entry's log once over all m with frac_log, exact to the
+    float at any m.
     """
     ms = np.asarray(ms, dtype=np.int64).reshape(-1)
     p = np.array([[source.prob_float(v) for v in row] for row in rows])
     if source.exact:
-        phase = np.array(
-            [[[0.0 if v is ZERO else _phase_mod1(v, int(m)) for v in row] for row in rows] for m in ms]
-        ).reshape(len(ms), *p.shape)
+        ks = (-ms).tolist()
+        fracs = {v: frac_log(v.log2(), ks) for row in rows for v in row if v is not ZERO}
+        phase = np.array([[[float(fracs[v][i]) % 1.0 if v is not ZERO else 0.0 for v in row] for row in rows]
+                          for i in range(len(ms))]).reshape(len(ms), *p.shape)
     else:
         lg = np.array([[0.0 if v is ZERO else math.log2(v) for v in row] for row in rows])
         phase = (-ms[:, None, None] * lg) % 1.0
@@ -280,6 +272,6 @@ def verify_similarity(source: MarkovSource, m: int, s: float, w, tol: float = 1e
             v = source.transitions[k][j]
             if v is ZERO:
                 continue
-            defect = (_phase_mod1(v, m) - s - w[k] + w[j]) % 1.0
+            defect = (float(frac_log(log2_prob(source, v), [-m])[0]) - s - w[k] + w[j]) % 1.0
             residual = max(residual, min(defect, 1.0 - defect))
     return residual <= tol, residual

@@ -282,8 +282,8 @@ def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
 
     rows is source.transitions (giving A_m) or [source.initial] (giving c_m
     as a one-row table).  An exact p = mantissa * 2**exp2 has its phase
-    reduced modulo 1 from the rational part -m exp2 and the float part
-    -m log2(mantissa).
+    reduced modulo 1 from -m log2 p in 60-digit decimal arithmetic, a float
+    p from the float -m * log2(p).
     """
     out = np.zeros((len(rows), source.r), dtype=complex)
     for k, row in enumerate(rows):
@@ -295,9 +295,12 @@ def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
                 out[k, j] = p
                 continue
             if isinstance(v, ExactProb):
-                rat = (Fraction(-m) * v.exp2) % 1
-                irr = -m * (math.log2(v.mantissa.numerator) - math.log2(v.mantissa.denominator))
-                phase = (float(rat) + irr) % 1.0
+                with localcontext() as ctx:
+                    ctx.prec = 60
+                    e, mant = v.exp2, v.mantissa
+                    x = -m * (Decimal(e.numerator) / e.denominator
+                              + (Decimal(mant.numerator).ln() - Decimal(mant.denominator).ln()) / Decimal(2).ln())
+                    phase = float(x - x.to_integral_value(rounding=ROUND_FLOOR)) % 1.0
             else:
                 phase = (-m * math.log2(v)) % 1.0
             out[k, j] = p * cmath.exp(2j * math.pi * phase)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shancode import (
-    Limits,
     MarkovSource,
     absorbing_pair_formula,
     ceil_defect,
@@ -509,12 +508,12 @@ def test_zeta_reads_the_stored_solution(
 
 @pytest.mark.parametrize("name", ["p2b_source", "p3_source"])
 def test_periodic_omega_matches_dp(name, request):
-    # periods 2 and 3 with repeated rows; DP past the default Limits cap for r = 5, 6
+    # periods 2 and 3 with repeated rows, at r = 5, 6 under the default DP budget
     s = request.getfixturevalue(name)
     cls = classify_mode(s)
     assert cls.mode == "oscillatory" and cls.M == 1
-    preds = predict_range(s, cls, 10, 40)
-    recs = exact_redundancy_range(s, 10, 40, limits=Limits(count_dp_max_n={s.r: 40}))
+    preds = predict_range(s, cls, 10, 200)
+    recs = exact_redundancy_range(s, 10, 200)
     for pred, rec in zip(preds, recs):
         if "boundary" not in pred.flags:
             assert abs(pred.omega - rec.value) <= 1e-12

@@ -196,9 +196,13 @@ def test_exit_code_validation_failure(tmp_path):
 
 
 def test_exit_code_resource_limit(permutation_path):
-    rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "400")
+    from shancode.oracle import DP_MOVE_BUDGET
+
+    rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "4096")
     assert rc == 3 and not out
-    assert json.loads(err)["error"] == "ResourceLimit"
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit"
+    assert "reached n = " in payload["message"] and f"key moves > {DP_MOVE_BUDGET}" in payload["message"]
 
 
 def no_dp(*args):
@@ -208,11 +212,14 @@ def no_dp(*args):
 def test_resource_limit_refused_before_any_work(permutation_path, monkeypatch, capsys):
     from shancode import oracle
 
-    monkeypatch.setattr(oracle, "_forward", no_dp)
+    # with no budget even the first step is refused, before any readout or move
+    monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 0)
+    monkeypatch.setattr(oracle, "_merged", no_dp)
     rc = main(["--command", "exact", "--source", permutation_path, "--n", "198..201"])
     out, err = capsys.readouterr()
     assert rc == 3 and not out
-    assert json.loads(err)["error"] == "ResourceLimit"
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and "reached n = 1 of 201" in payload["message"]
 
 
 def test_monte_carlo_over_budget_refused_before_any_work(permutation_path, monkeypatch, capsys):
@@ -356,8 +363,9 @@ def test_sweep_grid_xi_validated(tmp_path):
 
 
 def test_one_state_chain_limits(tmp_path):
+    # one key per step, but the steps themselves are charged, so n = 10^8 is refused in seconds
     path = write_source(tmp_path, "one.json", {"r": 1, "initial": [1], "transitions": [[1]]})
-    rc, out, err = run_cli("--command", "exact", "--source", path, "--n", "201")
+    rc, out, err = run_cli("--command", "exact", "--source", path, "--n", str(10**8))
     assert rc == 3 and not out
     assert json.loads(err)["error"] == "ResourceLimit"
     rc, out, _ = run_cli("--command", "exact", "--source", path, "--n", "200")

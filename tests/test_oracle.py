@@ -3,13 +3,13 @@
 import math
 import time
 import tracemalloc
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from shancode import (
-    Limits,
     MarkovSource,
     exact_redundancy,
     exact_redundancy_range,
@@ -205,27 +205,49 @@ def test_float_lattice_points_merge_by_value(monkeypatch):
         assert rec == exact_redundancy(fs, rec.n)
 
 
-def test_resource_limits():
+def test_resource_limits(monkeypatch):
+    # admitted well past n = 200 by the default budget; every path has
+    # -log2 mu = n log2 3 minus an integer, so R_n = rho(n log2 3)
     s = memoryless([F(1, 3), F(2, 3)])
-    with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 500)
-    with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 10, limits=Limits(enumeration_max_paths=100, count_dp_max_n={}))
-    with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 10, limits=Limits(enumeration_max_paths=2**9, count_dp_max_n={2: 5}))
-    with pytest.raises(ResourceLimit):
-        exact_redundancy_range(s, 1, 500)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u = 500 * Decimal(3).ln() / Decimal(2).ln()
+        want = float(u.to_integral_value(ROUND_CEILING) - u)
+    assert abs(exact_redundancy(s, 500).value - want) <= 1e-12
+    assert abs(exact_redundancy_range(s, 1, 500)[-1].value - want) <= 1e-12
+
+    # the work of n, by the documented count: readout 8 per key, step 8 per state plus each key move
+    sizes, merged = [], oracle._merged
+
+    def recording_merged(frontier):
+        sizes.append([len(row) for row in frontier])
+        return merged(frontier)
+
+    monkeypatch.setattr(oracle, "_merged", recording_merged)
+    exact_redundancy_range(s, 1, 60)
+    work = [8 * sum(rows) + (8 * s.r + 2 * sum(rows) if n < 60 else 0) for n, rows in enumerate(sizes, 1)]
+    budget = 5000
+    stop = next(n for n in range(1, 61) if sum(work[:n]) > budget)
+    sizes.clear()
+    monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", budget)
+    with pytest.raises(ResourceLimit, match=f"reached n = {stop} of 60; .* {sum(work[:stop])} key moves > {budget}"):
+        exact_redundancy_range(s, 1, 60)
+    # no work past the budget ran: n = stop was never read out, nor the step beyond it taken
+    assert len(sizes) == stop - 1
+    assert sum(work[:stop - 1]) <= budget
 
 
-def test_one_state_chain_counts_as_two_states():
-    # 1**n never exceeds the path cap, but the work still grows with n
+def test_one_state_chain_counts_as_two_states(monkeypatch):
+    # 1**n never exceeds the path cap, but the enumeration still grows with n
     s = MarkovSource.from_exact([1], [[1]])
-    assert exact_redundancy(s, 200).value == 0.0
-    with pytest.raises(ResourceLimit):
-        exact_redundancy(s, 201)
     assert shannon_lengths(s, 24) == [((0,) * 24, 0)]
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit, match=str(oracle.ENUMERATION_MAX_PATHS)):
         shannon_lengths(s, 25)
+    # one key per step for the DP, but every step is charged, so a long chain is refused
+    assert exact_redundancy(s, 200).value == 0.0
+    monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 10**4)
+    with pytest.raises(ResourceLimit, match="reached n = 1112 of 100000000"):
+        exact_redundancy(s, 10**8)
 
 
 # -- Monte Carlo --------------------------------------------------------------
