@@ -10,11 +10,15 @@ steps, an integer over a common power-of-two denominator.
 exact_redundancy_range runs one forward DP over (state, lattice point) keys
 carrying float probability mass and reads R_n out at every n of a range.
 The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
-2004) with the same mu.  The DP is admitted by the work it does, not by an
-estimate: it counts its key moves and stops with ResourceLimit at the step
-that would pass DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator,
-refused over its caps before any draw, and Shannon code lengths by path
-enumeration, refused over ENUMERATION_MAX_PATHS paths.
+2004) with the same mu.  Both lattices run on the same numpy code: each
+state's frontier is a sorted array of keys in int64 limbs of base 2^62, as
+many limbs as the lattice's key bound up to the longest length needs, and a
+step adds each move's limbs, then sorts and sums what enters each state.
+The DP is admitted by the work it does, not by an estimate: it counts its
+key moves and stops with ResourceLimit at the step that would pass
+DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator, refused over its
+caps before any draw, and Shannon code lengths by path enumeration, refused
+over ENUMERATION_MAX_PATHS paths.
 """
 
 from __future__ import annotations
@@ -32,8 +36,15 @@ from .sources import MarkovSource, log2_prob, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
-# its passes: a few seconds, and no step makes a frontier much above 400 MB
+# its passes: at most about a second, and no seed-0 float source (r = 2..32) peaked above 140 MB
 DP_MOVE_BUDGET = 2**22
+# key moves charged per state a step visits and per key a readout reads: work that makes
+# no keys, charged by its time at about 0.2 us a unit (see _forward)
+_STATE_CHARGE = 64
+_READ_CHARGE = 8
+# lattice keys are rows of int64 limbs in base 2^62 (see _limbs)
+_LIMB_BITS = 62
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # paths that shannon_lengths may enumerate; a one-state chain counts as r = 2
 ENUMERATION_MAX_PATHS = 2**24
 # Monte Carlo: rows of uniforms drawn at a time, and the caps check_monte_carlo enforces
@@ -140,49 +151,113 @@ def _exponents(value: int, base) -> list[int]:
     return out
 
 
-def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
-    """Run the DP to length hi; return ([readout(merged frontier) for n = lo..hi], spent).
+def _width(bound: int) -> int:
+    """Limbs that hold every key in [0, bound]."""
+    return max(1, -(-bound.bit_length() // _LIMB_BITS))
 
-    frontier[k] maps the lattice points of paths now in state k, each one
-    int, to their probability mass; moves[k] lists (j, step, p(j|k)), and a
-    move adds its int step to the key.  spent counts work in key moves: each
-    key a step moves, plus 8 per state a step visits and 8 per key a readout
-    reads, which is what those cost next to one move.  Work at n that would
-    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
+
+def _limbs(values, width: int) -> np.ndarray:
+    """(len(values), width) int64 base-2^62 digits of ints, least significant first.
+
+    Each digit is floor-divided off, so every digit but the top one lies in
+    [0, 2^62) and the top one carries the sign: a negative step is a row too.
     """
-    out = []
+    rows = [[(v >> (_LIMB_BITS * i)) & _LIMB_MASK for i in range(width - 1)] + [v >> (_LIMB_BITS * (width - 1))]
+            for v in values]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """keys + delta limb by limb, carrying each limb's floor quotient by 2^62 upwards.
+
+    delta holds rows of _limbs and broadcasts against keys over the last
+    (limb) axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below
+    2^63, and the caller's key bound keeps the top limb in range.
+    """
+    out = keys + delta
+    for i in range(out.shape[-1] - 1):
+        out[..., i + 1] += out[..., i] >> _LIMB_BITS
+        out[..., i] &= _LIMB_MASK
+    return out
+
+
+def _ints(keys: np.ndarray) -> list[int]:
+    """The Python ints of limb rows."""
+    if keys.shape[1] == 1:
+        return keys[:, 0].tolist()
+    return [sum(d << (_LIMB_BITS * i) for i, d in enumerate(row)) for row in keys.tolist()]
+
+
+def _merge(parts):
+    """One sorted (keys, masses) from a nonempty list of them, summing the masses of equal keys.
+
+    A stable lexsort (the top limb is its primary key) keeps equal keys in
+    the order of the parts, and each part holds a key once.  bincount over
+    the run numbers then adds each run left to right, in part order, as a
+    dict accumulating the parts would; np.add.reduceat would add a run's
+    tail first, a + (b + c), and move last bits.
+    """
+    live = [part for part in parts if len(part[1])]
+    if len(live) <= 1:
+        return live[0] if live else parts[0]
+    keys = np.concatenate([k for k, _ in live])
+    order = np.lexsort(keys.T)
+    keys = keys.take(order, axis=0)
+    masses = np.concatenate([m for _, m in live]).take(order)
+    new = np.empty(len(keys), dtype=bool)
+    new[0] = True
+    np.not_equal(keys[1:, 0], keys[:-1, 0], out=new[1:])
+    for i in range(1, keys.shape[1]):
+        new[1:] |= keys[1:, i] != keys[:-1, i]
+    return keys.compress(new, axis=0), np.bincount(new.cumsum(dtype=np.intp) - 1, weights=masses)
+
+
+def _merged(frontier):
+    """Probability mass per lattice point, summed over the current state."""
+    return _merge(frontier)
+
+
+def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
+    """Run the DP to length hi; return ([readout(*merged frontier) for n = lo..hi], spent).
+
+    frontier[k] is (keys, masses) of the paths now in state k: the distinct
+    lattice points as a sorted (N, width) int64 array of base-2^62 limbs,
+    16 bytes a point at width 1 with its float64 probability mass.  width
+    comes from the lattice's bound on every key up to length hi, so no carry
+    leaves the top limb.  moves[k] is (targets, steps, probs) of state k's
+    nonzero transitions, steps one limb row each; a step adds every move's
+    row to every key (_add) and merges what enters each state (_merge).
+    spent counts work in key moves: each key a step moves (what bounds
+    memory), plus _STATE_CHARGE = 64 per state a step visits and
+    _READ_CHARGE = 8 per key a readout reads.  Those two cost time but make
+    no keys: a step's merges take 12-27 us per state (r = 2..32) against
+    about 15 ns per key move, and an exact readout decodes a key in 1-3 us
+    in Python, so at these charges such work runs at about 0.2 us a unit
+    and a whole budget of it at about a second.  Work at n that would take
+    spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
+    """
+    out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
     for n in range(1, hi + 1):
         if n < hi:
-            spent += 8 * len(frontier) + sum(len(row) * len(row_moves) for row, row_moves in zip(frontier, moves))
+            spent += _STATE_CHARGE * len(frontier) + sum(
+                len(masses) * len(targets) for (_, masses), (targets, _, _) in zip(frontier, moves))
         if n >= lo:
-            spent += 8 * sum(map(len, frontier))
+            spent += _READ_CHARGE * sum(len(masses) for _, masses in frontier)
         if spent > DP_MOVE_BUDGET:
             raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next work would bring it to "
                                 f"{spent} key moves > {DP_MOVE_BUDGET}")
         if n >= lo:
-            out.append(readout(_merged(frontier)))
+            out.append(readout(*_merged(frontier)))
         if n == hi:
             break
-        nxt = [{} for _ in frontier]
-        for row, row_moves in zip(frontier, moves):
-            for j, delta, p in row_moves:
-                target = nxt[j]
-                get = target.get
-                for key, mass in row.items():
-                    key += delta
-                    target[key] = get(key, 0.0) + mass * p
-        frontier = nxt
+        entering = [[empty] for _ in frontier]
+        for (keys, masses), (targets, steps, probs) in zip(frontier, moves):
+            if len(masses):
+                moved, weighted = _add(keys, steps[:, None]), np.multiply.outer(probs, masses)
+                for j, part in zip(targets, zip(moved, weighted)):
+                    entering[j].append(part)
+        frontier = [_merge(parts) for parts in entering]
     return out, spent
-
-
-def _merged(frontier) -> dict:
-    """Probability mass per lattice point, summed over the current state."""
-    merged: dict = {}
-    get = merged.get
-    for row in frontier:
-        for key, mass in row.items():
-            merged[key] = get(key, 0.0) + mass
-    return merged
 
 
 def _nonzero_probs(source: MarkovSource) -> list:
@@ -190,12 +265,16 @@ def _nonzero_probs(source: MarkovSource) -> list:
 
 
 def _exact_lattice(source: MarkovSource, hi: int):
-    """(key of a probability, readout, passes) of an exact source's lattice up to length hi.
+    """(key of a probability, origin, bound, readout, passes) of an exact source's lattice up to length hi.
 
     A lattice point is (D times the rational part of -log2 mu, exponents of
-    mu's odd mantissa over a coprime base), packed into one int; one pass
-    runs all first states together.  Where the exponents are all 0,
-    -log2 mu is rational and rho is exact integer arithmetic.
+    mu's odd mantissa over a coprime base), packed into one int as signed
+    digits in base radix; one pass runs all first states together.  A path
+    of length <= hi keeps every digit within half, so its packed point lies
+    within offset of 0.  The origin offset, added to the start keys, makes
+    every key a plain radix digit string in [0, bound = 2 offset], whose
+    width in limbs is fixed before the DP starts.  Where the exponents are
+    all 0, -log2 mu is rational and rho is exact integer arithmetic.
     """
     probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
@@ -206,8 +285,6 @@ def _exact_lattice(source: MarkovSource, hi: int):
         num, den = _exponents(p.mantissa.numerator, base), _exponents(p.mantissa.denominator, base)
         return [int(-p.exp2 * denom)] + [a - b for a, b in zip(num, den)]
 
-    # paths of length <= hi keep every coordinate within half = hi * (largest step);
-    # adding offset turns the signed base-radix digits into plain ones
     half = hi * max(abs(c) for p in probs for c in coords(p))
     radix = 2 * half + 1
     powers = [radix**i for i in range(1 + len(base))]
@@ -216,10 +293,10 @@ def _exact_lattice(source: MarkovSource, hi: int):
     def key(p):
         return sum(c * w for c, w in zip(coords(p), powers))
 
-    def readout(merged):
+    def readout(keys, masses):
         terms = []
-        for point, mass in merged.items():
-            scaled, *expo = [(point + offset) // w % radix - half for w in powers]
+        for point, mass in zip(_ints(keys), masses.tolist()):
+            scaled, *expo = [point // w % radix - half for w in powers]
             if any(expo):
                 rho = ceil_defect(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
             else:
@@ -227,11 +304,22 @@ def _exact_lattice(source: MarkovSource, hi: int):
             terms.append(mass * rho)
         return math.fsum(terms), False
 
-    return key, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
+    return key, offset, 2 * offset, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
 
 
-def _float_lattice(source: MarkovSource, snap_tol: float):
-    """(key of a probability, readout, passes) of a float source's lattice.
+def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
+    """key / scale per limb row, correctly rounded; scale is a power of two.
+
+    One limb converts in float64, which rounds once, half to even, and the
+    power-of-two scaling is exact: the same float as the int division.
+    """
+    if keys.shape[1] == 1:
+        return keys[:, 0].astype(np.float64) * (1 / scale)
+    return np.array([point / scale for point in _ints(keys)])
+
+
+def _float_lattice(source: MarkovSource, hi: int, snap_tol: float):
+    """(key of a probability, origin, bound, readout, passes) of a float source's lattice up to length hi.
 
     A lattice point is the integer scale * (-log2 mu), where scale is the
     largest power-of-two denominator of the -log2 of the nonzero step and
@@ -239,9 +327,11 @@ def _float_lattice(source: MarkovSource, snap_tol: float):
     merge exactly when they end in the same state with the same sum of
     float values, and key / scale is that sum correctly rounded whatever
     the length.  Keys are unbounded ints: a step probability of 1 - 2^-45
-    alone needs a 97-bit scale.  Paths from different first states all but
-    never merge, so each first state is a pass of its own and only one of
-    their frontiers is alive at a time.
+    alone needs a 97-bit scale.  They start at origin 0 and never pass
+    bound = hi times the largest key, which sets their width in limbs.
+    Paths from different first states all but never merge, so each first
+    state is a pass of its own and only one of their frontiers is alive at
+    a time.
     """
     negs = {p: -math.log2(p) for p in _nonzero_probs(source)}
     scale = max(x.as_integer_ratio()[1] for x in negs.values())
@@ -250,13 +340,13 @@ def _float_lattice(source: MarkovSource, snap_tol: float):
         num, den = negs[p].as_integer_ratio()
         return num * (scale // den)
 
-    def readout(merged):
-        neg_logs = np.fromiter((point / scale for point in merged), float, len(merged))
+    def readout(keys, masses):
+        neg_logs = _scaled(keys, scale)
         snapped = _snap(neg_logs, snap_tol)
-        masses = np.fromiter(merged.values(), float, len(merged))
-        return math.fsum(masses * ceil_defect(snapped)), bool(np.any(snapped != neg_logs))
+        return math.fsum((masses * ceil_defect(snapped)).tolist()), bool(np.any(snapped != neg_logs))
 
-    return key, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
+    bound = hi * max(map(key, negs))
+    return key, 0, bound, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
 def exact_redundancy_range(
@@ -268,22 +358,33 @@ def exact_redundancy_range(
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) gives
-    the key of each probability, the readout of (R_n part, snapped) from a
-    merged frontier, and the passes: groups of first states whose paths run
-    together.  Every pass starts from its first states' keys and moves by
-    the transitions' keys, and R_n sums the passes' readouts.  Nothing
-    estimates the work beforehand, as no cheap estimate is close: the DP
-    counts its work in key moves over all passes (see _forward) and raises
-    ResourceLimit before the work that would pass DP_MOVE_BUDGET.
+    the key of each probability, the origin added to the start keys, the
+    bound on every key up to length hi, the readout of (R_n part, snapped)
+    from a merged frontier, and the passes: groups of first states whose
+    paths run together.  The bound fixes the width of the limb rows (see
+    _forward) before any work.  Every pass starts from its first states'
+    keys and moves by the transitions' keys, and R_n sums the passes'
+    readouts.  Nothing estimates the work beforehand, as no cheap estimate
+    is close: the DP counts its work in key moves over all passes (see
+    _forward) and raises ResourceLimit before the work that would pass
+    DP_MOVE_BUDGET.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    key, readout, passes = _exact_lattice(source, hi) if source.exact else _float_lattice(source, snap_tol)
+    lattice = _exact_lattice(source, hi) if source.exact else _float_lattice(source, hi, snap_tol)
+    key, origin, bound, readout, passes = lattice
+    width = _width(bound)
     prob = source.prob_float
-    moves = [[(j, key(p), prob(p)) for j, p in enumerate(row) if p is not ZERO] for row in source.transitions]
+    moves = []
+    for row in source.transitions:
+        nonzero = [p for p in row if p is not ZERO]
+        targets = [j for j, p in enumerate(row) if p is not ZERO]
+        moves.append((targets, _limbs(list(map(key, nonzero)), width), np.array(list(map(prob, nonzero)))))
+    empty = (np.empty((0, width), dtype=np.int64), np.empty(0))
     outs, spent = [], 0
     for firsts in passes:
-        frontier = [{key(p): prob(p)} if s in firsts else {} for s, p in enumerate(source.initial)]
+        frontier = [(_limbs([origin + key(p)], width), np.array([prob(p)])) if s in firsts else empty
+                    for s, p in enumerate(source.initial)]
         out, spent = _forward(frontier, moves, lo, hi, readout, spent)
         outs.append(out)
     rows = []

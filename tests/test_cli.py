@@ -363,11 +363,13 @@ def test_sweep_grid_xi_validated(tmp_path):
 
 
 def test_one_state_chain_limits(tmp_path):
-    # one key per step, but the steps themselves are charged, so n = 10^8 is refused in seconds
+    # one key per step, but each step is charged 64 for its state and 1 for the
+    # key's move, so n = 10^8 is refused where 65 n passes 2^22, in well under a second
     path = write_source(tmp_path, "one.json", {"r": 1, "initial": [1], "transitions": [[1]]})
     rc, out, err = run_cli("--command", "exact", "--source", path, "--n", str(10**8))
     assert rc == 3 and not out
-    assert json.loads(err)["error"] == "ResourceLimit"
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and "reached n = 64528 of 100000000" in payload["message"]
     rc, out, _ = run_cli("--command", "exact", "--source", path, "--n", "200")
     assert rc == 0 and float(parse_csv(out)[0]["value"]) == 0.0
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from shancode import (
     MarkovSource,
@@ -180,6 +181,54 @@ def test_float_lattice_keys_far_beyond_int64():
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
 
 
+LIMB = 2**62
+
+
+@st.composite
+def keys_and_deltas(draw):
+    # a key and a signed step whose sum stays a key of the same width; limbs
+    # of 2^62 - 1 are drawn often, so the carries run through every limb
+    width = draw(st.integers(1, 3))
+    top = LIMB**width - 1
+    edge = st.sampled_from([0, 1, LIMB - 1, LIMB, LIMB**2 - 1, top])
+    key = draw(st.one_of(edge, st.integers(0, top)).filter(lambda v: v <= top))
+    total = draw(st.one_of(edge, st.integers(0, top)).filter(lambda v: v <= top))
+    return width, key, total - key
+
+
+@given(keys_and_deltas())
+def test_limb_arithmetic_is_int_arithmetic(case):
+    width, key, delta = case
+    keys = oracle._limbs([key, key], width)
+    assert keys.shape == (2, width) and oracle._ints(keys) == [key, key]
+    step = oracle._limbs([delta], width)[0]
+    assert oracle._ints(oracle._add(keys, step)) == [key + delta] * 2
+    assert oracle._width(key) <= width
+
+
+def test_exact_lattice_keys_of_two_limbs():
+    # nine primes in the coprime base and exponents up to 20 pack a point of
+    # length 2..7 into 64 to 82 bits: two limbs, moved by signed steps
+    def row(q):
+        return [str(q), str((1 - q) / 3), str(2 * (1 - q) / 3)]
+
+    s = MarkovSource.from_exact(["1/3", "1/3", "1/3"], [row(F(1, 5**20)), row(F(1, 7**15)), row(F(1, 11**12))])
+    for n in range(2, 8):
+        bound = oracle._exact_lattice(s, n)[2]
+        assert oracle._width(bound) == 2
+        assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
+
+
+def test_float_readout_rounds_like_int_division():
+    # keys above 2^53 round to a float; one limb and a power-of-two scale must
+    # round half to even exactly as the int division key / scale does
+    ties = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6, 2**62 - 1, 2**62 - 2**9, 3 * 2**52 + 1]
+    for scale in (1, 2**7, 2**52, 2**61):
+        for width in (1, 2):
+            got = oracle._scaled(oracle._limbs(ties, width), scale)
+            assert got.tolist() == [k / scale for k in ties]
+
+
 def test_float_lattice_points_merge_by_value(monkeypatch):
     # -log2 of the steps is 1, 2, 0 or log2(3), so a path from a fixed first
     # state has -log2 mu = const + I + c log2(3) with c <= n - 1 thirds and
@@ -190,9 +239,9 @@ def test_float_lattice_points_merge_by_value(monkeypatch):
     real_merged, sizes = oracle._merged, []
 
     def counting_merged(frontier):
-        merged = real_merged(frontier)
-        sizes.append(len(merged))
-        return merged
+        keys, masses = real_merged(frontier)
+        sizes.append(len(masses))
+        return keys, masses
 
     monkeypatch.setattr(oracle, "_merged", counting_merged)
     rows = exact_redundancy_range(fs, 1, 40)
@@ -216,16 +265,16 @@ def test_resource_limits(monkeypatch):
     assert abs(exact_redundancy(s, 500).value - want) <= 1e-12
     assert abs(exact_redundancy_range(s, 1, 500)[-1].value - want) <= 1e-12
 
-    # the work of n, by the documented count: readout 8 per key, step 8 per state plus each key move
+    # the work of n, by the documented count: readout 8 per key, step 64 per state plus each key move
     sizes, merged = [], oracle._merged
 
     def recording_merged(frontier):
-        sizes.append([len(row) for row in frontier])
+        sizes.append([len(masses) for _, masses in frontier])
         return merged(frontier)
 
     monkeypatch.setattr(oracle, "_merged", recording_merged)
     exact_redundancy_range(s, 1, 60)
-    work = [8 * sum(rows) + (8 * s.r + 2 * sum(rows) if n < 60 else 0) for n, rows in enumerate(sizes, 1)]
+    work = [8 * sum(rows) + (64 * s.r + 2 * sum(rows) if n < 60 else 0) for n, rows in enumerate(sizes, 1)]
     budget = 5000
     stop = next(n for n in range(1, 61) if sum(work[:n]) > budget)
     sizes.clear()
@@ -243,10 +292,11 @@ def test_one_state_chain_counts_as_two_states(monkeypatch):
     assert shannon_lengths(s, 24) == [((0,) * 24, 0)]
     with pytest.raises(ResourceLimit, match=str(oracle.ENUMERATION_MAX_PATHS)):
         shannon_lengths(s, 25)
-    # one key per step for the DP, but every step is charged, so a long chain is refused
+    # one key per step for the DP, but every step is charged 64 for its state plus the key's
+    # move, so a long chain is refused: 65 n > 10^4 first at n = 154
     assert exact_redundancy(s, 200).value == 0.0
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 10**4)
-    with pytest.raises(ResourceLimit, match="reached n = 1112 of 100000000"):
+    with pytest.raises(ResourceLimit, match="reached n = 154 of 100000000"):
         exact_redundancy(s, 10**8)
 
 
