@@ -43,8 +43,6 @@ from .spectral import (
     initial_phase_vector,
     phase_matrix,
     phase_stack,
-    spectral_radius,
-    verify_similarity,
 )
 
 __version__ = "0.1.0"

@@ -120,7 +120,7 @@ def _similarity(source: MarkovSource, structure):
     """
     T, d, depth = source.transitions, structure.period, structure.depth
     edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
-    logs = {(k, j): log2_prob(source, T[k][j]) for k, j, _ in edges}
+    logs = {(k, j): log2_prob(T[k][j]) for k, j, _ in edges}
     zero = logs[edges[0][:2]] * 0  # 0 in the type of the logs
     phi = [zero] * source.r
     for j in sorted(range(1, source.r), key=depth.__getitem__):
@@ -189,7 +189,7 @@ def _zeta_terms(source: MarkovSource, cls: ModeClassification, ns, pairs):
     """
     d, unit, X = cls.solution
     phase = frac_log(unit, [(n - 1) * cls.M for n in ns], d)
-    betas = [frac_log(X[j] - X[k] - log2_prob(source, source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
+    betas = [frac_log(X[j] - X[k] - log2_prob(source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
     return phase, betas
 
 
@@ -351,12 +351,12 @@ class Example2Sum:
     n_terms: int
 
 
-def absorbing_pair_formula(alpha, truncation_eps: float = 1e-12) -> Example2Sum:
+def absorbing_pair_formula(alpha) -> Example2Sum:
     """Limit redundancy of the two-state chain that leaks into an absorbing state.
 
     For P = [[1-alpha, alpha], [0, 1]] started at state 0, the limit is
     sum_{k>=0} alpha (1-alpha)^k rho(-log2 alpha - k log2(1-alpha)); the
-    geometric tail is truncated once (1-alpha)^(K+1) < truncation_eps and the
+    geometric tail is truncated once (1-alpha)^(K+1) < 1e-12 and the
     truncation bound is reported alongside the partial sum.
     """
     a = Fraction(alpha) if not isinstance(alpha, float) else alpha
@@ -366,12 +366,12 @@ def absorbing_pair_formula(alpha, truncation_eps: float = 1e-12) -> Example2Sum:
     k_terms = 0
     tail = 1.0
     factor = float(one_minus)
-    while tail >= truncation_eps:
+    while tail >= 1e-12:
         tail *= factor
         k_terms += 1
         if k_terms > 10**6:
-            raise ValueError("truncation_eps too small for this alpha")
-    # tail = (1-alpha)^k_terms < eps, so terms k = 0 .. k_terms - 1 are kept
+            raise ValueError("alpha too small for a truncation at 1e-12 within 10^6 terms")
+    # tail = (1-alpha)^k_terms < 1e-12, so terms k = 0 .. k_terms - 1 are kept
     # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
     # k lm both are: the odd parts of alpha and 1 - alpha never cancel
     log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2

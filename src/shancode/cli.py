@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,19 +31,6 @@ from .errors import ResourceLimit, ShancodeError, ValidationFailure
 from .sources import MarkovSource, classify_structure, validate
 
 REPORT_FLAGS = ("boundary", "degenerate", "heuristic", "snap")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    source_path: str | None = None
-    n_range: tuple = (1, 1)
-    xi: float = DEFAULT_XI
-    m_max: int = DEFAULT_M_MAX
-    samples: int = 0
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "csv"
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
@@ -99,25 +85,24 @@ def _flags_cell(flags) -> str:
     return ";".join(sorted(set(flags) & set(REPORT_FLAGS)))
 
 
-def _load_source(config: RunConfig) -> MarkovSource:
-    if not config.source_path:
-        raise ValidationFailure("--source is required for this command")
-    source = MarkovSource.load(config.source_path)
+def _validated(source: MarkovSource, context: str = "") -> MarkovSource:
     report = validate(source)
     if not report.ok:
-        raise ValidationFailure("; ".join(report.messages))
+        raise ValidationFailure(context + "; ".join(report.messages))
     return source
 
 
-def _classification(source, config: RunConfig):
-    return asymptotics.classify_mode(source, m_max=config.m_max)
+def _load_source(args) -> MarkovSource:
+    if not args.source:
+        raise ValidationFailure("--source is required for this command")
+    return _validated(MarkovSource.load(args.source))
 
 
 # -- command implementations -------------------------------------------------
 
 
-def _cmd_classify(config: RunConfig):
-    source = _load_source(config)
+def _cmd_classify(args):
+    source = _load_source(args)
     structure = classify_structure(source)
     row = {
         "irreducible": structure.irreducible,
@@ -131,7 +116,7 @@ def _cmd_classify(config: RunConfig):
         "flags": "",
     }
     if structure.irreducible:
-        cls = _classification(source, config)
+        cls = asymptotics.classify_mode(source, m_max=args.m_max)
         row.update(
             mode=cls.mode,
             M=cls.M,
@@ -147,9 +132,9 @@ def _cmd_classify(config: RunConfig):
     return columns, [row]
 
 
-def _predict_rows(source, cls, config: RunConfig):
+def _predict_rows(source, cls, args):
     rows = []
-    for pred in asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi):
+    for pred in asymptotics.predict_range(source, cls, *args.n_range, xi=args.xi):
         rows.append(
             {
                 "n": pred.n,
@@ -165,41 +150,41 @@ def _predict_rows(source, cls, config: RunConfig):
     return rows
 
 
-def _cmd_predict(config: RunConfig):
-    source = _load_source(config)
-    cls = _classification(source, config)
+def _cmd_predict(args):
+    source = _load_source(args)
+    cls = asymptotics.classify_mode(source, m_max=args.m_max)
     columns = ["n", "mode", "M", "omega", "lower", "upper", "boundary_terms", "flags"]
-    return columns, _predict_rows(source, cls, config)
+    return columns, _predict_rows(source, cls, args)
 
 
-def _exact_rows(source, config: RunConfig):
-    if config.samples > 0:
-        lo, hi = config.n_range
-        oracle.check_monte_carlo(config.samples, (lo + hi) * (hi - lo + 1) // 2)
+def _exact_rows(source, args):
+    if args.samples > 0:
+        lo, hi = args.n_range
+        oracle.check_monte_carlo(args.samples, (lo + hi) * (hi - lo + 1) // 2)
     rows = []
-    for rec in oracle.exact_redundancy_range(source, *config.n_range):
+    for rec in oracle.exact_redundancy_range(source, *args.n_range):
         rows.append(
             {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
         )
-        if config.samples > 0:
-            mc = oracle.monte_carlo_redundancy(source, rec.n, config.samples, config.seed)
+        if args.samples > 0:
+            mc = oracle.monte_carlo_redundancy(source, rec.n, args.samples, args.seed)
             rows.append(
                 {"n": rec.n, "method": mc.method, "value": mc.value, "stderr": mc.stderr, "flags": _flags_cell(mc.flags)}
             )
     return rows
 
 
-def _cmd_exact(config: RunConfig):
-    source = _load_source(config)
+def _cmd_exact(args):
+    source = _load_source(args)
     columns = ["n", "method", "value", "stderr", "flags"]
-    return columns, _exact_rows(source, config)
+    return columns, _exact_rows(source, args)
 
 
-def _compare_rows(source, config: RunConfig):
-    cls = _classification(source, config)
+def _compare_rows(source, args):
+    cls = asymptotics.classify_mode(source, m_max=args.m_max)
     rows = []
-    records = oracle.exact_redundancy_range(source, *config.n_range)
-    for rec, pred in zip(records, asymptotics.predict_range(source, cls, *config.n_range, xi=config.xi)):
+    records = oracle.exact_redundancy_range(source, *args.n_range)
+    for rec, pred in zip(records, asymptotics.predict_range(source, cls, *args.n_range, xi=args.xi)):
         rows.append(
             {
                 "n": rec.n,
@@ -224,39 +209,40 @@ _COMPARE_COLUMNS = [
 ]
 
 
-def _cmd_compare(config: RunConfig):
-    source = _load_source(config)
-    return _COMPARE_COLUMNS, _compare_rows(source, config)
+def _cmd_compare(args):
+    source = _load_source(args)
+    return _COMPARE_COLUMNS, _compare_rows(source, args)
 
 
-def _cmd_sweep(config: RunConfig):
+def _cmd_sweep(args):
     """Compare over a parameter grid: {"n": "LO..HI", "sources": [{"label", "source"|"path"}]}."""
-    if not config.source_path:
+    if not args.source:
         raise ValidationFailure("--source must point to a sweep config JSON")
-    with open(config.source_path, "r", encoding="utf-8") as fh:
+    with open(args.source, "r", encoding="utf-8") as fh:
         grid = json.load(fh)
+    if not isinstance(grid, dict) or not isinstance(grid.get("sources", []), list):
+        raise ValidationFailure("a sweep config must be a JSON object whose sources are a list")
     if "n" in grid:
-        config.n_range = parse_n_range(str(grid["n"]))
+        args.n_range = parse_n_range(str(grid["n"]))
     if "xi" in grid:
-        config.xi = _check_xi(float(grid["xi"]))
+        args.xi = _check_xi(float(grid["xi"]))
     rows = []
     for entry in grid.get("sources", []):
+        if not isinstance(entry, dict):
+            raise ValidationFailure(f"grid entry {entry!r} is not a JSON object")
         label = str(entry.get("label", "?"))
         if "path" in entry:
-            source = MarkovSource.load(Path(config.source_path).parent / entry["path"])
+            source = MarkovSource.load(Path(args.source).parent / entry["path"])
         else:
             source = MarkovSource.from_dict(entry["source"])
-        report = validate(source)
-        if not report.ok:
-            raise ValidationFailure(f"grid entry {label!r}: " + "; ".join(report.messages))
-        for row in _compare_rows(source, config):
+        for row in _compare_rows(_validated(source, f"grid entry {label!r}: "), args):
             rows.append({"label": label, **row})
     return ["label", *_COMPARE_COLUMNS], rows
 
 
-def _cmd_fejer_demo(config: RunConfig):
-    theta = config.xi
-    N, hi = config.n_range
+def _cmd_fejer_demo(args):
+    theta = args.xi
+    N, hi = args.n_range
     if hi != N:
         raise ValidationFailure(f"fejer-demo takes one truncation order, got the range {N}..{hi}")
     bound = fejer.error_bound(N, theta)
@@ -299,12 +285,13 @@ def render(columns, rows, fmt: str) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """Run the parsed command line, with n_range set to the parsed --n; return the exit code."""
     try:
-        columns, rows = _COMMANDS[config.command](config)
-        text = render(columns, rows, config.format)
-        if config.output_path:
-            with open(config.output_path, "w", encoding="utf-8", newline="") as fh:
+        columns, rows = _COMMANDS[args.command](args)
+        text = render(columns, rows, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
@@ -324,7 +311,7 @@ def _emit_error(exc: Exception) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        n_range = parse_n_range(args.n)
+        args.n_range = parse_n_range(args.n)
         _check_xi(args.xi)
         if args.m_max < 1:
             raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
@@ -335,18 +322,7 @@ def main(argv=None) -> int:
     except (ValidationFailure, ValueError) as exc:
         _emit_error(exc)
         return 2
-    config = RunConfig(
-        command=args.command,
-        source_path=args.source,
-        n_range=n_range,
-        xi=args.xi,
-        m_max=args.m_max,
-        samples=args.samples,
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-    )
-    return run(config)
+    return run(args)
 
 
 def entrypoint() -> None:

@@ -37,11 +37,6 @@ def split_pow2(q: Fraction) -> tuple[Fraction, int]:
     return Fraction(num, den), e
 
 
-def frac_part(q: Fraction) -> Fraction:
-    """Fractional part of a rational, in [0, 1)."""
-    return q - (q.numerator // q.denominator)
-
-
 def ceil_defect(u):
     """rho(u) = ceil(u) - u, in [0, 1), periodic with period 1.
 
@@ -56,14 +51,14 @@ def ceil_defect(u):
     return v if v < 1.0 else 0.0
 
 
-def wrap_unit(x: float, tol: float = 1e-12) -> float:
-    """x mod 1 with values within tol below 1 wrapped to 0.
+def wrap_unit(x: float) -> float:
+    """x mod 1 with values within 1e-12 below 1 wrapped to 0.
 
     Angles divided by 2 pi land at 1 - epsilon instead of 0 under float
     noise; comparisons of phases and weights need the single representative.
     """
     y = x % 1.0
-    return 0.0 if y > 1.0 - tol else y
+    return 0.0 if y > 1.0 - 1e-12 else y
 
 
 @lru_cache(maxsize=1024)
@@ -144,12 +139,6 @@ class Log2Value:
             fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
             return [float(y + 1 if y < 0 else y) % 1.0 for y in fracs]
 
-    def frac_exact(self) -> Fraction:
-        """Exact fractional part; only defined for rational values."""
-        if not self.is_rational:
-            raise ValueError("value has an irrational log2 component")
-        return frac_part(self.rational)
-
 
 def frac_log(x, ks, d: int = 1):
     """frac((k/d) x) of a log for each integer k in ks; the one reduction of a log modulo 1.
@@ -186,9 +175,6 @@ class ExactProb:
         # m * 2**(a/b) <= 1  <=>  m**b * 2**a <= 1, since b > 0
         return self.mantissa**b * Fraction(2) ** a <= 1
 
-    def __mul__(self, other: "ExactProb") -> "ExactProb":
-        return ExactProb(self.mantissa * other.mantissa, self.exp2 + other.exp2)
-
 
 class _ZeroProb:
     """Singleton tag for structurally zero probabilities."""
@@ -201,8 +187,9 @@ class _ZeroProb:
 
 ZERO = _ZeroProb()
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*\d+)?$")
-_POW2_RE = re.compile(r"^2\^\(?([+-]?\d+(?:\s*/\s*\d+)?)\)?$")
+# a denominator must have a nonzero digit, so "1/0" is a parse error like any other
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:\s*/\s*0*[1-9]\d*)?$")
+_POW2_RE = re.compile(r"^2\^\(?([+-]?\d+(?:\s*/\s*0*[1-9]\d*)?)\)?$")
 
 
 def parse_prob_spec(spec: str):
@@ -254,20 +241,20 @@ def format_prob_spec(p) -> str:
     return " * ".join(parts)
 
 
-def approximate_rational(x: float, max_den: int = 10**6, tol: float = 1e-9):
-    """Bounded-denominator rational hiding behind a float, or None.
+def approximate_rational(x: float):
+    """Rational with denominator at most 10^6 hiding behind a float, or None.
 
     Heuristic rationality test for float-valued sources.  Besides the
-    denominator cap and the residual tolerance, the candidate must beat the
+    denominator cap and a residual of at most 1e-9, the candidate must beat the
     quality that generic (irrational) reals achieve through continued
     fractions, i.e. approximate far better than ~1/q^2; a float that truly
     is a rational p/q carries only representation noise ~1e-16, while the
     best bounded-denominator approximants of irrationals sit near the
     Dirichlet baseline.  Results remain heuristic, never proven.
     """
-    q = Fraction(x).limit_denominator(max_den)
+    q = Fraction(x).limit_denominator(10**6)
     err = abs(x - float(q))
-    if err <= tol and err * q.denominator**2 <= 1e-3:
+    if err <= 1e-9 and err * q.denominator**2 <= 1e-3:
         return q
     return None
 

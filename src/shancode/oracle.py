@@ -62,14 +62,14 @@ class RedundancyValue:
     flags: frozenset = frozenset()
 
 
-def _snap(u, tol: float):
-    """u with every value within tol of an integer moved onto that integer.
+def _snap(u):
+    """u with every value within INTEGER_SNAP_TOL of an integer moved onto that integer.
 
     Float noise must not flip the ceiling at a value that is an integer in
     exact arithmetic; callers flag the values that moved.
     """
     nearest = np.round(u)
-    return np.where(np.abs(u - nearest) <= tol, nearest, u)
+    return np.where(np.abs(u - nearest) <= INTEGER_SNAP_TOL, nearest, u)
 
 
 def neg_log_mu(source: MarkovSource, x) -> float:
@@ -79,12 +79,12 @@ def neg_log_mu(source: MarkovSource, x) -> float:
         raise ValueError("path must be nonempty")
     if source.initial[x[0]] is ZERO:
         raise ZeroPathProbability(0, f"initial state {x[0]} has zero probability")
-    total = log2_prob(source, source.initial[x[0]])
+    total = log2_prob(source.initial[x[0]])
     for t in range(1, len(x)):
         step = source.transitions[x[t - 1]][x[t]]
         if step is ZERO:
             raise ZeroPathProbability(t, f"transition {x[t-1]}->{x[t]} at step {t} has zero probability")
-        total = total + log2_prob(source, step)
+        total = total + log2_prob(step)
     return -(total.to_float() if isinstance(total, Log2Value) else total)
 
 
@@ -109,7 +109,7 @@ def _iter_support(source: MarkovSource, n: int):
             yield tuple(path), -acc
             return
         for j in adj[path[-1]]:
-            step = log2_prob(source, source.transitions[path[-1]][j])
+            step = log2_prob(source.transitions[path[-1]][j])
             path.append(j)
             yield from extend(path, acc + step)
             path.pop()
@@ -117,7 +117,7 @@ def _iter_support(source: MarkovSource, n: int):
     for s0 in range(source.r):
         if source.initial[s0] is ZERO:
             continue
-        start = log2_prob(source, source.initial[s0])
+        start = log2_prob(source.initial[s0])
         if n == 1:
             yield (s0,), -start
         else:
@@ -318,7 +318,7 @@ def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
     return np.array([point / scale for point in _ints(keys)])
 
 
-def _float_lattice(source: MarkovSource, hi: int, snap_tol: float):
+def _float_lattice(source: MarkovSource, hi: int):
     """(key of a probability, origin, bound, readout, passes) of a float source's lattice up to length hi.
 
     A lattice point is the integer scale * (-log2 mu), where scale is the
@@ -342,19 +342,14 @@ def _float_lattice(source: MarkovSource, hi: int, snap_tol: float):
 
     def readout(keys, masses):
         neg_logs = _scaled(keys, scale)
-        snapped = _snap(neg_logs, snap_tol)
+        snapped = _snap(neg_logs)
         return math.fsum((masses * ceil_defect(snapped)).tolist()), bool(np.any(snapped != neg_logs))
 
     bound = hi * max(map(key, negs))
     return key, 0, bound, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
-def exact_redundancy_range(
-    source: MarkovSource,
-    lo: int,
-    hi: int,
-    snap_tol: float = INTEGER_SNAP_TOL,
-) -> list[RedundancyValue]:
+def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) gives
@@ -371,7 +366,7 @@ def exact_redundancy_range(
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    lattice = _exact_lattice(source, hi) if source.exact else _float_lattice(source, hi, snap_tol)
+    lattice = _exact_lattice(source, hi) if source.exact else _float_lattice(source, hi)
     key, origin, bound, readout, passes = lattice
     width = _width(bound)
     prob = source.prob_float
@@ -390,16 +385,14 @@ def exact_redundancy_range(
     rows = []
     for n, parts in zip(range(lo, hi + 1), zip(*outs)):
         value = math.fsum(v for v, _ in parts)
-        if -1e-12 < value < 0.0:
-            value = 0.0
         flags = frozenset({"snap"}) if any(s for _, s in parts) else frozenset()
         rows.append(RedundancyValue(n=n, value=value, method="lattice_dp", stderr=None, flags=flags))
     return rows
 
 
-def exact_redundancy(source: MarkovSource, n: int, snap_tol: float = INTEGER_SNAP_TOL) -> RedundancyValue:
+def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:
     """Exact R_n = sum over positive-probability paths of mu * rho(-log2 mu)."""
-    return exact_redundancy_range(source, n, n, snap_tol)[0]
+    return exact_redundancy_range(source, n, n)[0]
 
 
 # -- Monte Carlo ----------------------------------------------------------
@@ -436,13 +429,7 @@ def check_monte_carlo(samples: int, total_n: int) -> None:
         )
 
 
-def monte_carlo_redundancy(
-    source: MarkovSource,
-    n: int,
-    samples: int,
-    seed: int,
-    snap_tol: float = INTEGER_SNAP_TOL,
-) -> RedundancyValue:
+def monte_carlo_redundancy(source: MarkovSource, n: int, samples: int, seed: int) -> RedundancyValue:
     """Sample mean of rho(-log2 mu) over independently sampled paths.
 
     Uniforms come from one counter-based Philox stream keyed by the seed,
@@ -467,7 +454,7 @@ def monte_carlo_redundancy(
     r = source.r
     init = source.initial_array()
     trans = source.transition_array()
-    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(source, v) for v in source.initial])
+    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial])
     step_flat = source.neg_log2_table().ravel()
 
     init_cum = np.cumsum(init)
@@ -486,7 +473,7 @@ def monte_carlo_redundancy(
             state = nxt
         neg_log[lo:lo + len(u)] = acc
 
-    snapped = _snap(neg_log, snap_tol)
+    snapped = _snap(neg_log)
     values = ceil_defect(snapped)
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
@@ -510,7 +497,7 @@ def shannon_lengths(source: MarkovSource, n: int):
             length = math.ceil(neg_log.rational)
         else:
             v = neg_log.to_float() if source.exact else neg_log
-            length = math.ceil(_snap(v, INTEGER_SNAP_TOL))
+            length = math.ceil(_snap(v))
         out.append((path, int(length)))
     return out
 

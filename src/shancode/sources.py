@@ -76,12 +76,17 @@ class MarkovSource:
         "3 * 2^(-2)".  String and float specs must not be mixed within one
         source; bare ints (0, 1) are accepted in either mode.
         """
+        if not isinstance(doc, dict):
+            raise ValidationFailure("a source description must be a JSON object")
         r = int(doc["r"])
-        initial = list(doc["initial"])
-        transitions = [list(row) for row in doc["transitions"]]
+        initial, transitions = doc["initial"], doc["transitions"]
+        if not all(isinstance(x, list) for x in (initial, transitions, *transitions)):
+            raise ValidationFailure("initial and transitions must be a list and a list of lists")
         if len(initial) != r or len(transitions) != r or any(len(row) != r for row in transitions):
             raise ValidationFailure(f"shape mismatch against r={r}")
         flat = initial + [v for row in transitions for v in row]
+        if bad := [v for v in flat if not isinstance(v, (int, float, str))]:
+            raise ValidationFailure(f"probabilities must be numbers or strings, got {bad[0]!r}")
         has_str = any(isinstance(v, str) for v in flat)
         has_float = any(isinstance(v, float) for v in flat)
         if has_str and has_float:
@@ -129,7 +134,7 @@ class MarkovSource:
             for j in range(self.r):
                 v = self.transitions[k][j]
                 if v is not ZERO:
-                    out[k, j] = -log2_prob_float(self, v)
+                    out[k, j] = -log2_prob_float(v)
         return out
 
     def support(self) -> list[list[int]]:
@@ -137,7 +142,7 @@ class MarkovSource:
         return [[j for j in range(self.r) if self.transitions[k][j] is not ZERO] for k in range(self.r)]
 
 
-def log2_prob(source_or_exact, v):
+def log2_prob(v):
     """log2 of a nonzero probability value.
 
     For exact values returns a :class:`Log2Value` carrying the decidable
@@ -150,8 +155,8 @@ def log2_prob(source_or_exact, v):
     return math.log2(v)
 
 
-def log2_prob_float(source, v) -> float:
-    lv = log2_prob(source, v)
+def log2_prob_float(v) -> float:
+    lv = log2_prob(v)
     return lv.to_float() if isinstance(lv, Log2Value) else lv
 
 
@@ -169,11 +174,6 @@ def is_dyadic(source: MarkovSource) -> bool:
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    mode: str
-    row_residuals: tuple
-    initial_residual: float
-    rows_exact: tuple | None
-    initial_exact: bool | None
     messages: tuple
     flags: frozenset
 
@@ -199,23 +199,18 @@ def _exact_sum_is_one(values) -> bool:
     return set(groups) == {Fraction(0)} and groups[Fraction(0)] == 1
 
 
-def _float_sum_residual(source, values) -> float:
-    return math.fsum(source.prob_float(v) for v in values) - 1.0
-
-
-def validate(source: MarkovSource, float_tol: float = FLOAT_SUM_TOL) -> ValidationReport:
+def validate(source: MarkovSource) -> ValidationReport:
     """Check stochasticity and canonical form; report-valued, never raises.
 
     Exact sources are expected to sum to 1 exactly.  Exact sources that are
-    only numerically stochastic (|row sum - 1| <= float_tol) are accepted but
-    flagged "row_sums_inexact"; values with non-integer power-of-two
+    only numerically stochastic (|row sum - 1| <= FLOAT_SUM_TOL) are accepted
+    but flagged "row_sums_inexact"; values with non-integer power-of-two
     exponents cannot occur in an exactly stochastic row, and this flag makes
     analyzing such constructed sources possible without pretending they are
-    exact distributions.
+    exact distributions.  Float sources must sum to 1 within FLOAT_SUM_TOL.
     """
     messages = []
     flags = set()
-    mode = "exact" if source.exact else "float"
 
     for v in list(source.initial) + [x for row in source.transitions for x in row]:
         if v is ZERO:
@@ -226,40 +221,17 @@ def validate(source: MarkovSource, float_tol: float = FLOAT_SUM_TOL) -> Validati
         elif not (0.0 < v <= 1.0):
             messages.append(f"float probability {v} outside (0, 1]")
 
-    row_res = tuple(_float_sum_residual(source, row) for row in source.transitions)
-    init_res = _float_sum_residual(source, source.initial)
-    rows_exact = init_exact = None
-    if source.exact:
-        rows_exact = tuple(_exact_sum_is_one(row) for row in source.transitions)
-        init_exact = _exact_sum_is_one(source.initial)
-        for k, (ex, res) in enumerate(zip(rows_exact, row_res)):
-            if not ex:
-                if abs(res) <= float_tol:
-                    flags.add("row_sums_inexact")
-                else:
-                    messages.append(f"transition row {k} sums to 1{res:+.3e}")
-        if not init_exact:
-            if abs(init_res) <= float_tol:
-                flags.add("row_sums_inexact")
-            else:
-                messages.append(f"initial vector sums to 1{init_res:+.3e}")
-    else:
-        for k, res in enumerate(row_res):
-            if abs(res) > float_tol:
-                messages.append(f"transition row {k} sums to 1{res:+.3e}")
-        if abs(init_res) > float_tol:
-            messages.append(f"initial vector sums to 1{init_res:+.3e}")
+    sums = [(f"transition row {k}", row) for k, row in enumerate(source.transitions)]
+    for name, values in sums + [("initial vector", source.initial)]:
+        if source.exact and _exact_sum_is_one(values):
+            continue
+        res = math.fsum(map(source.prob_float, values)) - 1.0
+        if abs(res) > FLOAT_SUM_TOL:
+            messages.append(f"{name} sums to 1{res:+.3e}")
+        elif source.exact:
+            flags.add("row_sums_inexact")
 
-    return ValidationReport(
-        ok=not messages,
-        mode=mode,
-        row_residuals=row_res,
-        initial_residual=init_res,
-        rows_exact=rows_exact,
-        initial_exact=init_exact,
-        messages=tuple(messages),
-        flags=frozenset(flags),
-    )
+    return ValidationReport(ok=not messages, messages=tuple(messages), flags=frozenset(flags))
 
 
 # -- structure ----------------------------------------------------------

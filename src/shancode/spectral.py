@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import DefectiveMatrix, ReducibleChain, ResourceLimit
 from .exact import ZERO, frac_log, wrap_unit
-from .sources import MarkovSource, classify_structure, log2_prob
+from .sources import MarkovSource, classify_structure
 
 MAX_EIGEN_DIM = 16
 UNIT_RADIUS_TOL_EXACT = 1e-9
@@ -112,18 +112,18 @@ class SpectralReport:
         return self.right @ coeffs
 
 
-def eigen(matrix: np.ndarray, cond_limit: float = 1e10) -> SpectralReport:
+def eigen(matrix: np.ndarray) -> SpectralReport:
     """Full eigen-decomposition with left vectors from the inverse basis.
 
     Raises DefectiveMatrix when the eigenvector basis is too ill-conditioned
-    to bi-orthogonalize.
+    to bi-orthogonalize (condition number above 1e10).
     """
     matrix = np.asarray(matrix, dtype=complex)
     r = matrix.shape[0]
     if matrix.shape != (r, r) or r > MAX_EIGEN_DIM:
         raise ValueError(f"expected a square matrix with r <= {MAX_EIGEN_DIM}")
     vals, right = np.linalg.eig(matrix)
-    if not np.all(np.isfinite(right)) or np.linalg.cond(right) > cond_limit:
+    if not np.all(np.isfinite(right)) or np.linalg.cond(right) > 1e10:
         raise DefectiveMatrix("eigenvector basis is numerically defective")
     left = np.linalg.inv(right)
     order = sorted(
@@ -138,10 +138,6 @@ def eigen(matrix: np.ndarray, cond_limit: float = 1e10) -> SpectralReport:
     if np.abs(recon - matrix).max() > 1e-8 * scale:
         raise DefectiveMatrix("spectral reconstruction residual too large")
     return SpectralReport(eigenvalues=vals, right=right, left=left)
-
-
-def spectral_radius(matrix: np.ndarray) -> float:
-    return float(np.abs(np.linalg.eigvals(matrix)).max())
 
 
 def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:
@@ -193,23 +189,15 @@ class OscillationSearch:
     heuristic: bool
     rho_history: tuple
 
-    @property
-    def is_infinite(self) -> bool:
-        return self.order is None
 
-
-def default_unit_radius_tol(source: MarkovSource) -> float:
-    return UNIT_RADIUS_TOL_EXACT if source.exact else UNIT_RADIUS_TOL_FLOAT
-
-
-def find_oscillation_order(
-    source: MarkovSource, m_max: int = 64, tol: float | None = None
-) -> OscillationSearch:
+def find_oscillation_order(source: MarkovSource, m_max: int = 64) -> OscillationSearch:
     """Smallest m >= 1 with rho(A_m) = 1, plus the phase and weight vector.
 
-    The phase is arg of the dominant eigenvalue over 2 pi, relabeled into
-    [0, 1/d) for a chain of period d; the weights are the component arguments
-    of the corresponding right eigenvector normalized to weight 0 at state 0.
+    rho(A_m) = 1 is tested within UNIT_RADIUS_TOL_EXACT for an exact source
+    and UNIT_RADIUS_TOL_FLOAT for a float one.  The phase is arg of the
+    dominant eigenvalue over 2 pi, relabeled into [0, 1/d) for a chain of
+    period d; the weights are the component arguments of the corresponding
+    right eigenvector normalized to weight 0 at state 0.
     m is scanned in blocks of SCAN_BLOCK with one batched eigvals call each,
     and an m_max with m_max * r**3 above SCAN_WORK_CAP raises ResourceLimit
     before any work.
@@ -226,8 +214,7 @@ def find_oscillation_order(
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
     d = structure.period
-    if tol is None:
-        tol = default_unit_radius_tol(source)
+    tol = UNIT_RADIUS_TOL_EXACT if source.exact else UNIT_RADIUS_TOL_FLOAT
 
     history = []
     for lo in range(1, m_max + 1, SCAN_BLOCK):
@@ -258,20 +245,3 @@ def find_oscillation_order(
         return OscillationSearch(order=m, phase=float(s), weights=w, heuristic=False, rho_history=tuple(history))
 
     return OscillationSearch(order=None, phase=None, weights=None, heuristic=True, rho_history=tuple(history))
-
-
-def verify_similarity(source: MarkovSource, m: int, s: float, w, tol: float = 1e-8):
-    """Check -m log2 p(j|k) = (s + w_k - w_j) mod 1 over the support.
-
-    Returns (ok, residual) where the residual is the largest circular
-    distance of the congruence defect from an integer.
-    """
-    residual = 0.0
-    for k in range(source.r):
-        for j in range(source.r):
-            v = source.transitions[k][j]
-            if v is ZERO:
-                continue
-            defect = (float(frac_log(log2_prob(source, v), [-m])[0]) - s - w[k] + w[j]) % 1.0
-            residual = max(residual, min(defect, 1.0 - defect))
-    return residual <= tol, residual

@@ -277,13 +277,27 @@ def path_arrays(source: MarkovSource, n: int):
     return probs, negs
 
 
+def phase_loop(v, m: int) -> float:
+    """(-m log2 v) mod 1 of a nonzero probability v.
+
+    An exact v = mantissa * 2**exp2 is reduced in 60-digit decimal
+    arithmetic, a float v from the float -m * log2(v).
+    """
+    if isinstance(v, ExactProb):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            e, mant = v.exp2, v.mantissa
+            x = -m * (Decimal(e.numerator) / e.denominator
+                      + (Decimal(mant.numerator).ln() - Decimal(mant.denominator).ln()) / Decimal(2).ln())
+            return float(x - x.to_integral_value(rounding=ROUND_FLOOR)) % 1.0
+    return (-m * math.log2(v)) % 1.0
+
+
 def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
     """p * exp(2 pi i ((-m log2 p) mod 1)) entry by entry over rows of probabilities.
 
     rows is source.transitions (giving A_m) or [source.initial] (giving c_m
-    as a one-row table).  An exact p = mantissa * 2**exp2 has its phase
-    reduced modulo 1 from -m log2 p in 60-digit decimal arithmetic, a float
-    p from the float -m * log2(p).
+    as a one-row table); each phase comes from phase_loop.
     """
     out = np.zeros((len(rows), source.r), dtype=complex)
     for k, row in enumerate(rows):
@@ -291,20 +305,29 @@ def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
             if v is ZERO:
                 continue
             p = source.prob_float(v)
-            if m == 0:
-                out[k, j] = p
-                continue
-            if isinstance(v, ExactProb):
-                with localcontext() as ctx:
-                    ctx.prec = 60
-                    e, mant = v.exp2, v.mantissa
-                    x = -m * (Decimal(e.numerator) / e.denominator
-                              + (Decimal(mant.numerator).ln() - Decimal(mant.denominator).ln()) / Decimal(2).ln())
-                    phase = float(x - x.to_integral_value(rounding=ROUND_FLOOR)) % 1.0
-            else:
-                phase = (-m * math.log2(v)) % 1.0
-            out[k, j] = p * cmath.exp(2j * math.pi * phase)
+            out[k, j] = p if m == 0 else p * cmath.exp(2j * math.pi * phase_loop(v, m))
     return out
+
+
+def spectral_radius(matrix: np.ndarray) -> float:
+    return float(np.abs(np.linalg.eigvals(matrix)).max())
+
+
+def verify_similarity(source: MarkovSource, m: int, s: float, w, tol: float = 1e-8):
+    """Check -m log2 p(j|k) = (s + w_k - w_j) mod 1 over the support.
+
+    Returns (ok, residual) where the residual is the largest circular
+    distance of the congruence defect from an integer.
+    """
+    residual = 0.0
+    for k in range(source.r):
+        for j in range(source.r):
+            v = source.transitions[k][j]
+            if v is ZERO:
+                continue
+            defect = (phase_loop(v, m) - s - w[k] + w[j]) % 1.0
+            residual = max(residual, min(defect, 1.0 - defect))
+    return residual <= tol, residual
 
 
 def char_fn_loop(source: MarkovSource, m: int, n: int) -> complex:
@@ -334,7 +357,7 @@ def monte_carlo_reference(source: MarkovSource, n: int, samples: int, seed: int,
     )
     for s0 in range(source.r):
         if init[s0] > 0:
-            neg_log_init[s0] = -(log2_prob(source, source.initial[s0]).to_float()
+            neg_log_init[s0] = -(log2_prob(source.initial[s0]).to_float()
                                  if source.exact else math.log2(init[s0]))
     step_table = source.neg_log2_table()
 

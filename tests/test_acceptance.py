@@ -22,7 +22,6 @@ from shancode import (
     memoryless_formula,
     oscillation_argument,
     predict,
-    verify_similarity,
 )
 from shancode.errors import DefectiveMatrix
 from shancode.sources import classify_structure, log2_prob
@@ -31,6 +30,7 @@ from tests.conftest import (
     iter_paths_bruteforce,
     memoryless,
     random_float_source,
+    verify_similarity,
 )
 from tests.test_asymptotics import sandwich_decay_base
 
@@ -187,7 +187,7 @@ def test_acceptance_07(cycle_source):
 
 @criterion(8, "absorbing pair, alpha = 1/3: geometric series matches the oracle")
 def test_acceptance_08(absorbing_source):
-    out = absorbing_pair_formula(F(1, 3), truncation_eps=1e-12)
+    out = absorbing_pair_formula(F(1, 3))
     exact30 = exact_redundancy(absorbing_source, 30).value
     assert abs(exact30 - out.value) <= 1e-3 + out.tail_bound
     # limit differs from 1/2: the two-mode dichotomy does not apply here
@@ -229,9 +229,9 @@ def test_acceptance_10(oscillatory_exact_family):
         cls = classify_mode(source)
         for n in range(2, 9):
             for path, _ in iter_paths_bruteforce(source, n):
-                total = log2_prob(source, source.initial[path[0]])
+                total = log2_prob(source.initial[path[0]])
                 for t in range(1, n):
-                    total = total + log2_prob(source, source.transitions[path[t - 1]][path[t]])
+                    total = total + log2_prob(source.transitions[path[t - 1]][path[t]])
                 truth = (-total.to_float() * cls.M) % 1.0
                 z = oscillation_argument(source, cls, path[0], path[-1], n) % 1.0
                 gap = (truth - z) % 1.0

@@ -25,7 +25,6 @@ from shancode import (
     predict,
     predict_range,
     validate,
-    verify_similarity,
 )
 from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
@@ -36,6 +35,7 @@ from tests.conftest import (
     memoryless,
     omega_decimal_reference,
     random_float_source,
+    verify_similarity,
 )
 
 F = Fraction
@@ -282,7 +282,7 @@ def test_zeta_n1_diagonal(permutation_source):
     cls = classify_mode(permutation_source)
     for j in range(2):
         z = oscillation_argument(permutation_source, cls, j, j, 1)
-        want = -cls.M * log2_prob(permutation_source, permutation_source.initial[j]).to_float()
+        want = -cls.M * log2_prob(permutation_source.initial[j]).to_float()
         assert 0.0 <= z < 1.0 and circular(z, want) <= 1e-12
 
 
@@ -299,7 +299,7 @@ def test_zeta_routes_agree_mod_one(oscillatory_exact_family):
                 for k in range(s.r):
                     a = oscillation_argument(s, cls, j, k, n)
                     b = ((n - 1) * res.phase + res.weights[j] - res.weights[k]
-                         - res.order * log2_prob(s, s.initial[j]).to_float())
+                         - res.order * log2_prob(s.initial[j]).to_float())
                     assert circular(a, b) <= 1e-9
 
 
@@ -330,9 +330,9 @@ def test_telescoping_identity(oscillatory_exact_family):
         cls = classify_mode(s)
         for n in (2, 5, 8):
             for path, _ in iter_paths_bruteforce(s, n):
-                total = log2_prob(s, s.initial[path[0]])
+                total = log2_prob(s.initial[path[0]])
                 for t in range(1, n):
-                    total = total + log2_prob(s, s.transitions[path[t - 1]][path[t]])
+                    total = total + log2_prob(s.transitions[path[t - 1]][path[t]])
                 truth = (-total.to_float() * cls.M) % 1.0
                 z = oscillation_argument(s, cls, path[0], path[-1], n) % 1.0
                 diff = (truth - z) % 1.0
@@ -624,7 +624,7 @@ def test_absorbing_formula_dyadic_zero():
 
 
 def test_absorbing_formula_terms_budget():
-    out = absorbing_pair_formula(F(1, 3), truncation_eps=1e-12)
+    out = absorbing_pair_formula(F(1, 3))
     assert out.n_terms == 69  # smallest K+1 with (2/3)^(K+1) < 1e-12
     assert out.tail_bound < 1e-12
 

@@ -195,6 +195,23 @@ def test_exit_code_validation_failure(tmp_path):
     assert payload["error"] == "ValidationFailure"
 
 
+ONE_STATE = {"r": 1, "initial": [1], "transitions": [[1]]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    ("classify", [ONE_STATE]),
+    ("classify", {"r": 2, "initial": 5, "transitions": [[0.5, 0.5], [0.5, 0.5]]}),
+    ("classify", {"r": 2, "initial": [0.5, 0.5], "transitions": [[0.5, None], [0.5, 0.5]]}),
+    ("classify", {"r": 2, "initial": ["1/2", "1/2"], "transitions": [["1/0", "1/2"], ["1/2", "1/2"]]}),
+    ("sweep", [{"label": "one", "source": ONE_STATE}]),
+    ("sweep", {"n": "3..4", "sources": ["one"]}),
+], ids=["source-list", "initial-int", "null-probability", "zero-denominator", "grid-list", "grid-entry-string"])
+def test_malformed_json_exits_2(tmp_path, command, doc):
+    rc, out, err = run_cli("--command", command, "--source", write_source(tmp_path, "bad.json", doc))
+    assert rc == 2 and not out
+    assert json.loads(err)["error"] in ("ValidationFailure", "ValueError")
+
+
 def test_exit_code_resource_limit(permutation_path):
     from shancode.oracle import DP_MOVE_BUDGET
 

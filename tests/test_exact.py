@@ -42,7 +42,7 @@ def test_log2_split_and_rationality():
 
     eighth = ExactProb.make(F(1, 8))
     assert eighth.log2().is_rational
-    assert eighth.log2().frac_exact() == 0
+    assert eighth.log2().frac_scaled([1]) == [0]
     assert eighth.log2().to_float() == -3.0
 
     three_quarters = ExactProb.make(F(3, 4))

@@ -15,6 +15,7 @@ from shancode import (
     validate,
 )
 from shancode.errors import ReducibleChain, ZeroProbability
+from shancode.sources import FLOAT_SUM_TOL
 
 F = Fraction
 
@@ -22,8 +23,7 @@ F = Fraction
 def test_validate_accepts_exact_stochastic():
     s = MarkovSource.from_exact([1, 0], [["1/2", "1/2"], ["1/4", "3/4"]])
     report = validate(s)
-    assert report.ok and report.rows_exact == (True, True) and report.initial_exact
-    assert report.row_residuals == (0.0, 0.0)
+    assert report.ok and not report.flags and not report.messages
 
 
 def test_validate_rejects_bad_row():
@@ -43,9 +43,7 @@ def test_validate_rejects_bad_initial():
 def test_validate_flags_near_stochastic_exact(m2_source):
     report = validate(m2_source)
     assert report.ok
-    assert "row_sums_inexact" in report.flags
-    assert report.rows_exact == (False, False)
-    assert max(abs(r) for r in report.row_residuals) < 1e-12
+    assert report.flags == {"row_sums_inexact"} and not report.messages
 
 
 def test_float_validation_tolerance():
@@ -53,6 +51,35 @@ def test_float_validation_tolerance():
     assert validate(good).ok
     bad = MarkovSource.from_floats([0.5, 0.5], [[0.3, 0.6], [0.6, 0.4]])
     assert not validate(bad).ok
+
+
+@pytest.mark.parametrize("gap, flags, messages", [
+    (F(1, 10**13), {"row_sums_inexact"}, ()),
+    (F(1, 10**11), set(), ("initial vector sums to 1-1.000e-11",)),
+])
+def test_exact_initial_vector_against_float_tolerance(gap, flags, messages):
+    # the initial vector sums to 1 - gap exactly; FLOAT_SUM_TOL lies between the two gaps
+    assert F(1, 10**13) < FLOAT_SUM_TOL < F(1, 10**11)
+    s = MarkovSource.from_exact(["1/2", str(F(1, 2) - gap)], [["1/2", "1/2"], ["1/4", "3/4"]])
+    report = validate(s)
+    assert report.ok == (not messages) and report.flags == flags and report.messages == messages
+
+
+def test_float_row_inside_tolerance_is_not_flagged():
+    s = MarkovSource.from_floats([0.5, 0.5], [[0.3, 0.7 + 1e-13], [0.6, 0.4]])
+    report = validate(s)
+    assert report.ok and not report.flags and not report.messages
+
+
+def test_validation_messages_list_rows_then_initial_vector():
+    exact = MarkovSource.from_exact(["1/3", "1/3"], [["1/2", "1/4"], ["1/4", "1/4"]])
+    floats = MarkovSource.from_floats([0.3, 0.3], [[0.5, 0.25], [0.25, 0.25]])
+    for s in (exact, floats):
+        report = validate(s)
+        assert not report.ok and not report.flags
+        assert report.messages == ("transition row 0 sums to 1-2.500e-01", "transition row 1 sums to 1-5.000e-01",
+                                   "initial vector sums to 1-3.333e-01" if s.exact else
+                                   "initial vector sums to 1-4.000e-01")
 
 
 def test_mixed_modes_rejected():
@@ -132,12 +159,12 @@ def test_stationary_requires_irreducible(absorbing_source):
 
 def test_log2_prob_paths():
     s = MarkovSource.from_exact(["1/2", "1/2"], [["1/2", "1/2"], ["1/4", "3/4"]])
-    lv = log2_prob(s, s.transitions[1][1])
+    lv = log2_prob(s.transitions[1][1])
     assert (lv.rational, lv.mantissa) == (F(-2), F(3))
     with pytest.raises(ZeroProbability):
-        log2_prob(s, ZERO)
+        log2_prob(ZERO)
     f = MarkovSource.from_floats([1.0, 0.0], [[0.75, 0.25], [0.5, 0.5]])
-    assert log2_prob(f, f.transitions[0][0]) == pytest.approx(-0.4150374992788438)
+    assert log2_prob(f.transitions[0][0]) == pytest.approx(-0.4150374992788438)
 
 
 def test_is_dyadic(dyadic_memoryless, dyadic_r3, permutation_source, m2_source):

@@ -14,8 +14,6 @@ from shancode import (
     initial_phase_vector,
     phase_matrix,
     phase_stack,
-    spectral_radius,
-    verify_similarity,
 )
 from shancode.errors import DefectiveMatrix, ReducibleChain, ResourceLimit
 from shancode.spectral import SCAN_WORK_CAP
@@ -25,6 +23,8 @@ from tests.conftest import (
     memoryless,
     phase_entries_loop,
     random_float_source,
+    spectral_radius,
+    verify_similarity,
 )
 
 from fractions import Fraction
@@ -208,7 +208,7 @@ def test_find_oscillation_order_m2(m2_source):
 
 def test_find_oscillation_order_float_infinite(float_convergent_source):
     res = find_oscillation_order(float_convergent_source, m_max=50)
-    assert res.is_infinite and res.heuristic
+    assert res.order is None and res.heuristic
     assert all(rho < 1.0 - 1e-6 for rho in res.rho_history)
     assert len(res.rho_history) == 50
 
@@ -220,7 +220,7 @@ def test_scan_history_across_block_boundaries(order67_source, float_convergent_s
     assert res.order == 67 and len(res.rho_history) == 67
     assert res.rho_history == tuple(spectral_radius(phase_matrix(s, m)) for m in range(1, 68))
     res = find_oscillation_order(float_convergent_source, m_max=130)
-    assert res.is_infinite and len(res.rho_history) == 130
+    assert res.order is None and len(res.rho_history) == 130
     assert res.rho_history == tuple(spectral_radius(phase_matrix(float_convergent_source, m)) for m in range(1, 131))
 
 
