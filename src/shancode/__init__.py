@@ -20,6 +20,7 @@ from .oracle import (
     exact_redundancy_range,
     kraft_sum,
     monte_carlo_redundancy,
+    monte_carlo_redundancy_range,
     neg_log_mu,
     shannon_lengths,
 )

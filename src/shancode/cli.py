@@ -158,20 +158,18 @@ def _cmd_predict(args):
 
 
 def _exact_rows(source, args):
+    def row(rec):
+        return {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr,
+                "flags": _flags_cell(rec.flags)}
+
+    lo, hi = args.n_range
     if args.samples > 0:
-        lo, hi = args.n_range
         oracle.check_monte_carlo(args.samples, (lo + hi) * (hi - lo + 1) // 2)
-    rows = []
-    for rec in oracle.exact_redundancy_range(source, *args.n_range):
-        rows.append(
-            {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr, "flags": _flags_cell(rec.flags)}
-        )
-        if args.samples > 0:
-            mc = oracle.monte_carlo_redundancy(source, rec.n, args.samples, args.seed)
-            rows.append(
-                {"n": rec.n, "method": mc.method, "value": mc.value, "stderr": mc.stderr, "flags": _flags_cell(mc.flags)}
-            )
-    return rows
+    exact = oracle.exact_redundancy_range(source, lo, hi)
+    if args.samples == 0:
+        return [row(rec) for rec in exact]
+    sampled = oracle.monte_carlo_redundancy_range(source, lo, hi, args.samples, args.seed)
+    return [row(rec) for pair in zip(exact, sampled) for rec in pair]
 
 
 def _cmd_exact(args):
@@ -225,6 +223,8 @@ def _cmd_sweep(args):
     if "n" in grid:
         args.n_range = parse_n_range(str(grid["n"]))
     if "xi" in grid:
+        if not isinstance(grid["xi"], (int, float, str)):
+            raise ValidationFailure(f"xi must be a number, got {grid['xi']!r}")
         args.xi = _check_xi(float(grid["xi"]))
     rows = []
     for entry in grid.get("sources", []):
@@ -232,6 +232,8 @@ def _cmd_sweep(args):
             raise ValidationFailure(f"grid entry {entry!r} is not a JSON object")
         label = str(entry.get("label", "?"))
         if "path" in entry:
+            if not isinstance(entry["path"], str):
+                raise ValidationFailure(f"grid entry {label!r}: path must be a string, got {entry['path']!r}")
             source = MarkovSource.load(Path(args.source).parent / entry["path"])
         else:
             source = MarkovSource.from_dict(entry["source"])

@@ -47,9 +47,11 @@ _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # paths that shannon_lengths may enumerate; a one-state chain counts as r = 2
 ENUMERATION_MAX_PATHS = 2**24
-# Monte Carlo: rows of uniforms drawn at a time, and the caps check_monte_carlo enforces
+# Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
+# drawn at a time, and the caps check_monte_carlo enforces
 _MC_CHUNK_ROWS = 4096
-MC_DRAW_CAP = 2**30
+_MC_BLOCK = 2**16
+MC_STEP_CAP = 2**30
 MC_SAMPLE_CAP = 2**24
 
 
@@ -398,87 +400,140 @@ def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:
 # -- Monte Carlo ----------------------------------------------------------
 
 
-def _next_state(u, thresholds, state):
-    """searchsorted(row_cum[state[i]], u[i], side="right") for every i, by counting.
-
-    thresholds[c, k] = row_cum[k, c] for c < r - 1.  A row's cumulative
-    sums never decrease and its last one, 1.0, exceeds every uniform, so
-    the count of thresholds at or below u is exactly the sorted search.
-    """
-    out = np.zeros_like(state)
-    for column in thresholds:
-        out += u >= column[state]
-    return out
-
-
 def check_monte_carlo(samples: int, total_n: int) -> None:
     """Refuse Monte Carlo work over the caps before any of it starts.
 
     total_n is the sum of the block lengths to be sampled, so samples *
-    total_n uniforms are drawn; over MC_DRAW_CAP of them, or over
+    total_n path steps are walked; over MC_STEP_CAP of them, or over
     MC_SAMPLE_CAP samples (the per-sample array is 8 * samples bytes),
     raises ResourceLimit.
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
-    draws = samples * total_n
-    if draws > MC_DRAW_CAP:
+    steps = samples * total_n
+    if steps > MC_STEP_CAP:
         raise ResourceLimit(
             f"Monte Carlo with {samples} samples over block lengths summing to {total_n} "
-            f"draws {draws} > {MC_DRAW_CAP} uniforms"
+            f"walks {steps} > {MC_STEP_CAP} path steps"
         )
 
 
-def monte_carlo_redundancy(source: MarkovSource, n: int, samples: int, seed: int) -> RedundancyValue:
-    """Sample mean of rho(-log2 mu) over independently sampled paths.
+def _rank_tables(source: MarkovSource):
+    """(thresholds, first, first_neg_log, next, step_neg_log) of the rank walk.
 
-    Uniforms come from one counter-based Philox stream keyed by the seed,
-    drawn _MC_CHUNK_ROWS rows of n at a time into one reused buffer, so no
-    two chunks are ever alive together.  The stream is sequential, so
-    chunked draws equal one samples x n draw and sample i still consumes
-    row i: results are bit-for-bit reproducible and independent of the
-    chunk size.  The next state is the number of cumulative row thresholds
-    at or below the uniform, which is exactly what a sorted search returns.
-    Only the per-sample -log2 mu is kept, so memory is O(samples) rather
-    than O(samples * n), and the mean and stderr come from one reduction
-    over it.  Requests over MC_SAMPLE_CAP samples or MC_DRAW_CAP uniforms
-    raise ResourceLimit before any work (see check_monte_carlo).
+    thresholds are the sorted distinct cumulative sums, all but the last,
+    of the initial vector and of every transition row; a uniform's rank is
+    the count of them at or below it.  Every row's thresholds are among
+    them, so the rank fixes the sorted search of each row: first[rank] is
+    the first state and next[state + rank] the next one, each times width
+    = len(thresholds) + 1 so that the next rank adds straight onto it.
+    first_neg_log and step_neg_log hold the -log2 p of the same moves.
+    """
+    init_cum = np.cumsum(source.initial_array())[:-1]
+    row_cum = np.cumsum(source.transition_array(), axis=1)[:, :-1]
+    thresholds = np.unique(np.concatenate([init_cum, row_cum.ravel()]))
+    below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
+    first = np.count_nonzero(init_cum[None, :] <= below[:, None], axis=1)
+    nxt = np.count_nonzero(row_cum[:, None, :] <= below[None, :, None], axis=2)
+    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial])
+    step = np.take_along_axis(source.neg_log2_table(), nxt, axis=1)
+    width = len(below)
+    return thresholds, first * width, neg_log_init[first], (nxt * width).ravel(), step.ravel()
+
+
+def _ranks(seed: int, start: int, out, thresholds, block):
+    """out filled with the ranks of uniforms start.. of the Philox stream keyed by seed.
+
+    Philox is counter-based: a counter of start // 4 and start % 4 raw
+    draws put the stream at start without drawing what comes before.  The
+    uniforms go block by block through the reused float64 block.
+    """
+    bits = np.random.Philox(key=seed, counter=start // 4)
+    bits.random_raw(start % 4)
+    rng = np.random.Generator(bits)
+    out[:] = 0
+    above = np.empty(len(block), dtype=bool)
+    for lo in range(0, len(out), len(block)):
+        u = rng.random(out=block[:min(len(block), len(out) - lo)])
+        ranks, mask = out[lo:lo + len(u)], above[:len(u)]
+        for threshold in thresholds:
+            ranks += np.greater_equal(u, threshold, out=mask)
+    return out
+
+
+def _walk(ranks, tables, out) -> None:
+    """out[i] = -log2 mu of the path whose uniforms have the ranks ranks[i], added in path order."""
+    _, first, first_neg_log, nxt, step = tables
+    state, acc = first.take(ranks[:, 0]), first_neg_log.take(ranks[:, 0])
+    index, term = np.empty_like(state), np.empty_like(acc)
+    for t in range(1, ranks.shape[1]):
+        np.add(state, ranks[:, t], out=index)
+        # every index is in range; "clip" skips the copy of out that the default "raise" makes
+        acc += step.take(index, out=term, mode="clip")
+        nxt.take(index, out=state, mode="clip")
+    out[:] = acc
+
+
+def _sample(tables, ns, samples: int, seed: int) -> dict:
+    """{n: -log2 mu of samples 0..samples - 1 of length n} for every n of the range ns."""
+    window = min(samples, _MC_CHUNK_ROWS) * ns[-1]
+    block = np.empty(min(_MC_BLOCK, window))
+    held = np.empty(window, dtype=np.min_scalar_type(len(tables[0])))
+    neg_logs = {n: np.empty(samples) for n in ns}
+    done = dict.fromkeys(ns, 0)
+    while live := [n for n in ns if done[n] < samples]:
+        start = min(done[n] * n for n in live)
+        stop = min(start + window, samples * ns[-1])
+        ranks = _ranks(seed, start, held[:stop - start], tables[0], block)
+        for n in live:
+            rows = ranks[done[n] * n - start:min(samples, stop // n) * n - start].reshape(-1, n)
+            for i in range(0, len(rows), _MC_CHUNK_ROWS):
+                chunk = rows[i:i + _MC_CHUNK_ROWS]
+                _walk(chunk, tables, neg_logs[n][done[n] + i:done[n] + i + len(chunk)])
+            done[n] += len(rows)
+    return neg_logs
+
+
+def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples: int,
+                                 seed: int) -> list[RedundancyValue]:
+    """Sample means of rho(-log2 mu) over independently sampled paths for every n = lo..hi.
+
+    Sample i of length n reads uniforms i * n .. (i + 1) * n - 1 of one
+    Philox stream keyed by the seed, so every n reads a prefix of the same
+    stream and results are bit for bit reproducible.  The stream is drawn
+    once, in windows of _MC_CHUNK_ROWS rows of the longest n, each from
+    the earliest row some n has not walked, so a window draws at most hi -
+    1 uniforms a second time.  A window is kept as ranks (_rank_tables,
+    _ranks) and walked by table lookups for every n whose rows it holds,
+    at most _MC_CHUNK_ROWS rows a pass: the states and float sums of a
+    sorted search of each row.  Consecutive n run in groups of at most
+    MC_SAMPLE_CAP samples in all, which bounds the per-sample -log2 mu
+    arrays held at once to 8 * MC_SAMPLE_CAP bytes.  Requests over the
+    caps raise ResourceLimit before any work (see check_monte_carlo).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    check_monte_carlo(samples, n)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid block length range {lo}..{hi}")
+    check_monte_carlo(samples, (lo + hi) * (hi - lo + 1) // 2)
+    tables = _rank_tables(source)
+    group = max(1, MC_SAMPLE_CAP // samples)
+    out = []
+    for first in range(lo, hi + 1, group):
+        ns = range(first, min(first + group, hi + 1))
+        for n, neg_log in _sample(tables, ns, samples, seed).items():
+            snapped = _snap(neg_log)
+            values = ceil_defect(snapped)
+            mean = float(values.mean())
+            stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+            flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
+            out.append(RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags))
+    return out
 
-    r = source.r
-    init = source.initial_array()
-    trans = source.transition_array()
-    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial])
-    step_flat = source.neg_log2_table().ravel()
 
-    init_cum = np.cumsum(init)
-    init_cum[-1] = 1.0
-    thresholds = np.cumsum(trans, axis=1)[:, :-1].T.copy()
-
-    neg_log = np.empty(samples)
-    buf = np.empty((min(_MC_CHUNK_ROWS, samples), n))
-    for lo in range(0, samples, _MC_CHUNK_ROWS):
-        u = rng.random(out=buf[:samples - lo])
-        state = np.searchsorted(init_cum, u[:, 0], side="right")
-        acc = neg_log_init[state]
-        for t in range(1, n):
-            nxt = _next_state(u[:, t], thresholds, state)
-            acc += step_flat[state * r + nxt]
-            state = nxt
-        neg_log[lo:lo + len(u)] = acc
-
-    snapped = _snap(neg_log)
-    values = ceil_defect(snapped)
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
-    return RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags)
+def monte_carlo_redundancy(source: MarkovSource, n: int, samples: int, seed: int) -> RedundancyValue:
+    """Sample mean of rho(-log2 mu) over independently sampled paths of length n."""
+    return monte_carlo_redundancy_range(source, n, n, samples, seed)[0]
 
 
 # -- Shannon code lengths --------------------------------------------------

@@ -78,7 +78,10 @@ class MarkovSource:
         """
         if not isinstance(doc, dict):
             raise ValidationFailure("a source description must be a JSON object")
-        r = int(doc["r"])
+        try:
+            r = int(doc["r"])
+        except (TypeError, OverflowError):
+            raise ValidationFailure(f"r must be an integer, got {doc['r']!r}") from None
         initial, transitions = doc["initial"], doc["transitions"]
         if not all(isinstance(x, list) for x in (initial, transitions, *transitions)):
             raise ValidationFailure("initial and transitions must be a list and a list of lists")

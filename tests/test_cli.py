@@ -205,7 +205,11 @@ ONE_STATE = {"r": 1, "initial": [1], "transitions": [[1]]}
     ("classify", {"r": 2, "initial": ["1/2", "1/2"], "transitions": [["1/0", "1/2"], ["1/2", "1/2"]]}),
     ("sweep", [{"label": "one", "source": ONE_STATE}]),
     ("sweep", {"n": "3..4", "sources": ["one"]}),
-], ids=["source-list", "initial-int", "null-probability", "zero-denominator", "grid-list", "grid-entry-string"])
+    ("classify", {**ONE_STATE, "r": None}),
+    ("sweep", {"xi": None, "sources": [{"label": "one", "source": ONE_STATE}]}),
+    ("sweep", {"n": "3..4", "sources": [{"label": "one", "path": 5}]}),
+], ids=["source-list", "initial-int", "null-probability", "zero-denominator", "grid-list", "grid-entry-string",
+        "r-null", "grid-xi-null", "grid-path-number"])
 def test_malformed_json_exits_2(tmp_path, command, doc):
     rc, out, err = run_cli("--command", command, "--source", write_source(tmp_path, "bad.json", doc))
     assert rc == 2 and not out

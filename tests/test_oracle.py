@@ -16,6 +16,7 @@ from shancode import (
     exact_redundancy_range,
     kraft_sum,
     monte_carlo_redundancy,
+    monte_carlo_redundancy_range,
     neg_log_mu,
     shannon_lengths,
 )
@@ -363,17 +364,77 @@ def test_monte_carlo_matches_reference_on_structured_sources(bipartite_periodic_
     assert_same_monte_carlo(wide, 12, MC_ROWS + 100, seed=4)
 
 
-def test_next_state_is_the_sorted_search_at_ties():
+@pytest.mark.parametrize("samples", [1, MC_ROWS - 1, MC_ROWS, 2 * MC_ROWS + 17])
+@pytest.mark.parametrize("lo, hi", [(9, 9), (1, 9), (7, 12)])
+def test_monte_carlo_range_matches_reference_across_chunk_edges(samples, lo, hi):
+    source = random_float_source(np.random.default_rng(3), 3)
+    got = monte_carlo_redundancy_range(source, lo, hi, samples, seed=7)
+    assert got == [monte_carlo_reference(source, n, samples, seed=7) for n in range(lo, hi + 1)]
+
+
+def test_monte_carlo_range_matches_reference_on_structured_sources(bipartite_periodic_source):
+    one_state = MarkovSource.from_exact([1], [[1]])
+    snapping = MarkovSource.from_exact(["1/2", "1/2"], [["3/4", "1/4"], ["1/3", "2/3"]])
+    wide = random_float_source(np.random.default_rng(11), 6, with_zeros=True)
+    for source, lo, hi, samples in ((one_state, 18, 20, 300), (bipartite_periodic_source, 9, 11, MC_ROWS + 5),
+                                    (snapping, 19, 21, 1000), (wide, 1, 12, MC_ROWS + 100)):
+        got = monte_carlo_redundancy_range(source, lo, hi, samples, seed=4)
+        assert got == [monte_carlo_reference(source, n, samples, seed=4) for n in range(lo, hi + 1)]
+
+
+def test_monte_carlo_range_draws_each_window_once(monkeypatch):
+    # the next window starts at the earliest row some n has not walked, which lies fewer
+    # than hi uniforms before the current window's end
+    windows, drawn = [], []
+    ranks = oracle._ranks
+
+    def counting(seed, start, out, thresholds, block):
+        windows.append(start)
+        drawn.append(len(out))
+        return ranks(seed, start, out, thresholds, block)
+
+    monkeypatch.setattr(oracle, "_ranks", counting)
+    source = random_float_source(np.random.default_rng(3), 3)
+    for lo, hi, samples in ((7, 12, 2 * MC_ROWS + 17), (1, 9, 3 * MC_ROWS), (40, 40, MC_ROWS + 1)):
+        windows.clear(), drawn.clear()
+        monte_carlo_redundancy_range(source, lo, hi, samples, seed=7)
+        assert samples * hi <= sum(drawn) <= samples * hi + len(windows) * (hi - 1)
+        assert windows == sorted(set(windows))
+
+
+def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
     # rows with zero entries repeat a cumulative value; uniforms sit exactly on thresholds
     trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    source = MarkovSource.from_floats([0.0, 0.5, 0.0, 0.5], trans)
+    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+
+    class Replay:  # a generator that draws u, so the ranks see the ties
+        def __init__(self, bits):
+            self.at = 0
+
+        def random(self, out):
+            out[:] = u[self.at:self.at + len(out)]
+            self.at += len(out)
+            return out
+
+    monkeypatch.setattr(oracle.np.random, "Generator", Replay)
+    thresholds, first, first_neg_log, nxt, step = oracle._rank_tables(source)
+    ranks = oracle._ranks(0, 0, np.empty(len(u), dtype=np.uint8), thresholds, np.empty(4))  # two blocks
+    monkeypatch.undo()
+    assert ranks.tolist() == np.searchsorted(thresholds, u, side="right").tolist()
+    width = len(thresholds) + 1
+    init_cum = np.cumsum(source.initial_array())
+    init_cum[-1] = 1.0
     row_cum = np.cumsum(trans, axis=1)
     row_cum[:, -1] = 1.0
-    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
-    state = np.repeat(np.arange(4), len(u))
-    u = np.tile(u, 4)
-    expected = [np.searchsorted(row_cum[k], x, side="right") for k, x in zip(state, u)]
-    thresholds = row_cum[:, :-1].T.copy()
-    assert oracle._next_state(u, thresholds, state).tolist() == expected
+    starts = np.searchsorted(init_cum, u, side="right")
+    assert (first.take(ranks) // width).tolist() == starts.tolist()
+    assert first_neg_log.take(ranks).tolist() == [-math.log2(source.initial_array()[k]) for k in starts]
+    table = source.neg_log2_table()
+    for k in range(source.r):
+        expected = np.searchsorted(row_cum[k], u, side="right")
+        assert (nxt.take(k * width + ranks) // width).tolist() == expected.tolist()
+        assert step.take(k * width + ranks).tolist() == table[k, expected].tolist()
 
 
 def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypatch):
@@ -384,8 +445,9 @@ def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypa
 
 
 def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
-    # numpy reports its buffers to tracemalloc; drawing each chunk into a
-    # fresh array would briefly hold two chunks of 8 * rows * n bytes
+    # numpy reports its buffers to tracemalloc.  A request holds one float64 block of
+    # uniforms, one window of ranks (a byte each at r = 2) and the per-sample array; a
+    # float64 window, or a fresh array per block, would pass the bound
     n, samples = 64, 3 * oracle._MC_CHUNK_ROWS
     monte_carlo_redundancy(float_convergent_source, n, samples, seed=3)
     tracemalloc.start()
@@ -394,7 +456,7 @@ def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * 8 * oracle._MC_CHUNK_ROWS * n
+    assert peak < 1.5 * (8 * oracle._MC_BLOCK + oracle._MC_CHUNK_ROWS * n + 8 * samples)
 
 
 def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeypatch):
@@ -405,8 +467,8 @@ def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeyp
     with pytest.raises(ResourceLimit):
         monte_carlo_redundancy(float_convergent_source, 1, oracle.MC_SAMPLE_CAP + 1, seed=0)
     with pytest.raises(ResourceLimit):
-        monte_carlo_redundancy(float_convergent_source, oracle.MC_DRAW_CAP // 1000 + 1, 1000, seed=0)
-    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, oracle.MC_DRAW_CAP // oracle.MC_SAMPLE_CAP)
+        monte_carlo_redundancy(float_convergent_source, oracle.MC_STEP_CAP // 1000 + 1, 1000, seed=0)
+    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, oracle.MC_STEP_CAP // oracle.MC_SAMPLE_CAP)
     # ten times the benchmark's largest request, 10^5 samples over n = 99..100, is admitted
     oracle.check_monte_carlo(10**5, 10 * (99 + 100))
 
