@@ -18,11 +18,8 @@ from .oracle import (
     RedundancyValue,
     exact_redundancy,
     exact_redundancy_range,
-    kraft_sum,
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
-    neg_log_mu,
-    shannon_lengths,
 )
 from .sources import (
     ChainStructure,

@@ -13,14 +13,6 @@ class ZeroProbability(ShancodeError):
     """Logarithm of a structurally zero probability was requested."""
 
 
-class ZeroPathProbability(ShancodeError):
-    """An enumerated or supplied path crosses a zero-probability step."""
-
-    def __init__(self, step, message=None):
-        self.step = step
-        super().__init__(message or f"path has zero probability at step {step}")
-
-
 class ReducibleChain(ShancodeError):
     """Operation requires an irreducible transition structure."""
 

@@ -180,25 +180,3 @@ def error_bound(N: int, theta: float) -> float:
         if hi - lo < 1e-14:
             break
     return min(f1, f2)
-
-
-def n0(epsilon: float, theta: float) -> int:
-    """Smallest N with error_bound(N, theta) <= epsilon."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    _check_theta(theta)
-    if error_bound(1, theta) <= epsilon:
-        return 1
-    hi = 2
-    while error_bound(hi, theta) > epsilon:
-        hi *= 2
-        if hi > 2**62:
-            raise ValueError("epsilon unreachable within integer range")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if error_bound(mid, theta) <= epsilon:
-            hi = mid
-        else:
-            lo = mid
-    return hi

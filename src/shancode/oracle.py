@@ -17,22 +17,20 @@ step adds each move's limbs, then sorts and sums what enters each state.
 The DP is admitted by the work it does, not by an estimate: it counts its
 key moves and stops with ResourceLimit at the step that would pass
 DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator, refused over its
-caps before any draw, and Shannon code lengths by path enumeration, refused
-over ENUMERATION_MAX_PATHS paths.
+caps before any draw.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import ResourceLimit, ZeroPathProbability
-from .exact import ZERO, Log2Value, ceil_defect
-from .sources import MarkovSource, log2_prob, log2_prob_float
+from .errors import ResourceLimit
+from .exact import ZERO, ceil_defect
+from .sources import MarkovSource, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
@@ -45,8 +43,6 @@ _READ_CHARGE = 8
 # lattice keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-# paths that shannon_lengths may enumerate; a one-state chain counts as r = 2
-ENUMERATION_MAX_PATHS = 2**24
 # Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
 # drawn at a time, and the caps check_monte_carlo enforces
 _MC_CHUNK_ROWS = 4096
@@ -72,58 +68,6 @@ def _snap(u):
     """
     nearest = np.round(u)
     return np.where(np.abs(u - nearest) <= INTEGER_SNAP_TOL, nearest, u)
-
-
-def neg_log_mu(source: MarkovSource, x) -> float:
-    """-log2 of the path probability mu(x) = p_{x_1} prod p(x_t | x_{t-1})."""
-    x = list(x)
-    if not x:
-        raise ValueError("path must be nonempty")
-    if source.initial[x[0]] is ZERO:
-        raise ZeroPathProbability(0, f"initial state {x[0]} has zero probability")
-    total = log2_prob(source.initial[x[0]])
-    for t in range(1, len(x)):
-        step = source.transitions[x[t - 1]][x[t]]
-        if step is ZERO:
-            raise ZeroPathProbability(t, f"transition {x[t-1]}->{x[t]} at step {t} has zero probability")
-        total = total + log2_prob(step)
-    return -(total.to_float() if isinstance(total, Log2Value) else total)
-
-
-# -- path enumeration ----------------------------------------------------
-
-
-def _check_enumeration(source: MarkovSource, n: int) -> None:
-    r = max(source.r, 2)  # a one-state chain's work still grows with n
-    if r**n > ENUMERATION_MAX_PATHS:
-        raise ResourceLimit(f"enumeration of length {n} counts as {r}^{n} paths, cap is {ENUMERATION_MAX_PATHS}")
-
-
-def _iter_support(source: MarkovSource, n: int):
-    """Yield (path, neg_log) over all positive-probability paths of length n.
-
-    neg_log is a Log2Value for exact sources and a float otherwise.
-    """
-    adj = source.support()
-
-    def extend(path, acc):
-        if len(path) == n:
-            yield tuple(path), -acc
-            return
-        for j in adj[path[-1]]:
-            step = log2_prob(source.transitions[path[-1]][j])
-            path.append(j)
-            yield from extend(path, acc + step)
-            path.pop()
-
-    for s0 in range(source.r):
-        if source.initial[s0] is ZERO:
-            continue
-        start = log2_prob(source.initial[s0])
-        if n == 1:
-            yield (s0,), -start
-        else:
-            yield from extend([s0], start)
 
 
 # -- lattice dynamic program -------------------------------------------------
@@ -534,29 +478,3 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
 def monte_carlo_redundancy(source: MarkovSource, n: int, samples: int, seed: int) -> RedundancyValue:
     """Sample mean of rho(-log2 mu) over independently sampled paths of length n."""
     return monte_carlo_redundancy_range(source, n, n, samples, seed)[0]
-
-
-# -- Shannon code lengths --------------------------------------------------
-
-
-def shannon_lengths(source: MarkovSource, n: int):
-    """Code lengths ceil(-log2 mu(x)) over the positive-probability support.
-
-    Returns a list of (path, length); the Kraft sum over these lengths never
-    exceeds 1.
-    """
-    _check_enumeration(source, n)
-    out = []
-    for path, neg_log in _iter_support(source, n):
-        if source.exact and neg_log.is_rational:
-            length = math.ceil(neg_log.rational)
-        else:
-            v = neg_log.to_float() if source.exact else neg_log
-            length = math.ceil(_snap(v))
-        out.append((path, int(length)))
-    return out
-
-
-def kraft_sum(lengths) -> Fraction:
-    """Exact Kraft sum of a list of (path, length) entries."""
-    return sum((Fraction(1, 2**length) for _, length in lengths), Fraction(0))

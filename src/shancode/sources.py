@@ -78,17 +78,16 @@ class MarkovSource:
         """
         if not isinstance(doc, dict):
             raise ValidationFailure("a source description must be a JSON object")
-        try:
-            r = int(doc["r"])
-        except (TypeError, OverflowError):
-            raise ValidationFailure(f"r must be an integer, got {doc['r']!r}") from None
+        r = doc["r"]
+        if not isinstance(r, int) or isinstance(r, bool):
+            raise ValidationFailure(f"r must be an integer, got {r!r}")
         initial, transitions = doc["initial"], doc["transitions"]
         if not all(isinstance(x, list) for x in (initial, transitions, *transitions)):
             raise ValidationFailure("initial and transitions must be a list and a list of lists")
         if len(initial) != r or len(transitions) != r or any(len(row) != r for row in transitions):
             raise ValidationFailure(f"shape mismatch against r={r}")
         flat = initial + [v for row in transitions for v in row]
-        if bad := [v for v in flat if not isinstance(v, (int, float, str))]:
+        if bad := [v for v in flat if not isinstance(v, (int, float, str)) or isinstance(v, bool)]:
             raise ValidationFailure(f"probabilities must be numbers or strings, got {bad[0]!r}")
         has_str = any(isinstance(v, str) for v in flat)
         has_float = any(isinstance(v, float) for v in flat)
@@ -179,9 +178,6 @@ class ValidationReport:
     ok: bool
     messages: tuple
     flags: frozenset
-
-    def __bool__(self):
-        return self.ok
 
 
 def _exact_sum_is_one(values) -> bool:

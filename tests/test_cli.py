@@ -196,6 +196,7 @@ def test_exit_code_validation_failure(tmp_path):
 
 
 ONE_STATE = {"r": 1, "initial": [1], "transitions": [[1]]}
+PERMUTATION = {"r": 2, "initial": ["1/3", "2/3"], "transitions": [["1/3", "2/3"], ["2/3", "1/3"]]}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -208,8 +209,11 @@ ONE_STATE = {"r": 1, "initial": [1], "transitions": [[1]]}
     ("classify", {**ONE_STATE, "r": None}),
     ("sweep", {"xi": None, "sources": [{"label": "one", "source": ONE_STATE}]}),
     ("sweep", {"n": "3..4", "sources": [{"label": "one", "path": 5}]}),
+    ("classify", {**PERMUTATION, "r": 2.9}),
+    ("classify", {**ONE_STATE, "r": True}),
+    ("classify", {"r": 1, "initial": [True], "transitions": [[True]]}),
 ], ids=["source-list", "initial-int", "null-probability", "zero-denominator", "grid-list", "grid-entry-string",
-        "r-null", "grid-xi-null", "grid-path-number"])
+        "r-null", "grid-xi-null", "grid-path-number", "r-float", "r-bool", "probability-bool"])
 def test_malformed_json_exits_2(tmp_path, command, doc):
     rc, out, err = run_cli("--command", command, "--source", write_source(tmp_path, "bad.json", doc))
     assert rc == 2 and not out

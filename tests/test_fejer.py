@@ -178,16 +178,6 @@ def test_error_bound_matches_grid_minimization():
             assert fejer.error_bound(N, theta) == pytest.approx(grid_min, rel=1e-6)
 
 
-def test_n0_properties():
-    for eps in (0.5, 0.2, 0.1):
-        for theta in (0.1, 0.3):
-            n = fejer.n0(eps, theta)
-            assert fejer.error_bound(n, theta) <= eps
-            if n > 1:
-                assert fejer.error_bound(n - 1, theta) > eps
-    assert fejer.n0(0.5, 0.1) >= fejer.n0(0.9, 0.1)
-
-
 def test_fejer_sum_large_order_in_bounded_memory():
     theta, N = 0.1, 200_000
     u = np.linspace(0.0, 1.0, 64, endpoint=False) + 0.003

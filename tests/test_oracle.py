@@ -1,4 +1,4 @@
-"""Ground-truth redundancy: lattice DP, Monte Carlo, Shannon code lengths."""
+"""Ground-truth redundancy: lattice DP and Monte Carlo."""
 
 import math
 import time
@@ -14,15 +14,12 @@ from shancode import (
     MarkovSource,
     exact_redundancy,
     exact_redundancy_range,
-    kraft_sum,
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
-    neg_log_mu,
-    shannon_lengths,
 )
 from shancode import oracle
 from shancode.asymptotics import ceil_defect
-from shancode.errors import ResourceLimit, ZeroPathProbability
+from shancode.errors import ResourceLimit
 from tests.conftest import (
     float_copy,
     iter_paths_bruteforce,
@@ -34,22 +31,6 @@ from tests.conftest import (
 
 F = Fraction
 LOG3 = math.log2(3.0)
-
-
-def test_neg_log_mu_examples(dyadic_memoryless, absorbing_source):
-    assert neg_log_mu(dyadic_memoryless, [0, 1, 0]) == 3.0
-    s = MarkovSource.from_exact([1, 0], [["1/2", "1/2"], ["1/4", "3/4"]])
-    assert neg_log_mu(s, [0, 1, 1]) == pytest.approx(3.0 - LOG3, abs=1e-12)
-    assert neg_log_mu(absorbing_source, [0, 0, 1]) == pytest.approx(math.log2(4.5), abs=1e-12)
-
-
-def test_neg_log_mu_zero_step(absorbing_source):
-    with pytest.raises(ZeroPathProbability) as exc:
-        neg_log_mu(absorbing_source, [0, 1, 0])
-    assert exc.value.step == 2
-    with pytest.raises(ZeroPathProbability) as exc:
-        neg_log_mu(absorbing_source, [1, 1])
-    assert exc.value.step == 0
 
 
 def test_dyadic_redundancy_identically_zero(dyadic_memoryless, dyadic_markov_pair, dyadic_r3):
@@ -142,11 +123,10 @@ def test_redundancy_equals_mean_length_minus_entropy(permutation_source, m2_sour
     # E[L] - H reproduces the ceiling-defect expectation
     for s in (permutation_source, m2_source):
         for n in (2, 5):
-            lengths = dict(shannon_lengths(s, n))
             mean_len = 0.0
             entropy = 0.0
-            for path, mu in iter_paths_bruteforce(s, n):
-                mean_len += mu * lengths[path]
+            for _, mu in iter_paths_bruteforce(s, n):
+                mean_len += mu * math.ceil(-math.log2(mu))
                 entropy += mu * (-math.log2(mu))
             assert exact_redundancy(s, n).value == pytest.approx(
                 mean_len - entropy, abs=1e-10
@@ -287,12 +267,8 @@ def test_resource_limits(monkeypatch):
     assert sum(work[:stop - 1]) <= budget
 
 
-def test_one_state_chain_counts_as_two_states(monkeypatch):
-    # 1**n never exceeds the path cap, but the enumeration still grows with n
+def test_one_state_chain_charged_per_step(monkeypatch):
     s = MarkovSource.from_exact([1], [[1]])
-    assert shannon_lengths(s, 24) == [((0,) * 24, 0)]
-    with pytest.raises(ResourceLimit, match=str(oracle.ENUMERATION_MAX_PATHS)):
-        shannon_lengths(s, 25)
     # one key per step for the DP, but every step is charged 64 for its state plus the key's
     # move, so a long chain is refused: 65 n > 10^4 first at n = 154
     assert exact_redundancy(s, 200).value == 0.0
@@ -471,32 +447,3 @@ def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeyp
     oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, oracle.MC_STEP_CAP // oracle.MC_SAMPLE_CAP)
     # ten times the benchmark's largest request, 10^5 samples over n = 99..100, is admitted
     oracle.check_monte_carlo(10**5, 10 * (99 + 100))
-
-
-# -- Shannon code lengths ------------------------------------------------------
-
-
-def test_shannon_lengths_dyadic(dyadic_memoryless):
-    lengths = shannon_lengths(dyadic_memoryless, 3)
-    assert len(lengths) == 8
-    assert all(length == 3 for _, length in lengths)
-    assert kraft_sum(lengths) == 1
-
-
-def test_shannon_lengths_markov_example():
-    s = MarkovSource.from_exact([1, 0], [["1/2", "1/2"], ["1/4", "3/4"]])
-    lengths = dict(shannon_lengths(s, 2))
-    assert lengths[(0, 0)] == 1 and lengths[(0, 1)] == 1
-    assert kraft_sum(lengths.items()) == 1
-
-
-def test_shannon_lengths_absorbing_support(absorbing_source):
-    lengths = shannon_lengths(absorbing_source, 3)
-    assert len(lengths) == 3  # 000, 001, 011
-    assert kraft_sum(lengths) <= 1
-
-
-def test_kraft_inequality_across_sources(oscillatory_exact_family, float_convergent_source):
-    for s in (*oscillatory_exact_family[:6], float_convergent_source):
-        for n in (2, 4, 6):
-            assert float(kraft_sum(shannon_lengths(s, n))) <= 1.0 + 1e-12
