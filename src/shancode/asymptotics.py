@@ -55,7 +55,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ReducibleChain, ZeroProbability
+from .errors import ReducibleChain, ResourceLimit, ZeroProbability
 from .exact import ZERO, ExactProb, Log2Value, ceil_defect, common_denominator, frac_log, wrap_unit
 from .sources import (
     MarkovSource,
@@ -67,6 +67,8 @@ from .sources import (
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
+# most rows x r^2 one predict_range request may ask for: its arrays hold (rows, r, r) floats
+PREDICT_CELL_CAP = 2**22
 
 
 # -- mode classification ----------------------------------------------------
@@ -275,11 +277,15 @@ def predict_range(
     boundary_terms is the weight mass d p_j pi_k, over every (j, k) pair,
     whose rho(zeta_jk(n)) falls outside (xi, 1 - xi); within that margin of
     a discontinuity the asymptotic sandwich does not pin R_n down.
-    Convergent sources predict the constant 1/2.
+    Convergent sources predict the constant 1/2.  A request of more than
+    PREDICT_CELL_CAP rows times r^2 raises ResourceLimit before any work.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
     ns = range(lo, hi + 1)
+    if len(ns) * source.r**2 > PREDICT_CELL_CAP:
+        raise ResourceLimit(f"prediction over {len(ns)} block lengths at r = {source.r} holds "
+                            f"{len(ns) * source.r**2} > {PREDICT_CELL_CAP} cells (rows x r^2)")
     if cls.mode == "convergent":
         flags = frozenset(set(cls.flags) | {"convergent"})
         return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]

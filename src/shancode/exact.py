@@ -170,10 +170,27 @@ class ExactProb:
         return 2.0 ** self.log2().to_float()
 
     def value_at_most_one(self) -> bool:
-        """Exact check that mantissa * 2**exp2 <= 1."""
-        a, b = self.exp2.numerator, self.exp2.denominator
-        # m * 2**(a/b) <= 1  <=>  m**b * 2**a <= 1, since b > 0
-        return self.mantissa**b * Fraction(2) ** a <= 1
+        """Exact check that mantissa * 2**exp2 <= 1, without forming a power.
+
+        log2 of the value is exp2 + log2(mantissa), and the mantissa's bit
+        lengths bound log2(mantissa) within 1, which decides every exponent
+        but those within 2 of minus their difference.  There the sum is
+        evaluated in decimal at doubling precision until its error bound is
+        below it.  That ends: for an odd mantissa other than 1 log2(mantissa)
+        is irrational, so the sum is never 0.
+        """
+        num, den = self.mantissa.numerator, self.mantissa.denominator
+        estimate = self.exp2 + num.bit_length() - den.bit_length()
+        if self.mantissa == 1 or abs(estimate) > 2:
+            return estimate <= 0
+        prec = 30
+        while True:
+            with localcontext() as ctx:
+                ctx.prec = prec
+                log = Decimal(self.exp2.numerator) / self.exp2.denominator + _decimal_log2(self.mantissa, prec)
+                if abs(log) > Decimal(num.bit_length() + den.bit_length()).scaleb(3 - prec):
+                    return log < 0
+            prec *= 2
 
 
 class _ZeroProb:

@@ -11,9 +11,10 @@ exact_redundancy_range runs one forward DP over (state, lattice point) keys
 carrying float probability mass and reads R_n out at every n of a range.
 The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
 2004) with the same mu.  Both lattices run on the same numpy code: each
-state's frontier is a sorted array of keys in int64 limbs of base 2^62, as
-many limbs as the lattice's key bound up to the longest length needs, and a
-step adds each move's limbs, then sorts and sums what enters each state.
+state's frontier is a sorted array of int64 key rows, one column per
+coordinate of an exact point or base-2^62 limbs of a float point, which can
+pass 97 bits; a step adds each move's row, then sorts and sums what enters
+each state.
 The DP is admitted by the work it does, not by an estimate: it counts its
 key moves and stops with ResourceLimit at the step that would pass
 DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator, refused over its
@@ -40,7 +41,7 @@ DP_MOVE_BUDGET = 2**22
 # no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
 _READ_CHARGE = 8
-# lattice keys are rows of int64 limbs in base 2^62 (see _limbs)
+# exact key columns stay below 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
@@ -116,9 +117,9 @@ def _limbs(values, width: int) -> np.ndarray:
 def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
     """keys + delta limb by limb, carrying each limb's floor quotient by 2^62 upwards.
 
-    delta holds rows of _limbs and broadcasts against keys over the last
-    (limb) axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below
-    2^63, and the caller's key bound keeps the top limb in range.
+    delta holds key rows and broadcasts against keys over the last (limb)
+    axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below 2^63,
+    and the lattice's key bound keeps the top limb in range.
     """
     out = keys + delta
     for i in range(out.shape[-1] - 1):
@@ -137,7 +138,7 @@ def _ints(keys: np.ndarray) -> list[int]:
 def _merge(parts):
     """One sorted (keys, masses) from a nonempty list of them, summing the masses of equal keys.
 
-    A stable lexsort (the top limb is its primary key) keeps equal keys in
+    A stable lexsort (the last column is its primary key) keeps equal keys in
     the order of the parts, and each part holds a key once.  bincount over
     the run numbers then adds each run left to right, in part order, as a
     dict accumulating the parts would; np.add.reduceat would add a run's
@@ -167,20 +168,19 @@ def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
     """Run the DP to length hi; return ([readout(*merged frontier) for n = lo..hi], spent).
 
     frontier[k] is (keys, masses) of the paths now in state k: the distinct
-    lattice points as a sorted (N, width) int64 array of base-2^62 limbs,
-    16 bytes a point at width 1 with its float64 probability mass.  width
-    comes from the lattice's bound on every key up to length hi, so no carry
-    leaves the top limb.  moves[k] is (targets, steps, probs) of state k's
-    nonzero transitions, steps one limb row each; a step adds every move's
-    row to every key (_add) and merges what enters each state (_merge).
-    spent counts work in key moves: each key a step moves (what bounds
-    memory), plus _STATE_CHARGE = 64 per state a step visits and
-    _READ_CHARGE = 8 per key a readout reads.  Those two cost time but make
-    no keys: a step's merges take 12-27 us per state (r = 2..32) against
-    about 15 ns per key move, and an exact readout decodes a key in 1-3 us
-    in Python, so at these charges such work runs at about 0.2 us a unit
-    and a whole budget of it at about a second.  Work at n that would take
-    spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
+    lattice points as a sorted (N, width) int64 array of key rows, each
+    with its float64 probability mass; the lattice bounds every key up to
+    length hi, so no carry leaves the top column.  moves[k] is (targets,
+    steps, probs) of state k's nonzero transitions, steps one row each; a
+    step adds every move's row to every key (_add) and merges what enters
+    each state (_merge).  spent counts work in key moves: each key a step
+    moves (what bounds memory), plus _STATE_CHARGE = 64 per state a step
+    visits and _READ_CHARGE = 8 per key a readout reads.  Those two make no
+    keys: a step's merges take 12-27 us per state (r = 2..32) against about
+    15 ns per key move, about 0.2 us a unit at that charge.  A readout takes
+    0.2-0.4 us a key, under the charge kept from the 1-3 us of a per-key
+    Python readout, so refusals stay at the same n.  Work at n that would
+    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
     """
     out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
     for n in range(1, hi + 1):
@@ -211,46 +211,41 @@ def _nonzero_probs(source: MarkovSource) -> list:
 
 
 def _exact_lattice(source: MarkovSource, hi: int):
-    """(key of a probability, origin, bound, readout, passes) of an exact source's lattice up to length hi.
+    """(rows of probabilities, origin, readout, passes) of an exact source's lattice up to length hi.
 
-    A lattice point is (D times the rational part of -log2 mu, exponents of
-    mu's odd mantissa over a coprime base), packed into one int as signed
-    digits in base radix; one pass runs all first states together.  A path
-    of length <= hi keeps every digit within half, so its packed point lies
-    within offset of 0.  The origin offset, added to the start keys, makes
-    every key a plain radix digit string in [0, bound = 2 offset], whose
-    width in limbs is fixed before the DP starts.  Where the exponents are
-    all 0, -log2 mu is rational and rho is exact integer arithmetic.
+    A lattice point is a row of int64 columns: D times the rational part of
+    -log2 mu, D the lcm of the exp2 denominators, then the exponents of mu's
+    odd mantissa over a coprime base.  A path of length <= hi keeps every
+    coordinate within half = hi * (largest |coordinate| of a step), so the
+    origin, half in every column and added to the start keys, keeps each
+    column in [0, 2 half] and _add never carries; a lattice whose columns or
+    D would reach 2^62 raises ResourceLimit before any DP work.  One pass
+    runs all first states together.  Where the exponents are all 0, -log2 mu
+    is rational and rho is exact integer arithmetic.
     """
     probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
     base = _coprime_base(v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator))
-    logs = [math.log2(b) for b in base]
+    logs = np.array([math.log2(b) for b in base])
 
     def coords(p):
         num, den = _exponents(p.mantissa.numerator, base), _exponents(p.mantissa.denominator, base)
         return [int(-p.exp2 * denom)] + [a - b for a, b in zip(num, den)]
 
     half = hi * max(abs(c) for p in probs for c in coords(p))
-    radix = 2 * half + 1
-    powers = [radix**i for i in range(1 + len(base))]
-    offset = half * sum(powers)
+    if max(2 * half, denom) >> _LIMB_BITS:
+        raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^{_LIMB_BITS}")
 
-    def key(p):
-        return sum(c * w for c, w in zip(coords(p), powers))
+    def rows(ps):
+        return np.array([coords(p) for p in ps], dtype=np.int64).reshape(len(ps), 1 + len(base))
 
     def readout(keys, masses):
-        terms = []
-        for point, mass in zip(_ints(keys), masses.tolist()):
-            scaled, *expo = [point // w % radix - half for w in powers]
-            if any(expo):
-                rho = ceil_defect(scaled / denom - math.fsum(e * x for e, x in zip(expo, logs)))
-            else:
-                rho = (-scaled % denom) / denom
-            terms.append(mass * rho)
-        return math.fsum(terms), False
+        scaled, expo = keys[:, 0] - half, keys[:, 1:] - half
+        rho = np.where(expo.any(axis=1), ceil_defect(scaled / denom - expo @ logs), (-scaled % denom) / denom)
+        return math.fsum((masses * rho).tolist()), False
 
-    return key, offset, 2 * offset, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
+    origin = np.full(1 + len(base), half, dtype=np.int64)
+    return rows, origin, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
 
 
 def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
@@ -265,7 +260,7 @@ def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _float_lattice(source: MarkovSource, hi: int):
-    """(key of a probability, origin, bound, readout, passes) of a float source's lattice up to length hi.
+    """(rows of probabilities, origin, readout, passes) of a float source's lattice up to length hi.
 
     A lattice point is the integer scale * (-log2 mu), where scale is the
     largest power-of-two denominator of the -log2 of the nonzero step and
@@ -274,7 +269,7 @@ def _float_lattice(source: MarkovSource, hi: int):
     float values, and key / scale is that sum correctly rounded whatever
     the length.  Keys are unbounded ints: a step probability of 1 - 2^-45
     alone needs a 97-bit scale.  They start at origin 0 and never pass
-    bound = hi times the largest key, which sets their width in limbs.
+    hi times the largest key, which sets their width in limbs (_limbs).
     Paths from different first states all but never merge, so each first
     state is a pass of its own and only one of their frontiers is alive at
     a time.
@@ -286,54 +281,56 @@ def _float_lattice(source: MarkovSource, hi: int):
         num, den = negs[p].as_integer_ratio()
         return num * (scale // den)
 
+    width = _width(hi * max(map(key, negs)))
+
+    def rows(ps):
+        return _limbs(list(map(key, ps)), width)
+
     def readout(keys, masses):
         neg_logs = _scaled(keys, scale)
         snapped = _snap(neg_logs)
         return math.fsum((masses * ceil_defect(snapped)).tolist()), bool(np.any(snapped != neg_logs))
 
-    bound = hi * max(map(key, negs))
-    return key, 0, bound, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
+    origin = np.zeros(width, dtype=np.int64)
+    return rows, origin, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
 def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
-    The lattice of the source's kind (_exact_lattice, _float_lattice) gives
-    the key of each probability, the origin added to the start keys, the
-    bound on every key up to length hi, the readout of (R_n part, snapped)
-    from a merged frontier, and the passes: groups of first states whose
-    paths run together.  The bound fixes the width of the limb rows (see
-    _forward) before any work.  Every pass starts from its first states'
-    keys and moves by the transitions' keys, and R_n sums the passes'
-    readouts.  Nothing estimates the work beforehand, as no cheap estimate
-    is close: the DP counts its work in key moves over all passes (see
-    _forward) and raises ResourceLimit before the work that would pass
+    The lattice of the source's kind (_exact_lattice, _float_lattice) owns
+    its key format.  It gives the int64 key rows of a list of
+    probabilities, the origin row added to the start keys, the readout of
+    (R_n part, snapped) from a merged frontier, and the passes: groups of
+    first states whose paths run together.  Every pass starts from its
+    first states' keys and moves by the transitions' keys, and R_n sums the
+    passes' readouts.  Nothing estimates the work beforehand, as no cheap
+    estimate is close: the DP counts its work in key moves over all passes
+    (see _forward) and raises ResourceLimit before the work that would pass
     DP_MOVE_BUDGET.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    lattice = _exact_lattice(source, hi) if source.exact else _float_lattice(source, hi)
-    key, origin, bound, readout, passes = lattice
-    width = _width(bound)
+    rows, origin, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
     prob = source.prob_float
     moves = []
     for row in source.transitions:
         nonzero = [p for p in row if p is not ZERO]
         targets = [j for j, p in enumerate(row) if p is not ZERO]
-        moves.append((targets, _limbs(list(map(key, nonzero)), width), np.array(list(map(prob, nonzero)))))
-    empty = (np.empty((0, width), dtype=np.int64), np.empty(0))
+        moves.append((targets, rows(nonzero), np.array(list(map(prob, nonzero)))))
+    empty = (np.empty((0, len(origin)), dtype=np.int64), np.empty(0))
     outs, spent = [], 0
     for firsts in passes:
-        frontier = [(_limbs([origin + key(p)], width), np.array([prob(p)])) if s in firsts else empty
+        frontier = [(rows([p]) + origin, np.array([prob(p)])) if s in firsts else empty
                     for s, p in enumerate(source.initial)]
         out, spent = _forward(frontier, moves, lo, hi, readout, spent)
         outs.append(out)
-    rows = []
+    result = []
     for n, parts in zip(range(lo, hi + 1), zip(*outs)):
         value = math.fsum(v for v, _ in parts)
         flags = frozenset({"snap"}) if any(s for _, s in parts) else frozenset()
-        rows.append(RedundancyValue(n=n, value=value, method="lattice_dp", stderr=None, flags=flags))
-    return rows
+        result.append(RedundancyValue(n=n, value=value, method="lattice_dp", stderr=None, flags=flags))
+    return result
 
 
 def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:

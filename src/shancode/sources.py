@@ -207,22 +207,33 @@ def validate(source: MarkovSource) -> ValidationReport:
     exponents cannot occur in an exactly stochastic row, and this flag makes
     analyzing such constructed sources possible without pretending they are
     exact distributions.  Float sources must sum to 1 within FLOAT_SUM_TOL.
+    An exact probability over 1, or so small that its float64 is 0.0 (every
+    route carries masses as floats), is rejected, and the sums of the rows
+    that hold it are not formed.
     """
     messages = []
     flags = set()
+    rejected = set()
 
     for v in list(source.initial) + [x for row in source.transitions for x in row]:
         if v is ZERO:
             continue
         if source.exact:
-            if not v.value_at_most_one():
+            # log2 of the mantissa lies within 1 of its bit length difference, so an exponent
+            # far below the float range is decided without a float, which could overflow
+            log = v.exp2 + v.mantissa.numerator.bit_length() - v.mantissa.denominator.bit_length()
+            if log < -1100 or (log < -1000 and v.to_float() == 0.0):
+                messages.append(f"probability {v} underflows to 0.0 as a float64")
+                rejected.add(v)
+            elif not v.value_at_most_one():
                 messages.append(f"probability {v} exceeds 1")
+                rejected.add(v)
         elif not (0.0 < v <= 1.0):
             messages.append(f"float probability {v} outside (0, 1]")
 
     sums = [(f"transition row {k}", row) for k, row in enumerate(source.transitions)]
     for name, values in sums + [("initial vector", source.initial)]:
-        if source.exact and _exact_sum_is_one(values):
+        if rejected.intersection(values) or (source.exact and _exact_sum_is_one(values)):
             continue
         res = math.fsum(map(source.prob_float, values)) - 1.0
         if abs(res) > FLOAT_SUM_TOL:

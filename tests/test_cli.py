@@ -220,6 +220,44 @@ def test_malformed_json_exits_2(tmp_path, command, doc):
     assert json.loads(err)["error"] in ("ValidationFailure", "ValueError")
 
 
+@pytest.mark.parametrize("spec, message", [
+    ("2^(-1000000000)", "underflows"),
+    ("1/3 * 2^(1/20000000)", "transition row 0 sums to"),
+    ("2^(-1" + "0" * 400 + ")", "underflows"),
+    ("2^(1000000000)", "exceeds 1"),
+], ids=["exponent-underflow", "tiny-fractional-exponent", "400-digit-exponent", "exponent-overflow"])
+def test_extreme_exponents_rejected_quickly(tmp_path, capsys, spec, message):
+    # the value is decided from exp2 and the mantissa's bit lengths: no huge power and no float overflow
+    doc = {"r": 2, "initial": ["1/2", "1/2"], "transitions": [[spec, "1/2"], ["1/2", "1/2"]]}
+    path = write_source(tmp_path, "extreme.json", doc)
+    t0 = time.perf_counter()
+    rc = main(["--command", "classify", "--source", path])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    assert rc == 2 and not out and elapsed < 1.0
+    payload = json.loads(err)
+    assert payload["error"] == "ValidationFailure" and message in payload["message"]
+
+
+def test_over_long_predict_range_refused_before_any_work(permutation_path, monkeypatch, capsys):
+    from shancode import asymptotics
+
+    def no_work(*args):
+        raise AssertionError("a refused prediction ran")
+
+    monkeypatch.setattr(asymptotics, "_zeta_defects", no_work)
+    monkeypatch.setattr(asymptotics, "stationary_distribution", no_work)
+    # 2^22 cells hold 2^20 rows at r = 2; one more row is refused
+    rc = main(["--command", "predict", "--source", permutation_path, "--n", f"1..{2**20 + 1}"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and f"> {asymptotics.PREDICT_CELL_CAP}" in payload["message"]
+    source = MarkovSource.from_dict(PERMUTATION)
+    with pytest.raises(AssertionError, match="a refused prediction ran"):  # 2^20 rows are admitted
+        asymptotics.predict_range(source, classify_mode(source), 1, 2**20)
+
+
 def test_exit_code_resource_limit(permutation_path):
     from shancode.oracle import DP_MOVE_BUDGET
 

@@ -105,6 +105,29 @@ def test_value_at_most_one():
     assert ExactProb.make(F(3), F(-2)).value_at_most_one()
 
 
+# continued fraction convergents p/q of log2(3): 3 * 2^(-p/q) lies closest to 1 of all exponents
+# with denominators up to q, so the bit lengths leave these to the decimal evaluation
+LOG2_3_CONVERGENTS = [(3, 2), (8, 5), (19, 12), (65, 41), (84, 53), (485, 306), (1054, 665),
+                      (24727, 15601), (50508, 31867)]
+
+
+@pytest.mark.parametrize("p, q", LOG2_3_CONVERGENTS)
+@pytest.mark.parametrize("shift", [-1, 0, 1])
+def test_value_at_most_one_near_one_matches_the_exact_power(p, q, shift):
+    for m, sign in ((F(3), 1), (F(1, 3), -1)):
+        a = -sign * (p + shift)
+        assert ExactProb(m, F(a, q)).value_at_most_one() == (m**q * F(2) ** a <= 1)
+
+
+def test_value_at_most_one_forms_no_power():
+    # 3^(10^12) or 2^(10^400) could not be formed; each of these is decided at once
+    assert not ExactProb(F(3), F(-1584962500721, 10**12)).value_at_most_one()
+    assert ExactProb(F(3), F(-1584962500722, 10**12)).value_at_most_one()
+    assert not ExactProb(F(1), F(10**400)).value_at_most_one()
+    assert ExactProb(F(1, 3), F(10**400 + 1, 10**400)).value_at_most_one()
+    assert not ExactProb(F(1), F(1, 10**400)).value_at_most_one()
+
+
 def test_approximate_rational_heuristic():
     assert approximate_rational(0.5) == F(1, 2)
     assert approximate_rational(1 / 3) == F(1, 3)

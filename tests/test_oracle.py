@@ -33,6 +33,13 @@ F = Fraction
 LOG3 = math.log2(3.0)
 
 
+def nine_prime_source():
+    def row(q):
+        return [str(q), str((1 - q) / 3), str(2 * (1 - q) / 3)]
+
+    return MarkovSource.from_exact(["1/3", "1/3", "1/3"], [row(F(1, 5**20)), row(F(1, 7**15)), row(F(1, 11**12))])
+
+
 def test_dyadic_redundancy_identically_zero(dyadic_memoryless, dyadic_markov_pair, dyadic_r3):
     for s in (dyadic_memoryless, *dyadic_markov_pair):
         for n in range(1, 21):
@@ -86,7 +93,8 @@ def test_range_matches_single_calls_bitwise(
     permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source
 ):
     # one pass to hi must read out exactly what a pass stopping at n reads out
-    for s in (permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source):
+    sources = (permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source)
+    for s in (*sources, nine_prime_source()):
         rows = exact_redundancy_range(s, 1, 12)
         assert [rec.n for rec in rows] == list(range(1, 13))
         for rec in rows:
@@ -187,17 +195,34 @@ def test_limb_arithmetic_is_int_arithmetic(case):
     assert oracle._width(key) <= width
 
 
-def test_exact_lattice_keys_of_two_limbs():
-    # nine primes in the coprime base and exponents up to 20 pack a point of
-    # length 2..7 into 64 to 82 bits: two limbs, moved by signed steps
-    def row(q):
-        return [str(q), str((1 - q) / 3), str(2 * (1 - q) / 3)]
-
-    s = MarkovSource.from_exact(["1/3", "1/3", "1/3"], [row(F(1, 5**20)), row(F(1, 7**15)), row(F(1, 11**12))])
+def test_exact_lattice_keys_are_one_column_per_coordinate():
+    # nine primes in the coprime base and exponents up to 20: a key is the
+    # rational column plus nine exponent columns, moved by signed steps
+    s = nine_prime_source()
     for n in range(2, 8):
-        bound = oracle._exact_lattice(s, n)[2]
-        assert oracle._width(bound) == 2
+        rows, origin, _, _ = oracle._exact_lattice(s, n)
+        assert rows(list(s.initial)).shape == (3, 10) and origin.shape == (10,)
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
+
+
+def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, monkeypatch):
+    # perm's step coordinates are 0 or -1, so its columns span [0, 2 n]: n = 2^61 - 1
+    # still fits below 2^62 and reaches the DP, n = 2^61 does not and is refused first
+    class Reached(Exception):
+        pass
+
+    def no_dp(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(oracle, "_forward", no_dp)
+    with pytest.raises(Reached):
+        exact_redundancy(permutation_source, 2**61 - 1)
+    for n in (2**61, 2**62):
+        with pytest.raises(ResourceLimit, match="reach 2\\^62"):
+            exact_redundancy(permutation_source, n)
+    # the rational column counts in units of 1/D, and D itself must stay below 2^62 for the readout
+    with pytest.raises(ResourceLimit, match="reach 2\\^62"):
+        exact_redundancy(MarkovSource.from_exact([f"2^(-1/{2**62 + 1})"], [[1]]), 1)
 
 
 def test_float_readout_rounds_like_int_division():
