@@ -36,7 +36,7 @@ evaluated from it as frac((M/d)(n-1) unit) + frac((M/d) b_jk) with
 b_jk = X_j - X_k - d log2 p_j; nothing solves the congruence again, and
 s and w are only reported.
 
-predict_range evaluates Omega_n for a whole n range in one pass: structure
+prediction_columns evaluates Omega_n for a whole n range in one pass: structure
 and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  Every log
 is reduced modulo 1 by exact.frac_log.  For exact sources it is
 exact and mantissa**k is never formed: rational parts in integers, and the
@@ -67,7 +67,7 @@ from .sources import (
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
-# most rows x r^2 one predict_range request may ask for: its arrays hold (rows, r, r) floats
+# most rows x r^2 one prediction_columns request may ask for: its arrays hold (rows, r, r) floats
 PREDICT_CELL_CAP = 2**22
 
 
@@ -223,19 +223,26 @@ class Prediction:
     flags: frozenset
 
 
-def _finish_prediction(n, omega, boundary, xi, flags) -> Prediction:
-    flags = set(flags)
-    if boundary > 0.0:
-        flags.add("boundary")
-    return Prediction(
-        n=n,
-        omega=omega,
-        lower=omega - boundary,
-        upper=omega + boundary,
-        boundary_terms=boundary,
-        xi=xi,
-        flags=frozenset(flags),
-    )
+@dataclass(frozen=True)
+class PredictionColumns:
+    """Omega_n with its sandwich bounds for each n in ns, one float64 array per field.
+
+    A row whose boundary_terms is 0 carries flags; any other row carries
+    boundary_flags, which is flags with "boundary" added.
+    """
+
+    ns: range
+    omega: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    boundary_terms: np.ndarray
+    flags: frozenset
+    boundary_flags: frozenset
+
+    def row_flags(self) -> list:
+        """The flag set of every row, in order."""
+        pick = (self.flags, self.boundary_flags)
+        return [pick[b] for b in (self.boundary_terms > 0.0).tolist()]
 
 
 def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
@@ -256,13 +263,13 @@ def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: in
     return rho
 
 
-def predict_range(
+def prediction_columns(
     source: MarkovSource,
     cls: ModeClassification,
     lo: int,
     hi: int,
     xi: float = DEFAULT_XI,
-) -> list[Prediction]:
+) -> PredictionColumns:
     """Omega_n with sandwich bounds for n = lo..hi, for a chain of any period d >= 1.
 
     With c_j = depth_j mod d the cyclic class of state j, the eigenpairs of
@@ -287,8 +294,9 @@ def predict_range(
         raise ResourceLimit(f"prediction over {len(ns)} block lengths at r = {source.r} holds "
                             f"{len(ns) * source.r**2} > {PREDICT_CELL_CAP} cells (rows x r^2)")
     if cls.mode == "convergent":
-        flags = frozenset(set(cls.flags) | {"convergent"})
-        return [Prediction(n, 0.5, 0.5, 0.5, 0.0, xi, flags) for n in ns]
+        half, zero = np.full(len(ns), 0.5), np.zeros(len(ns))
+        flags = cls.flags | {"convergent"}
+        return PredictionColumns(ns, half, half, half, zero, flags, flags | {"boundary"})
     structure = classify_structure(source)
     d = structure.period
     c = np.array(structure.depth) % d
@@ -301,13 +309,28 @@ def predict_range(
     for j in range(source.r):
         for k in range(source.r):
             osc = osc + weights[j, k] * rho[:, j, k] * ((c[k] - c[j] - nm1) % d == 0)
-    boundary = np.einsum("jk,njk->n", weights, (rho <= xi) | (rho >= 1.0 - xi))
+    boundary = np.einsum("jk,njk->n", weights, (rho <= xi) | (rho >= 1.0 - xi)) / float(cls.M)
     omega = 0.5 * (1.0 - 1.0 / cls.M) + osc / cls.M
-    return [_finish_prediction(n, float(o), float(b) / cls.M, xi, cls.flags) for n, o, b in zip(ns, omega, boundary)]
+    return PredictionColumns(ns, omega, omega - boundary, omega + boundary, boundary, cls.flags,
+                             cls.flags | {"boundary"})
+
+
+def predict_range(
+    source: MarkovSource,
+    cls: ModeClassification,
+    lo: int,
+    hi: int,
+    xi: float = DEFAULT_XI,
+) -> list[Prediction]:
+    """One Prediction per n = lo..hi, read from prediction_columns."""
+    cols = prediction_columns(source, cls, lo, hi, xi)
+    return [Prediction(n, omega, lower, upper, boundary, xi, flags) for n, omega, lower, upper, boundary, flags in zip(
+        cols.ns, cols.omega.tolist(), cols.lower.tolist(), cols.upper.tolist(), cols.boundary_terms.tolist(),
+        cols.row_flags())]
 
 
 def predict(source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI) -> Prediction:
-    """Omega_n at one n for any mode and period; see predict_range."""
+    """Omega_n at one n for any mode and period; see prediction_columns."""
     return predict_range(source, cls, n, n, xi)[0]
 
 

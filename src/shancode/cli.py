@@ -10,16 +10,24 @@ or a one-to-one JSON mirror:
   sweep       compare over a labeled grid of sources read from a config file
   fejer-demo  sandwich functions, their Fejer sums and the error bound
 
+Each command computes its whole output as a column table before render
+writes a byte, and render formats and writes it BLOCK_ROWS rows at a time,
+so memory holds the columns and one block of text, never the whole text.
+
 Exit codes: 0 success, 2 validation failure, 3 resource limit.  Failures
-additionally print a machine-readable JSON object on stderr.
+additionally print a machine-readable JSON object on stderr, and print
+nothing on stdout.  A reader of stdout that leaves early (`| head`) ends the
+command quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -99,6 +107,10 @@ def _load_source(args) -> MarkovSource:
 
 
 # -- command implementations -------------------------------------------------
+#
+# Each command returns a column table: a dict from column name to a column,
+# in print order, every column of one length.  A column is a float64 array,
+# a range of ints, or a list of cells of any type _fmt prints.
 
 
 def _cmd_classify(args):
@@ -108,7 +120,7 @@ def _cmd_classify(args):
         "irreducible": structure.irreducible,
         "period": structure.period,
         "positive": structure.positive,
-        "mode": "",
+        "mode": "reducible",
         "M": None,
         "s": None,
         "w": "",
@@ -125,80 +137,62 @@ def _cmd_classify(args):
             provenance=cls.provenance,
             flags=_flags_cell(cls.flags),
         )
-    else:
-        row["mode"] = "reducible"
-        row["flags"] = ""
-    columns = ["irreducible", "period", "positive", "mode", "M", "s", "w", "provenance", "flags"]
-    return columns, [row]
-
-
-def _predict_rows(source, cls, args):
-    rows = []
-    for pred in asymptotics.predict_range(source, cls, *args.n_range, xi=args.xi):
-        rows.append(
-            {
-                "n": pred.n,
-                "mode": cls.mode,
-                "M": cls.M,
-                "omega": pred.omega,
-                "lower": pred.lower,
-                "upper": pred.upper,
-                "boundary_terms": pred.boundary_terms,
-                "flags": _flags_cell(pred.flags),
-            }
-        )
-    return rows
+    return {name: [cell] for name, cell in row.items()}
 
 
 def _cmd_predict(args):
     source = _load_source(args)
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
-    columns = ["n", "mode", "M", "omega", "lower", "upper", "boundary_terms", "flags"]
-    return columns, _predict_rows(source, cls, args)
-
-
-def _exact_rows(source, args):
-    def row(rec):
-        return {"n": rec.n, "method": rec.method, "value": rec.value, "stderr": rec.stderr,
-                "flags": _flags_cell(rec.flags)}
-
-    lo, hi = args.n_range
-    if args.samples > 0:
-        oracle.check_monte_carlo(args.samples, (lo + hi) * (hi - lo + 1) // 2)
-    exact = oracle.exact_redundancy_range(source, lo, hi)
-    if args.samples == 0:
-        return [row(rec) for rec in exact]
-    sampled = oracle.monte_carlo_redundancy_range(source, lo, hi, args.samples, args.seed)
-    return [row(rec) for pair in zip(exact, sampled) for rec in pair]
+    cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
+    cells = {flags: _flags_cell(flags) for flags in (cols.flags, cols.boundary_flags)}
+    return {
+        "n": cols.ns,
+        "mode": [cls.mode] * len(cols.ns),
+        "M": [cls.M] * len(cols.ns),
+        "omega": cols.omega,
+        "lower": cols.lower,
+        "upper": cols.upper,
+        "boundary_terms": cols.boundary_terms,
+        "flags": [cells[flags] for flags in cols.row_flags()],
+    }
 
 
 def _cmd_exact(args):
     source = _load_source(args)
-    columns = ["n", "method", "value", "stderr", "flags"]
-    return columns, _exact_rows(source, args)
+    lo, hi = args.n_range
+    if args.samples > 0:
+        oracle.check_monte_carlo(args.samples, (lo + hi) * (hi - lo + 1) // 2)
+    records = oracle.exact_redundancy_range(source, lo, hi)
+    if args.samples > 0:
+        sampled = oracle.monte_carlo_redundancy_range(source, lo, hi, args.samples, args.seed)
+        records = [rec for pair in zip(records, sampled) for rec in pair]
+    return {
+        "n": [rec.n for rec in records],
+        "method": [rec.method for rec in records],
+        "value": np.array([rec.value for rec in records]),
+        "stderr": [rec.stderr for rec in records],
+        "flags": [_flags_cell(rec.flags) for rec in records],
+    }
 
 
-def _compare_rows(source, args):
+def _compare_table(source, args):
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
-    rows = []
     records = oracle.exact_redundancy_range(source, *args.n_range)
-    for rec, pred in zip(records, asymptotics.predict_range(source, cls, *args.n_range, xi=args.xi)):
-        rows.append(
-            {
-                "n": rec.n,
-                "mode": cls.mode,
-                "M": cls.M,
-                "exact_value": rec.value,
-                "method": rec.method,
-                "omega": pred.omega,
-                "lower": pred.lower,
-                "upper": pred.upper,
-                "boundary_terms": pred.boundary_terms,
-                "abs_diff": abs(rec.value - pred.omega),
-                "flags": _flags_cell(set(pred.flags) | set(rec.flags)),
-            }
-        )
-    return rows
+    cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
+    exact = np.array([rec.value for rec in records])
+    return {
+        "n": cols.ns,
+        "mode": [cls.mode] * len(records),
+        "M": [cls.M] * len(records),
+        "exact_value": exact,
+        "method": [rec.method for rec in records],
+        "omega": cols.omega,
+        "lower": cols.lower,
+        "upper": cols.upper,
+        "boundary_terms": cols.boundary_terms,
+        "abs_diff": np.abs(exact - cols.omega),
+        "flags": [_flags_cell(flags | rec.flags) for flags, rec in zip(cols.row_flags(), records)],
+    }
 
 
 _COMPARE_COLUMNS = [
@@ -208,8 +202,7 @@ _COMPARE_COLUMNS = [
 
 
 def _cmd_compare(args):
-    source = _load_source(args)
-    return _COMPARE_COLUMNS, _compare_rows(source, args)
+    return _compare_table(_load_source(args), args)
 
 
 def _cmd_sweep(args):
@@ -226,7 +219,7 @@ def _cmd_sweep(args):
         if not isinstance(grid["xi"], (int, float, str)):
             raise ValidationFailure(f"xi must be a number, got {grid['xi']!r}")
         args.xi = _check_xi(float(grid["xi"]))
-    rows = []
+    tables = []
     for entry in grid.get("sources", []):
         if not isinstance(entry, dict):
             raise ValidationFailure(f"grid entry {entry!r} is not a JSON object")
@@ -237,9 +230,16 @@ def _cmd_sweep(args):
             source = MarkovSource.load(Path(args.source).parent / entry["path"])
         else:
             source = MarkovSource.from_dict(entry["source"])
-        for row in _compare_rows(_validated(source, f"grid entry {label!r}: "), args):
-            rows.append({"label": label, **row})
-    return ["label", *_COMPARE_COLUMNS], rows
+        table = _compare_table(_validated(source, f"grid entry {label!r}: "), args)
+        tables.append({"label": [label] * len(table["n"]), **table})
+    return {name: _concat([table[name] for table in tables]) for name in ["label", *_COMPARE_COLUMNS]}
+
+
+def _concat(columns):
+    """One column holding the given columns one after another."""
+    if columns and all(isinstance(column, np.ndarray) for column in columns):
+        return np.concatenate(columns)
+    return [cell for column in columns for cell in column]
 
 
 def _cmd_fejer_demo(args):
@@ -249,17 +249,14 @@ def _cmd_fejer_demo(args):
         raise ValidationFailure(f"fejer-demo takes one truncation order, got the range {N}..{hi}")
     bound = fejer.error_bound(N, theta)
     grid = np.arange(0.0, 1.0, 1.0 / 512.0)
-    rows = []
-    for f_id, direct in (
-        ("rho_minus", fejer.rho_minus),
-        ("delta", fejer.delta),
-        ("rho_plus", fejer.rho_plus),
-    ):
-        approx = fejer.fejer_sum(f_id, grid, theta, N)
-        exactv = direct(grid, theta)
-        for u, fv, sv in zip(grid, exactv, approx):
-            rows.append({"function": f_id, "u": float(u), "f": float(fv), "fejer_sum": float(sv), "bound": bound})
-    return ["function", "u", "f", "fejer_sum", "bound"], rows
+    functions = {"rho_minus": fejer.rho_minus, "delta": fejer.delta, "rho_plus": fejer.rho_plus}
+    return {
+        "function": [f_id for f_id in functions for _ in grid],
+        "u": np.tile(grid, len(functions)),
+        "f": np.concatenate([direct(grid, theta) for direct in functions.values()]),
+        "fejer_sum": np.concatenate([fejer.fejer_sum(f_id, grid, theta, N) for f_id in functions]),
+        "bound": np.full(len(functions) * len(grid), bound),
+    }
 
 
 _COMMANDS = {
@@ -274,29 +271,90 @@ _COMMANDS = {
 
 # -- output -------------------------------------------------------------------
 
+# rows formatted and written at a time: the text in memory is one block's
+BLOCK_ROWS = 2**14
+_JSON_CELL = json.JSONEncoder(allow_nan=False).encode
+# per format: the %-format of one float cell (json.dumps prints float.__repr__),
+# and the printers of a range cell and a list cell
+_CELLS = {
+    "csv": ("%.12g\n", str, _fmt),
+    "json": ("%r\n", str, _JSON_CELL),
+}
 
-def render(columns, rows, fmt: str) -> str:
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in columns])
-        return buf.getvalue()
-    doc = {"columns": list(columns), "rows": [{c: row[c] for c in columns} for row in rows]}
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+def _cells(column, fmt: str) -> list:
+    """The printed cells of a column (or a slice of one) in the given format."""
+    float_spec, int_cell, cell = _CELLS[fmt]
+    if isinstance(column, np.ndarray):
+        # one %-format over the whole block is faster than a call per cell
+        values = tuple(column.tolist())
+        return (float_spec * len(values) % values).split("\n")[:-1]
+    return list(map(int_cell if isinstance(column, range) else cell, column))
+
+
+def _block(table: dict, start: int, fmt: str):
+    """The printed rows start .. start + BLOCK_ROWS - 1 of a column table, as tuples of cells."""
+    return zip(*(_cells(column[start:start + BLOCK_ROWS], fmt) for column in table.values()))
+
+
+def _csv_blocks(table: dict, rows: int):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(table)
+    for start in range(0, max(rows, 1), BLOCK_ROWS):  # one block at least, for the header
+        writer.writerows(_block(table, start, "csv"))
+        yield buf.getvalue()
+        buf.seek(0)
+        buf.truncate()
+
+
+def _json_blocks(table: dict, rows: int):
+    """The text of json.dumps({"columns": [...], "rows": [{...}, ...]}, indent=2) + "\n", in blocks."""
+    head, tail = json.dumps({"columns": list(table), "rows": []}, indent=2).rsplit("[]", 1)
+    if not rows:
+        yield head + "[]" + tail + "\n"
+        return
+    row = "    {\n" + ",\n".join(f"      {_JSON_CELL(name)}: %s" for name in table) + "\n    }"
+    for start in range(0, rows, BLOCK_ROWS):
+        yield (",\n" if start else head + "[\n") + ",\n".join(row % cells for cells in _block(table, start, "json"))
+    yield "\n  ]" + tail + "\n"
+
+
+def _check_json(table: dict) -> None:
+    """Refuse a non-finite float, as json.dumps(allow_nan=False) does."""
+    for column in table.values():
+        floats = column if isinstance(column, np.ndarray) else [x for x in column if isinstance(x, float)]
+        if not np.isfinite(floats).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+
+
+def render(table: dict, fmt: str, out: str | None = None) -> None:
+    """Write a column table as CSV or as its JSON mirror to the file out, or to stdout.
+
+    Every column is formatted once per block of BLOCK_ROWS rows and each
+    block is written as it is formatted, so memory holds the columns and
+    one block of text.  A refused table writes nothing and creates no file.
+    """
+    rows = len(next(iter(table.values())))
+    if fmt == "json":
+        _check_json(table)
+    blocks = (_json_blocks if fmt == "json" else _csv_blocks)(table, rows)
+    with open(out, "w", encoding="utf-8", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for text in blocks:
+            fh.write(text)
 
 
 def run(args: argparse.Namespace) -> int:
     """Run the parsed command line, with n_range set to the parsed --n; return the exit code."""
     try:
-        columns, rows = _COMMANDS[args.command](args)
-        text = render(columns, rows, args.format)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        render(_COMMANDS[args.command](args), args.format, args.out)
+    except BrokenPipeError:
+        # the reader of stdout has gone, as under `| head`: end quietly, like
+        # any filter, and send what Python flushes at exit to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except ResourceLimit as exc:
         _emit_error(exc)
         return 3
