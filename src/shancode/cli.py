@@ -161,7 +161,7 @@ def _cmd_exact(args):
     source = _load_source(args)
     lo, hi = args.n_range
     if args.samples > 0:
-        oracle.check_monte_carlo(args.samples, (lo + hi) * (hi - lo + 1) // 2)
+        oracle.check_monte_carlo(args.samples, lo, hi)
     records = oracle.exact_redundancy_range(source, lo, hi)
     if args.samples > 0:
         sampled = oracle.monte_carlo_redundancy_range(source, lo, hi, args.samples, args.seed)
@@ -344,9 +344,22 @@ def render(table: dict, fmt: str, out: str | None = None) -> None:
             fh.write(text)
 
 
-def run(args: argparse.Namespace) -> int:
-    """Run the parsed command line, with n_range set to the parsed --n; return the exit code."""
+def _emit_error(exc: Exception) -> None:
+    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
+
+
+def main(argv=None) -> int:
+    """Validate and run a command line; return the exit code (see the module docstring)."""
+    args = build_parser().parse_args(argv)
     try:
+        args.n_range = parse_n_range(args.n)
+        _check_xi(args.xi)
+        if args.m_max < 1:
+            raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
+        if args.samples < 0:
+            raise ValidationFailure(f"samples must be nonnegative, got {args.samples}")
+        if not 0 <= args.seed < 2**128:
+            raise ValidationFailure(f"--seed must satisfy 0 <= seed < 2**128, got {args.seed}")
         render(_COMMANDS[args.command](args), args.format, args.out)
     except BrokenPipeError:
         # the reader of stdout has gone, as under `| head`: end quietly, like
@@ -358,31 +371,10 @@ def run(args: argparse.Namespace) -> int:
     except ResourceLimit as exc:
         _emit_error(exc)
         return 3
-    except (ShancodeError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ShancodeError, ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         _emit_error(exc)
         return 2
     return 0
-
-
-def _emit_error(exc: Exception) -> None:
-    sys.stderr.write(json.dumps({"error": type(exc).__name__, "message": str(exc)}) + "\n")
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        args.n_range = parse_n_range(args.n)
-        _check_xi(args.xi)
-        if args.m_max < 1:
-            raise ValidationFailure(f"m-max must be at least 1, got {args.m_max}")
-        if args.samples < 0:
-            raise ValidationFailure(f"samples must be nonnegative, got {args.samples}")
-        if not 0 <= args.seed < 2**128:
-            raise ValidationFailure(f"--seed must satisfy 0 <= seed < 2**128, got {args.seed}")
-    except (ValidationFailure, ValueError) as exc:
-        _emit_error(exc)
-        return 2
-    return run(args)
 
 
 def entrypoint() -> None:

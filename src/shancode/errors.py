@@ -23,7 +23,3 @@ class ResourceLimit(ShancodeError):
 
 class DefectiveMatrix(ShancodeError):
     """Eigen-decomposition could not be bi-orthogonally normalized."""
-
-
-class ZeroIndex(ShancodeError):
-    """Fourier coefficient requested at index 0; DC terms are handled separately."""

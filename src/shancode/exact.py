@@ -112,11 +112,8 @@ class Log2Value:
     def __mul__(self, k: int) -> "Log2Value":
         return self.scaled(k)
 
-    def mantissa_log2(self) -> float:
-        return math.log2(self.mantissa.numerator) - math.log2(self.mantissa.denominator)
-
     def to_float(self) -> float:
-        return float(self.rational) + self.mantissa_log2()
+        return float(self.rational) + (math.log2(self.mantissa.numerator) - math.log2(self.mantissa.denominator))
 
     def frac_scaled(self, ks, den: int = 1) -> list:
         """frac((k / den) * value) for each integer k in ks, never forming mantissa**k.

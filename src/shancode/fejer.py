@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import ResourceLimit, ZeroIndex
+from .errors import ResourceLimit
 
 # terms len(u) * width per frequency block of fejer_sum: memory stays flat for
 # any N and any number of points, and fejer-demo's 512 points take blocks of
@@ -62,22 +62,6 @@ def rho_plus(u, theta: float):
 def _check_theta(theta: float) -> None:
     if not (0.0 < theta < 0.5):
         raise ValueError(f"theta must lie in (0, 1/2), got {theta}")
-
-
-def fourier_a(m: int, theta: float) -> complex:
-    """Fourier coefficient of rho_minus: (1 - exp(-2 pi i m theta)) / ((2 pi i m)^2 theta)."""
-    _check_theta(theta)
-    if m == 0:
-        raise ZeroIndex("the DC term of rho_minus is 1/2")
-    return complex(_coefficients("rho_minus", np.array([m], dtype=float), theta)[0])
-
-
-def fourier_b(m: int, theta: float) -> float:
-    """Fourier coefficient of delta: (1 - cos(2 pi m theta)) / (2 theta pi^2 m^2)."""
-    _check_theta(theta)
-    if m == 0:
-        raise ZeroIndex("the DC term of delta is theta")
-    return float(_coefficients("delta", np.array([m], dtype=float), theta)[0].real)
 
 
 # mean values over one period: integrating the minorant gives (1 - theta)/2

@@ -11,10 +11,11 @@ exact_redundancy_range runs one forward DP over (state, lattice point) keys
 carrying float probability mass and reads R_n out at every n of a range.
 The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
 2004) with the same mu.  Both lattices run on the same numpy code: each
-state's frontier is a sorted array of int64 key rows, one column per
-coordinate of an exact point or base-2^62 limbs of a float point, which can
-pass 97 bits; a step adds each move's row, then sorts and sums what enters
-each state.
+state's frontier is a sorted array of int64 key rows, and a step adds each
+move's row with the lattice's own addition, then sorts and sums what enters
+each state.  An exact key is its signed lattice point, one column per
+coordinate, added by plain numpy addition; a float key is base-2^62 limbs,
+as it can pass 97 bits, added with a carry from limb to limb.
 The DP is admitted by the work it does, not by an estimate: it counts its
 key moves and stops with ResourceLimit at the step that would pass
 DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator, refused over its
@@ -41,15 +42,17 @@ DP_MOVE_BUDGET = 2**22
 # no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
 _READ_CHARGE = 8
-# exact key columns stay below 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
+# exact key columns span less than 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
-# drawn at a time, and the caps check_monte_carlo enforces
+# drawn at a time, and the caps check_monte_carlo enforces (a window holds up to
+# MC_WINDOW_CAP one-byte ranks, 256 MiB)
 _MC_CHUNK_ROWS = 4096
 _MC_BLOCK = 2**16
 MC_STEP_CAP = 2**30
 MC_SAMPLE_CAP = 2**24
+MC_WINDOW_CAP = 2**28
 
 
 @dataclass(frozen=True)
@@ -98,43 +101,6 @@ def _exponents(value: int, base) -> list[int]:
     return out
 
 
-def _width(bound: int) -> int:
-    """Limbs that hold every key in [0, bound]."""
-    return max(1, -(-bound.bit_length() // _LIMB_BITS))
-
-
-def _limbs(values, width: int) -> np.ndarray:
-    """(len(values), width) int64 base-2^62 digits of ints, least significant first.
-
-    Each digit is floor-divided off, so every digit but the top one lies in
-    [0, 2^62) and the top one carries the sign: a negative step is a row too.
-    """
-    rows = [[(v >> (_LIMB_BITS * i)) & _LIMB_MASK for i in range(width - 1)] + [v >> (_LIMB_BITS * (width - 1))]
-            for v in values]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
-
-
-def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """keys + delta limb by limb, carrying each limb's floor quotient by 2^62 upwards.
-
-    delta holds key rows and broadcasts against keys over the last (limb)
-    axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below 2^63,
-    and the lattice's key bound keeps the top limb in range.
-    """
-    out = keys + delta
-    for i in range(out.shape[-1] - 1):
-        out[..., i + 1] += out[..., i] >> _LIMB_BITS
-        out[..., i] &= _LIMB_MASK
-    return out
-
-
-def _ints(keys: np.ndarray) -> list[int]:
-    """The Python ints of limb rows."""
-    if keys.shape[1] == 1:
-        return keys[:, 0].tolist()
-    return [sum(d << (_LIMB_BITS * i) for i, d in enumerate(row)) for row in keys.tolist()]
-
-
 def _merge(parts):
     """One sorted (keys, masses) from a nonempty list of them, summing the masses of equal keys.
 
@@ -164,15 +130,15 @@ def _merged(frontier):
     return _merge(frontier)
 
 
-def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
+def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     """Run the DP to length hi; return ([readout(*merged frontier) for n = lo..hi], spent).
 
     frontier[k] is (keys, masses) of the paths now in state k: the distinct
     lattice points as a sorted (N, width) int64 array of key rows, each
     with its float64 probability mass; the lattice bounds every key up to
-    length hi, so no carry leaves the top column.  moves[k] is (targets,
-    steps, probs) of state k's nonzero transitions, steps one row each; a
-    step adds every move's row to every key (_add) and merges what enters
+    length hi.  moves[k] is (targets, steps, probs) of state k's nonzero
+    transitions, steps one row each; a step adds every move's row to every
+    key with the lattice's add (keys, steps[:, None]) and merges what enters
     each state (_merge).  spent counts work in key moves: each key a step
     moves (what bounds memory), plus _STATE_CHARGE = 64 per state a step
     visits and _READ_CHARGE = 8 per key a readout reads.  Those two make no
@@ -199,7 +165,7 @@ def _forward(frontier, moves, lo: int, hi: int, readout, spent: int = 0):
         entering = [[empty] for _ in frontier]
         for (keys, masses), (targets, steps, probs) in zip(frontier, moves):
             if len(masses):
-                moved, weighted = _add(keys, steps[:, None]), np.multiply.outer(probs, masses)
+                moved, weighted = add(keys, steps[:, None]), np.multiply.outer(probs, masses)
                 for j, part in zip(targets, zip(moved, weighted)):
                     entering[j].append(part)
         frontier = [_merge(parts) for parts in entering]
@@ -211,17 +177,17 @@ def _nonzero_probs(source: MarkovSource) -> list:
 
 
 def _exact_lattice(source: MarkovSource, hi: int):
-    """(rows of probabilities, origin, readout, passes) of an exact source's lattice up to length hi.
+    """(rows of probabilities, add, readout, passes) of an exact source's lattice up to length hi.
 
-    A lattice point is a row of int64 columns: D times the rational part of
-    -log2 mu, D the lcm of the exp2 denominators, then the exponents of mu's
-    odd mantissa over a coprime base.  A path of length <= hi keeps every
-    coordinate within half = hi * (largest |coordinate| of a step), so the
-    origin, half in every column and added to the start keys, keeps each
-    column in [0, 2 half] and _add never carries; a lattice whose columns or
-    D would reach 2^62 raises ResourceLimit before any DP work.  One pass
-    runs all first states together.  Where the exponents are all 0, -log2 mu
-    is rational and rho is exact integer arithmetic.
+    A key is the signed lattice point itself, a row of int64 columns: D
+    times the rational part of -log2 mu, D the lcm of the exp2
+    denominators, then the exponents of mu's odd mantissa over a coprime
+    base.  A path of length <= hi keeps every coordinate within bound =
+    hi * (largest |coordinate| of a step), so a step is plain addition;
+    a lattice whose column span 2 bound or D would reach 2^62 raises
+    ResourceLimit before any DP work.  One pass runs all first states
+    together.  Where the exponents are all 0, -log2 mu is rational and rho
+    is exact integer arithmetic.
     """
     probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
@@ -232,20 +198,56 @@ def _exact_lattice(source: MarkovSource, hi: int):
         num, den = _exponents(p.mantissa.numerator, base), _exponents(p.mantissa.denominator, base)
         return [int(-p.exp2 * denom)] + [a - b for a, b in zip(num, den)]
 
-    half = hi * max(abs(c) for p in probs for c in coords(p))
-    if max(2 * half, denom) >> _LIMB_BITS:
+    bound = hi * max(abs(c) for p in probs for c in coords(p))
+    if max(2 * bound, denom) >> _LIMB_BITS:
         raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^{_LIMB_BITS}")
 
     def rows(ps):
         return np.array([coords(p) for p in ps], dtype=np.int64).reshape(len(ps), 1 + len(base))
 
     def readout(keys, masses):
-        scaled, expo = keys[:, 0] - half, keys[:, 1:] - half
+        scaled, expo = keys[:, 0], keys[:, 1:]
         rho = np.where(expo.any(axis=1), ceil_defect(scaled / denom - expo @ logs), (-scaled % denom) / denom)
         return math.fsum((masses * rho).tolist()), False
 
-    origin = np.full(1 + len(base), half, dtype=np.int64)
-    return rows, origin, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
+    return rows, np.add, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
+
+
+def _width(bound: int) -> int:
+    """Limbs that hold every key in [0, bound]."""
+    return max(1, -(-bound.bit_length() // _LIMB_BITS))
+
+
+def _limbs(values, width: int) -> np.ndarray:
+    """(len(values), width) int64 base-2^62 digits of ints, least significant first.
+
+    Each digit is floor-divided off, so every digit but the top one lies in
+    [0, 2^62).
+    """
+    rows = [[(v >> (_LIMB_BITS * i)) & _LIMB_MASK for i in range(width - 1)] + [v >> (_LIMB_BITS * (width - 1))]
+            for v in values]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """keys + delta limb by limb, carrying each limb's floor quotient by 2^62 upwards.
+
+    delta holds key rows and broadcasts against keys over the last (limb)
+    axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below 2^63,
+    and the lattice's key bound keeps the top limb in range.
+    """
+    out = keys + delta
+    for i in range(out.shape[-1] - 1):
+        out[..., i + 1] += out[..., i] >> _LIMB_BITS
+        out[..., i] &= _LIMB_MASK
+    return out
+
+
+def _ints(keys: np.ndarray) -> list[int]:
+    """The Python ints of limb rows."""
+    if keys.shape[1] == 1:
+        return keys[:, 0].tolist()
+    return [sum(d << (_LIMB_BITS * i) for i, d in enumerate(row)) for row in keys.tolist()]
 
 
 def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
@@ -260,7 +262,7 @@ def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
 
 
 def _float_lattice(source: MarkovSource, hi: int):
-    """(rows of probabilities, origin, readout, passes) of a float source's lattice up to length hi.
+    """(rows of probabilities, add, readout, passes) of a float source's lattice up to length hi.
 
     A lattice point is the integer scale * (-log2 mu), where scale is the
     largest power-of-two denominator of the -log2 of the nonzero step and
@@ -268,8 +270,9 @@ def _float_lattice(source: MarkovSource, hi: int):
     merge exactly when they end in the same state with the same sum of
     float values, and key / scale is that sum correctly rounded whatever
     the length.  Keys are unbounded ints: a step probability of 1 - 2^-45
-    alone needs a 97-bit scale.  They start at origin 0 and never pass
-    hi times the largest key, which sets their width in limbs (_limbs).
+    alone needs a 97-bit scale.  They are never negative and never pass
+    hi times the largest key, which sets their width in limbs (_limbs);
+    _add carries from limb to limb.
     Paths from different first states all but never merge, so each first
     state is a pass of its own and only one of their frontiers is alive at
     a time.
@@ -291,18 +294,17 @@ def _float_lattice(source: MarkovSource, hi: int):
         snapped = _snap(neg_logs)
         return math.fsum((masses * ceil_defect(snapped)).tolist()), bool(np.any(snapped != neg_logs))
 
-    origin = np.zeros(width, dtype=np.int64)
-    return rows, origin, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
+    return rows, _add, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
 def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) owns
-    its key format.  It gives the int64 key rows of a list of
-    probabilities, the origin row added to the start keys, the readout of
-    (R_n part, snapped) from a merged frontier, and the passes: groups of
-    first states whose paths run together.  Every pass starts from its
+    its key format and arithmetic.  It gives the int64 key rows of a list
+    of probabilities, the addition of step rows to key rows, the readout
+    of (R_n part, snapped) from a merged frontier, and the passes: groups
+    of first states whose paths run together.  Every pass starts from its
     first states' keys and moves by the transitions' keys, and R_n sums the
     passes' readouts.  Nothing estimates the work beforehand, as no cheap
     estimate is close: the DP counts its work in key moves over all passes
@@ -311,19 +313,19 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[Redun
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    rows, origin, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
+    rows, add, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
     prob = source.prob_float
     moves = []
     for row in source.transitions:
         nonzero = [p for p in row if p is not ZERO]
         targets = [j for j, p in enumerate(row) if p is not ZERO]
         moves.append((targets, rows(nonzero), np.array(list(map(prob, nonzero)))))
-    empty = (np.empty((0, len(origin)), dtype=np.int64), np.empty(0))
+    empty = (rows([]), np.empty(0))
     outs, spent = [], 0
     for firsts in passes:
-        frontier = [(rows([p]) + origin, np.array([prob(p)])) if s in firsts else empty
+        frontier = [(rows([p]), np.array([prob(p)])) if s in firsts else empty
                     for s, p in enumerate(source.initial)]
-        out, spent = _forward(frontier, moves, lo, hi, readout, spent)
+        out, spent = _forward(frontier, moves, lo, hi, add, readout, spent)
         outs.append(out)
     result = []
     for n, parts in zip(range(lo, hi + 1), zip(*outs)):
@@ -341,21 +343,27 @@ def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:
 # -- Monte Carlo ----------------------------------------------------------
 
 
-def check_monte_carlo(samples: int, total_n: int) -> None:
-    """Refuse Monte Carlo work over the caps before any of it starts.
+def check_monte_carlo(samples: int, lo: int, hi: int) -> None:
+    """Refuse Monte Carlo work over block lengths lo..hi over the caps before any of it starts.
 
-    total_n is the sum of the block lengths to be sampled, so samples *
-    total_n path steps are walked; over MC_STEP_CAP of them, or over
-    MC_SAMPLE_CAP samples (the per-sample array is 8 * samples bytes),
-    raises ResourceLimit.
+    samples * (lo + ... + hi) path steps are walked, and a window holds
+    min(samples, _MC_CHUNK_ROWS) * hi ranks (see _sample); over MC_STEP_CAP
+    steps, MC_WINDOW_CAP ranks or MC_SAMPLE_CAP samples (the per-sample
+    array is 8 * samples bytes) raises ResourceLimit.
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
+    total_n = (lo + hi) * (hi - lo + 1) // 2
     steps = samples * total_n
     if steps > MC_STEP_CAP:
         raise ResourceLimit(
             f"Monte Carlo with {samples} samples over block lengths summing to {total_n} "
             f"walks {steps} > {MC_STEP_CAP} path steps"
+        )
+    window = min(samples, _MC_CHUNK_ROWS) * hi
+    if window > MC_WINDOW_CAP:
+        raise ResourceLimit(
+            f"Monte Carlo with {samples} samples up to n = {hi} holds a window of {window} > {MC_WINDOW_CAP} ranks"
         )
 
 
@@ -456,7 +464,7 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
         raise ValueError("samples must be >= 1")
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    check_monte_carlo(samples, (lo + hi) * (hi - lo + 1) // 2)
+    check_monte_carlo(samples, lo, hi)
     tables = _rank_tables(source)
     group = max(1, MC_SAMPLE_CAP // samples)
     out = []

@@ -263,42 +263,33 @@ class ChainStructure:
     parent: tuple = ()
 
 
-def _reachable(adj, start) -> set:
-    seen = {start}
+def _bfs(adj, start) -> tuple[dict, dict]:
+    """(level, parent) of the BFS from start, each keyed by the states it reaches."""
+    level, parent = {start: 0}, {start: None}
     queue = deque([start])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
+            if v not in level:
+                level[v], parent[v] = level[u] + 1, u
                 queue.append(v)
-    return seen
+    return level, parent
 
 
 def classify_structure(source: MarkovSource) -> ChainStructure:
-    """Irreducibility via two-way reachability, period via BFS level gcd."""
+    """Irreducibility via one BFS each way from state 0, period via the forward BFS's level gcd."""
     r = source.r
     adj = source.support()
     radj = [[k for k in range(r) if j in adj[k]] for j in range(r)]
-    fwd = _reachable(adj, 0)
-    bwd = _reachable(radj, 0)
+    level, parent = _bfs(adj, 0)
+    bwd = _bfs(radj, 0)[0]
     positive = all(len(row) == r for row in adj)
-    if len(fwd) < r or len(bwd) < r:
-        missing = sorted(set(range(r)) - fwd) or sorted(set(range(r)) - bwd)
-        direction = "unreachable from" if len(fwd) < r else "cannot reach"
+    if len(level) < r or len(bwd) < r:
+        missing = sorted(set(range(r)) - level.keys()) or sorted(set(range(r)) - bwd.keys())
+        direction = "unreachable from" if len(level) < r else "cannot reach"
         note = f"states {missing} {direction} state 0"
         return ChainStructure(False, None, positive, note)
 
-    level = {0: 0}
-    parent = {0: None}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in level:
-                level[v] = level[u] + 1
-                parent[v] = u
-                queue.append(v)
     g = 0
     for u in range(r):
         for v in adj[u]:

@@ -163,11 +163,11 @@ def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:
 
 def char_fn(source: MarkovSource, m: int, n: int, mode: str = "direct") -> complex:
     """E{exp(-2 pi i m log2 mu(X^n))} via matrix powers or the eigenbasis."""
-    if n < 1:
-        raise ValueError("block length must be >= 1")
     if mode == "direct":
         return complex(char_fn_stack(source, [m], n)[0])
     if mode == "spectral":
+        if n < 1:
+            raise ValueError("block length must be >= 1")
         A = phase_matrix(source, m)
         c = initial_phase_vector(source, m)
         return complex(c @ eigen(A).apply_power(n - 1, np.ones(source.r, dtype=complex)))

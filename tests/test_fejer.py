@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from shancode import ceil_defect
 from shancode import fejer
-from shancode.errors import ResourceLimit, ZeroIndex
+from shancode.errors import ResourceLimit
 from tests.conftest import simpson
 
 THETAS = (0.3, 0.1, 0.01)
@@ -54,18 +54,19 @@ def test_sandwich_property_grid():
         assert np.all(rho <= fejer.rho_plus(u, theta) + 1e-12)
 
 
-def test_fourier_coefficients_zero_index():
-    with pytest.raises(ZeroIndex):
-        fejer.fourier_a(0, 0.1)
-    with pytest.raises(ZeroIndex):
-        fejer.fourier_b(0, 0.1)
+def coefficient(f_id, m, theta):
+    """The Fourier coefficient at m that fejer_sum sums."""
+    return complex(fejer._coefficients(f_id, np.array([m], dtype=float), theta)[0])
 
 
 def test_fourier_b_nonnegative_and_a_bounded():
+    ms = np.arange(1, 30, dtype=float)
     for theta in (0.25, 0.1, 0.05):
-        for m in range(1, 30):
-            assert fejer.fourier_b(m, theta) >= 0.0
-            assert abs(fejer.fourier_a(m, theta)) <= 2.0 / ((2 * math.pi * m) ** 2 * theta) + 1e-15
+        b = fejer._coefficients("delta", ms, theta)
+        assert np.all(b.imag == 0.0) and np.all(b.real >= 0.0)
+        a = fejer._coefficients("rho_minus", ms, theta)
+        assert np.all(np.abs(a) <= 2.0 / ((2 * math.pi * ms) ** 2 * theta) + 1e-15)
+        assert np.array_equal(fejer._coefficients("rho_plus", ms, theta), a + b)
 
 
 def test_fourier_scaling_identities():
@@ -74,12 +75,10 @@ def test_fourier_scaling_identities():
             for k in range(1, 9):
                 if k * theta >= 0.5:
                     continue
-                assert fejer.fourier_a(ell * k, theta) == pytest.approx(
-                    fejer.fourier_a(ell, k * theta) / k, abs=1e-12
-                )
-                assert fejer.fourier_b(ell * k, theta) == pytest.approx(
-                    fejer.fourier_b(ell, k * theta) / k, abs=1e-12
-                )
+                for f_id in ("rho_minus", "delta"):
+                    assert coefficient(f_id, ell * k, theta) == pytest.approx(
+                        coefficient(f_id, ell, k * theta) / k, abs=1e-12
+                    )
 
 
 def test_fourier_matches_quadrature():
@@ -88,15 +87,14 @@ def test_fourier_matches_quadrature():
     for m in range(-8, 9):
         if m == 0:
             continue
-        for f_id, coeff in (("rho_minus", fejer.fourier_a(m, theta)),
-                            ("delta", fejer.fourier_b(m, theta))):
+        for f_id in ("rho_minus", "delta"):
             f = getattr(fejer, f_id)
             pieces = 0.0 + 0.0j
             for a, b in ((0.0, theta), (theta, 1.0 - theta), (1.0 - theta, 1.0)):
                 re = simpson(lambda x: f(x, theta) * np.cos(2 * math.pi * m * x), a, b)
                 im = simpson(lambda x: f(x, theta) * np.sin(2 * math.pi * m * x), a, b)
                 pieces += re - 1j * im
-            assert abs(pieces - coeff) < 1e-8
+            assert abs(pieces - coefficient(f_id, m, theta)) < 1e-8
 
 
 def test_fejer_sum_three_term_spot_value():

@@ -196,12 +196,20 @@ def test_limb_arithmetic_is_int_arithmetic(case):
 
 
 def test_exact_lattice_keys_are_one_column_per_coordinate():
-    # nine primes in the coprime base and exponents up to 20: a key is the
-    # rational column plus nine exponent columns, moved by signed steps
+    # nine coprime base elements (3, 5, 7, ...) and exponents up to 20: a key is the
+    # rational column plus nine exponent columns, moved by signed steps.  A start key
+    # is the signed point of mu itself, with no origin added at any hi: mu = 1/3 is 0
+    # in the rational column and -1 in the column of 3, and the step 5^-20 is -20 in
+    # the column of 5
     s = nine_prime_source()
+    start = np.zeros((3, 10), dtype=np.int64)
+    start[:, 1] = -1
+    step = np.zeros((1, 10), dtype=np.int64)
+    step[0, 2] = -20
     for n in range(2, 8):
-        rows, origin, _, _ = oracle._exact_lattice(s, n)
-        assert rows(list(s.initial)).shape == (3, 10) and origin.shape == (10,)
+        rows, add, _, _ = oracle._exact_lattice(s, n)
+        assert np.array_equal(rows(list(s.initial)), start) and np.array_equal(rows([s.transitions[0][0]]), step)
+        assert add is np.add and rows([]).shape == (0, 10)
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
 
 
@@ -469,6 +477,25 @@ def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeyp
         monte_carlo_redundancy(float_convergent_source, 1, oracle.MC_SAMPLE_CAP + 1, seed=0)
     with pytest.raises(ResourceLimit):
         monte_carlo_redundancy(float_convergent_source, oracle.MC_STEP_CAP // 1000 + 1, 1000, seed=0)
-    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, oracle.MC_STEP_CAP // oracle.MC_SAMPLE_CAP)
-    # ten times the benchmark's largest request, 10^5 samples over n = 99..100, is admitted
-    oracle.check_monte_carlo(10**5, 10 * (99 + 100))
+    n = oracle.MC_STEP_CAP // oracle.MC_SAMPLE_CAP
+    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, n, n)
+    # ten times the samples of the benchmark's largest request (10^5 over n = 99..100) are admitted
+    oracle.check_monte_carlo(10 * 10**5, 99, 100)
+
+
+def test_monte_carlo_window_cap_refuses_before_drawing(float_convergent_source, monkeypatch):
+    # a window holds min(samples, _MC_CHUNK_ROWS) * hi one-byte ranks: 4096 samples
+    # at n = 2^17 would hold 512 MiB within the step cap, and are refused undrawn
+    def no_stream(*args, **kwargs):
+        raise AssertionError("a refused request drew uniforms")
+
+    monkeypatch.setattr(oracle.np.random, "Philox", no_stream)
+    hi = oracle.MC_WINDOW_CAP // oracle._MC_CHUNK_ROWS
+    assert 4096 * 2 * hi <= oracle.MC_STEP_CAP
+    with pytest.raises(ResourceLimit, match=f"window of {4096 * 2 * hi} > {oracle.MC_WINDOW_CAP} ranks"):
+        monte_carlo_redundancy(float_convergent_source, 2 * hi, 4096, seed=0)
+    with pytest.raises(ResourceLimit, match="window"):
+        monte_carlo_redundancy_range(float_convergent_source, 2 * hi - 1, 2 * hi, 4096, seed=0)
+    # at the cap, and with fewer samples than a chunk, the window is admitted
+    oracle.check_monte_carlo(4096, hi, hi)
+    oracle.check_monte_carlo(64, 4 * hi, 4 * hi)
