@@ -36,13 +36,14 @@ evaluated from it as frac((M/d)(n-1) unit) + frac((M/d) b_jk) with
 b_jk = X_j - X_k - d log2 p_j; nothing solves the congruence again, and
 s and w are only reported.
 
-prediction_columns evaluates Omega_n for a whole n range in one pass: structure
-and pi once per source, rho(zeta_jk(n)) as one (N, r, r) array.  Every log
-is reduced modulo 1 by exact.frac_log.  For exact sources it is
-exact and mantissa**k is never formed: rational parts in integers, and the
-remainder k log2(mantissa) in decimal arithmetic at 30 + digits(k)
-significant digits (k = (hi - 1) M at most), so rho is correct to about
-1e-16 at any n, and exact when every log2(mantissa) term is 0 (dyadic
+prediction_columns evaluates Omega_n for a whole n range in one pass over the
+pairs with p_j > 0: structure and pi once per source, and each pair's
+rho(zeta_jk(n)) once for all n, summed into Omega_n and kept only as a bool
+margin cell.  Every log is reduced modulo 1 by exact.frac_log.  For exact
+sources it is exact and mantissa**k is never formed: rational parts in
+integers, and the remainder k log2(mantissa) in decimal arithmetic at 30 +
+digits(k) significant digits (k = (hi - 1) M at most), so rho is correct to
+about 1e-16 at any n, and exact when every log2(mantissa) term is 0 (dyadic
 sources predict exactly 0).  For float sources it is a float product, so
 zeta carries an error of order n M 2^-52 (|unit| + max |X_j|).
 """
@@ -67,7 +68,7 @@ from .sources import (
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
-# most rows x r^2 one prediction_columns request may ask for: its arrays hold (rows, r, r) floats
+# most rows x r^2 one prediction_columns request may ask for: one rho and one bool margin cell each
 PREDICT_CELL_CAP = 2**22
 
 
@@ -182,15 +183,15 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def _zeta_terms(source: MarkovSource, cls: ModeClassification, ns, pairs):
+def _zeta_terms(source: MarkovSource, cls: ModeClassification, lo: int, hi: int, pairs):
     """The two terms of zeta_jk(n) = (M/d) [(n-1) unit + b_jk] modulo 1, b_jk = X_j - X_k - d log2 p_j.
 
-    Returns frac((M/d)(n-1) unit) for each n in ns and frac((M/d) b_jk) for
+    Returns frac((M/d)(n-1) unit) for n = lo..hi and frac((M/d) b_jk) for
     each pair (j, k) in pairs, both from the stored similarity solution
     through frac_log; zeta_jk(n) is their sum modulo 1.
     """
     d, unit, X = cls.solution
-    phase = frac_log(unit, [(n - 1) * cls.M for n in ns], d)
+    phase = frac_log(unit, range((lo - 1) * cls.M, hi * cls.M, cls.M), d)
     betas = [frac_log(X[j] - X[k] - log2_prob(source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
     return phase, betas
 
@@ -205,7 +206,7 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    phase, (beta,) = _zeta_terms(source, cls, [n], [(j, k)])
+    phase, (beta,) = _zeta_terms(source, cls, n, n, [(j, k)])
     return float(phase[0] + beta) % 1.0
 
 
@@ -228,7 +229,7 @@ class PredictionColumns:
     """Omega_n with its sandwich bounds for each n in ns, one float64 array per field.
 
     A row whose boundary_terms is 0 carries flags; any other row carries
-    boundary_flags, which is flags with "boundary" added.
+    flags with "boundary" added.
     """
 
     ns: range
@@ -237,30 +238,11 @@ class PredictionColumns:
     upper: np.ndarray
     boundary_terms: np.ndarray
     flags: frozenset
-    boundary_flags: frozenset
 
     def row_flags(self) -> list:
         """The flag set of every row, in order."""
-        pick = (self.flags, self.boundary_flags)
+        pick = (self.flags, self.flags | {"boundary"})
         return [pick[b] for b in (self.boundary_terms > 0.0).tolist()]
-
-
-def _zeta_defects(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> np.ndarray:
-    """rho(zeta_jk(n)) for n = lo..hi as an (N, r, r) array, 0 where p_j = 0."""
-    r = source.r
-    pairs = [(j, k) for j in range(r) if source.initial[j] is not ZERO for k in range(r)]
-    rho = np.zeros((hi - lo + 1, r, r))
-    phase, betas = _zeta_terms(source, cls, range(lo, hi + 1), pairs)
-    phase_f = np.array(phase, dtype=float)
-    for (j, k), beta in zip(pairs, betas):
-        if isinstance(phase[0], Fraction) and isinstance(beta, Fraction):
-            rho[:, j, k] = [float(ceil_defect(x + beta)) for x in phase]
-            continue
-        # both terms are correctly rounded and lie in [0, 1): where their
-        # mantissas cancel and zeta is an integer, the float sum is 1.0 or
-        # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
-        rho[:, j, k] = ceil_defect(phase_f + float(beta))
-    return rho
 
 
 def prediction_columns(
@@ -295,24 +277,33 @@ def prediction_columns(
                             f"{len(ns) * source.r**2} > {PREDICT_CELL_CAP} cells (rows x r^2)")
     if cls.mode == "convergent":
         half, zero = np.full(len(ns), 0.5), np.zeros(len(ns))
-        flags = cls.flags | {"convergent"}
-        return PredictionColumns(ns, half, half, half, zero, flags, flags | {"boundary"})
+        return PredictionColumns(ns, half, half, half, zero, cls.flags | {"convergent"})
     structure = classify_structure(source)
     d = structure.period
     c = np.array(structure.depth) % d
-    nm1 = np.arange(lo - 1, hi)
+    # n - 1 modulo d, from (lo - 1) mod d so that it stays an int64 at any n
+    shift = ((lo - 1) % d + np.arange(len(ns))) % d
     weights = d * np.outer(source.initial_array(), stationary_distribution(source))
-    rho = _zeta_defects(source, cls, lo, hi)
+    pairs = [(j, k) for j in range(source.r) if source.initial[j] is not ZERO for k in range(source.r)]
+    phase, betas = _zeta_terms(source, cls, lo, hi, pairs)
+    phase_f = np.asarray(phase, dtype=float)
+    osc = np.zeros(len(ns))
+    near = np.zeros((len(ns), source.r, source.r), dtype=bool)
     # summed pair by pair in (j, k) order: np.einsum's summation order moves
     # omega by an ulp on about a third of the rows, which shows in print
-    osc = np.zeros(len(nm1))
-    for j in range(source.r):
-        for k in range(source.r):
-            osc = osc + weights[j, k] * rho[:, j, k] * ((c[k] - c[j] - nm1) % d == 0)
-    boundary = np.einsum("jk,njk->n", weights, (rho <= xi) | (rho >= 1.0 - xi)) / float(cls.M)
+    for (j, k), beta in zip(pairs, betas):
+        if isinstance(phase[0], Fraction) and isinstance(beta, Fraction):
+            rho = np.array([float(ceil_defect(x + beta)) for x in phase])
+        else:
+            # both terms are correctly rounded and lie in [0, 1): where their
+            # mantissas cancel and zeta is an integer, the float sum is 1.0 or
+            # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
+            rho = ceil_defect(phase_f + float(beta))
+        osc += weights[j, k] * rho * (shift == (c[k] - c[j]) % d)
+        near[:, j, k] = (rho <= xi) | (rho >= 1.0 - xi)
+    boundary = np.einsum("jk,njk->n", weights, near) / float(cls.M)
     omega = 0.5 * (1.0 - 1.0 / cls.M) + osc / cls.M
-    return PredictionColumns(ns, omega, omega - boundary, omega + boundary, boundary, cls.flags,
-                             cls.flags | {"boundary"})
+    return PredictionColumns(ns, omega, omega - boundary, omega + boundary, boundary, cls.flags)
 
 
 def predict_range(

@@ -144,7 +144,7 @@ def _cmd_predict(args):
     source = _load_source(args)
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
     cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
-    cells = {flags: _flags_cell(flags) for flags in (cols.flags, cols.boundary_flags)}
+    cells = {flags: _flags_cell(flags) for flags in (cols.flags, cols.flags | {"boundary"})}
     return {
         "n": cols.ns,
         "mode": [cls.mode] * len(cols.ns),

@@ -115,17 +115,16 @@ class Log2Value:
     def to_float(self) -> float:
         return float(self.rational) + (math.log2(self.mantissa.numerator) - math.log2(self.mantissa.denominator))
 
-    def frac_scaled(self, ks, den: int = 1) -> list:
-        """frac((k / den) * value) for each integer k in ks, never forming mantissa**k.
+    def frac_scaled(self, ks, den: int = 1):
+        """frac((k / den) * value) for each integer k in the sequence ks, never forming mantissa**k.
 
         The rational multipliers k / den share one positive denominator.
         k * rational / den is reduced modulo 1 in integers, so a rational
-        value gives exact Fractions.  Otherwise k * log2(mantissa) / den is
-        reduced in decimal arithmetic at 30 + digits(max |k|) significant
-        digits, with log2(mantissa) evaluated once for all ks, and each float
-        lies within about 1e-16 of the true fractional part at any k.
+        value gives a list of exact Fractions.  Otherwise k * log2(mantissa)
+        / den is reduced in decimal arithmetic at 30 + digits(max |k|)
+        significant digits, with log2(mantissa) evaluated once for all ks,
+        into a float64 array within about 1e-16 of each fraction at any k.
         """
-        ks = list(ks)
         num, kden = self.rational.numerator, self.rational.denominator * den
         if self.is_rational:
             return [Fraction(k * num % kden, kden) for k in ks]
@@ -134,7 +133,7 @@ class Log2Value:
             lm = _decimal_log2(self.mantissa, ctx.prec) / den
             # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
             fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
-            return [float(y + 1 if y < 0 else y) % 1.0 for y in fracs]
+            return np.fromiter((float(y + 1 if y < 0 else y) % 1.0 for y in fracs), float, len(ks))
 
 
 def frac_log(x, ks, d: int = 1):

@@ -18,8 +18,8 @@ coordinate, added by plain numpy addition; a float key is base-2^62 limbs,
 as it can pass 97 bits, added with a carry from limb to limb.
 The DP is admitted by the work it does, not by an estimate: it counts its
 key moves and stops with ResourceLimit at the step that would pass
-DP_MOVE_BUDGET.  Also here: a seeded Monte Carlo estimator, refused over its
-caps before any draw.
+DP_MOVE_BUDGET or move over DP_CELL_CAP int64 key cells.  Also here: a
+seeded Monte Carlo estimator, refused over its caps before any draw.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
 # its passes: at most about a second, and no seed-0 float source (r = 2..32) peaked above 140 MB
 DP_MOVE_BUDGET = 2**22
+# int64 key cells, key moves times key width, one DP step may move: bounds its memory on wide lattices
+DP_CELL_CAP = 2**24
 # key moves charged per state a step visits and per key a readout reads: work that makes
 # no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
@@ -146,18 +148,25 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     15 ns per key move, about 0.2 us a unit at that charge.  A readout takes
     0.2-0.4 us a key, under the charge kept from the 1-3 us of a per-key
     Python readout, so refusals stay at the same n.  Work at n that would
-    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs.
+    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs, and
+    so does a step whose moves times the key width (its int64 columns, one
+    per exact base element) would pass DP_CELL_CAP.
     """
     out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
+    width = empty[0].shape[1]
     for n in range(1, hi + 1):
+        moved = 0
         if n < hi:
-            spent += _STATE_CHARGE * len(frontier) + sum(
-                len(masses) * len(targets) for (_, masses), (targets, _, _) in zip(frontier, moves))
+            moved = sum(len(masses) * len(targets) for (_, masses), (targets, _, _) in zip(frontier, moves))
+            spent += _STATE_CHARGE * len(frontier) + moved
         if n >= lo:
             spent += _READ_CHARGE * sum(len(masses) for _, masses in frontier)
         if spent > DP_MOVE_BUDGET:
             raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next work would bring it to "
                                 f"{spent} key moves > {DP_MOVE_BUDGET}")
+        if moved * width > DP_CELL_CAP:
+            raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next step would move {moved} keys of "
+                                f"{width} columns, {moved * width} key cells > DP_CELL_CAP = {DP_CELL_CAP}")
         if n >= lo:
             out.append(readout(*_merged(frontier)))
         if n == hi:
@@ -309,7 +318,7 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[Redun
     passes' readouts.  Nothing estimates the work beforehand, as no cheap
     estimate is close: the DP counts its work in key moves over all passes
     (see _forward) and raises ResourceLimit before the work that would pass
-    DP_MOVE_BUDGET.
+    DP_MOVE_BUDGET, or before a step over DP_CELL_CAP key cells.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")

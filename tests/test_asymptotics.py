@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from shancode import (
     predict_range,
     validate,
 )
+from shancode.asymptotics import prediction_columns
 from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
 from shancode.sources import classify_structure, log2_prob, stationary_distribution
@@ -442,10 +444,28 @@ def test_bipartite_reference_is_exact(bipartite_periodic_source):
         assert rec.value == pytest.approx(bipartite_reference(rec.n), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15])
+@pytest.mark.parametrize("n", [10**6, 10**9, 10**12, 10**15, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1,
+                               2**64, 10**20])
 def test_bipartite_omega_matches_decimal_reference_at_large_n(bipartite_periodic_source, n):
+    # the cyclic class of n - 1 must stay an integer past 2^63, where an int64 arange of n does not
     cls = classify_mode(bipartite_periodic_source)
-    assert abs(predict(bipartite_periodic_source, cls, n).omega - bipartite_reference(n)) <= 1e-13
+    want = bipartite_reference(n)
+    assert abs(predict(bipartite_periodic_source, cls, n).omega - want) <= 1e-13
+    assert abs(predict_range(bipartite_periodic_source, cls, n - 1, n + 1)[1].omega - want) <= 1e-13
+
+
+def test_prediction_columns_memory_is_bounded(permutation_source):
+    # one pass over the live pairs holds the phase, a few float64 rows and one bool
+    # margin array; measured on a 2-vCPU x86 host with Python 3.11: 15.2 MiB with a
+    # float64 (N, r, r) rho array and lists of N ints and floats, 8.5 MiB now
+    cls = classify_mode(permutation_source)
+    tracemalloc.start()
+    try:
+        prediction_columns(permutation_source, cls, 1, 131072)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def loop_omega(s, cls, n, xi=0.05):

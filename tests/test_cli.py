@@ -5,10 +5,12 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -261,7 +263,7 @@ def test_over_long_predict_range_refused_before_any_work(permutation_path, monke
     def no_work(*args):
         raise AssertionError("a refused prediction ran")
 
-    monkeypatch.setattr(asymptotics, "_zeta_defects", no_work)
+    monkeypatch.setattr(asymptotics, "_zeta_terms", no_work)
     monkeypatch.setattr(asymptotics, "stationary_distribution", no_work)
     # 2^22 cells hold 2^20 rows at r = 2; one more row is refused
     rc = main(["--command", "predict", "--source", permutation_path, "--n", f"1..{2**20 + 1}"])
@@ -282,6 +284,32 @@ def test_exit_code_resource_limit(permutation_path):
     payload = json.loads(err)
     assert payload["error"] == "ResourceLimit"
     assert "reached n = " in payload["message"] and f"key moves > {DP_MOVE_BUDGET}" in payload["message"]
+
+
+def rich_exact_doc(r: int) -> dict:
+    """An exact source whose initial vector and rows are w_i / sum(w), w_i drawn by random.Random(1)."""
+    rng = random.Random(1)
+
+    def row():
+        ws = [rng.randint(1, 100000) for _ in range(r)]
+        return [str(Fraction(w, sum(ws))) for w in ws]
+
+    return {"r": r, "initial": row(), "transitions": [row() for _ in range(r)]}
+
+
+def test_wide_exact_lattice_refused_by_its_cell_cap(tmp_path, capsys):
+    from shancode.oracle import DP_CELL_CAP
+
+    # 389 key columns: the step to n = 4 moves 331,776 keys, under the move budget, but
+    # 129,060,864 int64 cells, which once took 12 s and 4 GB; n = 3 is still admitted
+    path = write_source(tmp_path, "r24.json", rich_exact_doc(24))
+    t0 = time.perf_counter()
+    rc = main(["--command", "exact", "--source", path, "--n", "4"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out and time.perf_counter() - t0 < 10
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and f"> DP_CELL_CAP = {DP_CELL_CAP}" in payload["message"]
+    assert shancode.exact_redundancy(MarkovSource.load(path), 3).value == 0.49356511604485653
 
 
 def no_dp(*args):
