@@ -1,17 +1,12 @@
 """Exact and asymptotic average redundancy of the Shannon code for Markov sources."""
 
 from .asymptotics import (
-    Example2Sum,
-    MemorylessPrediction,
     ModeClassification,
     Prediction,
-    absorbing_pair_formula,
     ceil_defect,
     classify_mode,
-    memoryless_formula,
     oscillation_argument,
     predict,
-    predict_range,
 )
 from .exact import ZERO, ExactProb, Log2Value, approximate_rational, parse_prob_spec
 from .oracle import (

@@ -57,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ResourceLimit, ZeroProbability
-from .exact import ZERO, ExactProb, Log2Value, ceil_defect, common_denominator, frac_log, wrap_unit
+from .exact import ZERO, Log2Value, ceil_defect, common_denominator, frac_log, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -306,96 +306,8 @@ def prediction_columns(
     return PredictionColumns(ns, omega, omega - boundary, omega + boundary, boundary, cls.flags)
 
 
-def predict_range(
-    source: MarkovSource,
-    cls: ModeClassification,
-    lo: int,
-    hi: int,
-    xi: float = DEFAULT_XI,
-) -> list[Prediction]:
-    """One Prediction per n = lo..hi, read from prediction_columns."""
-    cols = prediction_columns(source, cls, lo, hi, xi)
-    return [Prediction(n, omega, lower, upper, boundary, xi, flags) for n, omega, lower, upper, boundary, flags in zip(
-        cols.ns, cols.omega.tolist(), cols.lower.tolist(), cols.upper.tolist(), cols.boundary_terms.tolist(),
-        cols.row_flags())]
-
-
 def predict(source: MarkovSource, cls: ModeClassification, n: int, xi: float = DEFAULT_XI) -> Prediction:
-    """Omega_n at one n for any mode and period; see prediction_columns."""
-    return predict_range(source, cls, n, n, xi)[0]
-
-
-# -- closed forms ------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MemorylessPrediction:
-    n: int
-    value: float
-    M: int | None
-    branch: str  # "rational" | "irrational"
-    flags: frozenset
-
-
-def memoryless_formula(p, n: int) -> MemorylessPrediction:
-    """Asymptotic redundancy of a memoryless source with letter probabilities p.
-
-    In the rational branch (all log2(p_j / p_1) rational with common
-    denominator M) the value is 1/2 + (1/M)(1/2 - <beta M n>) with
-    beta = -log2 p_1; otherwise the value is the constant 1/2.  A purely
-    dyadic source evaluates on the discontinuity <beta M n> = 0 and the
-    result carries a boundary flag instead of an authoritative value.
-    """
-    exact = not any(isinstance(v, float) for v in p)
-    if any(not isinstance(v, ExactProb) and v == 0 for v in p):
-        raise ZeroProbability("memoryless formula needs all p_k > 0")
-    flags = set() if exact else {"heuristic"}
-    logs = [(v if isinstance(v, ExactProb) else ExactProb.make(Fraction(v))).log2() if exact else math.log2(v)
-            for v in p]
-    M = common_denominator([lg - logs[0] for lg in logs[1:]])
-    if M is None:
-        return MemorylessPrediction(n, 0.5, None, "irrational", frozenset(flags))
-    # an exact fractional part is decided; a float one within 1e-12 of an
-    # integer is taken to sit on the discontinuity
-    fr = frac_log(-logs[0], [M * n])[0]
-    if min(fr, 1 - fr) <= (0 if exact else 1e-12):
-        fr = 0
-        flags.add("boundary")
-    return MemorylessPrediction(n, 0.5 + (0.5 - float(fr)) / M, M, "rational", frozenset(flags))
-
-
-@dataclass(frozen=True)
-class Example2Sum:
-    value: float
-    tail_bound: float
-    n_terms: int
-
-
-def absorbing_pair_formula(alpha) -> Example2Sum:
-    """Limit redundancy of the two-state chain that leaks into an absorbing state.
-
-    For P = [[1-alpha, alpha], [0, 1]] started at state 0, the limit is
-    sum_{k>=0} alpha (1-alpha)^k rho(-log2 alpha - k log2(1-alpha)); the
-    geometric tail is truncated once (1-alpha)^(K+1) < 1e-12 and the
-    truncation bound is reported alongside the partial sum.
-    """
-    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
-    if not (0 < a < 1):
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    one_minus = 1 - a
-    k_terms = 0
-    tail = 1.0
-    factor = float(one_minus)
-    while tail >= 1e-12:
-        tail *= factor
-        k_terms += 1
-        if k_terms > 10**6:
-            raise ValueError("alpha too small for a truncation at 1e-12 within 10^6 terms")
-    # tail = (1-alpha)^k_terms < 1e-12, so terms k = 0 .. k_terms - 1 are kept
-    # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
-    # k lm both are: the odd parts of alpha and 1 - alpha never cancel
-    log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2
-    base = frac_log(log2(a), [1])[0]
-    rhos = [float((base + step) % 1) for step in frac_log(log2(one_minus), range(k_terms))]
-    terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
-    return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)
+    """Omega_n at one n for any mode and period, the one row of prediction_columns."""
+    cols = prediction_columns(source, cls, n, n, xi)
+    return Prediction(n, float(cols.omega[0]), float(cols.lower[0]), float(cols.upper[0]),
+                      float(cols.boundary_terms[0]), xi, cols.row_flags()[0])

@@ -117,20 +117,6 @@ def fejer_sum(f_id: str, u, theta: float, N: int):
     return values if np.ndim(u) else float(values[0])
 
 
-def fejer_kernel(u, N: int):
-    """K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)), with K_N = N+1 at integers."""
-    if N < 0:
-        raise ValueError("kernel order must be >= 0")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    s = np.sin(math.pi * u_arr)
-    out = np.empty_like(u_arr)
-    near_int = np.abs(s) < 1e-12
-    out[near_int] = N + 1.0
-    safe = ~near_int
-    out[safe] = np.sin((N + 1) * math.pi * u_arr[safe]) ** 2 / ((N + 1) * s[safe] ** 2)
-    return out if np.ndim(u) else float(out[0])
-
-
 def _error_objective(d: float, N: int, theta: float) -> float:
     return d / theta + 1.0 / (N * math.sin(math.pi * d) ** 2)
 

@@ -24,9 +24,9 @@ seeded Monte Carlo estimator, refused over its caps before any draw.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -80,26 +80,42 @@ def _snap(u):
 
 
 def _coprime_base(values) -> list[int]:
-    """Pairwise coprime integers > 1 of which every value is a product.
+    """Pairwise coprime integers > 1 of which every value is a product, in increasing order.
 
     Built by gcd refinement, not by factoring, which 80-bit mantissas rule
-    out.  Such a base is multiplicatively independent: a product of powers
-    of its elements is 1 only when every exponent is 0.
+    out: each value is split against the sorted, pairwise coprime base so
+    far.  One gcd with the base's product admits a value coprime to all of
+    it; otherwise the first element b that shares a factor g > 1 with it
+    leaves the base, and g, b / g and value / g are split in turn.  Every
+    split divides the product of the base and the pending values by g, so
+    it ends.  Such a base is multiplicatively independent: a product of
+    powers of its elements is 1 only when every exponent is 0.
     """
-    base = {v for v in values if v > 1}
-    while pair := next(((a, b) for a, b in combinations(sorted(base), 2) if math.gcd(a, b) > 1), None):
-        g = math.gcd(*pair)
-        base = (base - set(pair)) | {v for v in (g, pair[0] // g, pair[1] // g) if v > 1}
-    return sorted(base)
+    base, todo, product = [], list({v for v in values if v > 1}), 1
+    while todo:
+        v = todo.pop()
+        if math.gcd(v, product) == 1:
+            bisect.insort(base, v)
+            product *= v
+            continue
+        i, g = next((i, g) for i, b in enumerate(base) if (g := math.gcd(v, b)) > 1)
+        b = base.pop(i)
+        product //= b
+        todo += [x for x in (g, b // g, v // g) if x > 1]
+    return base
 
 
-def _exponents(value: int, base) -> list[int]:
-    out = []
-    for b in base:
+def _exponents(value: int, base) -> dict[int, int]:
+    """{i: e} with value the product of base[i] ** e, for a value that is a product of the sorted base."""
+    out = {}
+    for i, b in enumerate(base):
+        if value == 1:
+            break
         e = 0
         while value % b == 0:
             value, e = value // b, e + 1
-        out.append(e)
+        if e:
+            out[i] = e
     return out
 
 
@@ -200,19 +216,28 @@ def _exact_lattice(source: MarkovSource, hi: int):
     """
     probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
-    base = _coprime_base(v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator))
+    parts = {v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator)}
+    base = _coprime_base(parts)
     logs = np.array([math.log2(b) for b in base])
+    exponents = {v: _exponents(v, base) for v in parts}
 
-    def coords(p):
-        num, den = _exponents(p.mantissa.numerator, base), _exponents(p.mantissa.denominator, base)
-        return [int(-p.exp2 * denom)] + [a - b for a, b in zip(num, den)]
+    def point(p):
+        # a mantissa is in lowest terms, so its numerator and denominator share no base element
+        num, den = exponents[p.mantissa.numerator], exponents[p.mantissa.denominator]
+        return {0: int(-p.exp2 * denom), **{1 + i: e for i, e in num.items()}, **{1 + i: -e for i, e in den.items()}}
 
-    bound = hi * max(abs(c) for p in probs for c in coords(p))
+    # the coordinates of each distinct probability by column; a column it lacks is 0
+    coords = {p: point(p) for p in set(probs)}
+    bound = hi * max(abs(c) for coord in coords.values() for c in coord.values())
     if max(2 * bound, denom) >> _LIMB_BITS:
         raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^{_LIMB_BITS}")
 
     def rows(ps):
-        return np.array([coords(p) for p in ps], dtype=np.int64).reshape(len(ps), 1 + len(base))
+        out = np.zeros((len(ps), 1 + len(base)), dtype=np.int64)
+        for row, p in zip(out, ps):
+            for col, c in coords[p].items():
+                row[col] = c
+        return out
 
     def readout(keys, masses):
         scaled, expo = keys[:, 0], keys[:, 1:]
@@ -377,26 +402,24 @@ def check_monte_carlo(samples: int, lo: int, hi: int) -> None:
 
 
 def _rank_tables(source: MarkovSource):
-    """(thresholds, first, first_neg_log, next, step_neg_log) of the rank walk.
+    """(thresholds, next, step_neg_log) of the rank walk.
 
-    thresholds are the sorted distinct cumulative sums, all but the last,
-    of the initial vector and of every transition row; a uniform's rank is
-    the count of them at or below it.  Every row's thresholds are among
-    them, so the rank fixes the sorted search of each row: first[rank] is
-    the first state and next[state + rank] the next one, each times width
-    = len(thresholds) + 1 so that the next rank adds straight onto it.
-    first_neg_log and step_neg_log hold the -log2 p of the same moves.
+    The transition rows and, as row r, the initial vector are the rows of
+    the walk, which starts in the virtual state r.  thresholds are the
+    sorted distinct cumulative sums, all but the last, of every row; a
+    uniform's rank is the count of them at or below it.  Every row's
+    thresholds are among them, so the rank fixes the sorted search of each
+    row: next[state + rank] is the next state, times width =
+    len(thresholds) + 1 so that the next rank adds straight onto it, and
+    step_neg_log holds the -log2 p of the same move.
     """
-    init_cum = np.cumsum(source.initial_array())[:-1]
-    row_cum = np.cumsum(source.transition_array(), axis=1)[:, :-1]
-    thresholds = np.unique(np.concatenate([init_cum, row_cum.ravel()]))
+    neg_log_init = [math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial]
+    cum = np.cumsum(np.vstack([source.transition_array(), source.initial_array()]), axis=1)[:, :-1]
+    thresholds = np.unique(cum)
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
-    first = np.count_nonzero(init_cum[None, :] <= below[:, None], axis=1)
-    nxt = np.count_nonzero(row_cum[:, None, :] <= below[None, :, None], axis=2)
-    neg_log_init = np.array([-math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial])
-    step = np.take_along_axis(source.neg_log2_table(), nxt, axis=1)
-    width = len(below)
-    return thresholds, first * width, neg_log_init[first], (nxt * width).ravel(), step.ravel()
+    nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
+    step = np.take_along_axis(np.vstack([source.neg_log2_table(), neg_log_init]), nxt, axis=1)
+    return thresholds, (nxt * len(below)).ravel(), step.ravel()
 
 
 def _ranks(seed: int, start: int, out, thresholds, block):
@@ -421,15 +444,16 @@ def _ranks(seed: int, start: int, out, thresholds, block):
 
 def _walk(ranks, tables, out) -> None:
     """out[i] = -log2 mu of the path whose uniforms have the ranks ranks[i], added in path order."""
-    _, first, first_neg_log, nxt, step = tables
-    state, acc = first.take(ranks[:, 0]), first_neg_log.take(ranks[:, 0])
-    index, term = np.empty_like(state), np.empty_like(acc)
-    for t in range(1, ranks.shape[1]):
+    thresholds, nxt, step = tables
+    # row r, the initial vector, is the last of the r + 1 rows of width len(thresholds) + 1
+    state = np.full(len(ranks), len(nxt) - len(thresholds) - 1)
+    index, term = np.empty_like(state), np.empty(len(ranks))
+    out[:] = 0.0
+    for t in range(ranks.shape[1]):
         np.add(state, ranks[:, t], out=index)
         # every index is in range; "clip" skips the copy of out that the default "raise" makes
-        acc += step.take(index, out=term, mode="clip")
+        out += step.take(index, out=term, mode="clip")
         nxt.take(index, out=state, mode="clip")
-    out[:] = acc
 
 
 def _sample(tables, ns, samples: int, seed: int) -> dict:

@@ -1,21 +1,26 @@
-"""Shared fixtures: reference sources and independent brute-force oracles.
+"""Shared fixtures: reference sources, independent brute-force oracles and closed forms.
 
 The oracles here (path enumeration, quadrature) are deliberately written
 against the mathematical definitions only, so they stay independent of the
-library code paths they are used to check.
+library code paths they are used to check.  The closed forms (the Fejer
+kernel, the absorbing pair's series) and the restarting coprime base are
+references that only the tests use.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from shancode import ZERO, ExactProb, MarkovSource, RedundancyValue, ceil_defect, log2_prob
+from shancode.exact import frac_log
 
 
 # -- reference sources -------------------------------------------------------
@@ -429,3 +434,68 @@ def omega_decimal_reference(source: MarkovSource, M: int, n: int, digits: int = 
                 rho = zeta.to_integral_value(rounding=ROUND_FLOOR) + 1 - zeta
                 osc += pj.to_float() * pi[k] * float(rho % 1)
     return 0.5 * (1.0 - 1.0 / M) + osc / M
+
+
+def fejer_kernel(u, N: int):
+    """K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)), with K_N = N+1 at integers."""
+    if N < 0:
+        raise ValueError("kernel order must be >= 0")
+    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+    s = np.sin(math.pi * u_arr)
+    out = np.empty_like(u_arr)
+    near_int = np.abs(s) < 1e-12
+    out[near_int] = N + 1.0
+    safe = ~near_int
+    out[safe] = np.sin((N + 1) * math.pi * u_arr[safe]) ** 2 / ((N + 1) * s[safe] ** 2)
+    return out if np.ndim(u) else float(out[0])
+
+
+@dataclass(frozen=True)
+class Example2Sum:
+    value: float
+    tail_bound: float
+    n_terms: int
+
+
+def absorbing_pair_formula(alpha) -> Example2Sum:
+    """Limit redundancy of the two-state chain that leaks into an absorbing state.
+
+    For P = [[1-alpha, alpha], [0, 1]] started at state 0, the limit is
+    sum_{k>=0} alpha (1-alpha)^k rho(-log2 alpha - k log2(1-alpha)); the
+    geometric tail is truncated once (1-alpha)^(K+1) < 1e-12 and the
+    truncation bound is reported alongside the partial sum.
+    """
+    a = Fraction(alpha) if not isinstance(alpha, float) else alpha
+    if not (0 < a < 1):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    one_minus = 1 - a
+    k_terms = 0
+    tail = 1.0
+    factor = float(one_minus)
+    while tail >= 1e-12:
+        tail *= factor
+        k_terms += 1
+        if k_terms > 10**6:
+            raise ValueError("alpha too small for a truncation at 1e-12 within 10^6 terms")
+    # tail = (1-alpha)^k_terms < 1e-12, so terms k = 0 .. k_terms - 1 are kept
+    # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
+    # k lm both are: the odd parts of alpha and 1 - alpha never cancel
+    log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2
+    base = frac_log(log2(a), [1])[0]
+    rhos = [float((base + step) % 1) for step in frac_log(log2(one_minus), range(k_terms))]
+    terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
+    return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)
+
+
+def coprime_base_reference(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product, by restarting gcd refinement.
+
+    While some pair of the base has a common factor g > 1, the pair is
+    replaced by g and its two cofactors; every scan starts over from the
+    sorted base.
+    """
+    base = {v for v in values if v > 1}
+    while pair := next(((a, b) for a, b in combinations(sorted(base), 2) if math.gcd(a, b) > 1), None):
+        g = math.gcd(*pair)
+        base = (base - set(pair)) | {v for v in (g, pair[0] // g, pair[1] // g) if v > 1}
+    return sorted(base)

@@ -13,19 +13,18 @@ import numpy as np
 import pytest
 
 from shancode import (
-    absorbing_pair_formula,
     ceil_defect,
     char_fn,
     classify_mode,
     exact_redundancy,
     find_oscillation_order,
-    memoryless_formula,
     oscillation_argument,
     predict,
 )
 from shancode.errors import DefectiveMatrix
 from shancode.sources import classify_structure, log2_prob
 from tests.conftest import (
+    absorbing_pair_formula,
     char_fn_bruteforce,
     iter_paths_bruteforce,
     memoryless,
@@ -103,10 +102,11 @@ def test_acceptance_02(permutation_source, permutation_state0_start):
 @criterion(3, "memoryless (1/3, 2/3): oracle matches 1 - <n log2 3> within 0.02")
 def test_acceptance_03():
     source = memoryless([F(1, 3), F(2, 3)])
+    cls = classify_mode(source)
     for n in range(16, 21):
-        formula = memoryless_formula([F(1, 3), F(2, 3)], n)
-        assert formula.value == pytest.approx(1.0 - (n * LOG3) % 1.0, abs=1e-12)
-        diff = abs(exact_redundancy(source, n).value - formula.value)
+        omega = predict(source, cls, n).omega
+        assert omega == pytest.approx(1.0 - (n * LOG3) % 1.0, abs=1e-12)
+        diff = abs(exact_redundancy(source, n).value - omega)
         assert diff <= 0.02, (n, diff)
     return "n=16..20 agree within 0.02"
 

@@ -13,25 +13,24 @@ from hypothesis import given, strategies as st
 
 from shancode import (
     MarkovSource,
-    absorbing_pair_formula,
+    Prediction,
     ceil_defect,
     classify_mode,
     eigen,
     exact_redundancy,
     exact_redundancy_range,
     find_oscillation_order,
-    memoryless_formula,
     oscillation_argument,
     phase_matrix,
     predict,
-    predict_range,
     validate,
 )
-from shancode.asymptotics import prediction_columns
+from shancode.asymptotics import DEFAULT_XI, prediction_columns
 from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
 from shancode.sources import classify_structure, log2_prob, stationary_distribution
 from tests.conftest import (
+    absorbing_pair_formula,
     float_copy,
     iter_paths_bruteforce,
     memoryless,
@@ -239,12 +238,10 @@ def test_float_periodic_copies_classify_and_predict(name, request):
         assert cls.solution is not None
         assert circular(cls.s, exact_cls.s) <= 1e-12
         assert max(circular(a, b) for a, b in zip(cls.w, exact_cls.w)) <= 1e-12
-        rows = 0
-        for pf, pe in zip(predict_range(f, cls, 1, 2000), predict_range(s, exact_cls, 1, 2000)):
-            if "boundary" not in pf.flags | pe.flags:
-                assert abs(pf.omega - pe.omega) <= 1e-10
-                rows += 1
-        assert rows >= 1000
+        cf, ce = prediction_columns(f, cls, 1, 2000), prediction_columns(s, exact_cls, 1, 2000)
+        live = (cf.boundary_terms == 0.0) & (ce.boundary_terms == 0.0)
+        assert np.all(np.abs(cf.omega - ce.omega)[live] <= 1e-10)
+        assert np.count_nonzero(live) >= 1000
 
 
 def test_float_periodic_phase_zero_is_not_one_over_d():
@@ -414,7 +411,10 @@ def test_predict_range_matches_single_n(
     for s in [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
               convergent_exact_source]:
         cls = classify_mode(s)
-        ranged = predict_range(s, cls, 1, 40)
+        cols = prediction_columns(s, cls, 1, 40)
+        ranged = [Prediction(n, *row, DEFAULT_XI, flags) for n, *row, flags in zip(
+            cols.ns, cols.omega.tolist(), cols.lower.tolist(), cols.upper.tolist(), cols.boundary_terms.tolist(),
+            cols.row_flags())]
         assert ranged == [predict(s, cls, n) for n in range(1, 41)]
 
 
@@ -451,7 +451,7 @@ def test_bipartite_omega_matches_decimal_reference_at_large_n(bipartite_periodic
     cls = classify_mode(bipartite_periodic_source)
     want = bipartite_reference(n)
     assert abs(predict(bipartite_periodic_source, cls, n).omega - want) <= 1e-13
-    assert abs(predict_range(bipartite_periodic_source, cls, n - 1, n + 1)[1].omega - want) <= 1e-13
+    assert abs(prediction_columns(bipartite_periodic_source, cls, n - 1, n + 1).omega[1] - want) <= 1e-13
 
 
 def test_prediction_columns_memory_is_bounded(permutation_source):
@@ -494,10 +494,11 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
     pow2 = MarkovSource.from_exact(start, [letters, letters])
     for s in [*oscillatory_exact_family, cancelling, pow2]:
         cls = classify_mode(s)
-        for pred in predict_range(s, cls, 1, 30):
-            omega, boundary = loop_omega(s, cls, pred.n)
-            assert pred.omega == pytest.approx(omega, abs=1e-12)
-            assert pred.boundary_terms == pytest.approx(boundary, abs=1e-12)
+        cols = prediction_columns(s, cls, 1, 30)
+        for n, got_omega, got_boundary in zip(cols.ns, cols.omega, cols.boundary_terms):
+            omega, boundary = loop_omega(s, cls, n)
+            assert got_omega == pytest.approx(omega, abs=1e-12)
+            assert got_boundary == pytest.approx(boundary, abs=1e-12)
 
 
 def test_zeta_reads_the_stored_solution(
@@ -507,6 +508,10 @@ def test_zeta_reads_the_stored_solution(
     # the range prediction nor oscillation_argument solves the congruence again
     from shancode import asymptotics
 
+    def table(s, cls):
+        cols = prediction_columns(s, cls, 1, 30)
+        return cols.omega.tolist(), cols.lower.tolist(), cols.upper.tolist(), cols.row_flags()
+
     def zetas(s, cls):
         return [oscillation_argument(s, cls, j, k, n) for n in (1, 7, 40)
                 for j in range(s.r) if s.initial[j] is not ZERO for k in range(s.r)]
@@ -514,7 +519,7 @@ def test_zeta_reads_the_stored_solution(
     exact = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source]
     sources = [*exact, *map(float_copy, exact)]
     classes = [classify_mode(s) for s in sources]
-    want = [(predict_range(s, cls, 1, 30), zetas(s, cls)) for s, cls in zip(sources, classes)]
+    want = [(table(s, cls), zetas(s, cls)) for s, cls in zip(sources, classes)]
 
     def solve_again(*args, **kwargs):
         raise AssertionError("the similarity congruence was solved again")
@@ -522,7 +527,7 @@ def test_zeta_reads_the_stored_solution(
     monkeypatch.setattr(asymptotics, "_similarity", solve_again)
     for s, cls, (preds, zs) in zip(sources, classes, want):
         assert cls.mode == "oscillatory" and cls.solution is not None
-        assert predict_range(s, cls, 1, 30) == preds
+        assert table(s, cls) == preds
         assert zetas(s, cls) == zs
 
 
@@ -532,15 +537,15 @@ def test_periodic_omega_matches_dp(name, request):
     s = request.getfixturevalue(name)
     cls = classify_mode(s)
     assert cls.mode == "oscillatory" and cls.M == 1
-    preds = predict_range(s, cls, 10, 200)
+    cols = prediction_columns(s, cls, 10, 200)
     recs = exact_redundancy_range(s, 10, 200)
-    for pred, rec in zip(preds, recs):
-        if "boundary" not in pred.flags:
-            assert abs(pred.omega - rec.value) <= 1e-12
+    for omega, lower, upper, flags, rec in zip(cols.omega, cols.lower, cols.upper, cols.row_flags(), recs):
+        if "boundary" not in flags:
+            assert abs(omega - rec.value) <= 1e-12
         # lower = upper = omega where no term is near a discontinuity, so the
         # sandwich is checked up to the DP's float error
-        assert pred.lower - 1e-12 <= rec.value <= pred.upper + 1e-12
-    assert sum("boundary" not in pred.flags for pred in preds) >= 20
+        assert lower - 1e-12 <= rec.value <= upper + 1e-12
+    assert sum("boundary" not in flags for flags in cols.row_flags()) >= 20
 
 
 def test_periodic_prediction_needs_no_eigen(
@@ -553,8 +558,8 @@ def test_periodic_prediction_needs_no_eigen(
 
     monkeypatch.setattr(spectral, "eigen", no_eigen)
     for s in (cycle_source, bipartite_periodic_source, p2b_source, p3_source):
-        preds = predict_range(s, classify_mode(s), 1, 60)
-        assert all(0.0 <= pred.omega <= 1.0 for pred in preds)
+        omega = prediction_columns(s, classify_mode(s), 1, 60).omega
+        assert np.all((0.0 <= omega) & (omega <= 1.0))
 
 
 def test_convergent_prediction_constant_half(float_convergent_source):
@@ -608,34 +613,50 @@ def test_convergent_mode_window_shrinks(float_convergent_source):
 
 
 def test_memoryless_formula_third():
-    for n in (5, 16, 20):
-        got = memoryless_formula([F(1, 3), F(2, 3)], n)
-        assert got.M == 1 and got.branch == "rational"
-        assert got.value == pytest.approx(1.0 - (n * LOG3) % 1.0, abs=1e-12)
+    # a memoryless source is a Markov source whose rows equal its initial
+    # vector; at M = 1 its Omega_n is the closed form 1 - <n log2 3>
+    s = memoryless([F(1, 3), F(2, 3)])
+    cls = classify_mode(s)
+    assert cls.mode == "oscillatory" and cls.M == 1
+    for n in (1, 5, 16, 20):
+        assert predict(s, cls, n).omega == pytest.approx(1.0 - (n * LOG3) % 1.0, abs=1e-12)
 
 
-def test_memoryless_formula_dyadic_boundary():
-    got = memoryless_formula([F(1, 2), F(1, 2)], 7)
-    assert got.value == 1.0
-    assert "boundary" in got.flags
+@pytest.mark.parametrize("n", [1, 7, 10**3, 10**6, 10**9, 10**12])
+def test_memoryless_omega_matches_decimal_reference(n):
+    for probs in ([F(1, 3), F(2, 3)], [F(1, 7), F(2, 7), F(4, 7)]):
+        s = memoryless(probs)
+        cls = classify_mode(s)
+        assert abs(predict(s, cls, n).omega - omega_decimal_reference(s, cls.M, n)) <= 1e-15
+
+
+def test_memoryless_dyadic_predicts_zero(dyadic_memoryless):
+    # every path of a dyadic source has an integer -log2 mu, so R_n = 0
+    pred = predict(dyadic_memoryless, classify_mode(dyadic_memoryless), 7)
+    assert pred.omega == 0.0 == exact_redundancy(dyadic_memoryless, 7).value
+    assert "degenerate" in pred.flags
 
 
 def test_memoryless_formula_irrational_branch():
-    got = memoryless_formula([F(3, 8), F(5, 8)], 9)
-    assert got.branch == "irrational" and got.value == 0.5
+    for probs in ([F(3, 8), F(5, 8)], [F(1, 9), F(2, 9), F(2, 3)]):
+        s = memoryless(probs)
+        cls = classify_mode(s)
+        pred = predict(s, cls, 9)
+        assert cls.mode == "convergent" and pred.omega == 0.5 and "convergent" in pred.flags
 
 
 def test_memoryless_formula_float_heuristic():
-    got = memoryless_formula([1 / 3, 2 / 3], 16)
-    assert "heuristic" in got.flags
-    assert got.value == pytest.approx(1.0 - (16 * LOG3) % 1.0, abs=1e-6)
+    s = float_copy(memoryless([F(1, 3), F(2, 3)]))
+    cls = classify_mode(s)
+    assert cls.provenance == "spectral_search"
+    assert predict(s, cls, 16).omega == pytest.approx(1.0 - (16 * LOG3) % 1.0, abs=1e-6)
 
 
 def test_memoryless_matches_oracle():
     s = memoryless([F(1, 3), F(2, 3)])
+    cls = classify_mode(s)
     for n in (16, 18, 20):
-        got = memoryless_formula([F(1, 3), F(2, 3)], n)
-        assert got.value == pytest.approx(exact_redundancy(s, n).value, abs=0.02)
+        assert predict(s, cls, n).omega == pytest.approx(exact_redundancy(s, n).value, abs=0.02)
 
 
 def test_absorbing_formula_dyadic_zero():
@@ -653,6 +674,10 @@ def test_absorbing_formula_matches_oracle(absorbing_source):
     out = absorbing_pair_formula(F(1, 3))
     exact = exact_redundancy(absorbing_source, 30).value
     assert abs(exact - out.value) <= 1e-3 + out.tail_bound
+    # R_n keeps the series' first n - 1 terms, and past n = 70 what it drops
+    # or adds lies in the tail the reference bounds
+    for rec in exact_redundancy_range(absorbing_source, 100, 200):
+        assert abs(rec.value - out.value) <= out.tail_bound
 
 
 def test_absorbing_formula_exact_small_alpha_is_fast():

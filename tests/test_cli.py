@@ -273,7 +273,7 @@ def test_over_long_predict_range_refused_before_any_work(permutation_path, monke
     assert payload["error"] == "ResourceLimit" and f"> {asymptotics.PREDICT_CELL_CAP}" in payload["message"]
     source = MarkovSource.from_dict(PERMUTATION)
     with pytest.raises(AssertionError, match="a refused prediction ran"):  # 2^20 rows are admitted
-        asymptotics.predict_range(source, classify_mode(source), 1, 2**20)
+        asymptotics.prediction_columns(source, classify_mode(source), 1, 2**20)
 
 
 def test_exit_code_resource_limit(permutation_path):

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from shancode import ceil_defect
 from shancode import fejer
 from shancode.errors import ResourceLimit
-from tests.conftest import simpson
+from tests.conftest import fejer_kernel, simpson
 
 THETAS = (0.3, 0.1, 0.01)
 
@@ -131,16 +131,16 @@ def test_fejer_sum_uniform_error_within_bound():
 
 
 def test_fejer_kernel_values():
-    assert fejer.fejer_kernel(0.0, 8) == 9.0
-    assert fejer.fejer_kernel(1.0, 8) == 9.0  # periodic copy of the peak
-    assert fejer.fejer_kernel(0.5, 1) == pytest.approx(0.0, abs=1e-20)
+    assert fejer_kernel(0.0, 8) == 9.0
+    assert fejer_kernel(1.0, 8) == 9.0  # periodic copy of the peak
+    assert fejer_kernel(0.5, 1) == pytest.approx(0.0, abs=1e-20)
     u = np.linspace(-0.5, 0.5, 4001)
-    assert np.all(fejer.fejer_kernel(u, 12) >= -1e-12)
+    assert np.all(fejer_kernel(u, 12) >= -1e-12)
 
 
 def test_fejer_kernel_integrates_to_one():
     for N in (1, 8, 33):
-        val = simpson(lambda t: fejer.fejer_kernel(t, N), -0.5, 0.5, panels=1 << 13)
+        val = simpson(lambda t: fejer_kernel(t, N), -0.5, 0.5, panels=1 << 13)
         assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -148,7 +148,7 @@ def test_fejer_sum_equals_kernel_convolution():
     theta, N = 0.1, 8
     for f_id, f in (("rho_minus", fejer.rho_minus), ("delta", fejer.delta)):
         for u in np.linspace(0.05, 0.95, 7):
-            conv = simpson(lambda t: f(u - t, theta) * fejer.fejer_kernel(t, N), -0.5, 0.5, panels=1 << 13)
+            conv = simpson(lambda t: f(u - t, theta) * fejer_kernel(t, N), -0.5, 0.5, panels=1 << 13)
             assert abs(conv - fejer.fejer_sum(f_id, u, theta, N)) < 1e-6
 
 

@@ -1,5 +1,6 @@
 """Ground-truth redundancy: lattice DP and Monte Carlo."""
 
+import itertools
 import math
 import time
 import tracemalloc
@@ -21,6 +22,7 @@ from shancode import oracle
 from shancode.asymptotics import ceil_defect
 from shancode.errors import ResourceLimit
 from tests.conftest import (
+    coprime_base_reference,
     float_copy,
     iter_paths_bruteforce,
     memoryless,
@@ -211,6 +213,20 @@ def test_exact_lattice_keys_are_one_column_per_coordinate():
         assert np.array_equal(rows(list(s.initial)), start) and np.array_equal(rows([s.transitions[0][0]]), step)
         assert add is np.add and rows([]).shape == (0, 10)
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
+
+
+# small factors and large ones, some composite (2^64 + 1 = 274177 * 67280421310721), so
+# products share factors in every way
+BASE_FACTORS = [2, 3, 5, 7, 9, 11, 15, 49, 2**61 - 1, 2**64 + 1, 10**18 + 9, 3**40 + 2, 274177]
+
+
+@given(st.lists(st.lists(st.sampled_from(BASE_FACTORS), min_size=0, max_size=5).map(math.prod), max_size=12))
+def test_coprime_base_matches_restarting_refinement(values):
+    base = oracle._coprime_base(values)
+    assert base == coprime_base_reference(values)
+    assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
+    for v in values:
+        assert math.prod(base[i] ** e for i, e in oracle._exponents(v, base).items()) == v
 
 
 def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, monkeypatch):
@@ -427,7 +443,7 @@ def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
             return out
 
     monkeypatch.setattr(oracle.np.random, "Generator", Replay)
-    thresholds, first, first_neg_log, nxt, step = oracle._rank_tables(source)
+    thresholds, nxt, step = oracle._rank_tables(source)
     ranks = oracle._ranks(0, 0, np.empty(len(u), dtype=np.uint8), thresholds, np.empty(4))  # two blocks
     monkeypatch.undo()
     assert ranks.tolist() == np.searchsorted(thresholds, u, side="right").tolist()
@@ -437,8 +453,9 @@ def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
     row_cum = np.cumsum(trans, axis=1)
     row_cum[:, -1] = 1.0
     starts = np.searchsorted(init_cum, u, side="right")
-    assert (first.take(ranks) // width).tolist() == starts.tolist()
-    assert first_neg_log.take(ranks).tolist() == [-math.log2(source.initial_array()[k]) for k in starts]
+    start = source.r * width  # row r is the initial vector
+    assert (nxt.take(start + ranks) // width).tolist() == starts.tolist()
+    assert step.take(start + ranks).tolist() == [-math.log2(source.initial_array()[k]) for k in starts]
     table = source.neg_log2_table()
     for k in range(source.r):
         expected = np.searchsorted(row_cum[k], u, side="right")
