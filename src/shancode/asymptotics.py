@@ -138,7 +138,7 @@ def _similarity(source: MarkovSource, structure):
         if ge and (g == 0 or ge % g):
             g, x, y = _bezout(g, ge)
             Y = Y * x + delta(k, j) * y
-    M = common_denominator([Y * (ge // d) - delta(k, j) for k, j, ge in edges])
+    M = common_denominator(Y * (ge // d) - delta(k, j) for k, j, ge in edges)
     if M is None:
         return None
     unit = Y
@@ -183,17 +183,25 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def _zeta_terms(source: MarkovSource, cls: ModeClassification, lo: int, hi: int, pairs):
-    """The two terms of zeta_jk(n) = (M/d) [(n-1) unit + b_jk] modulo 1, b_jk = X_j - X_k - d log2 p_j.
+def _zeta_terms(source: MarkovSource, cls: ModeClassification, lo: int, hi: int, pairs, scale: int):
+    """The two terms of zeta_jk(n) = (M/d) [(n-1) unit + b_jk] modulo 1, b_jk = X_j - X_k - d log2 p_j, at scale M.
 
-    Returns frac((M/d)(n-1) unit) for n = lo..hi and frac((M/d) b_jk) for
-    each pair (j, k) in pairs, both from the stored similarity solution
-    through frac_log; zeta_jk(n) is their sum modulo 1.
+    Returns frac((scale/d)(n-1) unit) for n = lo..hi and frac((scale/d) b_jk)
+    for each pair (j, k) in pairs, both from the stored similarity solution
+    through frac_log; at scale M zeta_jk(n) is their sum modulo 1.  At scale
+    1 they are the terms of -log2 mu itself, which the exact oracle's
+    lifted chain reads.
     """
-    d, unit, X = cls.solution
-    phase = frac_log(unit, range((lo - 1) * cls.M, hi * cls.M, cls.M), d)
-    betas = [frac_log(X[j] - X[k] - log2_prob(source.initial[j]) * d, [cls.M], d)[0] for j, k in pairs]
+    d, unit, _ = cls.solution
+    phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d)
+    betas = [frac_log(b, [scale], d)[0] for b in _pair_offsets(source, cls, pairs)]
     return phase, betas
+
+
+def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> list:
+    """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k) in pairs."""
+    d, _, X = cls.solution
+    return [X[j] - X[k] - log2_prob(source.initial[j]) * d for j, k in pairs]
 
 
 def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
@@ -206,7 +214,7 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    phase, (beta,) = _zeta_terms(source, cls, n, n, [(j, k)])
+    phase, (beta,) = _zeta_terms(source, cls, n, n, [(j, k)], cls.M)
     return float(phase[0] + beta) % 1.0
 
 
@@ -285,7 +293,7 @@ def prediction_columns(
     shift = ((lo - 1) % d + np.arange(len(ns))) % d
     weights = d * np.outer(source.initial_array(), stationary_distribution(source))
     pairs = [(j, k) for j in range(source.r) if source.initial[j] is not ZERO for k in range(source.r)]
-    phase, betas = _zeta_terms(source, cls, lo, hi, pairs)
+    phase, betas = _zeta_terms(source, cls, lo, hi, pairs, cls.M)
     phase_f = np.asarray(phase, dtype=float)
     osc = np.zeros(len(ns))
     near = np.zeros((len(ns), source.r, source.r), dtype=bool)

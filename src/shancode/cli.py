@@ -161,7 +161,7 @@ def _cmd_exact(args):
     source = _load_source(args)
     lo, hi = args.n_range
     if args.samples > 0:
-        oracle.check_monte_carlo(args.samples, lo, hi)
+        oracle.check_monte_carlo(args.samples, lo, hi, source)
     records = oracle.exact_redundancy_range(source, lo, hi)
     if args.samples > 0:
         sampled = oracle.monte_carlo_redundancy_range(source, lo, hi, args.samples, args.seed)
@@ -177,7 +177,7 @@ def _cmd_exact(args):
 
 def _compare_table(source, args):
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
-    records = oracle.exact_redundancy_range(source, *args.n_range)
+    records = oracle.exact_redundancy_range(source, *args.n_range, cls=cls)
     cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
     exact = np.array([rec.value for rec in records])
     return {
@@ -289,7 +289,13 @@ def _cells(column, fmt: str) -> list:
         # one %-format over the whole block is faster than a call per cell
         values = tuple(column.tolist())
         return (float_spec * len(values) % values).split("\n")[:-1]
-    return list(map(int_cell if isinstance(column, range) else cell, column))
+    if isinstance(column, range):
+        return list(map(int_cell, column))
+    # each distinct cell object is printed once: a [x] * n column holds one object n
+    # times, and identity keeps apart cells that compare equal but print apart (0.0, -0.0)
+    printed = {id(x): x for x in column}
+    printed = {key: cell(x) for key, x in printed.items()}
+    return [printed[id(x)] for x in column]
 
 
 def _block(table: dict, start: int, fmt: str):

@@ -275,8 +275,14 @@ def approximate_rational(x: float):
 def common_denominator(logs) -> int | None:
     """lcm of the denominators of logs when every one is rational, else None.
 
-    A Log2Value is decided exactly (is_rational), a float log heuristically (approximate_rational).
+    A Log2Value is decided exactly (is_rational), a float log heuristically
+    (approximate_rational).  logs may be an iterator: none past the first
+    irrational one is drawn.
     """
-    qs = [(x.rational if x.is_rational else None) if isinstance(x, Log2Value) else approximate_rational(x)
-          for x in logs]
-    return None if None in qs else math.lcm(*(q.denominator for q in qs))
+    den = 1
+    for x in logs:
+        q = (x.rational if x.is_rational else None) if isinstance(x, Log2Value) else approximate_rational(x)
+        if q is None:
+            return None
+        den = math.lcm(den, q.denominator)
+    return den

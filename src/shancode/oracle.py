@@ -2,37 +2,59 @@
 
     R_n = E{ceil(-log2 mu(X^n)) + log2 mu(X^n)} = E{rho(-log2 mu(X^n))}
 
-with rho(u) = ceil(u) - u and mu the path probability.  -log2 mu depends on
-a path only through a lattice point: for an exact source, its rational part
-times a common denominator plus the exponents of mu's odd mantissa over a
-pairwise coprime base; for a float source, the exact sum of its float
-steps, an integer over a common power-of-two denominator.
-exact_redundancy_range runs one forward DP over (state, lattice point) keys
-carrying float probability mass and reads R_n out at every n of a range.
-The classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT
-2004) with the same mu.  Both lattices run on the same numpy code: each
-state's frontier is a sorted array of int64 key rows, and a step adds each
-move's row with the lattice's own addition, then sorts and sums what enters
-each state.  An exact key is its signed lattice point, one column per
+with rho(u) = ceil(u) - u and mu the path probability.
+exact_redundancy_range takes one of two exact routes for a range of n.
+
+An irreducible exact source that classify_mode calls oscillatory, of order
+M with solution (d, unit, X), takes lifted_chain: modulo 1, -log2 mu
+depends only on the two end states, n and an integer z mod M, the sum of
+the edges' integer lifts z_e, so R_n is a finite sum over the Markov chain
+on (state, z mod M) after n - 1 steps (the paper's decomposition before the
+limit; Omega_n is the same sum at that chain's limit).  Its step is
+block-circulant in z, so its powers are kept as first block rows and
+multiplied by cyclic convolution; the squarings T^(2^i) are built once and
+row n takes the set bits of n - 1, O(log n) products in all.  Where
+-log2 mu is rational it is read out exactly, in int64 units of 1/Q.  Its
+cost is estimated from sizes before any of it runs; a request over
+LIFT_WORK_CAP or LIFT_CELL_CAP, or whose Q reaches READOUT_DEN_CAP, takes
+the lattice DP instead.
+
+Every other source, and every request over those caps, takes lattice_dp.
+-log2 mu depends on a path only through a lattice point: for an exact
+source, its rational part times a common denominator plus the exponents of
+mu's odd mantissa over a pairwise coprime base; for a float source, the
+exact sum of its float steps, an integer over a common power-of-two
+denominator.  The DP runs forward over (state, lattice point) keys carrying
+float probability mass and reads R_n out at every n of a range.  The
+classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT 2004)
+with the same mu.  Both lattices run on the same numpy code: each state's
+frontier is a sorted array of int64 key rows, and a step adds each move's
+row with the lattice's own addition, then sorts and sums what enters each
+state.  An exact key is its signed lattice point, one column per
 coordinate, added by plain numpy addition; a float key is base-2^62 limbs,
-as it can pass 97 bits, added with a carry from limb to limb.
-The DP is admitted by the work it does, not by an estimate: it counts its
-key moves and stops with ResourceLimit at the step that would pass
-DP_MOVE_BUDGET or move over DP_CELL_CAP int64 key cells.  Also here: a
-seeded Monte Carlo estimator, refused over its caps before any draw.
+as it can pass 97 bits, added with a carry from limb to limb.  The DP is
+admitted by the work it does, not by an estimate: it counts its key moves
+and stops with ResourceLimit at the step that would pass DP_MOVE_BUDGET or
+move over DP_CELL_CAP int64 key cells.
+
+Also here: a seeded Monte Carlo estimator, refused over its caps (samples,
+path steps, rank window and rank-table bytes) before any draw.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .errors import ResourceLimit
+from .asymptotics import ModeClassification, _pair_offsets, _zeta_terms, classify_mode
+from .errors import ReducibleChain, ResourceLimit
 from .exact import ZERO, ceil_defect
-from .sources import MarkovSource, log2_prob_float
+from .sources import MarkovSource, log2_prob, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
@@ -44,6 +66,13 @@ DP_CELL_CAP = 2**24
 # no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
 _READ_CHARGE = 8
+# work units (about a nanosecond each, see _lifted_cost) and float64 cells (32 MiB) within which
+# an oscillatory exact source takes the lifted chain; a request over either takes the lattice DP
+LIFT_WORK_CAP = 2**30
+LIFT_CELL_CAP = 2**22
+_LIFT_CALL_CHARGE = 10_000
+# the lifted chain reads rational -log2 mu out in int64 units of 1/Q, Q below this (see _lifted_rho)
+READOUT_DEN_CAP = 2**31
 # exact key columns span less than 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -55,6 +84,9 @@ _MC_BLOCK = 2**16
 MC_STEP_CAP = 2**30
 MC_SAMPLE_CAP = 2**24
 MC_WINDOW_CAP = 2**28
+# bytes of rank tables (next states and steps) a Monte Carlo request may build: 34 MB at the
+# seed-0 r = 128 float source of bench/workloads.py, 268 MB at its r = 256 one
+MC_TABLE_BYTES_CAP = 2**27
 
 
 @dataclass(frozen=True)
@@ -331,7 +363,7 @@ def _float_lattice(source: MarkovSource, hi: int):
     return rows, _add, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
-def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
+def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) owns
@@ -369,6 +401,227 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int) -> list[Redun
     return result
 
 
+# -- lifted chain on (state, z mod M) ------------------------------------------
+
+
+def _lifted_step(source: MarkovSource, cls: ModeClassification) -> np.ndarray:
+    """(r, r, M) blocks of the lifted chain's step: [k, j, z_e mod M] = p(j|k) on every edge k -> j.
+
+    z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j) is an integer on an
+    oscillatory solution (d, unit, X).  d z_e is the rational part of
+    (-log2 p).scaled(M d) - (unit + X_k - X_j).scaled(M), whose mantissa is
+    1, so it is read off the rational parts without forming a power.
+    """
+    d, unit, X = cls.solution
+    M = cls.M
+    step = np.zeros((source.r, source.r, M))
+    for k, row in enumerate(source.transitions):
+        for j, p in enumerate(row):
+            if p is not ZERO:
+                dz = -log2_prob(p).rational * (M * d) - (unit + X[k] - X[j]).rational * M
+                if dz.denominator != 1 or dz.numerator % d:
+                    raise ValueError(f"edge {k} -> {j} lifts to z_e = {dz / d}, not an integer")
+                step[k, j, dz.numerator // d % M] = source.prob_float(p)
+    return step
+
+
+def _circulant(blocks: np.ndarray) -> np.ndarray:
+    """The (rM, rM) matrix of the block-circulant operator whose first rows are blocks (r, r, M).
+
+    Entry (k M + y, l M + z) is blocks[k, l, (z - y) mod M], the weight of
+    (k, y) -> (l, z): a row times it is the cyclic convolution over z.
+    """
+    r, _, M = blocks.shape
+    shift = (np.arange(M)[None, :] - np.arange(M)[:, None]) % M
+    return blocks[:, :, shift].transpose(0, 2, 1, 3).reshape(r * M, r * M)
+
+
+def _product(rows: np.ndarray, circulant: np.ndarray) -> np.ndarray:
+    """rows (q, rM) times a circulant, each row renormalised to sum 1.
+
+    Float rows such as (1/3, 2/3) miss 1 by an ulp, and without the
+    renormalisation T^(n-1) drifts by about n ulps.
+    """
+    out = rows @ circulant
+    out /= np.add.reduce(out, axis=1, keepdims=True)
+    return out
+
+
+def _set_bits_below(m: int) -> int:
+    """The number of set bits of 0, 1, ..., m - 1 together."""
+    total, i = 0, 0
+    while (1 << i) < m:
+        total += (m >> (i + 1) << i) + max(0, m % (2 << i) - (1 << i))
+        i += 1
+    return total
+
+
+def _power_index(base: Fraction, target: Fraction) -> int | None:
+    """The t >= 0 with base^t == target, or None; base is a positive rational other than 1.
+
+    base^t is a^t / b^t in lowest terms, so t is read off the side where
+    base is above 1 and checked on both, never forming a power far larger
+    than target.
+    """
+    (a, c), (b, e) = sorted([(base.numerator, target.numerator), (base.denominator, target.denominator)],
+                            key=lambda side: side[0] == 1)
+    t = round(math.log(c) / math.log(a))
+    if a**t != c or t * (b.bit_length() - 1) > e.bit_length():
+        return None
+    return t if b**t == e else None
+
+
+def _rational_points(unit, b, lo: int, hi: int) -> range:
+    """The n in lo..hi at which (n - 1) unit + b is rational, for exact logs unit and b.
+
+    Its mantissa is m_u^(n-1) m_b: 1 at every n or at none where m_u = 1,
+    and otherwise only where m_u^(n-1) = 1/m_b, at most one n.
+    """
+    if unit.is_rational:
+        return range(lo, hi + 1) if b.is_rational else range(0)
+    t = _power_index(unit.mantissa, 1 / b.mantissa)
+    return range(t + 1, t + 2) if t is not None and lo <= t + 1 <= hi else range(0)
+
+
+def _readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
+    """A common denominator Q of the rational parts of ((n-1) unit + b_jk) / d over every n and live pair.
+
+    With b_jk = X_j - X_k - d log2 p_j, Q = d times the lcm of the
+    denominators of unit, of every X_j and of every live initial exponent.
+    """
+    d, unit, X = cls.solution
+    dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
+            *(log2_prob(p).rational.denominator for p in source.initial if p is not ZERO)]
+    return d * math.lcm(*dens)
+
+
+def _lifted_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: int) -> np.ndarray:
+    """rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)) as an (hi - lo + 1, len(pairs), M) array.
+
+    Where the total is irrational, the float sum of _zeta_terms' two terms
+    at scale 1 serves.  Where it is rational (_rational_points: every n or
+    none for a rational unit, else at most one n a pair), it is exact:
+    ((n-1) unit + b_jk) / d = K/Q modulo 1 with K = (n-1) A + B_jk mod Q
+    over Q = _readout_denominator, and rho(z/M + K/Q) = (-(z Q + K M) mod M Q)
+    / (M Q), in int64 for Q < READOUT_DEN_CAP, which is 0.0 wherever -log2 mu
+    is an integer.
+    """
+    d, unit, _ = cls.solution
+    M = cls.M
+    Q = _readout_denominator(source, cls)
+    if Q >= READOUT_DEN_CAP or M * Q >= 2**53:
+        raise ValueError(f"rational readout in units of 1/{Q} at M = {M} does not fit int64")
+    z = np.arange(M)
+    phase, betas = _zeta_terms(source, cls, lo, hi, pairs, 1)
+    total = np.asarray(phase, dtype=float)[:, None] + np.asarray(betas, dtype=float)[None, :]
+    rho = ceil_defect(total[:, :, None] + (z / M)[None, None, :])
+    A = int(unit.rational * (Q // d)) % Q
+    for p, b in enumerate(_pair_offsets(source, cls, pairs)):
+        ns = _rational_points(unit, b, lo, hi)
+        if ns:
+            # K at the first n in Python ints, so no n past 2^63 reaches int64
+            first = ((ns.start - 1) * A + int(b.rational * (Q // d))) % Q
+            K = (first + np.arange(len(ns)) % Q * A) % Q
+            rho[ns.start - lo:ns.stop - lo, p] = -(z * Q + K[:, None] * M) % (M * Q) / (M * Q)
+    return rho
+
+
+def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> tuple[int, int]:
+    """(work units, float64 cells held) of lifted_chain(source, cls, lo, hi), from sizes alone.
+
+    The squarings T^(2^i), i < bit_length(hi - 1), take an (r, rM) by
+    (rM, rM) product and a circulant each; every row n takes one (J, rM) by
+    (rM, rM) product per set bit of n - 1 (J live initial states); every row
+    reads J r M cells.  _LIFT_CALL_CHARGE covers the Python calls of each
+    product, row and (initial, end) state pair.  Held are the circulants
+    and each row's masses, rho and weights.
+    """
+    live = sum(p is not ZERO for p in source.initial)
+    rm = source.r * cls.M
+    levels = (hi - 1).bit_length()
+    rows = hi - lo + 1
+    products = _set_bits_below(hi) - _set_bits_below(lo - 1)
+    work = (levels * (_LIFT_CALL_CHARGE + (source.r + 1) * rm * rm)
+            + products * (_LIFT_CALL_CHARGE + live * rm * rm)
+            + rows * (_LIFT_CALL_CHARGE + live * rm)
+            + live * source.r * _LIFT_CALL_CHARGE)
+    return work, levels * rm * rm + 3 * rows * live * rm
+
+
+def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> list[RedundancyValue]:
+    """Exact R_n for n = lo..hi of an oscillatory exact source, from its chain on (state, z mod M).
+
+    With the solution (d, unit, X) every edge k -> j lifts to the integer
+    z_e (_lifted_step), and a path j -> ... -> k of length n whose z_e sum
+    to z mod M has, modulo 1,
+
+        -log2 mu = z/M + frac((n-1) unit / d) + frac((X_j - X_k - d log2 p_j) / d),
+
+    the terms of _zeta_terms at scale 1.  So, with T the lifted chain's
+    step on rM states,
+
+        R_n = sum_{j,k,z} p_j [T^(n-1)]_{(j,0),(k,z)} rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)).
+
+    T is block-circulant in z, so its powers are (r, rM) first block rows
+    multiplied by cyclic convolution (_circulant, _product).  The squarings
+    T^(2^i) are built once, and row n is the product of the live initial
+    states' unit rows with the squarings of the set bits of n - 1, lowest
+    first: the same products whether n is asked alone or in a range.  The
+    masses are floats and every product renormalises its rows, so values
+    are within about 1e-13 of the exact R_n.  Every path whose -log2 mu is
+    rational is read out exactly (_lifted_rho), so a dyadic source gives
+    exactly 0.0.  exact_redundancy_range admits a request by its cost
+    (_lifted_cost) and its readout denominator before any of it runs.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid block length range {lo}..{hi}")
+    r, M = source.r, cls.M
+    live = [j for j, p in enumerate(source.initial) if p is not ZERO]
+    power, circulants = _lifted_step(source, cls).reshape(r, r * M), []
+    for i in range((hi - 1).bit_length()):
+        if i:
+            power = _product(power, circulants[-1])
+        circulants.append(_circulant(power.reshape(r, r, M)))
+    start = np.zeros((len(live), r * M))
+    start[np.arange(len(live)), np.array(live) * M] = 1.0
+    rho = _lifted_rho(source, cls, [(j, k) for j in live for k in range(r)], lo, hi)
+    rho = rho.reshape(hi - lo + 1, len(live), r * M)
+    p = source.initial_array()[live][:, None]
+    out = []
+    for n, rho_n in zip(range(lo, hi + 1), rho):
+        masses, bits = start, n - 1
+        for circulant in circulants:
+            if bits & 1:
+                masses = _product(masses, circulant)
+            bits >>= 1
+        value = math.fsum((p * masses * rho_n).ravel().tolist())
+        out.append(RedundancyValue(n=n, value=value, method="lifted_chain", stderr=None, flags=frozenset()))
+    return out
+
+
+def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
+                           cls: ModeClassification | None = None) -> list[RedundancyValue]:
+    """Exact R_n for every n = lo..hi, by the lifted chain or the lattice DP.
+
+    An irreducible exact source that classify_mode calls oscillatory takes
+    lifted_chain when its cost (_lifted_cost) is within LIFT_WORK_CAP work
+    units and LIFT_CELL_CAP float64 cells and its readout denominator
+    (_readout_denominator) is below READOUT_DEN_CAP; every other request,
+    and one over those caps, takes lattice_dp.  A caller that holds the source's
+    classification passes it as cls.
+    """
+    if not 1 <= lo <= hi:
+        raise ValueError(f"invalid block length range {lo}..{hi}")
+    if source.exact and cls is None:
+        with contextlib.suppress(ReducibleChain):
+            cls = classify_mode(source)
+    if source.exact and cls is not None and cls.mode == "oscillatory":
+        work, cells = _lifted_cost(source, cls, lo, hi)
+        if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP and _readout_denominator(source, cls) < READOUT_DEN_CAP:
+            return lifted_chain(source, cls, lo, hi)
+    return lattice_dp(source, lo, hi)
+
+
 def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:
     """Exact R_n = sum over positive-probability paths of mu * rho(-log2 mu)."""
     return exact_redundancy_range(source, n, n)[0]
@@ -377,13 +630,15 @@ def exact_redundancy(source: MarkovSource, n: int) -> RedundancyValue:
 # -- Monte Carlo ----------------------------------------------------------
 
 
-def check_monte_carlo(samples: int, lo: int, hi: int) -> None:
+def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> None:
     """Refuse Monte Carlo work over block lengths lo..hi over the caps before any of it starts.
 
     samples * (lo + ... + hi) path steps are walked, and a window holds
     min(samples, _MC_CHUNK_ROWS) * hi ranks (see _sample); over MC_STEP_CAP
     steps, MC_WINDOW_CAP ranks or MC_SAMPLE_CAP samples (the per-sample
-    array is 8 * samples bytes) raises ResourceLimit.
+    array is 8 * samples bytes) raises ResourceLimit, and so do the
+    source's rank tables over MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next
+    states and as many float64 steps for T thresholds (_rank_tables).
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
@@ -399,6 +654,16 @@ def check_monte_carlo(samples: int, lo: int, hi: int) -> None:
         raise ResourceLimit(
             f"Monte Carlo with {samples} samples up to n = {hi} holds a window of {window} > {MC_WINDOW_CAP} ranks"
         )
+    cum = _cumulative_rows(source)
+    table_bytes = 16 * len(cum) * (len(np.unique(cum)) + 1)
+    if table_bytes > MC_TABLE_BYTES_CAP:
+        raise ResourceLimit(f"Monte Carlo rank tables at r = {source.r} take {table_bytes} > "
+                            f"MC_TABLE_BYTES_CAP = {MC_TABLE_BYTES_CAP} bytes")
+
+
+def _cumulative_rows(source: MarkovSource) -> np.ndarray:
+    """Cumulative sums, all but the last, of the transition rows and, as row r, the initial vector."""
+    return np.cumsum(np.vstack([source.transition_array(), source.initial_array()]), axis=1)[:, :-1]
 
 
 def _rank_tables(source: MarkovSource):
@@ -414,7 +679,7 @@ def _rank_tables(source: MarkovSource):
     step_neg_log holds the -log2 p of the same move.
     """
     neg_log_init = [math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial]
-    cum = np.cumsum(np.vstack([source.transition_array(), source.initial_array()]), axis=1)[:, :-1]
+    cum = _cumulative_rows(source)
     thresholds = np.unique(cum)
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
     nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
@@ -497,7 +762,7 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
         raise ValueError("samples must be >= 1")
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    check_monte_carlo(samples, lo, hi)
+    check_monte_carlo(samples, lo, hi, source)
     tables = _rank_tables(source)
     group = max(1, MC_SAMPLE_CAP // samples)
     out = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 from itertools import combinations
 
@@ -434,6 +434,54 @@ def omega_decimal_reference(source: MarkovSource, M: int, n: int, digits: int = 
                 rho = zeta.to_integral_value(rounding=ROUND_FLOOR) + 1 - zeta
                 osc += pj.to_float() * pi[k] * float(rho % 1)
     return 0.5 * (1.0 - 1.0 / M) + osc / M
+
+
+def two_state_type_reference(source: MarkovSource, n: int, digits: int = 60) -> float:
+    """R_n of an exact two-state source with positive rows, summed over Markov types.
+
+    A path from s to e is fixed up to order by its transition counts: a
+    0 -> 1 moves, b 1 -> 0 moves, c 0 -> 0 and d 1 -> 1 moves with
+    a + b + c + d = n - 1 and a - b = e - s.  It has 1 + b (s = 0) or b
+    (s = 1) runs of 0s, among which the c self-moves fall in
+    C(c + runs - 1, runs - 1) ways, and likewise for the 1s.  -log2 mu is
+    summed in `digits`-digit decimal arithmetic, so rho is exact to the float.
+    """
+    T = source.transitions
+    P = source.transition_array()
+
+    def placements(moves, runs):
+        return math.comb(moves + runs - 1, runs - 1) if runs else int(moves == 0)
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+
+        def log2(v):
+            m, e = v.mantissa, v.exp2
+            return Decimal(e.numerator) / e.denominator + (
+                Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
+
+        # m -log2 p(j|k) and p(j|k)^m for every count m
+        steps = [[[-m * log2(T[k][j]) for m in range(n)] for j in range(2)] for k in range(2)]
+        powers = [[[P[k, j] ** m for m in range(n)] for j in range(2)] for k in range(2)]
+        terms = []
+        for s, ps in enumerate(source.initial):
+            if ps is ZERO:
+                continue
+            for a in range(n):
+                for b in (a - 1, a, a + 1):
+                    if b < 0 or a + b > n - 1 or (s == 0 and b > a) or (s == 1 and a > b):
+                        continue
+                    zeros, ones = (1 + b, a) if s == 0 else (b, 1 + a)
+                    head = -log2(ps) + steps[0][1][a] + steps[1][0][b]
+                    weight = ps.to_float() * powers[0][1][a] * powers[1][0][b]
+                    for c in range(n - a - b):
+                        d = n - 1 - a - b - c
+                        count = placements(c, zeros) * placements(d, ones)
+                        if count:
+                            u = head + steps[0][0][c] + steps[1][1][d]
+                            mass = weight * powers[0][0][c] * powers[1][1][d]
+                            terms.append(float(count) * mass * float(u.to_integral_value(ROUND_CEILING) - u))
+    return math.fsum(terms)
 
 
 def fejer_kernel(u, N: int):

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,8 @@ import pytest
 
 import shancode
 from shancode import MarkovSource, ceil_defect, classify_mode
-from shancode.cli import REPORT_FLAGS, main, parse_n_range
+from shancode.cli import REPORT_FLAGS, _cells, main, parse_n_range
+from shancode.errors import ResourceLimit
 from tests.conftest import float_copy
 
 LOG3 = math.log2(3.0)
@@ -49,6 +51,16 @@ def permutation_path(tmp_path):
         tmp_path,
         "ex1.json",
         {"r": 2, "initial": ["1/3", "2/3"], "transitions": [["1/3", "2/3"], ["2/3", "1/3"]]},
+    )
+
+
+@pytest.fixture()
+def convergent_path(tmp_path):
+    """An exact source with an irrational cycle ratio, so the lattice DP takes its exact rows."""
+    return write_source(
+        tmp_path,
+        "convergent.json",
+        {"r": 2, "initial": ["1/2", "1/2"], "transitions": [["3/8", "5/8"], ["5/8", "3/8"]]},
     )
 
 
@@ -143,7 +155,7 @@ def test_exact_with_monte_carlo_rows(permutation_path):
     )
     assert rc == 0
     rows = parse_csv(out)
-    assert [r["method"] for r in rows] == ["lattice_dp", "monte_carlo"] * 3
+    assert [r["method"] for r in rows] == ["lifted_chain", "monte_carlo"] * 3
     for row in rows:
         assert math.isfinite(float(row["value"]))
         if row["method"] == "monte_carlo":
@@ -276,14 +288,23 @@ def test_over_long_predict_range_refused_before_any_work(permutation_path, monke
         asymptotics.prediction_columns(source, classify_mode(source), 1, 2**20)
 
 
-def test_exit_code_resource_limit(permutation_path):
+def test_exit_code_resource_limit(convergent_path):
     from shancode.oracle import DP_MOVE_BUDGET
 
-    rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "4096")
+    rc, out, err = run_cli("--command", "exact", "--source", convergent_path, "--n", "4096")
     assert rc == 3 and not out
     payload = json.loads(err)
     assert payload["error"] == "ResourceLimit"
     assert "reached n = " in payload["message"] and f"key moves > {DP_MOVE_BUDGET}" in payload["message"]
+
+
+def test_oscillatory_exact_past_the_dp_budget(permutation_path):
+    # the lattice DP refuses perm at n = 4096; the lifted chain gives rho(4096 log2 3)
+    rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "4096")
+    assert rc == 0 and not err
+    (row,) = parse_csv(out)
+    assert row["method"] == "lifted_chain"
+    assert abs(float(row["value"]) - ceil_defect(4096 * LOG3)) <= 1e-11
 
 
 def rich_exact_doc(r: int) -> dict:
@@ -316,17 +337,64 @@ def no_dp(*args):
     raise AssertionError("the DP ran on a refused request")
 
 
-def test_resource_limit_refused_before_any_work(permutation_path, monkeypatch, capsys):
+def test_resource_limit_refused_before_any_work(convergent_path, monkeypatch, capsys):
     from shancode import oracle
 
     # with no budget even the first step is refused, before any readout or move
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 0)
     monkeypatch.setattr(oracle, "_merged", no_dp)
-    rc = main(["--command", "exact", "--source", permutation_path, "--n", "198..201"])
+    rc = main(["--command", "exact", "--source", convergent_path, "--n", "198..201"])
     out, err = capsys.readouterr()
     assert rc == 3 and not out
     payload = json.loads(err)
     assert payload["error"] == "ResourceLimit" and "reached n = 1 of 201" in payload["message"]
+
+
+def test_compare_far_out_prints_the_true_gap(permutation_path, capsys):
+    # at n = 10^9 R_n = rho(n log2 3) from the lifted chain, and abs_diff is |R_n - Omega_n|
+    n = 10**9
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = n * Decimal(3).ln() / Decimal(2).ln()
+        want = float(u.to_integral_value(ROUND_CEILING) - u)
+    assert main(["--command", "compare", "--source", permutation_path, "--n", str(n), "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["method"] == "lifted_chain" and abs(row["exact_value"] - want) <= 1e-12
+    assert row["abs_diff"] == abs(row["exact_value"] - row["omega"])
+
+
+def test_monte_carlo_rank_tables_refused_before_any_work(float_path, monkeypatch, capsys):
+    from shancode import oracle
+
+    # r = 2 rows and the initial vector hold the thresholds 0.3, 0.6 and 0.5:
+    # (r + 1)(T + 1) = 12 int64 next states and 12 float64 steps, 192 bytes
+    monkeypatch.setattr(oracle, "_forward", no_dp)
+    monkeypatch.setattr(oracle, "MC_TABLE_BYTES_CAP", 191)
+    rc = main(["--command", "exact", "--source", float_path, "--n", "3", "--samples", "10"])
+    out, err = capsys.readouterr()
+    assert rc == 3 and not out
+    payload = json.loads(err)
+    assert payload["error"] == "ResourceLimit" and "take 192 > MC_TABLE_BYTES_CAP = 191 bytes" in payload["message"]
+    with pytest.raises(ResourceLimit, match="rank tables"):
+        oracle.monte_carlo_redundancy(MarkovSource.load(float_path), 3, 10, seed=0)
+    monkeypatch.setattr(oracle, "MC_TABLE_BYTES_CAP", 192)
+    oracle.check_monte_carlo(10, 3, 3, MarkovSource.load(float_path))
+
+
+def test_list_cells_printed_once_per_object(monkeypatch):
+    from shancode import cli
+
+    printed = []
+
+    def counting_fmt(value):
+        printed.append(value)
+        return cli._fmt(value)
+
+    monkeypatch.setitem(cli._CELLS, "csv", (*cli._CELLS["csv"][:2], counting_fmt))
+    column = ["oscillatory"] * 5 + [0.0, -0.0, None, True, 1] * 2
+    assert _cells(column, "csv") == ["oscillatory"] * 5 + ["0", "-0", "", "true", "1"] * 2
+    # one call per object: 0.0 and -0.0 are equal but distinct, and True == 1 prints apart from 1
+    assert printed == ["oscillatory", 0.0, -0.0, None, True, 1]
 
 
 def test_monte_carlo_over_budget_refused_before_any_work(permutation_path, monkeypatch, capsys):
@@ -360,7 +428,7 @@ def test_seed_validated_before_any_work(permutation_path, monkeypatch, capsys):
     rc = main(["--command", "exact", "--source", permutation_path, "--n", "3", "--samples", "10",
                "--seed", str(2**128 - 1)])
     out, _ = capsys.readouterr()
-    assert rc == 0 and [row["method"] for row in parse_csv(out)] == ["lattice_dp", "monte_carlo"]
+    assert rc == 0 and [row["method"] for row in parse_csv(out)] == ["lifted_chain", "monte_carlo"]
 
 
 def test_single_n_and_range_print_the_same_row(permutation_path):
@@ -501,8 +569,9 @@ def test_sweep_grid_xi_validated(tmp_path):
 
 def test_one_state_chain_limits(tmp_path):
     # one key per step, but each step is charged 64 for its state and 1 for the
-    # key's move, so n = 10^8 is refused where 65 n passes 2^22, in well under a second
-    path = write_source(tmp_path, "one.json", {"r": 1, "initial": [1], "transitions": [[1]]})
+    # key's move, so n = 10^8 is refused where 65 n passes 2^22, in well under a second;
+    # a float chain, as the exact one-state chain takes the lifted chain at any n
+    path = write_source(tmp_path, "one.json", {"r": 1, "initial": [1.0], "transitions": [[1.0]]})
     rc, out, err = run_cli("--command", "exact", "--source", path, "--n", str(10**8))
     assert rc == 3 and not out
     payload = json.loads(err)

@@ -18,8 +18,8 @@ from shancode import (
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
 )
-from shancode import oracle
-from shancode.asymptotics import ceil_defect
+from shancode import ZERO, ExactProb, classify_mode, oracle
+from shancode.asymptotics import _pair_offsets, ceil_defect
 from shancode.errors import ResourceLimit
 from tests.conftest import (
     coprime_base_reference,
@@ -27,8 +27,10 @@ from tests.conftest import (
     iter_paths_bruteforce,
     memoryless,
     monte_carlo_reference,
+    omega_decimal_reference,
     random_float_source,
     redundancy_bruteforce,
+    two_state_type_reference,
 )
 
 F = Fraction
@@ -42,73 +44,88 @@ def nine_prime_source():
     return MarkovSource.from_exact(["1/3", "1/3", "1/3"], [row(F(1, 5**20)), row(F(1, 7**15)), row(F(1, 11**12))])
 
 
+# the dispatching entry point, and the lattice DP, which serves every request it does not lift
+ROUTES = (exact_redundancy_range, oracle.lattice_dp)
+
+
+def route_value(route, s, n: int) -> float:
+    return route(s, n, n)[0].value
+
+
 def test_dyadic_redundancy_identically_zero(dyadic_memoryless, dyadic_markov_pair, dyadic_r3):
-    for s in (dyadic_memoryless, *dyadic_markov_pair):
-        for n in range(1, 21):
-            assert exact_redundancy(s, n).value == 0.0
-    for n in range(1, 13):
-        assert exact_redundancy(dyadic_r3, n).value == 0.0
+    for route in ROUTES:
+        for s in (dyadic_memoryless, *dyadic_markov_pair):
+            for n in range(1, 21):
+                assert route_value(route, s, n) == 0.0
+        for n in range(1, 13):
+            assert route_value(route, dyadic_r3, n) == 0.0
 
 
 def test_cycle_source_value(cycle_source):
     target = ceil_defect(LOG3)
-    for n in range(1, 11):
-        rec = exact_redundancy(cycle_source, n)
-        assert rec.value == pytest.approx(target, abs=1e-12)
+    for route in ROUTES:
+        for n in range(1, 11):
+            assert route_value(route, cycle_source, n) == pytest.approx(target, abs=1e-12)
 
 
 def test_permutation_chain_both_initials(permutation_source, permutation_state0_start):
     # with initial equal to the first row the oscillation argument is n log2 3;
     # started at state 0 the initial term drops and the argument is (n-1) log2 3
-    for n in (2, 5, 10):
-        assert exact_redundancy(permutation_source, n).value == pytest.approx(
-            ceil_defect(n * LOG3), abs=1e-12
-        )
-        assert exact_redundancy(permutation_state0_start, n).value == pytest.approx(
-            ceil_defect((n - 1) * LOG3), abs=1e-12
-        )
+    for route in ROUTES:
+        for n in (2, 5, 10):
+            assert route_value(route, permutation_source, n) == pytest.approx(ceil_defect(n * LOG3), abs=1e-12)
+            assert route_value(route, permutation_state0_start, n) == pytest.approx(
+                ceil_defect((n - 1) * LOG3), abs=1e-12
+            )
 
 
 def test_redundancy_in_unit_interval(oscillatory_exact_family, float_convergent_source):
-    for s in (*oscillatory_exact_family, float_convergent_source):
-        for n in (1, 3, 6):
-            v = exact_redundancy(s, n).value
-            assert 0.0 <= v < 1.0
+    for route in ROUTES:
+        for s in (*oscillatory_exact_family, float_convergent_source):
+            for n in (1, 3, 6):
+                v = route_value(route, s, n)
+                assert 0.0 <= v < 1.0
 
 
 def test_lattice_dp_matches_bruteforce_exhaustively(
     permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source
 ):
     sources = [permutation_source, m2_source, float_convergent_source, bipartite_periodic_source]
-    for s in sources:
-        for n in range(1, 11):
-            a = redundancy_bruteforce(s, n)
-            b = exact_redundancy(s, n).value
+    for route in ROUTES:
+        for s in sources:
+            for n in range(1, 11):
+                a = redundancy_bruteforce(s, n)
+                b = route_value(route, s, n)
+                assert abs(a - b) <= 1e-12
+        for n in range(1, 9):
+            a = redundancy_bruteforce(dyadic_r3, n)
+            b = route_value(route, dyadic_r3, n)
             assert abs(a - b) <= 1e-12
-    for n in range(1, 9):
-        a = redundancy_bruteforce(dyadic_r3, n)
-        b = exact_redundancy(dyadic_r3, n).value
-        assert abs(a - b) <= 1e-12
 
 
 def test_range_matches_single_calls_bitwise(
     permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source
 ):
-    # one pass to hi must read out exactly what a pass stopping at n reads out
+    # one pass to hi must read out exactly what a pass stopping at n reads out, on either route
     sources = (permutation_source, m2_source, dyadic_r3, float_convergent_source, bipartite_periodic_source)
     for s in (*sources, nine_prime_source()):
+        lifted = s.exact and classify_mode(s).mode == "oscillatory"
         rows = exact_redundancy_range(s, 1, 12)
-        assert [rec.n for rec in rows] == list(range(1, 13))
-        for rec in rows:
-            assert rec.method == "lattice_dp"
+        dp_rows = oracle.lattice_dp(s, 1, 12)
+        assert [rec.n for rec in rows] == [rec.n for rec in dp_rows] == list(range(1, 13))
+        for rec, dp_rec in zip(rows, dp_rows):
+            assert rec.method == ("lifted_chain" if lifted else "lattice_dp")
             assert rec == exact_redundancy(s, rec.n)
+            assert dp_rec == oracle.lattice_dp(s, rec.n, rec.n)[0]
     assert exact_redundancy_range(permutation_source, 4, 60)[-1] == exact_redundancy(permutation_source, 60)
+    assert oracle.lattice_dp(permutation_source, 4, 60)[-1] == oracle.lattice_dp(permutation_source, 60, 60)[0]
 
 
 def test_permutation_chain_long_range_one_pass(permutation_source):
-    rows = exact_redundancy_range(permutation_source, 1, 200)
-    for rec in rows:
-        assert abs(rec.value - ceil_defect(rec.n * LOG3)) <= 1e-12, rec.n
+    for route in ROUTES:
+        rows = route(permutation_source, 1, 200)
+        for rec in rows:
+            assert abs(rec.value - ceil_defect(rec.n * LOG3)) <= 1e-12, rec.n
 
 
 def test_large_mantissas_fast(m2_source):
@@ -122,11 +139,10 @@ def test_large_mantissas_fast(m2_source):
 
 
 def test_matches_bruteforce_oracle(permutation_source, m2_source, float_convergent_source):
-    for s in (permutation_source, m2_source, float_convergent_source):
-        for n in (1, 4, 7):
-            assert exact_redundancy(s, n).value == pytest.approx(
-                redundancy_bruteforce(s, n), abs=1e-10
-            )
+    for route in ROUTES:
+        for s in (permutation_source, m2_source, float_convergent_source):
+            for n in (1, 4, 7):
+                assert route_value(route, s, n) == pytest.approx(redundancy_bruteforce(s, n), abs=1e-10)
 
 
 def test_redundancy_equals_mean_length_minus_entropy(permutation_source, m2_source):
@@ -138,9 +154,8 @@ def test_redundancy_equals_mean_length_minus_entropy(permutation_source, m2_sour
             for _, mu in iter_paths_bruteforce(s, n):
                 mean_len += mu * math.ceil(-math.log2(mu))
                 entropy += mu * (-math.log2(mu))
-            assert exact_redundancy(s, n).value == pytest.approx(
-                mean_len - entropy, abs=1e-10
-            )
+            for route in ROUTES:
+                assert route_value(route, s, n) == pytest.approx(mean_len - entropy, abs=1e-10)
 
 
 def test_snap_flag_on_float_dyadic():
@@ -240,13 +255,13 @@ def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, 
 
     monkeypatch.setattr(oracle, "_forward", no_dp)
     with pytest.raises(Reached):
-        exact_redundancy(permutation_source, 2**61 - 1)
+        oracle.lattice_dp(permutation_source, 2**61 - 1, 2**61 - 1)
     for n in (2**61, 2**62):
         with pytest.raises(ResourceLimit, match="reach 2\\^62"):
-            exact_redundancy(permutation_source, n)
+            oracle.lattice_dp(permutation_source, n, n)
     # the rational column counts in units of 1/D, and D itself must stay below 2^62 for the readout
     with pytest.raises(ResourceLimit, match="reach 2\\^62"):
-        exact_redundancy(MarkovSource.from_exact([f"2^(-1/{2**62 + 1})"], [[1]]), 1)
+        oracle.lattice_dp(MarkovSource.from_exact([f"2^(-1/{2**62 + 1})"], [[1]]), 1, 1)
 
 
 def test_float_readout_rounds_like_int_division():
@@ -294,6 +309,7 @@ def test_resource_limits(monkeypatch):
         want = float(u.to_integral_value(ROUND_CEILING) - u)
     assert abs(exact_redundancy(s, 500).value - want) <= 1e-12
     assert abs(exact_redundancy_range(s, 1, 500)[-1].value - want) <= 1e-12
+    assert abs(oracle.lattice_dp(s, 500, 500)[0].value - want) <= 1e-12
 
     # the work of n, by the documented count: readout 8 per key, step 64 per state plus each key move
     sizes, merged = [], oracle._merged
@@ -303,14 +319,14 @@ def test_resource_limits(monkeypatch):
         return merged(frontier)
 
     monkeypatch.setattr(oracle, "_merged", recording_merged)
-    exact_redundancy_range(s, 1, 60)
+    oracle.lattice_dp(s, 1, 60)
     work = [8 * sum(rows) + (64 * s.r + 2 * sum(rows) if n < 60 else 0) for n, rows in enumerate(sizes, 1)]
     budget = 5000
     stop = next(n for n in range(1, 61) if sum(work[:n]) > budget)
     sizes.clear()
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", budget)
     with pytest.raises(ResourceLimit, match=f"reached n = {stop} of 60; .* {sum(work[:stop])} key moves > {budget}"):
-        exact_redundancy_range(s, 1, 60)
+        oracle.lattice_dp(s, 1, 60)
     # no work past the budget ran: n = stop was never read out, nor the step beyond it taken
     assert len(sizes) == stop - 1
     assert sum(work[:stop - 1]) <= budget
@@ -320,10 +336,165 @@ def test_one_state_chain_charged_per_step(monkeypatch):
     s = MarkovSource.from_exact([1], [[1]])
     # one key per step for the DP, but every step is charged 64 for its state plus the key's
     # move, so a long chain is refused: 65 n > 10^4 first at n = 154
-    assert exact_redundancy(s, 200).value == 0.0
+    assert oracle.lattice_dp(s, 200, 200)[0].value == 0.0
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 10**4)
     with pytest.raises(ResourceLimit, match="reached n = 154 of 100000000"):
-        exact_redundancy(s, 10**8)
+        oracle.lattice_dp(s, 10**8, 10**8)
+    # the exact one-state chain is oscillatory, and the lifted chain takes it at any n
+    assert exact_redundancy(s, 10**8) == oracle.RedundancyValue(10**8, 0.0, "lifted_chain")
+
+
+# -- lifted chain --------------------------------------------------------------
+
+
+def rho_log2_3(m: int) -> float:
+    """rho(m log2 3) from 60-digit decimal logs."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = m * Decimal(3).ln() / Decimal(2).ln()
+        return float(u.to_integral_value(ROUND_CEILING) - u)
+
+
+@pytest.fixture()
+def oscillatory_fixtures(oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
+                         order67_source, dyadic_memoryless, dyadic_markov_pair, dyadic_r3):
+    """Every oscillatory exact conftest source; the half-exponent pair ends oscillatory_exact_family."""
+    return [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
+            order67_source, dyadic_memoryless, *dyadic_markov_pair, dyadic_r3]
+
+
+def test_lifted_chain_matches_lattice_dp(oscillatory_fixtures, oscillatory_exact_family):
+    half_exponent = oscillatory_exact_family[-2:]
+    for s in oscillatory_fixtures:
+        assert classify_mode(s).mode == "oscillatory"
+        rows = exact_redundancy_range(s, 1, 200)
+        assert {rec.method for rec in rows} == {"lifted_chain"}
+        diffs = [abs(rec.value - dp.value) for rec, dp in zip(rows, oracle.lattice_dp(s, 1, 200))]
+        if s not in half_exponent:
+            assert max(diffs) <= 1e-12
+            continue
+        # the DP's float readout of these 81-bit mantissas is itself 2.0e-12 off the
+        # 60-digit Markov-type sum at n = 195, where the lifted chain is 1.1e-13 off
+        assert max(diffs[:120]) <= 2e-12
+        for n in (1, 2, 3, 50, 120, 192, 195, 200):
+            assert abs(rows[n - 1].value - two_state_type_reference(s, n)) <= 1e-12, n
+
+
+def test_lifted_chain_far_out_matches_decimal_references(permutation_source, bipartite_periodic_source):
+    n = 10**12
+    perm = exact_redundancy(permutation_source, n)
+    assert perm.method == "lifted_chain"
+    assert abs(perm.value - rho_log2_3(n)) <= 1e-13
+    assert abs(perm.value - omega_decimal_reference(permutation_source, 1, n)) <= 1e-13
+    # bip draws a 1/3 or a 2/3 at every other step: R_n = rho(floor(n / 2) log2 3)
+    for m in (n, n + 1):
+        assert abs(exact_redundancy(bipartite_periodic_source, m).value - rho_log2_3(m // 2)) <= 1e-13
+
+
+def test_lifted_chain_far_out_on_every_fixture(oscillatory_fixtures):
+    for s in oscillatory_fixtures:
+        start = time.perf_counter()
+        rec = exact_redundancy(s, 10**12)
+        assert time.perf_counter() - start < 1.0
+        assert rec.method == "lifted_chain" and 0.0 <= rec.value < 1.0
+
+
+def test_lifted_chain_dyadic_exactly_zero(dyadic_memoryless, dyadic_markov_pair, dyadic_r3):
+    for s in (dyadic_memoryless, *dyadic_markov_pair, dyadic_r3):
+        for rec in (*exact_redundancy_range(s, 1, 50), exact_redundancy(s, 10**12)):
+            assert rec.method == "lifted_chain" and rec.value == 0.0 and str(rec.value) == "0.0"
+
+
+def cancelling_sources():
+    """Sources with an irrational unit whose initial mantissa cancels the path mantissas at one n.
+
+    perm's rows started at (3/4, 1/4) (M = 1) give mu = 1/4 or 1/2 at n = 2
+    from state 0.  The others are order67_source's shape with return cycles
+    1/3 (M = 3) and 1/67 (M = 67) apart: state 0 starts with mass
+    1 / (2 m) for the row's mantissa m, which cancels after one return.
+    """
+    sources = [MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["2/3", "1/3"]])]
+    for gap in (F(1, 3), F(1, 67)):
+        m = F(1 / (2**-1 + 2 ** -float(1 - gap))).limit_denominator(10**13)
+        row = [ZERO, ExactProb.make(m, -1), ExactProb.make(m, gap - 1)]
+        sources.append(MarkovSource.from_exact([1 / (2 * m), 1 - 1 / (2 * m), 0], [row, [1, 0, 0], [1, 0, 0]]))
+    return sources
+
+
+def test_lifted_chain_reads_rational_paths_exactly():
+    for s in cancelling_sources():
+        cls = classify_mode(s)
+        d, unit, _ = cls.solution
+        assert cls.mode == "oscillatory" and not unit.is_rational
+        rows = exact_redundancy_range(s, 1, 40)
+        assert {rec.method for rec in rows} == {"lifted_chain"}
+        for rec, dp in zip(rows, oracle.lattice_dp(s, 1, 40)):
+            assert abs(rec.value - dp.value) <= 1e-12, rec.n
+        # every point where (n - 1) unit + b_jk is rational is found, and its rho is the exact one
+        live = [j for j, p in enumerate(s.initial) if p is not ZERO]
+        pairs = [(j, k) for j in live for k in range(s.r)]
+        rho = oracle._lifted_rho(s, cls, pairs, 1, 12)
+        found = 0
+        for p, b in enumerate(_pair_offsets(s, cls, pairs)):
+            points = [n for n in range(1, 13) if (unit.scaled(n - 1) + b).is_rational]
+            assert list(oracle._rational_points(unit, b, 1, 12)) == points
+            for n in points:
+                c = (unit.scaled(n - 1) + b).rational / d
+                assert rho[n - 1, p].tolist() == [float(ceil_defect(F(z, cls.M) + c)) for z in range(cls.M)]
+            found += len(points)
+        assert found
+
+
+def test_lifted_chain_row_alone_equals_row_in_range(permutation_source, bipartite_periodic_source, order67_source):
+    for s in (permutation_source, bipartite_periodic_source, order67_source):
+        for lo, hi in ((1, 70), (10**12 - 3, 10**12 + 3)):
+            rows = exact_redundancy_range(s, lo, hi)
+            assert [rec.n for rec in rows] == list(range(lo, hi + 1))
+            for rec in rows:
+                assert rec == exact_redundancy(s, rec.n)
+
+
+def test_lifted_chain_over_its_caps_takes_the_dp(permutation_source, order67_source, monkeypatch):
+    def no_lift(*args):
+        raise AssertionError("the lifted chain ran over its cap")
+
+    for s in (permutation_source, order67_source):
+        work, cells = oracle._lifted_cost(s, classify_mode(s), 1, 30)
+        assert exact_redundancy_range(s, 1, 30)[0].method == "lifted_chain"
+        dp = oracle.lattice_dp(s, 1, 30)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "lifted_chain", no_lift)
+            m.setattr(oracle, "LIFT_WORK_CAP", work - 1)
+            assert exact_redundancy_range(s, 1, 30) == dp
+            m.setattr(oracle, "LIFT_WORK_CAP", work)
+            m.setattr(oracle, "LIFT_CELL_CAP", cells - 1)
+            assert exact_redundancy_range(s, 1, 30) == dp
+            m.setattr(oracle, "LIFT_CELL_CAP", cells)
+            m.setattr(oracle, "READOUT_DEN_CAP", oracle._readout_denominator(s, classify_mode(s)))
+            assert exact_redundancy_range(s, 1, 30) == dp
+    assert {rec.method for rec in dp} == {"lattice_dp"}
+    # at the default cap perm takes the lifted chain to n = 10^4 and the DP from 2 * 10^4
+    cls = classify_mode(permutation_source)
+    assert oracle._lifted_cost(permutation_source, cls, 1, 10**4)[0] <= oracle.LIFT_WORK_CAP
+    assert oracle._lifted_cost(permutation_source, cls, 1, 2 * 10**4)[0] > oracle.LIFT_WORK_CAP
+
+
+def test_lifted_cost_counts_the_products(order67_source, monkeypatch):
+    bits = list(itertools.accumulate((bin(x).count("1") for x in range(1200)), initial=0))
+    assert [oracle._set_bits_below(m) for m in range(1201)] == bits
+    calls, product = [], oracle._product
+
+    def counting_product(rows, circulant):
+        calls.append(len(rows))
+        return product(rows, circulant)
+
+    monkeypatch.setattr(oracle, "_product", counting_product)
+    s = order67_source
+    for lo, hi in ((1, 1), (5, 40), (1000, 1100)):
+        calls.clear()
+        oracle.lifted_chain(s, classify_mode(s), lo, hi)
+        squarings = max(0, (hi - 1).bit_length() - 1)
+        assert calls == [s.r] * squarings + [1] * (bits[hi] - bits[lo - 1])
 
 
 # -- Monte Carlo --------------------------------------------------------------
@@ -495,9 +666,9 @@ def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeyp
     with pytest.raises(ResourceLimit):
         monte_carlo_redundancy(float_convergent_source, oracle.MC_STEP_CAP // 1000 + 1, 1000, seed=0)
     n = oracle.MC_STEP_CAP // oracle.MC_SAMPLE_CAP
-    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, n, n)
+    oracle.check_monte_carlo(oracle.MC_SAMPLE_CAP, n, n, float_convergent_source)
     # ten times the samples of the benchmark's largest request (10^5 over n = 99..100) are admitted
-    oracle.check_monte_carlo(10 * 10**5, 99, 100)
+    oracle.check_monte_carlo(10 * 10**5, 99, 100, float_convergent_source)
 
 
 def test_monte_carlo_window_cap_refuses_before_drawing(float_convergent_source, monkeypatch):
@@ -514,5 +685,5 @@ def test_monte_carlo_window_cap_refuses_before_drawing(float_convergent_source, 
     with pytest.raises(ResourceLimit, match="window"):
         monte_carlo_redundancy_range(float_convergent_source, 2 * hi - 1, 2 * hi, 4096, seed=0)
     # at the cap, and with fewer samples than a chunk, the window is admitted
-    oracle.check_monte_carlo(4096, hi, hi)
-    oracle.check_monte_carlo(64, 4 * hi, 4 * hi)
+    oracle.check_monte_carlo(4096, hi, hi, float_convergent_source)
+    oracle.check_monte_carlo(64, 4 * hi, 4 * hi, float_convergent_source)
