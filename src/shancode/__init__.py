@@ -3,12 +3,11 @@
 from .asymptotics import (
     ModeClassification,
     Prediction,
-    ceil_defect,
     classify_mode,
     oscillation_argument,
     predict,
 )
-from .exact import ZERO, ExactProb, Log2Value, approximate_rational, parse_prob_spec
+from .exact import ZERO, ExactProb, Log2Value, approximate_rational, ceil_defect, parse_prob_spec
 from .oracle import (
     RedundancyValue,
     exact_redundancy,

@@ -31,21 +31,20 @@ c_j = h_j mod d, so the sum keeps the pairs with c_k = c_j + n - 1 (mod d)
 and weighs each by d p_j pi_k; at d = 1 that is every pair.
 
 Every oscillatory classification carries this solution as (d, unit, X),
-logs with s = (M/d) unit and w_j = (M/d) X_j modulo 1, and every zeta is
-evaluated from it as frac((M/d)(n-1) unit) + frac((M/d) b_jk) with
-b_jk = X_j - X_k - d log2 p_j; nothing solves the congruence again, and
-s and w are only reported.
-
-prediction_columns evaluates Omega_n for a whole n range in one pass over the
-pairs with p_j > 0: structure and pi once per source, and each pair's
-rho(zeta_jk(n)) once for all n, summed into Omega_n and kept only as a bool
-margin cell.  Every log is reduced modulo 1 by exact.frac_log.  For exact
-sources it is exact and mantissa**k is never formed: rational parts in
-integers, and the remainder k log2(mantissa) in decimal arithmetic at 30 +
-digits(k) significant digits (k = (hi - 1) M at most), so rho is correct to
-about 1e-16 at any n, and exact when every log2(mantissa) term is 0 (dyadic
-sources predict exactly 0).  For float sources it is a float product, so
-zeta carries an error of order n M 2^-52 (|unit| + max |X_j|).
+logs with s = (M/d) unit and w_j = (M/d) X_j modulo 1; nothing solves the
+congruence again, and s and w are only reported.  This module owns that
+format.  pair_rho is the one readout of rho from it, at scale M for Omega_n
+and at scale 1, shifted by z/M, for the exact oracle's lifted chain (whose
+integer edge lifts edge_lifts gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
++ frac((M/d) b_jk) and b_jk = X_j - X_k - d log2 p_j.  Where (n-1) unit +
+b_jk is rational, rho is exact integer arithmetic (exact.rho_ratio), so
+dyadic sources predict exactly 0.  Elsewhere each term is reduced modulo 1
+by exact.frac_log: for an exact source without forming mantissa**k, in
+decimal arithmetic at 30 + digits(k) significant digits, so rho is correct
+to about 1e-16 at any n; for a float source as a float product, so zeta
+carries an error of order n M 2^-52 (|unit| + max |X_j|).
+prediction_columns sums each live pair's rho(zeta_jk(n)) into Omega_n for a
+whole n range in one pass, keeping only a bool margin cell.
 """
 
 from __future__ import annotations
@@ -57,7 +56,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ResourceLimit, ZeroProbability
-from .exact import ZERO, Log2Value, ceil_defect, common_denominator, frac_log, wrap_unit
+from .exact import ZERO, Log2Value, ceil_defect, common_denominator, frac_log, rho_ratio, wrap_unit
 from .sources import (
     MarkovSource,
     classify_structure,
@@ -183,39 +182,128 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def _zeta_terms(source: MarkovSource, cls: ModeClassification, lo: int, hi: int, pairs, scale: int):
-    """The two terms of zeta_jk(n) = (M/d) [(n-1) unit + b_jk] modulo 1, b_jk = X_j - X_k - d log2 p_j, at scale M.
-
-    Returns frac((scale/d)(n-1) unit) for n = lo..hi and frac((scale/d) b_jk)
-    for each pair (j, k) in pairs, both from the stored similarity solution
-    through frac_log; at scale M zeta_jk(n) is their sum modulo 1.  At scale
-    1 they are the terms of -log2 mu itself, which the exact oracle's
-    lifted chain reads.
-    """
-    d, unit, _ = cls.solution
-    phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d)
-    betas = [frac_log(b, [scale], d)[0] for b in _pair_offsets(source, cls, pairs)]
-    return phase, betas
-
-
 def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> list:
     """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k) in pairs."""
     d, _, X = cls.solution
     return [X[j] - X[k] - log2_prob(source.initial[j]) * d for j, k in pairs]
 
 
+def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
+    """Q = d lcm(den unit, den X_j, den log2 p_j over p_j > 0) of an oscillatory exact source's solution.
+
+    The rational part of (scale/d)((n-1) unit + b_jk) is K/Q, K an integer, at every integer scale, n and pair.
+    """
+    d, unit, X = cls.solution
+    dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
+            *(log2_prob(p).rational.denominator for p in source.initial if p is not ZERO)]
+    return d * math.lcm(*dens)
+
+
+def edge_lifts(source: MarkovSource, cls: ModeClassification) -> dict:
+    """{(k, j): z_e mod M} over the edges k -> j of an oscillatory exact source.
+
+    z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j) is an integer whose log
+    mantissas cancel, so it is read off the rational parts with no power.
+    """
+    d, unit, X = cls.solution
+    lifts = {}
+    for k, row in enumerate(source.support()):
+        for j in row:
+            dz = -log2_prob(source.transitions[k][j]).rational * (cls.M * d) - (unit + X[k] - X[j]).rational * cls.M
+            if dz.denominator != 1 or dz.numerator % d:
+                raise ValueError(f"edge {k} -> {j} lifts to z_e = {dz / d}, not an integer")
+            lifts[k, j] = dz.numerator // d % cls.M
+    return lifts
+
+
+def _power_index(base: Fraction, target: Fraction) -> int | None:
+    """The t >= 0 with base^t == target, or None; base is a positive rational other than 1.
+
+    base^t is a^t / b^t in lowest terms, so t is read off the side where
+    base is above 1 and checked on both, never forming a power far larger
+    than target.
+    """
+    (a, c), (b, e) = sorted([(base.numerator, target.numerator), (base.denominator, target.denominator)],
+                            key=lambda side: side[0] == 1)
+    t = round(math.log(c) / math.log(a))
+    if a**t != c or t * (b.bit_length() - 1) > e.bit_length():
+        return None
+    return t if b**t == e else None
+
+
+def _rational_points(unit: Log2Value, b: Log2Value, lo: int, hi: int) -> range:
+    """The n in lo..hi at which (n - 1) unit + b is rational, for exact logs unit and b.
+
+    Its mantissa is m_u^(n-1) m_b: 1 at every n or at none where m_u = 1,
+    and otherwise only where m_u^(n-1) = 1/m_b, at most one n.
+    """
+    if unit.is_rational:
+        return range(lo, hi + 1) if b.is_rational else range(0)
+    t = _power_index(unit.mantissa, 1 / b.mantissa)
+    return range(t + 1, t + 2) if t is not None and lo <= t + 1 <= hi else range(0)
+
+
+def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: int, scale: int, steps: int = 1):
+    """Yield rho(frac((scale/d)((n-1) unit + b_jk)) + z/steps) for each pair (j, k), n = lo..hi and z < steps.
+
+    Each pair gets one (hi - lo + 1, steps) array: rho(zeta_jk(n)) at scale
+    M with steps = 1, and at scale 1 with steps = M rho(-log2 mu) of the
+    paths j -> k whose edge lifts sum to z mod M (oracle.lifted_chain).
+    Where (n-1) unit + b_jk is irrational, or the source is a float one, rho
+    is read from the float sum of its two terms, each reduced modulo 1 by
+    frac_log.  Where it is rational (_rational_points) it is exact: the
+    rational parts give K = (n-1) A + B_jk mod Q over Q =
+    readout_denominator, and rho = rho_ratio(K steps + z Q, steps Q), in
+    int64 while steps Q and (hi - lo + 1) Q are below 2^53, in Python ints
+    beyond.  A rational unit's phase term is (n-1) A mod Q over Q too, so
+    no Fraction is formed per n.
+    """
+    d, unit, _ = cls.solution
+    count = hi - lo + 1
+    offsets = _pair_offsets(source, cls, pairs)
+    points = [_rational_points(unit, b, lo, hi) if source.exact else range(0) for b in offsets]
+    if source.exact:
+        Q = readout_denominator(source, cls)
+        D = scale * Q // d  # times the rational part of a log: an integer over Q
+        ints = np.int64 if max(steps, count) * Q < 2**53 else object
+        A = int(unit.rational * D) % Q
+
+        def units(ns, b=0):
+            # ((n - 1) A + b) mod Q for n in ns, the first in Python ints: no n past 2^63 reaches int64
+            return (((ns.start - 1) * A + b) % Q + np.arange(len(ns), dtype=ints) * A) % Q
+
+    if source.exact and unit.is_rational:
+        phase = np.asarray(units(range(lo, hi + 1)) / Q, dtype=float)
+    else:
+        phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d)
+    for b, ns in zip(offsets, points):
+        if len(ns) < count:
+            # both terms are correctly rounded and lie in [0, 1): where their
+            # mantissas cancel and zeta is an integer, the float sum is 1.0 or
+            # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
+            total = phase + float(frac_log(b, [scale], d)[0])
+            rho = ceil_defect(total)[:, None] if steps == 1 else ceil_defect(total[:, None] + np.arange(steps) / steps)
+        else:
+            rho = np.empty((count, steps))
+        if ns:
+            K = units(ns, int(b.rational * D))[:, None] * steps + np.arange(steps, dtype=ints) * Q
+            rho[ns.start - lo:ns.stop - lo] = rho_ratio(K, steps * Q)
+        yield rho
+
+
 def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
     """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j modulo 1, in [0, 1).
 
-    This is the phase shared by all paths from j to k, read from the stored
-    similarity solution as _zeta_terms describes.
+    The phase shared by all paths from j to k: frac((M/d)(n-1) unit) +
+    frac((M/d) b_jk), reduced by frac_log and summed exactly as Fractions.
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
     if source.initial[j] is ZERO:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    phase, (beta,) = _zeta_terms(source, cls, n, n, [(j, k)], cls.M)
-    return float(phase[0] + beta) % 1.0
+    d, unit, _ = cls.solution
+    (b,) = _pair_offsets(source, cls, [(j, k)])
+    return float(frac_log(unit, [(n - 1) * cls.M], d)[0] + frac_log(b, [cls.M], d)[0]) % 1.0
 
 
 # -- predictions -------------------------------------------------------------
@@ -293,20 +381,12 @@ def prediction_columns(
     shift = ((lo - 1) % d + np.arange(len(ns))) % d
     weights = d * np.outer(source.initial_array(), stationary_distribution(source))
     pairs = [(j, k) for j in range(source.r) if source.initial[j] is not ZERO for k in range(source.r)]
-    phase, betas = _zeta_terms(source, cls, lo, hi, pairs, cls.M)
-    phase_f = np.asarray(phase, dtype=float)
     osc = np.zeros(len(ns))
     near = np.zeros((len(ns), source.r, source.r), dtype=bool)
     # summed pair by pair in (j, k) order: np.einsum's summation order moves
     # omega by an ulp on about a third of the rows, which shows in print
-    for (j, k), beta in zip(pairs, betas):
-        if isinstance(phase[0], Fraction) and isinstance(beta, Fraction):
-            rho = np.array([float(ceil_defect(x + beta)) for x in phase])
-        else:
-            # both terms are correctly rounded and lie in [0, 1): where their
-            # mantissas cancel and zeta is an integer, the float sum is 1.0 or
-            # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
-            rho = ceil_defect(phase_f + float(beta))
+    for (j, k), rho in zip(pairs, pair_rho(source, cls, pairs, lo, hi, cls.M)):
+        rho = rho[:, 0]
         osc += weights[j, k] * rho * (shift == (c[k] - c[j]) % d)
         near[:, j, k] = (rho <= xi) | (rho >= 1.0 - xi)
     boundary = np.einsum("jk,njk->n", weights, near) / float(cls.M)

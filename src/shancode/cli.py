@@ -38,7 +38,7 @@ from .asymptotics import DEFAULT_M_MAX, DEFAULT_XI
 from .errors import ResourceLimit, ShancodeError, ValidationFailure
 from .sources import MarkovSource, classify_structure, validate
 
-REPORT_FLAGS = ("boundary", "degenerate", "heuristic", "snap")
+REPORT_FLAGS = ("boundary", "degenerate", "heuristic", "row_sums_inexact", "snap")
 
 
 def parse_n_range(text: str) -> tuple[int, int]:
@@ -93,14 +93,15 @@ def _flags_cell(flags) -> str:
     return ";".join(sorted(set(flags) & set(REPORT_FLAGS)))
 
 
-def _validated(source: MarkovSource, context: str = "") -> MarkovSource:
+def _validated(source: MarkovSource, context: str = "") -> tuple[MarkovSource, frozenset]:
+    """(source, its validation flags), which every result row of the source carries."""
     report = validate(source)
     if not report.ok:
         raise ValidationFailure(context + "; ".join(report.messages))
-    return source
+    return source, report.flags
 
 
-def _load_source(args) -> MarkovSource:
+def _load_source(args) -> tuple[MarkovSource, frozenset]:
     if not args.source:
         raise ValidationFailure("--source is required for this command")
     return _validated(MarkovSource.load(args.source))
@@ -114,7 +115,7 @@ def _load_source(args) -> MarkovSource:
 
 
 def _cmd_classify(args):
-    source = _load_source(args)
+    source, source_flags = _load_source(args)
     structure = classify_structure(source)
     row = {
         "irreducible": structure.irreducible,
@@ -125,7 +126,7 @@ def _cmd_classify(args):
         "s": None,
         "w": "",
         "provenance": "",
-        "flags": "",
+        "flags": _flags_cell(source_flags),
     }
     if structure.irreducible:
         cls = asymptotics.classify_mode(source, m_max=args.m_max)
@@ -135,16 +136,16 @@ def _cmd_classify(args):
             s=cls.s,
             w="|".join(_fmt(x) for x in cls.w) if cls.w else "",
             provenance=cls.provenance,
-            flags=_flags_cell(cls.flags),
+            flags=_flags_cell(cls.flags | source_flags),
         )
     return {name: [cell] for name, cell in row.items()}
 
 
 def _cmd_predict(args):
-    source = _load_source(args)
+    source, source_flags = _load_source(args)
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
     cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
-    cells = {flags: _flags_cell(flags) for flags in (cols.flags, cols.flags | {"boundary"})}
+    cells = {flags: _flags_cell(flags | source_flags) for flags in (cols.flags, cols.flags | {"boundary"})}
     return {
         "n": cols.ns,
         "mode": [cls.mode] * len(cols.ns),
@@ -158,7 +159,7 @@ def _cmd_predict(args):
 
 
 def _cmd_exact(args):
-    source = _load_source(args)
+    source, source_flags = _load_source(args)
     lo, hi = args.n_range
     if args.samples > 0:
         oracle.check_monte_carlo(args.samples, lo, hi, source)
@@ -171,11 +172,11 @@ def _cmd_exact(args):
         "method": [rec.method for rec in records],
         "value": np.array([rec.value for rec in records]),
         "stderr": [rec.stderr for rec in records],
-        "flags": [_flags_cell(rec.flags) for rec in records],
+        "flags": [_flags_cell(rec.flags | source_flags) for rec in records],
     }
 
 
-def _compare_table(source, args):
+def _compare_table(source, source_flags, args):
     cls = asymptotics.classify_mode(source, m_max=args.m_max)
     records = oracle.exact_redundancy_range(source, *args.n_range, cls=cls)
     cols = asymptotics.prediction_columns(source, cls, *args.n_range, xi=args.xi)
@@ -191,7 +192,7 @@ def _compare_table(source, args):
         "upper": cols.upper,
         "boundary_terms": cols.boundary_terms,
         "abs_diff": np.abs(exact - cols.omega),
-        "flags": [_flags_cell(flags | rec.flags) for flags, rec in zip(cols.row_flags(), records)],
+        "flags": [_flags_cell(flags | rec.flags | source_flags) for flags, rec in zip(cols.row_flags(), records)],
     }
 
 
@@ -202,7 +203,7 @@ _COMPARE_COLUMNS = [
 
 
 def _cmd_compare(args):
-    return _compare_table(_load_source(args), args)
+    return _compare_table(*_load_source(args), args)
 
 
 def _cmd_sweep(args):
@@ -230,7 +231,7 @@ def _cmd_sweep(args):
             source = MarkovSource.load(Path(args.source).parent / entry["path"])
         else:
             source = MarkovSource.from_dict(entry["source"])
-        table = _compare_table(_validated(source, f"grid entry {label!r}: "), args)
+        table = _compare_table(*_validated(source, f"grid entry {label!r}: "), args)
         tables.append({"label": [label] * len(table["n"]), **table})
     return {name: _concat([table[name] for table in tables]) for name in ["label", *_COMPARE_COLUMNS]}
 

@@ -51,6 +51,15 @@ def ceil_defect(u):
     return v if v < 1.0 else 0.0
 
 
+def rho_ratio(k, q):
+    """rho(k / q) = (-k mod q) / q for integers k (int64 or Python ints, or arrays of them) and q > 0.
+
+    Python ints divide correctly rounded, and so do int64 operands below
+    2^53: then it is float(ceil_defect(Fraction(k, q))) bit for bit.
+    """
+    return -k % q / q
+
+
 def wrap_unit(x: float) -> float:
     """x mod 1 with values within 1e-12 below 1 wrapped to 0.
 

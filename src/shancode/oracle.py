@@ -6,18 +6,19 @@ with rho(u) = ceil(u) - u and mu the path probability.
 exact_redundancy_range takes one of two exact routes for a range of n.
 
 An irreducible exact source that classify_mode calls oscillatory, of order
-M with solution (d, unit, X), takes lifted_chain: modulo 1, -log2 mu
-depends only on the two end states, n and an integer z mod M, the sum of
-the edges' integer lifts z_e, so R_n is a finite sum over the Markov chain
-on (state, z mod M) after n - 1 steps (the paper's decomposition before the
+M, takes lifted_chain: modulo 1, -log2 mu depends only on the two end
+states, n and an integer z mod M, the sum of the edges' integer lifts z_e
+(asymptotics.edge_lifts), so R_n is a finite sum over the Markov chain on
+(state, z mod M) after n - 1 steps (the paper's decomposition before the
 limit; Omega_n is the same sum at that chain's limit).  Its step is
 block-circulant in z, so its powers are kept as first block rows and
 multiplied by cyclic convolution; the squarings T^(2^i) are built once and
-row n takes the set bits of n - 1, O(log n) products in all.  Where
--log2 mu is rational it is read out exactly, in int64 units of 1/Q.  Its
-cost is estimated from sizes before any of it runs; a request over
-LIFT_WORK_CAP or LIFT_CELL_CAP, or whose Q reaches READOUT_DEN_CAP, takes
-the lattice DP instead.
+row n takes the set bits of n - 1, O(log n) products in all.  rho of each
+(end states, z) class comes from asymptotics.pair_rho, the readout that
+Omega_n uses too, exact where -log2 mu is rational.  Its cost is estimated
+from sizes before any of it runs; a request over LIFT_WORK_CAP or
+LIFT_CELL_CAP, or whose readout denominator Q reaches READOUT_DEN_CAP,
+takes the lattice DP instead.
 
 Every other source, and every request over those caps, takes lattice_dp.
 -log2 mu depends on a path only through a lattice point: for an exact
@@ -47,14 +48,13 @@ import bisect
 import contextlib
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .asymptotics import ModeClassification, _pair_offsets, _zeta_terms, classify_mode
+from .asymptotics import ModeClassification, classify_mode, edge_lifts, pair_rho, readout_denominator
 from .errors import ReducibleChain, ResourceLimit
-from .exact import ZERO, ceil_defect
-from .sources import MarkovSource, log2_prob, log2_prob_float
+from .exact import ZERO, ceil_defect, rho_ratio
+from .sources import MarkovSource, log2_prob_float
 
 INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
@@ -71,7 +71,7 @@ _READ_CHARGE = 8
 LIFT_WORK_CAP = 2**30
 LIFT_CELL_CAP = 2**22
 _LIFT_CALL_CHARGE = 10_000
-# the lifted chain reads rational -log2 mu out in int64 units of 1/Q, Q below this (see _lifted_rho)
+# the lifted chain's exact readout (asymptotics.pair_rho) runs in int64 for a denominator Q below this
 READOUT_DEN_CAP = 2**31
 # exact key columns span less than 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
@@ -273,7 +273,7 @@ def _exact_lattice(source: MarkovSource, hi: int):
 
     def readout(keys, masses):
         scaled, expo = keys[:, 0], keys[:, 1:]
-        rho = np.where(expo.any(axis=1), ceil_defect(scaled / denom - expo @ logs), (-scaled % denom) / denom)
+        rho = np.where(expo.any(axis=1), ceil_defect(scaled / denom - expo @ logs), rho_ratio(scaled, denom))
         return math.fsum((masses * rho).tolist()), False
 
     return rows, np.add, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
@@ -309,22 +309,17 @@ def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ints(keys: np.ndarray) -> list[int]:
-    """The Python ints of limb rows."""
-    if keys.shape[1] == 1:
-        return keys[:, 0].tolist()
-    return [sum(d << (_LIMB_BITS * i) for i, d in enumerate(row)) for row in keys.tolist()]
-
-
 def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
     """key / scale per limb row, correctly rounded; scale is a power of two.
 
-    One limb converts in float64, which rounds once, half to even, and the
+    Wider rows are summed into Python ints by numpy object arithmetic.  The
+    key converts to float64 rounding once, half to even, and the
     power-of-two scaling is exact: the same float as the int division.
     """
-    if keys.shape[1] == 1:
-        return keys[:, 0].astype(np.float64) * (1 / scale)
-    return np.array([point / scale for point in _ints(keys)])
+    points = keys[:, -1]
+    for i in range(keys.shape[1] - 2, -1, -1):
+        points = (points.astype(object) << _LIMB_BITS) + keys[:, i].astype(object)
+    return points.astype(np.float64) * (1 / scale)
 
 
 def _float_lattice(source: MarkovSource, hi: int):
@@ -404,27 +399,6 @@ def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
 # -- lifted chain on (state, z mod M) ------------------------------------------
 
 
-def _lifted_step(source: MarkovSource, cls: ModeClassification) -> np.ndarray:
-    """(r, r, M) blocks of the lifted chain's step: [k, j, z_e mod M] = p(j|k) on every edge k -> j.
-
-    z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j) is an integer on an
-    oscillatory solution (d, unit, X).  d z_e is the rational part of
-    (-log2 p).scaled(M d) - (unit + X_k - X_j).scaled(M), whose mantissa is
-    1, so it is read off the rational parts without forming a power.
-    """
-    d, unit, X = cls.solution
-    M = cls.M
-    step = np.zeros((source.r, source.r, M))
-    for k, row in enumerate(source.transitions):
-        for j, p in enumerate(row):
-            if p is not ZERO:
-                dz = -log2_prob(p).rational * (M * d) - (unit + X[k] - X[j]).rational * M
-                if dz.denominator != 1 or dz.numerator % d:
-                    raise ValueError(f"edge {k} -> {j} lifts to z_e = {dz / d}, not an integer")
-                step[k, j, dz.numerator // d % M] = source.prob_float(p)
-    return step
-
-
 def _circulant(blocks: np.ndarray) -> np.ndarray:
     """The (rM, rM) matrix of the block-circulant operator whose first rows are blocks (r, r, M).
 
@@ -456,76 +430,6 @@ def _set_bits_below(m: int) -> int:
     return total
 
 
-def _power_index(base: Fraction, target: Fraction) -> int | None:
-    """The t >= 0 with base^t == target, or None; base is a positive rational other than 1.
-
-    base^t is a^t / b^t in lowest terms, so t is read off the side where
-    base is above 1 and checked on both, never forming a power far larger
-    than target.
-    """
-    (a, c), (b, e) = sorted([(base.numerator, target.numerator), (base.denominator, target.denominator)],
-                            key=lambda side: side[0] == 1)
-    t = round(math.log(c) / math.log(a))
-    if a**t != c or t * (b.bit_length() - 1) > e.bit_length():
-        return None
-    return t if b**t == e else None
-
-
-def _rational_points(unit, b, lo: int, hi: int) -> range:
-    """The n in lo..hi at which (n - 1) unit + b is rational, for exact logs unit and b.
-
-    Its mantissa is m_u^(n-1) m_b: 1 at every n or at none where m_u = 1,
-    and otherwise only where m_u^(n-1) = 1/m_b, at most one n.
-    """
-    if unit.is_rational:
-        return range(lo, hi + 1) if b.is_rational else range(0)
-    t = _power_index(unit.mantissa, 1 / b.mantissa)
-    return range(t + 1, t + 2) if t is not None and lo <= t + 1 <= hi else range(0)
-
-
-def _readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
-    """A common denominator Q of the rational parts of ((n-1) unit + b_jk) / d over every n and live pair.
-
-    With b_jk = X_j - X_k - d log2 p_j, Q = d times the lcm of the
-    denominators of unit, of every X_j and of every live initial exponent.
-    """
-    d, unit, X = cls.solution
-    dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
-            *(log2_prob(p).rational.denominator for p in source.initial if p is not ZERO)]
-    return d * math.lcm(*dens)
-
-
-def _lifted_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: int) -> np.ndarray:
-    """rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)) as an (hi - lo + 1, len(pairs), M) array.
-
-    Where the total is irrational, the float sum of _zeta_terms' two terms
-    at scale 1 serves.  Where it is rational (_rational_points: every n or
-    none for a rational unit, else at most one n a pair), it is exact:
-    ((n-1) unit + b_jk) / d = K/Q modulo 1 with K = (n-1) A + B_jk mod Q
-    over Q = _readout_denominator, and rho(z/M + K/Q) = (-(z Q + K M) mod M Q)
-    / (M Q), in int64 for Q < READOUT_DEN_CAP, which is 0.0 wherever -log2 mu
-    is an integer.
-    """
-    d, unit, _ = cls.solution
-    M = cls.M
-    Q = _readout_denominator(source, cls)
-    if Q >= READOUT_DEN_CAP or M * Q >= 2**53:
-        raise ValueError(f"rational readout in units of 1/{Q} at M = {M} does not fit int64")
-    z = np.arange(M)
-    phase, betas = _zeta_terms(source, cls, lo, hi, pairs, 1)
-    total = np.asarray(phase, dtype=float)[:, None] + np.asarray(betas, dtype=float)[None, :]
-    rho = ceil_defect(total[:, :, None] + (z / M)[None, None, :])
-    A = int(unit.rational * (Q // d)) % Q
-    for p, b in enumerate(_pair_offsets(source, cls, pairs)):
-        ns = _rational_points(unit, b, lo, hi)
-        if ns:
-            # K at the first n in Python ints, so no n past 2^63 reaches int64
-            first = ((ns.start - 1) * A + int(b.rational * (Q // d))) % Q
-            K = (first + np.arange(len(ns)) % Q * A) % Q
-            rho[ns.start - lo:ns.stop - lo, p] = -(z * Q + K[:, None] * M) % (M * Q) / (M * Q)
-    return rho
-
-
 def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> tuple[int, int]:
     """(work units, float64 cells held) of lifted_chain(source, cls, lo, hi), from sizes alone.
 
@@ -551,13 +455,12 @@ def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
 def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for n = lo..hi of an oscillatory exact source, from its chain on (state, z mod M).
 
-    With the solution (d, unit, X) every edge k -> j lifts to the integer
-    z_e (_lifted_step), and a path j -> ... -> k of length n whose z_e sum
-    to z mod M has, modulo 1,
+    Every edge k -> j lifts to an integer z_e (asymptotics.edge_lifts), and
+    a path j -> ... -> k of length n whose z_e sum to z mod M has, modulo 1,
 
         -log2 mu = z/M + frac((n-1) unit / d) + frac((X_j - X_k - d log2 p_j) / d),
 
-    the terms of _zeta_terms at scale 1.  So, with T the lifted chain's
+    zeta_jk(n) at scale 1 shifted by z/M.  So, with T the lifted chain's
     step on rM states,
 
         R_n = sum_{j,k,z} p_j [T^(n-1)]_{(j,0),(k,z)} rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)).
@@ -569,7 +472,7 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     first: the same products whether n is asked alone or in a range.  The
     masses are floats and every product renormalises its rows, so values
     are within about 1e-13 of the exact R_n.  Every path whose -log2 mu is
-    rational is read out exactly (_lifted_rho), so a dyadic source gives
+    rational is read out exactly (asymptotics.pair_rho), so a dyadic source gives
     exactly 0.0.  exact_redundancy_range admits a request by its cost
     (_lifted_cost) and its readout denominator before any of it runs.
     """
@@ -577,15 +480,18 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
         raise ValueError(f"invalid block length range {lo}..{hi}")
     r, M = source.r, cls.M
     live = [j for j, p in enumerate(source.initial) if p is not ZERO]
-    power, circulants = _lifted_step(source, cls).reshape(r, r * M), []
+    step = np.zeros((r, r, M))  # first block rows of the step: [k, j, z_e mod M] = p(j|k)
+    for (k, j), z in edge_lifts(source, cls).items():
+        step[k, j, z] = source.prob_float(source.transitions[k][j])
+    power, circulants = step.reshape(r, r * M), []
     for i in range((hi - 1).bit_length()):
         if i:
             power = _product(power, circulants[-1])
         circulants.append(_circulant(power.reshape(r, r, M)))
     start = np.zeros((len(live), r * M))
     start[np.arange(len(live)), np.array(live) * M] = 1.0
-    rho = _lifted_rho(source, cls, [(j, k) for j in live for k in range(r)], lo, hi)
-    rho = rho.reshape(hi - lo + 1, len(live), r * M)
+    pairs = [(j, k) for j in live for k in range(r)]
+    rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(hi - lo + 1, len(live), r * M)
     p = source.initial_array()[live][:, None]
     out = []
     for n, rho_n in zip(range(lo, hi + 1), rho):
@@ -606,7 +512,7 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
     An irreducible exact source that classify_mode calls oscillatory takes
     lifted_chain when its cost (_lifted_cost) is within LIFT_WORK_CAP work
     units and LIFT_CELL_CAP float64 cells and its readout denominator
-    (_readout_denominator) is below READOUT_DEN_CAP; every other request,
+    (asymptotics.readout_denominator) is below READOUT_DEN_CAP; every other request,
     and one over those caps, takes lattice_dp.  A caller that holds the source's
     classification passes it as cls.
     """
@@ -617,7 +523,7 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
             cls = classify_mode(source)
     if source.exact and cls is not None and cls.mode == "oscillatory":
         work, cells = _lifted_cost(source, cls, lo, hi)
-        if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP and _readout_denominator(source, cls) < READOUT_DEN_CAP:
+        if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP and readout_denominator(source, cls) < READOUT_DEN_CAP:
             return lifted_chain(source, cls, lo, hi)
     return lattice_dp(source, lo, hi)
 

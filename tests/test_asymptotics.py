@@ -25,7 +25,7 @@ from shancode import (
     predict,
     validate,
 )
-from shancode.asymptotics import DEFAULT_XI, prediction_columns
+from shancode.asymptotics import DEFAULT_XI, prediction_columns, readout_denominator
 from shancode.errors import ReducibleChain
 from shancode.exact import ZERO, ExactProb
 from shancode.sources import classify_structure, log2_prob, stationary_distribution
@@ -499,6 +499,33 @@ def test_predict_range_matches_loop_reference(oscillatory_exact_family):
             omega, boundary = loop_omega(s, cls, n)
             assert got_omega == pytest.approx(omega, abs=1e-12)
             assert got_boundary == pytest.approx(boundary, abs=1e-12)
+
+
+def test_prediction_readout_past_2_53_in_python_ints():
+    # an initial exponent over q = 2^53 + 1 puts the readout denominator past the
+    # floats that int64 holds exactly, so pair_rho counts in Python ints; Omega_n
+    # must still be the one from Fraction rho, bit for bit.  2^(-107/2) is within
+    # 2e-18 of 1 - 2^(-1/q), so validation flags the start row_sums_inexact
+    q = 2**53 + 1
+    start = [ExactProb.make(1, F(-1, q)), ExactProb.make(1, F(-107, 2))]
+    letters = [ExactProb.make(1, F(-1, 2)), ExactProb.make(1, -F(1107421, 625113))]
+    for rows in ([["1/2", "1/2"], ["1/2", "1/2"]], [letters, letters]):
+        s = MarkovSource.from_exact(start, rows)
+        assert validate(s).flags == {"row_sums_inexact"}
+        cls = classify_mode(s)
+        d, unit, X = cls.solution
+        assert d == 1 and readout_denominator(s, cls) > 2**53
+        weights = np.outer(s.initial_array(), stationary_distribution(s))
+        for lo, hi in ((1, 30), (10**12, 10**12 + 3)):
+            osc = np.zeros(hi - lo + 1)
+            for j in range(2):
+                for k in range(2):
+                    b = X[j] - X[k] - log2_prob(s.initial[j])
+                    assert unit.is_rational and b.is_rational
+                    rho = [float(ceil_defect((unit.rational * (n - 1) + b.rational) * cls.M)) for n in range(lo, hi + 1)]
+                    osc += weights[j, k] * np.array(rho)
+            cols = prediction_columns(s, cls, lo, hi)
+            assert cols.omega.tobytes() == (0.5 * (1.0 - 1.0 / cls.M) + osc / cls.M).tobytes()
 
 
 def test_zeta_reads_the_stored_solution(

@@ -141,7 +141,8 @@ def test_compare_decay_on_order2_source(tmp_path, m2_source):
     rc, out, _ = run_cli("--command", "compare", "--source", path, "--n", "4..16")
     assert rc == 0
     rows = parse_csv(out)
-    diffs = {int(r["n"]): float(r["abs_diff"]) for r in rows if r["flags"] == ""}
+    # every row carries the source's row_sums_inexact; the rows with no other flag
+    diffs = {int(r["n"]): float(r["abs_diff"]) for r in rows if r["flags"] == "row_sums_inexact"}
     # genuine second-order decay: the gap shrinks as n grows (parity-paired)
     ns = sorted(diffs)
     assert diffs[ns[-1]] < diffs[ns[0]]
@@ -214,6 +215,27 @@ def test_flags_vocabulary(permutation_path, dyadic_path, float_path):
     assert seen <= set(REPORT_FLAGS)
 
 
+def test_validation_flags_reach_every_row(m2_source, tmp_path, monkeypatch, capsys):
+    # the half-exponent source's rows sum to 1 only within 1e-13; every row printed for
+    # it says so, from the one validate call that admitted it
+    from shancode import cli
+
+    calls = []
+
+    def counting_validate(source):
+        calls.append(source)
+        return shancode.validate(source)
+
+    monkeypatch.setattr(cli, "validate", counting_validate)
+    path = write_source(tmp_path, "m2.json", m2_source.to_dict())
+    for command in ("compare", "predict"):
+        calls.clear()
+        assert main(["--command", command, "--source", path, "--n", "1..6"]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        assert len(rows) == 6 and len(calls) == 1
+        assert all("row_sums_inexact" in row["flags"].split(";") for row in rows)
+
+
 def test_exit_code_validation_failure(tmp_path):
     path = write_source(
         tmp_path, "bad.json",
@@ -275,7 +297,7 @@ def test_over_long_predict_range_refused_before_any_work(permutation_path, monke
     def no_work(*args):
         raise AssertionError("a refused prediction ran")
 
-    monkeypatch.setattr(asymptotics, "_zeta_terms", no_work)
+    monkeypatch.setattr(asymptotics, "pair_rho", no_work)
     monkeypatch.setattr(asymptotics, "stationary_distribution", no_work)
     # 2^22 cells hold 2^20 rows at r = 2; one more row is refused
     rc = main(["--command", "predict", "--source", permutation_path, "--n", f"1..{2**20 + 1}"])

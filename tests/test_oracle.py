@@ -18,7 +18,7 @@ from shancode import (
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
 )
-from shancode import ZERO, ExactProb, classify_mode, oracle
+from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle
 from shancode.asymptotics import _pair_offsets, ceil_defect
 from shancode.errors import ResourceLimit
 from tests.conftest import (
@@ -202,13 +202,18 @@ def keys_and_deltas(draw):
     return width, key, total - key
 
 
+def limb_ints(keys) -> list[int]:
+    """The Python ints of base-2^62 limb rows, least significant limb first."""
+    return [sum(d * LIMB**i for i, d in enumerate(row)) for row in keys.tolist()]
+
+
 @given(keys_and_deltas())
 def test_limb_arithmetic_is_int_arithmetic(case):
     width, key, delta = case
     keys = oracle._limbs([key, key], width)
-    assert keys.shape == (2, width) and oracle._ints(keys) == [key, key]
+    assert keys.shape == (2, width) and limb_ints(keys) == [key, key]
     step = oracle._limbs([delta], width)[0]
-    assert oracle._ints(oracle._add(keys, step)) == [key + delta] * 2
+    assert limb_ints(oracle._add(keys, step)) == [key + delta] * 2
     assert oracle._width(key) <= width
 
 
@@ -433,15 +438,36 @@ def test_lifted_chain_reads_rational_paths_exactly():
         # every point where (n - 1) unit + b_jk is rational is found, and its rho is the exact one
         live = [j for j, p in enumerate(s.initial) if p is not ZERO]
         pairs = [(j, k) for j in live for k in range(s.r)]
-        rho = oracle._lifted_rho(s, cls, pairs, 1, 12)
+        rho = np.stack(list(asymptotics.pair_rho(s, cls, pairs, 1, 12, 1, cls.M)), axis=1)
         found = 0
         for p, b in enumerate(_pair_offsets(s, cls, pairs)):
             points = [n for n in range(1, 13) if (unit.scaled(n - 1) + b).is_rational]
-            assert list(oracle._rational_points(unit, b, 1, 12)) == points
+            assert list(asymptotics._rational_points(unit, b, 1, 12)) == points
             for n in points:
                 c = (unit.scaled(n - 1) + b).rational / d
                 assert rho[n - 1, p].tolist() == [float(ceil_defect(F(z, cls.M) + c)) for z in range(cls.M)]
             found += len(points)
+        assert found
+
+
+def test_pair_rho_is_exact_at_every_rational_point(dyadic_r3, m2_source):
+    # one readout serves Omega_n (scale M) and the lifted chain (scale 1, shifted by
+    # z/M): wherever (n - 1) unit + b_jk is rational it must be the Fraction rho
+    for s in (*cancelling_sources(), dyadic_r3, m2_source):
+        cls = classify_mode(s)
+        d, unit, _ = cls.solution
+        pairs = [(j, k) for j, p in enumerate(s.initial) if p is not ZERO for k in range(s.r)]
+        found = 0
+        for scale, steps in ((cls.M, 1), (1, cls.M)):
+            rhos = asymptotics.pair_rho(s, cls, pairs, 1, 12, scale, steps)
+            for rho, b in zip(rhos, _pair_offsets(s, cls, pairs), strict=True):
+                assert rho.shape == (12, steps)
+                for n in range(1, 13):
+                    total = unit.scaled(n - 1) + b
+                    if total.is_rational:
+                        x = total.rational * scale / d
+                        assert rho[n - 1].tolist() == [float(ceil_defect(F(z, steps) + x)) for z in range(steps)]
+                        found += 1
         assert found
 
 
@@ -470,7 +496,7 @@ def test_lifted_chain_over_its_caps_takes_the_dp(permutation_source, order67_sou
             m.setattr(oracle, "LIFT_CELL_CAP", cells - 1)
             assert exact_redundancy_range(s, 1, 30) == dp
             m.setattr(oracle, "LIFT_CELL_CAP", cells)
-            m.setattr(oracle, "READOUT_DEN_CAP", oracle._readout_denominator(s, classify_mode(s)))
+            m.setattr(oracle, "READOUT_DEN_CAP", asymptotics.readout_denominator(s, classify_mode(s)))
             assert exact_redundancy_range(s, 1, 30) == dp
     assert {rec.method for rec in dp} == {"lattice_dp"}
     # at the default cap perm takes the lifted chain to n = 10^4 and the DP from 2 * 10^4
