@@ -69,6 +69,8 @@ DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
 # most rows x r^2 one prediction_columns request may ask for: one rho and one bool margin cell each
 PREDICT_CELL_CAP = 2**22
+# pair_rho counts in int64 while steps Q and its row count times Q stay below this, in Python ints beyond
+INT64_READOUT_BOUND = 2**53
 
 
 # -- mode classification ----------------------------------------------------
@@ -265,7 +267,7 @@ def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: 
     if source.exact:
         Q = readout_denominator(source, cls)
         D = scale * Q // d  # times the rational part of a log: an integer over Q
-        ints = np.int64 if max(steps, count) * Q < 2**53 else object
+        ints = np.int64 if max(steps, count) * Q < INT64_READOUT_BOUND else object
         A = int(unit.rational * D) % Q
 
         def units(ns, b=0):

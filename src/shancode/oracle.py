@@ -11,14 +11,12 @@ states, n and an integer z mod M, the sum of the edges' integer lifts z_e
 (asymptotics.edge_lifts), so R_n is a finite sum over the Markov chain on
 (state, z mod M) after n - 1 steps (the paper's decomposition before the
 limit; Omega_n is the same sum at that chain's limit).  Its step is
-block-circulant in z, so its powers are kept as first block rows and
-multiplied by cyclic convolution; the squarings T^(2^i) are built once and
-row n takes the set bits of n - 1, O(log n) products in all.  rho of each
-(end states, z) class comes from asymptotics.pair_rho, the readout that
-Omega_n uses too, exact where -log2 mu is rational.  Its cost is estimated
-from sizes before any of it runs; a request over LIFT_WORK_CAP or
-LIFT_CELL_CAP, or whose readout denominator Q reaches READOUT_DEN_CAP,
-takes the lattice DP instead.
+block-circulant in z; the DFT over z makes it M twisted r x r matrices,
+powered together by spectral.stack_powers and brought back by one FFT.
+rho of each (end states, z) class comes from asymptotics.pair_rho, the
+readout that Omega_n uses too, exact where -log2 mu is rational.  A
+request whose cost, estimated from sizes, is over LIFT_WORK_CAP or
+LIFT_CELL_CAP takes the lattice DP instead.
 
 Every other source, and every request over those caps, takes lattice_dp.
 -log2 mu depends on a path only through a lattice point: for an exact
@@ -51,10 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import ModeClassification, classify_mode, edge_lifts, pair_rho, readout_denominator
+from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
+                          readout_denominator)
 from .errors import ReducibleChain, ResourceLimit
 from .exact import ZERO, ceil_defect, rho_ratio
 from .sources import MarkovSource, log2_prob_float
+from .spectral import stack_powers
 
 INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
@@ -70,9 +70,9 @@ _READ_CHARGE = 8
 # an oscillatory exact source takes the lifted chain; a request over either takes the lattice DP
 LIFT_WORK_CAP = 2**30
 LIFT_CELL_CAP = 2**22
-_LIFT_CALL_CHARGE = 10_000
-# the lifted chain's exact readout (asymptotics.pair_rho) runs in int64 for a denominator Q below this
-READOUT_DEN_CAP = 2**31
+# units per product's or row's Python calls, per state pair, per matrix a product takes, per readout cell
+_LIFT_CALL_CHARGE, _LIFT_PAIR_CHARGE, _LIFT_ITEM_CHARGE, _LIFT_CELL_CHARGE = 5_000, 40_000, 300, 100
+_LIFT_INT_CELL_CHARGE = 500  # per readout cell where pair_rho counts in Python ints
 # exact key columns span less than 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
 _LIMB_BITS = 62
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -399,28 +399,6 @@ def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
 # -- lifted chain on (state, z mod M) ------------------------------------------
 
 
-def _circulant(blocks: np.ndarray) -> np.ndarray:
-    """The (rM, rM) matrix of the block-circulant operator whose first rows are blocks (r, r, M).
-
-    Entry (k M + y, l M + z) is blocks[k, l, (z - y) mod M], the weight of
-    (k, y) -> (l, z): a row times it is the cyclic convolution over z.
-    """
-    r, _, M = blocks.shape
-    shift = (np.arange(M)[None, :] - np.arange(M)[:, None]) % M
-    return blocks[:, :, shift].transpose(0, 2, 1, 3).reshape(r * M, r * M)
-
-
-def _product(rows: np.ndarray, circulant: np.ndarray) -> np.ndarray:
-    """rows (q, rM) times a circulant, each row renormalised to sum 1.
-
-    Float rows such as (1/3, 2/3) miss 1 by an ulp, and without the
-    renormalisation T^(n-1) drifts by about n ulps.
-    """
-    out = rows @ circulant
-    out /= np.add.reduce(out, axis=1, keepdims=True)
-    return out
-
-
 def _set_bits_below(m: int) -> int:
     """The number of set bits of 0, 1, ..., m - 1 together."""
     total, i = 0, 0
@@ -433,23 +411,39 @@ def _set_bits_below(m: int) -> int:
 def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> tuple[int, int]:
     """(work units, float64 cells held) of lifted_chain(source, cls, lo, hi), from sizes alone.
 
-    The squarings T^(2^i), i < bit_length(hi - 1), take an (r, rM) by
-    (rM, rM) product and a circulant each; every row n takes one (J, rM) by
-    (rM, rM) product per set bit of n - 1 (J live initial states); every row
-    reads J r M cells.  _LIFT_CALL_CHARGE covers the Python calls of each
-    product, row and (initial, end) state pair.  Held are the circulants
-    and each row's masses, rho and weights.
+    Timed on a 2-vCPU x86 host with numpy 2.4, a product of the M twisted
+    matrices by M blocks of q rows takes about M (q r^2 + _LIFT_ITEM_CHARGE)
+    ns: bit_length(hi - 1) - 1 squarings at q = r, and per row n one at
+    q = J (live initial states) per set bit of n - 1.  Each row reads J r M
+    cells (FFT, scaling, rho, sum), at _LIFT_INT_CELL_CHARGE where pair_rho
+    counts in Python ints (M or the row count, times Q, reaches
+    INT64_READOUT_BOUND).  Held are the squarings and, per readout cell, the
+    transform and its FFT; a complex cell counts as two float64 cells.
     """
+    r, M = source.r, cls.M
     live = sum(p is not ZERO for p in source.initial)
-    rm = source.r * cls.M
-    levels = (hi - 1).bit_length()
+    levels = max(1, (hi - 1).bit_length())
     rows = hi - lo + 1
     products = _set_bits_below(hi) - _set_bits_below(lo - 1)
-    work = (levels * (_LIFT_CALL_CHARGE + (source.r + 1) * rm * rm)
-            + products * (_LIFT_CALL_CHARGE + live * rm * rm)
-            + rows * (_LIFT_CALL_CHARGE + live * rm)
-            + live * source.r * _LIFT_CALL_CHARGE)
-    return work, levels * rm * rm + 3 * rows * live * rm
+    cells = rows * live * r * M
+    python_ints = max(M, rows) * readout_denominator(source, cls) >= INT64_READOUT_BOUND
+    work = ((levels - 1) * (_LIFT_CALL_CHARGE + M * (r**3 + _LIFT_ITEM_CHARGE))
+            + products * (_LIFT_CALL_CHARGE + M * (live * r * r + _LIFT_ITEM_CHARGE))
+            + rows * _LIFT_CALL_CHARGE + cells * (_LIFT_INT_CELL_CHARGE if python_ints else _LIFT_CELL_CHARGE)
+            + live * r * _LIFT_PAIR_CHARGE)
+    return work, 2 * levels * M * r * r + 4 * cells
+
+
+def _conditioned(square: np.ndarray) -> np.ndarray:
+    """A squaring divided by its t = 0 slice's largest row sum where that leaves [1/2, 2].
+
+    That slice, P^(2^i), drifts as (1 + e)^(2^i) for a row-sum error e of
+    the source; rescaled, no n past 1/e overflows or vanishes.
+    """
+    scale = square[0].real.sum(axis=1).max()
+    if not 0.5 <= scale <= 2.0:
+        square /= scale
+    return square
 
 
 def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> list[RedundancyValue]:
@@ -460,49 +454,40 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
 
         -log2 mu = z/M + frac((n-1) unit / d) + frac((X_j - X_k - d log2 p_j) / d),
 
-    zeta_jk(n) at scale 1 shifted by z/M.  So, with T the lifted chain's
-    step on rM states,
+    zeta_jk(n) at scale 1 shifted by z/M.  So, with T the lifted chain's step,
 
         R_n = sum_{j,k,z} p_j [T^(n-1)]_{(j,0),(k,z)} rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)).
 
-    T is block-circulant in z, so its powers are (r, rM) first block rows
-    multiplied by cyclic convolution (_circulant, _product).  The squarings
-    T^(2^i) are built once, and row n is the product of the live initial
-    states' unit rows with the squarings of the set bits of n - 1, lowest
-    first: the same products whether n is asked alone or in a range.  The
-    masses are floats and every product renormalises its rows, so values
-    are within about 1e-13 of the exact R_n.  Every path whose -log2 mu is
-    rational is read out exactly (asymptotics.pair_rho), so a dyadic source gives
-    exactly 0.0.  exact_redundancy_range admits a request by its cost
-    (_lifted_cost) and its readout denominator before any of it runs.
+    T is block-circulant in z, so the DFT over z splits it into M twisted r x r
+    matrices [t, k, j] = p(j|k) exp(2 pi i t z_e / M), each the spectral
+    layer's A_t up to a diagonal similarity and a scalar.  Row n takes the live
+    initial states' unit rows through all of them to n - 1
+    (spectral.stack_powers: the same products alone or in a range), and one FFT
+    over t gives its masses on z; at M = 1 all is real and the FFT, the
+    identity, is skipped.  A row's total mass is its t = 0 term, a row of
+    P^(n-1), which float rows such as (1/3, 2/3) drift from 1 by about n ulps;
+    it is scaled once to 1.  Values are within about 1e-14 of the exact R_n,
+    and never below 0; every rational -log2 mu is read out exactly (pair_rho).
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    r, M = source.r, cls.M
+    r, M, count = source.r, cls.M, hi - lo + 1
     live = [j for j, p in enumerate(source.initial) if p is not ZERO]
-    step = np.zeros((r, r, M))  # first block rows of the step: [k, j, z_e mod M] = p(j|k)
+    roots = np.exp(2j * np.pi * np.arange(M) / M) if M > 1 else np.ones(1)  # real at M = 1
+    twist = np.zeros((M, r, r), dtype=roots.dtype)
     for (k, j), z in edge_lifts(source, cls).items():
-        step[k, j, z] = source.prob_float(source.transitions[k][j])
-    power, circulants = step.reshape(r, r * M), []
-    for i in range((hi - 1).bit_length()):
-        if i:
-            power = _product(power, circulants[-1])
-        circulants.append(_circulant(power.reshape(r, r, M)))
-    start = np.zeros((len(live), r * M))
-    start[np.arange(len(live)), np.array(live) * M] = 1.0
+        twist[:, k, j] = source.prob_float(source.transitions[k][j]) * roots[np.arange(M) * z % M]
+    start = np.broadcast_to(np.eye(r)[live], (M, len(live), r))
+    masses = np.stack(list(stack_powers(start, twist, range(lo - 1, hi), _conditioned)))  # [n, t, j, k]: DFT over z
+    if M > 1:
+        masses = np.fft.fft(masses, axis=1)
+    masses = masses.real.transpose(0, 2, 3, 1).reshape(count, len(live), r * M)  # [n, j, k M + z]
+    masses /= np.add.reduce(masses, axis=2, keepdims=True)
     pairs = [(j, k) for j in live for k in range(r)]
-    rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(hi - lo + 1, len(live), r * M)
-    p = source.initial_array()[live][:, None]
-    out = []
-    for n, rho_n in zip(range(lo, hi + 1), rho):
-        masses, bits = start, n - 1
-        for circulant in circulants:
-            if bits & 1:
-                masses = _product(masses, circulant)
-            bits >>= 1
-        value = math.fsum((p * masses * rho_n).ravel().tolist())
-        out.append(RedundancyValue(n=n, value=value, method="lifted_chain", stderr=None, flags=frozenset()))
-    return out
+    rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(count, len(live), r * M)
+    terms = (source.initial_array()[live][:, None] * masses * rho).reshape(count, -1)
+    return [RedundancyValue(n=n, value=max(0.0, math.fsum(row.tolist())), method="lifted_chain", stderr=None,
+                            flags=frozenset()) for n, row in zip(range(lo, hi + 1), terms)]
 
 
 def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
@@ -511,9 +496,8 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
 
     An irreducible exact source that classify_mode calls oscillatory takes
     lifted_chain when its cost (_lifted_cost) is within LIFT_WORK_CAP work
-    units and LIFT_CELL_CAP float64 cells and its readout denominator
-    (asymptotics.readout_denominator) is below READOUT_DEN_CAP; every other request,
-    and one over those caps, takes lattice_dp.  A caller that holds the source's
+    units and LIFT_CELL_CAP float64 cells; every other request, and one over
+    those caps, takes lattice_dp.  A caller that holds the source's
     classification passes it as cls.
     """
     if not 1 <= lo <= hi:
@@ -523,7 +507,7 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
             cls = classify_mode(source)
     if source.exact and cls is not None and cls.mode == "oscillatory":
         work, cells = _lifted_cost(source, cls, lo, hi)
-        if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP and readout_denominator(source, cls) < READOUT_DEN_CAP:
+        if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP:
             return lifted_chain(source, cls, lo, hi)
     return lattice_dp(source, lo, hi)
 

@@ -19,17 +19,19 @@ asymptotics.classify_mode decides the same question for every source from
 the cycle congruence on the logs, without eigenvalues; the scan
 find_oscillation_order is kept as an independent cross-check of it.
 
-Everything is built on one stacked constructor: phase_stack(source, ms) returns
-the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1 formed
-as one numpy expression for float sources and by exact.frac_log, once per
-distinct entry over all m, for exact ones; phase_matrix and initial_phase_vector are
-one-row views of it.  char_fn_stack raises the whole stack to n - 1 by
-binary powering, O(log n) matrix products, and char_fn(mode="direct") is its
-one-row wrapper.  find_oscillation_order scans m in blocks of SCAN_BLOCK
-frequencies with one batched eigvals call per block.  Two work caps guard
-against requests that would run for hours or exhaust memory: the scan
-refuses m_max * r**3 above SCAN_WORK_CAP before it starts, and
-fejer.fejer_sum refuses more than FEJER_WORK_CAP terms; both raise
+Everything is built on one stacked constructor: phase_stack(source, ms)
+returns the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1
+formed as one numpy expression for float sources and by exact.frac_log, once
+per distinct entry over all m, for exact ones; phase_matrix and
+initial_phase_vector are one-row views of it.  stack_powers is the one binary
+powering of a stack: char_fn_stack raises the whole stack to n - 1 with it,
+O(log n) matrix products, and char_fn(mode="direct") is its one-row wrapper;
+oracle.lifted_chain powers its M twisted transition matrices, A_t up to a
+diagonal similarity and a scalar, with it too.  find_oscillation_order scans m
+in blocks of SCAN_BLOCK frequencies with one batched eigvals call per block.
+Two work caps guard against requests that would run for hours or exhaust
+memory: the scan refuses m_max * r**3 above SCAN_WORK_CAP before it starts,
+and fejer.fejer_sum refuses more than FEJER_WORK_CAP terms; both raise
 ResourceLimit.
 """
 
@@ -140,24 +142,35 @@ def eigen(matrix: np.ndarray) -> SpectralReport:
     return SpectralReport(eigenvalues=vals, right=right, left=left)
 
 
+def stack_powers(rows: np.ndarray, stack: np.ndarray, exponents, condition=None):
+    """Yield rows @ stack^e for each e of the sequence exponents, by binary powering.
+
+    The squarings stack^(2^i) are built once, each passed through condition
+    if given, and each e multiplies rows by those of its set bits, lowest
+    first: the same products whatever the other exponents are.
+    """
+    squares = [stack]
+    for _ in range(max(exponents, default=0).bit_length() - 1):
+        square = squares[-1] @ squares[-1]
+        squares.append(square if condition is None else condition(square))
+    for e in exponents:
+        out = rows
+        for square in squares:
+            if e & 1:
+                out = out @ square
+            e >>= 1
+        yield out
+
+
 def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:
     """c_m^T A_m^(n-1) d for every m in ms, one complex value per m.
 
-    The whole stack is raised to n - 1 by binary powering: the row vectors
-    pick up A_m^(2^i) for each set bit of n - 1 while A_m is squared, so a
-    call costs about 2 log2(n) batched matrix products.
+    The whole stack is raised to n - 1 by binary powering (stack_powers), so
+    a call costs about 2 log2(n) batched matrix products.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    A = phase_stack(source, ms)
-    v = _phase_rows(source, [source.initial], ms)
-    e = n - 1
-    while e:
-        if e & 1:
-            v = v @ A
-        e >>= 1
-        if e:
-            A = A @ A
+    (v,) = stack_powers(_phase_rows(source, [source.initial], ms), phase_stack(source, ms), [n - 1])
     return v.sum(axis=(1, 2))
 
 

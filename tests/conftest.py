@@ -181,16 +181,22 @@ def oscillatory_exact_family(permutation_source, permutation_state0_start, m2_so
     ]
 
 
+def period2_source(M: int) -> MarkovSource:
+    """Period-2 chain whose two return cycles through state 0 differ by 1/M in -log2 weight: order M.
+
+    Row 0 is mu (2^-1, 2^(-(M-1)/M)) on states 1 and 2, which both return
+    to state 0; it sums to 1 only up to the limit_denominator rounding of
+    its mantissa mu (validation flags it row_sums_inexact).
+    """
+    mu = Fraction(1 / (2**-1 + 2 ** (-(M - 1) / M))).limit_denominator(10**13)
+    row = [ZERO, ExactProb.make(mu, -1), ExactProb.make(mu, Fraction(1 - M, M))]
+    return MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
+
+
 @pytest.fixture(scope="session")
 def order67_source():
-    """Period-2 chain whose two return cycles differ by 1/67 in -log2 weight, so M = 67.
-
-    The row out of state 0 sums to 1 only up to the limit_denominator rounding
-    of its mantissa (validation flags it row_sums_inexact).
-    """
-    mu = Fraction(1 / (2**-1 + 2 ** (-66 / 67))).limit_denominator(10**13)
-    row = [ZERO, ExactProb.make(mu, -1), ExactProb.make(mu, Fraction(-66, 67))]
-    return MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
+    """period2_source at M = 67."""
+    return period2_source(67)
 
 
 @pytest.fixture(scope="session")

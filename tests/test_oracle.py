@@ -18,16 +18,18 @@ from shancode import (
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
 )
-from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle
-from shancode.asymptotics import _pair_offsets, ceil_defect
+from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle, spectral
+from shancode.asymptotics import _pair_offsets, ceil_defect, prediction_columns
 from shancode.errors import ResourceLimit
 from tests.conftest import (
     coprime_base_reference,
     float_copy,
+    half_exponent_source,
     iter_paths_bruteforce,
     memoryless,
     monte_carlo_reference,
     omega_decimal_reference,
+    period2_source,
     random_float_source,
     redundancy_bruteforce,
     two_state_type_reference,
@@ -495,32 +497,78 @@ def test_lifted_chain_over_its_caps_takes_the_dp(permutation_source, order67_sou
             m.setattr(oracle, "LIFT_WORK_CAP", work)
             m.setattr(oracle, "LIFT_CELL_CAP", cells - 1)
             assert exact_redundancy_range(s, 1, 30) == dp
-            m.setattr(oracle, "LIFT_CELL_CAP", cells)
-            m.setattr(oracle, "READOUT_DEN_CAP", asymptotics.readout_denominator(s, classify_mode(s)))
-            assert exact_redundancy_range(s, 1, 30) == dp
     assert {rec.method for rec in dp} == {"lattice_dp"}
-    # at the default cap perm takes the lifted chain to n = 10^4 and the DP from 2 * 10^4
+    # at the default cap perm takes the lifted chain to n = 2 * 10^4 and the DP from 3 * 10^4
     cls = classify_mode(permutation_source)
-    assert oracle._lifted_cost(permutation_source, cls, 1, 10**4)[0] <= oracle.LIFT_WORK_CAP
-    assert oracle._lifted_cost(permutation_source, cls, 1, 2 * 10**4)[0] > oracle.LIFT_WORK_CAP
+    assert oracle._lifted_cost(permutation_source, cls, 1, 2 * 10**4)[0] <= oracle.LIFT_WORK_CAP
+    assert oracle._lifted_cost(permutation_source, cls, 1, 3 * 10**4)[0] > oracle.LIFT_WORK_CAP
 
 
 def test_lifted_cost_counts_the_products(order67_source, monkeypatch):
     bits = list(itertools.accumulate((bin(x).count("1") for x in range(1200)), initial=0))
     assert [oracle._set_bits_below(m) for m in range(1201)] == bits
-    calls, product = [], oracle._product
+    calls = []
 
-    def counting_product(rows, circulant):
-        calls.append(len(rows))
-        return product(rows, circulant)
+    class CountingStack(np.ndarray):
+        # the rows per block of the left factor of every product the powering makes with the stack
+        def __matmul__(self, other):
+            calls.append(self.shape[-2])
+            return (self.view(np.ndarray) @ np.asarray(other)).view(CountingStack)
 
-    monkeypatch.setattr(oracle, "_product", counting_product)
+        def __rmatmul__(self, other):
+            calls.append(other.shape[-2])
+            return (np.asarray(other) @ self.view(np.ndarray)).view(CountingStack)
+
+    def counting_powers(rows, stack, exponents, condition=None):
+        return spectral.stack_powers(rows, stack.view(CountingStack), exponents, condition)
+
+    monkeypatch.setattr(oracle, "stack_powers", counting_powers)
     s = order67_source
     for lo, hi in ((1, 1), (5, 40), (1000, 1100)):
         calls.clear()
         oracle.lifted_chain(s, classify_mode(s), lo, hi)
         squarings = max(0, (hi - 1).bit_length() - 1)
         assert calls == [s.r] * squarings + [1] * (bits[hi] - bits[lo - 1])
+
+
+@pytest.mark.parametrize("M", [257, 1009])
+def test_lifted_chain_at_large_order(M):
+    # the chain's step splits into M twisted r x r matrices, so M in the thousands
+    # stays on the lifted chain; the dense (rM, rM) circulant sent M = 257 to the DP
+    s = period2_source(M)
+    cls = classify_mode(s)
+    assert cls.M == M
+    start = time.perf_counter()
+    rec = exact_redundancy(s, 10**12)
+    assert rec.method == "lifted_chain" and time.perf_counter() - start < 1.0
+    assert abs(rec.value - prediction_columns(s, cls, 10**12, 10**12).omega[0]) <= 1e-12
+    for lifted, dp in zip(exact_redundancy_range(s, 1, 60), oracle.lattice_dp(s, 1, 60), strict=True):
+        assert lifted.method == "lifted_chain" and abs(lifted.value - dp.value) <= 1e-12, lifted.n
+
+
+def test_lifted_chain_with_a_python_int_readout_denominator():
+    # dyadic rows started at 2^(-1/q) and its rational complement: Q = q = 2^31 + 1
+    # once sent every request to the DP, which refused n = 10^6
+    q = 2**31 + 1
+    s = MarkovSource.from_exact([ExactProb.make(1, F(-1, q)), str(F(1 - 2 ** (-1 / q)))],
+                                [["1/2", "1/2"], ["1/2", "1/2"]])
+    assert asymptotics.readout_denominator(s, classify_mode(s)) == q
+    start = time.perf_counter()
+    rec = exact_redundancy(s, 10**6)
+    assert rec.method == "lifted_chain" and time.perf_counter() - start < 1.0
+    dp = oracle.lattice_dp(s, 1, 30)
+    assert [lifted.value for lifted in exact_redundancy_range(s, 1, 30)] == [r.value for r in dp]
+    assert rec.value == dp[-1].value
+
+
+def test_lifted_chain_far_past_the_row_sum_error():
+    # rows that sum to 1 - 5.6e-15 shrink P^(n-1) by (1 - 5.6e-15)^(n-1), below the
+    # floats near n = 10^17; the rescaled squarings keep R_n on Omega_n at any n
+    s = half_exponent_source(-1, F(-3, 2), -2, F(-1, 2), precision=10**7)
+    cls = classify_mode(s)
+    for n in (10**12, 10**18, 10**19):
+        values = [rec.value for rec in oracle.lifted_chain(s, cls, n, n + 1)]
+        assert np.abs(values - prediction_columns(s, cls, n, n + 1).omega).max() <= 1e-12, n
 
 
 # -- Monte Carlo --------------------------------------------------------------
