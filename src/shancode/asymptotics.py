@@ -40,8 +40,8 @@ integer edge lifts edge_lifts gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
 b_jk is rational, rho is exact integer arithmetic (exact.rho_ratio), so
 dyadic sources predict exactly 0.  Elsewhere each term is reduced modulo 1
 by exact.frac_log: for an exact source without forming mantissa**k, in
-decimal arithmetic at 30 + digits(k) significant digits, so rho is correct
-to about 1e-16 at any n; for a float source as a float product, so zeta
+integer fixed point with 128 + 2 bit_length(k) fraction bits, so rho is
+correct to about 1e-16 at any n; for a float source as a float product, so zeta
 carries an error of order n M 2^-52 (|unit| + max |X_j|).
 prediction_columns sums each live pair's rho(zeta_jk(n)) into Omega_n for a
 whole n range in one pass, keeping only a bool margin cell.

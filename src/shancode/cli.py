@@ -24,10 +24,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -87,6 +86,17 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+_CSV_SPECIAL = re.compile('[,"\r\n]')
+
+
+def _csv_quote(text: str) -> str:
+    """A CSV field as csv.writer's QUOTE_MINIMAL writes it.
+
+    A field that holds , " CR or LF goes in quotes, with each inner quote doubled.
+    """
+    return '"' + text.replace('"', '""') + '"' if _CSV_SPECIAL.search(text) else text
 
 
 def _flags_cell(flags) -> str:
@@ -276,9 +286,9 @@ _COMMANDS = {
 BLOCK_ROWS = 2**14
 _JSON_CELL = json.JSONEncoder(allow_nan=False).encode
 # per format: the %-format of one float cell (json.dumps prints float.__repr__),
-# and the printers of a range cell and a list cell
+# and the printers of a range cell and a list cell; no float or int needs CSV quotes
 _CELLS = {
-    "csv": ("%.12g\n", str, _fmt),
+    "csv": ("%.12g\n", str, lambda x: _csv_quote(_fmt(x))),
     "json": ("%r\n", str, _JSON_CELL),
 }
 
@@ -305,14 +315,14 @@ def _block(table: dict, start: int, fmt: str):
 
 
 def _csv_blocks(table: dict, rows: int):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(table)
-    for start in range(0, max(rows, 1), BLOCK_ROWS):  # one block at least, for the header
-        writer.writerows(_block(table, start, "csv"))
-        yield buf.getvalue()
-        buf.seek(0)
-        buf.truncate()
+    """The header and rows as csv.writer(lineterminator="\n") writes them, one join per block of rows.
+
+    csv.writer would write a row of one empty field as "", where a join
+    writes an empty line; every command's table has two or more columns.
+    """
+    yield ",".join(map(_csv_quote, table)) + "\n"
+    for start in range(0, rows, BLOCK_ROWS):
+        yield "\n".join(map(",".join, _block(table, start, "csv"))) + "\n"
 
 
 def _json_blocks(table: dict, rows: int):

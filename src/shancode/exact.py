@@ -78,6 +78,14 @@ def _decimal_log2(m: Fraction, prec: int) -> Decimal:
         return (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
 
 
+@lru_cache(maxsize=1024)
+def _fixed_log2(m: Fraction, den: int, bits: int) -> int:
+    """round(2^bits log2(m) / den), from log2(m) at 30 + 0.30103 bits significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 30 + math.ceil(0.30103 * bits)
+        return int((_decimal_log2(m, ctx.prec) / den * (1 << bits)).to_integral_value())
+
+
 @dataclass(frozen=True)
 class Log2Value:
     """Exact base-2 logarithm: value = rational + log2(mantissa).
@@ -129,27 +137,33 @@ class Log2Value:
 
         The rational multipliers k / den share one positive denominator.
         k * rational / den is reduced modulo 1 in integers, so a rational
-        value gives a list of exact Fractions.  Otherwise k * log2(mantissa)
-        / den is reduced in decimal arithmetic at 30 + digits(max |k|)
-        significant digits, with log2(mantissa) evaluated once for all ks,
-        into a float64 array within about 1e-16 of each fraction at any k.
+        value gives a list of exact Fractions.  Otherwise the fraction is
+        summed in integer fixed point with bits = 128 + 2 bit_length(max |k|)
+        fraction bits: log2(mantissa) / den is read once for all ks, as L =
+        round(2^bits log2(mantissa) / den) from a decimal log2 at 30 +
+        0.30103 bits digits, and each k adds the floor of its rational part
+        to k L modulo 2^bits.  That sum is within 2^-127 of the fraction, and
+        Python's correctly rounded int division makes it a float64 array
+        within about 1e-16 of each fraction at any k.
         """
         num, kden = self.rational.numerator, self.rational.denominator * den
         if self.is_rational:
             return [Fraction(k * num % kden, kden) for k in ks]
-        with localcontext() as ctx:
-            ctx.prec = 30 + len(str(max(map(abs, ks), default=0)))
-            lm = _decimal_log2(self.mantissa, ctx.prec) / den
-            # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
-            fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
-            return np.fromiter((float(y + 1 if y < 0 else y) % 1.0 for y in fracs), float, len(ks))
+        bits = 128 + 2 * max(map(abs, ks), default=0).bit_length()
+        L = _fixed_log2(self.mantissa, den, bits)
+        one, mask = 1 << bits, (1 << bits) - 1
+        # & mask is the residue modulo 2^bits for negative k L too; % 1.0 maps a
+        # fraction rounded up to 1.0 back to 0.0
+        return np.fromiter(((((k * num % kden) << bits) // kden + k * L & mask) / one % 1.0 for k in ks),
+                           float, len(ks))
 
 
 def frac_log(x, ks, d: int = 1):
     """frac((k/d) x) of a log for each integer k in ks; the one reduction of a log modulo 1.
 
-    Exact for a Log2Value (see frac_scaled: Fractions where x is rational),
-    one numpy float expression for a float log.
+    Exact for a Log2Value (see frac_scaled: Fractions where x is rational,
+    an integer fixed-point sum rounded once to float where it is not), one
+    numpy float expression for a float log.
     """
     if isinstance(x, Log2Value):
         return x.frac_scaled(ks, d)

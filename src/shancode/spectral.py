@@ -142,24 +142,25 @@ def eigen(matrix: np.ndarray) -> SpectralReport:
     return SpectralReport(eigenvalues=vals, right=right, left=left)
 
 
-def stack_powers(rows: np.ndarray, stack: np.ndarray, exponents, condition=None):
-    """Yield rows @ stack^e for each e of the sequence exponents, by binary powering.
+def stack_powers(rows: np.ndarray, stack: np.ndarray, exponents, condition=None) -> list:
+    """[rows @ stack^e for each e of the sequence exponents], by binary powering.
 
-    The squarings stack^(2^i) are built once, each passed through condition
-    if given, and each e multiplies rows by those of its set bits, lowest
-    first: the same products whatever the other exponents are.
+    The squarings stack^(2^i) are built one at a time, each passed through
+    condition if given, and multiplied into every e whose bit i is set
+    before the next one replaces it, so at most two are held.  Each e
+    multiplies rows by those of its set bits, lowest first: the same
+    products whatever the other exponents are.
     """
-    squares = [stack]
-    for _ in range(max(exponents, default=0).bit_length() - 1):
-        square = squares[-1] @ squares[-1]
-        squares.append(square if condition is None else condition(square))
-    for e in exponents:
-        out = rows
-        for square in squares:
-            if e & 1:
-                out = out @ square
-            e >>= 1
-        yield out
+    out = [rows] * len(exponents)
+    square = stack
+    for i in range(max(exponents, default=0).bit_length()):
+        if i:
+            square = square @ square
+            square = square if condition is None else condition(square)
+        for idx, e in enumerate(exponents):
+            if e >> i & 1:
+                out[idx] = out[idx] @ square
+    return out
 
 
 def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:

@@ -304,6 +304,23 @@ def phase_loop(v, m: int) -> float:
     return (-m * math.log2(v)) % 1.0
 
 
+def frac_scaled_reference(x, ks, den: int = 1) -> np.ndarray:
+    """frac((k / den) x) of an irrational Log2Value x for each k, reduced in decimal arithmetic.
+
+    The rational part k * x.rational / den is reduced in integers, and
+    k * log2(mantissa) / den is added in decimal at 30 + digits(max |k|)
+    significant digits before the reduction modulo 1.
+    """
+    num, kden = x.rational.numerator, x.rational.denominator * den
+    with localcontext() as ctx:
+        ctx.prec = 30 + len(str(max(map(abs, ks), default=0)))
+        m = x.mantissa
+        lm = (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln() / den
+        # Decimal % keeps the sign of the dividend, so negative k lands in (-1, 0]
+        fracs = ((Decimal(k * num % kden) / kden + k * lm) % 1 for k in ks)
+        return np.fromiter((float(y + 1 if y < 0 else y) % 1.0 for y in fracs), float, len(ks))
+
+
 def phase_entries_loop(source: MarkovSource, rows, m: int) -> np.ndarray:
     """p * exp(2 pi i ((-m log2 p) mod 1)) entry by entry over rows of probabilities.
 

@@ -14,10 +14,12 @@ from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import shancode
-from shancode import MarkovSource, ceil_defect, classify_mode
+from shancode import MarkovSource, ceil_defect, classify_mode, cli
 from shancode.cli import REPORT_FLAGS, _cells, main, parse_n_range
 from shancode.errors import ResourceLimit
 from tests.conftest import float_copy
@@ -417,6 +419,63 @@ def test_list_cells_printed_once_per_object(monkeypatch):
     assert _cells(column, "csv") == ["oscillatory"] * 5 + ["0", "-0", "", "true", "1"] * 2
     # one call per object: 0.0 and -0.0 are equal but distinct, and True == 1 prints apart from 1
     assert printed == ["oscillatory", 0.0, -0.0, None, True, 1]
+
+
+def csv_writer_text(table: dict, lineterminator: str = "\n") -> str:
+    """The header and rows of a column table as csv.writer writes the printed cells, rows ended by "\n".
+
+    Every row is written alone with the given lineterminator, which then
+    gives way to "\n": at "\r\n" csv.writer quotes a field holding CR or
+    LF on any Python, where at "\n" some leave a lone CR unquoted.
+    """
+    columns = [column.tolist() if isinstance(column, np.ndarray) else column for column in table.values()]
+    text = []
+    for row in [list(table), *zip(*([cli._fmt(x) for x in column] for column in columns))]:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator=lineterminator).writerow(row)
+        text.append(buf.getvalue().removesuffix(lineterminator) + "\n")
+    return "".join(text)
+
+
+CSV_TEXT = st.text(st.sampled_from('ab ,"\r\n;-|'), max_size=5)
+CSV_CELLS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), CSV_TEXT,
+                      st.sampled_from(["", '""', -0.0, math.nan, math.inf, -math.inf, "a,b", 'say "x"', "a\r\nb"]))
+
+
+@st.composite
+def csv_tables(draw):
+    rows = draw(st.integers(0, 3 * 4 + 1))
+    names = draw(st.lists(CSV_TEXT, min_size=2, max_size=4, unique=True))
+    kinds = st.sampled_from(["floats", "range", "cells", "repeated"])
+    table = {}
+    for name in names:
+        kind = draw(kinds)
+        if kind == "floats":
+            table[name] = np.array(draw(st.lists(st.floats(), min_size=rows, max_size=rows)), dtype=float)
+        elif kind == "range":
+            start = draw(st.integers(-5, 10**12))
+            table[name] = range(start, start + rows)
+        elif kind == "cells":
+            table[name] = draw(st.lists(CSV_CELLS, min_size=rows, max_size=rows))
+        else:  # a few objects, each in many rows, as the mode and flags columns hold them
+            pool = st.sampled_from(draw(st.lists(CSV_CELLS, min_size=1, max_size=3)))
+            table[name] = [draw(pool) for _ in range(rows)]
+    return table, rows
+
+
+@given(csv_tables())
+def test_csv_text_is_what_csv_writer_writes(drawn):
+    table, rows = drawn
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(cli, "BLOCK_ROWS", 4)  # blocks of 4 rows: no golden reaches a block boundary
+        blocks = list(cli._csv_blocks(table, rows))
+    text = "".join(blocks)
+    assert len(blocks) == 1 + -(-rows // 4)
+    assert text == csv_writer_text(table, "\r\n")
+    if "\r" not in text:
+        assert text == csv_writer_text(table)
+    cells = [[cli._fmt(x) for x in list(column)] for column in table.values()]
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [list(table), *map(list, zip(*cells))]
 
 
 def test_monte_carlo_over_budget_refused_before_any_work(permutation_path, monkeypatch, capsys):

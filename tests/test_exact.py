@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from shancode import ExactProb, Log2Value, ZERO, approximate_rational, parse_prob_spec
 from shancode.exact import common_denominator, format_prob_spec, split_pow2
+from tests.conftest import frac_scaled_reference
 
 F = Fraction
 
@@ -64,6 +65,26 @@ def test_log2_value_arithmetic():
     assert (-b).mantissa == F(3)
     # float of 0.75 matches a bit-counting oracle: log2 x = k + log2(x / 2**k)
     assert a.to_float() == pytest.approx(-0.4150374992788438, abs=1e-15)
+
+
+# denominators of the continued-fraction convergents of log2 3: k log2 3 comes closest to an integer there
+LOG2_3_CONVERGENT_DENS = [1, 2, 5, 12, 41, 53, 306, 665, 15601, 31867, 79335, 111202, 190537, 10781274,
+                          10971811, 53577776, 171586513, 225164289]
+
+
+def test_frac_scaled_equals_the_decimal_reduction():
+    ks = [c + e for c in LOG2_3_CONVERGENT_DENS for e in (-1, 0, 1)]
+    ks += [-k for k in ks] + [2**64 - 1, 2**64, 2**64 + 1, 3 * 2**70 + 12345, -(2**64) - 7, 2**100 + 665]
+    for mantissa in (F(3), F(1, 3), F(5, 3), F(3**40, 5**17)):
+        for rational in (F(0), F(1, 3), F(-5, 7), F(7, 4)):
+            x = Log2Value(rational, mantissa)
+            for den in (1, 2, 3, 1009):
+                got = x.frac_scaled(ks, den)
+                assert ((0 <= got) & (got < 1)).all()
+                assert got.tolist() == frac_scaled_reference(x, ks, den).tolist(), (x, den)
+                for k in ks[::7]:  # alone, at the fixed point and precision of k itself
+                    assert x.frac_scaled([k], den)[0] == frac_scaled_reference(x, [k], den)[0], (x, den, k)
+    assert len(Log2Value(F(1, 3), F(3)).frac_scaled([])) == 0
 
 
 def test_float_log_by_repeated_squaring_oracle():

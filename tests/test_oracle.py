@@ -527,8 +527,11 @@ def test_lifted_cost_counts_the_products(order67_source, monkeypatch):
     for lo, hi in ((1, 1), (5, 40), (1000, 1100)):
         calls.clear()
         oracle.lifted_chain(s, classify_mode(s), lo, hi)
-        squarings = max(0, (hi - 1).bit_length() - 1)
-        assert calls == [s.r] * squarings + [1] * (bits[hi] - bits[lo - 1])
+        # squaring i (none at i = 0) and then the row products of the exponents with bit i set
+        levels = (hi - 1).bit_length()
+        assert calls == [q for i in range(levels)
+                         for q in [s.r] * (i > 0) + [1] * sum(e >> i & 1 for e in range(lo - 1, hi))]
+        assert calls.count(s.r) == max(0, levels - 1) and calls.count(1) == bits[hi] - bits[lo - 1]
 
 
 @pytest.mark.parametrize("M", [257, 1009])
@@ -559,6 +562,24 @@ def test_lifted_chain_with_a_python_int_readout_denominator():
     dp = oracle.lattice_dp(s, 1, 30)
     assert [lifted.value for lifted in exact_redundancy_range(s, 1, 30)] == [r.value for r in dp]
     assert rec.value == dp[-1].value
+
+
+def test_lifted_chain_holds_two_squarings():
+    # a star, state 0 to states 1..15 with -log2 gaps i/1024 and each back to 0 (r = 16,
+    # M = 1024): holding all 30 squarings at n = 10^9 counted 3.8 times LIFT_CELL_CAP,
+    # and the DP it took instead stopped at n = 274
+    r, M = 16, 1024
+    mu = F(1 / sum(2 ** (-i / M) for i in range(1, r))).limit_denominator(10**13)
+    back = [1] + [0] * (r - 1)
+    s = MarkovSource.from_exact(back, [[ZERO] + [ExactProb.make(mu, F(-i, M)) for i in range(1, r)]]
+                                + [back] * (r - 1))
+    cls = classify_mode(s)
+    assert cls.M == M
+    start = time.perf_counter()
+    rec = exact_redundancy(s, 10**9)
+    assert rec.method == "lifted_chain" and time.perf_counter() - start < 2.0
+    assert abs(rec.value - prediction_columns(s, cls, 10**9, 10**9).omega[0]) <= 1e-12
+    assert round(rec.value, 4) == 0.4998
 
 
 def test_lifted_chain_far_past_the_row_sum_error():
@@ -632,6 +653,25 @@ def test_monte_carlo_matches_reference_on_structured_sources(bipartite_periodic_
     wide = random_float_source(np.random.default_rng(11), 6, with_zeros=True)
     assert (wide.transition_array() == 0).any()
     assert_same_monte_carlo(wide, 12, MC_ROWS + 100, seed=4)
+
+
+def test_monte_carlo_searched_ranks_match_reference(monkeypatch):
+    # from _MC_SEARCH_THRESHOLDS distinct thresholds on, ranks come from a sorted search
+    rng = np.random.default_rng(5)
+    counted, searched = random_float_source(rng, 8), random_float_source(rng, 17)
+    assert len(oracle._rank_tables(counted)[0]) < oracle._MC_SEARCH_THRESHOLDS
+    assert len(oracle._rank_tables(searched)[0]) >= oracle._MC_SEARCH_THRESHOLDS
+    assert_same_monte_carlo(searched, 30, MC_ROWS + 100, seed=6)
+    assert_same_monte_carlo(counted, 30, 500, seed=6)
+    # either way a rank is the count of thresholds at or below the uniform
+    for source in (counted, searched):
+        thresholds = oracle._rank_tables(source)[0]
+        held = np.empty(3 * 2**10 + 7, dtype=np.uint16)
+        runs = []
+        for cut in (0, len(thresholds) + 1):
+            monkeypatch.setattr(oracle, "_MC_SEARCH_THRESHOLDS", cut)
+            runs.append(oracle._ranks(9, 13, held, thresholds, np.empty(2**10)).copy())
+        assert np.array_equal(*runs)
 
 
 @pytest.mark.parametrize("samples", [1, MC_ROWS - 1, MC_ROWS, 2 * MC_ROWS + 17])

@@ -16,7 +16,7 @@ from shancode import (
     phase_stack,
 )
 from shancode.errors import DefectiveMatrix, ReducibleChain, ResourceLimit
-from shancode.spectral import SCAN_WORK_CAP
+from shancode.spectral import SCAN_WORK_CAP, stack_powers
 from tests.conftest import (
     char_fn_bruteforce,
     char_fn_loop,
@@ -177,6 +177,25 @@ def test_char_fn_stack_rows_equal_char_fn(m2_source):
             assert all(stack[i] == char_fn(s, m, n) for i, m in enumerate(ms))
     with pytest.raises(ValueError):
         char_fn_stack(m2_source, ms, 0)
+
+
+def test_stack_powers_equal_the_held_squarings():
+    # every exponent's products, built from all squarings held at once, lowest bit first
+    rng = np.random.default_rng(41)
+    weights = rng.random((5, 4, 4))
+    stack = weights / weights.sum(axis=2, keepdims=True) * np.exp(2j * np.pi * rng.random((5, 4, 4)))
+    rows = rng.random((5, 2, 4)) + 0j
+    exponents = [0, 1, 2, 3, 7, 8, 1000, 1001, 2**20 + 5, 6]
+    squares = [stack]
+    for _ in range(max(exponents).bit_length() - 1):
+        squares.append(-(squares[-1] @ squares[-1]))
+    for e, got in zip(exponents, stack_powers(rows, stack, exponents, np.negative), strict=True):
+        want = rows
+        for i, square in enumerate(squares):
+            if e >> i & 1:
+                want = want @ square
+        assert np.array_equal(got, want), e
+    assert stack_powers(rows, stack, []) == []
 
 
 def test_char_fn_spectral_matches_direct(permutation_source, m2_source, float_convergent_source):
