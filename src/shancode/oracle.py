@@ -19,22 +19,19 @@ request whose cost, estimated from sizes, is over LIFT_WORK_CAP or
 LIFT_CELL_CAP takes the lattice DP instead.
 
 Every other source, and every request over those caps, takes lattice_dp.
--log2 mu depends on a path only through a lattice point: for an exact
-source, its rational part times a common denominator plus the exponents of
-mu's odd mantissa over a pairwise coprime base; for a float source, the
-exact sum of its float steps, an integer over a common power-of-two
-denominator.  The DP runs forward over (state, lattice point) keys carrying
-float probability mass and reads R_n out at every n of a range.  The
-classes are unions of Markov types (Jacquet & Szpankowski, IEEE T-IT 2004)
-with the same mu.  Both lattices run on the same numpy code: each state's
-frontier is a sorted array of int64 key rows, and a step adds each move's
-row with the lattice's own addition, then sorts and sums what enters each
-state.  An exact key is its signed lattice point, one column per
-coordinate, added by plain numpy addition; a float key is base-2^62 limbs,
-as it can pass 97 bits, added with a carry from limb to limb.  The DP is
-admitted by the work it does, not by an estimate: it counts its key moves
-and stops with ResourceLimit at the step that would pass DP_MOVE_BUDGET or
-move over DP_CELL_CAP int64 key cells.
+rho reads -log2 mu only modulo 1, and modulo 1 it depends on a path only
+through a lattice point: for an exact source, its rational part times a
+common denominator D, modulo D, and the exponents of mu's odd mantissa over
+a pairwise coprime base; for a float source, the exact sum of its float
+steps modulo 1, a fraction of 1 in 64 or more bits.  The DP runs forward
+over (state, lattice point) keys carrying float probability mass and reads
+R_n out at every n of a range; its classes are unions of Markov types
+(Jacquet & Szpankowski, IEEE T-IT 2004).  Each state's frontier is a
+sorted array of key rows, and a step adds each move's row with the
+lattice's own addition, which wraps modulo 1, then sorts and sums what
+enters each state.  The DP is admitted by the work it does, not by an
+estimate: it counts its key moves and stops with ResourceLimit at the step
+that would pass DP_MOVE_BUDGET or move over DP_CELL_CAP key cells.
 
 Also here: a seeded Monte Carlo estimator, refused over its caps (samples,
 path steps, rank window and rank-table bytes) before any draw.
@@ -46,13 +43,14 @@ import bisect
 import contextlib
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
                           readout_denominator)
 from .errors import ReducibleChain, ResourceLimit
-from .exact import ZERO, ceil_defect, rho_ratio
+from .exact import ZERO, _decimal_log2, ceil_defect, rho_ratio
 from .sources import MarkovSource, log2_prob_float
 from .spectral import stack_powers
 
@@ -60,7 +58,7 @@ INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
 # its passes: at most about a second, and no seed-0 float source (r = 2..32) peaked above 140 MB
 DP_MOVE_BUDGET = 2**22
-# int64 key cells, key moves times key width, one DP step may move: bounds its memory on wide lattices
+# key cells, key moves times key width, one DP step may move: bounds its memory on wide lattices
 DP_CELL_CAP = 2**24
 # key moves charged per state a step visits and per key a readout reads: work that makes
 # no keys, charged by its time at about 0.2 us a unit (see _forward)
@@ -73,12 +71,9 @@ LIFT_CELL_CAP = 2**22
 # units per product's or row's Python calls, per state pair, per matrix a product takes, per readout cell
 _LIFT_CALL_CHARGE, _LIFT_PAIR_CHARGE, _LIFT_ITEM_CHARGE, _LIFT_CELL_CHARGE = 5_000, 40_000, 300, 100
 _LIFT_INT_CELL_CHARGE = 500  # per readout cell where pair_rho counts in Python ints
-# exact key columns span less than 2^62; float keys are rows of int64 limbs in base 2^62 (see _limbs)
-_LIMB_BITS = 62
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
-# drawn at a time, and the caps check_monte_carlo enforces (a window holds up to
-# MC_WINDOW_CAP one-byte ranks, 256 MiB)
+# drawn at a time, and the caps check_monte_carlo enforces (a window of ranks, one byte each
+# below 256 thresholds and two from there, holds up to MC_WINDOW_BYTES_CAP bytes, 256 MiB)
 _MC_CHUNK_ROWS = 4096
 _MC_BLOCK = 2**16
 # thresholds from which a sorted search finds ranks faster than counting: a 2^16 block of
@@ -86,7 +81,9 @@ _MC_BLOCK = 2**16
 _MC_SEARCH_THRESHOLDS = 256
 MC_STEP_CAP = 2**30
 MC_SAMPLE_CAP = 2**24
-MC_WINDOW_CAP = 2**28
+MC_WINDOW_BYTES_CAP = 2**28
+# the dtype of a rank 0..T among T thresholds, in a window and in its cap
+_rank_dtype = np.min_scalar_type
 # bytes of rank tables (next states and steps) a Monte Carlo request may build: 34 MB at the
 # seed-0 r = 128 float source of bench/workloads.py, 268 MB at its r = 256 one
 MC_TABLE_BYTES_CAP = 2**27
@@ -187,12 +184,13 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     """Run the DP to length hi; return ([readout(*merged frontier) for n = lo..hi], spent).
 
     frontier[k] is (keys, masses) of the paths now in state k: the distinct
-    lattice points as a sorted (N, width) int64 array of key rows, each
-    with its float64 probability mass; the lattice bounds every key up to
-    length hi.  moves[k] is (targets, steps, probs) of state k's nonzero
-    transitions, steps one row each; a step adds every move's row to every
-    key with the lattice's add (keys, steps[:, None]) and merges what enters
-    each state (_merge).  spent counts work in key moves: each key a step
+    lattice points of -log2 mu modulo 1 as a sorted (N, width) array of key
+    rows (int64 columns of an exact lattice, the one uint64 or Python int
+    column of a float lattice), each with its float64 probability mass.
+    moves[k] is (targets, steps, probs) of state k's nonzero transitions,
+    steps one row each; a step adds every move's row to every key with the
+    lattice's add (keys, steps[:, None]) and merges what enters each state
+    (_merge).  spent counts work in key moves: each key a step
     moves (what bounds memory), plus _STATE_CHARGE = 64 per state a step
     visits and _READ_CHARGE = 8 per key a readout reads.  Those two make no
     keys: a step's merges take 12-27 us per state (r = 2..32) against about
@@ -200,8 +198,8 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     0.2-0.4 us a key, under the charge kept from the 1-3 us of a per-key
     Python readout, so refusals stay at the same n.  Work at n that would
     take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs, and
-    so does a step whose moves times the key width (its int64 columns, one
-    per exact base element) would pass DP_CELL_CAP.
+    so does a step whose moves times the key width (one column, or one plus
+    one per base element of an exact lattice) would pass DP_CELL_CAP.
     """
     out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
     width = empty[0].shape[1]
@@ -239,33 +237,40 @@ def _nonzero_probs(source: MarkovSource) -> list:
 def _exact_lattice(source: MarkovSource, hi: int):
     """(rows of probabilities, add, readout, passes) of an exact source's lattice up to length hi.
 
-    A key is the signed lattice point itself, a row of int64 columns: D
-    times the rational part of -log2 mu, D the lcm of the exp2
-    denominators, then the exponents of mu's odd mantissa over a coprime
-    base.  A path of length <= hi keeps every coordinate within bound =
-    hi * (largest |coordinate| of a step), so a step is plain addition;
-    a lattice whose column span 2 bound or D would reach 2^62 raises
-    ResourceLimit before any DP work.  One pass runs all first states
-    together.  Where the exponents are all 0, -log2 mu is rational and rho
-    is exact integer arithmetic.
+    A key is the lattice point of -log2 mu modulo 1, a row of int64 columns:
+    D times its rational part, modulo D, D the lcm of the exp2 denominators,
+    then the exponents of mu's odd mantissa over a coprime base.  A step is
+    numpy addition with D subtracted once where the rational column reaches
+    it (none at D = 1).  A path of length <= hi keeps every exponent within
+    bound = hi * (largest |exponent| of a step); a lattice whose exponent
+    span 2 bound or D would reach 2^62 raises ResourceLimit before any DP
+    work.  One pass runs all first states together.  Where the exponents
+    are all 0, -log2 mu is rational and rho is exact integer arithmetic.
+    Elsewhere each 40-digit log2 of a base element is split into hi, rounded
+    to float32's 24 bits, and lo: frac(e hi) is exact in float64 for |e| <
+    2^29, so rho(K / D - sum_i frac(e_i hi_i) - e . lo) rounds only terms
+    of a few units.
     """
     probs = _nonzero_probs(source)
     denom = math.lcm(*(p.exp2.denominator for p in probs))
     parts = {v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator)}
     base = _coprime_base(parts)
-    logs = np.array([math.log2(b) for b in base])
     exponents = {v: _exponents(v, base) for v in parts}
 
     def point(p):
         # a mantissa is in lowest terms, so its numerator and denominator share no base element
         num, den = exponents[p.mantissa.numerator], exponents[p.mantissa.denominator]
-        return {0: int(-p.exp2 * denom), **{1 + i: e for i, e in num.items()}, **{1 + i: -e for i, e in den.items()}}
+        return {0: int(-p.exp2 * denom) % denom, **{1 + i: e for i, e in num.items()},
+                **{1 + i: -e for i, e in den.items()}}
 
     # the coordinates of each distinct probability by column; a column it lacks is 0
     coords = {p: point(p) for p in set(probs)}
-    bound = hi * max(abs(c) for coord in coords.values() for c in coord.values())
-    if max(2 * bound, denom) >> _LIMB_BITS:
-        raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^{_LIMB_BITS}")
+    bound = hi * max((abs(c) for coord in coords.values() for col, c in coord.items() if col), default=0)
+    if max(2 * bound, denom) >> 62:
+        raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^62")
+    logs = [_decimal_log2(b, 40) for b in base]
+    his = np.array(list(map(float, logs)), dtype=np.float32).astype(np.float64)
+    los = np.array([float(x - Decimal(h)) for x, h in zip(logs, his.tolist())])
 
     def rows(ps):
         out = np.zeros((len(ps), 1 + len(base)), dtype=np.int64)
@@ -274,99 +279,62 @@ def _exact_lattice(source: MarkovSource, hi: int):
                 row[col] = c
         return out
 
+    def add(keys, delta):
+        out = keys + delta
+        scaled = out[..., 0]
+        np.subtract(scaled, denom, out=scaled, where=scaled >= denom)
+        return out
+
     def readout(keys, masses):
         scaled, expo = keys[:, 0], keys[:, 1:]
-        rho = np.where(expo.any(axis=1), ceil_defect(scaled / denom - expo @ logs), rho_ratio(scaled, denom))
+        whole = expo * his
+        u = scaled / denom - (whole - np.floor(whole)).sum(axis=1) - expo @ los
+        rho = np.where(expo.any(axis=1), ceil_defect(u), rho_ratio(scaled, denom))
         return math.fsum((masses * rho).tolist()), False
 
-    return rows, np.add, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
-
-
-def _width(bound: int) -> int:
-    """Limbs that hold every key in [0, bound]."""
-    return max(1, -(-bound.bit_length() // _LIMB_BITS))
-
-
-def _limbs(values, width: int) -> np.ndarray:
-    """(len(values), width) int64 base-2^62 digits of ints, least significant first.
-
-    Each digit is floor-divided off, so every digit but the top one lies in
-    [0, 2^62).
-    """
-    rows = [[(v >> (_LIMB_BITS * i)) & _LIMB_MASK for i in range(width - 1)] + [v >> (_LIMB_BITS * (width - 1))]
-            for v in values]
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
-
-
-def _add(keys: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """keys + delta limb by limb, carrying each limb's floor quotient by 2^62 upwards.
-
-    delta holds key rows and broadcasts against keys over the last (limb)
-    axis.  Two digits in [0, 2^62) and a carry of 0 or 1 stay below 2^63,
-    and the lattice's key bound keeps the top limb in range.
-    """
-    out = keys + delta
-    for i in range(out.shape[-1] - 1):
-        out[..., i + 1] += out[..., i] >> _LIMB_BITS
-        out[..., i] &= _LIMB_MASK
-    return out
-
-
-def _scaled(keys: np.ndarray, scale: int) -> np.ndarray:
-    """key / scale per limb row, correctly rounded; scale is a power of two.
-
-    Wider rows are summed into Python ints by numpy object arithmetic.  The
-    key converts to float64 rounding once, half to even, and the
-    power-of-two scaling is exact: the same float as the int division.
-    """
-    points = keys[:, -1]
-    for i in range(keys.shape[1] - 2, -1, -1):
-        points = (points.astype(object) << _LIMB_BITS) + keys[:, i].astype(object)
-    return points.astype(np.float64) * (1 / scale)
+    return rows, np.add if denom == 1 else add, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
 
 
 def _float_lattice(source: MarkovSource, hi: int):
     """(rows of probabilities, add, readout, passes) of a float source's lattice up to length hi.
 
-    A lattice point is the integer scale * (-log2 mu), where scale is the
-    largest power-of-two denominator of the -log2 of the nonzero step and
-    initial probabilities, so every move adds an exact integer.  Paths
-    merge exactly when they end in the same state with the same sum of
-    float values, and key / scale is that sum correctly rounded whatever
-    the length.  Keys are unbounded ints: a step probability of 1 - 2^-45
-    alone needs a 97-bit scale.  They are never negative and never pass
-    hi times the largest key, which sets their width in limbs (_limbs);
-    _add carries from limb to limb.
-    Paths from different first states all but never merge, so each first
-    state is a pass of its own and only one of their frontiers is alive at
-    a time.
+    A key is frac(-log2 mu), the exact sum of a path's float -log2 p modulo
+    1, in units of 2^-bits, bits = max(64, log2 scale) for scale the largest
+    power-of-two denominator of those floats, so every key is exact.  At 64
+    bits a key is a uint64, which numpy's addition wraps modulo 1 by itself;
+    past that (a step probability of 1 - 2^-45 alone needs 96 bits) keys are
+    Python ints in object arrays, masked after each add.  The readout rho =
+    ((-K) mod 2^bits) 2^-bits is rounded once at any length; a rho within
+    INTEGER_SNAP_TOL of 0 or 1 is float noise on an integer -log2 mu, so it
+    reads 0, flagged snap where it was not exactly 0.  Paths from different
+    first states all but never merge, so each first state is a pass of its
+    own and only one of their frontiers is alive at a time.
     """
     negs = {p: -math.log2(p) for p in _nonzero_probs(source)}
-    scale = max(x.as_integer_ratio()[1] for x in negs.values())
-
-    def key(p):
-        num, den = negs[p].as_integer_ratio()
-        return num * (scale // den)
-
-    width = _width(hi * max(map(key, negs)))
+    bits = max(64, max(x.as_integer_ratio()[1] for x in negs.values()).bit_length() - 1)
+    mask = (1 << bits) - 1
 
     def rows(ps):
-        return _limbs(list(map(key, ps)), width)
+        keys = [(num << bits) // den & mask for num, den in (negs[p].as_integer_ratio() for p in ps)]
+        return np.array(keys, dtype=np.uint64 if bits == 64 else object).reshape(len(keys), 1)
+
+    def add(keys, delta):
+        return (keys + delta) & mask
 
     def readout(keys, masses):
-        neg_logs = _scaled(keys, scale)
-        snapped = _snap(neg_logs)
-        return math.fsum((masses * ceil_defect(snapped)).tolist()), bool(np.any(snapped != neg_logs))
+        rho = (-keys[:, 0] & mask).astype(np.float64) * 2.0**-bits
+        near = np.minimum(rho, 1.0 - rho) <= INTEGER_SNAP_TOL
+        return math.fsum((masses * np.where(near, 0.0, rho)).tolist()), bool(np.any(near & (rho > 0.0)))
 
-    return rows, _add, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
+    return rows, np.add if bits == 64 else add, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
 
 
 def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) owns
-    its key format and arithmetic.  It gives the int64 key rows of a list
-    of probabilities, the addition of step rows to key rows, the readout
+    its key format and arithmetic.  It gives the key rows of a list of
+    probabilities, the addition of step rows to key rows modulo 1, the readout
     of (R_n part, snapped) from a merged frontier, and the passes: groups
     of first states whose paths run together.  Every pass starts from its
     first states' keys and moves by the transitions' keys, and R_n sums the
@@ -528,11 +496,12 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
     """Refuse Monte Carlo work over block lengths lo..hi over the caps before any of it starts.
 
     samples * (lo + ... + hi) path steps are walked, and a window holds
-    min(samples, _MC_CHUNK_ROWS) * hi ranks (see _sample); over MC_STEP_CAP
-    steps, MC_WINDOW_CAP ranks or MC_SAMPLE_CAP samples (the per-sample
-    array is 8 * samples bytes) raises ResourceLimit, and so do the
-    source's rank tables over MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next
-    states and as many float64 steps for T thresholds (_rank_tables).
+    min(samples, _MC_CHUNK_ROWS) * hi ranks of _rank_dtype (see _sample);
+    over MC_STEP_CAP steps, MC_WINDOW_BYTES_CAP window bytes or MC_SAMPLE_CAP
+    samples (the per-sample array is 8 * samples bytes) raises
+    ResourceLimit, and so do the source's rank tables over
+    MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next states and as many
+    float64 steps for T thresholds (_rank_tables).
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
@@ -543,13 +512,14 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
             f"Monte Carlo with {samples} samples over block lengths summing to {total_n} "
             f"walks {steps} > {MC_STEP_CAP} path steps"
         )
-    window = min(samples, _MC_CHUNK_ROWS) * hi
-    if window > MC_WINDOW_CAP:
-        raise ResourceLimit(
-            f"Monte Carlo with {samples} samples up to n = {hi} holds a window of {window} > {MC_WINDOW_CAP} ranks"
-        )
     cum = _cumulative_rows(source)
-    table_bytes = 16 * len(cum) * (len(np.unique(cum)) + 1)
+    thresholds = len(np.unique(cum))
+    window = min(samples, _MC_CHUNK_ROWS) * hi
+    window_bytes = window * _rank_dtype(thresholds).itemsize
+    if window_bytes > MC_WINDOW_BYTES_CAP:
+        raise ResourceLimit(f"Monte Carlo with {samples} samples up to n = {hi} holds a window of {window} ranks, "
+                            f"{window_bytes} > MC_WINDOW_BYTES_CAP = {MC_WINDOW_BYTES_CAP} bytes")
+    table_bytes = 16 * len(cum) * (thresholds + 1)
     if table_bytes > MC_TABLE_BYTES_CAP:
         raise ResourceLimit(f"Monte Carlo rank tables at r = {source.r} take {table_bytes} > "
                             f"MC_TABLE_BYTES_CAP = {MC_TABLE_BYTES_CAP} bytes")
@@ -625,7 +595,7 @@ def _sample(tables, ns, samples: int, seed: int) -> dict:
     """{n: -log2 mu of samples 0..samples - 1 of length n} for every n of the range ns."""
     window = min(samples, _MC_CHUNK_ROWS) * ns[-1]
     block = np.empty(min(_MC_BLOCK, window))
-    held = np.empty(window, dtype=np.min_scalar_type(len(tables[0])))
+    held = np.empty(window, dtype=_rank_dtype(len(tables[0])))
     neg_logs = {n: np.empty(samples) for n in ns}
     done = dict.fromkeys(ns, 0)
     while live := [n for n in ns if done[n] < samples]:

@@ -280,7 +280,10 @@ def classify_structure(source: MarkovSource) -> ChainStructure:
     """Irreducibility via one BFS each way from state 0, period via the forward BFS's level gcd."""
     r = source.r
     adj = source.support()
-    radj = [[k for k in range(r) if j in adj[k]] for j in range(r)]
+    radj = [[] for _ in range(r)]
+    for k, row in enumerate(adj):
+        for j in row:
+            radj[j].append(k)
     level, parent = _bfs(adj, 0)
     bwd = _bfs(radj, 0)[0]
     positive = all(len(row) == r for row in adj)

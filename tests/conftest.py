@@ -251,6 +251,33 @@ def iter_paths_bruteforce(source: MarkovSource, n: int):
             yield from extend([s0], init[s0])
 
 
+def decimal_path_reference(source: MarkovSource, n: int, digits: int = 50) -> Decimal:
+    """R_n of an exact source summed over every path in `digits`-digit decimal arithmetic.
+
+    mu and -log2 mu of a path are the product and the sum of its steps'
+    decimal probabilities and logs, so rho is exact far past the float.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        ln2 = Decimal(2).ln()
+
+        def step(p):
+            m, e = p.mantissa, p.exp2
+            log = Decimal(e.numerator) / e.denominator + (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / ln2
+            return Decimal(2) ** (Decimal(e.numerator) / e.denominator) * m.numerator / m.denominator, -log
+
+        init = [None if p is ZERO else step(p) for p in source.initial]
+        rows = [[None if p is ZERO else step(p) for p in row] for row in source.transitions]
+        total = Decimal(0)
+        frontier = [(k, *v) for k, v in enumerate(init) if v is not None]
+        for _ in range(n - 1):
+            frontier = [(j, mu * s[0], u + s[1]) for k, mu, u in frontier
+                        for j, s in enumerate(rows[k]) if s is not None]
+        for _, mu, u in frontier:
+            total += mu * (u.to_integral_value(ROUND_CEILING) - u)
+        return total
+
+
 def redundancy_bruteforce(source: MarkovSource, n: int) -> float:
     total = 0.0
     for _, mu in iter_paths_bruteforce(source, n):

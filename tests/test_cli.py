@@ -22,7 +22,7 @@ import shancode
 from shancode import MarkovSource, ceil_defect, classify_mode, cli
 from shancode.cli import REPORT_FLAGS, _cells, main, parse_n_range
 from shancode.errors import ResourceLimit
-from tests.conftest import float_copy
+from tests.conftest import decimal_path_reference, float_copy
 
 LOG3 = math.log2(3.0)
 
@@ -323,7 +323,7 @@ def test_exit_code_resource_limit(convergent_path):
 
 
 def test_oscillatory_exact_past_the_dp_budget(permutation_path):
-    # the lattice DP refuses perm at n = 4096; the lifted chain gives rho(4096 log2 3)
+    # an oscillatory exact source takes the lifted chain, not the DP: rho(4096 log2 3)
     rc, out, err = run_cli("--command", "exact", "--source", permutation_path, "--n", "4096")
     assert rc == 0 and not err
     (row,) = parse_csv(out)
@@ -354,7 +354,9 @@ def test_wide_exact_lattice_refused_by_its_cell_cap(tmp_path, capsys):
     assert rc == 3 and not out and time.perf_counter() - t0 < 10
     payload = json.loads(err)
     assert payload["error"] == "ResourceLimit" and f"> DP_CELL_CAP = {DP_CELL_CAP}" in payload["message"]
-    assert shancode.exact_redundancy(MarkovSource.load(path), 3).value == 0.49356511604485653
+    # n = 3 against a 50-digit sum over its 13,824 paths (0.49356511604485539...)
+    source = MarkovSource.load(path)
+    assert abs(shancode.exact_redundancy(source, 3).value - float(decimal_path_reference(source, 3))) <= 5e-16
 
 
 def no_dp(*args):

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from shancode import (
     MarkovSource,
@@ -180,8 +180,8 @@ def test_float_source_snaps_onto_exact_values():
 
 
 def test_float_lattice_keys_far_beyond_int64():
-    # -log2(1 - 2^-45) has a 2^96 denominator, so every lattice key is a
-    # ~100-bit int; keys squeezed into int64 or floats would not survive this
+    # -log2(1 - 2^-45) has a 2^96 denominator, so every lattice key is a 96-bit
+    # fraction of 1, a Python int; keys squeezed into uint64 or floats would not survive this
     s = MarkovSource.from_floats([0.4, 0.6], [[1 - 2**-45, 2**-45], [0.3, 0.7]])
     finite = [v for v in s.neg_log2_table().ravel().tolist() if math.isfinite(v)]
     assert max(v.as_integer_ratio()[1] for v in finite).bit_length() == 97
@@ -189,34 +189,71 @@ def test_float_lattice_keys_far_beyond_int64():
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
 
 
-LIMB = 2**62
+# a letter probability p of a memoryless float source (p, 1 - p): -log2 p has a scale from
+# 2^0 (p a power of two) through 2^53 (p in (1/2, 1)) to 2^104 (p = 1 - 2^-52)
+LETTER = st.one_of(st.integers(1, 52).map(lambda j: 1 - 2.0**-j), st.integers(1, 60).map(lambda k: 2.0**-k),
+                   st.floats(2**-60, 1 - 2**-52))
+
+
+@given(LETTER, st.lists(st.booleans(), min_size=1, max_size=40))
+@example(1 - 2**-52, [True, False, True])
+@example(0.5, [True])
+def test_float_keys_are_fractions_of_one(p, path):
+    # a path's key is the Fraction sum of its steps' float -log2 modulo 1 in units of
+    # 2^-bits, a uint64 up to bits = 64 and a Python int past it; its readout is
+    # float(Fraction rho), or 0 with snap within INTEGER_SNAP_TOL of 0 or 1
+    letters = [p, 1 - p]
+    rows, add, readout, _ = oracle._float_lattice(MarkovSource.from_floats(letters, [letters, letters]), len(path))
+    negs = [F(-math.log2(q)) for q in letters]
+    bits = max(64, max(x.denominator for x in negs).bit_length() - 1)
+    keys, total = rows([letters[path[0]]]), negs[path[0]]
+    for i in path[1:]:
+        keys, total = add(keys, rows([letters[i]])), total + negs[i]
+    assert keys.dtype == (np.uint64 if bits == 64 else object)
+    assert F(int(keys[0, 0]), 2**bits) == total % 1
+    rho = float(-total % 1)
+    near = min(rho, 1.0 - rho) <= oracle.INTEGER_SNAP_TOL
+    assert readout(keys, np.ones(1)) == (0.0 if near else rho, near and total % 1 != 0)
+
+
+# a source of 64-bit keys, and one of 96-bit keys (-log2(1 - 2^-45) has a 2^96 denominator)
+KEY_SOURCES = {64: MarkovSource.from_floats([0.4, 0.6], [[0.4, 0.6], [0.3, 0.7]]),
+               96: MarkovSource.from_floats([0.4, 0.6], [[1 - 2**-45, 2**-45], [0.3, 0.7]])}
 
 
 @st.composite
 def keys_and_deltas(draw):
-    # a key and a signed step whose sum stays a key of the same width; limbs
-    # of 2^62 - 1 are drawn often, so the carries run through every limb
-    width = draw(st.integers(1, 3))
-    top = LIMB**width - 1
-    edge = st.sampled_from([0, 1, LIMB - 1, LIMB, LIMB**2 - 1, top])
-    key = draw(st.one_of(edge, st.integers(0, top)).filter(lambda v: v <= top))
-    total = draw(st.one_of(edge, st.integers(0, top)).filter(lambda v: v <= top))
-    return width, key, total - key
-
-
-def limb_ints(keys) -> list[int]:
-    """The Python ints of base-2^62 limb rows, least significant limb first."""
-    return [sum(d * LIMB**i for i, d in enumerate(row)) for row in keys.tolist()]
+    # a key and a step of the same width; values next to 2^63 and 2^bits are drawn often,
+    # so the sum runs through the top bit and past 2^bits, where modulo 1 drops the carry
+    bits = draw(st.sampled_from(sorted(KEY_SOURCES)))
+    top = 2**bits - 1
+    edge = st.sampled_from([0, 1, 2**63 - 1, 2**63, 2**64 - 1, top])
+    key, delta = draw(st.one_of(edge, st.integers(0, top))), draw(st.one_of(edge, st.integers(0, top)))
+    return bits, min(key, top), min(delta, top)
 
 
 @given(keys_and_deltas())
 def test_limb_arithmetic_is_int_arithmetic(case):
-    width, key, delta = case
-    keys = oracle._limbs([key, key], width)
-    assert keys.shape == (2, width) and limb_ints(keys) == [key, key]
-    step = oracle._limbs([delta], width)[0]
-    assert limb_ints(oracle._add(keys, step)) == [key + delta] * 2
-    assert oracle._width(key) <= width
+    # a float key is one limb: a uint64 at 64 bits, which numpy's addition wraps, and a
+    # Python int masked to bits past it; either way a step adds as int addition modulo 2^bits
+    bits, key, delta = case
+    _, add, _, _ = oracle._float_lattice(KEY_SOURCES[bits], 1)
+    dtype = np.uint64 if bits == 64 else object
+    keys = np.array([[key], [key]], dtype=dtype)
+    summed = add(keys, np.array([delta], dtype=dtype))
+    assert summed.dtype == dtype and [int(v) for v in summed[:, 0]] == [(key + delta) % 2**bits] * 2
+
+
+def test_float_readout_rounds_like_int_division():
+    # rho = ((-K) mod 2^bits) 2^-bits rounds one key above 2^53 to a float; at 64 and at 96
+    # bits it must round half to even exactly as the int division rho_int / 2^bits does
+    ties = [2**53 + 1, 2**53 + 3, 2**62 + 2**9, 2**62 + 3 * 2**9, 2**63 + 2**10, 2**63 + 3 * 2**10,
+            3 * 2**62 + 1, 2**64 - 2**40 - 2**10]
+    for bits, s in KEY_SOURCES.items():
+        _, _, readout, _ = oracle._float_lattice(s, 1)
+        for t in [(t << 32) + low for t in ties for low in (0, 1)] if bits == 96 else ties:
+            keys = np.array([[-t % 2**bits]], dtype=np.uint64 if bits == 64 else object)
+            assert readout(keys, np.ones(1)) == (t / 2**bits, False), (bits, t)
 
 
 def test_exact_lattice_keys_are_one_column_per_coordinate():
@@ -235,6 +272,14 @@ def test_exact_lattice_keys_are_one_column_per_coordinate():
         assert np.array_equal(rows(list(s.initial)), start) and np.array_equal(rows([s.transitions[0][0]]), step)
         assert add is np.add and rows([]).shape == (0, 10)
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
+    # with exponents in halves, D = 2: the rational column is kept modulo D, and a step
+    # subtracts D once where the sum reaches it
+    s = half_exponent_source(-1, F(-3, 2), -2, F(-1, 2))
+    rows, add, _, _ = oracle._exact_lattice(s, 10)
+    keys = rows([*s.initial, *(p for row in s.transitions for p in row)])
+    assert add is not np.add and set(keys[:, 0].tolist()) == {0, 1}
+    summed, plain = add(keys, keys[:, None]), keys + keys[:, None]
+    assert np.array_equal(summed[..., 0], plain[..., 0] % 2) and np.array_equal(summed[..., 1:], plain[..., 1:])
 
 
 # small factors and large ones, some composite (2^64 + 1 = 274177 * 67280421310721), so
@@ -271,16 +316,6 @@ def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, 
         oracle.lattice_dp(MarkovSource.from_exact([f"2^(-1/{2**62 + 1})"], [[1]]), 1, 1)
 
 
-def test_float_readout_rounds_like_int_division():
-    # keys above 2^53 round to a float; one limb and a power-of-two scale must
-    # round half to even exactly as the int division key / scale does
-    ties = [2**53 + 1, 2**53 + 3, 2**54 + 2, 2**54 + 6, 2**62 - 1, 2**62 - 2**9, 3 * 2**52 + 1]
-    for scale in (1, 2**7, 2**52, 2**61):
-        for width in (1, 2):
-            got = oracle._scaled(oracle._limbs(ties, width), scale)
-            assert got.tolist() == [k / scale for k in ties]
-
-
 def test_float_lattice_points_merge_by_value(monkeypatch):
     # -log2 of the steps is 1, 2, 0 or log2(3), so a path from a fixed first
     # state has -log2 mu = const + I + c log2(3) with c <= n - 1 thirds and
@@ -304,6 +339,31 @@ def test_float_lattice_points_merge_by_value(monkeypatch):
         assert abs(a.value - b.value) <= 1e-12, a.n
     for rec in rows:
         assert rec == exact_redundancy(fs, rec.n)
+
+
+def test_exact_keys_modulo_one_grow_linearly(monkeypatch):
+    # every step probability is 2^-k or 2^-k / 3, so modulo 1 a path's -log2 mu is
+    # -e log2 3 with e the count of thirds, 1..n: n keys at n, not the O(n^2) that
+    # the integer parts would add (2,730 at n = 60)
+    s = MarkovSource.from_exact(["1/3", "1/3", "1/3"],
+                                [["1/3", "1/6", "1/2"], ["1/4", "1/2", "1/4"], ["1/2", "1/4", "1/4"]])
+    merged, sizes = oracle._merged, []
+
+    def counting_merged(frontier):
+        keys, masses = merged(frontier)
+        sizes.append(len(masses))
+        return keys, masses
+
+    monkeypatch.setattr(oracle, "_merged", counting_merged)
+    oracle.lattice_dp(s, 1, 60)
+    assert sizes == list(range(1, 61))
+
+
+def test_exact_readout_of_irrational_keys(permutation_source):
+    # -log2 mu = n log2 3 modulo 1 on every path: the split log2 3 = hi + lo reads it to
+    # float accuracy at every n; e log2 3 as one float product is 2.8e-13 off by n = 900
+    rows = oracle.lattice_dp(permutation_source, 1, 2000)
+    assert max(abs(rec.value - rho_log2_3(rec.n)) for rec in rows) <= 1e-14
 
 
 def test_resource_limits(monkeypatch):
@@ -374,17 +434,16 @@ def test_lifted_chain_matches_lattice_dp(oscillatory_fixtures, oscillatory_exact
     half_exponent = oscillatory_exact_family[-2:]
     for s in oscillatory_fixtures:
         assert classify_mode(s).mode == "oscillatory"
-        rows = exact_redundancy_range(s, 1, 200)
+        rows, dp = exact_redundancy_range(s, 1, 200), oracle.lattice_dp(s, 1, 200)
         assert {rec.method for rec in rows} == {"lifted_chain"}
-        diffs = [abs(rec.value - dp.value) for rec, dp in zip(rows, oracle.lattice_dp(s, 1, 200))]
+        assert max(abs(rec.value - exact.value) for rec, exact in zip(rows, dp)) <= 1e-12
         if s not in half_exponent:
-            assert max(diffs) <= 1e-12
             continue
-        # the DP's float readout of these 81-bit mantissas is itself 2.0e-12 off the
-        # 60-digit Markov-type sum at n = 195, where the lifted chain is 1.1e-13 off
-        assert max(diffs[:120]) <= 2e-12
+        # with 81-bit mantissas the DP's split readout is within 1e-15 of the 60-digit
+        # Markov-type sum, and the lifted chain within 1.3e-13
         for n in (1, 2, 3, 50, 120, 192, 195, 200):
-            assert abs(rows[n - 1].value - two_state_type_reference(s, n)) <= 1e-12, n
+            want = two_state_type_reference(s, n)
+            assert abs(dp[n - 1].value - want) <= 1e-14 and abs(rows[n - 1].value - want) <= 1e-12, n
 
 
 def test_lifted_chain_far_out_matches_decimal_references(permutation_source, bipartite_periodic_source):
@@ -786,18 +845,27 @@ def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeyp
 
 
 def test_monte_carlo_window_cap_refuses_before_drawing(float_convergent_source, monkeypatch):
-    # a window holds min(samples, _MC_CHUNK_ROWS) * hi one-byte ranks: 4096 samples
-    # at n = 2^17 would hold 512 MiB within the step cap, and are refused undrawn
+    # a window holds min(samples, _MC_CHUNK_ROWS) * hi ranks, one byte each below 256
+    # thresholds: 4096 samples at n = 2^17 would hold 512 MiB within the step cap, and are
+    # refused undrawn
     def no_stream(*args, **kwargs):
         raise AssertionError("a refused request drew uniforms")
 
     monkeypatch.setattr(oracle.np.random, "Philox", no_stream)
-    hi = oracle.MC_WINDOW_CAP // oracle._MC_CHUNK_ROWS
+    cap = oracle.MC_WINDOW_BYTES_CAP
+    hi = cap // oracle._MC_CHUNK_ROWS
     assert 4096 * 2 * hi <= oracle.MC_STEP_CAP
-    with pytest.raises(ResourceLimit, match=f"window of {4096 * 2 * hi} > {oracle.MC_WINDOW_CAP} ranks"):
+    with pytest.raises(ResourceLimit, match=f"window of {4096 * 2 * hi} ranks, {4096 * 2 * hi} > .* = {cap} bytes"):
         monte_carlo_redundancy(float_convergent_source, 2 * hi, 4096, seed=0)
     with pytest.raises(ResourceLimit, match="window"):
         monte_carlo_redundancy_range(float_convergent_source, 2 * hi - 1, 2 * hi, 4096, seed=0)
     # at the cap, and with fewer samples than a chunk, the window is admitted
     oracle.check_monte_carlo(4096, hi, hi, float_convergent_source)
     oracle.check_monte_carlo(64, 4 * hi, 4 * hi, float_convergent_source)
+    # from 256 thresholds on a rank takes two bytes, so half the ranks fill the cap: at
+    # r = 17 a window of 2^27 ranks is admitted and one row more is refused
+    wide = random_float_source(np.random.default_rng(0), 17)
+    assert len(oracle._rank_tables(wide)[0]) >= 256
+    oracle.check_monte_carlo(4096, hi // 2, hi // 2, wide)
+    with pytest.raises(ResourceLimit, match=f"window of {4096 * (hi // 2 + 1)} ranks, {8192 * (hi // 2 + 1)} > "):
+        monte_carlo_redundancy(wide, hi // 2 + 1, 4096, seed=0)

@@ -14,8 +14,10 @@ from shancode import (
     stationary_distribution,
     validate,
 )
+from shancode import sources
 from shancode.errors import ReducibleChain, ZeroProbability
 from shancode.sources import FLOAT_SUM_TOL
+from tests.conftest import random_float_source
 
 F = Fraction
 
@@ -106,6 +108,30 @@ def test_classify_structure_examples(absorbing_source):
 
     st = classify_structure(absorbing_source)
     assert not st.irreducible and st.period is None and st.reducible_note
+
+
+SOURCE_FIXTURES = ["dyadic_memoryless", "dyadic_r3", "permutation_source", "permutation_state0_start", "cycle_source",
+                   "bipartite_periodic_source", "p2b_source", "p3_source", "absorbing_source",
+                   "float_convergent_source", "m2_source", "order67_source", "convergent_exact_source"]
+
+
+def test_classify_structure_reverse_adjacency(request, monkeypatch):
+    # the reverse adjacency is built in one pass over the edges; the backward search must
+    # get the same lists, in the same order, as a scan of every state for each target
+    searched, bfs = [], sources._bfs
+
+    def recording_bfs(adj, start):
+        searched.append(adj)
+        return bfs(adj, start)
+
+    monkeypatch.setattr(sources, "_bfs", recording_bfs)
+    fixtures = [request.getfixturevalue(name) for name in SOURCE_FIXTURES]
+    rng = np.random.default_rng(5)
+    for s in [*fixtures, *(random_float_source(rng, r, with_zeros=True) for r in (2, 5, 9, 16))]:
+        searched.clear()
+        classify_structure(s)
+        adj = s.support()
+        assert searched == [adj, [[k for k in range(s.r) if j in adj[k]] for j in range(s.r)]]
 
 
 def test_period_of_cyclic_permutation():
