@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import os
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +123,24 @@ def _load_source(args) -> tuple[MarkovSource, frozenset]:
 #
 # Each command returns a column table: a dict from column name to a column,
 # in print order, every column of one length.  A column is a float64 array,
-# a range of ints, or a list of cells of any type _fmt prints.
+# a range of ints, a _Constant, or a list of cells of any type _fmt prints.
+
+
+@dataclass(frozen=True)
+class _Constant:
+    """A column of one cell repeated rows times; render prints the cell once per block."""
+
+    cell: object
+    rows: int
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def __getitem__(self, block: slice) -> "_Constant":
+        return _Constant(self.cell, len(range(self.rows)[block]))
+
+    def __iter__(self):
+        return itertools.repeat(self.cell, self.rows)
 
 
 def _cmd_classify(args):
@@ -158,8 +177,8 @@ def _cmd_predict(args):
     cells = {flags: _flags_cell(flags | source_flags) for flags in (cols.flags, cols.flags | {"boundary"})}
     return {
         "n": cols.ns,
-        "mode": [cls.mode] * len(cols.ns),
-        "M": [cls.M] * len(cols.ns),
+        "mode": _Constant(cls.mode, len(cols.ns)),
+        "M": _Constant(cls.M, len(cols.ns)),
         "omega": cols.omega,
         "lower": cols.lower,
         "upper": cols.upper,
@@ -193,8 +212,8 @@ def _compare_table(source, source_flags, args):
     exact = np.array([rec.value for rec in records])
     return {
         "n": cols.ns,
-        "mode": [cls.mode] * len(records),
-        "M": [cls.M] * len(records),
+        "mode": _Constant(cls.mode, len(records)),
+        "M": _Constant(cls.M, len(records)),
         "exact_value": exact,
         "method": [rec.method for rec in records],
         "omega": cols.omega,
@@ -242,7 +261,7 @@ def _cmd_sweep(args):
         else:
             source = MarkovSource.from_dict(entry["source"])
         table = _compare_table(*_validated(source, f"grid entry {label!r}: "), args)
-        tables.append({"label": [label] * len(table["n"]), **table})
+        tables.append({"label": _Constant(label, len(table["n"])), **table})
     return {name: _concat([table[name] for table in tables]) for name in ["label", *_COMPARE_COLUMNS]}
 
 
@@ -302,8 +321,10 @@ def _cells(column, fmt: str) -> list:
         return (float_spec * len(values) % values).split("\n")[:-1]
     if isinstance(column, range):
         return list(map(int_cell, column))
-    # each distinct cell object is printed once: a [x] * n column holds one object n
-    # times, and identity keeps apart cells that compare equal but print apart (0.0, -0.0)
+    if isinstance(column, _Constant):
+        return [cell(column.cell)] * len(column)
+    # each distinct cell object is printed once: cells such as flags are shared objects,
+    # and identity keeps apart cells that compare equal but print apart (0.0, -0.0)
     printed = {id(x): x for x in column}
     printed = {key: cell(x) for key, x in printed.items()}
     return [printed[id(x)] for x in column]
@@ -340,6 +361,10 @@ def _json_blocks(table: dict, rows: int):
 def _check_json(table: dict) -> None:
     """Refuse a non-finite float, as json.dumps(allow_nan=False) does."""
     for column in table.values():
+        if isinstance(column, range):
+            continue
+        if isinstance(column, _Constant):
+            column = [column.cell]
         floats = column if isinstance(column, np.ndarray) else [x for x in column if isinstance(x, float)]
         if not np.isfinite(floats).all():
             raise ValueError("Out of range float values are not JSON compliant")

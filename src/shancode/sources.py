@@ -14,6 +14,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,28 @@ def _coerce_prob(value, exact: bool):
             raise ValueError(f"float probability {v} outside [0, 1]")
         return v
     raise ValueError(f"cannot use {value!r} in a float source")
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
+class ProbTable:
+    """A source's probabilities as read-only float64 rows (MarkovSource.prob_table).
+
+    p is (r + 1, r): the transition rows, then the initial vector as row r.
+    A float source keeps log2 p beside it, from math.log2 per entry (0.0
+    where p = 0).  An exact source keeps the log2() of each distinct nonzero
+    entry in logs, and in index each cell's position in logs (len(logs)
+    where p = 0).
+    """
+
+    p: np.ndarray
+    log2: np.ndarray | None = None
+    logs: tuple = ()
+    index: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -123,11 +146,29 @@ class MarkovSource:
             return 0.0
         return v.to_float() if self.exact else v
 
+    @cached_property
+    def prob_table(self) -> ProbTable:
+        """The float rows every phase construction reads, built on first use and kept.
+
+        The frozen dataclass's eq and hash see only its fields, so the cached
+        table in the instance __dict__ changes neither.
+        """
+        rows = (*self.transitions, self.initial)
+        p = _read_only(np.array([[self.prob_float(v) for v in row] for row in rows]))
+        if not self.exact:
+            log2 = [[0.0 if v is ZERO else math.log2(v) for v in row] for row in rows]
+            return ProbTable(p, log2=_read_only(np.array(log2)))
+        position = {}
+        for v in (v for row in rows for v in row if v is not ZERO):
+            position.setdefault(v, len(position))
+        index = np.array([[len(position) if v is ZERO else position[v] for v in row] for row in rows])
+        return ProbTable(p, logs=tuple(v.log2() for v in position), index=_read_only(index))
+
     def initial_array(self) -> np.ndarray:
-        return np.array([self.prob_float(v) for v in self.initial], dtype=float)
+        return self.prob_table.p[self.r].copy()
 
     def transition_array(self) -> np.ndarray:
-        return np.array([[self.prob_float(v) for v in row] for row in self.transitions], dtype=float)
+        return self.prob_table.p[: self.r].copy()
 
     def neg_log2_table(self) -> np.ndarray:
         """-log2 p(j|k) as floats, +inf where the transition is impossible."""

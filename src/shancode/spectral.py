@@ -19,16 +19,20 @@ asymptotics.classify_mode decides the same question for every source from
 the cycle congruence on the logs, without eigenvalues; the scan
 find_oscillation_order is kept as an independent cross-check of it.
 
-Everything is built on one stacked constructor: phase_stack(source, ms)
-returns the (len(ms), r, r) stack of A_m, with the phases (-m log2 p) mod 1
-formed as one numpy expression for float sources and by exact.frac_log, once
-per distinct entry over all m, for exact ones; phase_matrix and
-initial_phase_vector are one-row views of it.  stack_powers is the one binary
-powering of a stack: char_fn_stack raises the whole stack to n - 1 with it,
-O(log n) matrix products, and char_fn(mode="direct") is its one-row wrapper;
-oracle.lifted_chain powers its M twisted transition matrices, A_t up to a
-diagonal similarity and a scalar, with it too.  find_oscillation_order scans m
-in blocks of SCAN_BLOCK frequencies with one batched eigvals call per block.
+Everything is built on one stacked constructor over one table per source:
+_phase_rows(source, ms) returns the (len(ms), r + 1, r) stack whose rows
+0..r-1 are A_m and whose row r is c_m, read from source.prob_table (the
+float rows, built once per source), with the phases (-m log2 p) mod 1 formed
+as one numpy expression for float sources and by exact.frac_log, once per
+distinct entry over all m, for exact ones.  phase_stack, phase_matrix,
+initial_phase_vector and char_fn_stack take slices of it, and
+char_fn(mode="spectral") builds A_m and c_m with one call.  stack_powers is
+the one binary powering of a stack: char_fn_stack raises the whole stack to
+n - 1 with it, O(log n) matrix products, and char_fn(mode="direct") is its
+one-row wrapper; oracle.lifted_chain powers its M twisted transition
+matrices, A_t up to a diagonal similarity and a scalar, with it too.
+find_oscillation_order scans m in blocks of SCAN_BLOCK frequencies with one
+batched eigvals call per block.
 Two work caps guard against requests that would run for hours or exhaust
 memory: the scan refuses m_max * r**3 above SCAN_WORK_CAP before it starts,
 and fejer.fejer_sum refuses more than FEJER_WORK_CAP terms; both raise
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefectiveMatrix, ReducibleChain, ResourceLimit
-from .exact import ZERO, frac_log, wrap_unit
+from .exact import frac_log, wrap_unit
 from .sources import MarkovSource, classify_structure
 
 MAX_EIGEN_DIM = 16
@@ -57,41 +61,40 @@ SCAN_BLOCK = 64
 SCAN_WORK_CAP = 2**23
 
 
-def _phase_rows(source: MarkovSource, rows, ms) -> np.ndarray:
-    """p * exp(2 pi i ((-m log2 p) mod 1)) over a table of probabilities, zero where p = 0.
+def _phase_rows(source: MarkovSource, ms) -> np.ndarray:
+    """The (len(ms), r + 1, r) stack of p * exp(2 pi i ((-m log2 p) mod 1)), zero where p = 0.
 
-    Returns shape (len(ms), len(rows), r).  Float phases take math.log2 per
-    entry once and reduce all m in one numpy expression; exact phases reduce
-    each distinct entry's log once over all m with frac_log, exact to the
-    float at any m.
+    Rows 0..r-1 of each m are A_m and row r is c_m.  Everything is read from
+    source.prob_table: float phases reduce all m in one numpy expression over
+    its log2 table; exact phases reduce each distinct entry's log once over
+    all m with frac_log, exact to the float at any m, and are gathered into
+    place by its index.
     """
     ms = np.asarray(ms, dtype=np.int64).reshape(-1)
-    p = np.array([[source.prob_float(v) for v in row] for row in rows])
+    table = source.prob_table
     if source.exact:
         ks = (-ms).tolist()
-        fracs = {v: frac_log(v.log2(), ks) for row in rows for v in row if v is not ZERO}
-        phase = np.array([[[float(fracs[v][i]) % 1.0 if v is not ZERO else 0.0 for v in row] for row in rows]
-                          for i in range(len(ms))]).reshape(len(ms), *p.shape)
+        fracs = [np.asarray(frac_log(lg, ks), dtype=float) % 1.0 for lg in table.logs]
+        phase = np.take(np.stack([*fracs, np.zeros(len(ms))], axis=1), table.index, axis=1)
     else:
-        lg = np.array([[0.0 if v is ZERO else math.log2(v) for v in row] for row in rows])
-        phase = (-ms[:, None, None] * lg) % 1.0
+        phase = (-ms[:, None, None] * table.log2) % 1.0
     # zero entries carry phase 0, so p * exp(0) keeps them exactly zero
-    return p * np.exp(2j * math.pi * phase)
+    return table.p * np.exp(2j * math.pi * phase)
 
 
 def phase_stack(source: MarkovSource, ms) -> np.ndarray:
     """The (len(ms), r, r) stack of A_m; A_0 is the plain transition matrix."""
-    return _phase_rows(source, source.transitions, ms)
+    return _phase_rows(source, ms)[:, : source.r]
 
 
 def phase_matrix(source: MarkovSource, m: int) -> np.ndarray:
     """A_m; reduces to the plain transition matrix at m = 0."""
-    return phase_stack(source, [m])[0]
+    return _phase_rows(source, [m])[0, : source.r]
 
 
 def initial_phase_vector(source: MarkovSource, m: int) -> np.ndarray:
     """c_m built from the initial state probabilities."""
-    return _phase_rows(source, [source.initial], [m])[0, 0]
+    return _phase_rows(source, [m])[0, source.r]
 
 
 @dataclass(frozen=True)
@@ -128,10 +131,7 @@ def eigen(matrix: np.ndarray) -> SpectralReport:
     if not np.all(np.isfinite(right)) or np.linalg.cond(right) > 1e10:
         raise DefectiveMatrix("eigenvector basis is numerically defective")
     left = np.linalg.inv(right)
-    order = sorted(
-        range(r),
-        key=lambda j: (-round(abs(vals[j]), 12), round(np.angle(vals[j]) % (2 * math.pi), 12)),
-    )
+    order = np.lexsort((np.round(np.angle(vals) % (2 * math.pi), 12), -np.round(np.abs(vals), 12)))
     vals = vals[order]
     right = right[:, order]
     left = left[order, :]
@@ -171,7 +171,8 @@ def char_fn_stack(source: MarkovSource, ms, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    (v,) = stack_powers(_phase_rows(source, [source.initial], ms), phase_stack(source, ms), [n - 1])
+    rows = _phase_rows(source, ms)
+    (v,) = stack_powers(rows[:, source.r :], rows[:, : source.r], [n - 1])
     return v.sum(axis=(1, 2))
 
 
@@ -182,9 +183,9 @@ def char_fn(source: MarkovSource, m: int, n: int, mode: str = "direct") -> compl
     if mode == "spectral":
         if n < 1:
             raise ValueError("block length must be >= 1")
-        A = phase_matrix(source, m)
-        c = initial_phase_vector(source, m)
-        return complex(c @ eigen(A).apply_power(n - 1, np.ones(source.r, dtype=complex)))
+        rows = _phase_rows(source, [m])[0]
+        d = np.ones(source.r, dtype=complex)
+        return complex(rows[source.r] @ eigen(rows[: source.r]).apply_power(n - 1, d))
     raise ValueError(f"unknown mode {mode!r}")
 
 

@@ -423,6 +423,32 @@ def test_list_cells_printed_once_per_object(monkeypatch):
     assert printed == ["oscillatory", 0.0, -0.0, None, True, 1]
 
 
+def test_constant_column_printed_once(monkeypatch, permutation_path, tmp_path):
+    from shancode import cli
+
+    printed = []
+
+    def counting_cell(value):
+        printed.append(value)
+        return cli._JSON_CELL(value)
+
+    monkeypatch.setitem(cli._CELLS, "json", (*cli._CELLS["json"][:2], counting_cell))
+    column = cli._Constant("oscillatory", 5)
+    assert list(column) == ["oscillatory"] * 5
+    assert len(column[3:]) == 2 and len(column[1:9]) == 4 and len(column[5:]) == 0
+    assert _cells(column, "json") == ['"oscillatory"'] * 5
+    assert printed == ["oscillatory"]
+    cli._check_json({"n": range(5), "mode": column})
+    with pytest.raises(ValueError):
+        cli._check_json({"n": range(5), "M": cli._Constant(math.inf, 5)})
+    # the constant M column of a predict table over more rows than one block
+    monkeypatch.setattr(cli, "BLOCK_ROWS", 3)
+    printed.clear()
+    argv = ["--command", "predict", "--source", permutation_path, "--n", "1..7", "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path / "predict.json")]) == 0
+    assert printed.count(1) == 3  # the M cell, once per block of 3, 3 and 1 rows
+
+
 def csv_writer_text(table: dict, lineterminator: str = "\n") -> str:
     """The header and rows of a column table as csv.writer writes the printed cells, rows ended by "\n".
 

@@ -84,6 +84,80 @@ def test_eigen_report_invariants():
             assert np.max(np.abs(rep.apply_power(4, d) - np.linalg.matrix_power(A, 4) @ d)) < 1e-8
 
 
+def _sorted_key_order(vals):
+    """eigen's order before its lexsort: sorted by (-|lam|, arg lam mod 2 pi), each rounded to 12 digits."""
+    return sorted(
+        range(len(vals)),
+        key=lambda j: (-round(abs(vals[j]), 12), round(np.angle(vals[j]) % (2 * math.pi), 12)),
+    )
+
+
+def test_eigen_order_on_modulus_ties():
+    cycle3 = np.roll(np.eye(3), 1, axis=1)
+    quarter_turns = np.diag([1, -1, 1j, -1j])
+    twist = np.exp(2j * np.pi * np.array([0.1, 0.35, 0.7, 0.05]))
+    twisted = np.roll(np.eye(4), 1, axis=1) * twist[:, None]
+    for matrix in (cycle3, quarter_turns, twisted):
+        vals = np.linalg.eig(matrix.astype(complex))[0]
+        order = _sorted_key_order(vals)
+        rep = eigen(matrix)
+        assert np.array_equal(rep.eigenvalues, vals[order])
+        assert np.allclose(np.abs(rep.eigenvalues), 1.0, atol=1e-12)
+    # the same orders, by angle, on the exact eigenvalues
+    assert np.array_equal(eigen(quarter_turns).eigenvalues, [1, 1j, -1, -1j])
+    angles = np.angle(eigen(twisted).eigenvalues) % (2 * math.pi)
+    assert np.all(np.diff(np.round(angles, 12)) > 0)
+
+
+def test_eigen_order_matches_sorted_key_on_random_ties():
+    # unit-modulus ties from twisted permutations, and ties of smaller moduli from scaled blocks
+    rng = np.random.default_rng(43)
+    for trial in range(300):
+        r = int(rng.integers(1, 9))
+        perm = np.eye(r)[rng.permutation(r)] * np.exp(2j * np.pi * rng.integers(0, 12, r) / 12)
+        if trial % 2:
+            perm = perm * rng.choice([0.5, 1.0], r)[:, None]
+        vals = np.linalg.eig(perm)[0]
+        assert np.array_equal(eigen(perm).eigenvalues, vals[_sorted_key_order(vals)]), trial
+
+
+def test_prob_table_built_once(monkeypatch):
+    calls = []
+    prob_float = MarkovSource.prob_float
+
+    def counting(self, v):
+        calls.append(v)
+        return prob_float(self, v)
+
+    monkeypatch.setattr(MarkovSource, "prob_float", counting)
+    rng = np.random.default_rng(47)
+    exact = MarkovSource.from_exact(["1/3", "2/3", 0], [["1/3", "1/6", "1/2"], [0, "1/2", "1/2"], ["1/2", "1/4", "1/4"]])
+    for s in (exact, random_float_source(rng, 3, with_zeros=True)):
+        calls.clear()
+        char_fn(s, 1, 10)
+        first = len(calls)
+        assert first == s.r * (s.r + 1)
+        for m in range(1, 33):
+            for mode in ("direct", "spectral"):
+                char_fn(s, m, 10, mode)
+        assert len(calls) == first
+        assert s.prob_table is s.prob_table
+
+
+def test_prob_table_is_read_only(permutation_source):
+    rng = np.random.default_rng(53)
+    for s in (permutation_source, random_float_source(rng, 3)):
+        table = s.prob_table
+        arrays = [table.p, table.index] if s.exact else [table.p, table.log2]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        assert np.array_equal(table.p, np.vstack([s.transition_array(), s.initial_array()]))
+        # the array views are copies the caller may write
+        s.transition_array()[0, 0] = 0
+        assert table.p[0, 0] > 0
+
+
 def test_right_perron_vector_is_ones():
     rng = np.random.default_rng(5)
     s = random_float_source(rng, 3)
@@ -167,10 +241,17 @@ def test_char_fn_squaring_matches_step_loop(n, m2_source, permutation_source, bi
             assert abs(char_fn(s, m, n) - char_fn_loop(s, m, n)) <= 1e-13, (s, m)
 
 
-def test_char_fn_stack_rows_equal_char_fn(m2_source):
+def test_char_fn_stack_rows_equal_char_fn(
+    m2_source, oscillatory_exact_family, cycle_source, bipartite_periodic_source, dyadic_r3, convergent_exact_source,
+    order67_source,
+):
+    # a row is the same alone and in a stack, bit for bit
     rng = np.random.default_rng(29)
     ms = list(range(-3, 40))
-    for s in (m2_source, random_float_source(rng, 4), random_float_source(rng, 6, with_zeros=True)):
+    sources = [random_float_source(rng, r, with_zeros=z) for r in (1, 2, 3, 4, 6, 8) for z in (False, True)]
+    sources += [m2_source, *oscillatory_exact_family, cycle_source, bipartite_periodic_source, dyadic_r3]
+    sources += [convergent_exact_source, order67_source]
+    for s in sources:
         for n in (1, 2, 17, 1000):
             stack = char_fn_stack(s, ms, n)
             assert stack.shape == (len(ms),)
