@@ -98,16 +98,6 @@ class RedundancyValue:
     flags: frozenset = frozenset()
 
 
-def _snap(u):
-    """u with every value within INTEGER_SNAP_TOL of an integer moved onto that integer.
-
-    Float noise must not flip the ceiling at a value that is an integer in
-    exact arithmetic; callers flag the values that moved.
-    """
-    nearest = np.round(u)
-    return np.where(np.abs(u - nearest) <= INTEGER_SNAP_TOL, nearest, u)
-
-
 # -- lattice dynamic program -------------------------------------------------
 
 
@@ -346,16 +336,15 @@ def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
     rows, add, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
-    prob = source.prob_float
+    table = source.prob_table.p
     moves = []
-    for row in source.transitions:
-        nonzero = [p for p in row if p is not ZERO]
+    for k, row in enumerate(source.transitions):
         targets = [j for j, p in enumerate(row) if p is not ZERO]
-        moves.append((targets, rows(nonzero), np.array(list(map(prob, nonzero)))))
+        moves.append((targets, rows([row[j] for j in targets]), table[k, targets]))
     empty = (rows([]), np.empty(0))
     outs, spent = [], 0
     for firsts in passes:
-        frontier = [(rows([p]), np.array([prob(p)])) if s in firsts else empty
+        frontier = [(rows([p]), table[source.r, s:s + 1]) if s in firsts else empty
                     for s, p in enumerate(source.initial)]
         out, spent = _forward(frontier, moves, lo, hi, add, readout, spent)
         outs.append(out)
@@ -445,10 +434,11 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
         raise ValueError(f"invalid block length range {lo}..{hi}")
     r, M, count = source.r, cls.M, hi - lo + 1
     live = [j for j, p in enumerate(source.initial) if p is not ZERO]
+    table = source.prob_table.p
     roots = np.exp(2j * np.pi * np.arange(M) / M) if M > 1 else np.ones(1)  # real at M = 1
     twist = np.zeros((M, r, r), dtype=roots.dtype)
     for (k, j), z in edge_lifts(source, cls).items():
-        twist[:, k, j] = source.prob_float(source.transitions[k][j]) * roots[np.arange(M) * z % M]
+        twist[:, k, j] = table[k, j] * roots[np.arange(M) * z % M]
     start = np.broadcast_to(np.eye(r)[live], (M, len(live), r))
     masses = np.stack(stack_powers(start, twist, range(lo - 1, hi), _conditioned))  # [n, t, j, k]: DFT over z
     if M > 1:
@@ -457,7 +447,7 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     masses /= np.add.reduce(masses, axis=2, keepdims=True)
     pairs = [(j, k) for j in live for k in range(r)]
     rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(count, len(live), r * M)
-    terms = (source.initial_array()[live][:, None] * masses * rho).reshape(count, -1)
+    terms = (table[r, live][:, None] * masses * rho).reshape(count, -1)
     return [RedundancyValue(n=n, value=max(0.0, math.fsum(row.tolist())), method="lifted_chain", stderr=None,
                             flags=frozenset()) for n, row in zip(range(lo, hi + 1), terms)]
 
@@ -498,7 +488,7 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
     samples * (lo + ... + hi) path steps are walked, and a window holds
     min(samples, _MC_CHUNK_ROWS) * hi ranks of _rank_dtype (see _sample);
     over MC_STEP_CAP steps, MC_WINDOW_BYTES_CAP window bytes or MC_SAMPLE_CAP
-    samples (the per-sample array is 8 * samples bytes) raises
+    samples (each per-sample array is 8 * samples bytes) raises
     ResourceLimit, and so do the source's rank tables over
     MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next states and as many
     float64 steps for T thresholds (_rank_tables).
@@ -513,7 +503,7 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
             f"walks {steps} > {MC_STEP_CAP} path steps"
         )
     cum = _cumulative_rows(source)
-    thresholds = len(np.unique(cum))
+    thresholds = len(_distinct(cum))
     window = min(samples, _MC_CHUNK_ROWS) * hi
     window_bytes = window * _rank_dtype(thresholds).itemsize
     if window_bytes > MC_WINDOW_BYTES_CAP:
@@ -527,7 +517,16 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
 
 def _cumulative_rows(source: MarkovSource) -> np.ndarray:
     """Cumulative sums, all but the last, of the transition rows and, as row r, the initial vector."""
-    return np.cumsum(np.vstack([source.transition_array(), source.initial_array()]), axis=1)[:, :-1]
+    return np.cumsum(source.prob_table.p, axis=1)[:, :-1]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """np.unique(values) by a sort and a mask, without the numpy.ma import of np.unique's first call."""
+    ordered = np.sort(values, axis=None)
+    new = np.empty(len(ordered), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    return ordered[new]
 
 
 def _rank_tables(source: MarkovSource):
@@ -544,7 +543,7 @@ def _rank_tables(source: MarkovSource):
     """
     neg_log_init = [math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial]
     cum = _cumulative_rows(source)
-    thresholds = np.unique(cum)
+    thresholds = _distinct(cum)
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
     nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
     step = np.take_along_axis(np.vstack([source.neg_log2_table(), neg_log_init]), nxt, axis=1)
@@ -611,6 +610,36 @@ def _sample(tables, ns, samples: int, seed: int) -> dict:
     return neg_logs
 
 
+def _finish(u, rho) -> tuple[float, float, bool]:
+    """(mean, standard error, snapped) of rho(u) over the samples u of -log2 mu, in place.
+
+    u is overwritten: every value within INTEGER_SNAP_TOL of an integer
+    moves onto it, as float noise must not flip the ceiling at a value that
+    is an integer in exact arithmetic, and snapped says whether one moved.
+    rho, an array of u's length, is scratch for |u - rint(u)|, then rho(u),
+    then its squared deviations.  Once snapped, ceil(u) - u is exact where
+    |u| >= 1 (Sterbenz) and at most 1 - INTEGER_SNAP_TOL below, so it never
+    rounds to 1 and rho needs no wrap there, unlike exact.ceil_defect.  The
+    mean and the deviations take the steps of ndarray.mean and
+    ndarray.std(ddof=1), so both are theirs bit for bit.
+    """
+    samples = len(u)
+    np.rint(u, out=rho)
+    np.subtract(u, rho, out=rho)
+    np.abs(rho, out=rho)
+    near = rho <= INTEGER_SNAP_TOL
+    snapped = bool(np.any(rho, where=near))
+    np.rint(u, out=u, where=near)
+    np.ceil(u, out=rho)
+    np.subtract(rho, u, out=rho)
+    mean = np.add.reduce(rho, keepdims=True) / samples
+    stderr = 0.0
+    if samples > 1:
+        np.square(np.subtract(rho, mean, out=rho), out=rho)
+        stderr = float(np.sqrt(np.add.reduce(rho) / (samples - 1)) / math.sqrt(samples))
+    return float(mean[0]), stderr, snapped
+
+
 def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples: int,
                                  seed: int) -> list[RedundancyValue]:
     """Sample means of rho(-log2 mu) over independently sampled paths for every n = lo..hi.
@@ -624,9 +653,12 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
     _ranks) and walked by table lookups for every n whose rows it holds,
     at most _MC_CHUNK_ROWS rows a pass: the states and float sums of a
     sorted search of each row.  Consecutive n run in groups of at most
-    MC_SAMPLE_CAP samples in all, which bounds the per-sample -log2 mu
-    arrays held at once to 8 * MC_SAMPLE_CAP bytes.  Requests over the
-    caps raise ResourceLimit before any work (see check_monte_carlo).
+    MC_SAMPLE_CAP samples in all.  A group holds one float64 array of
+    -log2 mu per n, 8 * samples bytes each and 8 * MC_SAMPLE_CAP at most in
+    all, and, once its window is freed, one scratch array of as many bytes
+    in which each n is finished in place (_finish) and then let go.
+    Requests over the caps raise ResourceLimit before any work (see
+    check_monte_carlo).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -638,12 +670,11 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
     out = []
     for first in range(lo, hi + 1, group):
         ns = range(first, min(first + group, hi + 1))
-        for n, neg_log in _sample(tables, ns, samples, seed).items():
-            snapped = _snap(neg_log)
-            values = ceil_defect(snapped)
-            mean = float(values.mean())
-            stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-            flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
+        neg_logs = _sample(tables, ns, samples, seed)
+        scratch = np.empty(samples)
+        for n in ns:
+            mean, stderr, snapped = _finish(neg_logs.pop(n), scratch)
+            flags = frozenset({"snap"}) if snapped else frozenset()
             out.append(RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags))
     return out
 

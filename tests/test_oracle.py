@@ -829,6 +829,73 @@ def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
     assert peak < 1.5 * (8 * oracle._MC_BLOCK + oracle._MC_CHUNK_ROWS * n + 8 * samples)
 
 
+def test_monte_carlo_holds_one_float_array_per_n():
+    # numpy reports its buffers to tracemalloc.  While it samples, a request holds its
+    # per-n -log2 mu arrays, a window of ranks and a block of uniforms; then it finishes
+    # each n in place in one scratch array and lets it go.  Copies for the snap, rho and
+    # the deviations, as ndarray.std makes, held three or four more (5.6 MB on this source)
+    source = random_float_source(np.random.default_rng(0), 2)
+    ns, samples = range(99, 101), 10**5
+    monte_carlo_redundancy_range(source, ns[0], ns[-1], 10, seed=0)
+    tracemalloc.start()
+    try:
+        got = monte_carlo_redundancy_range(source, ns[0], ns[-1], samples, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [v.n for v in got] == list(ns)
+    assert peak <= 8 * samples * (len(ns) + 1) + 2**19
+
+
+def finish_reference(neg_log):
+    """(mean, stderr, snapped, snapped values) of rho over neg_log by copies, as the estimator once took them."""
+    nearest = np.round(neg_log)
+    snapped = np.where(np.abs(neg_log - nearest) <= oracle.INTEGER_SNAP_TOL, nearest, neg_log)
+    values = ceil_defect(snapped)
+    mean = float(values.mean())
+    stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
+    return mean, stderr, bool(np.any(snapped != neg_log)), snapped
+
+
+TOL = oracle.INTEGER_SNAP_TOL
+# offsets from an integer: none, within INTEGER_SNAP_TOL on either side, at and just past it, and far
+SNAP_OFFSETS = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, TOL, -TOL, np.nextafter(TOL, 1.0), -np.nextafter(TOL, 1.0),
+                2 * TOL, 0.25, -0.375, 0.5, np.nextafter(1.0, 0.0) - 1.0]
+NEAR_INTEGER = st.builds(lambda k, d: k + d, st.integers(0, 400).map(float), st.sampled_from(SNAP_OFFSETS))
+
+
+@given(st.lists(st.one_of(NEAR_INTEGER, st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 2.0**60)),
+                min_size=1, max_size=40),
+       st.sampled_from([0, 1, 4097, 10**5]), st.integers(0, 2**32 - 1))
+@example([0.0], 0, 0)
+@example([2.0, 2.0], 0, 0)
+@example([3.0, 3.0 + 1e-10], 0, 0)
+@example([7.0 - 1e-10], 0, 0)
+@example([5.25, 0.0], 0, 0)
+def test_finish_in_place_equals_the_copying_steps(head, extra, seed):
+    # the in-place finish is the snap, ceil_defect, mean and std(ddof=1) of copies, bit for bit
+    rng = np.random.default_rng(seed)
+    tail = rng.integers(0, 400, extra) + rng.choice(SNAP_OFFSETS, extra) + rng.random(extra) * (rng.random(extra) < 0.5)
+    u = np.concatenate([np.array(head, dtype=np.float64), tail])
+    mean, stderr, snapped, values = finish_reference(u.copy())
+    got = oracle._finish(u, np.empty(len(u)))
+    assert got == (mean, stderr, snapped)
+    assert u.tobytes() == values.tobytes()
+
+
+@given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any), min_size=5, max_size=5),
+       st.integers(1, 4))
+def test_distinct_thresholds_equal_np_unique(weights, r):
+    # rows of small integer weights repeat cumulative values within a row (zero entries) and
+    # across rows (equal rows and shared partial sums)
+    rows = [np.array(w[:r], dtype=np.float64) for w in weights]
+    rows = [row / row.sum() if row.any() else np.eye(r)[0] for row in rows]
+    source = MarkovSource.from_floats(rows[r], np.array(rows[:r]))
+    cum = oracle._cumulative_rows(source)
+    assert oracle._distinct(cum).tobytes() == np.unique(cum).tobytes()
+    assert oracle._rank_tables(source)[0].tobytes() == np.unique(cum).tobytes()
+
+
 def test_monte_carlo_caps_refuse_before_drawing(float_convergent_source, monkeypatch):
     def no_stream(*args, **kwargs):
         raise AssertionError("a refused request drew uniforms")
