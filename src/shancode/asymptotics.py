@@ -56,14 +56,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ResourceLimit, ZeroProbability
-from .exact import ZERO, Log2Value, ceil_defect, common_denominator, frac_log, rho_ratio, wrap_unit
-from .sources import (
-    MarkovSource,
-    classify_structure,
-    is_dyadic,
-    log2_prob,
-    stationary_distribution,
-)
+from .exact import Log2Value, ceil_defect, common_denominator, frac_log, rho_ratio, wrap_unit
+from .sources import MarkovSource, classify_structure, is_dyadic, stationary_distribution
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
@@ -111,8 +105,8 @@ def _similarity(source: MarkovSource, structure):
     """Solution of the similarity congruence of an irreducible source.
 
     Works on the BFS tree of classify_structure as the module docstring
-    describes, on the logs log2_prob returns: Log2Values for an exact source,
-    decided exactly, and floats for a float source, decided by
+    describes, on the logs of source.prob_table: Log2Values for an exact
+    source, decided exactly, and floats for a float source, decided by
     approximate_rational.  Returns None when some Q_e is irrational (the
     convergent mode), else (M, unit, X) with M = lcm(den Q_e) and logs such
     that, modulo 1,
@@ -122,9 +116,9 @@ def _similarity(source: MarkovSource, structure):
     where unit is Y shifted by a rational multiple of 1/M so that s lies in
     [0, 1/d), and w_0 = 0.
     """
-    T, d, depth = source.transitions, structure.period, structure.depth
+    table, d, depth = source.prob_table, structure.period, structure.depth
     edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
-    logs = {(k, j): log2_prob(T[k][j]) for k, j, _ in edges}
+    logs = {(k, j): table.logs[table.index[k, j]] for k, j, _ in edges}
     zero = logs[edges[0][:2]] * 0  # 0 in the type of the logs
     phi = [zero] * source.r
     for j in sorted(range(1, source.r), key=depth.__getitem__):
@@ -187,7 +181,8 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> list:
     """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k) in pairs."""
     d, _, X = cls.solution
-    return [X[j] - X[k] - log2_prob(source.initial[j]) * d for j, k in pairs]
+    table = source.prob_table
+    return [X[j] - X[k] - table.logs[table.index[source.r, j]] * d for j, k in pairs]
 
 
 def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
@@ -196,8 +191,9 @@ def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
     The rational part of (scale/d)((n-1) unit + b_jk) is K/Q, K an integer, at every integer scale, n and pair.
     """
     d, unit, X = cls.solution
+    table = source.prob_table
     dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
-            *(log2_prob(p).rational.denominator for p in source.initial if p is not ZERO)]
+            *(table.logs[i].rational.denominator for i in table.index[source.r] if i < len(table.logs))]
     return d * math.lcm(*dens)
 
 
@@ -208,10 +204,11 @@ def edge_lifts(source: MarkovSource, cls: ModeClassification) -> dict:
     mantissas cancel, so it is read off the rational parts with no power.
     """
     d, unit, X = cls.solution
+    table = source.prob_table
     lifts = {}
     for k, row in enumerate(source.support()):
         for j in row:
-            dz = -log2_prob(source.transitions[k][j]).rational * (cls.M * d) - (unit + X[k] - X[j]).rational * cls.M
+            dz = -table.logs[table.index[k, j]].rational * (cls.M * d) - (unit + X[k] - X[j]).rational * cls.M
             if dz.denominator != 1 or dz.numerator % d:
                 raise ValueError(f"edge {k} -> {j} lifts to z_e = {dz / d}, not an integer")
             lifts[k, j] = dz.numerator // d % cls.M
@@ -301,7 +298,7 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
-    if source.initial[j] is ZERO:
+    if not source.prob_table.p[source.r, j]:
         raise ZeroProbability(f"initial state {j} has zero probability")
     d, unit, _ = cls.solution
     (b,) = _pair_offsets(source, cls, [(j, k)])
@@ -381,8 +378,9 @@ def prediction_columns(
     c = np.array(structure.depth) % d
     # n - 1 modulo d, from (lo - 1) mod d so that it stays an int64 at any n
     shift = ((lo - 1) % d + np.arange(len(ns))) % d
-    weights = d * np.outer(source.initial_array(), stationary_distribution(source))
-    pairs = [(j, k) for j in range(source.r) if source.initial[j] is not ZERO for k in range(source.r)]
+    initial = source.prob_table.p[source.r]
+    weights = d * np.outer(initial, stationary_distribution(source))
+    pairs = [(j, k) for j in np.flatnonzero(initial).tolist() for k in range(source.r)]
     osc = np.zeros(len(ns))
     near = np.zeros((len(ns), source.r, source.r), dtype=bool)
     # summed pair by pair in (j, k) order: np.einsum's summation order moves

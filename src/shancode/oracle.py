@@ -50,8 +50,8 @@ import numpy as np
 from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
                           readout_denominator)
 from .errors import ReducibleChain, ResourceLimit
-from .exact import ZERO, _decimal_log2, ceil_defect, rho_ratio
-from .sources import MarkovSource, log2_prob_float
+from .exact import _decimal_log2, ceil_defect, rho_ratio
+from .sources import MarkovSource
 from .spectral import stack_powers
 
 INTEGER_SNAP_TOL = 1e-9
@@ -60,8 +60,8 @@ INTEGER_SNAP_TOL = 1e-9
 DP_MOVE_BUDGET = 2**22
 # key cells, key moves times key width, one DP step may move: bounds its memory on wide lattices
 DP_CELL_CAP = 2**24
-# key moves charged per state a step visits and per key a readout reads: work that makes
-# no keys, charged by its time at about 0.2 us a unit (see _forward)
+# key moves charged per state a step visits or a readout merges, and per key a readout reads:
+# work that makes no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
 _READ_CHARGE = 8
 # work units (about a nanosecond each, see _lifted_cost) and float64 cells (32 MiB) within which
@@ -180,16 +180,18 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     moves[k] is (targets, steps, probs) of state k's nonzero transitions,
     steps one row each; a step adds every move's row to every key with the
     lattice's add (keys, steps[:, None]) and merges what enters each state
-    (_merge).  spent counts work in key moves: each key a step
-    moves (what bounds memory), plus _STATE_CHARGE = 64 per state a step
-    visits and _READ_CHARGE = 8 per key a readout reads.  Those two make no
-    keys: a step's merges take 12-27 us per state (r = 2..32) against about
-    15 ns per key move, about 0.2 us a unit at that charge.  A readout takes
-    0.2-0.4 us a key, under the charge kept from the 1-3 us of a per-key
-    Python readout, so refusals stay at the same n.  Work at n that would
-    take spent past DP_MOVE_BUDGET raises ResourceLimit before it runs, and
-    so does a step whose moves times the key width (one column, or one plus
-    one per base element of an exact lattice) would pass DP_CELL_CAP.
+    (_merge).  spent counts work in key moves: each key a step moves (what
+    bounds memory), plus _STATE_CHARGE = 64 per state a step visits or a
+    readout merges, and _READ_CHARGE = 8 per key a readout reads.  Those
+    make no keys: a step's merges take 12-27 us per state (r = 2..32)
+    against about 15 ns per key move, about 0.2 us a unit at that charge,
+    and a readout's merge, fsum and array calls take about 30 us however
+    few its keys, so it is charged per state as a step is.  Its keys take
+    0.2-0.4 us each beyond that, under the charge kept from the 1-3 us of a
+    per-key Python readout.  Work at n that would take spent past
+    DP_MOVE_BUDGET raises ResourceLimit before it runs, and so does a step
+    whose moves times the key width (one column, or one plus one per base
+    element of an exact lattice) would pass DP_CELL_CAP.
     """
     out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
     width = empty[0].shape[1]
@@ -199,7 +201,7 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
             moved = sum(len(masses) * len(targets) for (_, masses), (targets, _, _) in zip(frontier, moves))
             spent += _STATE_CHARGE * len(frontier) + moved
         if n >= lo:
-            spent += _READ_CHARGE * sum(len(masses) for _, masses in frontier)
+            spent += _STATE_CHARGE * len(frontier) + _READ_CHARGE * sum(len(masses) for _, masses in frontier)
         if spent > DP_MOVE_BUDGET:
             raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next work would bring it to "
                                 f"{spent} key moves > {DP_MOVE_BUDGET}")
@@ -220,18 +222,15 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
     return out, spent
 
 
-def _nonzero_probs(source: MarkovSource) -> list:
-    return [p for p in (*source.initial, *(p for row in source.transitions for p in row)) if p is not ZERO]
-
-
 def _exact_lattice(source: MarkovSource, hi: int):
-    """(rows of probabilities, add, readout, passes) of an exact source's lattice up to length hi.
+    """(key points, add, readout, passes) of an exact source's lattice up to length hi.
 
-    A key is the lattice point of -log2 mu modulo 1, a row of int64 columns:
-    D times its rational part, modulo D, D the lcm of the exp2 denominators,
-    then the exponents of mu's odd mantissa over a coprime base.  A step is
-    numpy addition with D subtracted once where the rational column reaches
-    it (none at D = 1).  A path of length <= hi keeps every exponent within
+    points[i] is the key row of -prob_table.logs[i], and a key the lattice
+    point of -log2 mu modulo 1, a row of int64 columns: D times its rational
+    part, modulo D, D the lcm of the logs' rational denominators, then the
+    exponents of mu's odd mantissa over a coprime base.  A step is numpy
+    addition with D subtracted once where the rational column reaches it
+    (none at D = 1).  A path of length <= hi keeps every exponent within
     bound = hi * (largest |exponent| of a step); a lattice whose exponent
     span 2 bound or D would reach 2^62 raises ResourceLimit before any DP
     work.  One pass runs all first states together.  Where the exponents
@@ -241,33 +240,25 @@ def _exact_lattice(source: MarkovSource, hi: int):
     2^29, so rho(K / D - sum_i frac(e_i hi_i) - e . lo) rounds only terms
     of a few units.
     """
-    probs = _nonzero_probs(source)
-    denom = math.lcm(*(p.exp2.denominator for p in probs))
-    parts = {v for p in probs for v in (p.mantissa.numerator, p.mantissa.denominator)}
+    table = source.prob_table
+    denom = math.lcm(*(lg.rational.denominator for lg in table.logs))
+    parts = {v for lg in table.logs for v in (lg.mantissa.numerator, lg.mantissa.denominator)}
     base = _coprime_base(parts)
     exponents = {v: _exponents(v, base) for v in parts}
-
-    def point(p):
-        # a mantissa is in lowest terms, so its numerator and denominator share no base element
-        num, den = exponents[p.mantissa.numerator], exponents[p.mantissa.denominator]
-        return {0: int(-p.exp2 * denom) % denom, **{1 + i: e for i, e in num.items()},
-                **{1 + i: -e for i, e in den.items()}}
-
-    # the coordinates of each distinct probability by column; a column it lacks is 0
-    coords = {p: point(p) for p in set(probs)}
-    bound = hi * max((abs(c) for coord in coords.values() for col, c in coord.items() if col), default=0)
+    bound = hi * max((abs(e) for expo in exponents.values() for e in expo.values()), default=0)
     if max(2 * bound, denom) >> 62:
         raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^62")
+    points = np.zeros((len(table.logs), 1 + len(base)), dtype=np.int64)
+    for row, lg in zip(points, table.logs):
+        # a mantissa is in lowest terms, so its numerator and denominator share no base element
+        row[0] = int(-lg.rational * denom) % denom
+        for i, e in exponents[lg.mantissa.numerator].items():
+            row[1 + i] = e
+        for i, e in exponents[lg.mantissa.denominator].items():
+            row[1 + i] = -e
     logs = [_decimal_log2(b, 40) for b in base]
     his = np.array(list(map(float, logs)), dtype=np.float32).astype(np.float64)
     los = np.array([float(x - Decimal(h)) for x, h in zip(logs, his.tolist())])
-
-    def rows(ps):
-        out = np.zeros((len(ps), 1 + len(base)), dtype=np.int64)
-        for row, p in zip(out, ps):
-            for col, c in coords[p].items():
-                row[col] = c
-        return out
 
     def add(keys, delta):
         out = keys + delta
@@ -282,31 +273,31 @@ def _exact_lattice(source: MarkovSource, hi: int):
         rho = np.where(expo.any(axis=1), ceil_defect(u), rho_ratio(scaled, denom))
         return math.fsum((masses * rho).tolist()), False
 
-    return rows, np.add if denom == 1 else add, readout, [[s for s, p in enumerate(source.initial) if p is not ZERO]]
+    return points, np.add if denom == 1 else add, readout, [np.flatnonzero(table.p[source.r]).tolist()]
 
 
 def _float_lattice(source: MarkovSource, hi: int):
-    """(rows of probabilities, add, readout, passes) of a float source's lattice up to length hi.
+    """(key points, add, readout, passes) of a float source's lattice up to length hi.
 
-    A key is frac(-log2 mu), the exact sum of a path's float -log2 p modulo
-    1, in units of 2^-bits, bits = max(64, log2 scale) for scale the largest
-    power-of-two denominator of those floats, so every key is exact.  At 64
-    bits a key is a uint64, which numpy's addition wraps modulo 1 by itself;
-    past that (a step probability of 1 - 2^-45 alone needs 96 bits) keys are
-    Python ints in object arrays, masked after each add.  The readout rho =
-    ((-K) mod 2^bits) 2^-bits is rounded once at any length; a rho within
-    INTEGER_SNAP_TOL of 0 or 1 is float noise on an integer -log2 mu, so it
-    reads 0, flagged snap where it was not exactly 0.  Paths from different
-    first states all but never merge, so each first state is a pass of its
-    own and only one of their frontiers is alive at a time.
+    points[i] is the key row of prob_table.logs[i]: frac(-log2 p) in units
+    of 2^-bits, bits = max(64, log2 scale) for scale the largest power-of-two
+    denominator of those floats, so every key, the exact sum of a path's
+    float -log2 p modulo 1, is exact.  At 64 bits a key is a uint64, which
+    numpy's addition wraps modulo 1 by itself; past that (a step probability
+    of 1 - 2^-45 alone needs 96 bits) keys are Python ints in object arrays,
+    masked after each add.  The readout rho = ((-K) mod 2^bits) 2^-bits is
+    rounded once at any length; a rho within INTEGER_SNAP_TOL of 0 or 1 is
+    float noise on an integer -log2 mu, so it reads 0, flagged snap where it
+    was not exactly 0.  Paths from different first states all but never
+    merge, so each first state is a pass of its own and only one of their
+    frontiers is alive at a time.
     """
-    negs = {p: -math.log2(p) for p in _nonzero_probs(source)}
-    bits = max(64, max(x.as_integer_ratio()[1] for x in negs.values()).bit_length() - 1)
+    table = source.prob_table
+    negs = [(-x).as_integer_ratio() for x in table.logs]
+    bits = max(64, max(den for _, den in negs).bit_length() - 1)
     mask = (1 << bits) - 1
-
-    def rows(ps):
-        keys = [(num << bits) // den & mask for num, den in (negs[p].as_integer_ratio() for p in ps)]
-        return np.array(keys, dtype=np.uint64 if bits == 64 else object).reshape(len(keys), 1)
+    points = np.array([(num << bits) // den & mask for num, den in negs],
+                      dtype=np.uint64 if bits == 64 else object).reshape(-1, 1)
 
     def add(keys, delta):
         return (keys + delta) & mask
@@ -316,36 +307,37 @@ def _float_lattice(source: MarkovSource, hi: int):
         near = np.minimum(rho, 1.0 - rho) <= INTEGER_SNAP_TOL
         return math.fsum((masses * np.where(near, 0.0, rho)).tolist()), bool(np.any(near & (rho > 0.0)))
 
-    return rows, np.add if bits == 64 else add, readout, [[s] for s, p in enumerate(source.initial) if p is not ZERO]
+    return points, np.add if bits == 64 else add, readout, [[s] for s in np.flatnonzero(table.p[source.r]).tolist()]
 
 
 def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
     The lattice of the source's kind (_exact_lattice, _float_lattice) owns
-    its key format and arithmetic.  It gives the key rows of a list of
-    probabilities, the addition of step rows to key rows modulo 1, the readout
-    of (R_n part, snapped) from a merged frontier, and the passes: groups
-    of first states whose paths run together.  Every pass starts from its
-    first states' keys and moves by the transitions' keys, and R_n sums the
-    passes' readouts.  Nothing estimates the work beforehand, as no cheap
+    its key format and arithmetic.  It gives the key points, one row per
+    distinct log of the source's prob_table, the addition of step rows to
+    key rows modulo 1, the readout of (R_n part, snapped) from a merged
+    frontier, and the passes: groups of first states, those with p[r] > 0,
+    whose paths run together.  A cell's key is points[index[k, j]]: every
+    pass starts from its first states' keys and moves by the keys of the
+    cells with p > 0, and R_n sums the passes' readouts.  Nothing estimates the work beforehand, as no cheap
     estimate is close: the DP counts its work in key moves over all passes
     (see _forward) and raises ResourceLimit before the work that would pass
     DP_MOVE_BUDGET, or before a step over DP_CELL_CAP key cells.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    rows, add, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
-    table = source.prob_table.p
+    points, add, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
+    p, index = source.prob_table.p, source.prob_table.index
     moves = []
-    for k, row in enumerate(source.transitions):
-        targets = [j for j, p in enumerate(row) if p is not ZERO]
-        moves.append((targets, rows([row[j] for j in targets]), table[k, targets]))
-    empty = (rows([]), np.empty(0))
+    for k in range(source.r):
+        targets = np.flatnonzero(p[k])
+        moves.append((targets.tolist(), points[index[k, targets]], p[k, targets]))
+    empty = (points[:0], np.empty(0))
     outs, spent = [], 0
     for firsts in passes:
-        frontier = [(rows([p]), table[source.r, s:s + 1]) if s in firsts else empty
-                    for s, p in enumerate(source.initial)]
+        frontier = [(points[index[source.r, s:s + 1]], p[source.r, s:s + 1]) if s in firsts else empty
+                    for s in range(source.r)]
         out, spent = _forward(frontier, moves, lo, hi, add, readout, spent)
         outs.append(out)
     result = []
@@ -382,7 +374,7 @@ def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     FFT; a complex cell counts as two float64 cells.
     """
     r, M = source.r, cls.M
-    live = sum(p is not ZERO for p in source.initial)
+    live = int(np.count_nonzero(source.prob_table.p[r]))
     levels = max(1, (hi - 1).bit_length())
     rows = hi - lo + 1
     products = _set_bits_below(hi) - _set_bits_below(lo - 1)
@@ -433,8 +425,8 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
     r, M, count = source.r, cls.M, hi - lo + 1
-    live = [j for j, p in enumerate(source.initial) if p is not ZERO]
     table = source.prob_table.p
+    live = np.flatnonzero(table[r]).tolist()
     roots = np.exp(2j * np.pi * np.arange(M) / M) if M > 1 else np.ones(1)  # real at M = 1
     twist = np.zeros((M, r, r), dtype=roots.dtype)
     for (k, j), z in edge_lifts(source, cls).items():
@@ -541,12 +533,12 @@ def _rank_tables(source: MarkovSource):
     len(thresholds) + 1 so that the next rank adds straight onto it, and
     step_neg_log holds the -log2 p of the same move.
     """
-    neg_log_init = [math.inf if v is ZERO else -log2_prob_float(v) for v in source.initial]
+    table = source.prob_table
     cum = _cumulative_rows(source)
     thresholds = _distinct(cum)
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
     nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
-    step = np.take_along_axis(np.vstack([source.neg_log2_table(), neg_log_init]), nxt, axis=1)
+    step = np.take_along_axis(np.where(table.p > 0, -table.log2, np.inf), nxt, axis=1)
     return thresholds, (nxt * len(below)).ravel(), step.ravel()
 
 

@@ -5,6 +5,11 @@ A source is an initial distribution plus a row-stochastic transition matrix;
 ``j``.  States are 0-based throughout.  A source is homogeneously exact
 (every nonzero probability an :class:`~shancode.exact.ExactProb`) or
 homogeneously float; zeros are represented by the mode-neutral ``ZERO`` tag.
+
+This module owns that format.  Every other module reads a source through
+MarkovSource.prob_table, one layout for both kinds: float rows p, the log2
+of each distinct nonzero entry (a Log2Value or a float) and each cell's
+position among those logs.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ReducibleChain, ValidationFailure, ZeroProbability
-from .exact import ZERO, ExactProb, Log2Value, format_prob_spec, parse_prob_spec
+from .exact import ZERO, ExactProb, format_prob_spec, parse_prob_spec
 
 FLOAT_SUM_TOL = 1e-12
 
@@ -52,19 +57,20 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbTable:
-    """A source's probabilities as read-only float64 rows (MarkovSource.prob_table).
+    """A source's probabilities, read-only, in one layout for exact and float sources.
 
-    p is (r + 1, r): the transition rows, then the initial vector as row r.
-    A float source keeps log2 p beside it, from math.log2 per entry (0.0
-    where p = 0).  An exact source keeps the log2() of each distinct nonzero
-    entry in logs, and in index each cell's position in logs (len(logs)
-    where p = 0).
+    Each array is (r + 1, r): the transition rows, then the initial vector
+    as row r.  p holds each cell as a float64.  logs holds log2_prob of each
+    distinct nonzero entry, in order of first appearance: a Log2Value for an
+    exact source, math.log2 for a float one.  index holds each cell's
+    position in logs, len(logs) where p = 0, and log2 each cell's log as a
+    float (Log2Value.to_float() or math.log2), 0.0 where p = 0.
     """
 
     p: np.ndarray
-    log2: np.ndarray | None = None
-    logs: tuple = ()
-    index: np.ndarray | None = None
+    logs: tuple
+    index: np.ndarray
+    log2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -148,37 +154,26 @@ class MarkovSource:
 
     @cached_property
     def prob_table(self) -> ProbTable:
-        """The float rows every phase construction reads, built on first use and kept.
+        """The table every route reads, built on first use and kept.
 
         The frozen dataclass's eq and hash see only its fields, so the cached
         table in the instance __dict__ changes neither.
         """
         rows = (*self.transitions, self.initial)
-        p = _read_only(np.array([[self.prob_float(v) for v in row] for row in rows]))
-        if not self.exact:
-            log2 = [[0.0 if v is ZERO else math.log2(v) for v in row] for row in rows]
-            return ProbTable(p, log2=_read_only(np.array(log2)))
+        p = np.array([[self.prob_float(v) for v in row] for row in rows])
         position = {}
         for v in (v for row in rows for v in row if v is not ZERO):
             position.setdefault(v, len(position))
-        index = np.array([[len(position) if v is ZERO else position[v] for v in row] for row in rows])
-        return ProbTable(p, logs=tuple(v.log2() for v in position), index=_read_only(index))
+        logs = tuple(map(log2_prob, position))
+        index = np.array([[len(logs) if v is ZERO else position[v] for v in row] for row in rows])
+        floats = np.array([*(lg.to_float() if self.exact else lg for lg in logs), 0.0])
+        return ProbTable(_read_only(p), logs, _read_only(index), _read_only(floats[index]))
 
     def initial_array(self) -> np.ndarray:
         return self.prob_table.p[self.r].copy()
 
     def transition_array(self) -> np.ndarray:
         return self.prob_table.p[: self.r].copy()
-
-    def neg_log2_table(self) -> np.ndarray:
-        """-log2 p(j|k) as floats, +inf where the transition is impossible."""
-        out = np.full((self.r, self.r), np.inf)
-        for k in range(self.r):
-            for j in range(self.r):
-                v = self.transitions[k][j]
-                if v is not ZERO:
-                    out[k, j] = -log2_prob_float(v)
-        return out
 
     def support(self) -> list[list[int]]:
         """Adjacency lists of the positive-transition digraph."""
@@ -198,17 +193,9 @@ def log2_prob(v):
     return math.log2(v)
 
 
-def log2_prob_float(v) -> float:
-    lv = log2_prob(v)
-    return lv.to_float() if isinstance(lv, Log2Value) else lv
-
-
 def is_dyadic(source: MarkovSource) -> bool:
     """True when every nonzero probability is an exact power of two."""
-    if not source.exact:
-        return False
-    values = list(source.initial) + [v for row in source.transitions for v in row]
-    return all(v is ZERO or (v.mantissa == 1 and v.exp2.denominator == 1) for v in values)
+    return source.exact and all(lg.is_rational and lg.rational.denominator == 1 for lg in source.prob_table.logs)
 
 
 # -- validation ---------------------------------------------------------

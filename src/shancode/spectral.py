@@ -21,10 +21,11 @@ find_oscillation_order is kept as an independent cross-check of it.
 
 Everything is built on one stacked constructor over one table per source:
 _phase_rows(source, ms) returns the (len(ms), r + 1, r) stack whose rows
-0..r-1 are A_m and whose row r is c_m, read from source.prob_table (the
-float rows, built once per source), with the phases (-m log2 p) mod 1 formed
-as one numpy expression for float sources and by exact.frac_log, once per
-distinct entry over all m, for exact ones.  phase_stack, phase_matrix,
+0..r-1 are A_m and whose row r is c_m, read from source.prob_table (float
+cells p, distinct logs and each cell's index among them, built once per
+source), with the phases (-m log2 p) mod 1 formed as one numpy expression
+over its log2 cells for float sources and by exact.frac_log, once per
+distinct log over all m, for exact ones.  phase_stack, phase_matrix,
 initial_phase_vector and char_fn_stack take slices of it, and
 char_fn(mode="spectral") builds A_m and c_m with one call.  stack_powers is
 the one binary powering of a stack: char_fn_stack raises the whole stack to

@@ -407,14 +407,15 @@ def monte_carlo_reference(source: MarkovSource, n: int, samples: int, seed: int,
 
     init = source.initial_array()
     trans = source.transition_array()
-    neg_log_init = np.array(
-        [-math.inf if p == 0 else 0.0 for p in init]
-    )
-    for s0 in range(source.r):
-        if init[s0] > 0:
-            neg_log_init[s0] = -(log2_prob(source.initial[s0]).to_float()
-                                 if source.exact else math.log2(init[s0]))
-    step_table = source.neg_log2_table()
+
+    def neg_log2(v):
+        # each entry's own log, as the float of its Log2Value or math.log2
+        if v is ZERO:
+            return math.inf
+        return -(log2_prob(v).to_float() if source.exact else math.log2(v))
+
+    neg_log_init = np.array([neg_log2(v) for v in source.initial])
+    step_table = np.array([[neg_log2(v) for v in row] for row in source.transitions])
 
     init_cum = np.cumsum(init)
     init_cum[-1] = 1.0

@@ -183,8 +183,8 @@ def test_float_lattice_keys_far_beyond_int64():
     # -log2(1 - 2^-45) has a 2^96 denominator, so every lattice key is a 96-bit
     # fraction of 1, a Python int; keys squeezed into uint64 or floats would not survive this
     s = MarkovSource.from_floats([0.4, 0.6], [[1 - 2**-45, 2**-45], [0.3, 0.7]])
-    finite = [v for v in s.neg_log2_table().ravel().tolist() if math.isfinite(v)]
-    assert max(v.as_integer_ratio()[1] for v in finite).bit_length() == 97
+    negs = [-math.log2(p) for row in s.transitions for p in row]
+    assert max(v.as_integer_ratio()[1] for v in negs).bit_length() == 97
     for n in range(1, 13):
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
 
@@ -203,12 +203,14 @@ def test_float_keys_are_fractions_of_one(p, path):
     # 2^-bits, a uint64 up to bits = 64 and a Python int past it; its readout is
     # float(Fraction rho), or 0 with snap within INTEGER_SNAP_TOL of 0 or 1
     letters = [p, 1 - p]
-    rows, add, readout, _ = oracle._float_lattice(MarkovSource.from_floats(letters, [letters, letters]), len(path))
+    s = MarkovSource.from_floats(letters, [letters, letters])
+    points, add, readout, _ = oracle._float_lattice(s, len(path))
+    cells = s.prob_table.index[s.r]  # the initial row: each letter's position among the logs
     negs = [F(-math.log2(q)) for q in letters]
     bits = max(64, max(x.denominator for x in negs).bit_length() - 1)
-    keys, total = rows([letters[path[0]]]), negs[path[0]]
+    keys, total = points[cells[[int(path[0])]]], negs[path[0]]
     for i in path[1:]:
-        keys, total = add(keys, rows([letters[i]])), total + negs[i]
+        keys, total = add(keys, points[cells[[int(i)]]]), total + negs[i]
     assert keys.dtype == (np.uint64 if bits == 64 else object)
     assert F(int(keys[0, 0]), 2**bits) == total % 1
     rho = float(-total % 1)
@@ -268,15 +270,15 @@ def test_exact_lattice_keys_are_one_column_per_coordinate():
     step = np.zeros((1, 10), dtype=np.int64)
     step[0, 2] = -20
     for n in range(2, 8):
-        rows, add, _, _ = oracle._exact_lattice(s, n)
-        assert np.array_equal(rows(list(s.initial)), start) and np.array_equal(rows([s.transitions[0][0]]), step)
-        assert add is np.add and rows([]).shape == (0, 10)
+        points, add, _, _ = oracle._exact_lattice(s, n)
+        index = s.prob_table.index
+        assert np.array_equal(points[index[s.r]], start) and np.array_equal(points[index[0, :1]], step)
+        assert add is np.add and points.shape[1] == 10
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
     # with exponents in halves, D = 2: the rational column is kept modulo D, and a step
     # subtracts D once where the sum reaches it
     s = half_exponent_source(-1, F(-3, 2), -2, F(-1, 2))
-    rows, add, _, _ = oracle._exact_lattice(s, 10)
-    keys = rows([*s.initial, *(p for row in s.transitions for p in row)])
+    keys, add, _, _ = oracle._exact_lattice(s, 10)
     assert add is not np.add and set(keys[:, 0].tolist()) == {0, 1}
     summed, plain = add(keys, keys[:, None]), keys + keys[:, None]
     assert np.array_equal(summed[..., 0], plain[..., 0] % 2) and np.array_equal(summed[..., 1:], plain[..., 1:])
@@ -378,7 +380,8 @@ def test_resource_limits(monkeypatch):
     assert abs(exact_redundancy_range(s, 1, 500)[-1].value - want) <= 1e-12
     assert abs(oracle.lattice_dp(s, 500, 500)[0].value - want) <= 1e-12
 
-    # the work of n, by the documented count: readout 8 per key, step 64 per state plus each key move
+    # the work of n, by the documented count: readout 64 per state plus 8 per key, step 64 per
+    # state plus each key move
     sizes, merged = [], oracle._merged
 
     def recording_merged(frontier):
@@ -387,7 +390,8 @@ def test_resource_limits(monkeypatch):
 
     monkeypatch.setattr(oracle, "_merged", recording_merged)
     oracle.lattice_dp(s, 1, 60)
-    work = [8 * sum(rows) + (64 * s.r + 2 * sum(rows) if n < 60 else 0) for n, rows in enumerate(sizes, 1)]
+    work = [64 * s.r + 8 * sum(rows) + (64 * s.r + 2 * sum(rows) if n < 60 else 0)
+            for n, rows in enumerate(sizes, 1)]
     budget = 5000
     stop = next(n for n in range(1, 61) if sum(work[:n]) > budget)
     sizes.clear()
@@ -800,7 +804,7 @@ def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
     start = source.r * width  # row r is the initial vector
     assert (nxt.take(start + ranks) // width).tolist() == starts.tolist()
     assert step.take(start + ranks).tolist() == [-math.log2(source.initial_array()[k]) for k in starts]
-    table = source.neg_log2_table()
+    table = np.array([[-math.log2(p) if p else math.inf for p in row] for row in trans])
     for k in range(source.r):
         expected = np.searchsorted(row_cum[k], u, side="right")
         assert (nxt.take(k * width + ranks) // width).tolist() == expected.tolist()

@@ -1,6 +1,8 @@
 """Source validation, chain structure and stationary distributions."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,3 +201,47 @@ def test_is_dyadic(dyadic_memoryless, dyadic_r3, permutation_source, m2_source):
     assert not is_dyadic(permutation_source)
     assert not is_dyadic(m2_source)
     assert not is_dyadic(MarkovSource.from_floats([0.5, 0.5], [[0.5, 0.5], [0.5, 0.5]]))
+
+
+def test_prob_table_has_one_layout(request):
+    # every exact and float source of the conftest fixtures, and float sources with zeros
+    fixtures = [request.getfixturevalue(name) for name in SOURCE_FIXTURES]
+    rng = np.random.default_rng(53)
+    floats = [random_float_source(rng, r, with_zeros=True) for r in (2, 3, 5)]
+    for s in [*fixtures, *request.getfixturevalue("dyadic_markov_pair"), *floats]:
+        table, rows = s.prob_table, (*s.transitions, s.initial)
+        # logs: each distinct nonzero entry's log2_prob, in order of first appearance
+        assert table.logs == tuple(dict.fromkeys(log2_prob(v) for row in rows for v in row if v is not ZERO))
+        for k, row in enumerate(rows):
+            for j, v in enumerate(row):
+                if v is ZERO:
+                    assert (table.p[k, j], table.index[k, j], table.log2[k, j]) == (0.0, len(table.logs), 0.0)
+                    continue
+                log = log2_prob(v)
+                assert table.p[k, j] == s.prob_float(v) and table.logs[table.index[k, j]] == log
+                assert table.log2[k, j] == (log.to_float() if s.exact else log)
+        # read-only, and the array views are copies the caller may write
+        assert isinstance(table.logs, tuple)
+        for array in (table.p, table.index, table.log2):
+            assert array.shape == (s.r + 1, s.r)
+            with pytest.raises(ValueError):
+                array[0, 0] = 0
+        assert np.array_equal(table.p, np.vstack([s.transition_array(), s.initial_array()]))
+        s.transition_array()[0, 0] = s.initial_array()[0] = -1.0
+        assert table.p[0, 0] >= 0.0 and table.p[s.r, 0] >= 0.0
+
+
+def test_probability_format_stays_in_sources():
+    # exact and sources own the probability objects; every other module reads prob_table
+    owners = {"exact", "sources", "__init__"}
+    for path in sorted(Path(sources.__file__).parent.glob("*.py")):
+        if path.stem in owners:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"ZERO", "ExactProb", "log2_prob"}, path.name
+        subscripted = [node.value.attr for node in ast.walk(tree)
+                       if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)]
+        assert not {"initial", "transitions"} & set(subscripted), path.name

@@ -144,20 +144,6 @@ def test_prob_table_built_once(monkeypatch):
         assert s.prob_table is s.prob_table
 
 
-def test_prob_table_is_read_only(permutation_source):
-    rng = np.random.default_rng(53)
-    for s in (permutation_source, random_float_source(rng, 3)):
-        table = s.prob_table
-        arrays = [table.p, table.index] if s.exact else [table.p, table.log2]
-        for array in arrays:
-            with pytest.raises(ValueError):
-                array[0, 0] = 0
-        assert np.array_equal(table.p, np.vstack([s.transition_array(), s.initial_array()]))
-        # the array views are copies the caller may write
-        s.transition_array()[0, 0] = 0
-        assert table.p[0, 0] > 0
-
-
 def test_right_perron_vector_is_ones():
     rng = np.random.default_rng(5)
     s = random_float_source(rng, 3)
