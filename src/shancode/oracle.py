@@ -33,14 +33,13 @@ enters each state.  The DP is admitted by the work it does, not by an
 estimate: it counts its key moves and stops with ResourceLimit at the step
 that would pass DP_MOVE_BUDGET or move over DP_CELL_CAP key cells.
 
-Also here: a seeded Monte Carlo estimator, refused over its caps (samples,
-path steps, rank window and rank-table bytes) before any draw.
+Also here: a seeded Monte Carlo estimator, refused over its caps before any
+draw, that keys -log2 mu modulo 1 as the float lattice does; _snap reads both.
 """
 
 from __future__ import annotations
 
 import bisect
-import contextlib
 import math
 from dataclasses import dataclass
 from decimal import Decimal
@@ -49,9 +48,9 @@ import numpy as np
 
 from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
                           readout_denominator)
-from .errors import ReducibleChain, ResourceLimit
+from .errors import ResourceLimit
 from .exact import _decimal_log2, ceil_defect, rho_ratio
-from .sources import MarkovSource
+from .sources import MarkovSource, classify_structure
 from .spectral import stack_powers
 
 INTEGER_SNAP_TOL = 1e-9
@@ -99,6 +98,20 @@ class RedundancyValue:
 
 
 # -- lattice dynamic program -------------------------------------------------
+
+
+def _keys(values, bits: int) -> list[int]:
+    """frac(x) of each float x >= 0 in units of 2^-bits, floored: exact where 2^bits holds x's denominator."""
+    return [(num << bits) // den & ((1 << bits) - 1) for num, den in (x.as_integer_ratio() for x in values)]
+
+
+def _snap(rho: np.ndarray) -> bool:
+    """Zero in place each rho within INTEGER_SNAP_TOL of 0 or 1 (float noise); return whether a nonzero one moved."""
+    # min(rho, 1 - rho) <= tol bit for bit: 1 - rho is exact from 1/2 on, and fl(1 - 1e-9) > 1 - 1e-9
+    near = (rho <= INTEGER_SNAP_TOL) | (rho >= 1.0 - INTEGER_SNAP_TOL)
+    moved = bool(np.any(rho, where=near))
+    rho[near] = 0.0
+    return moved
 
 
 def _coprime_base(values) -> list[int]:
@@ -285,27 +298,24 @@ def _float_lattice(source: MarkovSource, hi: int):
     float -log2 p modulo 1, is exact.  At 64 bits a key is a uint64, which
     numpy's addition wraps modulo 1 by itself; past that (a step probability
     of 1 - 2^-45 alone needs 96 bits) keys are Python ints in object arrays,
-    masked after each add.  The readout rho = ((-K) mod 2^bits) 2^-bits is
-    rounded once at any length; a rho within INTEGER_SNAP_TOL of 0 or 1 is
-    float noise on an integer -log2 mu, so it reads 0, flagged snap where it
-    was not exactly 0.  Paths from different first states all but never
-    merge, so each first state is a pass of its own and only one of their
-    frontiers is alive at a time.
+    masked after each add; Monte Carlo keys its steps alike (_rank_tables).
+    The readout rho = ((-K) mod 2^bits) 2^-bits is rounded once at any
+    length and snapped (_snap).  Paths from different first states all but
+    never merge, so each first state is a pass of its own and only one of
+    their frontiers is alive at a time.
     """
     table = source.prob_table
-    negs = [(-x).as_integer_ratio() for x in table.logs]
-    bits = max(64, max(den for _, den in negs).bit_length() - 1)
+    bits = max(64, *(x.as_integer_ratio()[1].bit_length() - 1 for x in table.logs))
     mask = (1 << bits) - 1
-    points = np.array([(num << bits) // den & mask for num, den in negs],
-                      dtype=np.uint64 if bits == 64 else object).reshape(-1, 1)
+    points = np.array(_keys([-x for x in table.logs], bits), dtype=np.uint64 if bits == 64 else object).reshape(-1, 1)
 
     def add(keys, delta):
         return (keys + delta) & mask
 
     def readout(keys, masses):
         rho = (-keys[:, 0] & mask).astype(np.float64) * 2.0**-bits
-        near = np.minimum(rho, 1.0 - rho) <= INTEGER_SNAP_TOL
-        return math.fsum((masses * np.where(near, 0.0, rho)).tolist()), bool(np.any(near & (rho > 0.0)))
+        snapped = _snap(rho)
+        return math.fsum((masses * rho).tolist()), snapped
 
     return points, np.add if bits == 64 else add, readout, [[s] for s in np.flatnonzero(table.p[source.r]).tolist()]
 
@@ -371,7 +381,8 @@ def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     counts in Python ints (M or the row count, times Q, reaches
     INT64_READOUT_BOUND).  Held are two squarings (stack_powers drops each
     once the next is built) and, per readout cell, the transform and its
-    FFT; a complex cell counts as two float64 cells.
+    FFT; a complex cell counts as two float64 cells.  It prices M twisted
+    slices where floor(M/2) + 1 run, so that no request changes route.
     """
     r, M = source.r, cls.M
     live = int(np.count_nonzero(source.prob_table.p[r]))
@@ -412,30 +423,28 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
         R_n = sum_{j,k,z} p_j [T^(n-1)]_{(j,0),(k,z)} rho(z/M + frac((n-1) unit/d) + frac(b_jk/d)).
 
     T is block-circulant in z, so the DFT over z splits it into M twisted r x r
-    matrices [t, k, j] = p(j|k) exp(2 pi i t z_e / M), each the spectral
-    layer's A_t up to a diagonal similarity and a scalar.  Row n takes the live
-    initial states' unit rows through all of them to n - 1
-    (spectral.stack_powers: the same products alone or in a range), and one FFT
-    over t gives its masses on z; at M = 1 all is real and the FFT, the
-    identity, is skipped.  A row's total mass is its t = 0 term, a row of
-    P^(n-1), which float rows such as (1/3, 2/3) drift from 1 by about n ulps;
-    it is scaled once to 1.  Values are within about 1e-14 of the exact R_n,
-    and never below 0; every rational -log2 mu is read out exactly (pair_rho).
+    matrices [t, k, j] = p(j|k) exp(-2 pi i t z_e / M), each the spectral
+    layer's A_t up to a diagonal similarity and a scalar.  Slice M - t is the
+    conjugate of slice t, so row n takes the live initial states' unit rows
+    through t = 0..floor(M/2) to n - 1 (spectral.stack_powers: the same
+    products alone or in a range), and one inverse real FFT over t gives its
+    masses on z.  A row's total mass is its t = 0 term, a row of P^(n-1),
+    which float rows such as (1/3, 2/3) drift from 1 by about n ulps; it is
+    scaled once to 1.  Values are within about 1e-14 of the exact R_n, and
+    never below 0; every rational -log2 mu is read out exactly (pair_rho).
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
     r, M, count = source.r, cls.M, hi - lo + 1
     table = source.prob_table.p
     live = np.flatnonzero(table[r]).tolist()
-    roots = np.exp(2j * np.pi * np.arange(M) / M) if M > 1 else np.ones(1)  # real at M = 1
-    twist = np.zeros((M, r, r), dtype=roots.dtype)
+    roots = np.exp(-2j * np.pi * np.arange(M) / M) if M > 2 else np.array([1.0, -1.0][:M])  # real at M <= 2
+    twist = np.zeros((M // 2 + 1, r, r), dtype=roots.dtype)
     for (k, j), z in edge_lifts(source, cls).items():
-        twist[:, k, j] = table[k, j] * roots[np.arange(M) * z % M]
-    start = np.broadcast_to(np.eye(r)[live], (M, len(live), r))
+        twist[:, k, j] = table[k, j] * roots[np.arange(len(twist)) * z % M]
+    start = np.broadcast_to(np.eye(r)[live], (len(twist), len(live), r))
     masses = np.stack(stack_powers(start, twist, range(lo - 1, hi), _conditioned))  # [n, t, j, k]: DFT over z
-    if M > 1:
-        masses = np.fft.fft(masses, axis=1)
-    masses = masses.real.transpose(0, 2, 3, 1).reshape(count, len(live), r * M)  # [n, j, k M + z]
+    masses = np.fft.irfft(masses, n=M, axis=1).transpose(0, 2, 3, 1).reshape(count, len(live), r * M)  # [n, j, k M + z]
     masses /= np.add.reduce(masses, axis=2, keepdims=True)
     pairs = [(j, k) for j in live for k in range(r)]
     rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(count, len(live), r * M)
@@ -456,9 +465,8 @@ def exact_redundancy_range(source: MarkovSource, lo: int, hi: int,
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    if source.exact and cls is None:
-        with contextlib.suppress(ReducibleChain):
-            cls = classify_mode(source)
+    if source.exact and cls is None and classify_structure(source).irreducible:
+        cls = classify_mode(source)
     if source.exact and cls is not None and cls.mode == "oscillatory":
         work, cells = _lifted_cost(source, cls, lo, hi)
         if work <= LIFT_WORK_CAP and cells <= LIFT_CELL_CAP:
@@ -483,7 +491,7 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
     samples (each per-sample array is 8 * samples bytes) raises
     ResourceLimit, and so do the source's rank tables over
     MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next states and as many
-    float64 steps for T thresholds (_rank_tables).
+    uint64 step keys for T thresholds (_rank_tables).
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
@@ -522,7 +530,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _rank_tables(source: MarkovSource):
-    """(thresholds, next, step_neg_log) of the rank walk.
+    """(thresholds, next, step_key) of the rank walk.
 
     The transition rows and, as row r, the initial vector are the rows of
     the walk, which starts in the virtual state r.  thresholds are the
@@ -531,14 +539,15 @@ def _rank_tables(source: MarkovSource):
     thresholds are among them, so the rank fixes the sorted search of each
     row: next[state + rank] is the next state, times width =
     len(thresholds) + 1 so that the next rank adds straight onto it, and
-    step_neg_log holds the -log2 p of the same move.
+    step_key the same move's -prob_table.log2 as a uint64 key (_keys),
+    floored for p within about 2^-12 of 1, and 0 where p = 0.
     """
     table = source.prob_table
     cum = _cumulative_rows(source)
     thresholds = _distinct(cum)
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
     nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
-    step = np.take_along_axis(np.where(table.p > 0, -table.log2, np.inf), nxt, axis=1)
+    step = np.take_along_axis(np.array(_keys(-table.log2.ravel(), 64), np.uint64).reshape(table.p.shape), nxt, axis=1)
     return thresholds, (nxt * len(below)).ravel(), step.ravel()
 
 
@@ -569,12 +578,12 @@ def _ranks(seed: int, start: int, out, thresholds, block):
 
 
 def _walk(ranks, tables, out) -> None:
-    """out[i] = -log2 mu of the path whose uniforms have the ranks ranks[i], added in path order."""
+    """out[i] = the uint64 key of the path whose uniforms have the ranks ranks[i]: its step keys' sum, wrapped."""
     thresholds, nxt, step = tables
     # row r, the initial vector, is the last of the r + 1 rows of width len(thresholds) + 1
     state = np.full(len(ranks), len(nxt) - len(thresholds) - 1)
-    index, term = np.empty_like(state), np.empty(len(ranks))
-    out[:] = 0.0
+    index, term = np.empty_like(state), np.empty(len(ranks), dtype=np.uint64)
+    out[:] = 0
     for t in range(ranks.shape[1]):
         np.add(state, ranks[:, t], out=index)
         # every index is in range; "clip" skips the copy of out that the default "raise" makes
@@ -583,11 +592,11 @@ def _walk(ranks, tables, out) -> None:
 
 
 def _sample(tables, ns, samples: int, seed: int) -> dict:
-    """{n: -log2 mu of samples 0..samples - 1 of length n} for every n of the range ns."""
+    """{n: uint64 keys of -log2 mu (_walk) of samples 0..samples - 1 of length n} for every n of the range ns."""
     window = min(samples, _MC_CHUNK_ROWS) * ns[-1]
     block = np.empty(min(_MC_BLOCK, window))
     held = np.empty(window, dtype=_rank_dtype(len(tables[0])))
-    neg_logs = {n: np.empty(samples) for n in ns}
+    keys = {n: np.empty(samples, dtype=np.uint64) for n in ns}
     done = dict.fromkeys(ns, 0)
     while live := [n for n in ns if done[n] < samples]:
         start = min(done[n] * n for n in live)
@@ -597,33 +606,23 @@ def _sample(tables, ns, samples: int, seed: int) -> dict:
             rows = ranks[done[n] * n - start:min(samples, stop // n) * n - start].reshape(-1, n)
             for i in range(0, len(rows), _MC_CHUNK_ROWS):
                 chunk = rows[i:i + _MC_CHUNK_ROWS]
-                _walk(chunk, tables, neg_logs[n][done[n] + i:done[n] + i + len(chunk)])
+                _walk(chunk, tables, keys[n][done[n] + i:done[n] + i + len(chunk)])
             done[n] += len(rows)
-    return neg_logs
+    return keys
 
 
-def _finish(u, rho) -> tuple[float, float, bool]:
-    """(mean, standard error, snapped) of rho(u) over the samples u of -log2 mu, in place.
+def _finish(keys, rho) -> tuple[float, float, bool]:
+    """(mean, standard error, snapped) of rho over the samples' uint64 keys K of -log2 mu, in place.
 
-    u is overwritten: every value within INTEGER_SNAP_TOL of an integer
-    moves onto it, as float noise must not flip the ceiling at a value that
-    is an integer in exact arithmetic, and snapped says whether one moved.
-    rho, an array of u's length, is scratch for |u - rint(u)|, then rho(u),
-    then its squared deviations.  Once snapped, ceil(u) - u is exact where
-    |u| >= 1 (Sterbenz) and at most 1 - INTEGER_SNAP_TOL below, so it never
-    rounds to 1 and rho needs no wrap there, unlike exact.ceil_defect.  The
+    keys is overwritten with -K mod 2^64.  rho, a float64 array of its
+    length, is scratch for rho = (-K mod 2^64) 2^-64, rounded once as in the
+    float lattice, then snapped (_snap), then its squared deviations.  The
     mean and the deviations take the steps of ndarray.mean and
     ndarray.std(ddof=1), so both are theirs bit for bit.
     """
-    samples = len(u)
-    np.rint(u, out=rho)
-    np.subtract(u, rho, out=rho)
-    np.abs(rho, out=rho)
-    near = rho <= INTEGER_SNAP_TOL
-    snapped = bool(np.any(rho, where=near))
-    np.rint(u, out=u, where=near)
-    np.ceil(u, out=rho)
-    np.subtract(rho, u, out=rho)
+    samples = len(keys)
+    np.multiply(np.negative(keys, out=keys), 2.0**-64, out=rho)
+    snapped = _snap(rho)
     mean = np.add.reduce(rho, keepdims=True) / samples
     stderr = 0.0
     if samples > 1:
@@ -643,12 +642,12 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
     the earliest row some n has not walked, so a window draws at most hi -
     1 uniforms a second time.  A window is kept as ranks (_rank_tables,
     _ranks) and walked by table lookups for every n whose rows it holds,
-    at most _MC_CHUNK_ROWS rows a pass: the states and float sums of a
-    sorted search of each row.  Consecutive n run in groups of at most
-    MC_SAMPLE_CAP samples in all.  A group holds one float64 array of
-    -log2 mu per n, 8 * samples bytes each and 8 * MC_SAMPLE_CAP at most in
-    all, and, once its window is freed, one scratch array of as many bytes
-    in which each n is finished in place (_finish) and then let go.
+    at most _MC_CHUNK_ROWS rows a pass: the states of a sorted search of
+    each row and the uint64 sum of its step keys (_walk).  Consecutive n
+    run in groups of at most MC_SAMPLE_CAP samples in all.  A group holds
+    one uint64 array of keys per n, 8 * samples bytes each and 8 *
+    MC_SAMPLE_CAP at most in all, and, once its window is freed, one scratch
+    array of as many bytes in which each n is finished in place (_finish).
     Requests over the caps raise ResourceLimit before any work (see
     check_monte_carlo).
     """
@@ -662,10 +661,10 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
     out = []
     for first in range(lo, hi + 1, group):
         ns = range(first, min(first + group, hi + 1))
-        neg_logs = _sample(tables, ns, samples, seed)
+        keys = _sample(tables, ns, samples, seed)
         scratch = np.empty(samples)
         for n in ns:
-            mean, stderr, snapped = _finish(neg_logs.pop(n), scratch)
+            mean, stderr, snapped = _finish(keys.pop(n), scratch)
             flags = frozenset({"snap"}) if snapped else frozenset()
             out.append(RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags))
     return out

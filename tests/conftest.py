@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from shancode import ZERO, ExactProb, MarkovSource, RedundancyValue, ceil_defect, log2_prob
+from shancode import ZERO, ExactProb, MarkovSource, RedundancyValue, log2_prob
 from shancode.exact import frac_log
 
 
@@ -396,49 +396,50 @@ def char_fn_loop(source: MarkovSource, m: int, n: int) -> complex:
 
 def monte_carlo_reference(source: MarkovSource, n: int, samples: int, seed: int,
                           snap_tol: float = 1e-9) -> RedundancyValue:
-    """Monte Carlo over the full samples x n Philox draw matrix at once.
+    """Monte Carlo over the full samples x n Philox draw matrix at once, read out in exact arithmetic.
 
     Sample i consumes row i; the next state of the samples in state k comes
-    from a sorted search of row k's cumulative probabilities.  Values are
-    snapped onto integers within snap_tol before rho, as the library does.
+    from a sorted search of row k's cumulative probabilities.  Each sample
+    counts its moves per cell (row r holds the first state), and its -log2 mu
+    is the exact sum of count x Fraction(the cell's float -log2 p).  rho is
+    float(-total mod 1), read as 0 where min(rho, 1 - rho) <= snap_tol.
     """
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random((samples, n))
+    r = source.r
 
-    init = source.initial_array()
-    trans = source.transition_array()
-
-    def neg_log2(v):
-        # each entry's own log, as the float of its Log2Value or math.log2
-        if v is ZERO:
-            return math.inf
-        return -(log2_prob(v).to_float() if source.exact else math.log2(v))
-
-    neg_log_init = np.array([neg_log2(v) for v in source.initial])
-    step_table = np.array([[neg_log2(v) for v in row] for row in source.transitions])
-
-    init_cum = np.cumsum(init)
+    init_cum = np.cumsum(source.initial_array())
     init_cum[-1] = 1.0
-    row_cum = np.cumsum(trans, axis=1)
+    row_cum = np.cumsum(source.transition_array(), axis=1)
     row_cum[:, -1] = 1.0
 
+    counts = np.zeros((samples, (r + 1) * r), dtype=np.int64)  # cell k r + j: moves k -> j
+    sample = np.arange(samples)
     state = np.searchsorted(init_cum, u[:, 0], side="right")
-    neg_log = neg_log_init[state].copy()
+    counts[sample, r * r + state] += 1
     for t in range(1, n):
         nxt = np.empty_like(state)
-        for k in range(source.r):
+        for k in range(r):
             mask = state == k
             if mask.any():
                 nxt[mask] = np.searchsorted(row_cum[k], u[mask, t], side="right")
-        neg_log += step_table[state, nxt]
+        counts[sample, state * r + nxt] += 1
         state = nxt
 
-    nearest = np.round(neg_log)
-    snapped = np.where(np.abs(neg_log - nearest) <= snap_tol, nearest, neg_log)
-    values = ceil_defect(snapped)
+    # each entry's own float log, of its Log2Value or by math.log2; a p = 0 cell is never taken
+    steps = [Fraction(0) if v is ZERO else -Fraction(log2_prob(v).to_float() if source.exact else math.log2(v))
+             for row in (*source.transitions, source.initial) for v in row]
+    den = math.lcm(*(step.denominator for step in steps))  # a common denominator keeps the sums in ints
+    totals = counts.astype(object) @ np.array([int(step * den) for step in steps], dtype=object)
+    values, snapped = np.empty(samples), False
+    for i, total in enumerate(totals):
+        rho = float(Fraction(-total % den, den))
+        if min(rho, 1.0 - rho) <= snap_tol:
+            snapped, rho = snapped or rho != 0.0, 0.0
+        values[i] = rho
     mean = float(values.mean())
     stderr = float(values.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    flags = frozenset({"snap"}) if np.any(snapped != neg_log) else frozenset()
+    flags = frozenset({"snap"}) if snapped else frozenset()
     return RedundancyValue(n=n, value=mean, method="monte_carlo", stderr=stderr, flags=flags)
 
 

@@ -1,15 +1,17 @@
 """Ground-truth redundancy: lattice DP and Monte Carlo."""
 
+import ast
 import itertools
 import math
 import time
 import tracemalloc
 from decimal import ROUND_CEILING, Decimal, localcontext
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shancode import (
     MarkovSource,
@@ -690,6 +692,8 @@ def test_monte_carlo_within_four_stderr(float_convergent_source):
 
 
 MC_ROWS = oracle._MC_CHUNK_ROWS
+# the float source whose -log2 mu lands within float noise of integers (tests/test_cli_golden.py "snap")
+FLOAT_SNAP = MarkovSource.from_floats([0.5, 0.5], [[1 / 3, 2 / 3], [3 / 4, 1 / 4]])
 
 
 def assert_same_monte_carlo(source, n, samples, seed):
@@ -710,12 +714,45 @@ def test_monte_carlo_matches_reference_on_structured_sources(bipartite_periodic_
     assert assert_same_monte_carlo(one_state, 20, 300, seed=1).value == 0.0
     # zero transitions and a zero initial mass, which the sampler never picks
     assert_same_monte_carlo(bipartite_periodic_source, 11, MC_ROWS + 5, seed=2)
-    # exact source whose integer -log2 mu the float sum misses by an ulp
-    snapping = MarkovSource.from_exact(["1/2", "1/2"], [["3/4", "1/4"], ["1/3", "2/3"]])
-    assert "snap" in assert_same_monte_carlo(snapping, 20, 1000, seed=1).flags
+    # an exact source whose summed float logs land on integers modulo 1 exactly: neither Monte
+    # Carlo nor its DP snaps (a float sum of -log2 mu once missed them by an ulp and snapped)
+    exact = MarkovSource.from_exact(["1/2", "1/2"], [["3/4", "1/4"], ["1/3", "2/3"]])
+    assert "snap" not in assert_same_monte_carlo(exact, 20, 1000, seed=1).flags
+    assert "snap" not in oracle.lattice_dp(exact, 20, 20)[0].flags
+    # its float copy's logs miss integers by float noise, which both snap
+    assert "snap" in assert_same_monte_carlo(FLOAT_SNAP, 20, 1000, seed=1).flags
+    assert "snap" in oracle.lattice_dp(FLOAT_SNAP, 20, 20)[0].flags
     wide = random_float_source(np.random.default_rng(11), 6, with_zeros=True)
     assert (wide.transition_array() == 0).any()
     assert_same_monte_carlo(wide, 12, MC_ROWS + 100, seed=4)
+
+
+def test_monte_carlo_far_out_matches_exact_reference():
+    # a float sum of -log2 mu drifted from its own exact sum by 6e-9 here, past INTEGER_SNAP_TOL;
+    # keys modulo 1 are the exact sum at any n
+    assert_same_monte_carlo(FLOAT_SNAP, 10**5, 64, seed=5)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+def test_monte_carlo_keys_are_float_lattice_keys(r, n, with_zeros, seed):
+    # a sampled path's uint64 sum is the float lattice's key of the same path
+    source = random_float_source(np.random.default_rng(seed), r, with_zeros=with_zeros)
+    points = oracle._float_lattice(source, n)[0]
+    assume(points.dtype == np.uint64)
+    tables = oracle._rank_tables(source)
+    thresholds, nxt, _ = tables
+    samples, width, index = 16, len(thresholds) + 1, source.prob_table.index
+    held = np.empty(samples * n, dtype=oracle._rank_dtype(len(thresholds)))
+    ranks = oracle._ranks(seed, 0, held, thresholds, np.empty(64)).reshape(samples, n)
+    got = np.empty(samples, dtype=np.uint64)
+    oracle._walk(ranks, tables, got)
+    for row, key in zip(ranks.tolist(), got.tolist()):
+        state, total = source.r, 0
+        for rank in row:
+            j = int(nxt[state * width + rank]) // width
+            total, state = (total + int(points[index[state, j], 0])) % 2**64, j
+        assert key == total
 
 
 def test_monte_carlo_searched_ranks_match_reference(monkeypatch):
@@ -777,9 +814,11 @@ def test_monte_carlo_range_draws_each_window_once(monkeypatch):
 
 def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
     # rows with zero entries repeat a cumulative value; uniforms sit exactly on thresholds
-    trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.5, 0.5], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
-    source = MarkovSource.from_floats([0.0, 0.5, 0.0, 0.5], trans)
-    u = np.array([0.0, 0.25, 0.5, 0.75, np.nextafter(0.5, 0.0), np.nextafter(1.0, 0.0)])
+    # 3/8 and 5/8 give keys that are not 0
+    trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.375, 0.625], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    source = MarkovSource.from_floats([0.0, 0.375, 0.0, 0.625], trans)
+    u = np.array([0.0, 0.25, 0.375, 0.5, 0.75, np.nextafter(0.375, 0.0), np.nextafter(0.5, 0.0),
+                  np.nextafter(1.0, 0.0)])
 
     class Replay:  # a generator that draws u, so the ranks see the ties
         def __init__(self, bits):
@@ -803,12 +842,17 @@ def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
     starts = np.searchsorted(init_cum, u, side="right")
     start = source.r * width  # row r is the initial vector
     assert (nxt.take(start + ranks) // width).tolist() == starts.tolist()
-    assert step.take(start + ranks).tolist() == [-math.log2(source.initial_array()[k]) for k in starts]
-    table = np.array([[-math.log2(p) if p else math.inf for p in row] for row in trans])
+
+    def key(p):  # -log2 p modulo 1 in units of 2^-64, every key here being exact in 64 bits
+        return int(F(-math.log2(p)) * 2**64) % 2**64
+
+    assert step.dtype == np.uint64
+    assert step.take(start + ranks).tolist() == [key(source.initial_array()[k]) for k in starts]
+    assert any(step.take(start + ranks))
     for k in range(source.r):
         expected = np.searchsorted(row_cum[k], u, side="right")
         assert (nxt.take(k * width + ranks) // width).tolist() == expected.tolist()
-        assert step.take(k * width + ranks).tolist() == table[k, expected].tolist()
+        assert step.take(k * width + ranks).tolist() == [key(trans[k, j]) for j in expected]
 
 
 def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypatch):
@@ -851,40 +895,69 @@ def test_monte_carlo_holds_one_float_array_per_n():
     assert peak <= 8 * samples * (len(ns) + 1) + 2**19
 
 
-def finish_reference(neg_log):
-    """(mean, stderr, snapped, snapped values) of rho over neg_log by copies, as the estimator once took them."""
-    nearest = np.round(neg_log)
-    snapped = np.where(np.abs(neg_log - nearest) <= oracle.INTEGER_SNAP_TOL, nearest, neg_log)
-    values = ceil_defect(snapped)
-    mean = float(values.mean())
+def finish_reference(keys):
+    """(mean, stderr, snapped) of rho over uint64 keys by copies: rho = (-K mod 2^64) / 2^64, 0 within tol of 0 or 1."""
+    rho = np.array([(-k % 2**64) / 2**64 for k in keys.tolist()])  # Python int division rounds once
+    near = np.minimum(rho, 1.0 - rho) <= oracle.INTEGER_SNAP_TOL
+    values = np.where(near, 0.0, rho)
     stderr = float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) > 1 else 0.0
-    return mean, stderr, bool(np.any(snapped != neg_log)), snapped
+    return float(values.mean()), stderr, bool(np.any(near & (rho != 0.0)))
 
 
-TOL = oracle.INTEGER_SNAP_TOL
-# offsets from an integer: none, within INTEGER_SNAP_TOL on either side, at and just past it, and far
-SNAP_OFFSETS = [0.0, 1e-12, -1e-12, 5e-10, -5e-10, TOL, -TOL, np.nextafter(TOL, 1.0), -np.nextafter(TOL, 1.0),
-                2 * TOL, 0.25, -0.375, 0.5, np.nextafter(1.0, 0.0) - 1.0]
-NEAR_INTEGER = st.builds(lambda k, d: k + d, st.integers(0, 400).map(float), st.sampled_from(SNAP_OFFSETS))
+# a key within EDGE units of 0 modulo 2^64 reads rho within INTEGER_SNAP_TOL of 0 or 1.  Offsets from
+# 0 and 2^64: none, within, at and just past EDGE (floats near 1 are 2048 units apart), and far
+EDGE = int(oracle.INTEGER_SNAP_TOL * 2**64)
+KEY_OFFSETS = [0, 1, 2, 2**20, EDGE - 2048, EDGE - 1, EDGE, EDGE + 1, EDGE + 2048, EDGE + 4096, 2**62, 2**63]
+NEAR_ZERO_KEY = st.builds(lambda d, below: (-d if below else d) % 2**64, st.sampled_from(KEY_OFFSETS), st.booleans())
 
 
-@given(st.lists(st.one_of(NEAR_INTEGER, st.just(0.0), st.floats(0.0, 1e4), st.floats(0.0, 2.0**60)),
-                min_size=1, max_size=40),
-       st.sampled_from([0, 1, 4097, 10**5]), st.integers(0, 2**32 - 1))
-@example([0.0], 0, 0)
-@example([2.0, 2.0], 0, 0)
-@example([3.0, 3.0 + 1e-10], 0, 0)
-@example([7.0 - 1e-10], 0, 0)
-@example([5.25, 0.0], 0, 0)
-def test_finish_in_place_equals_the_copying_steps(head, extra, seed):
-    # the in-place finish is the snap, ceil_defect, mean and std(ddof=1) of copies, bit for bit
+@given(st.lists(st.one_of(NEAR_ZERO_KEY, st.integers(0, 2**64 - 1)), min_size=1, max_size=40),
+       st.sampled_from([1, 2, 4097, 10**5]), st.integers(0, 2**32 - 1))
+@example([0], 1, 0)
+@example([1], 1, 0)
+@example([0, 0], 2, 0)
+@example([EDGE, 2**64 - EDGE], 2, 0)
+@example([EDGE + 1, 2**64 - EDGE - 2048], 2, 0)
+def test_finish_in_place_equals_the_copying_steps(head, samples, seed):
+    # the in-place finish is the readout, snap, mean and std(ddof=1) of copies, bit for bit
     rng = np.random.default_rng(seed)
-    tail = rng.integers(0, 400, extra) + rng.choice(SNAP_OFFSETS, extra) + rng.random(extra) * (rng.random(extra) < 0.5)
-    u = np.concatenate([np.array(head, dtype=np.float64), tail])
-    mean, stderr, snapped, values = finish_reference(u.copy())
-    got = oracle._finish(u, np.empty(len(u)))
-    assert got == (mean, stderr, snapped)
-    assert u.tobytes() == values.tobytes()
+    extra = max(0, samples - len(head))
+    offsets = rng.choice(np.array(KEY_OFFSETS, dtype=np.uint64), extra)
+    near = np.where(rng.random(extra) < 0.5, offsets, np.negative(offsets))  # d or 2^64 - d
+    tail = np.where(rng.random(extra) < 0.5, near, rng.integers(0, 2**64 - 1, extra, dtype=np.uint64, endpoint=True))
+    keys = np.concatenate([np.array(head[:samples], dtype=np.uint64), tail])
+    assert len(keys) == samples
+    want = finish_reference(keys)
+    assert oracle._finish(keys, np.empty(samples)) == want
+
+
+def test_only_snap_reads_the_snap_tolerance():
+    # the lattice readout and Monte Carlo share one snap: no other function reads INTEGER_SNAP_TOL
+    readers, scope = set(), ["<module>"]  # (module, innermost function) of each read
+
+    class Readers(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        def visit_Name(self, node):
+            if node.id == "INTEGER_SNAP_TOL" and isinstance(node.ctx, ast.Load):
+                readers.add((module, scope[-1]))
+
+        def visit_Attribute(self, node):
+            if node.attr == "INTEGER_SNAP_TOL":
+                readers.add((module, scope[-1]))
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if "INTEGER_SNAP_TOL" in {alias.name for alias in node.names}:
+                readers.add((module, scope[-1]))
+
+    for path in sorted(Path(oracle.__file__).parent.glob("*.py")):
+        module = path.stem
+        Readers().visit(ast.parse(path.read_text(encoding="utf-8")))
+    assert readers == {("oracle", "_snap")}
 
 
 @given(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any), min_size=5, max_size=5),
