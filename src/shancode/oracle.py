@@ -35,6 +35,8 @@ that would pass DP_MOVE_BUDGET or move over DP_CELL_CAP key cells.
 
 Also here: a seeded Monte Carlo estimator, refused over its caps before any
 draw, that keys -log2 mu modulo 1 as the float lattice does; _snap reads both.
+It ranks raw Philox integers, making no float uniform, and walks the ranks
+k at a time through tables of k moves, every key the one-step walk's.
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ LIFT_CELL_CAP = 2**22
 # units per product's or row's Python calls, per state pair, per matrix a product takes, per readout cell
 _LIFT_CALL_CHARGE, _LIFT_PAIR_CHARGE, _LIFT_ITEM_CHARGE, _LIFT_CELL_CHARGE = 5_000, 40_000, 300, 100
 _LIFT_INT_CELL_CHARGE = 500  # per readout cell where pair_rho counts in Python ints
-# Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, uniforms
-# drawn at a time, and the caps check_monte_carlo enforces (a window of ranks, one byte each
+# Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, raw draws
+# made at a time, and the caps check_monte_carlo enforces (a window of ranks, one byte each
 # below 256 thresholds and two from there, holds up to MC_WINDOW_BYTES_CAP bytes, 256 MiB)
 _MC_CHUNK_ROWS = 4096
 _MC_BLOCK = 2**16
@@ -86,6 +88,8 @@ _rank_dtype = np.min_scalar_type
 # bytes of rank tables (next states and steps) a Monte Carlo request may build: 34 MB at the
 # seed-0 r = 128 float source of bench/workloads.py, 268 MB at its r = 256 one
 MC_TABLE_BYTES_CAP = 2**27
+# entries, (r + 1) width^k, of the tables that walk k ranks per lookup: at most 64 KiB
+_MC_GROUP_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -491,7 +495,8 @@ def check_monte_carlo(samples: int, lo: int, hi: int, source: MarkovSource) -> N
     samples (each per-sample array is 8 * samples bytes) raises
     ResourceLimit, and so do the source's rank tables over
     MC_TABLE_BYTES_CAP: (r + 1) (T + 1) int64 next states and as many
-    uint64 step keys for T thresholds (_rank_tables).
+    uint64 step keys for T thresholds (_rank_tables), whose tables of k
+    moves add at most 64 KiB (_MC_GROUP_ENTRIES).
     """
     if samples > MC_SAMPLE_CAP:
         raise ResourceLimit(f"Monte Carlo with {samples} samples exceeds the cap of {MC_SAMPLE_CAP} samples")
@@ -530,7 +535,7 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _rank_tables(source: MarkovSource):
-    """(thresholds, next, step_key) of the rank walk.
+    """(thresholds, next, step_key, k, group_next, group_key) of the rank walk.
 
     The transition rows and, as row r, the initial vector are the rows of
     the walk, which starts in the virtual state r.  thresholds are the
@@ -540,68 +545,110 @@ def _rank_tables(source: MarkovSource):
     row: next[state + rank] is the next state, times width =
     len(thresholds) + 1 so that the next rank adds straight onto it, and
     step_key the same move's -prob_table.log2 as a uint64 key (_keys),
-    floored for p within about 2^-12 of 1, and 0 where p = 0.
+    floored for p within about 2^-12 of 1, and 0 where p = 0.  The group
+    tables take k ranks at once, k the largest with (r + 1) width^k at most
+    _MC_GROUP_ENTRIES (1 at width 1): at state + code, for code the k ranks
+    as digits base width, first rank first, they hold the state after those
+    k moves, times width^k, and the uint64 sum of their step keys, which
+    wraps as the walk's own sum does.  At k = 1 they are next and step_key.
     """
     table = source.prob_table
     cum = _cumulative_rows(source)
     thresholds = _distinct(cum)
+    width = len(thresholds) + 1
     below = np.concatenate([[-math.inf], thresholds])  # the largest threshold at or below each rank
     nxt = np.array([np.searchsorted(row, below, side="right") for row in cum])
     step = np.take_along_axis(np.array(_keys(-table.log2.ravel(), 64), np.uint64).reshape(table.p.shape), nxt, axis=1)
-    return thresholds, (nxt * len(below)).ravel(), step.ravel()
+    k = 1
+    while width > 1 and len(cum) * width ** (k + 1) <= _MC_GROUP_ENTRIES:
+        k += 1
+    after, total = nxt, step
+    for _ in range(k - 1):  # append one rank as the lowest digit: (rows, width^i) -> (rows, width^(i + 1))
+        total = (total[:, :, None] + step[after]).reshape(len(cum), -1)
+        after = nxt[after].reshape(len(cum), -1)
+    one = nxt * width
+    return thresholds, one.ravel(), step.ravel(), k, (one if k == 1 else after * width**k).ravel(), total.ravel()
 
 
-def _ranks(seed: int, start: int, out, thresholds, block):
+def _ranks(seed: int, start: int, out, thresholds):
     """out filled with the ranks of uniforms start.. of the Philox stream keyed by seed.
 
     Philox is counter-based: a counter of start // 4 and start % 4 raw
     draws put the stream at start without drawing what comes before.  The
-    uniforms go block by block through the reused float64 block.  A rank
-    is counted, one comparison per threshold, below _MC_SEARCH_THRESHOLDS
+    raw draws come _MC_BLOCK at a time, each block freed before the next,
+    and no float is made: Generator.random is (raw >> 11) 2^-53, at or
+    above t exactly when raw >= ceil(t 2^53) 2^11, the uint64 each threshold
+    below 1 becomes.  One of 1.0, from a row that ends in zeros, is at or
+    below no uniform and would pass 2^64, so it is left out.  A rank is
+    counted, one comparison per threshold, below _MC_SEARCH_THRESHOLDS
     thresholds, and found by a sorted search from there; both give the
     count of thresholds at or below the uniform.
     """
     bits = np.random.Philox(key=seed, counter=start // 4)
     bits.random_raw(start % 4)
-    rng = np.random.Generator(bits)
+    whole = np.ceil(thresholds[thresholds < 1.0] * 2.0**53).astype(np.uint64) << 11
     out[:] = 0
-    above = np.empty(len(block), dtype=bool)
-    for lo in range(0, len(out), len(block)):
-        u = rng.random(out=block[:min(len(block), len(out) - lo)])
-        ranks, mask = out[lo:lo + len(u)], above[:len(u)]
+    above = np.empty(min(_MC_BLOCK, len(out)), dtype=bool)
+    for lo in range(0, len(out), _MC_BLOCK):
+        raw = bits.random_raw(min(_MC_BLOCK, len(out) - lo))
+        ranks, mask = out[lo:lo + len(raw)], above[:len(raw)]
         if len(thresholds) >= _MC_SEARCH_THRESHOLDS:
-            ranks[:] = np.searchsorted(thresholds, u, side="right")
+            ranks[:] = np.searchsorted(whole, raw, side="right")
         else:
-            for threshold in thresholds:
-                ranks += np.greater_equal(u, threshold, out=mask)
+            for threshold in whole:
+                ranks += np.greater_equal(raw, threshold, out=mask)
+        del raw
     return out
 
 
 def _walk(ranks, tables, out) -> None:
-    """out[i] = the uint64 key of the path whose uniforms have the ranks ranks[i]: its step keys' sum, wrapped."""
-    thresholds, nxt, step = tables
-    # row r, the initial vector, is the last of the r + 1 rows of width len(thresholds) + 1
-    state = np.full(len(ranks), len(nxt) - len(thresholds) - 1)
-    index, term = np.empty_like(state), np.empty(len(ranks), dtype=np.uint64)
+    """out[i] = the uint64 key of the path whose uniforms have the ranks ranks[i]: its step keys' sum, wrapped.
+
+    The first n - n mod k ranks of a row go k at a time through the group
+    tables, by a code built column by column from strided views of ranks
+    (a view of them at k = 1); the last n mod k go through the one-step
+    tables, the state rescaled from width^k to width once.
+    """
+    thresholds, nxt, step, k, group_next, group_key = tables
+    width, (rows, n) = len(thresholds) + 1, ranks.shape
+    groups = n // k
+    code = ranks[:, :groups * k:k].T
+    if k > 1:  # Horner over the k ranks of each group: a (groups, rows) array, never a copy of ranks
+        code = code.astype(np.uint16, order="C")
+        for i in range(1, k):
+            code *= width
+            code += ranks[:, i:groups * k:k].T
+    # row r, the initial vector, is the last of the r + 1 rows of the tables
+    state = np.full(rows, len(group_next) - width**k)
+    index, term = np.empty_like(state), np.empty(rows, dtype=np.uint64)
     out[:] = 0
-    for t in range(ranks.shape[1]):
-        np.add(state, ranks[:, t], out=index)
+    for g in range(groups):
+        np.add(state, code[g], out=index)
         # every index is in range; "clip" skips the copy of out that the default "raise" makes
+        out += group_key.take(index, out=term, mode="clip")
+        group_next.take(index, out=state, mode="clip")
+    if groups * k < n:
+        state //= width ** (k - 1)
+    for t in range(groups * k, n):
+        np.add(state, ranks[:, t], out=index)
         out += step.take(index, out=term, mode="clip")
         nxt.take(index, out=state, mode="clip")
 
 
 def _sample(tables, ns, samples: int, seed: int) -> dict:
-    """{n: uint64 keys of -log2 mu (_walk) of samples 0..samples - 1 of length n} for every n of the range ns."""
+    """{n: uint64 keys of -log2 mu (_walk) of samples 0..samples - 1 of length n} for every n of the range ns.
+
+    Beside one window of ranks and the keys, _ranks holds one block of raw
+    draws and _walk a code of 2 / k bytes a rank of its chunk (a view at k = 1).
+    """
     window = min(samples, _MC_CHUNK_ROWS) * ns[-1]
-    block = np.empty(min(_MC_BLOCK, window))
     held = np.empty(window, dtype=_rank_dtype(len(tables[0])))
     keys = {n: np.empty(samples, dtype=np.uint64) for n in ns}
     done = dict.fromkeys(ns, 0)
     while live := [n for n in ns if done[n] < samples]:
         start = min(done[n] * n for n in live)
         stop = min(start + window, samples * ns[-1])
-        ranks = _ranks(seed, start, held[:stop - start], tables[0], block)
+        ranks = _ranks(seed, start, held[:stop - start], tables[0])
         for n in live:
             rows = ranks[done[n] * n - start:min(samples, stop // n) * n - start].reshape(-1, n)
             for i in range(0, len(rows), _MC_CHUNK_ROWS):
@@ -640,10 +687,12 @@ def monte_carlo_redundancy_range(source: MarkovSource, lo: int, hi: int, samples
     stream and results are bit for bit reproducible.  The stream is drawn
     once, in windows of _MC_CHUNK_ROWS rows of the longest n, each from
     the earliest row some n has not walked, so a window draws at most hi -
-    1 uniforms a second time.  A window is kept as ranks (_rank_tables,
-    _ranks) and walked by table lookups for every n whose rows it holds,
-    at most _MC_CHUNK_ROWS rows a pass: the states of a sorted search of
-    each row and the uint64 sum of its step keys (_walk).  Consecutive n
+    1 uniforms a second time.  A window is kept as ranks, counted on the
+    raw draws against integer thresholds (_ranks), and walked by table
+    lookups for every n whose rows it holds, at most _MC_CHUNK_ROWS rows a
+    pass: k ranks a lookup through tables of k moves, then n mod k through
+    the one-step tables, giving the states of a sorted search of each row
+    and the uint64 sum of its step keys (_rank_tables, _walk).  Consecutive n
     run in groups of at most MC_SAMPLE_CAP samples in all.  A group holds
     one uint64 array of keys per n, 8 * samples bytes each and 8 *
     MC_SAMPLE_CAP at most in all, and, once its window is freed, one scratch

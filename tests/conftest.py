@@ -251,30 +251,40 @@ def iter_paths_bruteforce(source: MarkovSource, n: int):
             yield from extend([s0], init[s0])
 
 
+def _decimal_rho(num: int, den: int, exp2: Fraction, ln2: Decimal) -> Decimal:
+    """rho(-log2 mu) of mu = (num / den) 2^exp2, num and den odd, read from that one mu in the decimal context.
+
+    mu is a power of 2 exactly where num = den.  There -log2 mu = -exp2 is
+    rational and rho exact (0 where exp2 is an integer); elsewhere it is
+    irrational, read as -exp2 - ln(num / den) / ln 2.  A sum of the steps'
+    rounded logs can land an integer on either side of itself.
+    """
+    if num == den:
+        rho = math.ceil(-exp2) + exp2
+        return Decimal(rho.numerator) / rho.denominator
+    u = -Decimal(exp2.numerator) / exp2.denominator - (Decimal(num) / Decimal(den)).ln() / ln2
+    return u.to_integral_value(ROUND_CEILING) - u
+
+
 def decimal_path_reference(source: MarkovSource, n: int, digits: int = 50) -> Decimal:
     """R_n of an exact source summed over every path in `digits`-digit decimal arithmetic.
 
-    mu and -log2 mu of a path are the product and the sum of its steps'
-    decimal probabilities and logs, so rho is exact far past the float.
+    Each path carries its mu exactly: the products of its steps' odd
+    mantissas' numerators and denominators and the sum of their power-of-2
+    exponents.  Its mass is rounded once and its rho read from that one mu
+    (_decimal_rho).
     """
     with localcontext() as ctx:
         ctx.prec = digits
-        ln2 = Decimal(2).ln()
-
-        def step(p):
-            m, e = p.mantissa, p.exp2
-            log = Decimal(e.numerator) / e.denominator + (Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / ln2
-            return Decimal(2) ** (Decimal(e.numerator) / e.denominator) * m.numerator / m.denominator, -log
-
-        init = [None if p is ZERO else step(p) for p in source.initial]
-        rows = [[None if p is ZERO else step(p) for p in row] for row in source.transitions]
-        total = Decimal(0)
-        frontier = [(k, *v) for k, v in enumerate(init) if v is not None]
+        frontier = [(k, p.mantissa.numerator, p.mantissa.denominator, p.exp2)
+                    for k, p in enumerate(source.initial) if p is not ZERO]
         for _ in range(n - 1):
-            frontier = [(j, mu * s[0], u + s[1]) for k, mu, u in frontier
-                        for j, s in enumerate(rows[k]) if s is not None]
-        for _, mu, u in frontier:
-            total += mu * (u.to_integral_value(ROUND_CEILING) - u)
+            frontier = [(j, num * p.mantissa.numerator, den * p.mantissa.denominator, e + p.exp2)
+                        for k, num, den, e in frontier for j, p in enumerate(source.transitions[k]) if p is not ZERO]
+        total, ln2 = Decimal(0), Decimal(2).ln()
+        for _, num, den, e in frontier:
+            mass = Decimal(2) ** (Decimal(e.numerator) / e.denominator) * num / den
+            total += mass * _decimal_rho(num, den, e, ln2)
         return total
 
 
@@ -495,11 +505,29 @@ def two_state_type_reference(source: MarkovSource, n: int, digits: int = 60) -> 
     0 -> 1 moves, b 1 -> 0 moves, c 0 -> 0 and d 1 -> 1 moves with
     a + b + c + d = n - 1 and a - b = e - s.  It has 1 + b (s = 0) or b
     (s = 1) runs of 0s, among which the c self-moves fall in
-    C(c + runs - 1, runs - 1) ways, and likewise for the 1s.  -log2 mu is
-    summed in `digits`-digit decimal arithmetic, so rho is exact to the float.
+    C(c + runs - 1, runs - 1) ways, and likewise for the 1s.  A type's mu
+    is carried exactly: its mantissa as exponents over a coprime base of
+    the entries' mantissas, and its power-of-2 exponent as a Fraction.
+    Where the mantissa is 1, -log2 mu is rational and rho exact (0 where mu
+    is a power of 2); elsewhere -log2 mu is irrational and summed in
+    `digits`-digit decimal arithmetic, so rho is exact to the float.
     """
     T = source.transitions
     P = source.transition_array()
+    live = [(s, ps) for s, ps in enumerate(source.initial) if ps is not ZERO]
+    entries = [p for _, p in live] + [T[k][j] for k in range(2) for j in range(2)]
+    base = coprime_base_reference({x for p in entries for x in (p.mantissa.numerator, p.mantissa.denominator)})
+
+    def exponents(p):  # p's mantissa as the exponents of the base
+        out = []
+        for b in base:
+            e, num, den = 0, p.mantissa.numerator, p.mantissa.denominator
+            while num % b == 0:
+                num, e = num // b, e + 1
+            while den % b == 0:
+                den, e = den // b, e - 1
+            out.append(e)
+        return out
 
     def placements(moves, runs):
         return math.comb(moves + runs - 1, runs - 1) if runs else int(moves == 0)
@@ -515,24 +543,32 @@ def two_state_type_reference(source: MarkovSource, n: int, digits: int = 60) -> 
         # m -log2 p(j|k) and p(j|k)^m for every count m
         steps = [[[-m * log2(T[k][j]) for m in range(n)] for j in range(2)] for k in range(2)]
         powers = [[[P[k, j] ** m for m in range(n)] for j in range(2)] for k in range(2)]
+        vec = [[exponents(T[k][j]) for j in range(2)] for k in range(2)]
         terms = []
-        for s, ps in enumerate(source.initial):
-            if ps is ZERO:
-                continue
+        for s, ps in live:
+            ps_vec = exponents(ps)
             for a in range(n):
                 for b in (a - 1, a, a + 1):
                     if b < 0 or a + b > n - 1 or (s == 0 and b > a) or (s == 1 and a > b):
                         continue
                     zeros, ones = (1 + b, a) if s == 0 else (b, 1 + a)
                     head = -log2(ps) + steps[0][1][a] + steps[1][0][b]
+                    head_exp = ps.exp2 + a * T[0][1].exp2 + b * T[1][0].exp2
+                    head_vec = [x + a * y + b * z for x, y, z in zip(ps_vec, vec[0][1], vec[1][0])]
                     weight = ps.to_float() * powers[0][1][a] * powers[1][0][b]
                     for c in range(n - a - b):
                         d = n - 1 - a - b - c
                         count = placements(c, zeros) * placements(d, ones)
-                        if count:
+                        if not count:
+                            continue
+                        mass = weight * powers[0][0][c] * powers[1][1][d]
+                        if all(h + c * x + d * y == 0 for h, x, y in zip(head_vec, vec[0][0], vec[1][1])):
+                            u = -(head_exp + c * T[0][0].exp2 + d * T[1][1].exp2)
+                            rho = float(math.ceil(u) - u)
+                        else:
                             u = head + steps[0][0][c] + steps[1][1][d]
-                            mass = weight * powers[0][0][c] * powers[1][1][d]
-                            terms.append(float(count) * mass * float(u.to_integral_value(ROUND_CEILING) - u))
+                            rho = float(u.to_integral_value(ROUND_CEILING) - u)
+                        terms.append(float(count) * mass * rho)
     return math.fsum(terms)
 
 

@@ -25,6 +25,7 @@ from shancode.asymptotics import _pair_offsets, ceil_defect, prediction_columns
 from shancode.errors import ResourceLimit
 from tests.conftest import (
     coprime_base_reference,
+    decimal_path_reference,
     float_copy,
     half_exponent_source,
     iter_paths_bruteforce,
@@ -452,6 +453,24 @@ def test_lifted_chain_matches_lattice_dp(oscillatory_fixtures, oscillatory_exact
             assert abs(dp[n - 1].value - want) <= 1e-14 and abs(rows[n - 1].value - want) <= 1e-12, n
 
 
+def test_decimal_references_read_dyadic_paths_exactly():
+    # 3/8 * 1/4 * 3/4 * 8/9 = 1/16: a path whose odd mantissas cancel has rho = 0.  Summed
+    # 40-digit step logs read its -log2 mu as 4.000...002 and rho as about 1, 9/128 too much
+    c130 = MarkovSource.from_exact(["1/8", "3/8", "1/2"], [["8/9", "1/9", 0], ["1/8", "5/8", "1/4"], ["3/4", 0, "1/4"]])
+    want = redundancy_bruteforce(c130, 4)
+    assert abs(want - 0.3644) < 1e-4
+    assert abs(float(decimal_path_reference(c130, 4)) - want) <= 1e-15
+    assert abs(oracle.lattice_dp(c130, 4, 4)[0].value - want) <= 1e-15
+    # 1/2 * 3/4 * 8/9 * 3/4 = 1/4, the type 0 -> 1 -> 0 -> 1; summed logs read rho about 1
+    # there too, 1/4 too much
+    two = MarkovSource.from_exact(["1/2", "1/2"], [["1/4", "3/4"], ["8/9", "1/9"]])
+    for n in range(1, 8):
+        want = redundancy_bruteforce(two, n)
+        assert abs(two_state_type_reference(two, n) - want) <= 1e-15, n
+        assert abs(float(decimal_path_reference(two, n)) - want) <= 1e-15, n
+        assert abs(oracle.lattice_dp(two, n, n)[0].value - want) <= 1e-15, n
+
+
 def test_lifted_chain_far_out_matches_decimal_references(permutation_source, bipartite_periodic_source):
     n = 10**12
     perm = exact_redundancy(permutation_source, n)
@@ -706,7 +725,9 @@ def assert_same_monte_carlo(source, n, samples, seed):
 @pytest.mark.parametrize("samples", [1, MC_ROWS - 1, MC_ROWS, 2 * MC_ROWS + 17])
 def test_monte_carlo_matches_reference_across_chunk_edges(samples):
     source = random_float_source(np.random.default_rng(3), 3)
+    assert oracle._rank_tables(source)[3] == 3  # walked three ranks a lookup: n = 9 in groups, 7 with a tail
     assert_same_monte_carlo(source, 9, samples, seed=7)
+    assert_same_monte_carlo(source, 7, samples, seed=7)
 
 
 def test_monte_carlo_matches_reference_on_structured_sources(bipartite_periodic_source):
@@ -741,10 +762,10 @@ def test_monte_carlo_keys_are_float_lattice_keys(r, n, with_zeros, seed):
     points = oracle._float_lattice(source, n)[0]
     assume(points.dtype == np.uint64)
     tables = oracle._rank_tables(source)
-    thresholds, nxt, _ = tables
+    thresholds, nxt = tables[:2]
     samples, width, index = 16, len(thresholds) + 1, source.prob_table.index
     held = np.empty(samples * n, dtype=oracle._rank_dtype(len(thresholds)))
-    ranks = oracle._ranks(seed, 0, held, thresholds, np.empty(64)).reshape(samples, n)
+    ranks = oracle._ranks(seed, 0, held, thresholds).reshape(samples, n)
     got = np.empty(samples, dtype=np.uint64)
     oracle._walk(ranks, tables, got)
     for row, key in zip(ranks.tolist(), got.tolist()):
@@ -768,9 +789,10 @@ def test_monte_carlo_searched_ranks_match_reference(monkeypatch):
         thresholds = oracle._rank_tables(source)[0]
         held = np.empty(3 * 2**10 + 7, dtype=np.uint16)
         runs = []
+        monkeypatch.setattr(oracle, "_MC_BLOCK", 2**10)
         for cut in (0, len(thresholds) + 1):
             monkeypatch.setattr(oracle, "_MC_SEARCH_THRESHOLDS", cut)
-            runs.append(oracle._ranks(9, 13, held, thresholds, np.empty(2**10)).copy())
+            runs.append(oracle._ranks(9, 13, held, thresholds).copy())
         assert np.array_equal(*runs)
 
 
@@ -798,10 +820,10 @@ def test_monte_carlo_range_draws_each_window_once(monkeypatch):
     windows, drawn = [], []
     ranks = oracle._ranks
 
-    def counting(seed, start, out, thresholds, block):
+    def counting(seed, start, out, thresholds):
         windows.append(start)
         drawn.append(len(out))
-        return ranks(seed, start, out, thresholds, block)
+        return ranks(seed, start, out, thresholds)
 
     monkeypatch.setattr(oracle, "_ranks", counting)
     source = random_float_source(np.random.default_rng(3), 3)
@@ -813,27 +835,40 @@ def test_monte_carlo_range_draws_each_window_once(monkeypatch):
 
 
 def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
-    # rows with zero entries repeat a cumulative value; uniforms sit exactly on thresholds
+    # rows with zero entries repeat a cumulative value, and row 2 ends in zeros, so one
+    # threshold is 1.0; uniforms sit exactly on thresholds and one draw, 2^-53, below them.
+    # The threshold 1/3 lies between two draws, which must rank on either side of it.
     # 3/8 and 5/8 give keys that are not 0
-    trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.375, 0.625], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    trans = np.array([[0.25, 0.0, 0.25, 0.5], [0.0, 0.0, 0.375, 0.625], [0.5, 0.5, 0.0, 0.0], [0.0, 0.0, 1 / 3, 2 / 3]])
     source = MarkovSource.from_floats([0.0, 0.375, 0.0, 0.625], trans)
-    u = np.array([0.0, 0.25, 0.375, 0.5, 0.75, np.nextafter(0.375, 0.0), np.nextafter(0.5, 0.0),
-                  np.nextafter(1.0, 0.0)])
+    below = [x - 2.0**-53 for x in (0.25, 0.375, 0.5, 1.0)]
+    third = [math.floor(2**53 / 3) * 2.0**-53, math.ceil(2**53 / 3) * 2.0**-53]
+    assert third[0] < 1 / 3 < third[1]
+    u = np.repeat([0.0, 0.25, 0.375, 0.5, 0.75, *third, *below], 2)
+    # raw draws whose >> 11 gives u 2^53: low bits clear, then set, the last 2^64 - 1
+    whole = [int(x * 2**53) << 11 for x in u[::2].tolist()]
+    raw = np.array([w + low for w in whole for low in (0, 2**11 - 1)], dtype=np.uint64)
+    assert int(raw[-1]) == 2**64 - 1 and ((raw >> 11).astype(np.float64) * 2.0**-53).tolist() == u.tolist()
 
-    class Replay:  # a generator that draws u, so the ranks see the ties
-        def __init__(self, bits):
+    class Replay:  # a bit generator that draws raw, so the ranks see the ties
+        def __init__(self, key, counter):
             self.at = 0
 
-        def random(self, out):
-            out[:] = u[self.at:self.at + len(out)]
-            self.at += len(out)
-            return out
+        def random_raw(self, size):
+            self.at += size
+            return raw[self.at - size:self.at].copy()
 
-    monkeypatch.setattr(oracle.np.random, "Generator", Replay)
-    thresholds, nxt, step = oracle._rank_tables(source)
-    ranks = oracle._ranks(0, 0, np.empty(len(u), dtype=np.uint8), thresholds, np.empty(4))  # two blocks
+    thresholds, nxt, step = oracle._rank_tables(source)[:3]
+    assert thresholds[-1] == 1.0
+    monkeypatch.setattr(oracle.np.random, "Philox", Replay)
+    monkeypatch.setattr(oracle, "_MC_BLOCK", 4)  # several blocks
+    runs = []
+    for cut in (0, len(thresholds) + 1):  # the sorted search and the count
+        monkeypatch.setattr(oracle, "_MC_SEARCH_THRESHOLDS", cut)
+        runs.append(oracle._ranks(0, 0, np.empty(len(u), dtype=np.uint8), thresholds))
     monkeypatch.undo()
-    assert ranks.tolist() == np.searchsorted(thresholds, u, side="right").tolist()
+    ranks = runs[0]
+    assert runs[1].tolist() == ranks.tolist() == np.searchsorted(thresholds, u, side="right").tolist()
     width = len(thresholds) + 1
     init_cum = np.cumsum(source.initial_array())
     init_cum[-1] = 1.0
@@ -855,6 +890,52 @@ def test_rank_tables_are_the_sorted_search_at_ties(monkeypatch):
         assert step.take(k * width + ranks).tolist() == [key(trans[k, j]) for j in expected]
 
 
+def test_group_tables_are_k_one_step_moves():
+    # entry state + code of the group tables is the walk of code's k digits, first digit first,
+    # through the one-step tables: the state it ends in and the wrapped sum of its step keys.  k is
+    # 1 on the one-state chain (one rank) and at r = 17 (searched ranks), and above 1 elsewhere
+    rng = np.random.default_rng
+    cases = [(1, MarkovSource.from_exact([1], [[1]])), (1, random_float_source(rng(0), 17)), (5, FLOAT_SNAP),
+             (3, random_float_source(rng(0), 3, with_zeros=True)), (2, random_float_source(rng(2), 5, with_zeros=True))]
+    for want, source in cases:
+        thresholds, nxt, step, k, group_next, group_key = oracle._rank_tables(source)
+        width = len(thresholds) + 1
+
+        def entries(k):
+            return (source.r + 1) * width**k
+
+        # the largest k with entries within the cap, and 1 where none is
+        assert k == want
+        cap = oracle._MC_GROUP_ENTRIES
+        assert width == 1 or (k == 1 or entries(k) <= cap) and entries(k + 1) > cap
+        assert len(group_next) == len(group_key) == entries(k) and group_key.dtype == np.uint64
+        for entry in range(entries(k)):
+            state, code = divmod(entry, width**k)
+            total = 0
+            for i in reversed(range(k)):
+                index = state * width + code // width**i % width
+                total, state = (total + int(step[index])) % 2**64, int(nxt[index]) // width
+            assert (int(group_next[entry]), int(group_key[entry])) == (state * width**k, total), (source, entry)
+
+
+def test_monte_carlo_group_walk_at_every_remainder():
+    # n below k, at k, and at each remainder modulo k up to 2 k + 1: the groups and the one-step tail
+    source = random_float_source(np.random.default_rng(0), 2)
+    k = oracle._rank_tables(source)[3]
+    assert k == 5
+    got = monte_carlo_redundancy_range(source, 1, 2 * k + 1, 300, seed=8)
+    assert got == [monte_carlo_reference(source, n, 300, seed=8) for n in range(1, 2 * k + 2)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 5), st.booleans(), st.integers(1, 13), st.integers(0, 3), st.integers(1, 70),
+       st.integers(0, 2**32 - 1))
+def test_monte_carlo_group_walk_matches_reference(r, with_zeros, lo, extra, samples, seed):
+    source = random_float_source(np.random.default_rng(seed), r, with_zeros=with_zeros)
+    got = monte_carlo_redundancy_range(source, lo, lo + extra, samples, seed)
+    assert got == [monte_carlo_reference(source, n, samples, seed) for n in range(lo, lo + extra + 1)]
+
+
 def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypatch):
     before = monte_carlo_redundancy(float_convergent_source, 10, 1000, seed=3)
     for rows in (1, 7, 999, 1000, 5000):
@@ -863,9 +944,9 @@ def test_monte_carlo_independent_of_chunk_size(float_convergent_source, monkeypa
 
 
 def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
-    # numpy reports its buffers to tracemalloc.  A request holds one float64 block of
-    # uniforms, one window of ranks (a byte each at r = 2) and the per-sample array; a
-    # float64 window, or a fresh array per block, would pass the bound
+    # numpy reports its buffers to tracemalloc.  A request holds one uint64 block of raw
+    # draws, one window of ranks (a byte each at r = 2), the per-sample array and its walk's
+    # code (2 / k bytes a rank); a float64 window, or two raw blocks at once, would pass the bound
     n, samples = 64, 3 * oracle._MC_CHUNK_ROWS
     monte_carlo_redundancy(float_convergent_source, n, samples, seed=3)
     tracemalloc.start()
@@ -879,9 +960,10 @@ def test_monte_carlo_holds_one_draw_chunk(float_convergent_source):
 
 def test_monte_carlo_holds_one_float_array_per_n():
     # numpy reports its buffers to tracemalloc.  While it samples, a request holds its
-    # per-n -log2 mu arrays, a window of ranks and a block of uniforms; then it finishes
+    # per-n -log2 mu arrays, a window of ranks and a block of raw draws; then it finishes
     # each n in place in one scratch array and lets it go.  Copies for the snap, rho and
-    # the deviations, as ndarray.std makes, held three or four more (5.6 MB on this source)
+    # the deviations, as ndarray.std makes, held three or four more (5.6 MB on this source),
+    # and a two-byte transposed copy of a walked chunk would pass the bound too
     source = random_float_source(np.random.default_rng(0), 2)
     ns, samples = range(99, 101), 10**5
     monte_carlo_redundancy_range(source, ns[0], ns[-1], 10, seed=0)
