@@ -284,7 +284,7 @@ def _cmd_fejer_demo(args):
         "function": [f_id for f_id in functions for _ in grid],
         "u": np.tile(grid, len(functions)),
         "f": np.concatenate([direct(grid, theta) for direct in functions.values()]),
-        "fejer_sum": np.concatenate([fejer.fejer_sum(f_id, grid, theta, N) for f_id in functions]),
+        "fejer_sum": fejer.fejer_sum(tuple(functions), grid, theta, N).ravel(),
         "bound": np.full(len(functions) * len(grid), bound),
     }
 

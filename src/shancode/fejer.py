@@ -16,7 +16,8 @@ functions is bounded by
     err(N, theta) = inf_{0 < d < 1/2} [ d / theta + 1 / (N sin^2(pi d)) ],
 
 which follows from convolving with the nonnegative Fejer kernel
-K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)).
+K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)).  fejer_sum takes each point's
+sum as one dot product with a block of cos/sin phases that all its functions share.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ import numpy as np
 
 from .errors import ResourceLimit
 
-# terms len(u) * width per frequency block of fejer_sum: memory stays flat for
-# any N and any number of points, and fejer-demo's 512 points take blocks of
-# 256 frequencies, so its default order-256 sum is one block
-FEJER_BLOCK_TERMS = 2**17
+# terms points * frequencies per block of fejer_sum, 256 KiB of complex phases:
+# memory stays flat for any N and any number of points, and fejer-demo's
+# order-256 sum takes 8 blocks of 64 points with every frequency
+FEJER_BLOCK_TERMS = 2**14
 # largest number of terms len(u) * N that fejer_sum admits
 FEJER_WORK_CAP = 2**25
 
@@ -86,35 +87,44 @@ def _coefficients(f_id: str, ms: np.ndarray, theta: float) -> np.ndarray:
     raise ValueError(f"unknown function id {f_id!r}")
 
 
-def fejer_sum(f_id: str, u, theta: float, N: int):
-    """Order-N Fejer (Cesaro) partial sum of rho_minus, delta or rho_plus.
+def fejer_sum(f_ids, u, theta: float, N: int):
+    """Order-N Fejer (Cesaro) partial sums of rho_minus, delta or rho_plus.
 
-    The negative-frequency coefficients are the conjugates of the positive
-    ones, so the sum is assembled as a real cosine series and the imaginary
-    residue vanishes identically.  Frequencies are summed in blocks of
-    FEJER_BLOCK_TERMS // len(u) (at least one), so memory stays at about
-    FEJER_BLOCK_TERMS complex values whatever N is, and more than
-    FEJER_WORK_CAP terms len(u) * N raise ResourceLimit before any work.
+    f_ids is one id, giving an array over u (a float for a scalar u), or a
+    tuple of ids, giving one row each.  Negative frequencies take conjugate
+    coefficients, so each sum is a real cosine series.  A block is
+    FEJER_BLOCK_TERMS // N points with every frequency (one point and
+    FEJER_BLOCK_TERMS frequencies where N is larger), so a point's sum is one
+    dot product.  Its phases, cos and sin of 2 pi u m in one complex array of
+    about 16 FEJER_BLOCK_TERMS bytes, are made once and serve every id.  More
+    than FEJER_WORK_CAP terms len(u) * N raise ResourceLimit before any work.
     """
     _check_theta(theta)
     if N < 1:
         raise ValueError("truncation order N must be >= 1")
+    ids = (f_ids,) if isinstance(f_ids, str) else tuple(f_ids)
     u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    work = u_arr.size * N
-    if work > FEJER_WORK_CAP:
+    if (work := u_arr.size * N) > FEJER_WORK_CAP:
         raise ResourceLimit(
             f"Fejer sum of order N={N} on {u_arr.size} points is estimated at {work} > {FEJER_WORK_CAP} terms"
         )
-    width = max(1, FEJER_BLOCK_TERMS // u_arr.size)
-    total = np.zeros(u_arr.size)
-    for lo in range(1, N + 1, width):
-        ms = np.arange(lo, min(lo + width, N + 1))
-        window = 1.0 - ms / (N + 1.0)
-        coeffs = _coefficients(f_id, ms, theta) * window
-        phases = np.exp(2j * math.pi * np.outer(u_arr, ms))
-        total += (phases @ coeffs).real
-    values = _DC[f_id](theta) + 2.0 * total
-    return values if np.ndim(u) else float(values[0])
+    width = min(N, FEJER_BLOCK_TERMS)
+    rows = FEJER_BLOCK_TERMS // width
+    phases = np.empty(min(rows, u_arr.size) * width, dtype=complex)
+    total = np.zeros((len(ids), u_arr.size))
+    for ms in (np.arange(lo, min(lo + width, N + 1)) for lo in range(1, N + 1, width)):
+        coeffs = [_coefficients(f_id, ms, theta) * (1.0 - ms / (N + 1.0)) for f_id in ids]
+        for top in range(0, u_arr.size, rows):
+            block = phases[:min(rows, u_arr.size - top) * ms.size].reshape(-1, ms.size)
+            # the imaginary part holds 2 pi u m until cos has read it and sin replaces it
+            np.multiply(np.multiply.outer(u_arr[top:top + rows], ms, out=block.imag), 2.0 * math.pi, out=block.imag)
+            np.cos(block.imag, out=block.real)
+            np.sin(block.imag, out=block.imag)
+            total[:, top:top + rows] += [(block @ c).real for c in coeffs]
+        del coeffs  # so that the next block's coefficients are not made beside these
+    values = np.array([_DC[f_id](theta) for f_id in ids])[:, None] + 2.0 * total
+    values = values if np.ndim(u) else values[:, 0].tolist()
+    return values[0] if isinstance(f_ids, str) else values
 
 
 def _error_objective(d: float, N: int, theta: float) -> float:

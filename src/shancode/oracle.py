@@ -580,9 +580,9 @@ def _ranks(seed: int, start: int, out, thresholds):
     above t exactly when raw >= ceil(t 2^53) 2^11, the uint64 each threshold
     below 1 becomes.  One of 1.0, from a row that ends in zeros, is at or
     below no uniform and would pass 2^64, so it is left out.  A rank is
-    counted, one comparison per threshold, below _MC_SEARCH_THRESHOLDS
-    thresholds, and found by a sorted search from there; both give the
-    count of thresholds at or below the uniform.
+    counted below _MC_SEARCH_THRESHOLDS thresholds, each comparison's bool
+    mask added as its uint8 view (no cast), and found by a sorted search
+    from there; both give the count of thresholds at or below the uniform.
     """
     bits = np.random.Philox(key=seed, counter=start // 4)
     bits.random_raw(start % 4)
@@ -596,7 +596,7 @@ def _ranks(seed: int, start: int, out, thresholds):
             ranks[:] = np.searchsorted(whole, raw, side="right")
         else:
             for threshold in whole:
-                ranks += np.greater_equal(raw, threshold, out=mask)
+                ranks += np.greater_equal(raw, threshold, out=mask).view(np.uint8)
         del raw
     return out
 

@@ -70,6 +70,7 @@ CASES = {
     "sweep": ["--command", "sweep", "--source", "{grid}"],
     "sweep-empty": ["--command", "sweep", "--source", "{empty_grid}"],
     "fejer-demo": ["--command", "fejer-demo", "--n", "16"],
+    "fejer-demo-256": ["--command", "fejer-demo", "--n", "256"],
 }
 
 

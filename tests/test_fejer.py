@@ -191,7 +191,77 @@ def test_fejer_sum_large_order_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert np.max(np.abs(got - want)) <= 1e-12
-    assert peak < 32 * 2**20
+    assert peak <= phase_block_bound()
+
+
+FUNCTIONS = ("rho_minus", "delta", "rho_plus")
+DEMO_GRID = np.arange(0.0, 1.0, 1.0 / 512.0)  # the points of fejer-demo
+
+
+def phase_block_bound():
+    """Bytes a Fejer sum may hold: a block of phases and room for its coefficients' temporaries."""
+    return 4 * 16 * fejer.FEJER_BLOCK_TERMS + 2**18
+
+
+def one_product(f_id, u, theta, N):
+    """The order-N sum as one product of the whole (len(u), N) phase matrix with the coefficients."""
+    ms = np.arange(1, N + 1)
+    coeffs = fejer._coefficients(f_id, ms, theta) * (1.0 - ms / (N + 1.0))
+    return fejer._DC[f_id](theta) + 2.0 * (np.exp(2j * math.pi * np.outer(u, ms)) @ coeffs).real
+
+
+@pytest.mark.parametrize("N", [16, 100, 256])
+def test_fejer_sum_of_three_ids_equals_each_alone(N):
+    # blocks hold whole rows of frequencies (a tail of 23 points at N = 100), so
+    # each point takes the one product's dot product and every value is bit for bit
+    theta = 0.1
+    together = fejer.fejer_sum(FUNCTIONS, DEMO_GRID, theta, N)
+    assert together.shape == (len(FUNCTIONS), len(DEMO_GRID))
+    for row, f_id in zip(together, FUNCTIONS):
+        alone = fejer.fejer_sum(f_id, DEMO_GRID, theta, N)
+        assert np.array_equal(row, alone)
+        assert np.array_equal(alone, one_product(f_id, DEMO_GRID, theta, N))
+
+
+@pytest.mark.parametrize("block_terms", [2**5, 2**9])
+@pytest.mark.parametrize("points", [1, 7, 513])
+def test_fejer_sum_blocks_match_one_product(monkeypatch, block_terms, points):
+    # orders below and above the block: tail rows, 1-row blocks and frequency blocks.
+    # Summed in frequency blocks, a point's dot product is reassociated, which
+    # moved values by up to 1.2e-15 at N = 600 on 513 points; a dropped block or
+    # row moves them by 1e-8 or more.
+    monkeypatch.setattr(fejer, "FEJER_BLOCK_TERMS", block_terms)
+    theta = 0.1
+    u = np.linspace(-1.0, 2.0, points, endpoint=False) + 0.0123
+    for N in (3, 31, 100, 600):
+        got = fejer.fejer_sum(FUNCTIONS, u, theta, N)
+        tol = 1e-15 if N <= block_terms else 2e-15
+        for row, f_id in zip(got, FUNCTIONS):
+            assert np.max(np.abs(row - one_product(f_id, u, theta, N))) <= tol, (f_id, N)
+
+
+def test_fejer_sum_of_scalar_is_float(monkeypatch):
+    theta, N = 0.1, 100
+    for block_terms in (fejer.FEJER_BLOCK_TERMS, 2**5):  # one block, then frequency blocks of 32
+        monkeypatch.setattr(fejer, "FEJER_BLOCK_TERMS", block_terms)
+        value = fejer.fejer_sum("rho_plus", 0.3, theta, N)
+        assert type(value) is float
+        assert abs(value - one_product("rho_plus", [0.3], theta, N)[0]) <= 1e-15
+        values = fejer.fejer_sum(FUNCTIONS, 0.3, theta, N)
+        assert [type(v) for v in values] == [float] * 3 and values[2] == value
+
+
+def test_fejer_demo_sum_within_phase_block_memory():
+    # a whole 512 x 256 complex phase matrix for each function peaked at 4.3 MB;
+    # one block of 64 x 256 phases serves all three
+    tracemalloc.start()
+    try:
+        values = fejer.fejer_sum(FUNCTIONS, DEMO_GRID, 0.1, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (3, 512)
+    assert peak <= phase_block_bound()
 
 
 def test_fejer_sum_refuses_over_work_cap():
