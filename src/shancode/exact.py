@@ -79,11 +79,11 @@ def _decimal_log2(m: Fraction, prec: int) -> Decimal:
 
 
 @lru_cache(maxsize=1024)
-def _fixed_log2(m: Fraction, den: int, bits: int) -> int:
-    """round(2^bits log2(m) / den), from log2(m) at 30 + 0.30103 bits significant digits."""
+def _fixed_log2(m: Fraction, den: int, scale: int) -> int:
+    """round(scale log2(m) / den), from log2(m) at 30 + 0.30103 floor(log2 scale) significant digits."""
     with localcontext() as ctx:
-        ctx.prec = 30 + math.ceil(0.30103 * bits)
-        return int((_decimal_log2(m, ctx.prec) / den * (1 << bits)).to_integral_value())
+        ctx.prec = 30 + math.ceil(0.30103 * (scale.bit_length() - 1))
+        return int((_decimal_log2(m, ctx.prec) / den * scale).to_integral_value())
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,8 @@ class Log2Value:
         if self.is_rational:
             return [Fraction(k * num % kden, kden) for k in ks]
         bits = 128 + 2 * max(map(abs, ks), default=0).bit_length()
-        L = _fixed_log2(self.mantissa, den, bits)
         one, mask = 1 << bits, (1 << bits) - 1
+        L = _fixed_log2(self.mantissa, den, one)
         # & mask is the residue modulo 2^bits for negative k L too; % 1.0 maps a
         # fraction rounded up to 1.0 back to 0.0
         return np.fromiter(((((k * num % kden) << bits) // kden + k * L & mask) / one % 1.0 for k in ks),

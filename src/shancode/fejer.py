@@ -74,17 +74,25 @@ _DC = {
 }
 
 
-def _coefficients(f_id: str, ms: np.ndarray, theta: float) -> np.ndarray:
-    """Fourier coefficients of rho_minus, delta or rho_plus at the nonzero frequencies ms."""
+def _coefficients(f_ids, ms: np.ndarray, theta: float, N: int | None = None) -> list[np.ndarray]:
+    """Fourier coefficients of each id of f_ids (rho_minus, delta or rho_plus) at the nonzero frequencies ms.
+
+    The series a of rho_minus and b of delta are made once for all the ids.
+    Given N, each coefficient is scaled in place by its Fejer weight
+    1 - m / (N + 1), made once a and b are freed so as not to add to their
+    peak.
+    """
+    if unknown := [f_id for f_id in f_ids if f_id not in _DC]:
+        raise ValueError(f"unknown function id {unknown[0]!r}")
     a = (1.0 - np.exp(-2j * math.pi * ms * theta)) / ((2j * math.pi * ms) ** 2 * theta)
     b = (1.0 - np.cos(2 * math.pi * ms * theta)) / (2 * theta * math.pi**2 * ms**2)
-    if f_id == "rho_minus":
-        return a
-    if f_id == "delta":
-        return b.astype(complex)
-    if f_id == "rho_plus":
-        return a + b
-    raise ValueError(f"unknown function id {f_id!r}")
+    coeffs = [a.copy() if f_id == "rho_minus" else b.astype(complex) if f_id == "delta" else a + b for f_id in f_ids]
+    del a, b
+    if N is not None:
+        weight = 1.0 - ms / (N + 1.0)
+        for c in coeffs:
+            c *= weight
+    return coeffs
 
 
 def fejer_sum(f_ids, u, theta: float, N: int):
@@ -113,7 +121,7 @@ def fejer_sum(f_ids, u, theta: float, N: int):
     phases = np.empty(min(rows, u_arr.size) * width, dtype=complex)
     total = np.zeros((len(ids), u_arr.size))
     for ms in (np.arange(lo, min(lo + width, N + 1)) for lo in range(1, N + 1, width)):
-        coeffs = [_coefficients(f_id, ms, theta) * (1.0 - ms / (N + 1.0)) for f_id in ids]
+        coeffs = _coefficients(ids, ms, theta, N)
         for top in range(0, u_arr.size, rows):
             block = phases[:min(rows, u_arr.size - top) * ms.size].reshape(-1, ms.size)
             # the imaginary part holds 2 pi u m until cos has read it and sin replaces it

@@ -19,19 +19,19 @@ request whose cost, estimated from sizes, is over LIFT_WORK_CAP or
 LIFT_CELL_CAP takes the lattice DP instead.
 
 Every other source, and every request over those caps, takes lattice_dp.
-rho reads -log2 mu only modulo 1, and modulo 1 it depends on a path only
-through a lattice point: for an exact source, its rational part times a
-common denominator D, modulo D, and the exponents of mu's odd mantissa over
-a pairwise coprime base; for a float source, the exact sum of its float
-steps modulo 1, a fraction of 1 in 64 or more bits.  The DP runs forward
-over (state, lattice point) keys carrying float probability mass and reads
-R_n out at every n of a range; its classes are unions of Markov types
-(Jacquet & Szpankowski, IEEE T-IT 2004).  Each state's frontier is a
-sorted array of key rows, and a step adds each move's row with the
-lattice's own addition, which wraps modulo 1, then sorts and sums what
-enters each state.  The DP is admitted by the work it does, not by an
-estimate: it counts its key moves and stops with ResourceLimit at the step
-that would pass DP_MOVE_BUDGET or move over DP_CELL_CAP key cells.
+rho reads -log2 mu only modulo 1, and the DP keys a path by that alone, as
+one integer modulo Q: for an exact source, its exact lattice point (the
+rational part over a common denominator D and the exponents of mu's odd
+mantissa over a pairwise coprime base) mapped through base logs rounded
+once to 1/Q; for a float source, the exact sum of its float steps modulo 1,
+a fraction of 1 in 64 or more bits.  The DP runs forward over (state, key)
+pairs carrying float probability mass and reads R_n out at every n of a
+range; its classes are unions of Markov types (Jacquet & Szpankowski, IEEE
+T-IT 2004).  Each state's frontier is a sorted 1-D array of keys, and a
+step adds each move's key modulo Q, then sorts and sums what enters each
+state.  The DP is admitted by the work it does, not by an estimate: it
+counts its key moves and stops with ResourceLimit at the step that would
+pass DP_MOVE_BUDGET.
 
 Also here: a seeded Monte Carlo estimator, refused over its caps before any
 draw, that keys -log2 mu modulo 1 as the float lattice does; _snap reads both.
@@ -44,14 +44,13 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 
 from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
                           readout_denominator)
 from .errors import ResourceLimit
-from .exact import _decimal_log2, ceil_defect, rho_ratio
+from .exact import _fixed_log2
 from .sources import MarkovSource, classify_structure
 from .spectral import stack_powers
 
@@ -59,8 +58,6 @@ INTEGER_SNAP_TOL = 1e-9
 # work in key moves (see _forward) that one exact_redundancy_range request may do over all
 # its passes: at most about a second, and no seed-0 float source (r = 2..32) peaked above 140 MB
 DP_MOVE_BUDGET = 2**22
-# key cells, key moves times key width, one DP step may move: bounds its memory on wide lattices
-DP_CELL_CAP = 2**24
 # key moves charged per state a step visits or a readout merges, and per key a readout reads:
 # work that makes no keys, charged by its time at about 0.2 us a unit (see _forward)
 _STATE_CHARGE = 64
@@ -161,57 +158,64 @@ def _exponents(value: int, base) -> dict[int, int]:
 def _merge(parts):
     """One sorted (keys, masses) from a nonempty list of them, summing the masses of equal keys.
 
-    A stable lexsort (the last column is its primary key) keeps equal keys in
-    the order of the parts, and each part holds a key once.  bincount over
-    the run numbers then adds each run left to right, in part order, as a
-    dict accumulating the parts would; np.add.reduceat would add a run's
-    tail first, a + (b + c), and move last bits.
+    A stable sort keeps equal keys in the order of the parts, and each part
+    holds a key once.  bincount over the run numbers then adds each run left
+    to right, in part order, as a dict accumulating the parts would;
+    np.add.reduceat would add a run's tail first, a + (b + c), and move last
+    bits.
     """
     live = [part for part in parts if len(part[1])]
     if len(live) <= 1:
         return live[0] if live else parts[0]
     keys = np.concatenate([k for k, _ in live])
-    order = np.lexsort(keys.T)
-    keys = keys.take(order, axis=0)
+    order = np.argsort(keys, kind="stable")
+    keys = keys.take(order)
     masses = np.concatenate([m for _, m in live]).take(order)
     new = np.empty(len(keys), dtype=bool)
     new[0] = True
-    np.not_equal(keys[1:, 0], keys[:-1, 0], out=new[1:])
-    for i in range(1, keys.shape[1]):
-        new[1:] |= keys[1:, i] != keys[:-1, i]
-    return keys.compress(new, axis=0), np.bincount(new.cumsum(dtype=np.intp) - 1, weights=masses)
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys.compress(new), np.bincount(new.cumsum(dtype=np.intp) - 1, weights=masses)
 
 
-def _merged(frontier):
-    """Probability mass per lattice point, summed over the current state."""
-    return _merge(frontier)
+def _add(keys, steps, Q: int):
+    """keys + steps modulo Q: numpy's own wrap where Q = 2^64, one reduction otherwise."""
+    return keys + steps if Q == 1 << 64 else (keys + steps) % Q
 
 
-def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
-    """Run the DP to length hi; return ([readout(*merged frontier) for n = lo..hi], spent).
+def _readout(keys, masses, Q: int, snap: bool) -> tuple[float, bool]:
+    """(sum of masses * rho, snapped) for rho = ((-K) mod Q) / Q of each key K as a float division.
+
+    Where Q is a power of two, rho is rounded once; elsewhere the key and Q
+    are rounded to float64 first, exact for a rational point K / D of an
+    exact lattice with D < 2^53, which so reads rho_ratio(K, D) bit for bit.
+    A float lattice's rho is snapped (_snap); an exact lattice's is not.
+    """
+    rho = (-keys if Q == 1 << 64 else (Q - keys) % Q).astype(np.float64) / Q
+    snapped = snap and _snap(rho)
+    return math.fsum((masses * rho).tolist()), snapped
+
+
+def _forward(frontier, moves, lo: int, hi: int, Q: int, snap: bool, spent: int = 0):
+    """Run the DP to length hi; return ([_readout of the merged frontier for n = lo..hi], spent).
 
     frontier[k] is (keys, masses) of the paths now in state k: the distinct
-    lattice points of -log2 mu modulo 1 as a sorted (N, width) array of key
-    rows (int64 columns of an exact lattice, the one uint64 or Python int
-    column of a float lattice), each with its float64 probability mass.
-    moves[k] is (targets, steps, probs) of state k's nonzero transitions,
-    steps one row each; a step adds every move's row to every key with the
-    lattice's add (keys, steps[:, None]) and merges what enters each state
-    (_merge).  spent counts work in key moves: each key a step moves (what
-    bounds memory), plus _STATE_CHARGE = 64 per state a step visits or a
-    readout merges, and _READ_CHARGE = 8 per key a readout reads.  Those
-    make no keys: a step's merges take 12-27 us per state (r = 2..32)
-    against about 15 ns per key move, about 0.2 us a unit at that charge,
-    and a readout's merge, fsum and array calls take about 30 us however
-    few its keys, so it is charged per state as a step is.  Its keys take
-    0.2-0.4 us each beyond that, under the charge kept from the 1-3 us of a
-    per-key Python readout.  Work at n that would take spent past
-    DP_MOVE_BUDGET raises ResourceLimit before it runs, and so does a step
-    whose moves times the key width (one column, or one plus one per base
-    element of an exact lattice) would pass DP_CELL_CAP.
+    lattice points of -log2 mu modulo 1 as a sorted 1-D array of keys modulo
+    Q (uint64, or Python ints where a float lattice's Q passes 2^64), each
+    with its float64 probability mass.  moves[k] is (targets, steps, probs)
+    of state k's nonzero transitions; a step adds every move's key to every
+    key modulo Q (_add) and merges what enters each state (_merge).  spent
+    counts work in key moves: each key a step moves (what bounds memory),
+    plus _STATE_CHARGE = 64 per state a step visits or a readout merges, and
+    _READ_CHARGE = 8 per key a readout reads.  Those make no keys: a step's
+    merges take 12-27 us per state (r = 2..32) against about 15 ns per key
+    move, about 0.2 us a unit at that charge, and a readout's merge, fsum
+    and array calls take about 30 us however few its keys, so it is charged
+    per state as a step is.  Its keys take 0.2-0.4 us each beyond that,
+    under the charge kept from the 1-3 us of a per-key Python readout.  Work
+    at n that would take spent past DP_MOVE_BUDGET raises ResourceLimit
+    before it runs.
     """
     out, empty = [], (frontier[0][0][:0], frontier[0][1][:0])
-    width = empty[0].shape[1]
     for n in range(1, hi + 1):
         moved = 0
         if n < hi:
@@ -222,126 +226,91 @@ def _forward(frontier, moves, lo: int, hi: int, add, readout, spent: int = 0):
         if spent > DP_MOVE_BUDGET:
             raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next work would bring it to "
                                 f"{spent} key moves > {DP_MOVE_BUDGET}")
-        if moved * width > DP_CELL_CAP:
-            raise ResourceLimit(f"lattice DP reached n = {n} of {hi}; its next step would move {moved} keys of "
-                                f"{width} columns, {moved * width} key cells > DP_CELL_CAP = {DP_CELL_CAP}")
         if n >= lo:
-            out.append(readout(*_merged(frontier)))
+            out.append(_readout(*_merge(frontier), Q, snap))
         if n == hi:
             break
         entering = [[empty] for _ in frontier]
         for (keys, masses), (targets, steps, probs) in zip(frontier, moves):
             if len(masses):
-                moved, weighted = add(keys, steps[:, None]), np.multiply.outer(probs, masses)
+                moved, weighted = _add(keys, steps[:, None], Q), np.multiply.outer(probs, masses)
                 for j, part in zip(targets, zip(moved, weighted)):
                     entering[j].append(part)
         frontier = [_merge(parts) for parts in entering]
     return out, spent
 
 
-def _exact_lattice(source: MarkovSource, hi: int):
-    """(key points, add, readout, passes) of an exact source's lattice up to length hi.
+def _exact_lattice(source: MarkovSource):
+    """(key points, Q, passes) of an exact source's lattice.
 
-    points[i] is the key row of -prob_table.logs[i], and a key the lattice
-    point of -log2 mu modulo 1, a row of int64 columns: D times its rational
-    part, modulo D, D the lcm of the logs' rational denominators, then the
-    exponents of mu's odd mantissa over a coprime base.  A step is numpy
-    addition with D subtracted once where the rational column reaches it
-    (none at D = 1).  A path of length <= hi keeps every exponent within
-    bound = hi * (largest |exponent| of a step); a lattice whose exponent
-    span 2 bound or D would reach 2^62 raises ResourceLimit before any DP
-    work.  One pass runs all first states together.  Where the exponents
-    are all 0, -log2 mu is rational and rho is exact integer arithmetic.
-    Elsewhere each 40-digit log2 of a base element is split into hi, rounded
-    to float32's 24 bits, and lo: frac(e hi) is exact in float64 for |e| <
-    2^29, so rho(K / D - sum_i frac(e_i hi_i) - e . lo) rounds only terms
-    of a few units.
+    points[i] is the key of -prob_table.logs[i]: -log2 p modulo 1 as an
+    integer modulo Q.  With D the lcm of the logs' rational denominators, Q
+    is 2^64 where D is a power of two (every rational-probability source)
+    and D 2^(63 - bit_length(D)) < 2^63 elsewhere; a D of 2^62 or more
+    raises ResourceLimit before any DP work.  -log2 p is K / D - sum_i e_i
+    log2 b_i for an integer K, its rational part times D, and the exponents
+    e_i of p's odd mantissa over the coprime base b_i, so its key is K Q / D
+    - sum_i e_i L_i modulo Q, L_i = round(Q log2 b_i) read once per base
+    element.  Keys are then a homomorphism of the exact lattice points:
+    paths of equal mu have equal keys, and a rational point K / D reads
+    rho_ratio's value bit for bit (_readout).  Each L_i is within 1 / (2Q)
+    of Q log2 b_i, so a key is within sum_i |e_i| / (2Q) of its exact point.
+    One pass runs all first states together.
     """
     table = source.prob_table
     denom = math.lcm(*(lg.rational.denominator for lg in table.logs))
+    if denom >> 62:
+        raise ResourceLimit(f"exact lattice denominator D = {denom} reaches 2^62")
+    Q = 1 << 64 if denom & (denom - 1) == 0 else denom << (63 - denom.bit_length())
     parts = {v for lg in table.logs for v in (lg.mantissa.numerator, lg.mantissa.denominator)}
     base = _coprime_base(parts)
-    exponents = {v: _exponents(v, base) for v in parts}
-    bound = hi * max((abs(e) for expo in exponents.values() for e in expo.values()), default=0)
-    if max(2 * bound, denom) >> 62:
-        raise ResourceLimit(f"exact lattice columns up to n = {hi} reach 2^62")
-    points = np.zeros((len(table.logs), 1 + len(base)), dtype=np.int64)
-    for row, lg in zip(points, table.logs):
-        # a mantissa is in lowest terms, so its numerator and denominator share no base element
-        row[0] = int(-lg.rational * denom) % denom
-        for i, e in exponents[lg.mantissa.numerator].items():
-            row[1 + i] = e
-        for i, e in exponents[lg.mantissa.denominator].items():
-            row[1 + i] = -e
-    logs = [_decimal_log2(b, 40) for b in base]
-    his = np.array(list(map(float, logs)), dtype=np.float32).astype(np.float64)
-    los = np.array([float(x - Decimal(h)) for x, h in zip(logs, his.tolist())])
-
-    def add(keys, delta):
-        out = keys + delta
-        scaled = out[..., 0]
-        np.subtract(scaled, denom, out=scaled, where=scaled >= denom)
-        return out
-
-    def readout(keys, masses):
-        scaled, expo = keys[:, 0], keys[:, 1:]
-        whole = expo * his
-        u = scaled / denom - (whole - np.floor(whole)).sum(axis=1) - expo @ los
-        rho = np.where(expo.any(axis=1), ceil_defect(u), rho_ratio(scaled, denom))
-        return math.fsum((masses * rho).tolist()), False
-
-    return points, np.add if denom == 1 else add, readout, [np.flatnonzero(table.p[source.r]).tolist()]
+    logs = [_fixed_log2(b, 1, Q) for b in base]
+    # Q log2 v of each mantissa part v, summed from its base elements' rounded logs
+    scaled = {v: sum(e * logs[i] for i, e in _exponents(v, base).items()) for v in parts}
+    points = [(int(-lg.rational * Q) - scaled[lg.mantissa.numerator] + scaled[lg.mantissa.denominator]) % Q
+              for lg in table.logs]
+    return np.array(points, dtype=np.uint64), Q, [np.flatnonzero(table.p[source.r]).tolist()]
 
 
-def _float_lattice(source: MarkovSource, hi: int):
-    """(key points, add, readout, passes) of a float source's lattice up to length hi.
+def _float_lattice(source: MarkovSource):
+    """(key points, Q, passes) of a float source's lattice.
 
-    points[i] is the key row of prob_table.logs[i]: frac(-log2 p) in units
-    of 2^-bits, bits = max(64, log2 scale) for scale the largest power-of-two
-    denominator of those floats, so every key, the exact sum of a path's
-    float -log2 p modulo 1, is exact.  At 64 bits a key is a uint64, which
-    numpy's addition wraps modulo 1 by itself; past that (a step probability
-    of 1 - 2^-45 alone needs 96 bits) keys are Python ints in object arrays,
-    masked after each add; Monte Carlo keys its steps alike (_rank_tables).
-    The readout rho = ((-K) mod 2^bits) 2^-bits is rounded once at any
-    length and snapped (_snap).  Paths from different first states all but
+    points[i] is the key of prob_table.logs[i]: frac(-log2 p) in units of
+    1 / Q, Q = 2^bits for bits = max(64, log2 scale) and scale the largest
+    power-of-two denominator of those floats, so every key, the exact sum of
+    a path's float -log2 p modulo 1, is exact.  At 64 bits a key is a
+    uint64, which numpy's addition wraps modulo 1 by itself; past that (a
+    step probability of 1 - 2^-45 alone needs 96 bits) keys are Python ints
+    in object arrays; Monte Carlo keys its steps alike (_rank_tables).  The
+    readout is snapped (_snap).  Paths from different first states all but
     never merge, so each first state is a pass of its own and only one of
     their frontiers is alive at a time.
     """
     table = source.prob_table
     bits = max(64, *(x.as_integer_ratio()[1].bit_length() - 1 for x in table.logs))
-    mask = (1 << bits) - 1
-    points = np.array(_keys([-x for x in table.logs], bits), dtype=np.uint64 if bits == 64 else object).reshape(-1, 1)
-
-    def add(keys, delta):
-        return (keys + delta) & mask
-
-    def readout(keys, masses):
-        rho = (-keys[:, 0] & mask).astype(np.float64) * 2.0**-bits
-        snapped = _snap(rho)
-        return math.fsum((masses * rho).tolist()), snapped
-
-    return points, np.add if bits == 64 else add, readout, [[s] for s in np.flatnonzero(table.p[source.r]).tolist()]
+    points = np.array(_keys([-x for x in table.logs], bits), dtype=np.uint64 if bits == 64 else object)
+    return points, 1 << bits, [[s] for s in np.flatnonzero(table.p[source.r]).tolist()]
 
 
 def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for every n = lo..hi from one forward lattice DP to hi.
 
-    The lattice of the source's kind (_exact_lattice, _float_lattice) owns
-    its key format and arithmetic.  It gives the key points, one row per
-    distinct log of the source's prob_table, the addition of step rows to
-    key rows modulo 1, the readout of (R_n part, snapped) from a merged
-    frontier, and the passes: groups of first states, those with p[r] > 0,
-    whose paths run together.  A cell's key is points[index[k, j]]: every
-    pass starts from its first states' keys and moves by the keys of the
-    cells with p > 0, and R_n sums the passes' readouts.  Nothing estimates the work beforehand, as no cheap
-    estimate is close: the DP counts its work in key moves over all passes
-    (see _forward) and raises ResourceLimit before the work that would pass
-    DP_MOVE_BUDGET, or before a step over DP_CELL_CAP key cells.
+    Both lattices key a path by -log2 mu modulo 1 as one integer modulo Q,
+    added modulo Q (_add) and read out as rho = ((-K) mod Q) / Q (_readout),
+    snapped for a float source only.  The lattice of the source's kind
+    (_exact_lattice, _float_lattice) gives the key points, one per distinct
+    log of the source's prob_table, Q, and the passes: groups of first
+    states, those with p[r] > 0, whose paths run together.  A cell's key is
+    points[index[k, j]]: every pass starts from its first states' keys and
+    moves by the keys of the cells with p > 0, and R_n sums the passes'
+    readouts.  Nothing estimates the work beforehand, as no cheap estimate
+    is close: the DP counts its work in key moves over all passes (see
+    _forward) and raises ResourceLimit before the work that would pass
+    DP_MOVE_BUDGET.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
-    points, add, readout, passes = (_exact_lattice if source.exact else _float_lattice)(source, hi)
+    points, Q, passes = (_exact_lattice if source.exact else _float_lattice)(source)
     p, index = source.prob_table.p, source.prob_table.index
     moves = []
     for k in range(source.r):
@@ -352,7 +321,7 @@ def lattice_dp(source: MarkovSource, lo: int, hi: int) -> list[RedundancyValue]:
     for firsts in passes:
         frontier = [(points[index[source.r, s:s + 1]], p[source.r, s:s + 1]) if s in firsts else empty
                     for s in range(source.r)]
-        out, spent = _forward(frontier, moves, lo, hi, add, readout, spent)
+        out, spent = _forward(frontier, moves, lo, hi, Q, not source.exact, spent)
         outs.append(out)
     result = []
     for n, parts in zip(range(lo, hi + 1), zip(*outs)):

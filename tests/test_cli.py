@@ -342,18 +342,26 @@ def rich_exact_doc(r: int) -> dict:
     return {"r": r, "initial": row(), "transitions": [row() for _ in range(r)]}
 
 
-def test_wide_exact_lattice_refused_by_its_cell_cap(tmp_path, capsys):
-    from shancode.oracle import DP_CELL_CAP
+def test_wide_exact_lattice_served_within_the_move_budget(tmp_path, capsys):
+    from shancode.oracle import DP_MOVE_BUDGET
 
-    # 389 key columns: the step to n = 4 moves 331,776 keys, under the move budget, but
-    # 129,060,864 int64 cells, which once took 12 s and 4 GB; n = 3 is still admitted
-    path = write_source(tmp_path, "r24.json", rich_exact_doc(24))
-    t0 = time.perf_counter()
-    rc = main(["--command", "exact", "--source", path, "--n", "4"])
-    out, err = capsys.readouterr()
-    assert rc == 3 and not out and time.perf_counter() - t0 < 10
-    payload = json.loads(err)
-    assert payload["error"] == "ResourceLimit" and f"> DP_CELL_CAP = {DP_CELL_CAP}" in payload["message"]
+    # 388 coprime base elements at r = 24 (1,062 at r = 48) and still one uint64 key a
+    # path, so the move budget alone bounds a step: r = 24 at n = 4 moves 331,776 keys
+    # and is served, as is r = 48 at n = 3; one step more is over the move budget
+    for r, served in ((24, 4), (48, 3)):
+        path = write_source(tmp_path, f"r{r}.json", rich_exact_doc(r))
+        for n, want in ((served, 0), (served + 1, 3)):
+            t0 = time.perf_counter()
+            rc = main(["--command", "exact", "--source", path, "--n", str(n)])
+            out, err = capsys.readouterr()
+            assert rc == want and time.perf_counter() - t0 < 10, (r, n)
+            if want == 0:
+                assert not err and parse_csv(out)[0]["method"] == "lattice_dp"
+            else:
+                payload = json.loads(err)
+                assert not out and payload["error"] == "ResourceLimit"
+                assert f"key moves > {DP_MOVE_BUDGET}" in payload["message"]
+    path = str(tmp_path / "r24.json")
     # n = 3 against a 50-digit sum over its 13,824 paths (0.49356511604485539...)
     source = MarkovSource.load(path)
     assert abs(shancode.exact_redundancy(source, 3).value - float(decimal_path_reference(source, 3))) <= 5e-16
@@ -368,7 +376,7 @@ def test_resource_limit_refused_before_any_work(convergent_path, monkeypatch, ca
 
     # with no budget even the first step is refused, before any readout or move
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", 0)
-    monkeypatch.setattr(oracle, "_merged", no_dp)
+    monkeypatch.setattr(oracle, "_merge", no_dp)
     rc = main(["--command", "exact", "--source", convergent_path, "--n", "198..201"])
     out, err = capsys.readouterr()
     assert rc == 3 and not out

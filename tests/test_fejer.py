@@ -56,17 +56,16 @@ def test_sandwich_property_grid():
 
 def coefficient(f_id, m, theta):
     """The Fourier coefficient at m that fejer_sum sums."""
-    return complex(fejer._coefficients(f_id, np.array([m], dtype=float), theta)[0])
+    return complex(fejer._coefficients([f_id], np.array([m], dtype=float), theta)[0][0])
 
 
 def test_fourier_b_nonnegative_and_a_bounded():
     ms = np.arange(1, 30, dtype=float)
     for theta in (0.25, 0.1, 0.05):
-        b = fejer._coefficients("delta", ms, theta)
+        a, b, both = fejer._coefficients(["rho_minus", "delta", "rho_plus"], ms, theta)
         assert np.all(b.imag == 0.0) and np.all(b.real >= 0.0)
-        a = fejer._coefficients("rho_minus", ms, theta)
         assert np.all(np.abs(a) <= 2.0 / ((2 * math.pi * ms) ** 2 * theta) + 1e-15)
-        assert np.array_equal(fejer._coefficients("rho_plus", ms, theta), a + b)
+        assert np.array_equal(both, a + b)
 
 
 def test_fourier_scaling_identities():
@@ -206,7 +205,7 @@ def phase_block_bound():
 def one_product(f_id, u, theta, N):
     """The order-N sum as one product of the whole (len(u), N) phase matrix with the coefficients."""
     ms = np.arange(1, N + 1)
-    coeffs = fejer._coefficients(f_id, ms, theta) * (1.0 - ms / (N + 1.0))
+    coeffs = fejer._coefficients([f_id], ms, theta)[0] * (1.0 - ms / (N + 1.0))
     return fejer._DC[f_id](theta) + 2.0 * (np.exp(2j * math.pi * np.outer(u, ms)) @ coeffs).real
 
 

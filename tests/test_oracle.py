@@ -23,6 +23,7 @@ from shancode import (
 from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle, spectral
 from shancode.asymptotics import _pair_offsets, ceil_defect, prediction_columns
 from shancode.errors import ResourceLimit
+from shancode.exact import rho_ratio
 from tests.conftest import (
     coprime_base_reference,
     decimal_path_reference,
@@ -207,18 +208,18 @@ def test_float_keys_are_fractions_of_one(p, path):
     # float(Fraction rho), or 0 with snap within INTEGER_SNAP_TOL of 0 or 1
     letters = [p, 1 - p]
     s = MarkovSource.from_floats(letters, [letters, letters])
-    points, add, readout, _ = oracle._float_lattice(s, len(path))
+    points, Q, _ = oracle._float_lattice(s)
     cells = s.prob_table.index[s.r]  # the initial row: each letter's position among the logs
     negs = [F(-math.log2(q)) for q in letters]
     bits = max(64, max(x.denominator for x in negs).bit_length() - 1)
     keys, total = points[cells[[int(path[0])]]], negs[path[0]]
     for i in path[1:]:
-        keys, total = add(keys, points[cells[[int(i)]]]), total + negs[i]
-    assert keys.dtype == (np.uint64 if bits == 64 else object)
-    assert F(int(keys[0, 0]), 2**bits) == total % 1
+        keys, total = oracle._add(keys, points[cells[[int(i)]]], Q), total + negs[i]
+    assert Q == 2**bits and keys.dtype == (np.uint64 if bits == 64 else object)
+    assert F(int(keys[0]), Q) == total % 1
     rho = float(-total % 1)
     near = min(rho, 1.0 - rho) <= oracle.INTEGER_SNAP_TOL
-    assert readout(keys, np.ones(1)) == (0.0 if near else rho, near and total % 1 != 0)
+    assert oracle._readout(keys, np.ones(1), Q, True) == (0.0 if near else rho, near and total % 1 != 0)
 
 
 # a source of 64-bit keys, and one of 96-bit keys (-log2(1 - 2^-45) has a 2^96 denominator)
@@ -242,11 +243,11 @@ def test_limb_arithmetic_is_int_arithmetic(case):
     # a float key is one limb: a uint64 at 64 bits, which numpy's addition wraps, and a
     # Python int masked to bits past it; either way a step adds as int addition modulo 2^bits
     bits, key, delta = case
-    _, add, _, _ = oracle._float_lattice(KEY_SOURCES[bits], 1)
+    _, Q, _ = oracle._float_lattice(KEY_SOURCES[bits])
     dtype = np.uint64 if bits == 64 else object
-    keys = np.array([[key], [key]], dtype=dtype)
-    summed = add(keys, np.array([delta], dtype=dtype))
-    assert summed.dtype == dtype and [int(v) for v in summed[:, 0]] == [(key + delta) % 2**bits] * 2
+    keys = np.array([key, key], dtype=dtype)
+    summed = oracle._add(keys, np.array([delta], dtype=dtype), Q)
+    assert summed.dtype == dtype and [int(v) for v in summed] == [(key + delta) % 2**bits] * 2
 
 
 def test_float_readout_rounds_like_int_division():
@@ -255,36 +256,98 @@ def test_float_readout_rounds_like_int_division():
     ties = [2**53 + 1, 2**53 + 3, 2**62 + 2**9, 2**62 + 3 * 2**9, 2**63 + 2**10, 2**63 + 3 * 2**10,
             3 * 2**62 + 1, 2**64 - 2**40 - 2**10]
     for bits, s in KEY_SOURCES.items():
-        _, _, readout, _ = oracle._float_lattice(s, 1)
+        _, Q, _ = oracle._float_lattice(s)
         for t in [(t << 32) + low for t in ties for low in (0, 1)] if bits == 96 else ties:
-            keys = np.array([[-t % 2**bits]], dtype=np.uint64 if bits == 64 else object)
-            assert readout(keys, np.ones(1)) == (t / 2**bits, False), (bits, t)
+            keys = np.array([-t % 2**bits], dtype=np.uint64 if bits == 64 else object)
+            assert oracle._readout(keys, np.ones(1), Q, True) == (t / 2**bits, False), (bits, t)
 
 
-def test_exact_lattice_keys_are_one_column_per_coordinate():
-    # nine coprime base elements (3, 5, 7, ...) and exponents up to 20: a key is the
-    # rational column plus nine exponent columns, moved by signed steps.  A start key
-    # is the signed point of mu itself, with no origin added at any hi: mu = 1/3 is 0
-    # in the rational column and -1 in the column of 3, and the step 5^-20 is -20 in
-    # the column of 5
+def fixed_log2(b: int, Q: int) -> int:
+    """round(Q log2 b) modulo Q, from a 60-digit decimal log."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        return int((Decimal(b).ln() / Decimal(2).ln() * Q).to_integral_value()) % Q
+
+
+# D = 3, Q = 3 2^61: the rows sum to 1 only within about 1e-15 (row_sums_inexact)
+THIRD_EXPONENT = MarkovSource.from_exact(["1/2", "1/2"], [["1/3", "2/3"], ["2^(-1/3)", "151085395078759/732359574833983"]])
+# D = 2, Q = 2^64: 2^(-1/2) beside its complement 1 - 2^(-1/2) within 1e-13
+HALF_EXPONENT = MarkovSource.from_exact(["1/2", "1/2"], [["2^(-1/2)", str(F(1 - 2**-0.5).limit_denominator(10**13))],
+                                                         ["1/3", "2/3"]])
+
+
+def test_exact_lattice_keys_are_one_integer_modulo_q():
+    # nine coprime base elements (3, 5, 7, ...) and exponents up to 20, and still one
+    # uint64 key a path: -log2 mu modulo 1 in units of 1 / Q, Q = 2^64 at D = 1.  A step
+    # of odd mantissa prod b_i^e_i is -sum e_i L_i modulo Q, with L_i = round(Q log2 b_i):
+    # mu = 1/3 is L_3 and the step 5^-20 is 20 L_5
     s = nine_prime_source()
-    start = np.zeros((3, 10), dtype=np.int64)
-    start[:, 1] = -1
-    step = np.zeros((1, 10), dtype=np.int64)
-    step[0, 2] = -20
+    points, Q, passes = oracle._exact_lattice(s)
+    index = s.prob_table.index
+    assert Q == 2**64 and points.dtype == np.uint64 and points.ndim == 1 and passes == [[0, 1, 2]]
+    assert points[index[s.r]].tolist() == [fixed_log2(3, Q)] * 3
+    assert int(points[index[0, 0]]) == 20 * fixed_log2(5, Q) % Q
     for n in range(2, 8):
-        points, add, _, _ = oracle._exact_lattice(s, n)
-        index = s.prob_table.index
-        assert np.array_equal(points[index[s.r]], start) and np.array_equal(points[index[0, :1]], step)
-        assert add is np.add and points.shape[1] == 10
         assert abs(exact_redundancy(s, n).value - redundancy_bruteforce(s, n)) <= 1e-12, n
-    # with exponents in halves, D = 2: the rational column is kept modulo D, and a step
-    # subtracts D once where the sum reaches it
-    s = half_exponent_source(-1, F(-3, 2), -2, F(-1, 2))
-    keys, add, _, _ = oracle._exact_lattice(s, 10)
-    assert add is not np.add and set(keys[:, 0].tolist()) == {0, 1}
-    summed, plain = add(keys, keys[:, None]), keys + keys[:, None]
-    assert np.array_equal(summed[..., 0], plain[..., 0] % 2) and np.array_equal(summed[..., 1:], plain[..., 1:])
+    # two step sequences of one exact mu, 1/3 * 2/3 and 2/9 * 1, land on one key, and their
+    # masses on one merged entry: each key is a sum of base logs, never a rounded log of 9
+    s = MarkovSource.from_exact(["1/3", "2/9", "4/9"], [["1/3", 0, "2/3"], [0, 0, 1], ["1/2", "1/4", "1/4"]])
+    points, Q, _ = oracle._exact_lattice(s)
+    index = s.prob_table.index
+    a = oracle._add(points[index[s.r, :1]], points[index[0, 2:]], Q)
+    b = oracle._add(points[index[s.r, 1:2]], points[index[1, 2:]], Q)
+    assert a.tolist() == b.tolist() == [2 * fixed_log2(3, Q) % Q]
+    keys, masses = oracle._merge([(a, np.array([1 / 9])), (b, np.array([2 / 9]))])
+    assert keys.tolist() == a.tolist() and masses.tolist() == [1 / 9 + 2 / 9]
+    # a rational point K / D is the key K Q / D, read out as rho_ratio's value bit for bit,
+    # at Q = 2^64 (D = 2) and at Q = 3 2^61 (D = 3), where a sum reduces modulo Q
+    for s, D in ((HALF_EXPONENT, 2), (THIRD_EXPONENT, 3)):
+        points, Q, _ = oracle._exact_lattice(s)
+        assert Q == (2**64 if D == 2 else 3 * 2**61)
+        for K in range(-40, 40):
+            key = np.array([K * (Q // D) % Q], dtype=np.uint64)
+            assert oracle._readout(key, np.ones(1), Q, False) == (rho_ratio(K, D), False), (D, K)
+        summed = oracle._add(points, points[:, None], Q)
+        assert summed.dtype == np.uint64
+        assert summed.tolist() == [[(x + y) % Q for x in points.tolist()] for y in points.tolist()]
+    # the D = 3 path 1/2 * 2^(-1/3) is the rational -log2 mu = 4/3: rho 2/3
+    points, Q, _ = oracle._exact_lattice(THIRD_EXPONENT)
+    index = THIRD_EXPONENT.prob_table.index
+    key = oracle._add(points[index[2, 1:]], points[index[1, :1]], Q)
+    assert oracle._readout(key, np.ones(1), Q, False) == (rho_ratio(4, 3), False) == (2 / 3, False)
+
+
+
+def test_merge_sums_equal_keys_in_part_order():
+    # key 0 in each of 40 parts, with mass 2^-53 (half an ulp of 1) in the first 39 and 1
+    # in the last: in part order the halves add exactly before the 1 comes, and the sum
+    # is 1 + 20 ulps; a half added after the 1 is a tie that rounds to even, and is lost
+    parts = [(np.array([0, 100 + i], dtype=np.uint64), np.array([1.0 if i == 39 else 2.0**-53, float(i)]))
+             for i in range(40)]
+    want = {}
+    for keys, masses in parts:
+        for key, mass in zip(keys.tolist(), masses.tolist()):
+            want[key] = want.get(key, 0.0) + mass
+    keys, masses = oracle._merge(parts)
+    assert keys.tolist() == sorted(want) and masses.tolist() == [want[k] for k in sorted(want)]
+    assert masses[0] == 1.0 + 20 * 2.0**-52
+
+
+# R_n at n = 10, 30, 60 and 130 as the DP gave them with a key column per base element
+FRACTIONAL_PINS = {"third": (0.5091666338497095, 0.48670312547044176, 0.4935763050259988, 0.49671917254086373),
+                   "half": (0.5778056415059958, 0.500718179416396, 0.49729708397065964, 0.49659916189563896)}
+
+
+@pytest.mark.parametrize("name, source", [("third", THIRD_EXPONENT), ("half", HALF_EXPONENT)])
+def test_fractional_exponent_keys_against_decimal_paths(name, source):
+    # -log2 mu of these paths has a rational part in thirds or halves beside log2 of odd
+    # mantissas: every R_n for n <= 9 within 1e-15 of a 50-digit sum over its paths (the
+    # float masses' rounding), and R_n to n = 130 within 2e-16 of FRACTIONAL_PINS
+    rows = oracle.lattice_dp(source, 1, 130)
+    for rec in rows[:9]:
+        assert abs(rec.value - float(decimal_path_reference(source, rec.n))) <= 1e-15, rec.n
+    for n, want in zip((10, 30, 60, 130), FRACTIONAL_PINS[name]):
+        assert abs(rows[n - 1].value - want) <= 2e-16, n
 
 
 # small factors and large ones, some composite (2^64 + 1 = 274177 * 67280421310721), so
@@ -301,9 +364,9 @@ def test_coprime_base_matches_restarting_refinement(values):
         assert math.prod(base[i] ** e for i, e in oracle._exponents(v, base).items()) == v
 
 
-def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, monkeypatch):
-    # perm's step coordinates are 0 or -1, so its columns span [0, 2 n]: n = 2^61 - 1
-    # still fits below 2^62 and reaches the DP, n = 2^61 does not and is refused first
+def test_exact_lattice_denominator_bound_refused_before_any_work(permutation_source, monkeypatch):
+    # a key counts in units of 1 / Q, and Q holds D: D = 2^62 + 1 is refused before any DP
+    # work, D = 2^62 - 1 (Q = 2 D) reaches the DP
     class Reached(Exception):
         pass
 
@@ -311,14 +374,38 @@ def test_exact_lattice_column_bound_refused_before_any_work(permutation_source, 
         raise Reached
 
     monkeypatch.setattr(oracle, "_forward", no_dp)
-    with pytest.raises(Reached):
-        oracle.lattice_dp(permutation_source, 2**61 - 1, 2**61 - 1)
-    for n in (2**61, 2**62):
-        with pytest.raises(ResourceLimit, match="reach 2\\^62"):
-            oracle.lattice_dp(permutation_source, n, n)
-    # the rational column counts in units of 1/D, and D itself must stay below 2^62 for the readout
-    with pytest.raises(ResourceLimit, match="reach 2\\^62"):
+    with pytest.raises(ResourceLimit, match="reaches 2\\^62"):
         oracle.lattice_dp(MarkovSource.from_exact([f"2^(-1/{2**62 + 1})"], [[1]]), 1, 1)
+    with pytest.raises(Reached):
+        oracle.lattice_dp(MarkovSource.from_exact([f"2^(-1/{2**62 - 1})"], [[1]]), 1, 1)
+    # exponents no longer bound n: perm at n = 2^61 and 2^62 reaches the DP, whose move
+    # budget refuses it where the lifted chain's reach ends
+    for n in (2**61, 2**62):
+        with pytest.raises(Reached):
+            oracle.lattice_dp(permutation_source, n, n)
+    monkeypatch.undo()
+    with pytest.raises(ResourceLimit, match=f"reached n = 31776 of {2**61}; .* key moves > {oracle.DP_MOVE_BUDGET}"):
+        oracle.lattice_dp(permutation_source, 2**61, 2**61)
+
+
+def record_readouts(monkeypatch) -> list:
+    """(per-state key counts, merged key count) of each frontier a readout reads, in order.
+
+    The frontier a readout reads is the one _merge was last given before it.
+    """
+    merge, readout, last, records = oracle._merge, oracle._readout, [], []
+
+    def recording_merge(parts):
+        last[:] = [len(masses) for _, masses in parts]
+        return merge(parts)
+
+    def recording_readout(keys, masses, Q, snap):
+        records.append((list(last), len(masses)))
+        return readout(keys, masses, Q, snap)
+
+    monkeypatch.setattr(oracle, "_merge", recording_merge)
+    monkeypatch.setattr(oracle, "_readout", recording_readout)
+    return records
 
 
 def test_float_lattice_points_merge_by_value(monkeypatch):
@@ -328,15 +415,9 @@ def test_float_lattice_points_merge_by_value(monkeypatch):
     # with equal -log2 mu share one lattice point
     es = MarkovSource.from_exact(["1/4", "1/4", "1/2"], [["1/2", "1/4", "1/4"], [0, 0, 1], ["1/3", "1/3", "1/3"]])
     fs = float_copy(es)
-    real_merged, sizes = oracle._merged, []
-
-    def counting_merged(frontier):
-        keys, masses = real_merged(frontier)
-        sizes.append(len(masses))
-        return keys, masses
-
-    monkeypatch.setattr(oracle, "_merged", counting_merged)
+    records = record_readouts(monkeypatch)
     rows = exact_redundancy_range(fs, 1, 40)
+    sizes = [merged for _, merged in records]
     assert len(sizes) == 3 * 40
     assert all(size <= (i % 40 + 1) ** 2 for i, size in enumerate(sizes))
     monkeypatch.undo()
@@ -352,23 +433,17 @@ def test_exact_keys_modulo_one_grow_linearly(monkeypatch):
     # the integer parts would add (2,730 at n = 60)
     s = MarkovSource.from_exact(["1/3", "1/3", "1/3"],
                                 [["1/3", "1/6", "1/2"], ["1/4", "1/2", "1/4"], ["1/2", "1/4", "1/4"]])
-    merged, sizes = oracle._merged, []
-
-    def counting_merged(frontier):
-        keys, masses = merged(frontier)
-        sizes.append(len(masses))
-        return keys, masses
-
-    monkeypatch.setattr(oracle, "_merged", counting_merged)
+    records = record_readouts(monkeypatch)
     oracle.lattice_dp(s, 1, 60)
-    assert sizes == list(range(1, 61))
+    assert [merged for _, merged in records] == list(range(1, 61))
 
 
 def test_exact_readout_of_irrational_keys(permutation_source):
-    # -log2 mu = n log2 3 modulo 1 on every path: the split log2 3 = hi + lo reads it to
-    # float accuracy at every n; e log2 3 as one float product is 2.8e-13 off by n = 900
+    # -log2 mu = n log2 3 modulo 1 on every path: the key n L_3 modulo 2^64 is within
+    # n 2^-65 of it, and all of the 4.0e-15 left is the masses' drift from 1; e log2 3 as
+    # one float product is 2.8e-13 off by n = 900
     rows = oracle.lattice_dp(permutation_source, 1, 2000)
-    assert max(abs(rec.value - rho_log2_3(rec.n)) for rec in rows) <= 1e-14
+    assert max(abs(rec.value - rho_log2_3(rec.n)) for rec in rows) <= 4.0e-15
 
 
 def test_resource_limits(monkeypatch):
@@ -385,24 +460,18 @@ def test_resource_limits(monkeypatch):
 
     # the work of n, by the documented count: readout 64 per state plus 8 per key, step 64 per
     # state plus each key move
-    sizes, merged = [], oracle._merged
-
-    def recording_merged(frontier):
-        sizes.append([len(masses) for _, masses in frontier])
-        return merged(frontier)
-
-    monkeypatch.setattr(oracle, "_merged", recording_merged)
+    records = record_readouts(monkeypatch)
     oracle.lattice_dp(s, 1, 60)
     work = [64 * s.r + 8 * sum(rows) + (64 * s.r + 2 * sum(rows) if n < 60 else 0)
-            for n, rows in enumerate(sizes, 1)]
+            for n, (rows, _) in enumerate(records, 1)]
     budget = 5000
     stop = next(n for n in range(1, 61) if sum(work[:n]) > budget)
-    sizes.clear()
+    records.clear()
     monkeypatch.setattr(oracle, "DP_MOVE_BUDGET", budget)
     with pytest.raises(ResourceLimit, match=f"reached n = {stop} of 60; .* {sum(work[:stop])} key moves > {budget}"):
         oracle.lattice_dp(s, 1, 60)
     # no work past the budget ran: n = stop was never read out, nor the step beyond it taken
-    assert len(sizes) == stop - 1
+    assert len(records) == stop - 1
     assert sum(work[:stop - 1]) <= budget
 
 
@@ -759,7 +828,7 @@ def test_monte_carlo_far_out_matches_exact_reference():
 def test_monte_carlo_keys_are_float_lattice_keys(r, n, with_zeros, seed):
     # a sampled path's uint64 sum is the float lattice's key of the same path
     source = random_float_source(np.random.default_rng(seed), r, with_zeros=with_zeros)
-    points = oracle._float_lattice(source, n)[0]
+    points = oracle._float_lattice(source)[0]
     assume(points.dtype == np.uint64)
     tables = oracle._rank_tables(source)
     thresholds, nxt = tables[:2]
@@ -772,7 +841,7 @@ def test_monte_carlo_keys_are_float_lattice_keys(r, n, with_zeros, seed):
         state, total = source.r, 0
         for rank in row:
             j = int(nxt[state * width + rank]) // width
-            total, state = (total + int(points[index[state, j], 0])) % 2**64, j
+            total, state = (total + int(points[index[state, j]])) % 2**64, j
         assert key == total
 
 
