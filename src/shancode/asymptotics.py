@@ -281,7 +281,7 @@ def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: 
             # mantissas cancel and zeta is an integer, the float sum is 1.0 or
             # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
             total = phase + float(frac_log(b, [scale], d)[0])
-            rho = ceil_defect(total)[:, None] if steps == 1 else ceil_defect(total[:, None] + np.arange(steps) / steps)
+            rho = ceil_defect(total[:, None] + np.arange(steps) / steps)
         else:
             rho = np.empty((count, steps))
         if ns:

@@ -277,15 +277,15 @@ def _cmd_fejer_demo(args):
     N, hi = args.n_range
     if hi != N:
         raise ValidationFailure(f"fejer-demo takes one truncation order, got the range {N}..{hi}")
-    bound = fejer.error_bound(N, theta)
     grid = np.arange(0.0, 1.0, 1.0 / 512.0)
     functions = {"rho_minus": fejer.rho_minus, "delta": fejer.delta, "rho_plus": fejer.rho_plus}
+    # fejer_sum refuses an order over its cap before the bound reads N as a float
     return {
         "function": [f_id for f_id in functions for _ in grid],
         "u": np.tile(grid, len(functions)),
         "f": np.concatenate([direct(grid, theta) for direct in functions.values()]),
         "fejer_sum": fejer.fejer_sum(tuple(functions), grid, theta, N).ravel(),
-        "bound": np.full(len(functions) * len(grid), bound),
+        "bound": np.full(len(functions) * len(grid), fejer.error_bound(N, theta)),
     }
 
 

@@ -16,8 +16,10 @@ functions is bounded by
     err(N, theta) = inf_{0 < d < 1/2} [ d / theta + 1 / (N sin^2(pi d)) ],
 
 which follows from convolving with the nonnegative Fejer kernel
-K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)).  fejer_sum takes each point's
-sum as one dot product with a block of cos/sin phases that all its functions share.
+K_N(u) = sin^2((N+1) pi u) / ((N+1) sin^2(pi u)).  error_bound gives it as
+the closed-form minimum, at the one real root of a cubic in sin^2(pi d).
+fejer_sum takes each point's sum as one dot product with a block of cos/sin
+phases that all its functions share.
 """
 
 from __future__ import annotations
@@ -135,36 +137,18 @@ def fejer_sum(f_ids, u, theta: float, N: int):
     return values[0] if isinstance(f_ids, str) else values
 
 
-def _error_objective(d: float, N: int, theta: float) -> float:
-    return d / theta + 1.0 / (N * math.sin(math.pi * d) ** 2)
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def error_bound(N: int, theta: float) -> float:
-    """Uniform Fejer approximation error bound, minimized over the free split.
+    """Uniform Fejer approximation error bound err(N, theta): the closed-form minimum over the split d.
 
-    Golden-section search over d in (0, 1/2); the objective is unimodal
-    there (one decreasing kernel term against one increasing slope term).
+    The derivative of d / theta + 1 / (N sin^2(pi d)) vanishes where y = sin^2(pi d)
+    solves y^3 + a^2 y - a^2 = 0, a = 2 pi theta / N; Cardano's formula gives its
+    one real root as u - a^2 / (3 u), u = a^(2/3) cbrt(1/2 + sqrt(1/4 + a^2 / 27)),
+    and the bound is the objective at d = asin(sqrt(y)) / pi.
     """
     _check_theta(theta)
     if N < 1:
         raise ValueError("N must be >= 1")
-    lo, hi = 1e-9, 0.5 - 1e-9
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1 = _error_objective(x1, N, theta)
-    f2 = _error_objective(x2, N, theta)
-    while hi - lo > 1e-10 * max(1e-6, lo):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = _error_objective(x1, N, theta)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = _error_objective(x2, N, theta)
-        if hi - lo < 1e-14:
-            break
-    return min(f1, f2)
+    a = 2.0 * math.pi * theta / N
+    u = a ** (2.0 / 3.0) * (0.5 + math.sqrt(0.25 + a * a / 27.0)) ** (1.0 / 3.0)
+    d = math.asin(math.sqrt(u - a * a / (3.0 * u))) / math.pi
+    return d / theta + 1.0 / (N * math.sin(math.pi * d) ** 2)

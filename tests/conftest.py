@@ -222,6 +222,33 @@ def random_float_source(rng, r: int, with_zeros: bool = False) -> MarkovSource:
     return MarkovSource.from_floats(p0, P)
 
 
+# the nonzero cells random_exact_source draws: dyadic, 3-, 5- and 9-adic entries
+EXACT_CELLS = tuple(map(Fraction, ("1/2", "1/4", "1/8", "3/8", "3/4", "1/3", "2/3", "1/6", "1/9", "1/12", "1/5")))
+
+
+def random_exact_row(rng, r: int) -> list[str]:
+    """1..r nonzero cells at random places: all but the last from EXACT_CELLS, the last closing the row."""
+    while True:
+        cells = [rng.choice(EXACT_CELLS) for _ in range(rng.randint(1, r) - 1)]
+        if sum(cells) < 1:
+            break
+    row = ["0"] * r
+    for place, p in zip(rng.sample(range(r), len(cells) + 1), [*cells, 1 - sum(cells)]):
+        row[place] = str(p)
+    return row
+
+
+def random_exact_source(rng) -> MarkovSource:
+    """An exact source of r = 1..3 states whose initial vector and rows are random_exact_rows.
+
+    rng is a random.Random.  The zero patterns make periodic and reducible
+    chains; about a third come out oscillatory, a third convergent and a
+    third reducible.
+    """
+    r = rng.randint(1, 3)
+    return MarkovSource.from_exact(random_exact_row(rng, r), [random_exact_row(rng, r) for _ in range(r)])
+
+
 def float_copy(source: MarkovSource) -> MarkovSource:
     """The same chain with every probability rounded to a float."""
     return MarkovSource.from_floats(source.initial_array(), source.transition_array())
@@ -584,6 +611,46 @@ def fejer_kernel(u, N: int):
     safe = ~near_int
     out[safe] = np.sin((N + 1) * math.pi * u_arr[safe]) ** 2 / ((N + 1) * s[safe] ** 2)
     return out if np.ndim(u) else float(out[0])
+
+
+_PI_60 = Decimal("3.14159265358979323846264338327950288419716939937510582097494459")
+
+
+def error_bound_decimal_reference(N: int, theta: float, digits: int = 50) -> float:
+    """inf over 0 < d < 1/2 of d / theta + 1 / (N sin^2(pi d)) by golden-section search in `digits`-digit decimals.
+
+    The search runs over ln d from ln 1e-60 to ln 1/2, so the bracket holds
+    the minimiser at any N a float can express, and sin is its Taylor series.
+    """
+    with localcontext() as ctx:
+        ctx.prec = digits
+        theta_d, eps = Decimal(theta), Decimal(10) ** (2 - digits)
+
+        def sin(x: Decimal) -> Decimal:
+            total, term, k = x, x, 1
+            while abs(term) > eps * abs(total):
+                term *= -x * x / ((2 * k) * (2 * k + 1))
+                total, k = total + term, k + 1
+            return total
+
+        def objective(log_d: Decimal) -> Decimal:
+            d = log_d.exp()
+            return d / theta_d + 1 / (N * sin(_PI_60 * d) ** 2)
+
+        inv_golden = (Decimal(5).sqrt() - 1) / 2
+        lo, hi = Decimal("1e-60").ln(), Decimal("0.5").ln()
+        x1, x2 = hi - inv_golden * (hi - lo), lo + inv_golden * (hi - lo)
+        f1, f2 = objective(x1), objective(x2)
+        while hi - lo > Decimal("1e-20"):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - inv_golden * (hi - lo)
+                f1 = objective(x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + inv_golden * (hi - lo)
+                f2 = objective(x2)
+        return float(min(f1, f2))
 
 
 @dataclass(frozen=True)

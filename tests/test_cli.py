@@ -623,10 +623,13 @@ def test_float_sources_need_no_scan(float_path, tmp_path, p2b_source, p3_source,
 
 
 def test_fejer_demo_over_work_cap_refused(capsys):
-    rc = main(["--command", "fejer-demo", "--n", "1000000"])
-    out, err = capsys.readouterr()
-    assert rc == 3 and not out
-    assert json.loads(err)["error"] == "ResourceLimit"
+    # the sums are refused before the bound is computed: at 10^310 that one
+    # raised an OverflowError, a traceback with exit code 1
+    for n in ("1000000", str(10**310)):
+        rc = main(["--command", "fejer-demo", "--n", n])
+        out, err = capsys.readouterr()
+        assert rc == 3 and not out, n
+        assert json.loads(err)["error"] == "ResourceLimit"
 
 
 def test_fejer_demo_rejects_range(capsys):

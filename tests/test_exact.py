@@ -124,6 +124,10 @@ def test_value_at_most_one():
     assert ExactProb.make(F(1), F(-1, 2)).value_at_most_one()
     assert not ExactProb.make(F(3), F(-1)).value_at_most_one()
     assert ExactProb.make(F(3), F(-2)).value_at_most_one()
+    # log2(1 +- 2^-100) is about 1.1e-30, below the error bound of the first
+    # 30-digit sum, so each is decided at 60 digits
+    assert not ExactProb.make(2**100 + 1, -100).value_at_most_one()
+    assert ExactProb.make(2**100 - 1, -100).value_at_most_one()
 
 
 # continued fraction convergents p/q of log2(3): 3 * 2^(-p/q) lies closest to 1 of all exponents

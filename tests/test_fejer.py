@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from shancode import ceil_defect
 from shancode import fejer
 from shancode.errors import ResourceLimit
-from tests.conftest import fejer_kernel, simpson
+from tests.conftest import error_bound_decimal_reference, fejer_kernel, simpson
 
 THETAS = (0.3, 0.1, 0.01)
 
@@ -173,6 +173,15 @@ def test_error_bound_matches_grid_minimization():
             d = np.linspace(1e-6, 0.5 - 1e-6, 200001)
             grid_min = float(np.min(d / theta + 1.0 / (N * np.sin(math.pi * d) ** 2)))
             assert fejer.error_bound(N, theta) == pytest.approx(grid_min, rel=1e-6)
+
+
+def test_error_bound_matches_decimal_minimisation():
+    # the minimiser d* shrinks like N^(-1/3), to about 2e-11 at N = 10^30, where
+    # a search bracketed from 1e-9 misses it
+    for N in (1, 2, 16, 256, 65536, 10**9, 10**30):
+        for theta in (0.001, 0.05, 0.25, 0.4999):
+            want = error_bound_decimal_reference(N, theta)
+            assert abs(fejer.error_bound(N, theta) - want) <= 4e-16 * want, (N, theta)
 
 
 def test_fejer_sum_large_order_in_bounded_memory():

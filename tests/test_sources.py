@@ -50,6 +50,15 @@ def test_validate_flags_near_stochastic_exact(m2_source):
     assert report.flags == {"row_sums_inexact"} and not report.messages
 
 
+def test_validate_decides_probabilities_within_2_to_the_minus_100_of_one():
+    over = MarkovSource.from_exact([1, 0], [[f"{2**100 + 1} * 2^(-100)", 0], ["1/2", "1/2"]])
+    report = validate(over)
+    assert not report.ok and report.messages == (f"probability {over.transitions[0][0]} exceeds 1",)
+    under = MarkovSource.from_exact([1, 0], [[f"{2**100 - 1} * 2^(-100)", "2^(-100)"], ["1/2", "1/2"]])
+    report = validate(under)
+    assert report.ok and not report.flags and not report.messages
+
+
 def test_float_validation_tolerance():
     good = MarkovSource.from_floats([0.5, 0.5], [[0.3, 0.7], [0.6, 0.4]])
     assert validate(good).ok
