@@ -35,7 +35,7 @@ logs with s = (M/d) unit and w_j = (M/d) X_j modulo 1; nothing solves the
 congruence again, and s and w are only reported.  This module owns that
 format.  pair_rho is the one readout of rho from it, at scale M for Omega_n
 and at scale 1, shifted by z/M, for the exact oracle's lifted chain (whose
-integer edge lifts edge_lifts gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
+integer edge lifts _similarity gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
 + frac((M/d) b_jk) and b_jk = X_j - X_k - d log2 p_j.  Where (n-1) unit +
 b_jk is rational, rho is exact integer arithmetic (exact.rho_ratio), so
 dyadic sources predict exactly 0.  Elsewhere each term is reduced modulo 1
@@ -50,14 +50,14 @@ whole n range in one pass, keeping only a bool margin cell.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import ReducibleChain, ResourceLimit, ZeroProbability
 from .exact import Log2Value, ceil_defect, common_denominator, frac_log, rho_ratio, wrap_unit
-from .sources import MarkovSource, classify_structure, is_dyadic, stationary_distribution
+from .sources import MarkovSource, _stationary, classify_structure, is_dyadic
 
 DEFAULT_XI = 0.05
 DEFAULT_M_MAX = 64
@@ -79,7 +79,8 @@ class ModeClassification:
     solution is the similarity solution (d, unit, X) of every oscillatory
     classification (see _similarity), Log2Values for an exact source and
     floats for a float one, from which zeta is evaluated; it is None only in
-    the convergent mode.
+    the convergent mode.  lifts, the edge lifts z_e mod M, are there only for
+    an exact source; as the source and solution fix them, == and hash skip them.
     """
 
     mode: str  # "convergent" | "oscillatory"
@@ -89,6 +90,7 @@ class ModeClassification:
     provenance: str  # "exact_rational" | "spectral_search" | "heuristic_float"
     flags: frozenset
     solution: tuple | None = None
+    lifts: np.ndarray | None = field(default=None, compare=False)
 
 
 def _bezout(a: int, b: int):
@@ -108,13 +110,15 @@ def _similarity(source: MarkovSource, structure):
     describes, on the logs of source.prob_table: Log2Values for an exact
     source, decided exactly, and floats for a float source, decided by
     approximate_rational.  Returns None when some Q_e is irrational (the
-    convergent mode), else (M, unit, X) with M = lcm(den Q_e) and logs such
-    that, modulo 1,
+    convergent mode), else (M, unit, X, lifts) with M = lcm(den Q_e) and logs
+    such that, modulo 1,
 
         s = (M/d) unit,  w_j = (M/d) X_j,  zeta_jk(n) = (M/d) [(n-1) unit + X_j - X_k - d log2 p_j],
 
-    where unit is Y shifted by a rational multiple of 1/M so that s lies in
-    [0, 1/d), and w_0 = 0.
+    where unit = Y - i/M, the integer i in [0, d) putting s in [0, 1/d), and
+    w_0 = 0.  lifts (None for a float source) is the (r, r) integer array of
+    the edge lifts z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j), read off
+    the residues that decided M as (g_e/d) i - M Q_e mod M; 0 off the support.
     """
     table, d, depth = source.prob_table, structure.period, structure.depth
     edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
@@ -133,18 +137,24 @@ def _similarity(source: MarkovSource, structure):
         if ge and (g == 0 or ge % g):
             g, x, y = _bezout(g, ge)
             Y = Y * x + delta(k, j) * y
-    M = common_denominator(Y * (ge // d) - delta(k, j) for k, j, ge in edges)
+    Q = {}  # the residue Q_e of each edge up to the first irrational one
+    M = common_denominator(Q.setdefault((k, j), Y * (ge // d) - delta(k, j)) for k, j, ge in edges)
     if M is None:
         return None
-    unit = Y
+    i = 0
     if d > 1:
         # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
         # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
         # value wrap_unit gives it, not as s next to 1/d
         i = math.floor(d * frac_log(Y, [M], d)[0] + (0 if isinstance(Y, Log2Value) else 1e-12))
-        unit = Y - Fraction(i, M)
+    unit = Y - Fraction(i, M)
     X = tuple(unit * depth[j] - phi[j] * d for j in range(source.r))
-    return M, unit, X
+    if not source.exact:
+        return M, unit, X, None
+    lifts = [[0] * source.r for _ in range(source.r)]
+    for k, j, ge in edges:
+        lifts[k][j] = (ge // d * i - Q[k, j].rational.numerator * (M // Q[k, j].rational.denominator)) % M
+    return M, unit, X, np.array(lifts)
 
 
 def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClassification:
@@ -164,12 +174,12 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
     flags = frozenset({"degenerate"} if is_dyadic(source) else ())
     solution = _similarity(source, structure)
     if solution and (source.exact or solution[0] <= m_max):
-        M, unit, X = solution
+        M, unit, X, lifts = solution
         d = structure.period
         s = wrap_unit(float(frac_log(unit, [M], d)[0]))
         w = tuple(wrap_unit(float(frac_log(x, [M], d)[0])) for x in X)
         provenance = "exact_rational" if source.exact else "spectral_search"
-        return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X))
+        return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X), lifts)
     if source.exact:
         return ModeClassification("convergent", None, None, None, "exact_rational", flags)
     return ModeClassification("convergent", None, None, None, "heuristic_float", flags | {"heuristic"})
@@ -195,24 +205,6 @@ def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
     dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
             *(table.logs[i].rational.denominator for i in table.index[source.r] if i < len(table.logs))]
     return d * math.lcm(*dens)
-
-
-def edge_lifts(source: MarkovSource, cls: ModeClassification) -> dict:
-    """{(k, j): z_e mod M} over the edges k -> j of an oscillatory exact source.
-
-    z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j) is an integer whose log
-    mantissas cancel, so it is read off the rational parts with no power.
-    """
-    d, unit, X = cls.solution
-    table = source.prob_table
-    lifts = {}
-    for k, row in enumerate(source.support()):
-        for j in row:
-            dz = -table.logs[table.index[k, j]].rational * (cls.M * d) - (unit + X[k] - X[j]).rational * cls.M
-            if dz.denominator != 1 or dz.numerator % d:
-                raise ValueError(f"edge {k} -> {j} lifts to z_e = {dz / d}, not an integer")
-            lifts[k, j] = dz.numerator // d % cls.M
-    return lifts
 
 
 def _power_index(base: Fraction, target: Fraction) -> int | None:
@@ -379,7 +371,7 @@ def prediction_columns(
     # n - 1 modulo d, from (lo - 1) mod d so that it stays an int64 at any n
     shift = ((lo - 1) % d + np.arange(len(ns))) % d
     initial = source.prob_table.p[source.r]
-    weights = d * np.outer(initial, stationary_distribution(source))
+    weights = d * np.outer(initial, _stationary(source))  # irreducible, as cls is oscillatory: no second BFS
     pairs = [(j, k) for j in np.flatnonzero(initial).tolist() for k in range(source.r)]
     osc = np.zeros(len(ns))
     near = np.zeros((len(ns), source.r, source.r), dtype=bool)

@@ -8,7 +8,7 @@ exact_redundancy_range takes one of two exact routes for a range of n.
 An irreducible exact source that classify_mode calls oscillatory, of order
 M, takes lifted_chain: modulo 1, -log2 mu depends only on the two end
 states, n and an integer z mod M, the sum of the edges' integer lifts z_e
-(asymptotics.edge_lifts), so R_n is a finite sum over the Markov chain on
+(ModeClassification.lifts), so R_n is a finite sum over the Markov chain on
 (state, z mod M) after n - 1 steps (the paper's decomposition before the
 limit; Omega_n is the same sum at that chain's limit).  Its step is
 block-circulant in z; the DFT over z makes it M twisted r x r matrices,
@@ -47,8 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotics import (INT64_READOUT_BOUND, ModeClassification, classify_mode, edge_lifts, pair_rho,
-                          readout_denominator)
+from .asymptotics import INT64_READOUT_BOUND, ModeClassification, classify_mode, pair_rho, readout_denominator
 from .errors import ResourceLimit
 from .exact import _fixed_log2
 from .sources import MarkovSource, classify_structure
@@ -386,8 +385,8 @@ def _conditioned(square: np.ndarray) -> np.ndarray:
 def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int) -> list[RedundancyValue]:
     """Exact R_n for n = lo..hi of an oscillatory exact source, from its chain on (state, z mod M).
 
-    Every edge k -> j lifts to an integer z_e (asymptotics.edge_lifts), and
-    a path j -> ... -> k of length n whose z_e sum to z mod M has, modulo 1,
+    Every edge k -> j lifts to an integer z_e (cls.lifts), and a path
+    j -> ... -> k of length n whose z_e sum to z mod M has, modulo 1,
 
         -log2 mu = z/M + frac((n-1) unit / d) + frac((X_j - X_k - d log2 p_j) / d),
 
@@ -412,9 +411,7 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     table = source.prob_table.p
     live = np.flatnonzero(table[r]).tolist()
     roots = np.exp(-2j * np.pi * np.arange(M) / M) if M > 2 else np.array([1.0, -1.0][:M])  # real at M <= 2
-    twist = np.zeros((M // 2 + 1, r, r), dtype=roots.dtype)
-    for (k, j), z in edge_lifts(source, cls).items():
-        twist[:, k, j] = table[k, j] * roots[np.arange(len(twist)) * z % M]
+    twist = table[:r] * roots[np.arange(M // 2 + 1)[:, None, None] * cls.lifts % M]
     start = np.broadcast_to(np.eye(r)[live], (len(twist), len(live), r))
     masses = np.stack(stack_powers(start, twist, range(lo - 1, hi), _conditioned))  # [n, t, j, k]: DFT over z
     masses = np.fft.irfft(masses, n=M, axis=1).transpose(0, 2, 3, 1).reshape(count, len(live), r * M)  # [n, j, k M + z]

@@ -331,14 +331,15 @@ def classify_structure(source: MarkovSource) -> ChainStructure:
 
 
 def stationary_distribution(source: MarkovSource) -> np.ndarray:
-    """Unique probability vector with pi P = pi for an irreducible chain.
-
-    Solved as a linear system with the normalization constraint replacing one
-    redundant balance equation.
-    """
+    """Unique probability vector with pi P = pi for an irreducible chain; ReducibleChain otherwise."""
     structure = classify_structure(source)
     if not structure.irreducible:
         raise ReducibleChain(structure.reducible_note or "chain is reducible")
+    return _stationary(source)
+
+
+def _stationary(source: MarkovSource) -> np.ndarray:
+    """pi of an irreducible source, the normalization replacing one redundant balance equation of pi P = pi."""
     P = source.transition_array()
     r = source.r
     A = P.T - np.eye(r)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -249,6 +250,44 @@ def random_exact_source(rng) -> MarkovSource:
     return MarkovSource.from_exact(random_exact_row(rng, r), [random_exact_row(rng, r) for _ in range(r)])
 
 
+def random_order_source(rng) -> MarkovSource:
+    """An exact source of 2 or 3 states whose cycle weights differ by multiples of 1/q: order M = q.
+
+    rng is a random.Random and q is drawn from {2, 3, 5, 7}.  Entries are
+    mu 2^(-a/q) with integers 0 <= a < 3q and rational mu; rows are made
+    stochastic through rationals rounded by limit_denominator(10**13), so
+    they sum to 1 only within about 1e-13 (row_sums_inexact).
+      - Period 1: a positive chain, p(j|k) = mu (w_j / w_k) 2^(-a_kj/q) with
+        mu and w the inverse Perron root and Perron vector of 2^(-a_kj/q).
+        a_00 - a_11 is not a multiple of q, so the self-loops of states 0 and
+        1 differ by a non-integer multiple of 1/q and M = q.
+      - Period 2: three states, a hub that moves to the other two by
+        mu (2^(-a_1/q), 2^(-a_2/q)), a_1 - a_2 not a multiple of q, and each
+        of them returns to the hub: period2_source with random exponents,
+        hub and state labels.
+    The initial vector is a random_exact_row.
+    """
+    q, r = rng.choice((2, 3, 5, 7)), rng.randint(2, 3)
+    if r == 3 and rng.random() < 0.5:
+        hub, x, y = rng.sample(range(3), 3)
+        a = rng.randrange(2 * q)
+        exps = (Fraction(-a, q), Fraction(-a - rng.randint(1, q - 1), q))
+        mu = Fraction(1 / sum(2.0 ** float(e) for e in exps)).limit_denominator(10**13)
+        rows = [[ZERO] * 3 for _ in range(3)]
+        rows[hub][x], rows[hub][y] = (ExactProb.make(mu, e) for e in exps)
+        rows[x][hub] = rows[y][hub] = ExactProb.make(1)
+    else:
+        a = [[rng.randrange(2 * q) for _ in range(r)] for _ in range(r)]
+        a[1][1] = a[0][0] + rng.randint(1, q - 1)
+        values, vectors = np.linalg.eig(2.0 ** (-np.array(a) / q))
+        top = int(np.argmax(values.real))
+        h = np.abs(vectors[:, top].real)
+        mu = Fraction(1 / values[top].real).limit_denominator(10**13)
+        w = [Fraction(h[j] / h[0]).limit_denominator(10**13) for j in range(r)]
+        rows = [[ExactProb.make(mu * w[j] / w[k], Fraction(-a[k][j], q)) for j in range(r)] for k in range(r)]
+    return MarkovSource.from_exact(random_exact_row(rng, r), rows)
+
+
 def float_copy(source: MarkovSource) -> MarkovSource:
     """The same chain with every probability rounded to a float."""
     return MarkovSource.from_floats(source.initial_array(), source.transition_array())
@@ -298,20 +337,25 @@ def decimal_path_reference(source: MarkovSource, n: int, digits: int = 50) -> De
 
     Each path carries its mu exactly: the products of its steps' odd
     mantissas' numerators and denominators and the sum of their power-of-2
-    exponents.  Its mass is rounded once and its rho read from that one mu
-    (_decimal_rho).
+    exponents.  Paths that end in the same state with the same numerator,
+    denominator and exponent are summed once, times their number.  Each mass
+    is rounded once and its rho read from that one mu (_decimal_rho).
     """
     with localcontext() as ctx:
         ctx.prec = digits
-        frontier = [(k, p.mantissa.numerator, p.mantissa.denominator, p.exp2)
-                    for k, p in enumerate(source.initial) if p is not ZERO]
+        frontier = Counter((k, p.mantissa.numerator, p.mantissa.denominator, p.exp2)
+                           for k, p in enumerate(source.initial) if p is not ZERO)
         for _ in range(n - 1):
-            frontier = [(j, num * p.mantissa.numerator, den * p.mantissa.denominator, e + p.exp2)
-                        for k, num, den, e in frontier for j, p in enumerate(source.transitions[k]) if p is not ZERO]
+            paths = Counter()
+            for (k, num, den, e), count in frontier.items():
+                for j, p in enumerate(source.transitions[k]):
+                    if p is not ZERO:
+                        paths[j, num * p.mantissa.numerator, den * p.mantissa.denominator, e + p.exp2] += count
+            frontier = paths
         total, ln2 = Decimal(0), Decimal(2).ln()
-        for _, num, den, e in frontier:
+        for (_, num, den, e), count in frontier.items():
             mass = Decimal(2) ** (Decimal(e.numerator) / e.denominator) * num / den
-            total += mass * _decimal_rho(num, den, e, ln2)
+            total += count * mass * _decimal_rho(num, den, e, ln2)
         return total
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import time
 import tracemalloc
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
@@ -20,6 +21,7 @@ from shancode import (
     exact_redundancy,
     exact_redundancy_range,
     find_oscillation_order,
+    oracle,
     oscillation_argument,
     phase_matrix,
     predict,
@@ -35,7 +37,10 @@ from tests.conftest import (
     iter_paths_bruteforce,
     memoryless,
     omega_decimal_reference,
+    period2_source,
+    random_exact_source,
     random_float_source,
+    random_order_source,
     verify_similarity,
 )
 
@@ -531,8 +536,9 @@ def test_prediction_readout_past_2_53_in_python_ints():
 def test_zeta_reads_the_stored_solution(
     oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source, monkeypatch
 ):
-    # classify_mode keeps its similarity solution, exact or float, so neither
-    # the range prediction nor oscillation_argument solves the congruence again
+    # classify_mode keeps its similarity solution, exact or float, and an exact
+    # source's edge lifts, so neither the range prediction, oscillation_argument
+    # nor the exact source's lifted chain solves the congruence again
     from shancode import asymptotics
 
     def table(s, cls):
@@ -547,6 +553,7 @@ def test_zeta_reads_the_stored_solution(
     sources = [*exact, *map(float_copy, exact)]
     classes = [classify_mode(s) for s in sources]
     want = [(table(s, cls), zetas(s, cls)) for s, cls in zip(sources, classes)]
+    chains = [oracle.lifted_chain(s, cls, 1, 30) for s, cls in zip(exact, classes)]
 
     def solve_again(*args, **kwargs):
         raise AssertionError("the similarity congruence was solved again")
@@ -556,6 +563,57 @@ def test_zeta_reads_the_stored_solution(
         assert cls.mode == "oscillatory" and cls.solution is not None
         assert table(s, cls) == preds
         assert zetas(s, cls) == zs
+    assert [oracle.lifted_chain(s, cls, 1, 30) for s, cls in zip(exact, classes)] == chains
+
+
+def test_lifts_are_the_edge_lifts_of_the_stored_solution(
+    oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source
+):
+    # z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j), an integer, on every edge and 0
+    # off the support, against what _similarity read off its residues; float
+    # sources carry no lifts
+    rng = random.Random(0)
+    drawn = [random_exact_source(rng) for _ in range(100)]
+    drawn = [s for s in drawn if classify_structure(s).irreducible and classify_mode(s).mode == "oscillatory"]
+    sources = [*oscillatory_exact_family, cycle_source, bipartite_periodic_source, p2b_source, p3_source,
+               *(period2_source(M) for M in (2, 3, 5, 7, 67, 257)), *(random_order_source(rng) for _ in range(40)),
+               *drawn]
+    for s in sources:
+        cls = classify_mode(s)
+        d, unit, X = cls.solution
+        want = [[0] * s.r for _ in range(s.r)]
+        for k, row in enumerate(s.transitions):
+            for j, p in enumerate(row):
+                if p is not ZERO:
+                    dz = log2_prob(p) * (-cls.M * d) - (unit + X[k] - X[j]) * cls.M  # d z_e
+                    assert dz.is_rational and dz.rational.denominator == 1 and dz.rational.numerator % d == 0
+                    want[k][j] = dz.rational.numerator // d % cls.M
+        assert cls.lifts.tolist() == want, s.to_dict()
+        assert classify_mode(s) == cls and hash(classify_mode(s)) == hash(cls)
+        assert classify_mode(float_copy(s)).lifts is None
+    assert sum(classify_mode(s).M > 1 for s in sources) >= 40
+
+
+def test_prediction_columns_runs_one_structure_pass(oscillatory_exact_family, p3_source, monkeypatch):
+    # the cyclic classes and the stationary vector come from one BFS a call
+    from shancode import asymptotics, sources
+
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return classify_structure(source)
+
+    for s in (*oscillatory_exact_family, p3_source, float_copy(p3_source)):
+        cls = classify_mode(s)
+        want = prediction_columns(s, cls, 1, 50)
+        with monkeypatch.context() as patch:
+            patch.setattr(asymptotics, "classify_structure", counted)
+            patch.setattr(sources, "classify_structure", counted)
+            calls.clear()
+            got = prediction_columns(s, cls, 1, 50)
+            assert len(calls) == 1
+        assert got.omega.tobytes() == want.omega.tobytes() and got.upper.tobytes() == want.upper.tobytes()
 
 
 @pytest.mark.parametrize("name", ["p2b_source", "p3_source"])

@@ -300,7 +300,7 @@ def test_over_long_predict_range_refused_before_any_work(permutation_path, monke
         raise AssertionError("a refused prediction ran")
 
     monkeypatch.setattr(asymptotics, "pair_rho", no_work)
-    monkeypatch.setattr(asymptotics, "stationary_distribution", no_work)
+    monkeypatch.setattr(asymptotics, "_stationary", no_work)
     # 2^22 cells hold 2^20 rows at r = 2; one more row is refused
     rc = main(["--command", "predict", "--source", permutation_path, "--n", f"1..{2**20 + 1}"])
     out, err = capsys.readouterr()
