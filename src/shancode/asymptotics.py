@@ -14,7 +14,7 @@ Delta = -log2 p(j|k) + phi_k - phi_j.  With d = gcd(g) = sum a_e g_e (the
 period), Y = sum a_e Delta_e and Q_e = (g_e / d) Y - Delta_e, the mode is
 convergent iff some Q_e is irrational; otherwise M = lcm(den Q_e),
 s = frac(M Y) / d and w_j = h_j s - M phi_j (mod 1).  One algorithm serves
-both kinds of source: an exact source's logs are Log2Values and
+both kinds of source: an exact source's logs are integer rows and
 rationality is decided, so both modes are proven; a float source's logs are
 floats and rationality is only tested (exact.approximate_rational), so its
 classification stays heuristic.  In the oscillatory mode, for most large n
@@ -37,12 +37,11 @@ format.  pair_rho is the one readout of rho from it, at scale M for Omega_n
 and at scale 1, shifted by z/M, for the exact oracle's lifted chain (whose
 integer edge lifts _similarity gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
 + frac((M/d) b_jk) and b_jk = X_j - X_k - d log2 p_j.  Where (n-1) unit +
-b_jk is rational, rho is exact integer arithmetic (exact.rho_ratio), so
-dyadic sources predict exactly 0.  Elsewhere each term is reduced modulo 1
-by exact.frac_log: for an exact source without forming mantissa**k, in
-integer fixed point with 128 + 2 bit_length(k) fraction bits, so rho is
-correct to about 1e-16 at any n; for a float source as a float product, so zeta
-carries an error of order n M 2^-52 (|unit| + max |X_j|).
+b_jk is rational (its exponent part is 0), rho is exact integer arithmetic
+(exact.rho_ratio), so dyadic sources predict exactly 0.  Elsewhere
+exact.frac_log reduces each term modulo 1: in integer fixed point for an
+exact source, so rho is correct to about 1e-16 at any n, and as a float
+product for a float one, so zeta is off by about n M 2^-52 (|unit| + max |X_j|).
 prediction_columns sums each live pair's rho(zeta_jk(n)) into Omega_n for a
 whole n range in one pass, keeping only a bool margin cell.
 """
@@ -56,7 +55,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import ReducibleChain, ResourceLimit, ZeroProbability
-from .exact import Log2Value, ceil_defect, common_denominator, frac_log, rho_ratio, wrap_unit
+from .exact import ceil_defect, common_denominator, frac_log, int_rows, rho_ratio, split_rows, wrap_unit
 from .sources import MarkovSource, _stationary, classify_structure, is_dyadic
 
 DEFAULT_XI = 0.05
@@ -77,8 +76,8 @@ class ModeClassification:
     provenance is "exact_rational" for an exact source; a float source is
     "spectral_search" when oscillatory and "heuristic_float" when convergent.
     solution is the similarity solution (d, unit, X) of every oscillatory
-    classification (see _similarity), Log2Values for an exact source and
-    floats for a float one, from which zeta is evaluated; it is None only in
+    classification (see _similarity), integer rows (tuples) for an exact
+    source and floats for a float one, from which zeta is evaluated; None in
     the convergent mode.  lifts, the edge lifts z_e mod M, are there only for
     an exact source; as the source and solution fix them, == and hash skip them.
     """
@@ -107,11 +106,12 @@ def _similarity(source: MarkovSource, structure):
     """Solution of the similarity congruence of an irreducible source.
 
     Works on the BFS tree of classify_structure as the module docstring
-    describes, on the logs of source.prob_table: Log2Values for an exact
-    source, decided exactly, and floats for a float source, decided by
-    approximate_rational.  Returns None when some Q_e is irrational (the
-    convergent mode), else (M, unit, X, lifts) with M = lcm(den Q_e) and logs
-    such that, modulo 1,
+    describes, forming phi, Delta_e and Q_e over all edges at once from
+    source.prob_table: an exact source's integer rows, decided exactly, in
+    int64 where their size bounds every sum and in Python ints elsewhere, or
+    a float source's floats, decided by approximate_rational.  Returns None
+    when some Q_e is irrational (the convergent mode), else (M, unit, X,
+    lifts) with M = lcm(den Q_e), unit and X_j rows of Python ints or floats:
 
         s = (M/d) unit,  w_j = (M/d) X_j,  zeta_jk(n) = (M/d) [(n-1) unit + X_j - X_k - d log2 p_j],
 
@@ -120,41 +120,35 @@ def _similarity(source: MarkovSource, structure):
     the edge lifts z_e = M (-log2 p(j|k)) - (M/d)(unit + X_k - X_j), read off
     the residues that decided M as (g_e/d) i - M Q_e mod M; 0 off the support.
     """
-    table, d, depth = source.prob_table, structure.period, structure.depth
-    edges = [(k, j, depth[k] + 1 - depth[j]) for k, row in enumerate(source.support()) for j in row]
-    logs = {(k, j): table.logs[table.index[k, j]] for k, j, _ in edges}
-    zero = logs[edges[0][:2]] * 0  # 0 in the type of the logs
-    phi = [zero] * source.r
-    for j in sorted(range(1, source.r), key=depth.__getitem__):
-        k = structure.parent[j]
-        phi[j] = phi[k] - logs[k, j]
-
-    def delta(k, j):
-        return phi[k] - phi[j] - logs[k, j]
-
-    g, Y = 0, zero
-    for k, j, ge in edges:
-        if ge and (g == 0 or ge % g):
-            g, x, y = _bezout(g, ge)
-            Y = Y * x + delta(k, j) * y
-    Q = {}  # the residue Q_e of each edge up to the first irrational one
-    M = common_denominator(Q.setdefault((k, j), Y * (ge // d) - delta(k, j)) for k, j, ge in edges)
+    table, d, r, basis = source.prob_table, structure.period, source.r, source.prob_table.basis
+    depth, parent = np.array(structure.depth), structure.parent
+    k, j = np.nonzero(table.index[:r] < len(table.logs))
+    g = depth[k] + 1 - depth[j]
+    logs = np.array(table.logs) if basis is None else int_rows(table.rows, 4 * r)  # |Delta_e| < 2r max |log|
+    phi = np.zeros((r, *logs.shape[1:]), logs.dtype)
+    for state in sorted(range(1, r), key=structure.depth.__getitem__):
+        phi[state] = phi[parent[state]] - logs[table.index[parent[state], state]]
+    delta = phi[k] - phi[j] - logs[table.index[k, j]]
+    G, Y = 0, np.zeros(logs.shape[1:], dtype=object)
+    for e in np.flatnonzero(np.diff(np.gcd.accumulate(g), prepend=0)).tolist():  # where gcd(g) drops
+        G, x, y = _bezout(G, int(g[e]))
+        Y = Y * x + delta[e].astype(object) * y
+    Q = np.multiply.outer(g // d, Y if basis is None else int_rows(Y, 2 * r)) - delta
+    M = common_denominator(Q.tolist() if basis is None else Q, basis)
     if M is None:
         return None
-    i = 0
-    if d > 1:
-        # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
-        # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
-        # value wrap_unit gives it, not as s next to 1/d
-        i = math.floor(d * frac_log(Y, [M], d)[0] + (0 if isinstance(Y, Log2Value) else 1e-12))
-    unit = Y - Fraction(i, M)
-    X = tuple(unit * depth[j] - phi[j] * d for j in range(source.r))
-    if not source.exact:
-        return M, unit, X, None
-    lifts = [[0] * source.r for _ in range(source.r)]
-    for k, j, ge in edges:
-        lifts[k][j] = (ge // d * i - Q[k, j].rational.numerator * (M // Q[k, j].rational.denominator)) % M
-    return M, unit, X, np.array(lifts)
+    # frac((M/d) Y) = (i + d s) / d with integer i in [0, d); drop the i/d.
+    # A float frac within 1e-12 / d below (i + 1) / d reads as s = 0, the
+    # value wrap_unit gives it, not as s next to 1/d
+    i = math.floor(d * frac_log(Y, [M], d, basis)[0] + (1e-12 if basis is None else 0)) if d > 1 else 0
+    if basis is None:
+        unit = Y - i / M
+        return M, unit, tuple((np.multiply.outer(depth, unit) - phi * d).tolist()), None
+    unit = Y - basis.of(Fraction(i, M))
+    X = np.multiply.outer(depth, unit) - phi.astype(object) * d
+    lifts = np.zeros((r, r), dtype=np.int64 if M < 2**63 else object)
+    lifts[k, j] = (g // d * i - split_rows(Q)[0].astype(object) // (basis.D // M)) % M
+    return M, tuple(unit.tolist()), tuple(map(tuple, X.tolist())), lifts
 
 
 def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClassification:
@@ -175,9 +169,9 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
     solution = _similarity(source, structure)
     if solution and (source.exact or solution[0] <= m_max):
         M, unit, X, lifts = solution
-        d = structure.period
-        s = wrap_unit(float(frac_log(unit, [M], d)[0]))
-        w = tuple(wrap_unit(float(frac_log(x, [M], d)[0])) for x in X)
+        d, basis = structure.period, source.prob_table.basis
+        s = wrap_unit(float(frac_log(unit, [M], d, basis)[0]))
+        w = tuple(wrap_unit(float(frac_log(x, [M], d, basis)[0])) for x in X)
         provenance = "exact_rational" if source.exact else "spectral_search"
         return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X), lifts)
     if source.exact:
@@ -188,50 +182,39 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 # -- the oscillation argument zeta ------------------------------------------
 
 
-def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> list:
-    """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k) in pairs."""
+def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> np.ndarray:
+    """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k): rows or floats."""
     d, _, X = cls.solution
     table = source.prob_table
-    return [X[j] - X[k] - table.logs[table.index[source.r, j]] * d for j, k in pairs]
+    dtype = object if source.exact else float
+    X, logs = np.array(X, dtype=dtype), np.array(table.rows if source.exact else table.logs, dtype=dtype)
+    js, ks = np.array(pairs).reshape(-1, 2).T
+    return X[js] - X[ks] - logs[table.index[source.r, js]] * d
 
 
 def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
-    """Q = d lcm(den unit, den X_j, den log2 p_j over p_j > 0) of an oscillatory exact source's solution.
+    """Q = d D / gcd(D, K of unit, X_j and log2 p_j over p_j > 0) = d lcm of their rational parts' denominators.
 
-    The rational part of (scale/d)((n-1) unit + b_jk) is K/Q, K an integer, at every integer scale, n and pair.
+    Q times the rational part of (scale/d)((n-1) unit + b_jk) is an integer.
     """
     d, unit, X = cls.solution
     table = source.prob_table
-    dens = [unit.rational.denominator, *(x.rational.denominator for x in X),
-            *(table.logs[i].rational.denominator for i in table.index[source.r] if i < len(table.logs))]
-    return d * math.lcm(*dens)
+    initial = table.index[source.r]
+    K, _ = split_rows([unit, *X, *table.rows[initial[initial < len(table.logs)]].tolist()])
+    return d * table.basis.D // math.gcd(table.basis.D, *K.tolist())
 
 
-def _power_index(base: Fraction, target: Fraction) -> int | None:
-    """The t >= 0 with base^t == target, or None; base is a positive rational other than 1.
+def _rational_points(u, b, lo: int, hi: int) -> range:
+    """The n in lo..hi at which (n - 1) u + b = 0, for the exponent parts u of unit and b of b_jk.
 
-    base^t is a^t / b^t in lowest terms, so t is read off the side where
-    base is above 1 and checked on both, never forming a power far larger
-    than target.
+    Every n or none where u = 0, else at most n - 1 = -b_i / u_i at the first u_i != 0.
     """
-    (a, c), (b, e) = sorted([(base.numerator, target.numerator), (base.denominator, target.denominator)],
-                            key=lambda side: side[0] == 1)
-    t = round(math.log(c) / math.log(a))
-    if a**t != c or t * (b.bit_length() - 1) > e.bit_length():
-        return None
-    return t if b**t == e else None
-
-
-def _rational_points(unit: Log2Value, b: Log2Value, lo: int, hi: int) -> range:
-    """The n in lo..hi at which (n - 1) unit + b is rational, for exact logs unit and b.
-
-    Its mantissa is m_u^(n-1) m_b: 1 at every n or at none where m_u = 1,
-    and otherwise only where m_u^(n-1) = 1/m_b, at most one n.
-    """
-    if unit.is_rational:
-        return range(lo, hi + 1) if b.is_rational else range(0)
-    t = _power_index(unit.mantissa, 1 / b.mantissa)
-    return range(t + 1, t + 2) if t is not None and lo <= t + 1 <= hi else range(0)
+    i = next((i for i, c in enumerate(u) if c), None)
+    if i is None:
+        return range(lo, hi + 1) if not any(b) else range(0)
+    t, rest = divmod(-b[i], u[i])
+    hit = not rest and lo <= t + 1 <= hi and all(t * c + e == 0 for c, e in zip(u, b))
+    return range(t + 1, t + 2) if hit else range(0)
 
 
 def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: int, scale: int, steps: int = 1):
@@ -242,42 +225,42 @@ def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: 
     paths j -> k whose edge lifts sum to z mod M (oracle.lifted_chain).
     Where (n-1) unit + b_jk is irrational, or the source is a float one, rho
     is read from the float sum of its two terms, each reduced modulo 1 by
-    frac_log.  Where it is rational (_rational_points) it is exact: the
-    rational parts give K = (n-1) A + B_jk mod Q over Q =
-    readout_denominator, and rho = rho_ratio(K steps + z Q, steps Q), in
+    frac_log.  Where its exponent part is 0 (_rational_points) it is exact:
+    every K part is a multiple of G = d D / Q, Q = readout_denominator, so K
+    = (n-1) A + B_jk mod Q and rho = rho_ratio(K steps + z Q, steps Q), in
     int64 while steps Q and (hi - lo + 1) Q are below 2^53, in Python ints
-    beyond.  A rational unit's phase term is (n-1) A mod Q over Q too, so
-    no Fraction is formed per n.
+    beyond; a rational unit's phase is (n-1) A mod Q over Q, no Fraction.
     """
-    d, unit, _ = cls.solution
-    count = hi - lo + 1
+    (d, unit, _), basis, count = cls.solution, source.prob_table.basis, hi - lo + 1
     offsets = _pair_offsets(source, cls, pairs)
-    points = [_rational_points(unit, b, lo, hi) if source.exact else range(0) for b in offsets]
+    points, shifts = [range(0)] * len(offsets), [0] * len(offsets)
     if source.exact:
         Q = readout_denominator(source, cls)
-        D = scale * Q // d  # times the rational part of a log: an integer over Q
+        G = d * basis.D // Q
         ints = np.int64 if max(steps, count) * Q < INT64_READOUT_BOUND else object
-        A = int(unit.rational * D) % Q
+        (A, u), (B, b) = split_rows(unit), split_rows(offsets)
+        A, shifts = A // G * scale % Q, (B // G * scale).tolist()
+        points = [_rational_points(u.tolist(), e, lo, hi) for e in b.tolist()]
 
         def units(ns, b=0):
             # ((n - 1) A + b) mod Q for n in ns, the first in Python ints: no n past 2^63 reaches int64
             return (((ns.start - 1) * A + b) % Q + np.arange(len(ns), dtype=ints) * A) % Q
 
-    if source.exact and unit.is_rational:
+    if source.exact and not u.any():
         phase = np.asarray(units(range(lo, hi + 1)) / Q, dtype=float)
     else:
-        phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d)
-    for b, ns in zip(offsets, points):
+        phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d, basis)
+    for b, shift, ns in zip(offsets, shifts, points):
         if len(ns) < count:
             # both terms are correctly rounded and lie in [0, 1): where their
             # mantissas cancel and zeta is an integer, the float sum is 1.0 or
             # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
-            total = phase + float(frac_log(b, [scale], d)[0])
+            total = phase + float(frac_log(b, [scale], d, basis)[0])
             rho = ceil_defect(total[:, None] + np.arange(steps) / steps)
         else:
             rho = np.empty((count, steps))
         if ns:
-            K = units(ns, int(b.rational * D))[:, None] * steps + np.arange(steps, dtype=ints) * Q
+            K = units(ns, shift)[:, None] * steps + np.arange(steps, dtype=ints) * Q
             rho[ns.start - lo:ns.stop - lo] = rho_ratio(K, steps * Q)
         yield rho
 
@@ -292,9 +275,9 @@ def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, 
         raise ValueError("zeta is only defined in the oscillatory mode")
     if not source.prob_table.p[source.r, j]:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    d, unit, _ = cls.solution
+    (d, unit, _), basis = cls.solution, source.prob_table.basis
     (b,) = _pair_offsets(source, cls, [(j, k)])
-    return float(frac_log(unit, [(n - 1) * cls.M], d)[0] + frac_log(b, [cls.M], d)[0]) % 1.0
+    return float(frac_log(unit, [(n - 1) * cls.M], d, basis)[0] + frac_log(b, [cls.M], d, basis)[0]) % 1.0
 
 
 # -- predictions -------------------------------------------------------------

@@ -8,10 +8,17 @@ rational if and only if mantissa == 1: if log2(u/v) = a/b with u, v odd and
 coprime, then u**b = 2**a * v**b, which forces a = 0 and u = v.  Rationality
 questions about base-2 logs and log-ratios are therefore decidable, which is
 impossible on floats.
+
+This module owns the one format in which exact logs are combined: integer
+rows [K, e_1, ..., e_B] over one LogBasis (log_rows), meaning K / D + sum_i
+e_i log2 b_i for one pairwise coprime base b, which is multiplicatively
+independent, so an integer combination of rows is rational exactly where
+its exponent part is 0.  frac_log reduces a row, or a float log, modulo 1.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -71,7 +78,7 @@ def wrap_unit(x: float) -> float:
 
 
 @lru_cache(maxsize=1024)
-def _decimal_log2(m: Fraction, prec: int) -> Decimal:
+def _decimal_log2(m, prec: int) -> Decimal:
     """log2(m) to prec digits; cached, as one-at-a-time zeta evaluation asks for the same mantissas again."""
     with localcontext() as ctx:
         ctx.prec = prec
@@ -79,7 +86,7 @@ def _decimal_log2(m: Fraction, prec: int) -> Decimal:
 
 
 @lru_cache(maxsize=1024)
-def _fixed_log2(m: Fraction, den: int, scale: int) -> int:
+def _fixed_log2(m, den: int, scale: int) -> int:
     """round(scale log2(m) / den), from log2(m) at 30 + 0.30103 floor(log2 scale) significant digits."""
     with localcontext() as ctx:
         ctx.prec = 30 + math.ceil(0.30103 * (scale.bit_length() - 1))
@@ -88,12 +95,10 @@ def _fixed_log2(m: Fraction, den: int, scale: int) -> int:
 
 @dataclass(frozen=True)
 class Log2Value:
-    """Exact base-2 logarithm: value = rational + log2(mantissa).
+    """Exact base-2 logarithm of a parsed probability: value = rational + log2(mantissa).
 
-    mantissa is a positive rational with odd numerator and denominator, so
-    the log2(mantissa) term is rational iff mantissa == 1.  Addition,
-    subtraction and integer scaling stay inside this representation because
-    products and quotients of odd rationals are odd.
+    The mantissa is odd over odd, so the value is rational iff mantissa == 1.
+    Logs are combined as integer rows (log_rows), not as Log2Values.
     """
 
     rational: Fraction
@@ -108,66 +113,118 @@ class Log2Value:
     def is_rational(self) -> bool:
         return self.mantissa == 1
 
-    def __add__(self, other: "Log2Value") -> "Log2Value":
-        return Log2Value(self.rational + other.rational, self.mantissa * other.mantissa)
-
-    def __sub__(self, other) -> "Log2Value":
-        """self - other; a rational other counts as the log2 of a power of two."""
-        if not isinstance(other, Log2Value):
-            return Log2Value(self.rational - other, self.mantissa)
-        return Log2Value(self.rational - other.rational, self.mantissa / other.mantissa)
-
-    def __neg__(self) -> "Log2Value":
-        return Log2Value(-self.rational, 1 / self.mantissa)
-
+    # no caller in the library: kept because bench/tracing.py patches it by name
     def scaled(self, k: int) -> "Log2Value":
         """k * value for integer k."""
         if k >= 0:
             return Log2Value(self.rational * k, self.mantissa**k)
         return Log2Value(self.rational * k, (1 / self.mantissa) ** (-k))
 
-    def __mul__(self, k: int) -> "Log2Value":
-        return self.scaled(k)
-
     def to_float(self) -> float:
         return float(self.rational) + (math.log2(self.mantissa.numerator) - math.log2(self.mantissa.denominator))
 
-    def frac_scaled(self, ks, den: int = 1):
-        """frac((k / den) * value) for each integer k in the sequence ks, never forming mantissa**k.
 
-        The rational multipliers k / den share one positive denominator.
-        k * rational / den is reduced modulo 1 in integers, so a rational
-        value gives a list of exact Fractions.  Otherwise the fraction is
-        summed in integer fixed point with bits = 128 + 2 bit_length(max |k|)
-        fraction bits: log2(mantissa) / den is read once for all ks, as L =
-        round(2^bits log2(mantissa) / den) from a decimal log2 at 30 +
-        0.30103 bits digits, and each k adds the floor of its rational part
-        to k L modulo 2^bits.  That sum is within 2^-127 of the fraction, and
-        Python's correctly rounded int division makes it a float64 array
-        within about 1e-16 of each fraction at any k.
-        """
-        num, kden = self.rational.numerator, self.rational.denominator * den
-        if self.is_rational:
-            return [Fraction(k * num % kden, kden) for k in ks]
-        bits = 128 + 2 * max(map(abs, ks), default=0).bit_length()
-        one, mask = 1 << bits, (1 << bits) - 1
-        L = _fixed_log2(self.mantissa, den, one)
-        # & mask is the residue modulo 2^bits for negative k L too; % 1.0 maps a
-        # fraction rounded up to 1.0 back to 0.0
-        return np.fromiter(((((k * num % kden) << bits) // kden + k * L & mask) / one % 1.0 for k in ks),
-                           float, len(ks))
+def _coprime_base(values) -> list[int]:
+    """Pairwise coprime integers > 1 of which every value is a product, in increasing order.
+
+    Built by gcd refinement, not by factoring, which 80-bit mantissas rule
+    out: a value coprime to the base's product joins it; otherwise the first
+    element b sharing a factor g > 1 with it leaves, and g, b / g and value
+    / g are split in turn, each split dividing the pending product by g.
+    Such a base is multiplicatively independent: a product of powers of its
+    elements is 1 only when every exponent is 0.
+    """
+    base, todo, product = [], list({v for v in values if v > 1}), 1
+    while todo:
+        v = todo.pop()
+        if math.gcd(v, product) == 1:
+            bisect.insort(base, v)
+            product *= v
+            continue
+        i, g = next((i, g) for i, b in enumerate(base) if (g := math.gcd(v, b)) > 1)
+        b = base.pop(i)
+        product //= b
+        todo += [x for x in (g, b // g, v // g) if x > 1]
+    return base
 
 
-def frac_log(x, ks, d: int = 1):
+@dataclass(frozen=True)
+class LogBasis:
+    """What a row [K, e_1, ..., e_B] of exact logs is over: K / D + sum_i e_i log2 base[i] (log_rows)."""
+
+    D: int
+    base: tuple
+
+    def of(self, q: Fraction) -> np.ndarray:
+        """The row, of Python ints, of a rational q whose q D is an integer."""
+        return np.array([int(q * self.D)] + [0] * len(self.base), dtype=object)
+
+    def fixed(self, rows, scale: int) -> np.ndarray:
+        """scale times each row's log, for scale a multiple of D, as Python ints: each base log rounded once."""
+        weights = [scale // self.D, *(_fixed_log2(b, 1, scale) for b in self.base)]
+        return np.asarray(rows, dtype=object).dot(np.array(weights, dtype=object))
+
+
+def split_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """(K, [e_1, ..., e_B]) of each row of an array, or of rows of Python ints: rational part times D, exponents."""
+    rows = rows if isinstance(rows, np.ndarray) else np.array(rows, dtype=object)
+    return rows[..., 0], rows[..., 1:]
+
+
+def int_rows(rows, bound: int = 1) -> np.ndarray:
+    """rows as int64 where bound times their largest magnitude stays below 2^63, else as Python ints."""
+    rows = np.array(rows, dtype=object)
+    return rows.astype(np.int64 if int(abs(rows).max(initial=0)) * bound < 2**63 else object)
+
+
+def log_rows(logs) -> tuple[np.ndarray, LogBasis]:
+    """The (len(logs), 1 + B) integer rows (int_rows) of Log2Values and the LogBasis they are over.
+
+    D is the lcm of the rational parts' denominators and base the pairwise
+    coprime base of the mantissas' numerators and denominators.  K is the
+    rational part times D and e_i the exponent of base[i] in the mantissa,
+    negative in its denominator, found once per distinct part.
+    """
+    D = math.lcm(*(lg.rational.denominator for lg in logs))
+    parts = {v for lg in logs for v in (lg.mantissa.numerator, lg.mantissa.denominator)}
+    base, exps = _coprime_base(parts), {}
+    for v in parts:
+        exps[v] = e = [0] * len(base)
+        for i, b in enumerate(base):
+            while v % b == 0:
+                v, e[i] = v // b, e[i] + 1
+            if v == 1:
+                break
+    rows = [[int(lg.rational * D), *(a - b for a, b in zip(exps[lg.mantissa.numerator], exps[lg.mantissa.denominator]))]
+            for lg in logs]
+    return int_rows(rows), LogBasis(D, tuple(base))
+
+
+def frac_log(x, ks, d: int = 1, basis: LogBasis | None = None):
     """frac((k/d) x) of a log for each integer k in ks; the one reduction of a log modulo 1.
 
-    Exact for a Log2Value (see frac_scaled: Fractions where x is rational,
-    an integer fixed-point sum rounded once to float where it is not), one
-    numpy float expression for a float log.
+    A float x (basis None) is reduced by one numpy expression.  A row x over
+    basis is reduced without forming a power: k K mod (d D) in integers, so
+    a rational row gives exact Fractions; an irrational one is summed in
+    fixed point with bits = 128 + 2 bit_length(max |k|) fraction bits, k L
+    plus the floor of its rational part modulo 2^bits, where L = sum_i e_i
+    L_i and L_i = round(2^bits log2 base[i] / d) (_fixed_log2).  That is
+    within sum_i |e_i| 2^-128 of the fraction, and Python's correctly rounded
+    int division makes it a float64 within about 1e-16 of it at any k.
     """
-    if isinstance(x, Log2Value):
-        return x.frac_scaled(ks, d)
-    return np.array(ks, dtype=float) * x / d % 1.0
+    if basis is None:
+        return np.array(ks, dtype=float) * x / d % 1.0
+    K, *e = map(int, x)
+    kden = basis.D * d
+    if not any(e):
+        return [Fraction(k * K % kden, kden) for k in ks]
+    bits = 128 + 2 * max(map(abs, ks), default=0).bit_length()
+    one, mask = 1 << bits, (1 << bits) - 1
+    L = sum(c * _fixed_log2(b, d, one) for c, b in zip(e, basis.base) if c)
+    # & mask is the residue modulo 2^bits for negative k L too; % 1.0 maps a
+    # fraction rounded up to 1.0 back to 0.0
+    return np.fromiter(((((k * K % kden) << bits) // kden + k * L & mask) / one % 1.0 for k in ks),
+                       float, len(ks))
 
 
 @dataclass(frozen=True)
@@ -295,16 +352,21 @@ def approximate_rational(x: float):
     return None
 
 
-def common_denominator(logs) -> int | None:
+def common_denominator(logs, basis: LogBasis | None = None) -> int | None:
     """lcm of the denominators of logs when every one is rational, else None.
 
-    A Log2Value is decided exactly (is_rational), a float log heuristically
-    (approximate_rational).  logs may be an iterator: none past the first
+    Rows over a basis are decided exactly: all are rational iff their
+    exponent parts are 0, and then the lcm of the denominators of K / D is D
+    / gcd(D, every K).  Float logs are decided heuristically
+    (approximate_rational), and may be an iterator: none past the first
     irrational one is drawn.
     """
+    if basis is not None:
+        K, e = split_rows(logs)
+        return None if e.any() else basis.D // math.gcd(basis.D, *K.tolist())
     den = 1
     for x in logs:
-        q = (x.rational if x.is_rational else None) if isinstance(x, Log2Value) else approximate_rational(x)
+        q = approximate_rational(x)
         if q is None:
             return None
         den = math.lcm(den, q.denominator)

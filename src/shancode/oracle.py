@@ -21,10 +21,9 @@ LIFT_CELL_CAP takes the lattice DP instead.
 Every other source, and every request over those caps, takes lattice_dp.
 rho reads -log2 mu only modulo 1, and the DP keys a path by that alone, as
 one integer modulo Q: for an exact source, its exact lattice point (the
-rational part over a common denominator D and the exponents of mu's odd
-mantissa over a pairwise coprime base) mapped through base logs rounded
-once to 1/Q; for a float source, the exact sum of its float steps modulo 1,
-a fraction of 1 in 64 or more bits.  The DP runs forward over (state, key)
+sum of its steps' integer rows, exact.log_rows) mapped through base logs
+rounded once to 1/Q; for a float source, the exact sum of its float steps
+modulo 1, a fraction of 1 in 64 or more bits.  The DP runs forward over (state, key)
 pairs carrying float probability mass and reads R_n out at every n of a
 range; its classes are unions of Markov types (Jacquet & Szpankowski, IEEE
 T-IT 2004).  Each state's frontier is a sorted 1-D array of keys, and a
@@ -41,7 +40,6 @@ k at a time through tables of k moves, every key the one-step walk's.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -49,7 +47,6 @@ import numpy as np
 
 from .asymptotics import INT64_READOUT_BOUND, ModeClassification, classify_mode, pair_rho, readout_denominator
 from .errors import ResourceLimit
-from .exact import _fixed_log2
 from .sources import MarkovSource, classify_structure
 from .spectral import stack_powers
 
@@ -112,46 +109,6 @@ def _snap(rho: np.ndarray) -> bool:
     moved = bool(np.any(rho, where=near))
     rho[near] = 0.0
     return moved
-
-
-def _coprime_base(values) -> list[int]:
-    """Pairwise coprime integers > 1 of which every value is a product, in increasing order.
-
-    Built by gcd refinement, not by factoring, which 80-bit mantissas rule
-    out: each value is split against the sorted, pairwise coprime base so
-    far.  One gcd with the base's product admits a value coprime to all of
-    it; otherwise the first element b that shares a factor g > 1 with it
-    leaves the base, and g, b / g and value / g are split in turn.  Every
-    split divides the product of the base and the pending values by g, so
-    it ends.  Such a base is multiplicatively independent: a product of
-    powers of its elements is 1 only when every exponent is 0.
-    """
-    base, todo, product = [], list({v for v in values if v > 1}), 1
-    while todo:
-        v = todo.pop()
-        if math.gcd(v, product) == 1:
-            bisect.insort(base, v)
-            product *= v
-            continue
-        i, g = next((i, g) for i, b in enumerate(base) if (g := math.gcd(v, b)) > 1)
-        b = base.pop(i)
-        product //= b
-        todo += [x for x in (g, b // g, v // g) if x > 1]
-    return base
-
-
-def _exponents(value: int, base) -> dict[int, int]:
-    """{i: e} with value the product of base[i] ** e, for a value that is a product of the sorted base."""
-    out = {}
-    for i, b in enumerate(base):
-        if value == 1:
-            break
-        e = 0
-        while value % b == 0:
-            value, e = value // b, e + 1
-        if e:
-            out[i] = e
-    return out
 
 
 def _merge(parts):
@@ -242,33 +199,23 @@ def _forward(frontier, moves, lo: int, hi: int, Q: int, snap: bool, spent: int =
 def _exact_lattice(source: MarkovSource):
     """(key points, Q, passes) of an exact source's lattice.
 
-    points[i] is the key of -prob_table.logs[i]: -log2 p modulo 1 as an
-    integer modulo Q.  With D the lcm of the logs' rational denominators, Q
-    is 2^64 where D is a power of two (every rational-probability source)
-    and D 2^(63 - bit_length(D)) < 2^63 elsewhere; a D of 2^62 or more
-    raises ResourceLimit before any DP work.  -log2 p is K / D - sum_i e_i
-    log2 b_i for an integer K, its rational part times D, and the exponents
-    e_i of p's odd mantissa over the coprime base b_i, so its key is K Q / D
-    - sum_i e_i L_i modulo Q, L_i = round(Q log2 b_i) read once per base
-    element.  Keys are then a homomorphism of the exact lattice points:
-    paths of equal mu have equal keys, and a rational point K / D reads
-    rho_ratio's value bit for bit (_readout).  Each L_i is within 1 / (2Q)
-    of Q log2 b_i, so a key is within sum_i |e_i| / (2Q) of its exact point.
-    One pass runs all first states together.
+    points[i] is the key of -prob_table.logs[i], -log2 p modulo 1 as an
+    integer modulo Q: minus Q times its row in fixed point, one product over
+    the rows with each base log rounded once (exact.LogBasis.fixed).  Q is
+    2^64 where the basis's D is a power of two (every rational-probability
+    source) and D 2^(63 - bit_length(D)) < 2^63 elsewhere; a D of 2^62 or
+    more raises ResourceLimit before any DP work.  Keys are a homomorphism of
+    the exact lattice points: paths of equal mu have equal keys, a rational
+    point K / D reads rho_ratio's value bit for bit (_readout), and a key is
+    within sum_i |e_i| / (2Q) of its exact point.  One pass runs all first
+    states together.
     """
-    table = source.prob_table
-    denom = math.lcm(*(lg.rational.denominator for lg in table.logs))
-    if denom >> 62:
-        raise ResourceLimit(f"exact lattice denominator D = {denom} reaches 2^62")
-    Q = 1 << 64 if denom & (denom - 1) == 0 else denom << (63 - denom.bit_length())
-    parts = {v for lg in table.logs for v in (lg.mantissa.numerator, lg.mantissa.denominator)}
-    base = _coprime_base(parts)
-    logs = [_fixed_log2(b, 1, Q) for b in base]
-    # Q log2 v of each mantissa part v, summed from its base elements' rounded logs
-    scaled = {v: sum(e * logs[i] for i, e in _exponents(v, base).items()) for v in parts}
-    points = [(int(-lg.rational * Q) - scaled[lg.mantissa.numerator] + scaled[lg.mantissa.denominator]) % Q
-              for lg in table.logs]
-    return np.array(points, dtype=np.uint64), Q, [np.flatnonzero(table.p[source.r]).tolist()]
+    table, D = source.prob_table, source.prob_table.basis.D
+    if D >> 62:
+        raise ResourceLimit(f"exact lattice denominator D = {D} reaches 2^62")
+    Q = 1 << 64 if D & (D - 1) == 0 else D << (63 - D.bit_length())
+    points = -table.basis.fixed(table.rows, Q) % Q
+    return np.array(points.tolist(), dtype=np.uint64), Q, [np.flatnonzero(table.p[source.r]).tolist()]
 
 
 def _float_lattice(source: MarkovSource):

@@ -9,7 +9,8 @@ homogeneously float; zeros are represented by the mode-neutral ``ZERO`` tag.
 This module owns that format.  Every other module reads a source through
 MarkovSource.prob_table, one layout for both kinds: float rows p, the log2
 of each distinct nonzero entry (a Log2Value or a float) and each cell's
-position among those logs.
+position among those logs; an exact source's logs also as the integer rows
+of exact.log_rows, the form in which they are combined.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ReducibleChain, ValidationFailure, ZeroProbability
-from .exact import ZERO, ExactProb, format_prob_spec, parse_prob_spec
+from .exact import ZERO, ExactProb, LogBasis, format_prob_spec, log_rows, parse_prob_spec
 
 FLOAT_SUM_TOL = 1e-12
 
@@ -64,13 +65,16 @@ class ProbTable:
     distinct nonzero entry, in order of first appearance: a Log2Value for an
     exact source, math.log2 for a float one.  index holds each cell's
     position in logs, len(logs) where p = 0, and log2 each cell's log as a
-    float (Log2Value.to_float() or math.log2), 0.0 where p = 0.
+    float (Log2Value.to_float() or math.log2), 0.0 where p = 0.  rows[i] is
+    logs[i] as an integer row over basis (exact.log_rows); None if float.
     """
 
     p: np.ndarray
     logs: tuple
     index: np.ndarray
     log2: np.ndarray
+    rows: np.ndarray | None = None
+    basis: LogBasis | None = None
 
 
 @dataclass(frozen=True)
@@ -157,17 +161,19 @@ class MarkovSource:
         """The table every route reads, built on first use and kept.
 
         The frozen dataclass's eq and hash see only its fields, so the cached
-        table in the instance __dict__ changes neither.
+        table in the instance __dict__ changes neither.  Each cell is hashed
+        once; floats, logs and rows are made once per distinct value.
         """
-        rows = (*self.transitions, self.initial)
-        p = np.array([[self.prob_float(v) for v in row] for row in rows])
         position = {}
-        for v in (v for row in rows for v in row if v is not ZERO):
-            position.setdefault(v, len(position))
+        index = np.array([[-1 if v is ZERO else position.setdefault(v, len(position)) for v in row]
+                          for row in (*self.transitions, self.initial)])
+        index[index < 0] = len(position)
         logs = tuple(map(log2_prob, position))
-        index = np.array([[len(logs) if v is ZERO else position[v] for v in row] for row in rows])
+        p = np.array([*map(self.prob_float, position), 0.0])[index]
         floats = np.array([*(lg.to_float() if self.exact else lg for lg in logs), 0.0])
-        return ProbTable(_read_only(p), logs, _read_only(index), _read_only(floats[index]))
+        rows, basis = log_rows(logs) if self.exact else (None, None)
+        return ProbTable(_read_only(p), logs, _read_only(index), _read_only(floats[index]),
+                         rows if rows is None else _read_only(rows), basis)
 
     def initial_array(self) -> np.ndarray:
         return self.prob_table.p[self.r].copy()

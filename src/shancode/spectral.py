@@ -75,7 +75,7 @@ def _phase_rows(source: MarkovSource, ms) -> np.ndarray:
     table = source.prob_table
     if source.exact:
         ks = (-ms).tolist()
-        fracs = [np.asarray(frac_log(lg, ks), dtype=float) % 1.0 for lg in table.logs]
+        fracs = [np.asarray(frac_log(row, ks, 1, table.basis), dtype=float) % 1.0 for row in table.rows]
         phase = np.take(np.stack([*fracs, np.zeros(len(ms))], axis=1), table.index, axis=1)
     else:
         phase = (-ms[:, None, None] * table.log2) % 1.0

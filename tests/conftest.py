@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from shancode import ZERO, ExactProb, MarkovSource, RedundancyValue, log2_prob
-from shancode.exact import frac_log
+from shancode.exact import Log2Value, frac_log, log_rows
 
 
 # -- reference sources -------------------------------------------------------
@@ -412,6 +412,27 @@ def phase_loop(v, m: int) -> float:
     return (-m * math.log2(v)) % 1.0
 
 
+def row_log2value(row, basis) -> Log2Value:
+    """The Log2Value of a row [K, e_1, ..., e_B] over basis, rebuilt from base powers.
+
+    Its rational part is K / D and its mantissa the product of base[i] ** e_i
+    as a Fraction, so a row's arithmetic can be checked against Fractions.
+    """
+    K, *exps = map(int, row)
+    mantissa = math.prod((Fraction(b) ** e for b, e in zip(basis.base, exps)), start=Fraction(1))
+    return Log2Value(Fraction(K, basis.D), mantissa)
+
+
+def log2value_sum(terms) -> Log2Value:
+    """sum of k x over (k, x) in terms, for integers k and Log2Values x, formed in Fractions.
+
+    The reference for row arithmetic: its rational part is the sum of the k
+    x.rational and its mantissa the product of the x.mantissa ** k.
+    """
+    return Log2Value(sum(k * x.rational for k, x in terms),
+                     math.prod((x.mantissa**k for k, x in terms), start=Fraction(1)))
+
+
 def frac_scaled_reference(x, ks, den: int = 1) -> np.ndarray:
     """frac((k / den) x) of an irrational Log2Value x for each k, reduced in decimal arithmetic.
 
@@ -727,9 +748,12 @@ def absorbing_pair_formula(alpha) -> Example2Sum:
     # tail = (1-alpha)^k_terms < 1e-12, so terms k = 0 .. k_terms - 1 are kept
     # rho(-(la + k lm)) = frac(la + k lm), which is rational only where la and
     # k lm both are: the odd parts of alpha and 1 - alpha never cancel
-    log2 = (lambda v: ExactProb.make(v).log2()) if isinstance(a, Fraction) else math.log2
-    base = frac_log(log2(a), [1])[0]
-    rhos = [float((base + step) % 1) for step in frac_log(log2(one_minus), range(k_terms))]
+    if isinstance(a, Fraction):
+        (la, lm), basis = log_rows([ExactProb.make(v).log2() for v in (a, one_minus)])
+    else:
+        (la, lm), basis = (math.log2(a), math.log2(one_minus)), None
+    base = frac_log(la, [1], 1, basis)[0]
+    rhos = [float((base + step) % 1) for step in frac_log(lm, range(k_terms), 1, basis)]
     terms = [float(a) * float(one_minus) ** k * rho for k, rho in enumerate(rhos)]
     return Example2Sum(value=math.fsum(terms), tail_bound=tail, n_terms=k_terms)
 

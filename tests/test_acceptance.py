@@ -27,6 +27,7 @@ from tests.conftest import (
     absorbing_pair_formula,
     char_fn_bruteforce,
     iter_paths_bruteforce,
+    log2value_sum,
     memoryless,
     random_float_source,
     verify_similarity,
@@ -229,9 +230,8 @@ def test_acceptance_10(oscillatory_exact_family):
         cls = classify_mode(source)
         for n in range(2, 9):
             for path, _ in iter_paths_bruteforce(source, n):
-                total = log2_prob(source.initial[path[0]])
-                for t in range(1, n):
-                    total = total + log2_prob(source.transitions[path[t - 1]][path[t]])
+                steps = [source.initial[path[0]], *(source.transitions[path[t - 1]][path[t]] for t in range(1, n))]
+                total = log2value_sum([(1, log2_prob(p)) for p in steps])
                 truth = (-total.to_float() * cls.M) % 1.0
                 z = oscillation_argument(source, cls, path[0], path[-1], n) % 1.0
                 gap = (truth - z) % 1.0

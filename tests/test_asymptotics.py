@@ -35,12 +35,14 @@ from tests.conftest import (
     absorbing_pair_formula,
     float_copy,
     iter_paths_bruteforce,
+    log2value_sum,
     memoryless,
     omega_decimal_reference,
     period2_source,
     random_exact_source,
     random_float_source,
     random_order_source,
+    row_log2value,
     verify_similarity,
 )
 
@@ -334,9 +336,8 @@ def test_telescoping_identity(oscillatory_exact_family):
         cls = classify_mode(s)
         for n in (2, 5, 8):
             for path, _ in iter_paths_bruteforce(s, n):
-                total = log2_prob(s.initial[path[0]])
-                for t in range(1, n):
-                    total = total + log2_prob(s.transitions[path[t - 1]][path[t]])
+                steps = [s.initial[path[0]], *(s.transitions[path[t - 1]][path[t]] for t in range(1, n))]
+                total = log2value_sum([(1, log2_prob(p)) for p in steps])
                 truth = (-total.to_float() * cls.M) % 1.0
                 z = oscillation_argument(s, cls, path[0], path[-1], n) % 1.0
                 diff = (truth - z) % 1.0
@@ -432,6 +433,38 @@ def test_omega_matches_decimal_reference_at_large_n(oscillatory_exact_family, n)
         assert abs(predict(s, cls, n).omega - omega_decimal_reference(s, cls.M, n)) <= 1e-13
 
 
+def test_omega_decimal_reference_reads_rational_points_exactly(dyadic_r3, m2_source):
+    # where zeta_jk(n) is rational the reference must give the Fraction rho: a sum of four
+    # rounded decimal logs can land an integer just above itself, where rho reads 1, not 0.
+    # Each pair's rho here is the Fraction one at a rational zeta and one 60-digit log of its
+    # combined mantissa elsewhere; perm started at (3/4, 1/4) is rational at n = 2 from state 0
+    perm_34 = MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["2/3", "1/3"]])
+    found = []
+    for s in (dyadic_r3, m2_source, perm_34):
+        M, T, pi = classify_mode(s).M, s.transitions, stationary_distribution(s)
+        rational = 0
+        for n in range(1, 13):
+            osc = 0.0
+            for j, pj in enumerate(s.initial):
+                for k in range(s.r):
+                    terms = [(-(n - 1) * M, T[0][0]), (M, T[0][j]), (-M, T[0][k]), (-M, pj)]
+                    zeta = log2value_sum([(c, log2_prob(p)) for c, p in terms])
+                    if zeta.is_rational:
+                        rho, rational = float(math.ceil(zeta.rational) - zeta.rational), rational + 1
+                    else:
+                        with localcontext() as ctx:
+                            ctx.prec = 60
+                            q, m = zeta.rational, zeta.mantissa
+                            u = Decimal(q.numerator) / q.denominator + (
+                                Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
+                            rho = float(u.to_integral_value(ROUND_CEILING) - u)
+                    osc += pj.to_float() * pi[k] * rho
+            want = 0.5 * (1.0 - 1.0 / M) + osc / M
+            assert abs(omega_decimal_reference(s, M, n) - want) <= 1e-15, (s.to_dict(), n)
+        found.append(rational)
+    assert found[0] == 12 * 9 and all(found), found
+
+
 def bipartite_reference(n: int, digits: int = 60) -> float:
     """rho(floor(n/2) log2 3) in decimal arithmetic.
 
@@ -520,12 +553,14 @@ def test_prediction_readout_past_2_53_in_python_ints():
         cls = classify_mode(s)
         d, unit, X = cls.solution
         assert d == 1 and readout_denominator(s, cls) > 2**53
+        basis = s.prob_table.basis
+        unit, X = row_log2value(unit, basis), [row_log2value(x, basis) for x in X]
         weights = np.outer(s.initial_array(), stationary_distribution(s))
         for lo, hi in ((1, 30), (10**12, 10**12 + 3)):
             osc = np.zeros(hi - lo + 1)
             for j in range(2):
                 for k in range(2):
-                    b = X[j] - X[k] - log2_prob(s.initial[j])
+                    b = log2value_sum([(1, X[j]), (-1, X[k]), (-1, log2_prob(s.initial[j]))])
                     assert unit.is_rational and b.is_rational
                     rho = [float(ceil_defect((unit.rational * (n - 1) + b.rational) * cls.M)) for n in range(lo, hi + 1)]
                     osc += weights[j, k] * np.array(rho)
@@ -579,19 +614,30 @@ def test_lifts_are_the_edge_lifts_of_the_stored_solution(
                *(period2_source(M) for M in (2, 3, 5, 7, 67, 257)), *(random_order_source(rng) for _ in range(40)),
                *drawn]
     for s in sources:
-        cls = classify_mode(s)
-        d, unit, X = cls.solution
-        want = [[0] * s.r for _ in range(s.r)]
-        for k, row in enumerate(s.transitions):
-            for j, p in enumerate(row):
-                if p is not ZERO:
-                    dz = log2_prob(p) * (-cls.M * d) - (unit + X[k] - X[j]) * cls.M  # d z_e
-                    assert dz.is_rational and dz.rational.denominator == 1 and dz.rational.numerator % d == 0
-                    want[k][j] = dz.rational.numerator // d % cls.M
-        assert cls.lifts.tolist() == want, s.to_dict()
-        assert classify_mode(s) == cls and hash(classify_mode(s)) == hash(cls)
-        assert classify_mode(float_copy(s)).lifts is None
+        check_lifts(s, classify_mode(s))
     assert sum(classify_mode(s).M > 1 for s in sources) >= 40
+
+
+def check_lifts(s, cls) -> None:
+    """Check an oscillatory exact source's stored lifts against the edge congruence, in Fractions.
+
+    On every edge d z_e = d M (-log2 p(j|k)) - M (unit + X_k - X_j) is an
+    integer multiple of d, and z_e mod M is the stored lift; 0 off the
+    support.  The classification is == and hashes as a second one does, and
+    the float copy's carries no lifts.
+    """
+    d, unit, X = cls.solution
+    unit, X = row_log2value(unit, s.prob_table.basis), [row_log2value(x, s.prob_table.basis) for x in X]
+    want = [[0] * s.r for _ in range(s.r)]
+    for k, row in enumerate(s.transitions):
+        for j, p in enumerate(row):
+            if p is not ZERO:
+                dz = log2value_sum([(-cls.M * d, log2_prob(p)), (-cls.M, unit), (-cls.M, X[k]), (cls.M, X[j])])
+                assert dz.is_rational and dz.rational.denominator == 1 and dz.rational.numerator % d == 0
+                want[k][j] = dz.rational.numerator // d % cls.M
+    assert cls.lifts.tolist() == want, s.to_dict()
+    assert classify_mode(s) == cls and hash(classify_mode(s)) == hash(cls)
+    assert classify_mode(float_copy(s)).lifts is None
 
 
 def test_prediction_columns_runs_one_structure_pass(oscillatory_exact_family, p3_source, monkeypatch):

@@ -4,10 +4,13 @@ import random
 
 from shancode import classify_mode, classify_structure, oracle
 from shancode.asymptotics import prediction_columns
-from tests.conftest import decimal_path_reference, period2_source, random_exact_source, random_order_source
+from tests.conftest import (decimal_path_reference, float_copy, monte_carlo_reference, period2_source,
+                            random_exact_source, random_order_source)
 
 # largest n checked against the path sum, by r: the sum holds up to r^n paths at n
 REFERENCE_N = {1: 9, 2: 9, 3: 8}
+# Monte Carlo against the exact value: block length, samples and the Philox key of its stream
+MC_N, MC_SAMPLES, MC_SEED = 8, 2000, 7
 
 
 def check_routes(source) -> str:
@@ -60,3 +63,19 @@ def test_exact_routes_agree_on_random_orders_above_one():
     assert [check_routes(s) for s in sources] == ["oscillatory"] * len(sources)
     assert all(M > 1 for _, M in shapes) and any(d == 1 for d, _ in shapes), shapes
     assert sum(d == 2 and M >= 3 for d, M in shapes) >= 3, shapes
+
+
+def test_monte_carlo_within_five_stderr_on_random_sources():
+    # the third route: on each generated source and on its float copy, Monte Carlo at one
+    # Philox key (monte_carlo_reference's draws, bit for bit) lies within 5 standard errors
+    # of the exact R_n; where every sample has the same rho the stderr is 0 and the two
+    # agree to float noise
+    rng = random.Random(0)
+    sources = [random_exact_source(rng) for _ in range(200)] + [random_order_source(rng) for _ in range(24)]
+    assert oracle.monte_carlo_redundancy(sources[0], MC_N, 50, MC_SEED) == monte_carlo_reference(
+        sources[0], MC_N, 50, MC_SEED)
+    for source in sources:
+        for s in (source, float_copy(source)):
+            exact = oracle.exact_redundancy(s, MC_N).value
+            mc = oracle.monte_carlo_redundancy(s, MC_N, MC_SAMPLES, MC_SEED)
+            assert abs(mc.value - exact) <= 5 * mc.stderr + 1e-12, (exact, mc, s.to_dict())

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shancode import ExactProb, Log2Value, ZERO, approximate_rational, parse_prob_spec
-from shancode.exact import common_denominator, format_prob_spec, split_pow2
-from tests.conftest import frac_scaled_reference
+from shancode.exact import LogBasis, common_denominator, format_prob_spec, frac_log, log_rows, split_pow2
+from tests.conftest import frac_scaled_reference, row_log2value
 
 F = Fraction
 
@@ -43,7 +43,8 @@ def test_log2_split_and_rationality():
 
     eighth = ExactProb.make(F(1, 8))
     assert eighth.log2().is_rational
-    assert eighth.log2().frac_scaled([1]) == [0]
+    (row,), basis = log_rows([eighth.log2()])
+    assert frac_log(row, [1], 1, basis) == [0]
     assert eighth.log2().to_float() == -3.0
 
     three_quarters = ExactProb.make(F(3, 4))
@@ -53,16 +54,19 @@ def test_log2_split_and_rationality():
 
 
 def test_log2_value_arithmetic():
+    # logs are combined as integer rows over one coprime base, read back through base powers
     a = Log2Value.make(F(-2), F(3))     # log2(3/4)
     b = Log2Value.make(F(0), F(1, 3))   # log2(1/3)
-    total = a + b
+    c = Log2Value.make(F(1, 3))         # a rational counts as the log2 of a power of two
+    (ra, rb, rc), basis = log_rows([a, b, c])
+    assert basis == LogBasis(3, (3,))
+    total = row_log2value(ra + rb, basis)
     assert total.is_rational and total.rational == F(-2)
-    assert (a - a).rational == 0 and (a - a).mantissa == 1
-    assert a.scaled(3).mantissa == F(27)
-    assert a * 3 == a.scaled(3) and b * -2 == b.scaled(-2) and a * 0 == Log2Value.make()
-    # a rational counts as the log2 of a power of two
-    assert a - F(1, 3) == a - Log2Value.make(F(1, 3))
-    assert (-b).mantissa == F(3)
+    assert row_log2value(ra - ra, basis) == Log2Value.make()
+    assert row_log2value(3 * ra, basis) == a.scaled(3) and a.scaled(3).mantissa == F(27)
+    assert row_log2value(-2 * rb, basis) == b.scaled(-2) and row_log2value(0 * ra, basis) == Log2Value.make()
+    assert row_log2value(ra - rc, basis) == Log2Value(F(-7, 3), F(3))
+    assert row_log2value(-rb, basis).mantissa == F(3)
     # float of 0.75 matches a bit-counting oracle: log2 x = k + log2(x / 2**k)
     assert a.to_float() == pytest.approx(-0.4150374992788438, abs=1e-15)
 
@@ -78,13 +82,15 @@ def test_frac_scaled_equals_the_decimal_reduction():
     for mantissa in (F(3), F(1, 3), F(5, 3), F(3**40, 5**17)):
         for rational in (F(0), F(1, 3), F(-5, 7), F(7, 4)):
             x = Log2Value(rational, mantissa)
+            (row,), basis = log_rows([x])
             for den in (1, 2, 3, 1009):
-                got = x.frac_scaled(ks, den)
+                got = frac_log(row, ks, den, basis)
                 assert ((0 <= got) & (got < 1)).all()
                 assert got.tolist() == frac_scaled_reference(x, ks, den).tolist(), (x, den)
                 for k in ks[::7]:  # alone, at the fixed point and precision of k itself
-                    assert x.frac_scaled([k], den)[0] == frac_scaled_reference(x, [k], den)[0], (x, den, k)
-    assert len(Log2Value(F(1, 3), F(3)).frac_scaled([])) == 0
+                    assert frac_log(row, [k], den, basis)[0] == frac_scaled_reference(x, [k], den)[0], (x, den, k)
+    (row,), basis = log_rows([Log2Value(F(1, 3), F(3))])
+    assert len(frac_log(row, [], 1, basis)) == 0
 
 
 def test_float_log_by_repeated_squaring_oracle():
@@ -162,9 +168,11 @@ def test_approximate_rational_heuristic():
 
 def test_common_denominator_one_decision_for_both_kinds():
     third = ExactProb.make(F(1, 3)).log2()
-    assert common_denominator([Log2Value.make(F(1, 6)), Log2Value.make(F(-3, 4))]) == 12
-    assert common_denominator([Log2Value.make(F(1, 6)), third]) is None
-    assert common_denominator([third - third]) == 1
+    rows, basis = log_rows([Log2Value.make(F(1, 6)), Log2Value.make(F(-3, 4)), third])
+    assert common_denominator(rows[:2], basis) == 12
+    assert common_denominator(rows[[0, 2]], basis) is None
+    assert common_denominator(rows[2:] - rows[2:], basis) == 1
+    assert common_denominator(rows[:0], basis) == 1
     assert common_denominator([1 / 6, -0.75]) == 12
     assert common_denominator([1 / 6, math.log2(3)]) is None
     assert common_denominator([]) == 1

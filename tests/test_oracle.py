@@ -23,19 +23,21 @@ from shancode import (
 from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle, spectral
 from shancode.asymptotics import _pair_offsets, ceil_defect, prediction_columns
 from shancode.errors import ResourceLimit
-from shancode.exact import rho_ratio
+from shancode.exact import Log2Value, _coprime_base, log_rows, rho_ratio, split_rows
 from tests.conftest import (
     coprime_base_reference,
     decimal_path_reference,
     float_copy,
     half_exponent_source,
     iter_paths_bruteforce,
+    log2value_sum,
     memoryless,
     monte_carlo_reference,
     omega_decimal_reference,
     period2_source,
     random_float_source,
     redundancy_bruteforce,
+    row_log2value,
     two_state_type_reference,
 )
 
@@ -357,11 +359,14 @@ BASE_FACTORS = [2, 3, 5, 7, 9, 11, 15, 49, 2**61 - 1, 2**64 + 1, 10**18 + 9, 3**
 
 @given(st.lists(st.lists(st.sampled_from(BASE_FACTORS), min_size=0, max_size=5).map(math.prod), max_size=12))
 def test_coprime_base_matches_restarting_refinement(values):
-    base = oracle._coprime_base(values)
+    base = _coprime_base(values)
     assert base == coprime_base_reference(values)
     assert all(math.gcd(a, b) == 1 for a, b in itertools.combinations(base, 2))
-    for v in values:
-        assert math.prod(base[i] ** e for i, e in oracle._exponents(v, base).items()) == v
+    # every value's row over the base of the odd parts rebuilds it: 2^K times a product of base powers
+    logs = [Log2Value.make(0, v) for v in values]
+    rows, basis = log_rows(logs)
+    for row, lg in zip(rows, logs, strict=True):
+        assert row_log2value(row, basis) == lg
 
 
 def test_exact_lattice_denominator_bound_refused_before_any_work(permutation_source, monkeypatch):
@@ -585,7 +590,9 @@ def test_lifted_chain_reads_rational_paths_exactly():
     for s in cancelling_sources():
         cls = classify_mode(s)
         d, unit, _ = cls.solution
-        assert cls.mode == "oscillatory" and not unit.is_rational
+        basis = s.prob_table.basis
+        u = row_log2value(unit, basis)
+        assert cls.mode == "oscillatory" and not u.is_rational
         rows = exact_redundancy_range(s, 1, 40)
         assert {rec.method for rec in rows} == {"lifted_chain"}
         for rec, dp in zip(rows, oracle.lattice_dp(s, 1, 40)):
@@ -596,10 +603,12 @@ def test_lifted_chain_reads_rational_paths_exactly():
         rho = np.stack(list(asymptotics.pair_rho(s, cls, pairs, 1, 12, 1, cls.M)), axis=1)
         found = 0
         for p, b in enumerate(_pair_offsets(s, cls, pairs)):
-            points = [n for n in range(1, 13) if (unit.scaled(n - 1) + b).is_rational]
-            assert list(asymptotics._rational_points(unit, b, 1, 12)) == points
+            totals = {n: log2value_sum([(n - 1, u), (1, row_log2value(b, basis))]) for n in range(1, 13)}
+            points = [n for n in range(1, 13) if totals[n].is_rational]
+            u_exps, b_exps = split_rows(unit)[1].tolist(), split_rows(b)[1].tolist()
+            assert list(asymptotics._rational_points(u_exps, b_exps, 1, 12)) == points
             for n in points:
-                c = (unit.scaled(n - 1) + b).rational / d
+                c = totals[n].rational / d
                 assert rho[n - 1, p].tolist() == [float(ceil_defect(F(z, cls.M) + c)) for z in range(cls.M)]
             found += len(points)
         assert found
@@ -611,6 +620,7 @@ def test_pair_rho_is_exact_at_every_rational_point(dyadic_r3, m2_source):
     for s in (*cancelling_sources(), dyadic_r3, m2_source):
         cls = classify_mode(s)
         d, unit, _ = cls.solution
+        u = row_log2value(unit, s.prob_table.basis)
         pairs = [(j, k) for j, p in enumerate(s.initial) if p is not ZERO for k in range(s.r)]
         found = 0
         for scale, steps in ((cls.M, 1), (1, cls.M)):
@@ -618,7 +628,7 @@ def test_pair_rho_is_exact_at_every_rational_point(dyadic_r3, m2_source):
             for rho, b in zip(rhos, _pair_offsets(s, cls, pairs), strict=True):
                 assert rho.shape == (12, steps)
                 for n in range(1, 13):
-                    total = unit.scaled(n - 1) + b
+                    total = log2value_sum([(n - 1, u), (1, row_log2value(b, s.prob_table.basis))])
                     if total.is_rational:
                         x = total.rational * scale / d
                         assert rho[n - 1].tolist() == [float(ceil_defect(F(z, steps) + x)) for z in range(steps)]

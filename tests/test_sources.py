@@ -1,13 +1,17 @@
 """Source validation, chain structure and stationary distributions."""
 
 import ast
+import math
+import random
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from shancode import (
+    ExactProb,
     MarkovSource,
     ZERO,
     classify_structure,
@@ -19,7 +23,7 @@ from shancode import (
 from shancode import sources
 from shancode.errors import ReducibleChain, ZeroProbability
 from shancode.sources import FLOAT_SUM_TOL
-from tests.conftest import random_float_source
+from tests.conftest import period2_source, random_exact_source, random_float_source, row_log2value
 
 F = Fraction
 
@@ -238,6 +242,45 @@ def test_prob_table_has_one_layout(request):
         assert np.array_equal(table.p, np.vstack([s.transition_array(), s.initial_array()]))
         s.transition_array()[0, 0] = s.initial_array()[0] = -1.0
         assert table.p[0, 0] >= 0.0 and table.p[s.r, 0] >= 0.0
+
+
+def test_prob_table_rows_reproduce_their_logs(request):
+    # each exact table row [K, e_1, ..., e_B], read back through base powers, is its Log2Value
+    # exactly; a K past int64 (a power-of-two exponent over q = 2^53 + 1) is held as a Python int
+    rng = random.Random(0)
+    q = 2**53 + 1
+    letters = [ExactProb.make(1, F(-1, 2)), ExactProb.make(1, -F(1107421, 625113))]
+    wide = MarkovSource.from_exact([ExactProb.make(1, F(-1, q)), ExactProb.make(1, F(-107, 2))], [letters, letters])
+    fixtures = [request.getfixturevalue(name) for name in SOURCE_FIXTURES]
+    sources_ = [*fixtures, *request.getfixturevalue("dyadic_markov_pair"),
+                *request.getfixturevalue("oscillatory_exact_family"), *(random_exact_source(rng) for _ in range(200)),
+                *(period2_source(M) for M in (2, 3, 5, 7, 67, 257, 1009)), wide]
+    for s in sources_:
+        table = s.prob_table
+        if not s.exact:
+            assert table.rows is None and table.basis is None
+            continue
+        D, base = table.basis.D, table.basis.base
+        assert D == math.lcm(*(lg.rational.denominator for lg in table.logs))
+        assert all(b > 1 and b % 2 for b in base) and all(math.gcd(a, b) == 1 for a, b in combinations(base, 2))
+        assert table.rows.shape == (len(table.logs), 1 + len(base))
+        assert table.rows.dtype == (object if s is wide else np.int64)
+        with pytest.raises(ValueError):
+            table.rows[0, 0] = 0
+        assert [row_log2value(row, table.basis) for row in table.rows] == list(table.logs), s.to_dict()
+
+
+def test_log_row_format_stays_in_exact():
+    # exact owns how a log is held and combined; sources only stores its rows
+    owners = {"exact", "sources", "__init__"}
+    for path in sorted(Path(sources.__file__).parent.glob("*.py")):
+        if path.stem in owners:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+        names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not names & {"Log2Value", "mantissa", "rational", "_fixed_log2", "_coprime_base", "log_rows"}, path.name
 
 
 def test_probability_format_stays_in_sources():
