@@ -36,14 +36,13 @@ congruence again, and s and w are only reported.  This module owns that
 format.  pair_rho is the one readout of rho from it, at scale M for Omega_n
 and at scale 1, shifted by z/M, for the exact oracle's lifted chain (whose
 integer edge lifts _similarity gives), with zeta_jk(n) = frac((M/d)(n-1) unit)
-+ frac((M/d) b_jk) and b_jk = X_j - X_k - d log2 p_j.  Where (n-1) unit +
-b_jk is rational (its exponent part is 0), rho is exact integer arithmetic
-(exact.rho_ratio), so dyadic sources predict exactly 0.  Elsewhere
-exact.frac_log reduces each term modulo 1: in integer fixed point for an
-exact source, so rho is correct to about 1e-16 at any n, and as a float
-product for a float one, so zeta is off by about n M 2^-52 (|unit| + max |X_j|).
-prediction_columns sums each live pair's rho(zeta_jk(n)) into Omega_n for a
-whole n range in one pass, keeping only a bool margin cell.
++ frac((M/d) b_jk) and b_jk = X_j - X_k - d log2 p_j, for all live pairs at
+once.  Where (n-1) unit + b_jk is rational (its exponent part is 0), rho is
+exact integer arithmetic (exact.rho_ratio), so dyadic sources predict
+exactly 0.  Elsewhere exact.frac_log reduces both terms modulo 1: in integer
+fixed point for an exact source, so rho is correct to about 1e-16 at any n,
+and as a float product for a float one, so zeta is off by about n M 2^-52
+(|unit| + max |X_j|).  prediction_columns sums it into Omega_n by blocks of n.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ DEFAULT_M_MAX = 64
 PREDICT_CELL_CAP = 2**22
 # pair_rho counts in int64 while steps Q and its row count times Q stay below this, in Python ints beyond
 INT64_READOUT_BOUND = 2**53
+READOUT_BLOCK_CELLS = 2**16  # rows x live pairs x steps of one pair_rho block: 512 KiB of float64
 
 
 # -- mode classification ----------------------------------------------------
@@ -171,7 +171,7 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
         M, unit, X, lifts = solution
         d, basis = structure.period, source.prob_table.basis
         s = wrap_unit(float(frac_log(unit, [M], d, basis)[0]))
-        w = tuple(wrap_unit(float(frac_log(x, [M], d, basis)[0])) for x in X)
+        w = tuple(map(wrap_unit, frac_log(np.array(X), [M], d, basis).tolist()))
         provenance = "exact_rational" if source.exact else "spectral_search"
         return ModeClassification("oscillatory", M, s, w, provenance, flags, (d, unit, X), lifts)
     if source.exact:
@@ -180,16 +180,6 @@ def classify_mode(source: MarkovSource, m_max: int = DEFAULT_M_MAX) -> ModeClass
 
 
 # -- the oscillation argument zeta ------------------------------------------
-
-
-def _pair_offsets(source: MarkovSource, cls: ModeClassification, pairs) -> np.ndarray:
-    """b_jk = X_j - X_k - d log2 p_j of the stored solution (d, unit, X) for each pair (j, k): rows or floats."""
-    d, _, X = cls.solution
-    table = source.prob_table
-    dtype = object if source.exact else float
-    X, logs = np.array(X, dtype=dtype), np.array(table.rows if source.exact else table.logs, dtype=dtype)
-    js, ks = np.array(pairs).reshape(-1, 2).T
-    return X[js] - X[ks] - logs[table.index[source.r, js]] * d
 
 
 def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
@@ -204,80 +194,78 @@ def readout_denominator(source: MarkovSource, cls: ModeClassification) -> int:
     return d * table.basis.D // math.gcd(table.basis.D, *K.tolist())
 
 
-def _rational_points(u, b, lo: int, hi: int) -> range:
-    """The n in lo..hi at which (n - 1) u + b = 0, for the exponent parts u of unit and b of b_jk.
+def pair_rho(source: MarkovSource, cls: ModeClassification, lo: int, hi: int, scale: int, steps: int = 1):
+    """Yield (rows, rho), rho[i, j, k, z] = rho(frac((scale/d)((n-1) unit + b_jk)) + z/steps), in blocks of n.
 
-    Every n or none where u = 0, else at most n - 1 = -b_i / u_i at the first u_i != 0.
+    rows is the slice of 0..hi - lo a block covers (n = lo + rows.start + i),
+    j a live initial state (p_j > 0) and k any state: rho(zeta_jk(n)) at
+    scale M with steps = 1, and at scale 1 with steps = M rho(-log2 mu) of
+    the paths j -> k whose edge lifts sum to z mod M (oracle.lifted_chain).
+    Every pair's b_jk, its fraction (frac_log) and its rational points are
+    array steps; only the per-n arrays are made, READOUT_BLOCK_CELLS a block.
+    rho is the float sum of the unit's phase and the pair's fraction except
+    at a rational point of an exact source: there every K part is a multiple
+    of G = d D / Q, Q = readout_denominator, so K = (n-1) A + B_jk mod Q and
+    rho = rho_ratio(K steps + z Q, steps Q), in int64 while steps Q and (hi -
+    lo + 1) Q are below 2^53, in Python ints beyond, as is a rational unit's
+    phase (n-1) A mod Q over Q.
     """
-    i = next((i for i, c in enumerate(u) if c), None)
-    if i is None:
-        return range(lo, hi + 1) if not any(b) else range(0)
-    t, rest = divmod(-b[i], u[i])
-    hit = not rest and lo <= t + 1 <= hi and all(t * c + e == 0 for c, e in zip(u, b))
-    return range(t + 1, t + 2) if hit else range(0)
-
-
-def pair_rho(source: MarkovSource, cls: ModeClassification, pairs, lo: int, hi: int, scale: int, steps: int = 1):
-    """Yield rho(frac((scale/d)((n-1) unit + b_jk)) + z/steps) for each pair (j, k), n = lo..hi and z < steps.
-
-    Each pair gets one (hi - lo + 1, steps) array: rho(zeta_jk(n)) at scale
-    M with steps = 1, and at scale 1 with steps = M rho(-log2 mu) of the
-    paths j -> k whose edge lifts sum to z mod M (oracle.lifted_chain).
-    Where (n-1) unit + b_jk is irrational, or the source is a float one, rho
-    is read from the float sum of its two terms, each reduced modulo 1 by
-    frac_log.  Where its exponent part is 0 (_rational_points) it is exact:
-    every K part is a multiple of G = d D / Q, Q = readout_denominator, so K
-    = (n-1) A + B_jk mod Q and rho = rho_ratio(K steps + z Q, steps Q), in
-    int64 while steps Q and (hi - lo + 1) Q are below 2^53, in Python ints
-    beyond; a rational unit's phase is (n-1) A mod Q over Q, no Fraction.
-    """
-    (d, unit, _), basis, count = cls.solution, source.prob_table.basis, hi - lo + 1
-    offsets = _pair_offsets(source, cls, pairs)
-    points, shifts = [range(0)] * len(offsets), [0] * len(offsets)
+    (d, unit, X), table, r, count = cls.solution, source.prob_table, source.r, hi - lo + 1
+    live, dtype = np.flatnonzero(table.p[r]), object if source.exact else float
+    X, logs = np.array(X, dtype=dtype), np.array(table.rows if source.exact else table.logs, dtype=dtype)
+    b = (X[live][:, None] - X - logs[table.index[r, live]][:, None] * d).reshape(len(live) * r, *X.shape[1:])
+    fraction = frac_log(b, [scale], d, table.basis)
+    every, at = np.zeros(len(b), dtype=bool), np.full(len(b), -1)  # rational at every row, or at row at
     if source.exact:
         Q = readout_denominator(source, cls)
-        G = d * basis.D // Q
+        G = d * table.basis.D // Q
         ints = np.int64 if max(steps, count) * Q < INT64_READOUT_BOUND else object
-        (A, u), (B, b) = split_rows(unit), split_rows(offsets)
-        A, shifts = A // G * scale % Q, (B // G * scale).tolist()
-        points = [_rational_points(u.tolist(), e, lo, hi) for e in b.tolist()]
-
-        def units(ns, b=0):
-            # ((n - 1) A + b) mod Q for n in ns, the first in Python ints: no n past 2^63 reaches int64
-            return (((ns.start - 1) * A + b) % Q + np.arange(len(ns), dtype=ints) * A) % Q
-
-    if source.exact and not u.any():
-        phase = np.asarray(units(range(lo, hi + 1)) / Q, dtype=float)
+        (A, u), (B, e) = split_rows(unit), split_rows(b)
+        A, B = int(A) // G * scale % Q, (B // G * scale % Q).astype(ints)
+        # (n - 1) u + e_jk = 0 at every n where u = 0 = e_jk, else at most at n - 1 = -e_i / u_i
+        if not u.any():
+            every = ~e.any(axis=1)
+        else:
+            t = -e[:, np.argmax(u != 0)] // u[np.argmax(u != 0)]  # the n - 1 where u's first exponent cancels
+            hit = ~(np.multiply.outer(t, u) + e).any(axis=1) & (t >= lo - 1) & (t <= hi - 1)
+            at[hit] = t[hit] - (lo - 1)
+    if every.all():
+        phase = None
+    elif source.exact and not u.any():
+        phase = np.asarray((((lo - 1) * A % Q + np.arange(count, dtype=ints) * A) % Q) / Q, dtype=float)
     else:
-        phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d, basis)
-    for b, shift, ns in zip(offsets, shifts, points):
-        if len(ns) < count:
+        phase = frac_log(unit, range((lo - 1) * scale, hi * scale, scale), d, table.basis)
+    block = max(1, READOUT_BLOCK_CELLS // (len(b) * steps))
+    for start in range(0, count, block):
+        rows = slice(start, min(start + block, count))
+        rho = np.empty((rows.stop - start, len(b), steps))
+        if phase is not None:
             # both terms are correctly rounded and lie in [0, 1): where their
             # mantissas cancel and zeta is an integer, the float sum is 1.0 or
             # 1 - 2**-53, never just above 1, so rho stays within 2**-53 of 0
-            total = phase + float(frac_log(b, [scale], d, basis)[0])
-            rho = ceil_defect(total[:, None] + np.arange(steps) / steps)
-        else:
-            rho = np.empty((count, steps))
-        if ns:
-            K = units(ns, shift)[:, None] * steps + np.arange(steps, dtype=ints) * Q
-            rho[ns.start - lo:ns.stop - lo] = rho_ratio(K, steps * Q)
-        yield rho
+            rho[:] = ceil_defect((phase[rows, None] + fraction)[..., None] + np.arange(steps) / steps)
+        row, pair = np.nonzero(every | (np.arange(start, rows.stop)[:, None] == at))
+        if len(row):
+            K = ((lo + start - 1) * A % Q + row.astype(ints) * A + B[pair]) % Q
+            rho[row, pair] = rho_ratio(K[:, None] * steps + np.arange(steps, dtype=ints) * Q, steps * Q)
+        yield rows, rho.reshape(len(rho), len(live), r, steps)
 
 
 def oscillation_argument(source: MarkovSource, cls: ModeClassification, j: int, k: int, n: int) -> float:
     """zeta_jk(n) = (n-1) s + w_j - w_k - M log2 p_j modulo 1, in [0, 1).
 
     The phase shared by all paths from j to k: frac((M/d)(n-1) unit) +
-    frac((M/d) b_jk), reduced by frac_log and summed exactly as Fractions.
+    frac((M/d) b_jk), b_jk formed as in pair_rho, reduced by frac_log and
+    summed exactly as Fractions.
     """
     if cls.mode != "oscillatory":
         raise ValueError("zeta is only defined in the oscillatory mode")
     if not source.prob_table.p[source.r, j]:
         raise ZeroProbability(f"initial state {j} has zero probability")
-    (d, unit, _), basis = cls.solution, source.prob_table.basis
-    (b,) = _pair_offsets(source, cls, [(j, k)])
-    return float(frac_log(unit, [(n - 1) * cls.M], d, basis)[0] + frac_log(b, [cls.M], d, basis)[0]) % 1.0
+    (d, unit, X), table, dtype = cls.solution, source.prob_table, object if source.exact else float
+    X, logs = np.array(X, dtype=dtype), np.array(table.rows if source.exact else table.logs, dtype=dtype)
+    b = X[j] - X[k] - logs[table.index[source.r, j]] * d
+    return float(frac_log(unit, [(n - 1) * cls.M], d, table.basis)[0] + frac_log(b, [cls.M], d, table.basis)[0]) % 1.0
 
 
 # -- predictions -------------------------------------------------------------
@@ -349,22 +337,23 @@ def prediction_columns(
         half, zero = np.full(len(ns), 0.5), np.zeros(len(ns))
         return PredictionColumns(ns, half, half, half, zero, cls.flags | {"convergent"})
     structure = classify_structure(source)
-    d = structure.period
+    d, M = structure.period, float(cls.M)
     c = np.array(structure.depth) % d
-    # n - 1 modulo d, from (lo - 1) mod d so that it stays an int64 at any n
-    shift = ((lo - 1) % d + np.arange(len(ns))) % d
     initial = source.prob_table.p[source.r]
+    live = np.flatnonzero(initial)
     weights = d * np.outer(initial, _stationary(source))  # irreducible, as cls is oscillatory: no second BFS
-    pairs = [(j, k) for j in np.flatnonzero(initial).tolist() for k in range(source.r)]
-    osc = np.zeros(len(ns))
-    near = np.zeros((len(ns), source.r, source.r), dtype=bool)
-    # summed pair by pair in (j, k) order: np.einsum's summation order moves
-    # omega by an ulp on about a third of the rows, which shows in print
-    for (j, k), rho in zip(pairs, pair_rho(source, cls, pairs, lo, hi, cls.M)):
-        rho = rho[:, 0]
-        osc += weights[j, k] * rho * (shift == (c[k] - c[j]) % d)
-        near[:, j, k] = (rho <= xi) | (rho >= 1.0 - xi)
-    boundary = np.einsum("jk,njk->n", weights, near) / float(cls.M)
+    offset = (c - c[live][:, None]) % d  # the class of n - 1 modulo d at which pair (j, k) is live
+    osc, boundary = np.empty(len(ns)), np.empty(len(ns))
+    for rows, rho in pair_rho(source, cls, lo, hi, cls.M):
+        rho = rho[..., 0]
+        shift = ((lo - 1 + rows.start) % d + np.arange(len(rho))) % d  # n - 1 mod d, an int64 at any n
+        terms = np.ascontiguousarray((weights[live] * rho * (shift[:, None, None] == offset)).reshape(len(rho), -1).T)
+        # summed pair by pair in (j, k) order, as np.einsum's order moves omega by an ulp on about a third of
+        # the rows: add.reduce adds the rows of a C-ordered array in order, but one column pairwise
+        osc[rows] = np.add.reduce(terms, axis=0) if len(rho) > 1 else np.add.accumulate(terms[:, 0])[-1]
+        near = np.zeros((len(rho), source.r, source.r), dtype=bool)
+        near[:, live] = (rho <= xi) | (rho >= 1.0 - xi)
+        boundary[rows] = np.einsum("jk,njk->n", weights, near) / M
     omega = 0.5 * (1.0 - 1.0 / cls.M) + osc / cls.M
     return PredictionColumns(ns, omega, omega - boundary, omega + boundary, boundary, cls.flags)
 

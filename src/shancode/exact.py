@@ -13,7 +13,7 @@ This module owns the one format in which exact logs are combined: integer
 rows [K, e_1, ..., e_B] over one LogBasis (log_rows), meaning K / D + sum_i
 e_i log2 b_i for one pairwise coprime base b, which is multiplicatively
 independent, so an integer combination of rows is rational exactly where
-its exponent part is 0.  frac_log reduces a row, or a float log, modulo 1.
+its exponent part is 0.  frac_log reduces rows and float logs modulo 1.
 """
 
 from __future__ import annotations
@@ -201,30 +201,37 @@ def log_rows(logs) -> tuple[np.ndarray, LogBasis]:
 
 
 def frac_log(x, ks, d: int = 1, basis: LogBasis | None = None):
-    """frac((k/d) x) of a log for each integer k in ks; the one reduction of a log modulo 1.
+    """frac((k/d) x) of a log for each integer k in ks, or of each log in an array x at one k (ks = [k]).
 
-    A float x (basis None) is reduced by one numpy expression.  A row x over
-    basis is reduced without forming a power: k K mod (d D) in integers, so
-    a rational row gives exact Fractions; an irrational one is summed in
-    fixed point with bits = 128 + 2 bit_length(max |k|) fraction bits, k L
-    plus the floor of its rational part modulo 2^bits, where L = sum_i e_i
-    L_i and L_i = round(2^bits log2 base[i] / d) (_fixed_log2).  That is
-    within sum_i |e_i| 2^-128 of the fraction, and Python's correctly rounded
-    int division makes it a float64 within about 1e-16 of it at any k.
+    The one reduction of a log modulo 1; float logs (basis None) by one numpy
+    expression.  A row over basis is reduced without forming a power: k K
+    mod (d D) in integers, so one rational row gives exact Fractions; an
+    irrational one is summed in fixed point with bits = 128 + 2 bit_length(max
+    |k|) fraction bits, k L plus the floor of its rational part modulo
+    2^bits, where L = sum_i e_i L_i and L_i = round(2^bits log2 base[i] / d)
+    (_fixed_log2): within sum_i |e_i| 2^-128 of the fraction, and a float64
+    within about 1e-16 of it at any k by Python's correctly rounded int
+    division.  The sums run on object arrays, 2^14 values of k at a time; an
+    array of rows gives a float64 a row, a rational one (k K mod d D) / (d D).
     """
     if basis is None:
         return np.array(ks, dtype=float) * x / d % 1.0
-    K, *e = map(int, x)
+    K, e = split_rows(x)
     kden = basis.D * d
-    if not any(e):
-        return [Fraction(k * K % kden, kden) for k in ks]
+    if e.ndim == 1 and not e.any():
+        return [Fraction(k * int(K) % kden, kden) for k in ks]
     bits = 128 + 2 * max(map(abs, ks), default=0).bit_length()
-    one, mask = 1 << bits, (1 << bits) - 1
-    L = sum(c * _fixed_log2(b, d, one) for c, b in zip(e, basis.base) if c)
-    # & mask is the residue modulo 2^bits for negative k L too; % 1.0 maps a
-    # fraction rounded up to 1.0 back to 0.0
-    return np.fromiter(((((k * K % kden) << bits) // kden + k * L & mask) / one % 1.0 for k in ks),
-                       float, len(ks))
+    used = np.flatnonzero(e.any(axis=tuple(range(e.ndim - 1))))
+    L = e[..., used].astype(object).dot(np.array([_fixed_log2(basis.base[i], d, 1 << bits) for i in used],
+                                                 dtype=object))
+    irrational, out = e.any(axis=-1), []
+    for start in range(0, max(len(ks), 1), 2**14):  # bounds the Python ints held at a time
+        k = np.array(ks[start:start + 2**14], dtype=object)
+        kK = K.astype(object) * k % kden
+        # & is the residue modulo 2^bits for negative k L too; % 1.0 maps a rounded-up 1.0 to 0.0
+        fixed = (((kK << bits) // kden + L * k) & ((1 << bits) - 1)) / (1 << bits) % 1.0
+        out.append((fixed if irrational.all() else np.where(irrational, fixed, kK / kden)).astype(float))
+    return np.concatenate(out)
 
 
 @dataclass(frozen=True)

@@ -62,8 +62,8 @@ _READ_CHARGE = 8
 # an oscillatory exact source takes the lifted chain; a request over either takes the lattice DP
 LIFT_WORK_CAP = 2**30
 LIFT_CELL_CAP = 2**22
-# units per product's or row's Python calls, per state pair, per matrix a product takes, per readout cell
-_LIFT_CALL_CHARGE, _LIFT_PAIR_CHARGE, _LIFT_ITEM_CHARGE, _LIFT_CELL_CHARGE = 5_000, 40_000, 300, 100
+# units per product's or row's Python calls, per matrix a product takes, per readout cell
+_LIFT_CALL_CHARGE, _LIFT_ITEM_CHARGE, _LIFT_CELL_CHARGE = 5_000, 300, 100
 _LIFT_INT_CELL_CHARGE = 500  # per readout cell where pair_rho counts in Python ints
 # Monte Carlo: rows of the longest n in a window and most rows a walk pass takes, raw draws
 # made at a time, and the caps check_monte_carlo enforces (a window of ranks, one byte each
@@ -298,10 +298,10 @@ def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     q = J (live initial states) per set bit of n - 1.  Each row reads J r M
     cells (FFT, scaling, rho, sum), at _LIFT_INT_CELL_CHARGE where pair_rho
     counts in Python ints (M or the row count, times Q, reaches
-    INT64_READOUT_BOUND).  Held are two squarings (stack_powers drops each
-    once the next is built) and, per readout cell, the transform and its
-    FFT; a complex cell counts as two float64 cells.  It prices M twisted
-    slices where floor(M/2) + 1 run, so that no request changes route.
+    INT64_READOUT_BOUND); pair_rho's setup, array steps, is not charged.
+    Held are two squarings (stack_powers drops each once the next is built)
+    and, per readout cell, the transform and its FFT; a complex cell counts
+    as two float64 cells.  It prices M twisted slices where floor(M/2) + 1 run.
     """
     r, M = source.r, cls.M
     live = int(np.count_nonzero(source.prob_table.p[r]))
@@ -312,8 +312,7 @@ def _lifted_cost(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     python_ints = max(M, rows) * readout_denominator(source, cls) >= INT64_READOUT_BOUND
     work = ((levels - 1) * (_LIFT_CALL_CHARGE + M * (r**3 + _LIFT_ITEM_CHARGE))
             + products * (_LIFT_CALL_CHARGE + M * (live * r * r + _LIFT_ITEM_CHARGE))
-            + rows * _LIFT_CALL_CHARGE + cells * (_LIFT_INT_CELL_CHARGE if python_ints else _LIFT_CELL_CHARGE)
-            + live * r * _LIFT_PAIR_CHARGE)
+            + rows * _LIFT_CALL_CHARGE + cells * (_LIFT_INT_CELL_CHARGE if python_ints else _LIFT_CELL_CHARGE))
     return work, 4 * (M * r * r + cells)
 
 
@@ -349,8 +348,8 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     products alone or in a range), and one inverse real FFT over t gives its
     masses on z.  A row's total mass is its t = 0 term, a row of P^(n-1),
     which float rows such as (1/3, 2/3) drift from 1 by about n ulps; it is
-    scaled once to 1.  Values are within about 1e-14 of the exact R_n, and
-    never below 0; every rational -log2 mu is read out exactly (pair_rho).
+    scaled once to 1.  Values are within about 1e-14 of the exact R_n, never
+    below 0, and exact at every rational -log2 mu (pair_rho, in blocks of n).
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid block length range {lo}..{hi}")
@@ -363,8 +362,7 @@ def lifted_chain(source: MarkovSource, cls: ModeClassification, lo: int, hi: int
     masses = np.stack(stack_powers(start, twist, range(lo - 1, hi), _conditioned))  # [n, t, j, k]: DFT over z
     masses = np.fft.irfft(masses, n=M, axis=1).transpose(0, 2, 3, 1).reshape(count, len(live), r * M)  # [n, j, k M + z]
     masses /= np.add.reduce(masses, axis=2, keepdims=True)
-    pairs = [(j, k) for j in live for k in range(r)]
-    rho = np.stack(list(pair_rho(source, cls, pairs, lo, hi, 1, M)), axis=1).reshape(count, len(live), r * M)
+    rho = np.concatenate([rho for _, rho in pair_rho(source, cls, lo, hi, 1, M)]).reshape(count, len(live), r * M)
     terms = (table[r, live][:, None] * masses * rho).reshape(count, -1)
     return [RedundancyValue(n=n, value=max(0.0, math.fsum(row.tolist())), method="lifted_chain", stderr=None,
                             flags=frozenset()) for n, row in zip(range(lo, hi + 1), terms)]

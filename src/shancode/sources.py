@@ -91,9 +91,14 @@ class MarkovSource:
 
     @staticmethod
     def from_exact(initial, transitions) -> "MarkovSource":
-        init = tuple(_coerce_prob(v, True) for v in initial)
-        trans = tuple(tuple(_coerce_prob(v, True) for v in row) for row in transitions)
-        return MarkovSource(init, trans, True)
+        parsed = {}
+
+        def coerce(v):  # each distinct spec string or number parsed once; 1 and True differ
+            if isinstance(v, (str, int, Fraction)) and (type(v), v) not in parsed:
+                parsed[type(v), v] = _coerce_prob(v, True)
+            return parsed[type(v), v] if isinstance(v, (str, int, Fraction)) else _coerce_prob(v, True)
+
+        return MarkovSource(tuple(map(coerce, initial)), tuple(tuple(map(coerce, row)) for row in transitions), True)
 
     @staticmethod
     def from_floats(initial, transitions) -> "MarkovSource":

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from collections import Counter
+import random
+from collections import Counter, deque
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -194,10 +195,42 @@ def period2_source(M: int) -> MarkovSource:
     return MarkovSource.from_exact([1, 0, 0], [row, [1, 0, 0], [1, 0, 0]])
 
 
+def permutation_family(r: int) -> MarkovSource:
+    """r states whose rows are each a shuffle of q_i = 2^(e_i) / S, S = sum 2^(e_i), uniform initial vector.
+
+    The e_i in 0..3 and the shuffles are drawn by random.Random(1).  Every
+    row holds the same r values, so the source is oscillatory with M = 1.
+    """
+    rng = random.Random(1)
+    e = [rng.randint(0, 3) for _ in range(r)]
+    q = [Fraction(2**x, sum(2**x for x in e)) for x in e]
+    rows = []
+    for _ in range(r):
+        rows.append(q[:])
+        rng.shuffle(rows[-1])
+    return MarkovSource.from_exact([Fraction(1, r)] * r, rows)
+
+
 @pytest.fixture(scope="session")
 def order67_source():
     """period2_source at M = 67."""
     return period2_source(67)
+
+
+def cancelling_sources():
+    """Sources with an irrational unit whose initial mantissa cancels the path mantissas at one n.
+
+    perm's rows started at (3/4, 1/4) (M = 1) give mu = 1/4 or 1/2 at n = 2
+    from state 0.  The others are order67_source's shape with return cycles
+    1/3 (M = 3) and 1/67 (M = 67) apart: state 0 starts with mass
+    1 / (2 m) for the row's mantissa m, which cancels after one return.
+    """
+    sources = [MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["2/3", "1/3"]])]
+    for gap in (Fraction(1, 3), Fraction(1, 67)):
+        m = Fraction(1 / (2**-1 + 2 ** -float(1 - gap))).limit_denominator(10**13)
+        row = [ZERO, ExactProb.make(m, -1), ExactProb.make(m, gap - 1)]
+        sources.append(MarkovSource.from_exact([1 / (2 * m), 1 - 1 / (2 * m), 0], [row, [1, 0, 0], [1, 0, 0]]))
+    return sources
 
 
 @pytest.fixture(scope="session")
@@ -559,34 +592,104 @@ def simpson(f, a: float, b: float, panels: int = 1 << 12) -> float:
     return float(h / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()))
 
 
-def omega_decimal_reference(source: MarkovSource, M: int, n: int, digits: int = 60) -> float:
-    """Omega_n of a positive aperiodic exact source in `digits`-digit decimal arithmetic.
+def cyclic_classes(source: MarkovSource) -> tuple[int, list[int]]:
+    """(d, c) of an irreducible source: its period and each state's cyclic class, by BFS from state 0.
 
-    Evaluates (1/2)(1 - 1/M) + (1/M) sum_jk p_j pi_k rho(zeta_jk(n)) with
-    zeta_jk(n) = M [-(n-1) log2 p(0|0) + log2 p(j|0) - log2 p(k|0) - log2 p_j]
-    straight from the probabilities' decimal logs.
+    d is the gcd of depth_a + 1 - depth_b over the edges a -> b and c_b is
+    depth_b mod d.
     """
+    T, depth, queue = source.transitions, {0: 0}, deque([0])
+    while queue:
+        a = queue.popleft()
+        for b in range(source.r):
+            if T[a][b] is not ZERO and b not in depth:
+                depth[b] = depth[a] + 1
+                queue.append(b)
+    d = math.gcd(*(depth[a] + 1 - depth[b] for a in range(source.r) for b in range(source.r) if T[a][b] is not ZERO))
+    return d, [depth[b] % d for b in range(source.r)]
+
+
+def _shortest_walk(source: MarkovSource, j: int, k: int, least: int) -> list[int]:
+    """The states of a shortest walk j -> k of at least `least` (0 or 1) edges, by BFS."""
+    T = source.transitions
+    queue = deque([[j]] if least == 0 else [[j, b] for b in range(source.r) if T[j][b] is not ZERO])
+    seen = set()
+    while queue:
+        walk = queue.popleft()
+        if walk[-1] == k:
+            return walk
+        if walk[-1] not in seen:
+            seen.add(walk[-1])
+            queue.extend(walk + [b] for b in range(source.r) if T[walk[-1]][b] is not ZERO)
+    raise ValueError(f"no walk from {j} to {k}")
+
+
+def pair_path(source: MarkovSource, j: int, k: int, n: int) -> Counter:
+    """The probabilities of one path of length n - 1 from j to k, p_j included, as a Counter of counts.
+
+    A shortest path j -> k of length l, padded by t = (n - 1 - l) / d copies
+    of a shortest cycle through k, which must have the period d as its
+    length.  Modulo 1, M (-log2 mu) is zeta_jk(n) on every path of length
+    n - 1 from j to k, and a cycle's M (-log2 mu) is d s, so the padding keeps
+    it; where n - 1 < l, t < 0 and the path is a formal one that stands for
+    them.  k must lie in class c_j + n - 1 modulo d.
+    """
+    d, c = cyclic_classes(source)
+    if (c[k] - c[j] - (n - 1)) % d:
+        raise ValueError(f"no path of length {n - 1} from {j} to {k}")
+    walk, cycle = _shortest_walk(source, j, k, 0), _shortest_walk(source, k, k, 1)
+    if len(cycle) - 1 != d:
+        raise ValueError(f"no cycle of length {d} through state {k}")
+    T, t = source.transitions, (n - len(walk)) // d
+    counts = Counter([source.initial[j], *(T[a][b] for a, b in zip(walk, walk[1:]))])
+    for a, b in zip(cycle, cycle[1:]):
+        counts[T[a][b]] += t
+    return counts
+
+
+def omega_decimal_reference(source: MarkovSource, M: int, n: int, digits: int = 60) -> float:
+    """Omega_n of an irreducible exact source in `digits`-digit decimal arithmetic, from one path per pair.
+
+    Evaluates (1/2)(1 - 1/M) + (1/M) sum d p_j pi_k rho(M (-log2 mu_jk)) over
+    the pairs with c_k = c_j + n - 1 (mod d) (cyclic_classes), mu_jk the
+    probability of pair_path(source, j, k, n), so every state must lie on a
+    cycle of length d.  -log2 mu_jk is rational exactly where the exponents
+    of its mantissas over a coprime base of them cancel; there rho is the
+    Fraction one, and elsewhere it is read from the base's decimal logs.
+    """
+    d, c = cyclic_classes(source)
     P = source.transition_array()
     A = P.T - np.eye(source.r)
     A[-1, :] = 1.0
     pi = np.linalg.solve(A, np.eye(source.r)[-1])
+    paths = {(j, k): pair_path(source, j, k, n) for j, pj in enumerate(source.initial) if pj is not ZERO
+             for k in range(source.r) if (c[k] - c[j] - (n - 1)) % d == 0}
+    base = coprime_base_reference({x for counts in paths.values() for v in counts
+                                   for x in (v.mantissa.numerator, v.mantissa.denominator)})
+
+    def exponents(x: int) -> list[int]:
+        out = [0] * len(base)
+        for i, b in enumerate(base):
+            while x % b == 0:
+                x, out[i] = x // b, out[i] + 1
+        return out
+
     with localcontext() as ctx:
         ctx.prec = digits
-
-        def log2(v):
-            m, e = v.mantissa, v.exp2
-            return Decimal(e.numerator) / e.denominator + (
-                Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
-
-        T = source.transitions
+        logs = [Decimal(b).ln() / Decimal(2).ln() for b in base]
         osc = 0.0
-        for j, pj in enumerate(source.initial):
-            if pj is ZERO:
-                continue
-            for k in range(source.r):
-                zeta = M * (-(n - 1) * log2(T[0][0]) + log2(T[0][j]) - log2(T[0][k]) - log2(pj))
-                rho = zeta.to_integral_value(rounding=ROUND_FLOOR) + 1 - zeta
-                osc += pj.to_float() * pi[k] * float(rho % 1)
+        for (j, k), counts in paths.items():
+            e = [0] * len(base)
+            for v, count in counts.items():
+                for i, (a, b) in enumerate(zip(exponents(v.mantissa.numerator), exponents(v.mantissa.denominator))):
+                    e[i] += count * (a - b)
+            q = -M * sum(count * v.exp2 for v, count in counts.items())
+            if not any(e):
+                rho = math.ceil(q) - q
+            else:
+                u = Decimal(q.numerator) / q.denominator - M * sum(x * lg for x, lg in zip(e, logs))
+                rho = u.to_integral_value(ROUND_CEILING) - u
+            osc += d * source.initial[j].to_float() * pi[k] * float(rho)
     return 0.5 * (1.0 - 1.0 / M) + osc / M
 
 

@@ -1,6 +1,7 @@
 """Mode classification, oscillation sums and the closed-form special cases."""
 
 import dataclasses
+import itertools
 import math
 import random
 import time
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 from shancode import (
     MarkovSource,
     Prediction,
+    asymptotics,
     ceil_defect,
     classify_mode,
     eigen,
@@ -29,16 +31,20 @@ from shancode import (
 )
 from shancode.asymptotics import DEFAULT_XI, prediction_columns, readout_denominator
 from shancode.errors import ReducibleChain
-from shancode.exact import ZERO, ExactProb
+from shancode.exact import ZERO, ExactProb, frac_log
 from shancode.sources import classify_structure, log2_prob, stationary_distribution
 from tests.conftest import (
     absorbing_pair_formula,
+    cancelling_sources,
+    cyclic_classes,
     float_copy,
     iter_paths_bruteforce,
     log2value_sum,
     memoryless,
     omega_decimal_reference,
+    pair_path,
     period2_source,
+    permutation_family,
     random_exact_source,
     random_float_source,
     random_order_source,
@@ -433,22 +439,42 @@ def test_omega_matches_decimal_reference_at_large_n(oscillatory_exact_family, n)
         assert abs(predict(s, cls, n).omega - omega_decimal_reference(s, cls.M, n)) <= 1e-13
 
 
-def test_omega_decimal_reference_reads_rational_points_exactly(dyadic_r3, m2_source):
+def test_pair_rho_reduces_every_pair_in_one_call(monkeypatch):
+    # one frac_log for the unit's phase and one for every pair's offset, not one per pair
+    s = permutation_family(64)
+    cls = classify_mode(s)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return frac_log(*args)
+
+    monkeypatch.setattr(asymptotics, "frac_log", counted)
+    blocks = list(asymptotics.pair_rho(s, cls, 1, 8, cls.M))
+    assert sum(len(rho) for _, rho in blocks) == 8 and len(calls) <= 2
+
+
+def test_omega_decimal_reference_reads_rational_points_exactly(dyadic_r3, m2_source, bipartite_periodic_source,
+                                                               p3_source):
     # where zeta_jk(n) is rational the reference must give the Fraction rho: a sum of four
     # rounded decimal logs can land an integer just above itself, where rho reads 1, not 0.
     # Each pair's rho here is the Fraction one at a rational zeta and one 60-digit log of its
-    # combined mantissa elsewhere; perm started at (3/4, 1/4) is rational at n = 2 from state 0
-    perm_34 = MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["2/3", "1/3"]])
+    # combined mantissa elsewhere, both on the reference's path; perm started at (3/4, 1/4)
+    # is rational at n = 2 from state 0, the period-2 cancelling sources at one n, and bip
+    # at n = 1 from its one initial state; p3 never is, as no numerator cancels its thirds
+    perm_34, *period2 = cancelling_sources()
     found = []
-    for s in (dyadic_r3, m2_source, perm_34):
-        M, T, pi = classify_mode(s).M, s.transitions, stationary_distribution(s)
+    for s in (dyadic_r3, m2_source, perm_34, *period2, bipartite_periodic_source, p3_source):
+        M, pi = classify_mode(s).M, stationary_distribution(s)
+        d, c = cyclic_classes(s)
         rational = 0
         for n in range(1, 13):
             osc = 0.0
             for j, pj in enumerate(s.initial):
                 for k in range(s.r):
-                    terms = [(-(n - 1) * M, T[0][0]), (M, T[0][j]), (-M, T[0][k]), (-M, pj)]
-                    zeta = log2value_sum([(c, log2_prob(p)) for c, p in terms])
+                    if pj is ZERO or (c[k] - c[j] - (n - 1)) % d:
+                        continue
+                    zeta = log2value_sum([(-M * count, log2_prob(p)) for p, count in pair_path(s, j, k, n).items()])
                     if zeta.is_rational:
                         rho, rational = float(math.ceil(zeta.rational) - zeta.rational), rational + 1
                     else:
@@ -458,11 +484,26 @@ def test_omega_decimal_reference_reads_rational_points_exactly(dyadic_r3, m2_sou
                             u = Decimal(q.numerator) / q.denominator + (
                                 Decimal(m.numerator).ln() - Decimal(m.denominator).ln()) / Decimal(2).ln()
                             rho = float(u.to_integral_value(ROUND_CEILING) - u)
-                    osc += pj.to_float() * pi[k] * rho
+                    osc += d * pj.to_float() * pi[k] * rho
             want = 0.5 * (1.0 - 1.0 / M) + osc / M
             assert abs(omega_decimal_reference(s, M, n) - want) <= 1e-15, (s.to_dict(), n)
         found.append(rational)
-    assert found[0] == 12 * 9 and all(found), found
+    assert found[0] == 12 * 9 and all(found[:-1]), found
+
+
+def test_pair_path_stands_for_every_path(m2_source, bipartite_periodic_source, p3_source):
+    # M (-log2 mu) modulo 1 is the same on every path of length n - 1 from j to k, the padded one included
+    for s in (m2_source, *cancelling_sources(), bipartite_periodic_source, p3_source):
+        M, T = classify_mode(s).M, s.transitions
+        for n in range(1, 6):
+            for path in itertools.product(range(s.r), repeat=n):
+                probs = [s.initial[path[0]], *(T[a][b] for a, b in zip(path, path[1:]))]
+                if ZERO in probs:
+                    continue
+                padded = pair_path(s, path[0], path[-1], n)
+                gap = log2value_sum([(M, log2_prob(p)) for p in probs]
+                                    + [(-M * count, log2_prob(p)) for p, count in padded.items()])
+                assert gap.is_rational and gap.rational.denominator == 1, (s.to_dict(), path)
 
 
 def bipartite_reference(n: int, digits: int = 60) -> float:

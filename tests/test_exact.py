@@ -93,6 +93,19 @@ def test_frac_scaled_equals_the_decimal_reduction():
     assert len(frac_log(row, [], 1, basis)) == 0
 
 
+def test_frac_log_of_rows_at_one_k_equals_each_row_alone():
+    # rational and irrational rows, an exponent column no row uses, and k past 2^64
+    logs = [Log2Value(F(1, 3), F(3)), Log2Value(F(-5, 7), F(1)), Log2Value(F(7, 4), F(5, 3)),
+            Log2Value(F(0), F(3**40, 5**17)), Log2Value(F(2), F(1)), Log2Value(F(0), F(11))]
+    rows, basis = log_rows(logs)
+    rows = rows[:-1]
+    for k in (1, -3, 1009, 2**64 + 1, -(3 * 2**70 + 12345)):
+        for den in (1, 2, 1009):
+            got = frac_log(rows, [k], den, basis)
+            assert got.dtype == float and got.tolist() == [float(frac_log(row, [k], den, basis)[0]) for row in rows]
+    assert frac_log(rows[:0], [5], 1, basis).shape == (0,)
+
+
 def test_float_log_by_repeated_squaring_oracle():
     # independent oracle: extract 40 binary digits of log2(0.75) by squaring
     weight = 0.5

@@ -20,11 +20,12 @@ from shancode import (
     monte_carlo_redundancy,
     monte_carlo_redundancy_range,
 )
-from shancode import ZERO, ExactProb, asymptotics, classify_mode, oracle, spectral
-from shancode.asymptotics import _pair_offsets, ceil_defect, prediction_columns
+from shancode import ZERO, ExactProb, asymptotics, classify_mode, log2_prob, oracle, spectral
+from shancode.asymptotics import ceil_defect, prediction_columns
 from shancode.errors import ResourceLimit
-from shancode.exact import Log2Value, _coprime_base, log_rows, rho_ratio, split_rows
+from shancode.exact import Log2Value, _coprime_base, log_rows, rho_ratio
 from tests.conftest import (
+    cancelling_sources,
     coprime_base_reference,
     decimal_path_reference,
     float_copy,
@@ -35,6 +36,7 @@ from tests.conftest import (
     monte_carlo_reference,
     omega_decimal_reference,
     period2_source,
+    permutation_family,
     random_float_source,
     redundancy_bruteforce,
     row_log2value,
@@ -570,47 +572,38 @@ def test_lifted_chain_dyadic_exactly_zero(dyadic_memoryless, dyadic_markov_pair,
             assert rec.method == "lifted_chain" and rec.value == 0.0 and str(rec.value) == "0.0"
 
 
-def cancelling_sources():
-    """Sources with an irrational unit whose initial mantissa cancels the path mantissas at one n.
-
-    perm's rows started at (3/4, 1/4) (M = 1) give mu = 1/4 or 1/2 at n = 2
-    from state 0.  The others are order67_source's shape with return cycles
-    1/3 (M = 3) and 1/67 (M = 67) apart: state 0 starts with mass
-    1 / (2 m) for the row's mantissa m, which cancels after one return.
-    """
-    sources = [MarkovSource.from_exact(["3/4", "1/4"], [["1/3", "2/3"], ["2/3", "1/3"]])]
-    for gap in (F(1, 3), F(1, 67)):
-        m = F(1 / (2**-1 + 2 ** -float(1 - gap))).limit_denominator(10**13)
-        row = [ZERO, ExactProb.make(m, -1), ExactProb.make(m, gap - 1)]
-        sources.append(MarkovSource.from_exact([1 / (2 * m), 1 - 1 / (2 * m), 0], [row, [1, 0, 0], [1, 0, 0]]))
-    return sources
+def pair_offset(s, cls, j: int, k: int) -> Log2Value:
+    """b_jk = X_j - X_k - d log2 p_j of the stored solution, summed as Fractions."""
+    d, _, X = cls.solution
+    basis = s.prob_table.basis
+    return log2value_sum([(1, row_log2value(X[j], basis)), (-1, row_log2value(X[k], basis)),
+                          (-d, log2_prob(s.initial[j]))])
 
 
 def test_lifted_chain_reads_rational_paths_exactly():
     for s in cancelling_sources():
         cls = classify_mode(s)
         d, unit, _ = cls.solution
-        basis = s.prob_table.basis
-        u = row_log2value(unit, basis)
+        u = row_log2value(unit, s.prob_table.basis)
         assert cls.mode == "oscillatory" and not u.is_rational
         rows = exact_redundancy_range(s, 1, 40)
         assert {rec.method for rec in rows} == {"lifted_chain"}
         for rec, dp in zip(rows, oracle.lattice_dp(s, 1, 40)):
             assert abs(rec.value - dp.value) <= 1e-12, rec.n
-        # every point where (n - 1) unit + b_jk is rational is found, and its rho is the exact one
+        # every point where (n - 1) unit + b_jk is rational is read out as the exact rho
         live = [j for j, p in enumerate(s.initial) if p is not ZERO]
-        pairs = [(j, k) for j in live for k in range(s.r)]
-        rho = np.stack(list(asymptotics.pair_rho(s, cls, pairs, 1, 12, 1, cls.M)), axis=1)
+        rho = np.concatenate([rho for _, rho in asymptotics.pair_rho(s, cls, 1, 12, 1, cls.M)])
+        assert rho.shape == (12, len(live), s.r, cls.M)
         found = 0
-        for p, b in enumerate(_pair_offsets(s, cls, pairs)):
-            totals = {n: log2value_sum([(n - 1, u), (1, row_log2value(b, basis))]) for n in range(1, 13)}
-            points = [n for n in range(1, 13) if totals[n].is_rational]
-            u_exps, b_exps = split_rows(unit)[1].tolist(), split_rows(b)[1].tolist()
-            assert list(asymptotics._rational_points(u_exps, b_exps, 1, 12)) == points
-            for n in points:
-                c = totals[n].rational / d
-                assert rho[n - 1, p].tolist() == [float(ceil_defect(F(z, cls.M) + c)) for z in range(cls.M)]
-            found += len(points)
+        for a, j in enumerate(live):
+            for k in range(s.r):
+                b = pair_offset(s, cls, j, k)
+                totals = {n: log2value_sum([(n - 1, u), (1, b)]) for n in range(1, 13)}
+                points = [n for n in range(1, 13) if totals[n].is_rational]
+                for n in points:
+                    c = totals[n].rational / d
+                    assert rho[n - 1, a, k].tolist() == [float(ceil_defect(F(z, cls.M) + c)) for z in range(cls.M)]
+                found += len(points)
         assert found
 
 
@@ -621,18 +614,23 @@ def test_pair_rho_is_exact_at_every_rational_point(dyadic_r3, m2_source):
         cls = classify_mode(s)
         d, unit, _ = cls.solution
         u = row_log2value(unit, s.prob_table.basis)
-        pairs = [(j, k) for j, p in enumerate(s.initial) if p is not ZERO for k in range(s.r)]
+        live = [j for j, p in enumerate(s.initial) if p is not ZERO]
         found = 0
         for scale, steps in ((cls.M, 1), (1, cls.M)):
-            rhos = asymptotics.pair_rho(s, cls, pairs, 1, 12, scale, steps)
-            for rho, b in zip(rhos, _pair_offsets(s, cls, pairs), strict=True):
-                assert rho.shape == (12, steps)
-                for n in range(1, 13):
-                    total = log2value_sum([(n - 1, u), (1, row_log2value(b, s.prob_table.basis))])
-                    if total.is_rational:
-                        x = total.rational * scale / d
-                        assert rho[n - 1].tolist() == [float(ceil_defect(F(z, steps) + x)) for z in range(steps)]
-                        found += 1
+            blocks = list(asymptotics.pair_rho(s, cls, 1, 12, scale, steps))
+            assert [rows for rows, _ in blocks] == [slice(0, 12)]
+            ((_, rho),) = blocks
+            assert rho.shape == (12, len(live), s.r, steps)
+            for a, j in enumerate(live):
+                for k in range(s.r):
+                    b = pair_offset(s, cls, j, k)
+                    for n in range(1, 13):
+                        total = log2value_sum([(n - 1, u), (1, b)])
+                        if total.is_rational:
+                            x = total.rational * scale / d
+                            assert rho[n - 1, a, k].tolist() == [float(ceil_defect(F(z, steps) + x))
+                                                                 for z in range(steps)]
+                            found += 1
         assert found
 
 
@@ -665,6 +663,25 @@ def test_lifted_chain_over_its_caps_takes_the_dp(permutation_source, order67_sou
     cls = classify_mode(permutation_source)
     assert oracle._lifted_cost(permutation_source, cls, 1, 2 * 10**4)[0] <= oracle.LIFT_WORK_CAP
     assert oracle._lifted_cost(permutation_source, cls, 1, 3 * 10**4)[0] > oracle.LIFT_WORK_CAP
+
+
+def test_lifted_chain_serves_the_r256_permutation_family_far_out():
+    # a charge per state pair once put this request over LIFT_WORK_CAP, and the DP refused it
+    s = permutation_family(256)
+    rec = exact_redundancy(s, 10**12)
+    assert rec.method == "lifted_chain"
+    cls = classify_mode(s)
+    assert abs(rec.value - prediction_columns(s, cls, 10**12, 10**12).omega[0]) <= 1e-12
+    assert abs(exact_redundancy(permutation_family(128), 10**12).value - 0.1364158587344737) <= 1e-12
+
+
+@pytest.mark.parametrize("r", [8, 16])
+def test_lifted_chain_matches_the_dp_on_the_permutation_family(r):
+    s = permutation_family(r)
+    lifted = exact_redundancy_range(s, 1, 40)
+    assert {rec.method for rec in lifted} == {"lifted_chain"}
+    for rec, dp in zip(lifted, oracle.lattice_dp(s, 1, 40), strict=True):
+        assert abs(rec.value - dp.value) <= 1e-12, rec.n
 
 
 def test_lifted_cost_counts_the_products(order67_source, monkeypatch):
